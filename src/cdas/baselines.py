@@ -1,9 +1,9 @@
 """Baseline problem-selection strategies.
 
-All baselines share the select/report contract of the alignment sampler: pick
-a batch of ids, then record the observed pass rates.  None of them maintain a
-competence or difficulty model; they only remember the latest pass rate per
-problem.
+All baselines follow the select/report contract of ``sampling.Sampler``: pick
+a batch of ids, then record the observed pass rates for that batch.  None of
+them maintain a competence or difficulty model; they only remember the latest
+pass rate per problem.
 """
 
 from __future__ import annotations
@@ -12,111 +12,43 @@ import math
 
 import numpy as np
 
-from .core import ProblemRecord
 from .errors import ConfigError, ConsistencyError, RolloutBudgetError
-
-STRATEGY_RANDOM = "random"
-STRATEGY_CURRICULUM = "curriculum"
-STRATEGY_PRIORITIZED = "prioritized"
-STRATEGY_DYNAMIC = "dynamic"
+from .sampling import Sampler
 
 
-class BaselineSampler:
-    strategy = "baseline"
-    competence_value = None
-
+class BaselineSampler(Sampler):
     def __init__(self, records, rng: np.random.Generator):
-        self._records: dict[str, ProblemRecord] = {}
-        for record in records:
-            if record.id in self._records:
-                raise ConfigError(f"duplicate problem id {record.id}")
-            self._records[record.id] = record
-        if not self._records:
-            raise ConfigError("n_problems: sampler needs at least one problem")
-        self._ids = list(self._records)
-        self._rng = rng
-        self._step = 0
+        super().__init__(records, rng)
         self.last_pass_rate: dict[str, float] = {}
-
-    @property
-    def records(self) -> dict[str, ProblemRecord]:
-        return dict(self._records)
-
-    def record(self, problem_id: str) -> ProblemRecord:
-        return self._records[problem_id]
-
-    @property
-    def step(self) -> int:
-        return self._step
-
-    def _check_batch_size(self, batch_size: int) -> None:
-        if batch_size < 1:
-            raise ConfigError(f"batch_size: must be >= 1, got {batch_size}")
-        if batch_size > len(self._ids):
-            raise ConfigError(
-                f"batch_size: must not exceed bank size ({batch_size} > {len(self._ids)})"
-            )
 
     def _uniform_batch(self, batch_size: int) -> list[str]:
         chosen = self._rng.choice(len(self._ids), size=batch_size, replace=False)
         return [self._ids[i] for i in chosen]
 
-    def report_outcomes(self, outcomes) -> None:
-        """Record latest pass rates; later duplicates in one batch win."""
+    def _fold(self, outcomes: list) -> None:
         for obs in outcomes:
-            if obs.problem_id not in self._records:
-                raise ConsistencyError(f"unknown problem id {obs.problem_id}")
             self.last_pass_rate[obs.problem_id] = obs.pass_rate
-        self._step += 1
 
-    def _base_state(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "step": self._step,
-            "last_pass_rate": dict(self.last_pass_rate),
-            "rng": self._rng.bit_generator.state,
-            "records": [
-                [r.id, r.level_tag, r.true_difficulty, r.t, r.difficulty]
-                for r in self._records.values()
-            ],
-        }
+    def _state(self) -> dict:
+        return {"last_pass_rate": dict(self.last_pass_rate)}
 
-    def _restore_base(self, payload: dict) -> None:
-        self._step = payload["step"]
+    def _load_state(self, payload: dict) -> None:
         self.last_pass_rate = dict(payload["last_pass_rate"])
-        self._rng.bit_generator.state = payload["rng"]
-
-    @classmethod
-    def _records_from_state(cls, payload: dict) -> list[ProblemRecord]:
-        return [
-            ProblemRecord(id=pid, level_tag=tag, true_difficulty=latent, t=t, difficulty=diff)
-            for pid, tag, latent, t, diff in payload["records"]
-        ]
 
 
 class RandomSampler(BaselineSampler):
     """Uniform sampling without replacement within each batch."""
 
-    strategy = STRATEGY_RANDOM
+    strategy = "random"
 
-    def select_batch(self, batch_size: int) -> list[str]:
-        self._check_batch_size(batch_size)
+    def _choose(self, batch_size: int) -> list[str]:
         return self._uniform_batch(batch_size)
-
-    def state_dict(self) -> dict:
-        return self._base_state()
-
-    @classmethod
-    def from_state_dict(cls, payload: dict) -> "RandomSampler":
-        sampler = cls(cls._records_from_state(payload), rng=np.random.default_rng())
-        sampler._restore_base(payload)
-        return sampler
 
 
 class CurriculumSampler(BaselineSampler):
     """Uniform sampling that switches to high-level problems at a fixed step."""
 
-    strategy = STRATEGY_CURRICULUM
+    strategy = "curriculum"
 
     def __init__(self, records, rng: np.random.Generator, switch_step: int, threshold: int = 4):
         super().__init__(records, rng)
@@ -136,8 +68,16 @@ class CurriculumSampler(BaselineSampler):
             pid for pid, record in self._records.items() if record.level_tag >= threshold
         ]
 
-    def select_batch(self, batch_size: int) -> list[str]:
-        self._check_batch_size(batch_size)
+    @classmethod
+    def from_config(cls, config, records, rng: np.random.Generator) -> "CurriculumSampler":
+        return cls(
+            records,
+            rng=rng,
+            switch_step=config.resolved_curriculum_switch_step,
+            threshold=config.curriculum_threshold,
+        )
+
+    def _choose(self, batch_size: int) -> list[str]:
         if self._step < self.switch_step:
             return self._uniform_batch(batch_size)
         if batch_size > len(self._eligible):
@@ -147,23 +87,6 @@ class CurriculumSampler(BaselineSampler):
             )
         chosen = self._rng.choice(len(self._eligible), size=batch_size, replace=False)
         return [self._eligible[i] for i in chosen]
-
-    def state_dict(self) -> dict:
-        state = self._base_state()
-        state["switch_step"] = self.switch_step
-        state["threshold"] = self.threshold
-        return state
-
-    @classmethod
-    def from_state_dict(cls, payload: dict) -> "CurriculumSampler":
-        sampler = cls(
-            cls._records_from_state(payload),
-            rng=np.random.default_rng(),
-            switch_step=payload["switch_step"],
-            threshold=payload["threshold"],
-        )
-        sampler._restore_base(payload)
-        return sampler
 
 
 class PrioritizedSampler(BaselineSampler):
@@ -176,7 +99,7 @@ class PrioritizedSampler(BaselineSampler):
     the ``uniform_fallbacks`` counter increments.
     """
 
-    strategy = STRATEGY_PRIORITIZED
+    strategy = "prioritized"
 
     def __init__(self, records, rng: np.random.Generator, initial_weight: float = 1.0):
         super().__init__(records, rng)
@@ -187,14 +110,17 @@ class PrioritizedSampler(BaselineSampler):
         self.initial_weight = initial_weight
         self.uniform_fallbacks = 0
 
+    @classmethod
+    def from_config(cls, config, records, rng: np.random.Generator) -> "PrioritizedSampler":
+        return cls(records, rng=rng, initial_weight=config.prioritized_initial_weight)
+
     def _weight(self, problem_id: str) -> float:
         rate = self.last_pass_rate.get(problem_id)
         if rate is None:
             return self.initial_weight
         return 1.0 - rate
 
-    def select_batch(self, batch_size: int) -> list[str]:
-        self._check_batch_size(batch_size)
+    def _choose(self, batch_size: int) -> list[str]:
         remaining = list(range(len(self._ids)))
         weights = np.array([self._weight(pid) for pid in self._ids])
         picks: list[int] = []
@@ -213,22 +139,12 @@ class PrioritizedSampler(BaselineSampler):
             self.uniform_fallbacks += 1
         return [self._ids[i] for i in picks]
 
-    def state_dict(self) -> dict:
-        state = self._base_state()
-        state["initial_weight"] = self.initial_weight
-        state["uniform_fallbacks"] = self.uniform_fallbacks
-        return state
+    def _state(self) -> dict:
+        return {**super()._state(), "uniform_fallbacks": self.uniform_fallbacks}
 
-    @classmethod
-    def from_state_dict(cls, payload: dict) -> "PrioritizedSampler":
-        sampler = cls(
-            cls._records_from_state(payload),
-            rng=np.random.default_rng(),
-            initial_weight=payload["initial_weight"],
-        )
-        sampler._restore_base(payload)
-        sampler.uniform_fallbacks = payload["uniform_fallbacks"]
-        return sampler
+    def _load_state(self, payload: dict) -> None:
+        super()._load_state(payload)
+        self.uniform_fallbacks = payload["uniform_fallbacks"]
 
 
 class DynamicSampler(BaselineSampler):
@@ -240,7 +156,7 @@ class DynamicSampler(BaselineSampler):
     with the most recently filtered candidates so batch size is preserved.
     """
 
-    strategy = STRATEGY_DYNAMIC
+    strategy = "dynamic"
 
     def __init__(
         self,
@@ -259,12 +175,22 @@ class DynamicSampler(BaselineSampler):
         self.retry_cap = retry_cap
         self.oversample_factor = oversample_factor
 
+    @classmethod
+    def from_config(cls, config, records, rng: np.random.Generator) -> "DynamicSampler":
+        return cls(
+            records,
+            rng=rng,
+            retry_cap=config.dynamic_retry_cap,
+            oversample_factor=config.dynamic_oversample_factor,
+        )
+
     def select_and_filter(self, batch_size: int, rollout_fn) -> tuple[list[str], int]:
         """Build a batch of interior-pass-rate problems.
 
         ``rollout_fn`` maps a problem id to a PassRateObservation and is
         invoked once per candidate; the second return value counts those
-        invocations (the rollout budget the batch consumed).
+        invocations (the rollout budget the batch consumed).  The returned
+        batch is pending until its outcomes are reported.
 
         Raises:
             RolloutBudgetError: retry cap spent with nothing keepable at all.
@@ -305,21 +231,5 @@ class DynamicSampler(BaselineSampler):
                 )
             deficit = batch_size - len(kept)
             kept = kept + filtered[-deficit:]
+        self._pending = list(kept)
         return kept, consumed
-
-    def state_dict(self) -> dict:
-        state = self._base_state()
-        state["retry_cap"] = self.retry_cap
-        state["oversample_factor"] = self.oversample_factor
-        return state
-
-    @classmethod
-    def from_state_dict(cls, payload: dict) -> "DynamicSampler":
-        sampler = cls(
-            cls._records_from_state(payload),
-            rng=np.random.default_rng(),
-            retry_cap=payload["retry_cap"],
-            oversample_factor=payload["oversample_factor"],
-        )
-        sampler._restore_base(payload)
-        return sampler

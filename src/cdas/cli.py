@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -21,63 +22,33 @@ from .harness import (
 )
 from .learner import generate_bank, load_bank, save_bank
 
-_CONFIG_FLAG_FIELDS = [
-    "n_problems",
-    "batch_size",
-    "rollouts",
-    "total_steps",
-    "strategy",
-    "symmetric",
-    "warmup",
-    "seed",
-    "discrimination",
-    "learn_rate",
-    "ability_init",
-    "bank_mode",
-    "bank_scale",
-    "bank_level_spread",
-    "bank_path",
-    "initial_difficulty",
-    "initial_competence",
-    "curriculum_switch_step",
-    "curriculum_threshold",
-    "prioritized_initial_weight",
-    "dynamic_retry_cap",
-    "dynamic_oversample_factor",
-    "out_dir",
-]
+# Flags spelled other than their field, and fields restricted to fixed choices.
+_FLAG_NAMES = {"total_steps": ("--steps", "--total-steps"), "out_dir": ("--out", "--out-dir")}
+_FLAG_CHOICES = {"strategy": STRATEGIES, "bank_mode": BANK_MODES}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per ExperimentConfig field; a flag left unset keeps the config's value."""
     parser.add_argument("--config", metavar="PATH", help="JSON config file to start from")
-    parser.add_argument("--n-problems", type=int)
-    parser.add_argument("--batch-size", type=int)
-    parser.add_argument("--rollouts", type=int)
-    parser.add_argument("--steps", "--total-steps", dest="total_steps", type=int)
-    parser.add_argument("--strategy", choices=STRATEGIES)
-    parser.add_argument("--symmetric", action=argparse.BooleanOptionalAction, default=None)
-    parser.add_argument("--warmup", action=argparse.BooleanOptionalAction, default=None)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--discrimination", type=float)
-    parser.add_argument("--learn-rate", type=float)
-    parser.add_argument("--ability-init", type=float)
-    parser.add_argument("--bank-mode", choices=BANK_MODES)
-    parser.add_argument("--bank-scale", type=float)
-    parser.add_argument("--bank-level-spread", type=float)
-    parser.add_argument("--bank-path")
-    parser.add_argument("--initial-difficulty", type=float)
-    parser.add_argument("--initial-competence", type=float)
-    parser.add_argument("--curriculum-switch-step", type=int)
-    parser.add_argument("--curriculum-threshold", type=int)
-    parser.add_argument("--prioritized-initial-weight", type=float)
-    parser.add_argument("--dynamic-retry-cap", type=int)
-    parser.add_argument("--dynamic-oversample-factor", type=float)
-    parser.add_argument("--out", "--out-dir", dest="out_dir", metavar="DIR")
+    hints = typing.get_type_hints(ExperimentConfig)
+    for field in dataclasses.fields(ExperimentConfig):
+        names = _FLAG_NAMES.get(field.name, ("--" + field.name.replace("_", "-"),))
+        hint = hints[field.name]
+        # An optional field parses as its non-None type.
+        kind = next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+        if kind is bool:
+            parser.add_argument(
+                *names, dest=field.name, action=argparse.BooleanOptionalAction, default=None
+            )
+        else:
+            parser.add_argument(
+                *names, dest=field.name, type=kind, choices=_FLAG_CHOICES.get(field.name)
+            )
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    overrides = {name: getattr(args, name) for name in _CONFIG_FLAG_FIELDS}
+    overrides = {field.name: getattr(args, field.name) for field in dataclasses.fields(config)}
     return config.with_overrides(**overrides)
 
 

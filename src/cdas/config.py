@@ -8,9 +8,16 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .baselines import CurriculumSampler, DynamicSampler, PrioritizedSampler, RandomSampler
 from .errors import ConfigError
+from .sampling import CdasSampler
 
-STRATEGIES = ("cdas", "random", "curriculum", "prioritized", "dynamic")
+# Strategy name -> sampler class; each name is declared once, on its class.
+SAMPLERS = {
+    cls.strategy: cls
+    for cls in (CdasSampler, RandomSampler, CurriculumSampler, PrioritizedSampler, DynamicSampler)
+}
+STRATEGIES = tuple(SAMPLERS)
 
 BANK_MODES = ("normal", "levels")
 
@@ -62,7 +69,7 @@ class ExperimentConfig:
                 f"batch_size: must not exceed n_problems "
                 f"({self.batch_size} > {self.n_problems})"
             )
-        if self.strategy == "cdas" and self.symmetric and self.batch_size % 2 != 0:
+        if self.strategy == CdasSampler.strategy and self.symmetric and self.batch_size % 2 != 0:
             raise ConfigError(
                 f"batch_size: symmetric mode needs an even batch, got {self.batch_size}"
             )

@@ -14,18 +14,15 @@ import csv
 import dataclasses
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .baselines import (
-    CurriculumSampler,
-    DynamicSampler,
-    PrioritizedSampler,
-    RandomSampler,
-)
-from .config import ExperimentConfig
+from .baselines import DynamicSampler, PrioritizedSampler
+from .config import SAMPLERS, ExperimentConfig
 from .core import PassRateObservation
 from .errors import ConfigError
 from .grpo import group_advantages
@@ -37,23 +34,15 @@ from .metrics import (
     summarize_step,
     write_metrics_csv,
 )
-from .sampling import CdasSampler
+from .sampling import Sampler
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 METRICS_FILE = "metrics.csv"
 SUMMARY_FILE = "summary.json"
 CHECKPOINT_FILE = "checkpoint.json"
 PROBLEMS_FILE = "problems.csv"
 BATCHES_FILE = "batches.csv"
-
-_SAMPLER_CLASSES = {
-    "cdas": CdasSampler,
-    "random": RandomSampler,
-    "curriculum": CurriculumSampler,
-    "prioritized": PrioritizedSampler,
-    "dynamic": DynamicSampler,
-}
 
 
 @dataclass
@@ -64,7 +53,7 @@ class RunResult:
     rows: list[StepMetrics]
     batches: list[list[str]]
     final_pass_rates: dict[str, float]
-    sampler: object
+    sampler: Sampler
     learner: SyntheticLearner
     completed: bool
 
@@ -131,52 +120,40 @@ def _build_bank(config: ExperimentConfig, bank_rng: np.random.Generator) -> Prob
     )
 
 
-def make_sampler(config: ExperimentConfig, bank: ProblemBank, rng: np.random.Generator):
-    if config.strategy == "cdas":
-        return CdasSampler(
-            bank.records,
-            batch_size=config.batch_size,
-            rng=rng,
-            symmetric=config.symmetric,
-            warmup=config.warmup,
-            initial_competence=config.initial_competence,
-        )
-    if config.strategy == "random":
-        return RandomSampler(bank.records, rng=rng)
-    if config.strategy == "curriculum":
-        return CurriculumSampler(
-            bank.records,
-            rng=rng,
-            switch_step=config.resolved_curriculum_switch_step,
-            threshold=config.curriculum_threshold,
-        )
-    if config.strategy == "prioritized":
-        return PrioritizedSampler(
-            bank.records, rng=rng, initial_weight=config.prioritized_initial_weight
-        )
-    if config.strategy == "dynamic":
-        return DynamicSampler(
-            bank.records,
-            rng=rng,
-            retry_cap=config.dynamic_retry_cap,
-            oversample_factor=config.dynamic_oversample_factor,
-        )
-    raise ConfigError(f"strategy: unknown strategy {config.strategy!r}")
+def _make_learner(
+    config: ExperimentConfig, bank: ProblemBank, rng: np.random.Generator
+) -> SyntheticLearner:
+    ability = config.ability_init if config.ability_init is not None else default_ability(bank)
+    return SyntheticLearner(
+        ability=ability,
+        rng=rng,
+        discrimination=config.discrimination,
+        learn_rate=config.learn_rate,
+        rollouts=config.rollouts,
+    )
 
 
-def sampler_from_state(payload: dict):
-    kind = payload.get("strategy")
-    cls = _SAMPLER_CLASSES.get(kind)
+def make_sampler(config: ExperimentConfig, bank: ProblemBank, rng: np.random.Generator) -> Sampler:
+    cls = SAMPLERS.get(config.strategy)
     if cls is None:
-        raise ConfigError(f"checkpoint: unknown sampler strategy {kind!r}")
-    return cls.from_state_dict(payload)
+        raise ConfigError(f"strategy: unknown strategy {config.strategy!r}")
+    return cls.from_config(config, bank.records, rng)
+
+
+def sampler_from_state(
+    config: ExperimentConfig, bank: ProblemBank, rng: np.random.Generator, state: dict
+) -> Sampler:
+    """Rebuild the configured sampler on ``bank`` and restore its checkpointed state."""
+    sampler = make_sampler(config, bank, rng)
+    sampler.load_state_dict(state)
+    return sampler
 
 
 @dataclass
 class _LiveRun:
     config: ExperimentConfig
     bank: ProblemBank
-    sampler: object
+    sampler: Sampler
     learner: SyntheticLearner
     rows: list[StepMetrics]
     batches: list[list[str]]
@@ -187,7 +164,7 @@ def _advance(live: _LiveRun, target_step: int) -> None:
     config = live.config
     while live.sampler.step < target_step:
         step = live.sampler.step + 1
-        if config.strategy == "dynamic":
+        if isinstance(live.sampler, DynamicSampler):
             group_cache = {}
 
             def rollout_fn(problem_id: str) -> PassRateObservation:
@@ -207,17 +184,21 @@ def _advance(live: _LiveRun, target_step: int) -> None:
                 live.learner.rollout_group(live.bank.problem(pid)) for pid in batch_ids
             ]
             consumed = len(batch_ids)
-        advantages = [group_advantages(g) for g in groups]
+        zero_gradient = [group_advantages(g)[1] for g in groups]
         outcomes = [
             PassRateObservation(problem_id=g.problem_id, pass_rate=g.pass_rate, step=step)
             for g in groups
         ]
         live.sampler.report_outcomes(outcomes)
-        live.learner.learn_step(
-            [(g.pass_rate, zero) for g, (_, zero) in zip(groups, advantages)]
-        )
+        live.learner.learn_step([(g.pass_rate, zero) for g, zero in zip(groups, zero_gradient)])
         live.rows.append(
-            summarize_step(groups, live.sampler, live.learner, rollout_batches_consumed=consumed)
+            summarize_step(
+                groups,
+                zero_gradient,
+                live.sampler,
+                live.learner,
+                rollout_batches_consumed=consumed,
+            )
         )
         live.batches.append(list(batch_ids))
         for g in groups:
@@ -249,14 +230,7 @@ def run_experiment(config: ExperimentConfig, stop_after: int | None = None) -> R
         raise ConfigError(f"stop_after: must be >= 1, got {stop_after}")
     bank_rng, sampler_rng, learner_rng = _spawned_rngs(config.seed)
     bank = _build_bank(config, bank_rng)
-    ability = config.ability_init if config.ability_init is not None else default_ability(bank)
-    learner = SyntheticLearner(
-        ability=ability,
-        rng=learner_rng,
-        discrimination=config.discrimination,
-        learn_rate=config.learn_rate,
-        rollouts=config.rollouts,
-    )
+    learner = _make_learner(config, bank, learner_rng)
     sampler = make_sampler(config, bank, sampler_rng)
     live = _LiveRun(
         config=config,
@@ -320,8 +294,11 @@ def resume_experiment(
 ) -> RunResult:
     """Continue a checkpointed run to completion (or to ``stop_after``).
 
-    Refuses checkpoints whose config hash does not match their embedded
-    config.  Resuming an already-complete run is a no-op with a notice.
+    The sampler and the learner are rebuilt from the checkpoint's config and
+    bank, then their checkpointed state is restored.  Refuses checkpoints
+    whose config hash does not match their embedded config, whose bank no
+    longer reproduces, or whose sampler state does not fit the bank or the
+    recorded steps.  Resuming an already-complete run is a no-op with a notice.
     """
     payload = load_checkpoint(checkpoint_path)
     config = ExperimentConfig.from_dict(payload["config"])
@@ -329,16 +306,25 @@ def resume_experiment(
         config = config.with_overrides(out_dir=str(out_dir))
     config.validate()
 
-    bank_rng, _, _ = _spawned_rngs(config.seed)
+    bank_rng, sampler_rng, learner_rng = _spawned_rngs(config.seed)
     bank = _build_bank(config, bank_rng)
     if bank.content_hash() != payload["bank_hash"]:
         raise ConfigError(
             f"checkpoint {checkpoint_path}: bank hash mismatch; the configured "
             f"bank no longer reproduces the checkpointed one"
         )
-    sampler = sampler_from_state(payload["sampler"])
-    learner = SyntheticLearner.from_state_dict(payload["learner"])
+    try:
+        sampler = sampler_from_state(config, bank, sampler_rng, payload["sampler"])
+    except ConfigError as err:
+        raise ConfigError(f"checkpoint {checkpoint_path}: {err}") from err
+    learner = _make_learner(config, bank, learner_rng)
+    learner.load_state_dict(payload["learner"])
     rows = [StepMetrics(**row) for row in payload["metrics_rows"]]
+    if sampler.step != len(rows):
+        raise ConfigError(
+            f"checkpoint {checkpoint_path}: sampler is at step {sampler.step} but "
+            f"{len(rows)} steps are recorded"
+        )
     live = _LiveRun(
         config=config,
         bank=bank,
@@ -367,18 +353,31 @@ def resume_experiment(
 # -- output files -------------------------------------------------------------
 
 
+@contextmanager
+def _replacing(path: Path):
+    """Yield a temp path beside ``path`` that replaces it once the block completes.
+
+    A crash mid-write leaves the previous ``path`` intact instead of truncated.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_outputs(result: RunResult, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv(
-        out / METRICS_FILE, result.rows, result.config.strategy, result.config.seed
-    )
-    with open(out / BATCHES_FILE, "w", newline="") as fh:
+    with _replacing(out / METRICS_FILE) as tmp:
+        write_metrics_csv(tmp, result.rows, result.config.strategy, result.config.seed)
+    with _replacing(out / BATCHES_FILE) as tmp, open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["step", "problem_ids"])
         for step, batch in enumerate(result.batches, start=1):
             writer.writerow([step, ";".join(batch)])
-    with open(out / PROBLEMS_FILE, "w", newline="") as fh:
+    with _replacing(out / PROBLEMS_FILE) as tmp, open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["id", "level_tag", "true_difficulty", "t", "difficulty", "final_pass_rate"]
@@ -395,8 +394,10 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> None:
                     repr(final) if final is not None else "",
                 ]
             )
-    (out / SUMMARY_FILE).write_text(json.dumps(result.summary(), indent=2, sort_keys=True) + "\n")
-    (out / CHECKPOINT_FILE).write_text(json.dumps(_checkpoint_payload(result)) + "\n")
+    with _replacing(out / SUMMARY_FILE) as tmp, open(tmp, "w") as fh:
+        fh.write(json.dumps(result.summary(), indent=2, sort_keys=True) + "\n")
+    with _replacing(out / CHECKPOINT_FILE) as tmp, open(tmp, "w") as fh:
+        fh.write(json.dumps(_checkpoint_payload(result)) + "\n")
 
 
 # -- comparisons ---------------------------------------------------------------

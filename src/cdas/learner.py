@@ -74,25 +74,12 @@ class SyntheticLearner:
         self.ability += self.learn_rate * (useful / len(outcomes))
 
     def state_dict(self) -> dict:
-        return {
-            "ability": self.ability,
-            "discrimination": self.discrimination,
-            "learn_rate": self.learn_rate,
-            "rollouts": self.rollouts,
-            "rng": self._rng.bit_generator.state,
-        }
+        """The state a run changes; the constructor rebuilds the parameters."""
+        return {"ability": self.ability, "rng": self._rng.bit_generator.state}
 
-    @classmethod
-    def from_state_dict(cls, payload: dict) -> "SyntheticLearner":
-        rng = np.random.Generator(np.random.PCG64())
-        rng.bit_generator.state = payload["rng"]
-        return cls(
-            ability=payload["ability"],
-            rng=rng,
-            discrimination=payload["discrimination"],
-            learn_rate=payload["learn_rate"],
-            rollouts=payload["rollouts"],
-        )
+    def load_state_dict(self, payload: dict) -> None:
+        self.ability = float(payload["ability"])
+        self._rng.bit_generator.state = payload["rng"]
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import csv
 from dataclasses import dataclass
 from pathlib import Path
 
-from .grpo import RolloutGroup, group_advantages
+from .grpo import RolloutGroup
 
 METRICS_COLUMNS = [
     "step",
@@ -41,6 +41,7 @@ class StepMetrics:
 
 def summarize_step(
     groups: list[RolloutGroup],
+    zero_gradient: list[bool],
     sampler,
     learner,
     rollout_batches_consumed: int | None = None,
@@ -49,13 +50,19 @@ def summarize_step(
 
     Call after outcomes were reported and the learner updated: competence and
     difficulty are read post-update, ability post-learn.  ``groups`` is the
-    batch actually trained on; ``rollout_batches_consumed`` defaults to one
-    rollout group per batch problem.
+    batch actually trained on and ``zero_gradient`` holds each group's
+    zero-gradient flag from ``group_advantages``; ``rollout_batches_consumed``
+    defaults to one rollout group per batch problem.
     """
     if not groups:
         raise ValueError("summarize_step requires at least one rollout group")
+    if len(zero_gradient) != len(groups):
+        raise ValueError(
+            f"summarize_step got {len(zero_gradient)} zero-gradient flags for "
+            f"{len(groups)} groups"
+        )
     mean_reward = sum(g.pass_rate for g in groups) / len(groups)
-    zero_count = sum(1 for g in groups if group_advantages(g)[1])
+    zero_count = sum(1 for zero in zero_gradient if zero)
     competence = sampler.competence_value
     if competence is None:
         mean_difficulty = None

@@ -1,6 +1,11 @@
-"""Competence-difficulty alignment sampler.
+"""The shared sampler contract and the competence-difficulty alignment sampler.
 
-Selection runs in two phases.  A warm-up phase walks a fixed random
+Every strategy is a ``Sampler``: it owns a fixed problem bank, hands out one
+batch of ids at a time, and accepts outcomes only for the batch it handed out.
+A checkpoint holds only what changes while a run goes on; the rest is rebuilt
+by constructing the sampler again from its config and bank.
+
+Alignment selection runs in two phases.  A warm-up phase walks a fixed random
 permutation of the bank in batch-size chunks so every problem collects at
 least one observation (the final chunk wraps around).  After warm-up each
 batch is chosen by alignment |competence - difficulty|: in symmetric mode the
@@ -30,29 +35,20 @@ from .core import (
 )
 from .errors import ConfigError, ConsistencyError
 
-STRATEGY_CDAS = "cdas"
 
+class Sampler:
+    """Select/report contract shared by every strategy.
 
-class CdasSampler:
-    """Stateful scheduler over a fixed problem bank.
-
-    ``batch_size`` fixes the warm-up schedule: warm-up lasts
-    ceil(N / batch_size) steps so the permutation covers the bank.  The
-    sampler is a single logical actor; interleave select_batch and
-    report_outcomes calls, one batch at a time.
+    A sampler is a single logical actor: interleave ``select_batch`` and
+    ``report_outcomes``, one batch at a time.  Subclasses set ``strategy``,
+    choose batches in ``_choose``, fold validated outcomes in ``_fold`` and
+    name their own mutable state in ``_state``/``_load_state``.
     """
 
-    strategy = STRATEGY_CDAS
+    strategy: str
+    competence_value: float | None = None
 
-    def __init__(
-        self,
-        records,
-        batch_size: int,
-        rng: np.random.Generator,
-        symmetric: bool = True,
-        warmup: bool = True,
-        initial_competence: float = 0.0,
-    ):
+    def __init__(self, records, rng: np.random.Generator):
         self._records: dict[str, ProblemRecord] = {}
         for record in records:
             if record.id in self._records:
@@ -61,15 +57,14 @@ class CdasSampler:
         if not self._records:
             raise ConfigError("n_problems: sampler needs at least one problem")
         self._ids = list(self._records)
-        self.symmetric = bool(symmetric)
-        self.batch_size = int(batch_size)
-        self._check_batch_size(self.batch_size)
         self._rng = rng
-        order = rng.permutation(len(self._ids))
-        self.warmup_order: tuple[str, ...] = tuple(self._ids[i] for i in order)
-        self.warmup_steps = math.ceil(len(self._ids) / self.batch_size) if warmup else 0
-        self._competence = CompetenceState(competence=initial_competence, step=0)
+        self._step = 0
         self._pending: list[str] | None = None
+
+    @classmethod
+    def from_config(cls, config, records, rng: np.random.Generator) -> "Sampler":
+        """Build this strategy with the parameters ``config`` sets for it."""
+        return cls(records, rng=rng)
 
     # -- read-only views -------------------------------------------------
 
@@ -82,18 +77,7 @@ class CdasSampler:
 
     @property
     def step(self) -> int:
-        return self._competence.step
-
-    @property
-    def competence_value(self) -> float:
-        return self._competence.competence
-
-    @property
-    def competence_state(self) -> CompetenceState:
-        return self._competence
-
-    def in_warmup(self) -> bool:
-        return self._competence.step < self.warmup_steps
+        return self._step
 
     # -- selection --------------------------------------------------------
 
@@ -104,31 +88,160 @@ class CdasSampler:
             raise ConfigError(
                 f"batch_size: must not exceed bank size ({batch_size} > {len(self._ids)})"
             )
+
+    def select_batch(self, batch_size: int) -> list[str]:
+        """Pick the next batch of problem ids; it stays pending until reported."""
+        self._check_batch_size(batch_size)
+        batch = self._choose(batch_size)
+        self._pending = list(batch)
+        return batch
+
+    def _choose(self, batch_size: int) -> list[str]:
+        raise NotImplementedError
+
+    # -- outcome reporting -------------------------------------------------
+
+    def report_outcomes(self, outcomes) -> None:
+        """Fold observations for the pending batch in and advance the step.
+
+        Raises ConsistencyError, leaving the sampler untouched, when no batch
+        is pending or an outcome names an unknown problem, a problem outside
+        the pending batch, or a problem already reported in this call.
+        """
+        outcomes = list(outcomes)
+        if self._pending is None:
+            raise ConsistencyError("report_outcomes called with no batch outstanding")
+        pending = set(self._pending)
+        seen: set[str] = set()
+        for obs in outcomes:
+            if obs.problem_id not in self._records:
+                raise ConsistencyError(f"unknown problem id {obs.problem_id}")
+            if obs.problem_id not in pending:
+                raise ConsistencyError(
+                    f"problem {obs.problem_id} was not in the most recent batch"
+                )
+            if obs.problem_id in seen:
+                raise ConsistencyError(f"duplicate outcome for problem {obs.problem_id}")
+            seen.add(obs.problem_id)
+        self._fold(outcomes)
+        self._step += 1
+        self._pending = None
+
+    def _fold(self, outcomes: list) -> None:
+        raise NotImplementedError
+
+    # -- serialization ------------------------------------------------------
+
+    def state_dict(self) -> dict:
+        """The state a run changes; the constructor rebuilds everything else."""
+        return {
+            "strategy": self.strategy,
+            "step": self._step,
+            "pending": list(self._pending) if self._pending is not None else None,
+            "rng": self._rng.bit_generator.state,
+            **self._state(),
+        }
+
+    def load_state_dict(self, payload: dict) -> None:
+        """Restore ``state_dict`` output into a sampler built on the same bank.
+
+        Raises:
+            ConfigError: the payload belongs to another strategy or does not
+                fit this sampler's bank.
+        """
+        if payload.get("strategy") != self.strategy:
+            raise ConfigError(
+                f"sampler state: strategy {payload.get('strategy')!r} cannot restore "
+                f"into a {self.strategy!r} sampler"
+            )
+        self._load_state(payload)
+        self._step = payload["step"]
+        pending = payload["pending"]
+        self._pending = list(pending) if pending is not None else None
+        self._rng.bit_generator.state = payload["rng"]
+
+    def _state(self) -> dict:
+        return {}
+
+    def _load_state(self, payload: dict) -> None:
+        pass
+
+
+class CdasSampler(Sampler):
+    """Stateful scheduler over a fixed problem bank.
+
+    ``batch_size`` fixes the warm-up schedule: warm-up lasts
+    ceil(N / batch_size) steps so the permutation covers the bank.  Selection
+    consumes no randomness.
+    """
+
+    strategy = "cdas"
+
+    def __init__(
+        self,
+        records,
+        batch_size: int,
+        rng: np.random.Generator,
+        symmetric: bool = True,
+        warmup: bool = True,
+        initial_competence: float = 0.0,
+    ):
+        super().__init__(records, rng)
+        self.symmetric = bool(symmetric)
+        self.batch_size = int(batch_size)
+        self._check_batch_size(self.batch_size)
+        order = rng.permutation(len(self._ids))
+        self.warmup_order: tuple[str, ...] = tuple(self._ids[i] for i in order)
+        self.warmup_steps = math.ceil(len(self._ids) / self.batch_size) if warmup else 0
+        # CompetenceState refuses a non-finite start.
+        self._competence = CompetenceState(competence=initial_competence).competence
+
+    @classmethod
+    def from_config(cls, config, records, rng: np.random.Generator) -> "CdasSampler":
+        return cls(
+            records,
+            batch_size=config.batch_size,
+            rng=rng,
+            symmetric=config.symmetric,
+            warmup=config.warmup,
+            initial_competence=config.initial_competence,
+        )
+
+    @property
+    def competence_value(self) -> float:
+        return self._competence
+
+    @property
+    def competence_state(self) -> CompetenceState:
+        return CompetenceState(competence=self._competence, step=self._step)
+
+    def in_warmup(self) -> bool:
+        return self._step < self.warmup_steps
+
+    # -- selection --------------------------------------------------------
+
+    def _check_batch_size(self, batch_size: int) -> None:
+        super()._check_batch_size(batch_size)
         if self.symmetric and batch_size % 2 != 0:
             raise ConfigError(
                 f"batch_size: symmetric mode needs an even batch, got {batch_size}"
             )
 
-    def select_batch(self, batch_size: int) -> list[str]:
-        """Pick the next batch of problem ids; does not consume randomness."""
-        self._check_batch_size(batch_size)
+    def _choose(self, batch_size: int) -> list[str]:
         if self.in_warmup():
-            start = self._competence.step * batch_size
+            start = self._step * batch_size
             n = len(self.warmup_order)
-            batch = [self.warmup_order[(start + i) % n] for i in range(batch_size)]
-        elif self.symmetric:
-            batch = self._select_symmetric(batch_size)
-        else:
-            scored = sorted(
-                (alignment(self._competence.competence, record.difficulty), pid)
-                for pid, record in self._records.items()
-            )
-            batch = [pid for _, pid in scored[:batch_size]]
-        self._pending = list(batch)
-        return batch
+            return [self.warmup_order[(start + i) % n] for i in range(batch_size)]
+        if self.symmetric:
+            return self._select_symmetric(batch_size)
+        scored = sorted(
+            (alignment(self._competence, record.difficulty), pid)
+            for pid, record in self._records.items()
+        )
+        return [pid for _, pid in scored[:batch_size]]
 
     def _select_symmetric(self, batch_size: int) -> list[str]:
-        competence = self._competence.competence
+        competence = self._competence
         easier: list[tuple[float, str]] = []
         harder: list[tuple[float, str]] = []
         for pid, record in self._records.items():
@@ -153,77 +266,49 @@ class CdasSampler:
 
     # -- outcome reporting -------------------------------------------------
 
-    def report_outcomes(self, outcomes) -> None:
-        """Fold a batch of pass-rate observations into the difficulty estimates.
-
-        Every observation is scored against the competence from before this
-        batch, so outcome order within the batch cannot matter.  Competence is
-        then recomputed once over all problems and the step counter advances.
-        """
-        outcomes = list(outcomes)
-        if self._pending is None:
-            raise ConsistencyError("report_outcomes called with no batch outstanding")
-        pending = set(self._pending)
-        seen: set[str] = set()
-        for obs in outcomes:
-            if obs.problem_id not in self._records:
-                raise ConsistencyError(f"unknown problem id {obs.problem_id}")
-            if obs.problem_id not in pending:
-                raise ConsistencyError(
-                    f"problem {obs.problem_id} was not in the most recent batch"
-                )
-            if obs.problem_id in seen:
-                raise ConsistencyError(f"duplicate outcome for problem {obs.problem_id}")
-            seen.add(obs.problem_id)
-        pre_competence = self._competence.competence
+    def _fold(self, outcomes: list) -> None:
+        # Every observation is scored against the competence from before this
+        # batch, so outcome order within the batch cannot matter.  Competence
+        # is then recomputed once over all problems.
+        pre_competence = self._competence
         for obs in outcomes:
             record = self._records[obs.problem_id]
             d_new = instantaneous_difficulty(pre_competence, record.difficulty, obs.pass_rate)
             self._records[obs.problem_id] = update_difficulty(record, d_new)
-        self._competence = CompetenceState(
-            competence=update_competence(self._records.values()),
-            step=self._competence.step + 1,
-        )
-        self._pending = None
+        self._competence = update_competence(self._records.values())
 
     # -- serialization ------------------------------------------------------
 
-    def state_dict(self) -> dict:
+    def _state(self) -> dict:
+        records = self._records.values()
         return {
-            "strategy": self.strategy,
-            "batch_size": self.batch_size,
-            "symmetric": self.symmetric,
-            "warmup_steps": self.warmup_steps,
-            "warmup_order": list(self.warmup_order),
-            "step": self._competence.step,
-            "competence": self._competence.competence,
-            "pending": list(self._pending) if self._pending is not None else None,
-            "rng": self._rng.bit_generator.state,
-            "records": [
-                [r.id, r.level_tag, r.true_difficulty, r.t, r.difficulty]
-                for r in self._records.values()
-            ],
+            "competence": self._competence,
+            "t": [r.t for r in records],
+            "difficulty": [r.difficulty for r in records],
         }
 
-    @classmethod
-    def from_state_dict(cls, payload: dict) -> "CdasSampler":
-        sampler = cls.__new__(cls)
-        sampler._records = {
-            pid: ProblemRecord(
-                id=pid, level_tag=tag, true_difficulty=latent, t=t, difficulty=diff
+    def _load_state(self, payload: dict) -> None:
+        counts, estimates = payload["t"], payload["difficulty"]
+        if not len(counts) == len(estimates) == len(self._records):
+            raise ConfigError(
+                f"sampler state: {len(counts)} counts and {len(estimates)} difficulty "
+                f"estimates for a bank of {len(self._records)} problems"
             )
-            for pid, tag, latent, t, diff in payload["records"]
+        records = {
+            r.id: ProblemRecord(
+                id=r.id,
+                level_tag=r.level_tag,
+                true_difficulty=r.true_difficulty,
+                t=t,
+                difficulty=difficulty,
+            )
+            for r, t, difficulty in zip(self._records.values(), counts, estimates)
         }
-        sampler._ids = list(sampler._records)
-        sampler.symmetric = payload["symmetric"]
-        sampler.batch_size = payload["batch_size"]
-        sampler.warmup_order = tuple(payload["warmup_order"])
-        sampler.warmup_steps = payload["warmup_steps"]
-        sampler._competence = CompetenceState(
-            competence=payload["competence"], step=payload["step"]
-        )
-        pending = payload["pending"]
-        sampler._pending = list(pending) if pending is not None else None
-        sampler._rng = np.random.Generator(np.random.PCG64())
-        sampler._rng.bit_generator.state = payload["rng"]
-        return sampler
+        competence = payload["competence"]
+        if payload["step"] > 0 and competence != update_competence(records.values()):
+            raise ConfigError(
+                f"sampler state: competence {competence!r} is not the one its "
+                f"difficulty estimates give"
+            )
+        self._records = records
+        self._competence = competence

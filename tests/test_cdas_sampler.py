@@ -5,9 +5,24 @@ import math
 import numpy as np
 import pytest
 
+from cdas.baselines import DynamicSampler
+from cdas.config import SAMPLERS, STRATEGIES, ExperimentConfig
 from cdas.core import PassRateObservation, ProblemRecord, alignment
 from cdas.errors import ConfigError, ConsistencyError
 from cdas.sampling import CdasSampler
+
+
+def _obs(pid, rate):
+    return PassRateObservation(problem_id=pid, pass_rate=rate)
+
+
+def _refused(sampler, outcomes):
+    """True when the sampler raises ConsistencyError on ``outcomes``."""
+    try:
+        sampler.report_outcomes(outcomes)
+    except ConsistencyError:
+        return True
+    return False
 
 
 def _records(difficulties, t=1):
@@ -199,7 +214,8 @@ class TestReportOutcomes:
                 PassRateObservation(problem_id=pid, pass_rate=float(rng.integers(0, 5)) / 4.0)
                 for pid in batch
             )
-        clone = CdasSampler.from_state_dict(sampler.state_dict())
+        clone = _fresh(SIX_PROBLEMS, batch_size=4, seed=23, t=0)
+        clone.load_state_dict(sampler.state_dict())
         batch = sampler.select_batch(4)
         assert clone.select_batch(4) == batch
         outcomes = [
@@ -230,47 +246,60 @@ class TestReportOutcomes:
 
 
 class TestConsistencyChecks:
+    """The report contract, checked on every strategy.
+
+    Each case loops over ``STRATEGIES`` and names the strategy on failure.
+    """
+
+    def _sampler(self, strategy):
+        records = [
+            ProblemRecord(id=pid, level_tag=5, t=1, difficulty=d)
+            for pid, d in SIX_PROBLEMS.items()
+        ]
+        config = ExperimentConfig(batch_size=4, strategy=strategy, warmup=False)
+        return SAMPLERS[strategy].from_config(config, records, np.random.default_rng(0))
+
+    def _armed(self, strategy):
+        """A sampler with a batch of four pending, and that batch."""
+        sampler = self._sampler(strategy)
+        if isinstance(sampler, DynamicSampler):
+            batch, _ = sampler.select_and_filter(4, lambda pid: _obs(pid, 0.5))
+        else:
+            batch = sampler.select_batch(4)
+        return sampler, batch
+
     def test_report_without_batch(self):
-        sampler = _fresh(SIX_PROBLEMS, batch_size=4)
-        with pytest.raises(ConsistencyError):
-            sampler.report_outcomes([PassRateObservation(problem_id="x1", pass_rate=0.5)])
+        for strategy in STRATEGIES:
+            assert _refused(self._sampler(strategy), [_obs("x1", 0.5)]), strategy
+            sampler, batch = self._armed(strategy)
+            sampler.report_outcomes([_obs(batch[0], 0.5)])
+            assert _refused(sampler, [_obs(batch[1], 0.5)]), strategy
 
     def test_unknown_problem(self):
-        sampler = _fresh(SIX_PROBLEMS, batch_size=4)
-        sampler.select_batch(4)
-        with pytest.raises(ConsistencyError):
-            sampler.report_outcomes([PassRateObservation(problem_id="ghost", pass_rate=0.5)])
+        for strategy in STRATEGIES:
+            sampler, _ = self._armed(strategy)
+            assert _refused(sampler, [_obs("ghost", 0.5)]), strategy
 
     def test_problem_outside_batch(self):
-        sampler = _fresh(SIX_PROBLEMS, batch_size=4, warmup=False)
-        batch = sampler.select_batch(4)
-        outsider = next(pid for pid in SIX_PROBLEMS if pid not in batch)
-        with pytest.raises(ConsistencyError):
-            sampler.report_outcomes([PassRateObservation(problem_id=outsider, pass_rate=0.5)])
+        for strategy in STRATEGIES:
+            sampler, batch = self._armed(strategy)
+            outsider = next(pid for pid in SIX_PROBLEMS if pid not in batch)
+            assert _refused(sampler, [_obs(outsider, 0.5)]), strategy
 
     def test_duplicate_outcome(self):
-        sampler = _fresh(SIX_PROBLEMS, batch_size=4, warmup=False)
-        batch = sampler.select_batch(4)
-        with pytest.raises(ConsistencyError):
-            sampler.report_outcomes(
-                [
-                    PassRateObservation(problem_id=batch[0], pass_rate=0.5),
-                    PassRateObservation(problem_id=batch[0], pass_rate=1.0),
-                ]
-            )
+        for strategy in STRATEGIES:
+            sampler, batch = self._armed(strategy)
+            assert _refused(sampler, [_obs(batch[0], 0.5), _obs(batch[0], 1.0)]), strategy
 
     def test_failed_validation_leaves_state_untouched(self):
-        sampler = _fresh(SIX_PROBLEMS, batch_size=4, warmup=False)
-        batch = sampler.select_batch(4)
-        before = sampler.state_dict()
-        with pytest.raises(ConsistencyError):
-            sampler.report_outcomes(
-                [
-                    PassRateObservation(problem_id=batch[0], pass_rate=0.5),
-                    PassRateObservation(problem_id=batch[0], pass_rate=0.5),
-                ]
-            )
-        assert sampler.state_dict() == before
+        for strategy in STRATEGIES:
+            sampler, batch = self._armed(strategy)
+            before = sampler.state_dict()
+            assert _refused(sampler, [_obs(batch[0], 0.5), _obs(batch[0], 0.5)]), strategy
+            assert sampler.state_dict() == before, strategy
+            # The batch is still pending and can be reported properly.
+            sampler.report_outcomes([_obs(pid, 0.5) for pid in batch])
+            assert sampler.step == 1, strategy
 
 
 class TestConfigChecks:
@@ -357,7 +386,8 @@ class TestSerialization:
     def test_round_trip_preserves_pending_batch(self):
         sampler = _fresh(SIX_PROBLEMS, batch_size=4, t=0)
         batch = sampler.select_batch(4)
-        clone = CdasSampler.from_state_dict(sampler.state_dict())
+        clone = _fresh(SIX_PROBLEMS, batch_size=4, t=0)
+        clone.load_state_dict(sampler.state_dict())
         clone.report_outcomes(
             [PassRateObservation(problem_id=pid, pass_rate=0.5) for pid in batch]
         )
@@ -370,4 +400,24 @@ class TestSerialization:
             [PassRateObservation(problem_id=pid, pass_rate=0.25) for pid in batch]
         )
         payload = sampler.state_dict()
-        assert CdasSampler.from_state_dict(payload).state_dict() == payload
+        clone = _fresh(SIX_PROBLEMS, batch_size=4, t=0)
+        clone.load_state_dict(payload)
+        assert clone.state_dict() == payload
+
+    def test_state_holds_only_what_a_run_changes(self):
+        sampler = _fresh(SIX_PROBLEMS, batch_size=4, t=0)
+        assert set(sampler.state_dict()) == {
+            "strategy", "step", "pending", "rng", "competence", "t", "difficulty"
+        }
+
+    def test_state_from_another_bank_refused(self):
+        payload = _fresh(SIX_PROBLEMS, batch_size=4, t=0).state_dict()
+        payload["t"].pop()
+        with pytest.raises(ConfigError, match="bank of 6"):
+            _fresh(SIX_PROBLEMS, batch_size=4, t=0).load_state_dict(payload)
+
+    def test_state_of_another_strategy_refused(self):
+        payload = _fresh(SIX_PROBLEMS, batch_size=4, t=0).state_dict()
+        payload["strategy"] = "random"
+        with pytest.raises(ConfigError, match="strategy"):
+            _fresh(SIX_PROBLEMS, batch_size=4, t=0).load_state_dict(payload)

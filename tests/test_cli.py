@@ -1,12 +1,13 @@
 """Command-line interface: flags, subcommands, exit codes."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from cdas.cli import main
-from cdas.config import ExperimentConfig
+from cdas.cli import _config_from_args, build_parser, main
+from cdas.config import BANK_MODES, STRATEGIES, ExperimentConfig
 from cdas.harness import CHECKPOINT_FILE, METRICS_FILE, run_experiment
 from cdas.learner import generate_bank, load_bank, save_bank
 from cdas.metrics import read_metrics_csv
@@ -17,6 +18,46 @@ TINY_FLAGS = [
     "--rollouts", "4",
     "--steps", "5",
 ]
+
+
+def _other_value(field):
+    """A value for ``field`` that differs from its default."""
+    default = field.default
+    if field.name in ("strategy", "bank_mode"):
+        choices = STRATEGIES if field.name == "strategy" else BANK_MODES
+        return next(c for c in choices if c != default)
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, int) or field.name == "curriculum_switch_step":
+        return (default or 0) + 3
+    if isinstance(default, float) or field.name == "ability_init":
+        return (default or 0.0) + 0.375
+    return f"some/{field.name}"
+
+
+class TestConfigFlags:
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("aliases", [("--steps", "--out"), ("--total-steps", "--out-dir")])
+    def test_every_field_has_a_round_tripping_flag(self, command, aliases):
+        spelled = dict(zip(("total_steps", "out_dir"), aliases))
+        values = {}
+        argv = [command]
+        for field in dataclasses.fields(ExperimentConfig):
+            value = values[field.name] = _other_value(field)
+            flag = spelled.get(field.name, "--" + field.name.replace("_", "-"))
+            if isinstance(value, bool):
+                argv.append(flag if value else "--no-" + flag[2:])
+            else:
+                argv += [flag, str(value)]
+        args = build_parser().parse_args(argv)
+        assert _config_from_args(args) == ExperimentConfig(**values)
+
+    def test_unset_flags_keep_the_config_file(self, tmp_path):
+        config = ExperimentConfig(n_problems=12, symmetric=False, ability_init=0.5)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config.to_dict()))
+        args = build_parser().parse_args(["run", "--config", str(path)])
+        assert _config_from_args(args) == config
 
 
 class TestRunCommand:

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from cdas.config import ExperimentConfig
+from cdas import harness
+from cdas.config import STRATEGIES, ExperimentConfig
 from cdas.errors import ConfigError
 from cdas.harness import (
     BATCHES_FILE,
@@ -159,25 +160,49 @@ class TestOutputs:
         assert on_disk == result.summary()
 
 
+def _checkpoint_sans_out_dir(run_dir):
+    payload = json.loads((run_dir / CHECKPOINT_FILE).read_text())
+    payload["config"].pop("out_dir")
+    return payload
+
+
+def _edit_checkpoint(path, edit):
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+
+
 class TestCheckpointResume:
-    @pytest.mark.parametrize("strategy", ["cdas", "random", "prioritized", "dynamic"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_resumed_run_is_byte_identical(self, tmp_path, strategy):
+        # Every stop step k, so curriculum is resumed before, at and after its
+        # switch step (total_steps // 2 = 3).
         config = _tiny(strategy=strategy, seed=11)
         straight = tmp_path / "straight"
-        split = tmp_path / "split"
         run_experiment(config.with_overrides(out_dir=str(straight)))
-        run_experiment(config.with_overrides(out_dir=str(split)), stop_after=3)
-        resume_experiment(split / CHECKPOINT_FILE)
-        for name in OUTPUT_FILES:
-            if name == CHECKPOINT_FILE:
-                continue
-            assert (split / name).read_bytes() == (straight / name).read_bytes(), name
-        # The checkpoints differ only in where they were told to write.
-        ckpt_split = json.loads((split / CHECKPOINT_FILE).read_text())
-        ckpt_straight = json.loads((straight / CHECKPOINT_FILE).read_text())
-        ckpt_split["config"].pop("out_dir")
-        ckpt_straight["config"].pop("out_dir")
-        assert ckpt_split == ckpt_straight
+        for k in range(1, config.total_steps):
+            split = tmp_path / f"split{k}"
+            run_experiment(config.with_overrides(out_dir=str(split)), stop_after=k)
+            resume_experiment(split / CHECKPOINT_FILE)
+            for name in OUTPUT_FILES:
+                if name == CHECKPOINT_FILE:
+                    continue
+                assert (split / name).read_bytes() == (straight / name).read_bytes(), (k, name)
+            # The checkpoints differ only in where they were told to write.
+            assert _checkpoint_sans_out_dir(split) == _checkpoint_sans_out_dir(straight), k
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_checkpoint_holds_only_mutable_state(self, tmp_path, strategy):
+        # No records, warm-up order or constructor parameters: resume rebuilds
+        # those from the config and the bank.
+        run_experiment(_tiny(strategy=strategy, out_dir=str(tmp_path)), stop_after=2)
+        payload = load_checkpoint(tmp_path / CHECKPOINT_FILE)
+        own = {
+            "cdas": {"competence", "t", "difficulty"},
+            "prioritized": {"last_pass_rate", "uniform_fallbacks"},
+        }.get(strategy, {"last_pass_rate"})
+        assert set(payload["sampler"]) == {"strategy", "step", "pending", "rng"} | own
+        assert set(payload["learner"]) == {"ability", "rng"}
 
     def test_partial_checkpoint_records_progress(self, tmp_path):
         run_experiment(_tiny(out_dir=str(tmp_path)), stop_after=2)
@@ -217,13 +242,63 @@ class TestCheckpointResume:
             resume_experiment(path)
 
     def test_unsupported_version_detected(self, tmp_path):
-        run_experiment(_tiny(out_dir=str(tmp_path)), stop_after=2)
+        # Version 1 checkpoints carried whole sampler objects; they are refused.
+        for version in (1, 99):
+            run_experiment(_tiny(out_dir=str(tmp_path)), stop_after=2)
+            path = tmp_path / CHECKPOINT_FILE
+            _edit_checkpoint(path, lambda payload: payload.update(format_version=version))
+            with pytest.raises(ConfigError, match="format_version"):
+                resume_experiment(path)
+
+    @pytest.mark.parametrize(
+        "strategy, edit, match",
+        [
+            ("cdas", lambda s: s["t"].pop(), "bank of 12"),
+            ("cdas", lambda s: s["difficulty"].append(0.0), "bank of 12"),
+            ("random", lambda s: s.update(step=s["step"] + 1), "step 3"),
+            ("cdas", lambda s: s.update(step=s["step"] - 1), "step 1"),
+            (
+                "cdas",
+                lambda s: s.update(competence=math.nextafter(s["competence"], 1.0)),
+                "competence",
+            ),
+        ],
+    )
+    def test_edited_sampler_state_detected(self, tmp_path, strategy, edit, match):
+        # The config hash covers only the config, so the sampler state is
+        # checked against the rebuilt bank and the recorded steps instead.
+        run_experiment(_tiny(strategy=strategy, out_dir=str(tmp_path)), stop_after=2)
         path = tmp_path / CHECKPOINT_FILE
-        payload = json.loads(path.read_text())
-        payload["format_version"] = 99
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ConfigError, match="format_version"):
+        _edit_checkpoint(path, lambda payload: edit(payload["sampler"]))
+        with pytest.raises(ConfigError, match=match):
             resume_experiment(path)
+
+    def test_failed_checkpoint_write_keeps_the_previous_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        config = _tiny(seed=6)
+        straight = tmp_path / "straight"
+        run = tmp_path / "run"
+        run_experiment(config.with_overrides(out_dir=str(straight)))
+        run_experiment(config.with_overrides(out_dir=str(run)), stop_after=2)
+
+        real_dumps = json.dumps
+
+        def crashing_dumps(obj, *args, **kwargs):
+            if isinstance(obj, dict) and "format_version" in obj:
+                raise OSError("disk full")
+            return real_dumps(obj, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness.json, "dumps", crashing_dumps)
+            with pytest.raises(OSError, match="disk full"):
+                resume_experiment(run / CHECKPOINT_FILE, stop_after=4)
+        assert load_checkpoint(run / CHECKPOINT_FILE)["step"] == 2
+        assert sorted(p.name for p in run.iterdir()) == sorted(OUTPUT_FILES)
+        resume_experiment(run / CHECKPOINT_FILE)
+        for name in OUTPUT_FILES:
+            if name != CHECKPOINT_FILE:
+                assert (run / name).read_bytes() == (straight / name).read_bytes(), name
 
     def test_unreproducible_bank_detected(self, tmp_path):
         run_experiment(_tiny(out_dir=str(tmp_path)), stop_after=2)

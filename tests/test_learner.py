@@ -132,7 +132,8 @@ class TestLearnerConfig:
     def test_state_round_trip_resumes_stream(self):
         learner = _learner(0.4, seed=21)
         learner.rollout_group(_problem(0.0))
-        clone = SyntheticLearner.from_state_dict(learner.state_dict())
+        clone = _learner(0.0, seed=0)
+        clone.load_state_dict(learner.state_dict())
         want = learner.rollout_group(_problem(0.2))
         got = clone.rollout_group(_problem(0.2))
         assert got.rewards == want.rewards

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cdas.core import PassRateObservation, ProblemRecord
-from cdas.grpo import RolloutGroup
+from cdas.grpo import RolloutGroup, group_advantages
 from cdas.metrics import (
     METRICS_COLUMNS,
     StepMetrics,
@@ -35,6 +35,10 @@ def _groups_with_rates(rates):
     return out
 
 
+def _zero_flags(groups):
+    return [group_advantages(g)[1] for g in groups]
+
+
 def _random_sampler(n=6):
     return RandomSampler(
         [ProblemRecord(id=f"p{i:03d}") for i in range(n)], rng=np.random.default_rng(0)
@@ -44,12 +48,12 @@ def _random_sampler(n=6):
 class TestSummarizeStep:
     def test_mean_reward_and_zero_gradient_fraction(self):
         groups = _groups_with_rates([0.0, 0.5, 1.0, 0.25])
-        sampler = _random_sampler()
+        sampler = _random_sampler(n=4)  # a bank-sized batch holds every group's id
         sampler.select_batch(4)
         sampler.report_outcomes(
             [PassRateObservation(problem_id=g.problem_id, pass_rate=g.pass_rate) for g in groups]
         )
-        metrics = summarize_step(groups, sampler, _StubLearner(0.7))
+        metrics = summarize_step(groups, _zero_flags(groups), sampler, _StubLearner(0.7))
         assert metrics.mean_reward == pytest.approx(0.4375, abs=1e-15)
         assert metrics.zero_gradient_fraction == 0.5  # rates 0.0 and 1.0
         assert metrics.step == 1
@@ -58,7 +62,7 @@ class TestSummarizeStep:
 
     def test_baseline_strategies_leave_model_columns_empty(self):
         groups = _groups_with_rates([0.5, 0.75])
-        metrics = summarize_step(groups, _random_sampler(), _StubLearner(0.0))
+        metrics = summarize_step(groups, _zero_flags(groups), _random_sampler(), _StubLearner(0.0))
         assert metrics.competence is None
         assert metrics.mean_sampled_difficulty is None
 
@@ -73,18 +77,20 @@ class TestSummarizeStep:
             [PassRateObservation(problem_id=pid, pass_rate=1.0) for pid in batch]
         )
         groups = [_group(pid, [1.0, 1.0, 1.0, 1.0]) for pid in batch]
-        metrics = summarize_step(groups, sampler, _StubLearner(0.1))
+        metrics = summarize_step(groups, _zero_flags(groups), sampler, _StubLearner(0.1))
         assert metrics.competence == sampler.competence_value
         assert metrics.mean_sampled_difficulty == pytest.approx(-0.5, abs=1e-15)
 
     def test_explicit_rollout_consumption_overrides_default(self):
         groups = _groups_with_rates([0.5])
-        metrics = summarize_step(groups, _random_sampler(), _StubLearner(0.0), 9)
+        metrics = summarize_step(
+            groups, _zero_flags(groups), _random_sampler(), _StubLearner(0.0), 9
+        )
         assert metrics.rollout_batches_consumed == 9
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            summarize_step([], _random_sampler(), _StubLearner(0.0))
+            summarize_step([], [], _random_sampler(), _StubLearner(0.0))
 
 
 class TestDifficultyPassrateTable:
