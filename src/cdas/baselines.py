@@ -33,6 +33,7 @@ class BaselineSampler(Sampler):
         return {"last_pass_rate": dict(self.last_pass_rate)}
 
     def _load_state(self, payload: dict) -> None:
+        self._check_known(payload["last_pass_rate"], "last_pass_rate")
         self.last_pass_rate = dict(payload["last_pass_rate"])
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import logging
 import math
 import os
 from contextlib import contextmanager
@@ -25,7 +26,6 @@ from .baselines import DynamicSampler, PrioritizedSampler
 from .config import SAMPLERS, ExperimentConfig
 from .core import PassRateObservation
 from .errors import ConfigError
-from .grpo import group_advantages
 from .learner import ProblemBank, SyntheticLearner, default_ability, generate_bank, load_bank
 from .metrics import (
     METRICS_COLUMNS,
@@ -35,6 +35,8 @@ from .metrics import (
     write_metrics_csv,
 )
 from .sampling import Sampler
+
+logger = logging.getLogger(__name__)
 
 CHECKPOINT_VERSION = 2
 
@@ -162,14 +164,15 @@ class _LiveRun:
 
 def _advance(live: _LiveRun, target_step: int) -> None:
     config = live.config
+    rollouts = live.learner.rollouts
     while live.sampler.step < target_step:
         step = live.sampler.step + 1
         if isinstance(live.sampler, DynamicSampler):
-            group_cache = {}
+            passes = {}
 
             def rollout_fn(problem_id: str) -> PassRateObservation:
                 group = live.learner.rollout_group(live.bank.problem(problem_id))
-                group_cache[problem_id] = group
+                passes[problem_id] = group.rewards.count(1.0)
                 return PassRateObservation(
                     problem_id=problem_id, pass_rate=group.pass_rate, step=step
                 )
@@ -177,23 +180,25 @@ def _advance(live: _LiveRun, target_step: int) -> None:
             batch_ids, consumed = live.sampler.select_and_filter(
                 config.batch_size, rollout_fn
             )
-            groups = [group_cache[pid] for pid in batch_ids]
+            counts = [passes[pid] for pid in batch_ids]
         else:
             batch_ids = live.sampler.select_batch(config.batch_size)
-            groups = [
-                live.learner.rollout_group(live.bank.problem(pid)) for pid in batch_ids
-            ]
+            counts = live.learner.pass_counts(
+                [live.bank.problem(pid) for pid in batch_ids]
+            )
             consumed = len(batch_ids)
-        zero_gradient = [group_advantages(g)[1] for g in groups]
-        outcomes = [
-            PassRateObservation(problem_id=g.problem_id, pass_rate=g.pass_rate, step=step)
-            for g in groups
-        ]
-        live.sampler.report_outcomes(outcomes)
-        live.learner.learn_step([(g.pass_rate, zero) for g, zero in zip(groups, zero_gradient)])
+        pass_rates = [k / rollouts for k in counts]
+        # A group whose rollouts all agree has zero advantage everywhere.
+        zero_gradient = [k == 0 or k == rollouts for k in counts]
+        live.sampler.report_outcomes(
+            PassRateObservation(problem_id=pid, pass_rate=rate, step=step)
+            for pid, rate in zip(batch_ids, pass_rates)
+        )
+        live.learner.learn_step(zip(pass_rates, zero_gradient))
         live.rows.append(
             summarize_step(
-                groups,
+                batch_ids,
+                pass_rates,
                 zero_gradient,
                 live.sampler,
                 live.learner,
@@ -201,8 +206,7 @@ def _advance(live: _LiveRun, target_step: int) -> None:
             )
         )
         live.batches.append(list(batch_ids))
-        for g in groups:
-            live.final_pass_rates[g.problem_id] = g.pass_rate
+        live.final_pass_rates.update(zip(batch_ids, pass_rates))
 
 
 def _result(live: _LiveRun, bank_hash: str) -> RunResult:
@@ -336,9 +340,10 @@ def resume_experiment(
     )
 
     if len(rows) >= config.total_steps:
-        print(
-            f"checkpoint {checkpoint_path} already covers all "
-            f"{config.total_steps} steps; nothing to resume"
+        logger.info(
+            "checkpoint %s already covers all %d steps; nothing to resume",
+            checkpoint_path,
+            config.total_steps,
         )
         return _result(live, payload["bank_hash"])
 
@@ -465,7 +470,7 @@ def compare_strategies(
 
 def _write_comparison(comparison: ComparisonResult, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "comparison.csv", "w", newline="") as fh:
+    with _replacing(out / "comparison.csv") as tmp, open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(METRICS_COLUMNS)
         for result in comparison.results:
@@ -477,7 +482,7 @@ def _write_comparison(comparison: ComparisonResult, out: Path) -> None:
     columns = sorted({key for row in summary_rows for key in row})
     lead = [c for c in ("strategy", "seed") if c in columns]
     columns = lead + [c for c in columns if c not in lead]
-    with open(out / "comparison_summary.csv", "w", newline="") as fh:
+    with _replacing(out / "comparison_summary.csv") as tmp, open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in summary_rows:

@@ -57,6 +57,16 @@ class SyntheticLearner:
             rewards=tuple(1.0 if hit else 0.0 for hit in draws),
         )
 
+    def pass_counts(self, problems) -> list[int]:
+        """Roll out a group per problem; return each group's number of passes.
+
+        One ``random((B, G))`` draw yields the same bits, and leaves the
+        generator in the same state, as B calls of ``rollout_group``.
+        """
+        probabilities = np.array([self.success_probability(p) for p in problems])
+        draws = self._rng.random((len(probabilities), self.rollouts))
+        return (draws < probabilities[:, None]).sum(axis=1).tolist()
+
     def rollout(self, problem: ProblemRecord, step: int = 0) -> PassRateObservation:
         group = self.rollout_group(problem)
         return PassRateObservation(problem_id=problem.id, pass_rate=group.pass_rate, step=step)
@@ -125,9 +135,7 @@ class ProblemBank:
 def _quintile_tags(values: np.ndarray) -> np.ndarray:
     n = values.size
     tags = np.empty(n, dtype=int)
-    order = np.argsort(values, kind="stable")
-    for rank, index in enumerate(order):
-        tags[index] = 1 + (rank * 5) // n
+    tags[np.argsort(values, kind="stable")] = 1 + (np.arange(n) * 5) // n
     return tags
 
 
@@ -164,12 +172,12 @@ def generate_bank(
     records = tuple(
         ProblemRecord(
             id=f"p{i:0{width}d}",
-            level_tag=int(tags[i]),
-            true_difficulty=float(latent[i]),
+            level_tag=tag,
+            true_difficulty=value,
             t=0,
             difficulty=initial_difficulty,
         )
-        for i in range(n)
+        for i, (tag, value) in enumerate(zip(tags.tolist(), latent.tolist()))
     )
     return ProblemBank(records=records, mode=mode)
 

@@ -6,7 +6,6 @@ import csv
 from dataclasses import dataclass
 from pathlib import Path
 
-from .grpo import RolloutGroup
 
 METRICS_COLUMNS = [
     "step",
@@ -40,7 +39,8 @@ class StepMetrics:
 
 
 def summarize_step(
-    groups: list[RolloutGroup],
+    problem_ids: list[str],
+    pass_rates: list[float],
     zero_gradient: list[bool],
     sampler,
     learner,
@@ -49,33 +49,31 @@ def summarize_step(
     """Aggregate one completed step.
 
     Call after outcomes were reported and the learner updated: competence and
-    difficulty are read post-update, ability post-learn.  ``groups`` is the
-    batch actually trained on and ``zero_gradient`` holds each group's
-    zero-gradient flag from ``group_advantages``; ``rollout_batches_consumed``
-    defaults to one rollout group per batch problem.
+    difficulty are read post-update, ability post-learn.  ``problem_ids`` is
+    the batch actually trained on, ``pass_rates`` its groups' pass rates and
+    ``zero_gradient`` each group's zero-gradient flag (all rollouts passed or
+    all failed); ``rollout_batches_consumed`` defaults to one rollout group
+    per batch problem.
     """
-    if not groups:
+    n = len(problem_ids)
+    if not n:
         raise ValueError("summarize_step requires at least one rollout group")
-    if len(zero_gradient) != len(groups):
+    if not len(pass_rates) == len(zero_gradient) == n:
         raise ValueError(
-            f"summarize_step got {len(zero_gradient)} zero-gradient flags for "
-            f"{len(groups)} groups"
+            f"summarize_step got {len(pass_rates)} pass rates and "
+            f"{len(zero_gradient)} zero-gradient flags for {n} problems"
         )
-    mean_reward = sum(g.pass_rate for g in groups) / len(groups)
-    zero_count = sum(1 for zero in zero_gradient if zero)
     competence = sampler.competence_value
     if competence is None:
         mean_difficulty = None
     else:
-        mean_difficulty = sum(
-            sampler.record(g.problem_id).difficulty for g in groups
-        ) / len(groups)
+        mean_difficulty = sum(sampler.difficulties(problem_ids)) / n
     return StepMetrics(
         step=sampler.step,
-        mean_reward=mean_reward,
-        zero_gradient_fraction=zero_count / len(groups),
+        mean_reward=sum(pass_rates) / n,
+        zero_gradient_fraction=sum(1 for zero in zero_gradient if zero) / n,
         rollout_batches_consumed=(
-            rollout_batches_consumed if rollout_batches_consumed is not None else len(groups)
+            rollout_batches_consumed if rollout_batches_consumed is not None else n
         ),
         competence=competence,
         mean_sampled_difficulty=mean_difficulty,

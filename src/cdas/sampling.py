@@ -25,14 +25,7 @@ import math
 
 import numpy as np
 
-from .core import (
-    CompetenceState,
-    ProblemRecord,
-    alignment,
-    instantaneous_difficulty,
-    update_competence,
-    update_difficulty,
-)
+from .core import CompetenceState, ProblemRecord, sigmoid, update_competence
 from .errors import ConfigError, ConsistencyError
 
 
@@ -147,18 +140,28 @@ class Sampler:
 
         Raises:
             ConfigError: the payload belongs to another strategy or does not
-                fit this sampler's bank.
+                fit this sampler's bank; the sampler is left untouched.
         """
         if payload.get("strategy") != self.strategy:
             raise ConfigError(
                 f"sampler state: strategy {payload.get('strategy')!r} cannot restore "
                 f"into a {self.strategy!r} sampler"
             )
+        pending = payload["pending"]
+        if pending is not None:
+            self._check_known(pending, "pending batch")
         self._load_state(payload)
         self._step = payload["step"]
-        pending = payload["pending"]
         self._pending = list(pending) if pending is not None else None
         self._rng.bit_generator.state = payload["rng"]
+
+    def _check_known(self, problem_ids, what: str) -> None:
+        unknown = [pid for pid in problem_ids if pid not in self._records]
+        if unknown:
+            raise ConfigError(
+                f"sampler state: {what} names {len(unknown)} problem(s) outside the "
+                f"bank, first {unknown[0]!r}"
+            )
 
     def _state(self) -> dict:
         return {}
@@ -173,6 +176,10 @@ class CdasSampler(Sampler):
     ``batch_size`` fixes the warm-up schedule: warm-up lasts
     ceil(N / batch_size) steps so the permutation covers the bank.  Selection
     consumes no randomness.
+
+    The per-problem estimates live in bank-order arrays: visit counts ``t``
+    and difficulty estimates ``D``.  ``records`` and ``record()`` build
+    ``ProblemRecord`` views of them on demand.
     """
 
     strategy = "cdas"
@@ -190,9 +197,16 @@ class CdasSampler(Sampler):
         self.symmetric = bool(symmetric)
         self.batch_size = int(batch_size)
         self._check_batch_size(self.batch_size)
-        order = rng.permutation(len(self._ids))
-        self.warmup_order: tuple[str, ...] = tuple(self._ids[i] for i in order)
-        self.warmup_steps = math.ceil(len(self._ids) / self.batch_size) if warmup else 0
+        n = len(self._ids)
+        bank = self._records.values()
+        self._t = np.fromiter((r.t for r in bank), dtype=np.int64, count=n)
+        self._D = np.fromiter((r.difficulty for r in bank), dtype=np.float64, count=n)
+        self._index = dict(zip(self._ids, range(n)))
+        # Each id's position in ascending id order: the alignment tie-break.
+        self._rank = np.empty(n, dtype=np.int64)
+        self._rank[sorted(range(n), key=self._ids.__getitem__)] = np.arange(n)
+        self._warmup_order = rng.permutation(n)
+        self.warmup_steps = math.ceil(n / self.batch_size) if warmup else 0
         # CompetenceState refuses a non-finite start.
         self._competence = CompetenceState(competence=initial_competence).competence
 
@@ -218,6 +232,44 @@ class CdasSampler(Sampler):
     def in_warmup(self) -> bool:
         return self._step < self.warmup_steps
 
+    @property
+    def warmup_order(self) -> tuple[str, ...]:
+        """The permutation of problem ids the warm-up batches walk."""
+        return tuple(self._ids[i] for i in self._warmup_order.tolist())
+
+    # -- read-only views -------------------------------------------------
+
+    def _views(self, counts, estimates) -> list[ProblemRecord]:
+        return [
+            ProblemRecord(
+                id=r.id,
+                level_tag=r.level_tag,
+                true_difficulty=r.true_difficulty,
+                t=t,
+                difficulty=difficulty,
+            )
+            for r, t, difficulty in zip(self._records.values(), counts, estimates)
+        ]
+
+    @property
+    def records(self) -> dict[str, ProblemRecord]:
+        return {r.id: r for r in self._views(self._t.tolist(), self._D.tolist())}
+
+    def record(self, problem_id: str) -> ProblemRecord:
+        r = self._records[problem_id]
+        i = self._index[problem_id]
+        return ProblemRecord(
+            id=r.id,
+            level_tag=r.level_tag,
+            true_difficulty=r.true_difficulty,
+            t=self._t[i].item(),
+            difficulty=self._D[i].item(),
+        )
+
+    def difficulties(self, problem_ids) -> list[float]:
+        """Current difficulty estimates of ``problem_ids``, in the order given."""
+        return self._D[[self._index[pid] for pid in problem_ids]].tolist()
+
     # -- selection --------------------------------------------------------
 
     def _check_batch_size(self, batch_size: int) -> None:
@@ -229,29 +281,20 @@ class CdasSampler(Sampler):
 
     def _choose(self, batch_size: int) -> list[str]:
         if self.in_warmup():
-            start = self._step * batch_size
-            n = len(self.warmup_order)
-            return [self.warmup_order[(start + i) % n] for i in range(batch_size)]
+            n = len(self._ids)
+            chunk = self._warmup_order[(self._step * batch_size + np.arange(batch_size)) % n]
+            return [self._ids[i] for i in chunk.tolist()]
+        gap = np.abs(self._competence - self._D)
         if self.symmetric:
-            return self._select_symmetric(batch_size)
-        scored = sorted(
-            (alignment(self._competence, record.difficulty), pid)
-            for pid, record in self._records.items()
-        )
-        return [pid for _, pid in scored[:batch_size]]
+            chosen = self._select_symmetric(batch_size, gap)
+        else:
+            chosen = self._best_aligned(np.arange(len(self._ids)), gap, batch_size)
+        return [self._ids[i] for i in chosen.tolist()]
 
-    def _select_symmetric(self, batch_size: int) -> list[str]:
-        competence = self._competence
-        easier: list[tuple[float, str]] = []
-        harder: list[tuple[float, str]] = []
-        for pid, record in self._records.items():
-            entry = (alignment(competence, record.difficulty), pid)
-            if record.difficulty > competence:
-                harder.append(entry)
-            else:
-                easier.append(entry)
-        easier.sort()
-        harder.sort()
+    def _select_symmetric(self, batch_size: int, gap: np.ndarray) -> np.ndarray:
+        harder_mask = self._D > self._competence
+        easier = np.flatnonzero(~harder_mask)
+        harder = np.flatnonzero(harder_mask)
         half = batch_size // 2
         take_easier = min(half, len(easier))
         take_harder = min(half, len(harder))
@@ -260,55 +303,81 @@ class CdasSampler(Sampler):
             take_harder = min(batch_size - take_easier, len(harder))
         elif take_harder < half:
             take_easier = min(batch_size - take_harder, len(easier))
-        batch = [pid for _, pid in easier[:take_easier]]
-        batch += [pid for _, pid in harder[:take_harder]]
-        return batch
+        return np.concatenate(
+            [
+                self._best_aligned(easier, gap, take_easier),
+                self._best_aligned(harder, gap, take_harder),
+            ]
+        )
+
+    def _best_aligned(self, candidates: np.ndarray, gap: np.ndarray, k: int) -> np.ndarray:
+        """The ``k`` candidates smallest by (gap, id), in that order."""
+        if k == 0:
+            return candidates[:0]
+        side_gap = gap[candidates]
+        if k < len(candidates):
+            # Keep every candidate tied with the k-th gap so the id tie-break
+            # decides among them.
+            kth = np.partition(side_gap, k - 1)[k - 1]
+            keep = side_gap <= kth
+            candidates, side_gap = candidates[keep], side_gap[keep]
+        order = np.lexsort((self._rank[candidates], side_gap))
+        return candidates[order[:k]]
 
     # -- outcome reporting -------------------------------------------------
 
     def _fold(self, outcomes: list) -> None:
         # Every observation is scored against the competence from before this
         # batch, so outcome order within the batch cannot matter.  Competence
-        # is then recomputed once over all problems.
-        pre_competence = self._competence
-        for obs in outcomes:
-            record = self._records[obs.problem_id]
-            d_new = instantaneous_difficulty(pre_competence, record.difficulty, obs.pass_rate)
-            self._records[obs.problem_id] = update_difficulty(record, d_new)
-        self._competence = update_competence(self._records.values())
+        # is then recomputed once over all problems.  The arithmetic matches
+        # core.instantaneous_difficulty and core.update_difficulty bit for
+        # bit; the sigmoid stays scalar because np.exp rounds differently
+        # from math.exp.
+        index = np.array([self._index[obs.problem_id] for obs in outcomes], dtype=np.intp)
+        rates = np.array([obs.pass_rate for obs in outcomes], dtype=np.float64)
+        previous = self._D[index]
+        expected = [sigmoid(z) for z in (self._competence - previous).tolist()]
+        d_new = np.array(expected, dtype=np.float64) - rates
+        counts = self._t[index] + 1
+        self._D[index] = (self._t[index] / counts) * previous + d_new / counts
+        self._t[index] = counts
+        self._competence = _competence(self._D)
 
     # -- serialization ------------------------------------------------------
 
     def _state(self) -> dict:
-        records = self._records.values()
         return {
             "competence": self._competence,
-            "t": [r.t for r in records],
-            "difficulty": [r.difficulty for r in records],
+            "t": self._t.tolist(),
+            "difficulty": self._D.tolist(),
         }
 
     def _load_state(self, payload: dict) -> None:
         counts, estimates = payload["t"], payload["difficulty"]
-        if not len(counts) == len(estimates) == len(self._records):
+        if not len(counts) == len(estimates) == len(self._ids):
             raise ConfigError(
                 f"sampler state: {len(counts)} counts and {len(estimates)} difficulty "
-                f"estimates for a bank of {len(self._records)} problems"
+                f"estimates for a bank of {len(self._ids)} problems"
             )
-        records = {
-            r.id: ProblemRecord(
-                id=r.id,
-                level_tag=r.level_tag,
-                true_difficulty=r.true_difficulty,
-                t=t,
-                difficulty=difficulty,
-            )
-            for r, t, difficulty in zip(self._records.values(), counts, estimates)
-        }
+        # The views refuse negative counts and non-finite estimates.
+        views = self._views(counts, estimates)
         competence = payload["competence"]
-        if payload["step"] > 0 and competence != update_competence(records.values()):
+        if payload["step"] > 0 and competence != update_competence(views):
             raise ConfigError(
                 f"sampler state: competence {competence!r} is not the one its "
                 f"difficulty estimates give"
             )
-        self._records = records
+        self._t = np.array(counts, dtype=np.int64)
+        self._D = np.array(estimates, dtype=np.float64)
         self._competence = competence
+
+
+def _competence(difficulty: np.ndarray) -> float:
+    """``core.update_competence`` over an estimate array, bit for bit.
+
+    ``np.cumsum`` adds left to right like the scalar loop; ``np.sum`` pairs
+    terms and rounds differently.  Adding 0.0 turns the -0.0 a bank of
+    negative zeros sums to into the 0.0 the loop, which starts at 0.0, gives.
+    """
+    total = float(np.cumsum(difficulty)[-1]) + 0.0
+    return -(total / difficulty.size)

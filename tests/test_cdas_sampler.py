@@ -245,55 +245,57 @@ class TestReportOutcomes:
         assert sampler.state_dict()["rng"] == before
 
 
+def _strategy_sampler(strategy):
+    """A ``strategy`` sampler over SIX_PROBLEMS, built from the config."""
+    records = [
+        ProblemRecord(id=pid, level_tag=5, t=1, difficulty=d) for pid, d in SIX_PROBLEMS.items()
+    ]
+    config = ExperimentConfig(batch_size=4, strategy=strategy, warmup=False)
+    return SAMPLERS[strategy].from_config(config, records, np.random.default_rng(0))
+
+
+def _armed(strategy):
+    """A ``strategy`` sampler with a batch of four pending, and that batch."""
+    sampler = _strategy_sampler(strategy)
+    if isinstance(sampler, DynamicSampler):
+        batch, _ = sampler.select_and_filter(4, lambda pid: _obs(pid, 0.5))
+    else:
+        batch = sampler.select_batch(4)
+    return sampler, batch
+
+
 class TestConsistencyChecks:
     """The report contract, checked on every strategy.
 
     Each case loops over ``STRATEGIES`` and names the strategy on failure.
     """
 
-    def _sampler(self, strategy):
-        records = [
-            ProblemRecord(id=pid, level_tag=5, t=1, difficulty=d)
-            for pid, d in SIX_PROBLEMS.items()
-        ]
-        config = ExperimentConfig(batch_size=4, strategy=strategy, warmup=False)
-        return SAMPLERS[strategy].from_config(config, records, np.random.default_rng(0))
-
-    def _armed(self, strategy):
-        """A sampler with a batch of four pending, and that batch."""
-        sampler = self._sampler(strategy)
-        if isinstance(sampler, DynamicSampler):
-            batch, _ = sampler.select_and_filter(4, lambda pid: _obs(pid, 0.5))
-        else:
-            batch = sampler.select_batch(4)
-        return sampler, batch
-
     def test_report_without_batch(self):
         for strategy in STRATEGIES:
-            assert _refused(self._sampler(strategy), [_obs("x1", 0.5)]), strategy
-            sampler, batch = self._armed(strategy)
+            assert _refused(_strategy_sampler(strategy), [_obs("x1", 0.5)]), strategy
+            sampler, batch = _armed(strategy)
             sampler.report_outcomes([_obs(batch[0], 0.5)])
             assert _refused(sampler, [_obs(batch[1], 0.5)]), strategy
 
     def test_unknown_problem(self):
         for strategy in STRATEGIES:
-            sampler, _ = self._armed(strategy)
+            sampler, _ = _armed(strategy)
             assert _refused(sampler, [_obs("ghost", 0.5)]), strategy
 
     def test_problem_outside_batch(self):
         for strategy in STRATEGIES:
-            sampler, batch = self._armed(strategy)
+            sampler, batch = _armed(strategy)
             outsider = next(pid for pid in SIX_PROBLEMS if pid not in batch)
             assert _refused(sampler, [_obs(outsider, 0.5)]), strategy
 
     def test_duplicate_outcome(self):
         for strategy in STRATEGIES:
-            sampler, batch = self._armed(strategy)
+            sampler, batch = _armed(strategy)
             assert _refused(sampler, [_obs(batch[0], 0.5), _obs(batch[0], 1.0)]), strategy
 
     def test_failed_validation_leaves_state_untouched(self):
         for strategy in STRATEGIES:
-            sampler, batch = self._armed(strategy)
+            sampler, batch = _armed(strategy)
             before = sampler.state_dict()
             assert _refused(sampler, [_obs(batch[0], 0.5), _obs(batch[0], 0.5)]), strategy
             assert sampler.state_dict() == before, strategy
@@ -421,3 +423,50 @@ class TestSerialization:
         payload["strategy"] = "random"
         with pytest.raises(ConfigError, match="strategy"):
             _fresh(SIX_PROBLEMS, batch_size=4, t=0).load_state_dict(payload)
+
+    def test_pending_ids_outside_the_bank_refused(self):
+        for strategy in STRATEGIES:
+            sampler, _ = _armed(strategy)
+            payload = sampler.state_dict()
+            payload["pending"] = [*payload["pending"][:-1], "ghost"]
+            fresh = _strategy_sampler(strategy)
+            before = fresh.state_dict()
+            with pytest.raises(ConfigError, match="outside the bank"):
+                fresh.load_state_dict(payload)
+            assert fresh.state_dict() == before, strategy
+
+    def test_last_pass_rate_ids_outside_the_bank_refused(self):
+        for strategy in STRATEGIES:
+            sampler, batch = _armed(strategy)
+            sampler.report_outcomes([_obs(pid, 0.5) for pid in batch])
+            payload = sampler.state_dict()
+            if "last_pass_rate" not in payload:
+                continue
+            payload["last_pass_rate"]["ghost"] = 0.5
+            fresh = _strategy_sampler(strategy)
+            before = fresh.state_dict()
+            with pytest.raises(ConfigError, match="outside the bank"):
+                fresh.load_state_dict(payload)
+            assert fresh.state_dict() == before, strategy
+
+
+class TestRecordViews:
+    def test_records_hand_out_plain_detached_values(self):
+        sampler = _fresh(SIX_PROBLEMS, batch_size=4, t=0, warmup=False)
+        batch = sampler.select_batch(4)
+        sampler.report_outcomes([_obs(pid, 0.25) for pid in batch])
+        before = sampler.state_dict()
+        records = sampler.records
+        for record in [*records.values(), sampler.record(batch[0])]:
+            assert type(record.t) is int and type(record.difficulty) is float
+        assert records[batch[0]] == sampler.record(batch[0])
+        records[batch[0]] = ProblemRecord(id=batch[0], t=99, difficulty=0.9)
+        del records[batch[1]]
+        assert sampler.record(batch[0]).t == 1
+        assert set(sampler.records) == set(SIX_PROBLEMS)
+        assert sampler.state_dict() == before
+
+    def test_difficulties_follow_the_ids_given(self):
+        sampler = _fresh(SIX_PROBLEMS, batch_size=4, warmup=False)
+        ids = ["x5", "x1", "x6"]
+        assert sampler.difficulties(ids) == [SIX_PROBLEMS[pid] for pid in ids]

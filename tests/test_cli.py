@@ -2,10 +2,15 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cdas
 from cdas.cli import _config_from_args, build_parser, main
 from cdas.config import BANK_MODES, STRATEGIES, ExperimentConfig
 from cdas.harness import CHECKPOINT_FILE, METRICS_FILE, run_experiment
@@ -159,6 +164,25 @@ class TestResumeCommand:
         assert code == 0
         assert "5/5 steps" in capsys.readouterr().out
         assert len(read_metrics_csv(out / METRICS_FILE)) == 5
+
+    def test_finished_checkpoint_notice_goes_to_stderr(self, tmp_path):
+        # A separate process: the notice is logged, and only the CLI's own
+        # logging set-up, not the test runner's, decides where it appears.
+        out = tmp_path / "run"
+        main(["run", *TINY_FLAGS, "--out", str(out)])
+        src = Path(cdas.__file__).resolve().parent.parent
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-m", "cdas.cli", "resume", str(out / CHECKPOINT_FILE)],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=False,
+        )
+        assert done.returncode == 0
+        assert "nothing to resume" in done.stderr
+        assert "nothing to resume" not in done.stdout
 
     def test_missing_checkpoint_exits_3(self, tmp_path, capsys):
         code = main(["resume", str(tmp_path / "nope.json")])

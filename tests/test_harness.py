@@ -1,6 +1,8 @@
 """Closed-loop experiment driver: determinism, outputs, checkpoint/resume."""
 
+import csv
 import json
+import logging
 import math
 from pathlib import Path
 
@@ -219,11 +221,12 @@ class TestCheckpointResume:
         assert len(result.rows) == 6
         assert result.rows == run_experiment(_tiny(seed=4)).rows
 
-    def test_resume_completed_run_is_a_noop(self, tmp_path, capsys):
+    def test_resume_completed_run_is_a_noop(self, tmp_path, caplog):
         run_experiment(_tiny(out_dir=str(tmp_path / "run")))
         before = (tmp_path / "run" / CHECKPOINT_FILE).read_bytes()
-        result = resume_experiment(tmp_path / "run" / CHECKPOINT_FILE)
-        assert "nothing to resume" in capsys.readouterr().out
+        with caplog.at_level(logging.INFO, logger="cdas.harness"):
+            result = resume_experiment(tmp_path / "run" / CHECKPOINT_FILE)
+        assert "nothing to resume" in caplog.text
         assert result.completed
         assert (tmp_path / "run" / CHECKPOINT_FILE).read_bytes() == before
 
@@ -262,6 +265,8 @@ class TestCheckpointResume:
                 lambda s: s.update(competence=math.nextafter(s["competence"], 1.0)),
                 "competence",
             ),
+            ("random", lambda s: s.update(pending=["ghost"]), "outside the bank"),
+            ("prioritized", lambda s: s["last_pass_rate"].update(ghost=0.5), "outside the bank"),
         ],
     )
     def test_edited_sampler_state_detected(self, tmp_path, strategy, edit, match):
@@ -343,6 +348,36 @@ class TestComparisons:
         header = lines[0].split(",")
         assert header[0] == "strategy"
         assert header[1] == "seed"
+
+    def test_crash_while_writing_keeps_the_previous_files(self, tmp_path, monkeypatch):
+        names = ("comparison.csv", "comparison_summary.csv")
+        compare_strategies(_tiny(), ["cdas", "random"], seeds=[0], out_dir=tmp_path)
+        before = {name: (tmp_path / name).read_bytes() for name in names}
+        other = compare_strategies(_tiny(), ["cdas", "random"], seeds=[1])
+        real_writer = csv.writer
+        # Rows 1-13 are comparison.csv (header, 2 runs x 6 steps); row 15 is
+        # the first run of comparison_summary.csv.
+        for crash_at, intact in ((3, names), (15, names[1:])):
+            written = 0
+
+            class CrashingWriter:
+                def __init__(self, *args, **kwargs):
+                    self._writer = real_writer(*args, **kwargs)
+
+                def writerow(self, row):
+                    nonlocal written
+                    written += 1
+                    if written == crash_at:
+                        raise OSError("disk full")
+                    return self._writer.writerow(row)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(harness.csv, "writer", CrashingWriter)
+                with pytest.raises(OSError, match="disk full"):
+                    harness._write_comparison(other, tmp_path)
+            for name in intact:
+                assert (tmp_path / name).read_bytes() == before[name], (crash_at, name)
+            assert not list(tmp_path.glob("*.tmp")), crash_at
 
     def test_mismatched_configs_refused(self):
         with pytest.raises(ConfigError, match="seed"):

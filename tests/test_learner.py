@@ -129,6 +129,19 @@ class TestLearnerConfig:
         with pytest.raises(ConfigError):
             _learner(0.0, rollouts=1)
 
+    def test_pass_counts_match_per_problem_rollouts(self):
+        # One (B, G) draw must give the bits, and leave the stream where, B
+        # separate groups would.
+        problems = [_problem(b, pid=f"x{i}") for i, b in enumerate(np.linspace(-3, 3, 25))]
+        batched = _learner(0.4, seed=13, rollouts=6)
+        single = _learner(0.4, seed=13, rollouts=6)
+        counts = batched.pass_counts(problems)
+        assert counts == [single.rollout_group(p).rewards.count(1.0) for p in problems]
+        assert all(type(k) is int for k in counts)
+        assert batched.state_dict() == single.state_dict()
+        assert batched.pass_counts([]) == []
+        assert batched.state_dict() == single.state_dict()
+
     def test_state_round_trip_resumes_stream(self):
         learner = _learner(0.4, seed=21)
         learner.rollout_group(_problem(0.0))

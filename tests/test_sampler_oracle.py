@@ -1,0 +1,140 @@
+"""The array-backed CdasSampler against a reference built from the scalar core.
+
+The reference keeps one ``ProblemRecord`` per problem, ranks by sorted
+``(alignment, id)`` tuples and folds outcomes with ``update_difficulty`` and
+``update_competence``, so every batch, count, estimate and competence the
+sampler produces must match it exactly, down to the sign of zero.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cdas.core import (
+    PassRateObservation,
+    ProblemRecord,
+    alignment,
+    instantaneous_difficulty,
+    update_competence,
+    update_difficulty,
+)
+from cdas.sampling import CdasSampler
+
+
+class ScalarCdas:
+    """Post-warm-up CDAS selection and reporting, one record at a time."""
+
+    def __init__(self, records, symmetric, competence):
+        self.records = {record.id: record for record in records}
+        self.symmetric = symmetric
+        self.competence = competence
+
+    def select(self, batch_size):
+        competence = self.competence
+        scored = [
+            (alignment(competence, record.difficulty), pid, record.difficulty > competence)
+            for pid, record in self.records.items()
+        ]
+        if not self.symmetric:
+            return [pid for _, pid, _ in sorted(scored)[:batch_size]]
+        easier = sorted((gap, pid) for gap, pid, harder in scored if not harder)
+        harder = sorted((gap, pid) for gap, pid, harder in scored if harder)
+        half = batch_size // 2
+        take_easier = min(half, len(easier))
+        take_harder = min(half, len(harder))
+        if take_easier < half:
+            take_harder = min(batch_size - take_easier, len(harder))
+        elif take_harder < half:
+            take_easier = min(batch_size - take_harder, len(easier))
+        return [pid for _, pid in easier[:take_easier]] + [pid for _, pid in harder[:take_harder]]
+
+    def report(self, outcomes):
+        before = self.competence
+        for pid, rate in outcomes:
+            record = self.records[pid]
+            d_new = instantaneous_difficulty(before, record.difficulty, rate)
+            self.records[pid] = update_difficulty(record, d_new)
+        self.competence = update_competence(self.records.values())
+
+
+# Few distinct values, negative zero among them, so gaps tie often.
+DIFFICULTIES = st.one_of(
+    st.sampled_from([-0.5, -0.25, -0.0, 0.0, 0.25, 0.5]),
+    st.floats(-2.0, 2.0, allow_subnormal=False),
+)
+# Far-off starts put the whole bank on one side and force backfill.
+COMPETENCES = st.one_of(st.sampled_from([-9.0, 0.0, 9.0]), st.floats(-3.0, 3.0))
+PASS_RATES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def scenarios(draw):
+    # Short ids in no particular order: bank order is not id order.
+    ids = draw(
+        st.lists(
+            st.text(alphabet="abz019", min_size=1, max_size=3), min_size=2, max_size=24, unique=True
+        )
+    )
+    records = [
+        ProblemRecord(
+            id=pid,
+            t=draw(st.integers(0, 3)),
+            difficulty=draw(DIFFICULTIES),
+        )
+        for pid in ids
+    ]
+    symmetric = draw(st.booleans())
+    if symmetric:
+        batch_size = 2 * draw(st.integers(1, len(ids) // 2))
+    else:
+        batch_size = draw(st.integers(1, len(ids)))
+    competence = draw(COMPETENCES)
+    batch_rates = st.lists(PASS_RATES, min_size=batch_size, max_size=batch_size)
+    rounds = draw(st.lists(batch_rates, min_size=1, max_size=5))
+    return records, symmetric, batch_size, competence, rounds
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenarios())
+def test_array_sampler_matches_the_scalar_reference(scenario):
+    records, symmetric, batch_size, competence, rounds = scenario
+    sampler = CdasSampler(
+        records,
+        batch_size=batch_size,
+        rng=np.random.default_rng(0),
+        symmetric=symmetric,
+        warmup=False,
+        initial_competence=competence,
+    )
+    reference = ScalarCdas(records, symmetric, competence)
+    for step, rates in enumerate(rounds, start=1):
+        batch = sampler.select_batch(batch_size)
+        assert batch == reference.select(batch_size), step
+        outcomes = list(zip(batch, rates))
+        sampler.report_outcomes(
+            PassRateObservation(problem_id=pid, pass_rate=rate) for pid, rate in outcomes
+        )
+        reference.report(outcomes)
+        got = sampler.records
+        want = reference.records
+        assert list(got) == list(want)
+        assert [r.t for r in got.values()] == [r.t for r in want.values()], step
+        assert _bits(r.difficulty for r in got.values()) == _bits(
+            r.difficulty for r in want.values()
+        ), step
+        assert _bits([sampler.competence_value]) == _bits([reference.competence]), step
+
+
+def test_negative_zero_bank_has_the_scalar_competence():
+    # The scalar loop starts from 0.0, so a bank of -0.0 estimates sums to 0.0.
+    records = [ProblemRecord(id=pid, t=1, difficulty=-0.0) for pid in "abcd"]
+    sampler = CdasSampler(records, batch_size=2, rng=np.random.default_rng(0), warmup=False)
+    reference = ScalarCdas(records, True, 0.0)
+    sampler.select_batch(2)
+    sampler.report_outcomes([])
+    reference.report([])
+    assert _bits([sampler.competence_value]) == _bits([reference.competence])
