@@ -1,9 +1,10 @@
 """Baseline problem-selection strategies.
 
 All baselines follow the select/report contract of ``sampling.Sampler``: pick
-a batch of ids, then record the observed pass rates for that batch.  None of
-them maintain a competence or difficulty model; they only remember the latest
-pass rate per problem.
+a batch of ids, then report the observed pass rates for that batch.  None of
+them maintain a competence or difficulty model.  Only prioritized sampling
+reads a per-problem history, the latest pass rate; the others keep no
+per-problem state.
 """
 
 from __future__ import annotations
@@ -17,24 +18,14 @@ from .sampling import Sampler
 
 
 class BaselineSampler(Sampler):
-    def __init__(self, records, rng: np.random.Generator):
-        super().__init__(records, rng)
-        self.last_pass_rate: dict[str, float] = {}
+    """A sampler that, unless a subclass says otherwise, keeps no per-problem state."""
 
     def _uniform_batch(self, batch_size: int) -> list[str]:
         chosen = self._rng.choice(len(self._ids), size=batch_size, replace=False)
         return [self._ids[i] for i in chosen]
 
     def _fold(self, outcomes: list) -> None:
-        for obs in outcomes:
-            self.last_pass_rate[obs.problem_id] = obs.pass_rate
-
-    def _state(self) -> dict:
-        return {"last_pass_rate": dict(self.last_pass_rate)}
-
-    def _load_state(self, payload: dict) -> None:
-        self._check_known(payload["last_pass_rate"], "last_pass_rate")
-        self.last_pass_rate = dict(payload["last_pass_rate"])
+        pass
 
 
 class RandomSampler(BaselineSampler):
@@ -109,6 +100,7 @@ class PrioritizedSampler(BaselineSampler):
                 f"prioritized_initial_weight: must be in [0, 1], got {initial_weight}"
             )
         self.initial_weight = initial_weight
+        self.last_pass_rate: dict[str, float] = {}
         self.uniform_fallbacks = 0
 
     @classmethod
@@ -140,11 +132,19 @@ class PrioritizedSampler(BaselineSampler):
             self.uniform_fallbacks += 1
         return [self._ids[i] for i in picks]
 
+    def _fold(self, outcomes: list) -> None:
+        for obs in outcomes:
+            self.last_pass_rate[obs.problem_id] = obs.pass_rate
+
     def _state(self) -> dict:
-        return {**super()._state(), "uniform_fallbacks": self.uniform_fallbacks}
+        return {
+            "last_pass_rate": dict(self.last_pass_rate),
+            "uniform_fallbacks": self.uniform_fallbacks,
+        }
 
     def _load_state(self, payload: dict) -> None:
-        super()._load_state(payload)
+        self._check_known(payload["last_pass_rate"], "last_pass_rate")
+        self.last_pass_rate = dict(payload["last_pass_rate"])
         self.uniform_fallbacks = payload["uniform_fallbacks"]
 
 

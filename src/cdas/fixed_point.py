@@ -125,13 +125,15 @@ def solve(
     s_star = problem.s_star
     d = problem.init_d.copy() if problem.init_d is not None else np.zeros_like(s_star)
     c = float(problem.init_c)
-    trajectory: list[State] = [(d.copy(), c)]
+    # d is private and iterate_once returns a fresh array, so the trajectory
+    # can hold them without copying.
+    trajectory: list[State] = [(d, c)]
     deltas: list[float] = []
 
     for iteration in range(1, max_iters + 1):
         d_next, c_next = iterate_once(d, c, s_star)
         delta = _sup_distance((d_next, c_next), (d, c))
-        trajectory.append((d_next.copy(), c_next))
+        trajectory.append((d_next, c_next))
         deltas.append(delta)
         d, c = d_next, c_next
         if delta <= tolerance:

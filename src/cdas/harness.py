@@ -49,15 +49,24 @@ BATCHES_FILE = "batches.csv"
 
 @dataclass
 class RunResult:
+    """A run as it goes on: its bank, sampler, learner and what each step recorded."""
+
     config: ExperimentConfig
+    bank: ProblemBank
     bank_hash: str
-    n_problems: int
-    rows: list[StepMetrics]
-    batches: list[list[str]]
-    final_pass_rates: dict[str, float]
     sampler: Sampler
     learner: SyntheticLearner
-    completed: bool
+    rows: list[StepMetrics] = field(default_factory=list)
+    batches: list[list[str]] = field(default_factory=list)
+    final_pass_rates: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def n_problems(self) -> int:
+        return len(self.bank)
+
+    @property
+    def completed(self) -> bool:
+        return len(self.rows) >= self.config.total_steps
 
     @property
     def warmup_window(self) -> int:
@@ -109,30 +118,31 @@ def _spawned_rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator, 
     )
 
 
-def _build_bank(config: ExperimentConfig, bank_rng: np.random.Generator) -> ProblemBank:
+def _start(
+    config: ExperimentConfig,
+) -> tuple[ProblemBank, str, np.random.Generator, SyntheticLearner]:
+    """The bank, its hash, the sampler's random stream and a fresh learner."""
+    bank_rng, sampler_rng, learner_rng = _spawned_rngs(config.seed)
     if config.bank_path is not None:
-        return load_bank(config.bank_path, initial_difficulty=config.initial_difficulty)
-    return generate_bank(
-        config.n_problems,
-        bank_rng,
-        mode=config.bank_mode,
-        scale=config.bank_scale,
-        level_spread=config.bank_level_spread,
-        initial_difficulty=config.initial_difficulty,
-    )
-
-
-def _make_learner(
-    config: ExperimentConfig, bank: ProblemBank, rng: np.random.Generator
-) -> SyntheticLearner:
+        bank = load_bank(config.bank_path, initial_difficulty=config.initial_difficulty)
+    else:
+        bank = generate_bank(
+            config.n_problems,
+            bank_rng,
+            mode=config.bank_mode,
+            scale=config.bank_scale,
+            level_spread=config.bank_level_spread,
+            initial_difficulty=config.initial_difficulty,
+        )
     ability = config.ability_init if config.ability_init is not None else default_ability(bank)
-    return SyntheticLearner(
+    learner = SyntheticLearner(
         ability=ability,
-        rng=rng,
+        rng=learner_rng,
         discrimination=config.discrimination,
         learn_rate=config.learn_rate,
         rollouts=config.rollouts,
     )
+    return bank, bank.content_hash(), sampler_rng, learner
 
 
 def make_sampler(config: ExperimentConfig, bank: ProblemBank, rng: np.random.Generator) -> Sampler:
@@ -151,76 +161,64 @@ def sampler_from_state(
     return sampler
 
 
-@dataclass
-class _LiveRun:
-    config: ExperimentConfig
-    bank: ProblemBank
-    sampler: Sampler
-    learner: SyntheticLearner
-    rows: list[StepMetrics]
-    batches: list[list[str]]
-    final_pass_rates: dict[str, float]
-
-
-def _advance(live: _LiveRun, target_step: int) -> None:
-    config = live.config
-    rollouts = live.learner.rollouts
-    while live.sampler.step < target_step:
-        step = live.sampler.step + 1
-        if isinstance(live.sampler, DynamicSampler):
+def _advance(run: RunResult, target_step: int) -> None:
+    config = run.config
+    rollouts = run.learner.rollouts
+    while run.sampler.step < target_step:
+        step = run.sampler.step + 1
+        if isinstance(run.sampler, DynamicSampler):
             passes = {}
 
             def rollout_fn(problem_id: str) -> PassRateObservation:
-                group = live.learner.rollout_group(live.bank.problem(problem_id))
+                group = run.learner.rollout_group(run.bank.problem(problem_id))
                 passes[problem_id] = group.rewards.count(1.0)
                 return PassRateObservation(
                     problem_id=problem_id, pass_rate=group.pass_rate, step=step
                 )
 
-            batch_ids, consumed = live.sampler.select_and_filter(
+            batch_ids, consumed = run.sampler.select_and_filter(
                 config.batch_size, rollout_fn
             )
             counts = [passes[pid] for pid in batch_ids]
         else:
-            batch_ids = live.sampler.select_batch(config.batch_size)
-            counts = live.learner.pass_counts(
-                [live.bank.problem(pid) for pid in batch_ids]
+            batch_ids = run.sampler.select_batch(config.batch_size)
+            counts = run.learner.pass_counts(
+                [run.bank.problem(pid) for pid in batch_ids]
             )
             consumed = len(batch_ids)
         pass_rates = [k / rollouts for k in counts]
         # A group whose rollouts all agree has zero advantage everywhere.
         zero_gradient = [k == 0 or k == rollouts for k in counts]
-        live.sampler.report_outcomes(
+        run.sampler.report_outcomes(
             PassRateObservation(problem_id=pid, pass_rate=rate, step=step)
             for pid, rate in zip(batch_ids, pass_rates)
         )
-        live.learner.learn_step(zip(pass_rates, zero_gradient))
-        live.rows.append(
+        run.learner.learn_step(zip(pass_rates, zero_gradient))
+        run.rows.append(
             summarize_step(
                 batch_ids,
                 pass_rates,
                 zero_gradient,
-                live.sampler,
-                live.learner,
+                run.sampler,
+                run.learner,
                 rollout_batches_consumed=consumed,
             )
         )
-        live.batches.append(list(batch_ids))
-        live.final_pass_rates.update(zip(batch_ids, pass_rates))
+        run.batches.append(list(batch_ids))
+        run.final_pass_rates.update(zip(batch_ids, pass_rates))
 
 
-def _result(live: _LiveRun, bank_hash: str) -> RunResult:
-    return RunResult(
-        config=live.config,
-        bank_hash=bank_hash,
-        n_problems=len(live.bank),
-        rows=live.rows,
-        batches=live.batches,
-        final_pass_rates=live.final_pass_rates,
-        sampler=live.sampler,
-        learner=live.learner,
-        completed=len(live.rows) >= live.config.total_steps,
-    )
+def _target_step(config: ExperimentConfig, stop_after: int | None) -> int:
+    if stop_after is not None and stop_after < 1:
+        raise ConfigError(f"stop_after: must be >= 1, got {stop_after}")
+    return config.total_steps if stop_after is None else min(stop_after, config.total_steps)
+
+
+def _finish(run: RunResult, target_step: int) -> RunResult:
+    _advance(run, target_step)
+    if run.config.out_dir is not None:
+        write_outputs(run, run.config.out_dir)
+    return run
 
 
 def run_experiment(config: ExperimentConfig, stop_after: int | None = None) -> RunResult:
@@ -230,27 +228,10 @@ def run_experiment(config: ExperimentConfig, stop_after: int | None = None) -> R
     a later ``resume_experiment`` can pick it up.
     """
     config.validate()
-    if stop_after is not None and stop_after < 1:
-        raise ConfigError(f"stop_after: must be >= 1, got {stop_after}")
-    bank_rng, sampler_rng, learner_rng = _spawned_rngs(config.seed)
-    bank = _build_bank(config, bank_rng)
-    learner = _make_learner(config, bank, learner_rng)
+    target = _target_step(config, stop_after)
+    bank, bank_hash, sampler_rng, learner = _start(config)
     sampler = make_sampler(config, bank, sampler_rng)
-    live = _LiveRun(
-        config=config,
-        bank=bank,
-        sampler=sampler,
-        learner=learner,
-        rows=[],
-        batches=[],
-        final_pass_rates={},
-    )
-    target = config.total_steps if stop_after is None else min(stop_after, config.total_steps)
-    _advance(live, target)
-    result = _result(live, bank.content_hash())
-    if config.out_dir is not None:
-        write_outputs(result, config.out_dir)
-    return result
+    return _finish(RunResult(config, bank, bank_hash, sampler, learner), target)
 
 
 # -- checkpointing ----------------------------------------------------------
@@ -309,10 +290,10 @@ def resume_experiment(
     if out_dir is not None:
         config = config.with_overrides(out_dir=str(out_dir))
     config.validate()
+    target = _target_step(config, stop_after)
 
-    bank_rng, sampler_rng, learner_rng = _spawned_rngs(config.seed)
-    bank = _build_bank(config, bank_rng)
-    if bank.content_hash() != payload["bank_hash"]:
+    bank, bank_hash, sampler_rng, learner = _start(config)
+    if bank_hash != payload["bank_hash"]:
         raise ConfigError(
             f"checkpoint {checkpoint_path}: bank hash mismatch; the configured "
             f"bank no longer reproduces the checkpointed one"
@@ -321,7 +302,6 @@ def resume_experiment(
         sampler = sampler_from_state(config, bank, sampler_rng, payload["sampler"])
     except ConfigError as err:
         raise ConfigError(f"checkpoint {checkpoint_path}: {err}") from err
-    learner = _make_learner(config, bank, learner_rng)
     learner.load_state_dict(payload["learner"])
     rows = [StepMetrics(**row) for row in payload["metrics_rows"]]
     if sampler.step != len(rows):
@@ -329,30 +309,24 @@ def resume_experiment(
             f"checkpoint {checkpoint_path}: sampler is at step {sampler.step} but "
             f"{len(rows)} steps are recorded"
         )
-    live = _LiveRun(
-        config=config,
-        bank=bank,
-        sampler=sampler,
-        learner=learner,
+    run = RunResult(
+        config,
+        bank,
+        bank_hash,
+        sampler,
+        learner,
         rows=rows,
         batches=[list(batch) for batch in payload["batches"]],
         final_pass_rates=dict(payload["final_pass_rates"]),
     )
-
-    if len(rows) >= config.total_steps:
+    if run.completed:
         logger.info(
             "checkpoint %s already covers all %d steps; nothing to resume",
             checkpoint_path,
             config.total_steps,
         )
-        return _result(live, payload["bank_hash"])
-
-    target = config.total_steps if stop_after is None else min(stop_after, config.total_steps)
-    _advance(live, target)
-    result = _result(live, payload["bank_hash"])
-    if config.out_dir is not None:
-        write_outputs(result, config.out_dir)
-    return result
+        return run
+    return _finish(run, target)
 
 
 # -- output files -------------------------------------------------------------

@@ -60,7 +60,7 @@ def criterion(capsys, number, name):
 
 @pytest.fixture(scope="module")
 def utility_comparison():
-    """cdas vs random on ten seeds at desk defaults (criteria 6 and 8)."""
+    """cdas vs random on ten seeds at desk defaults (criteria 6, 8 and 11)."""
     start = time.perf_counter()
     comparison = compare_strategies(
         ExperimentConfig(), ["cdas", "random"], seeds=list(range(10))
@@ -424,4 +424,26 @@ def test_criterion_10_ablation_flags(capsys, tmp_path):
         out["detail"] = (
             f"exit codes {sorted(set(codes.values()))}; schedules diverge past step 1: "
             f"{schedule_ok}; metrics differ: {metrics_ok}"
+        )
+
+
+def test_criterion_11_estimates_track_latent_difficulty(capsys, utility_comparison):
+    with criterion(capsys, 11, "difficulty estimates track the latent difficulty") as out:
+        # Simulation only: the synthetic bank knows each problem's latent
+        # difficulty, which a real training set does not.
+        comparison, _ = utility_comparison
+        rhos = []
+        for run in comparison.results:
+            if run.config.strategy != "cdas":
+                continue
+            seen = [r for r in run.sampler.records.values() if r.t >= 1]
+            rhos.append(
+                spearmanr(
+                    [r.difficulty for r in seen], [r.true_difficulty for r in seen]
+                ).statistic
+            )
+        out["ok"] = len(rhos) == 10 and min(rhos) > 0.6
+        out["detail"] = (
+            f"spearman(D, latent difficulty) {min(rhos):.3f} to {max(rhos):.3f} "
+            f"over {len(rhos)} cdas seeds"
         )

@@ -246,10 +246,11 @@ class TestDynamicSampler:
 class TestReportOutcomes:
     # Outcomes are accepted only for the pending batch; a bank-sized batch
     # makes every id reportable.  The full contract, for every strategy, is
-    # pinned in test_cdas_sampler.TestConsistencyChecks.
+    # pinned in test_cdas_sampler.TestConsistencyChecks.  Prioritized is the
+    # one baseline that keeps the latest pass rates.
 
     def _armed(self):
-        sampler = RandomSampler(_records(5), rng=np.random.default_rng(0))
+        sampler = PrioritizedSampler(_records(5), rng=np.random.default_rng(0))
         sampler.select_batch(5)
         return sampler
 

@@ -184,6 +184,14 @@ class TestResumeCommand:
         assert "nothing to resume" in done.stderr
         assert "nothing to resume" not in done.stdout
 
+    def test_bad_stop_after_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["run", *TINY_FLAGS, "--out", str(out), "--stop-after", "2"])
+        capsys.readouterr()
+        assert main(["resume", str(out / CHECKPOINT_FILE), "--stop-after", "0"]) == 2
+        assert "stop_after" in capsys.readouterr().err
+        assert len(read_metrics_csv(out / METRICS_FILE)) == 2
+
     def test_missing_checkpoint_exits_3(self, tmp_path, capsys):
         code = main(["resume", str(tmp_path / "nope.json")])
         assert code == 3

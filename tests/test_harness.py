@@ -88,9 +88,16 @@ class TestRunExperiment:
         assert len(result.rows) == 2
         assert not result.completed
 
-    def test_bad_stop_after(self):
+    def test_bad_stop_after(self, tmp_path):
         with pytest.raises(ConfigError):
             run_experiment(_tiny(), stop_after=0)
+        # Resume refuses it too, before rewriting any output.
+        run_experiment(_tiny(out_dir=str(tmp_path)), stop_after=2)
+        before = {name: (tmp_path / name).read_bytes() for name in OUTPUT_FILES}
+        for stop_after in (0, -4):
+            with pytest.raises(ConfigError, match="stop_after"):
+                resume_experiment(tmp_path / CHECKPOINT_FILE, stop_after=stop_after)
+        assert {name: (tmp_path / name).read_bytes() for name in OUTPUT_FILES} == before
 
     def test_invalid_config_refused(self):
         with pytest.raises(ConfigError):
@@ -202,9 +209,31 @@ class TestCheckpointResume:
         own = {
             "cdas": {"competence", "t", "difficulty"},
             "prioritized": {"last_pass_rate", "uniform_fallbacks"},
-        }.get(strategy, {"last_pass_rate"})
+        }.get(strategy, set())
         assert set(payload["sampler"]) == {"strategy", "step", "pending", "rng"} | own
         assert set(payload["learner"]) == {"ability", "rng"}
+
+    @pytest.mark.parametrize("strategy", ["random", "curriculum", "dynamic"])
+    def test_old_last_pass_rate_key_is_ignored(self, tmp_path, strategy):
+        # Earlier format-2 checkpoints stored the latest pass rates for every
+        # baseline; only prioritized reads them now.
+        config = _tiny(strategy=strategy, seed=9)
+        straight = tmp_path / "straight"
+        split = tmp_path / "split"
+        run_experiment(config.with_overrides(out_dir=str(straight)))
+        run_experiment(config.with_overrides(out_dir=str(split)), stop_after=4)
+        path = split / CHECKPOINT_FILE
+        _edit_checkpoint(
+            path,
+            lambda payload: payload["sampler"].update(
+                last_pass_rate=dict(payload["final_pass_rates"])
+            ),
+        )
+        resume_experiment(path)
+        for name in OUTPUT_FILES:
+            if name != CHECKPOINT_FILE:
+                assert (split / name).read_bytes() == (straight / name).read_bytes(), name
+        assert _checkpoint_sans_out_dir(split) == _checkpoint_sans_out_dir(straight)
 
     def test_partial_checkpoint_records_progress(self, tmp_path):
         run_experiment(_tiny(out_dir=str(tmp_path)), stop_after=2)
