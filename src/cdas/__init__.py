@@ -21,7 +21,7 @@ from .core import (
 )
 from .errors import ConfigError, ConsistencyError, ConvergenceError, RolloutBudgetError
 from .fixed_point import EquilibriumProblem, EquilibriumSolution, measure_contraction
-from .grpo import RolloutGroup, group_advantages, rule_reward
+from .grpo import RolloutGroup, group_advantages
 from .harness import (
     ComparisonResult,
     RunResult,
@@ -34,7 +34,6 @@ from .learner import ProblemBank, SyntheticLearner, default_ability, generate_ba
 from .metrics import (
     METRICS_COLUMNS,
     StepMetrics,
-    difficulty_passrate_table,
     read_metrics_csv,
     summarize_step,
     write_metrics_csv,
@@ -71,7 +70,6 @@ __all__ = [
     "compare_runs",
     "compare_strategies",
     "default_ability",
-    "difficulty_passrate_table",
     "expected_performance",
     "fixed_point",
     "generate_bank",
@@ -80,7 +78,6 @@ __all__ = [
     "measure_contraction",
     "read_metrics_csv",
     "resume_experiment",
-    "rule_reward",
     "run_experiment",
     "sigmoid",
     "summarize_step",

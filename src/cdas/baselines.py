@@ -21,8 +21,8 @@ class BaselineSampler(Sampler):
     """A sampler that, unless a subclass says otherwise, keeps no per-problem state."""
 
     def _uniform_batch(self, batch_size: int) -> list[str]:
-        chosen = self._rng.choice(len(self._ids), size=batch_size, replace=False)
-        return [self._ids[i] for i in chosen]
+        chosen = self._rng.choice(len(self.bank), size=batch_size, replace=False)
+        return [self.bank.ids[i] for i in chosen]
 
     def _fold(self, outcomes: list) -> None:
         pass
@@ -42,13 +42,14 @@ class CurriculumSampler(BaselineSampler):
 
     strategy = "curriculum"
 
-    def __init__(self, records, rng: np.random.Generator, switch_step: int, threshold: int = 4):
-        super().__init__(records, rng)
+    def __init__(self, bank, rng: np.random.Generator, switch_step: int, threshold: int = 4):
+        super().__init__(bank, rng)
         if switch_step < 0:
             raise ConfigError(f"curriculum_switch_step: must be >= 0, got {switch_step}")
         if threshold not in (1, 2, 3, 4, 5):
             raise ConfigError(f"curriculum_threshold: must be in 1..5, got {threshold}")
-        untagged = [pid for pid, record in self._records.items() if record.level_tag is None]
+        tagged = list(zip(bank.ids, bank.level_tags))
+        untagged = [pid for pid, tag in tagged if tag is None]
         if untagged:
             raise ConfigError(
                 f"curriculum needs level tags on every problem; missing on {untagged[0]} "
@@ -56,14 +57,12 @@ class CurriculumSampler(BaselineSampler):
             )
         self.switch_step = switch_step
         self.threshold = threshold
-        self._eligible = [
-            pid for pid, record in self._records.items() if record.level_tag >= threshold
-        ]
+        self._eligible = [pid for pid, tag in tagged if tag >= threshold]
 
     @classmethod
-    def from_config(cls, config, records, rng: np.random.Generator) -> "CurriculumSampler":
+    def from_config(cls, config, bank, rng: np.random.Generator) -> "CurriculumSampler":
         return cls(
-            records,
+            bank,
             rng=rng,
             switch_step=config.resolved_curriculum_switch_step,
             threshold=config.curriculum_threshold,
@@ -92,9 +91,10 @@ class PrioritizedSampler(BaselineSampler):
     """
 
     strategy = "prioritized"
+    state_fields = (*BaselineSampler.state_fields, "last_pass_rate", "uniform_fallbacks")
 
-    def __init__(self, records, rng: np.random.Generator, initial_weight: float = 1.0):
-        super().__init__(records, rng)
+    def __init__(self, bank, rng: np.random.Generator, initial_weight: float = 1.0):
+        super().__init__(bank, rng)
         if not (0.0 <= initial_weight <= 1.0):
             raise ConfigError(
                 f"prioritized_initial_weight: must be in [0, 1], got {initial_weight}"
@@ -104,8 +104,8 @@ class PrioritizedSampler(BaselineSampler):
         self.uniform_fallbacks = 0
 
     @classmethod
-    def from_config(cls, config, records, rng: np.random.Generator) -> "PrioritizedSampler":
-        return cls(records, rng=rng, initial_weight=config.prioritized_initial_weight)
+    def from_config(cls, config, bank, rng: np.random.Generator) -> "PrioritizedSampler":
+        return cls(bank, rng=rng, initial_weight=config.prioritized_initial_weight)
 
     def _weight(self, problem_id: str) -> float:
         rate = self.last_pass_rate.get(problem_id)
@@ -114,8 +114,8 @@ class PrioritizedSampler(BaselineSampler):
         return 1.0 - rate
 
     def _choose(self, batch_size: int) -> list[str]:
-        remaining = list(range(len(self._ids)))
-        weights = np.array([self._weight(pid) for pid in self._ids])
+        remaining = list(range(len(self.bank)))
+        weights = np.array([self._weight(pid) for pid in self.bank.ids])
         picks: list[int] = []
         fell_back = False
         for _ in range(batch_size):
@@ -130,7 +130,7 @@ class PrioritizedSampler(BaselineSampler):
             weights = np.delete(weights, j)
         if fell_back:
             self.uniform_fallbacks += 1
-        return [self._ids[i] for i in picks]
+        return [self.bank.ids[i] for i in picks]
 
     def _fold(self, outcomes: list) -> None:
         for obs in outcomes:
@@ -161,12 +161,12 @@ class DynamicSampler(BaselineSampler):
 
     def __init__(
         self,
-        records,
+        bank,
         rng: np.random.Generator,
         retry_cap: int = 10,
         oversample_factor: float = 1.0,
     ):
-        super().__init__(records, rng)
+        super().__init__(bank, rng)
         if retry_cap < 1:
             raise ConfigError(f"dynamic_retry_cap: must be >= 1, got {retry_cap}")
         if oversample_factor < 1.0:
@@ -177,12 +177,17 @@ class DynamicSampler(BaselineSampler):
         self.oversample_factor = oversample_factor
 
     @classmethod
-    def from_config(cls, config, records, rng: np.random.Generator) -> "DynamicSampler":
+    def from_config(cls, config, bank, rng: np.random.Generator) -> "DynamicSampler":
         return cls(
-            records,
+            bank,
             rng=rng,
             retry_cap=config.dynamic_retry_cap,
             oversample_factor=config.dynamic_oversample_factor,
+        )
+
+    def select_batch(self, batch_size: int) -> list[str]:
+        raise ConsistencyError(
+            "dynamic sampling rolls candidates out while it selects; call select_and_filter"
         )
 
     def select_and_filter(self, batch_size: int, rollout_fn) -> tuple[list[str], int]:
@@ -204,7 +209,7 @@ class DynamicSampler(BaselineSampler):
         consumed = 0
         rounds = 0
         while len(kept) < batch_size and rounds < self.retry_cap:
-            pool = [pid for pid in self._ids if pid not in tried]
+            pool = [pid for pid in self.bank.ids if pid not in tried]
             if not pool:
                 break
             rounds += 1

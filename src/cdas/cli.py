@@ -8,6 +8,7 @@ import json
 import logging
 import sys
 import typing
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -176,10 +177,8 @@ def _cmd_bank_generate(args: argparse.Namespace) -> int:
 
 def _cmd_bank_inspect(args: argparse.Namespace) -> int:
     bank = load_bank(args.path)
-    latent = bank.true_difficulties()
-    levels = {}
-    for record in bank.records:
-        levels[record.level_tag] = levels.get(record.level_tag, 0) + 1
+    latent = bank.latent
+    levels = Counter(bank.level_tags)
     print(f"bank {args.path}: {len(bank)} problems, mode={bank.mode}")
     print(f"hash: {bank.content_hash()}")
     print(

@@ -19,7 +19,7 @@ MAX_LOGIT = 40.0
 _SIGMOID_CEIL = 1.0 - sys.float_info.epsilon
 _SIGMOID_FLOOR = sys.float_info.epsilon
 
-_LEVEL_TAGS = (1, 2, 3, 4, 5)
+LEVEL_TAGS = (1, 2, 3, 4, 5)
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,7 +40,7 @@ class ProblemRecord:
     def __post_init__(self):
         if self.t < 0:
             raise ValueError(f"t must be >= 0, got {self.t}")
-        if self.level_tag is not None and self.level_tag not in _LEVEL_TAGS:
+        if self.level_tag is not None and self.level_tag not in LEVEL_TAGS:
             raise ValueError(f"level_tag must be in 1..5, got {self.level_tag}")
         if not math.isfinite(self.difficulty):
             raise ValueError(f"difficulty must be finite, got {self.difficulty}")

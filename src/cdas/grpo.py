@@ -31,11 +31,6 @@ class RolloutGroup:
         return sum(self.rewards) / len(self.rewards)
 
 
-def rule_reward(correct: bool) -> float:
-    """1.0 for a verified-correct rollout, 0.0 otherwise."""
-    return 1.0 if correct else 0.0
-
-
 def group_advantages(group: RolloutGroup) -> tuple[list[float], bool]:
     """Standardize rewards within the group.
 

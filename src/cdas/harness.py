@@ -124,7 +124,7 @@ def _start(
     """The bank, its hash, the sampler's random stream and a fresh learner."""
     bank_rng, sampler_rng, learner_rng = _spawned_rngs(config.seed)
     if config.bank_path is not None:
-        bank = load_bank(config.bank_path, initial_difficulty=config.initial_difficulty)
+        bank = load_bank(config.bank_path)
     else:
         bank = generate_bank(
             config.n_problems,
@@ -132,7 +132,6 @@ def _start(
             mode=config.bank_mode,
             scale=config.bank_scale,
             level_spread=config.bank_level_spread,
-            initial_difficulty=config.initial_difficulty,
         )
     ability = config.ability_init if config.ability_init is not None else default_ability(bank)
     learner = SyntheticLearner(
@@ -149,7 +148,7 @@ def make_sampler(config: ExperimentConfig, bank: ProblemBank, rng: np.random.Gen
     cls = SAMPLERS.get(config.strategy)
     if cls is None:
         raise ConfigError(f"strategy: unknown strategy {config.strategy!r}")
-    return cls.from_config(config, bank.records, rng)
+    return cls.from_config(config, bank, rng)
 
 
 def sampler_from_state(
@@ -164,13 +163,14 @@ def sampler_from_state(
 def _advance(run: RunResult, target_step: int) -> None:
     config = run.config
     rollouts = run.learner.rollouts
+    index, latent = run.bank.index, run.bank.latent
     while run.sampler.step < target_step:
         step = run.sampler.step + 1
         if isinstance(run.sampler, DynamicSampler):
             passes = {}
 
             def rollout_fn(problem_id: str) -> PassRateObservation:
-                group = run.learner.rollout_group(run.bank.problem(problem_id))
+                group = run.learner.rollout_group(problem_id, latent[index[problem_id]].item())
                 passes[problem_id] = group.rewards.count(1.0)
                 return PassRateObservation(
                     problem_id=problem_id, pass_rate=group.pass_rate, step=step
@@ -182,9 +182,7 @@ def _advance(run: RunResult, target_step: int) -> None:
             counts = [passes[pid] for pid in batch_ids]
         else:
             batch_ids = run.sampler.select_batch(config.batch_size)
-            counts = run.learner.pass_counts(
-                [run.bank.problem(pid) for pid in batch_ids]
-            )
+            counts = run.learner.pass_counts(latent[[index[pid] for pid in batch_ids]].tolist())
             consumed = len(batch_ids)
         pass_rates = [k / rollouts for k in counts]
         # A group whose rollouts all agree has zero advantage everywhere.
@@ -237,14 +235,14 @@ def run_experiment(config: ExperimentConfig, stop_after: int | None = None) -> R
 # -- checkpointing ----------------------------------------------------------
 
 
-def _checkpoint_payload(result: RunResult) -> dict:
+def _checkpoint_payload(result: RunResult, sampler_state: dict) -> dict:
     return {
         "format_version": CHECKPOINT_VERSION,
         "config": result.config.to_dict(),
         "config_hash": result.config.content_hash(),
         "bank_hash": result.bank_hash,
         "step": len(result.rows),
-        "sampler": result.sampler.state_dict(),
+        "sampler": sampler_state,
         "learner": result.learner.state_dict(),
         "metrics_rows": [dataclasses.asdict(row) for row in result.rows],
         "batches": result.batches,
@@ -252,18 +250,49 @@ def _checkpoint_payload(result: RunResult) -> dict:
     }
 
 
+_CHECKPOINT_FIELDS = (
+    "format_version", "config", "config_hash", "bank_hash", "step",
+    "sampler", "learner", "metrics_rows", "batches", "final_pass_rates",
+)
+_METRICS_FIELDS = {f.name for f in dataclasses.fields(StepMetrics)}
+
+
+def _require(value, fields, what: str) -> None:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what}: expected a JSON object")
+    missing = [name for name in fields if name not in value]
+    if missing:
+        raise ConfigError(f"{what}: missing field {missing[0]!r}")
+
+
 def load_checkpoint(path: str | Path) -> dict:
+    """Read a checkpoint, refusing one whose version, shape or config hash is off."""
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as err:
         raise ConfigError(f"checkpoint {path}: invalid JSON ({err})") from err
-    version = payload.get("format_version")
+    version = payload.get("format_version") if isinstance(payload, dict) else None
     if version != CHECKPOINT_VERSION:
         raise ConfigError(
             f"checkpoint {path}: unsupported format_version {version!r} "
             f"(expected {CHECKPOINT_VERSION})"
         )
-    config = ExperimentConfig.from_dict(payload["config"])
+    try:
+        _require(payload, _CHECKPOINT_FIELDS, "checkpoint")
+        _require(payload["config"], (), "config")
+        config = ExperimentConfig.from_dict(payload["config"])
+        sampler_cls = SAMPLERS.get(config.strategy, Sampler)
+        _require(payload["sampler"], sampler_cls.state_fields, "sampler state")
+        _require(payload["learner"], ("ability", "rng"), "learner state")
+        rows = payload["metrics_rows"]
+        if not isinstance(rows, list) or any(
+            not isinstance(row, dict) or set(row) != _METRICS_FIELDS for row in rows
+        ):
+            raise ConfigError(
+                f"metrics rows must each hold exactly the fields {sorted(_METRICS_FIELDS)}"
+            )
+    except ConfigError as err:
+        raise ConfigError(f"checkpoint {path}: {err}") from err
     if config.content_hash() != payload.get("config_hash"):
         raise ConfigError(
             f"checkpoint {path}: config hash mismatch; the checkpoint or its "
@@ -283,7 +312,8 @@ def resume_experiment(
     bank, then their checkpointed state is restored.  Refuses checkpoints
     whose config hash does not match their embedded config, whose bank no
     longer reproduces, or whose sampler state does not fit the bank or the
-    recorded steps.  Resuming an already-complete run is a no-op with a notice.
+    recorded steps.  A checkpoint already at the target step (the run's end
+    or ``stop_after``) is left alone: the call logs a notice and writes nothing.
     """
     payload = load_checkpoint(checkpoint_path)
     config = ExperimentConfig.from_dict(payload["config"])
@@ -319,11 +349,13 @@ def resume_experiment(
         batches=[list(batch) for batch in payload["batches"]],
         final_pass_rates=dict(payload["final_pass_rates"]),
     )
-    if run.completed:
+    if target <= sampler.step:
         logger.info(
-            "checkpoint %s already covers all %d steps; nothing to resume",
+            "checkpoint %s is already at step %d of %d; nothing to resume up to step %d",
             checkpoint_path,
+            sampler.step,
             config.total_steps,
+            target,
         )
         return run
     return _finish(run, target)
@@ -356,27 +388,28 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> None:
         writer.writerow(["step", "problem_ids"])
         for step, batch in enumerate(result.batches, start=1):
             writer.writerow([step, ";".join(batch)])
+    # Strategies without estimates write every problem as never visited.
+    state = result.sampler.state_dict()
+    bank = result.bank
+    counts = state.get("t", [0] * len(bank))
+    estimates = state.get("difficulty", [result.config.initial_difficulty] * len(bank))
     with _replacing(out / PROBLEMS_FILE) as tmp, open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["id", "level_tag", "true_difficulty", "t", "difficulty", "final_pass_rate"]
         )
-        for record in result.sampler.records.values():
-            final = result.final_pass_rates.get(record.id)
+        for pid, tag, latent, t, estimate in zip(
+            bank.ids, bank.level_tags, bank.latent.tolist(), counts, estimates
+        ):
+            final = result.final_pass_rates.get(pid)
+            # csv writes a None level tag as an empty cell.
             writer.writerow(
-                [
-                    record.id,
-                    record.level_tag if record.level_tag is not None else "",
-                    repr(record.true_difficulty) if record.true_difficulty is not None else "",
-                    record.t,
-                    repr(record.difficulty),
-                    repr(final) if final is not None else "",
-                ]
+                [pid, tag, repr(latent), t, repr(estimate), "" if final is None else repr(final)]
             )
     with _replacing(out / SUMMARY_FILE) as tmp, open(tmp, "w") as fh:
         fh.write(json.dumps(result.summary(), indent=2, sort_keys=True) + "\n")
     with _replacing(out / CHECKPOINT_FILE) as tmp, open(tmp, "w") as fh:
-        fh.write(json.dumps(_checkpoint_payload(result)) + "\n")
+        fh.write(json.dumps(_checkpoint_payload(result, state)) + "\n")
 
 
 # -- comparisons ---------------------------------------------------------------

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import PassRateObservation, ProblemRecord, sigmoid
+from .core import LEVEL_TAGS, sigmoid
 from .errors import ConfigError
 from .grpo import RolloutGroup
 
@@ -43,33 +42,27 @@ class SyntheticLearner:
         self.rollouts = int(rollouts)
         self._rng = rng
 
-    def success_probability(self, problem: ProblemRecord) -> float:
-        if problem.true_difficulty is None:
-            raise ValueError(f"problem {problem.id} has no true_difficulty to roll out against")
-        return sigmoid(self.discrimination * (self.ability - problem.true_difficulty))
+    def success_probability(self, latent: float) -> float:
+        return sigmoid(self.discrimination * (self.ability - latent))
 
-    def rollout_group(self, problem: ProblemRecord) -> RolloutGroup:
-        """Draw one group of Bernoulli rollouts against the problem."""
-        p = self.success_probability(problem)
+    def rollout_group(self, problem_id: str, latent: float) -> RolloutGroup:
+        """Draw one group of Bernoulli rollouts against a problem of difficulty ``latent``."""
+        p = self.success_probability(latent)
         draws = self._rng.random(self.rollouts) < p
         return RolloutGroup(
-            problem_id=problem.id,
+            problem_id=problem_id,
             rewards=tuple(1.0 if hit else 0.0 for hit in draws),
         )
 
-    def pass_counts(self, problems) -> list[int]:
-        """Roll out a group per problem; return each group's number of passes.
+    def pass_counts(self, latents) -> list[int]:
+        """Roll out a group per latent difficulty; return each group's number of passes.
 
         One ``random((B, G))`` draw yields the same bits, and leaves the
         generator in the same state, as B calls of ``rollout_group``.
         """
-        probabilities = np.array([self.success_probability(p) for p in problems])
+        probabilities = np.array([self.success_probability(b) for b in latents])
         draws = self._rng.random((len(probabilities), self.rollouts))
         return (draws < probabilities[:, None]).sum(axis=1).tolist()
-
-    def rollout(self, problem: ProblemRecord, step: int = 0) -> PassRateObservation:
-        group = self.rollout_group(problem)
-        return PassRateObservation(problem_id=problem.id, pass_rate=group.pass_rate, step=step)
 
     def learn_step(self, batch_outcomes) -> None:
         """Raise ability by learn_rate times the batch's useful-gradient fraction.
@@ -92,44 +85,51 @@ class SyntheticLearner:
         self._rng.bit_generator.state = payload["rng"]
 
 
-@dataclass(frozen=True)
 class ProblemBank:
-    """Immutable collection of problems with latent difficulties and level tags."""
+    """The fixed problem set, held as columns in bank order.
 
-    records: tuple[ProblemRecord, ...]
-    mode: str = "normal"
+    ``ids`` names each problem, ``level_tags`` holds its level (1..5, or None
+    when untagged) and ``latent`` its hidden latent difficulty, which only the
+    learner reads.  ``index`` maps each id to its position.  Nothing here
+    changes during a run; scheduler state lives in the samplers.
+    """
 
-    def __post_init__(self):
-        lookup = {}
-        for record in self.records:
-            if record.id in lookup:
-                raise ConfigError(f"duplicate problem id {record.id} in bank")
-            if record.true_difficulty is None:
-                raise ConfigError(f"bank problem {record.id} is missing true_difficulty")
-            lookup[record.id] = record
-        object.__setattr__(self, "_lookup", lookup)
+    def __init__(self, ids, level_tags, latent, mode: str = "normal"):
+        self.ids = tuple(ids)
+        self.level_tags = tuple(level_tags)
+        self.latent = np.array(latent, dtype=np.float64)
+        self.latent.flags.writeable = False
+        self.mode = mode
+        if not self.ids:
+            raise ConfigError("n_problems: a bank needs at least one problem")
+        if not len(self.level_tags) == len(self.latent) == len(self.ids):
+            raise ConfigError(
+                f"bank columns disagree: {len(self.ids)} ids, {len(self.level_tags)} "
+                f"level tags, {len(self.latent)} latent difficulties"
+            )
+        self.index = dict(zip(self.ids, range(len(self.ids))))
+        if len(self.index) < len(self.ids):
+            duplicate = next(pid for i, pid in enumerate(self.ids) if self.index[pid] != i)
+            raise ConfigError(f"duplicate problem id {duplicate} in bank")
+        bad_tags = set(self.level_tags) - {None, *LEVEL_TAGS}
+        if bad_tags:
+            raise ConfigError(f"level_tag: must be in 1..5 or None, got {bad_tags.pop()!r}")
+        missing = np.flatnonzero(~np.isfinite(self.latent))
+        if missing.size:
+            raise ConfigError(
+                f"bank problem {self.ids[missing[0]]} has no finite latent difficulty"
+            )
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    @property
-    def ids(self) -> list[str]:
-        return [record.id for record in self.records]
-
-    def problem(self, problem_id: str) -> ProblemRecord:
-        return self._lookup[problem_id]
-
-    def true_difficulties(self) -> np.ndarray:
-        return np.array([record.true_difficulty for record in self.records])
+        return len(self.ids)
 
     def content_hash(self) -> str:
-        """Digest of ids, level tags and latent difficulties; ignores scheduler state."""
-        digest = hashlib.sha256()
-        for record in self.records:
-            digest.update(
-                f"{record.id},{record.level_tag},{record.true_difficulty!r}\n".encode()
-            )
-        return digest.hexdigest()
+        """Digest of ids, level tags and latent difficulties, one line per problem."""
+        lines = "".join(
+            f"{pid},{tag},{latent!r}\n"
+            for pid, tag, latent in zip(self.ids, self.level_tags, self.latent.tolist())
+        )
+        return hashlib.sha256(lines.encode()).hexdigest()
 
 
 def _quintile_tags(values: np.ndarray) -> np.ndarray:
@@ -145,7 +145,6 @@ def generate_bank(
     mode: str = "normal",
     scale: float = 1.0,
     level_spread: float = 2.0,
-    initial_difficulty: float = 0.0,
 ) -> ProblemBank:
     """Draw a problem bank.
 
@@ -169,22 +168,13 @@ def generate_bank(
         latent = (tags - 3) * (level_spread / 2.0)
     else:
         raise ConfigError(f"bank_mode: unknown mode {mode!r}")
-    records = tuple(
-        ProblemRecord(
-            id=f"p{i:0{width}d}",
-            level_tag=tag,
-            true_difficulty=value,
-            t=0,
-            difficulty=initial_difficulty,
-        )
-        for i, (tag, value) in enumerate(zip(tags.tolist(), latent.tolist()))
-    )
-    return ProblemBank(records=records, mode=mode)
+    ids = (f"p{i:0{width}d}" for i in range(n))
+    return ProblemBank(ids, tags.tolist(), latent, mode=mode)
 
 
 def default_ability(bank: ProblemBank, percentile: float = 5.0) -> float:
     """Starting ability: a low percentile of the bank's latent difficulties."""
-    return float(np.percentile(bank.true_difficulties(), percentile))
+    return float(np.percentile(bank.latent, percentile))
 
 
 def save_bank(bank: ProblemBank, path: str | Path) -> None:
@@ -193,33 +183,25 @@ def save_bank(bank: ProblemBank, path: str | Path) -> None:
         "mode": bank.mode,
         "hash": bank.content_hash(),
         "records": [
-            {
-                "id": record.id,
-                "level_tag": record.level_tag,
-                "true_difficulty": record.true_difficulty,
-            }
-            for record in bank.records
+            {"id": pid, "level_tag": tag, "true_difficulty": latent}
+            for pid, tag, latent in zip(bank.ids, bank.level_tags, bank.latent.tolist())
         ],
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def load_bank(path: str | Path, initial_difficulty: float = 0.0) -> ProblemBank:
+def load_bank(path: str | Path) -> ProblemBank:
     payload = json.loads(Path(path).read_text())
     version = payload.get("format_version")
     if version != BANK_FORMAT_VERSION:
         raise ConfigError(f"bank file {path}: unsupported format_version {version!r}")
-    records = tuple(
-        ProblemRecord(
-            id=entry["id"],
-            level_tag=entry["level_tag"],
-            true_difficulty=entry["true_difficulty"],
-            t=0,
-            difficulty=initial_difficulty,
-        )
-        for entry in payload["records"]
+    entries = payload["records"]
+    bank = ProblemBank(
+        [entry["id"] for entry in entries],
+        [entry["level_tag"] for entry in entries],
+        [entry["true_difficulty"] for entry in entries],
+        mode=payload.get("mode", "normal"),
     )
-    bank = ProblemBank(records=records, mode=payload.get("mode", "normal"))
     stored = payload.get("hash")
     if stored is not None and stored != bank.content_hash():
         raise ConfigError(f"bank file {path}: content hash mismatch (file edited?)")

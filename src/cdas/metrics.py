@@ -1,4 +1,4 @@
-"""Per-step metrics, end-of-run tables, and the metrics CSV schema."""
+"""Per-step metrics and the metrics CSV schema."""
 
 from __future__ import annotations
 
@@ -79,21 +79,6 @@ def summarize_step(
         mean_sampled_difficulty=mean_difficulty,
         learner_ability=learner.ability,
     )
-
-
-def difficulty_passrate_table(records, final_pass_rates: dict[str, float]) -> list[tuple]:
-    """Rows (id, t, difficulty, final pass rate) for every sampled problem.
-
-    Problems with t == 0 never produced an observation and are excluded.
-    """
-    rows = []
-    for record in records:
-        if record.t == 0:
-            continue
-        if record.id not in final_pass_rates:
-            raise ValueError(f"problem {record.id} has t={record.t} but no final pass rate")
-        rows.append((record.id, record.t, record.difficulty, final_pass_rates[record.id]))
-    return rows
 
 
 def _cell(value) -> str:

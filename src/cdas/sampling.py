@@ -1,9 +1,9 @@
 """The shared sampler contract and the competence-difficulty alignment sampler.
 
-Every strategy is a ``Sampler``: it owns a fixed problem bank, hands out one
-batch of ids at a time, and accepts outcomes only for the batch it handed out.
-A checkpoint holds only what changes while a run goes on; the rest is rebuilt
-by constructing the sampler again from its config and bank.
+Every strategy is a ``Sampler`` built on a fixed ``ProblemBank``: it hands out
+one batch of ids at a time and accepts outcomes only for the batch it handed
+out.  A checkpoint holds only what changes while a run goes on; the rest is
+rebuilt by constructing the sampler again from its config and bank.
 
 Alignment selection runs in two phases.  A warm-up phase walks a fixed random
 permutation of the bank in batch-size chunks so every problem collects at
@@ -27,6 +27,7 @@ import numpy as np
 
 from .core import CompetenceState, ProblemRecord, sigmoid, update_competence
 from .errors import ConfigError, ConsistencyError
+from .learner import ProblemBank
 
 
 class Sampler:
@@ -40,33 +41,19 @@ class Sampler:
 
     strategy: str
     competence_value: float | None = None
+    # The keys of ``state_dict``; subclasses add the ones ``_state`` returns.
+    state_fields: tuple[str, ...] = ("strategy", "step", "pending", "rng")
 
-    def __init__(self, records, rng: np.random.Generator):
-        self._records: dict[str, ProblemRecord] = {}
-        for record in records:
-            if record.id in self._records:
-                raise ConfigError(f"duplicate problem id {record.id}")
-            self._records[record.id] = record
-        if not self._records:
-            raise ConfigError("n_problems: sampler needs at least one problem")
-        self._ids = list(self._records)
+    def __init__(self, bank: ProblemBank, rng: np.random.Generator):
+        self.bank = bank
         self._rng = rng
         self._step = 0
         self._pending: list[str] | None = None
 
     @classmethod
-    def from_config(cls, config, records, rng: np.random.Generator) -> "Sampler":
+    def from_config(cls, config, bank: ProblemBank, rng: np.random.Generator) -> "Sampler":
         """Build this strategy with the parameters ``config`` sets for it."""
-        return cls(records, rng=rng)
-
-    # -- read-only views -------------------------------------------------
-
-    @property
-    def records(self) -> dict[str, ProblemRecord]:
-        return dict(self._records)
-
-    def record(self, problem_id: str) -> ProblemRecord:
-        return self._records[problem_id]
+        return cls(bank, rng=rng)
 
     @property
     def step(self) -> int:
@@ -77,9 +64,9 @@ class Sampler:
     def _check_batch_size(self, batch_size: int) -> None:
         if batch_size < 1:
             raise ConfigError(f"batch_size: must be >= 1, got {batch_size}")
-        if batch_size > len(self._ids):
+        if batch_size > len(self.bank):
             raise ConfigError(
-                f"batch_size: must not exceed bank size ({batch_size} > {len(self._ids)})"
+                f"batch_size: must not exceed bank size ({batch_size} > {len(self.bank)})"
             )
 
     def select_batch(self, batch_size: int) -> list[str]:
@@ -107,7 +94,7 @@ class Sampler:
         pending = set(self._pending)
         seen: set[str] = set()
         for obs in outcomes:
-            if obs.problem_id not in self._records:
+            if obs.problem_id not in self.bank.index:
                 raise ConsistencyError(f"unknown problem id {obs.problem_id}")
             if obs.problem_id not in pending:
                 raise ConsistencyError(
@@ -156,7 +143,7 @@ class Sampler:
         self._rng.bit_generator.state = payload["rng"]
 
     def _check_known(self, problem_ids, what: str) -> None:
-        unknown = [pid for pid in problem_ids if pid not in self._records]
+        unknown = [pid for pid in problem_ids if pid not in self.bank.index]
         if unknown:
             raise ConfigError(
                 f"sampler state: {what} names {len(unknown)} problem(s) outside the "
@@ -177,48 +164,52 @@ class CdasSampler(Sampler):
     ceil(N / batch_size) steps so the permutation covers the bank.  Selection
     consumes no randomness.
 
-    The per-problem estimates live in bank-order arrays: visit counts ``t``
-    and difficulty estimates ``D``.  ``records`` and ``record()`` build
+    The per-problem estimates live in bank-order arrays: visit counts ``t``,
+    all 0 at the start, and difficulty estimates ``D``, all
+    ``initial_difficulty``.  ``records`` and ``record()`` build
     ``ProblemRecord`` views of them on demand.
     """
 
     strategy = "cdas"
+    state_fields = (*Sampler.state_fields, "competence", "t", "difficulty")
 
     def __init__(
         self,
-        records,
+        bank: ProblemBank,
         batch_size: int,
         rng: np.random.Generator,
         symmetric: bool = True,
         warmup: bool = True,
         initial_competence: float = 0.0,
+        initial_difficulty: float = 0.0,
     ):
-        super().__init__(records, rng)
+        super().__init__(bank, rng)
         self.symmetric = bool(symmetric)
         self.batch_size = int(batch_size)
         self._check_batch_size(self.batch_size)
-        n = len(self._ids)
-        bank = self._records.values()
-        self._t = np.fromiter((r.t for r in bank), dtype=np.int64, count=n)
-        self._D = np.fromiter((r.difficulty for r in bank), dtype=np.float64, count=n)
-        self._index = dict(zip(self._ids, range(n)))
+        if not math.isfinite(initial_difficulty):
+            raise ConfigError(f"initial_difficulty: must be finite, got {initial_difficulty}")
+        n = len(bank)
+        self._t = np.zeros(n, dtype=np.int64)
+        self._D = np.full(n, initial_difficulty, dtype=np.float64)
         # Each id's position in ascending id order: the alignment tie-break.
         self._rank = np.empty(n, dtype=np.int64)
-        self._rank[sorted(range(n), key=self._ids.__getitem__)] = np.arange(n)
+        self._rank[sorted(range(n), key=bank.ids.__getitem__)] = np.arange(n)
         self._warmup_order = rng.permutation(n)
         self.warmup_steps = math.ceil(n / self.batch_size) if warmup else 0
         # CompetenceState refuses a non-finite start.
         self._competence = CompetenceState(competence=initial_competence).competence
 
     @classmethod
-    def from_config(cls, config, records, rng: np.random.Generator) -> "CdasSampler":
+    def from_config(cls, config, bank: ProblemBank, rng: np.random.Generator) -> "CdasSampler":
         return cls(
-            records,
+            bank,
             batch_size=config.batch_size,
             rng=rng,
             symmetric=config.symmetric,
             warmup=config.warmup,
             initial_competence=config.initial_competence,
+            initial_difficulty=config.initial_difficulty,
         )
 
     @property
@@ -235,20 +226,17 @@ class CdasSampler(Sampler):
     @property
     def warmup_order(self) -> tuple[str, ...]:
         """The permutation of problem ids the warm-up batches walk."""
-        return tuple(self._ids[i] for i in self._warmup_order.tolist())
+        return tuple(self.bank.ids[i] for i in self._warmup_order.tolist())
 
     # -- read-only views -------------------------------------------------
 
     def _views(self, counts, estimates) -> list[ProblemRecord]:
+        bank = self.bank
         return [
-            ProblemRecord(
-                id=r.id,
-                level_tag=r.level_tag,
-                true_difficulty=r.true_difficulty,
-                t=t,
-                difficulty=difficulty,
+            ProblemRecord(id=pid, level_tag=tag, true_difficulty=latent, t=t, difficulty=d)
+            for pid, tag, latent, t, d in zip(
+                bank.ids, bank.level_tags, bank.latent.tolist(), counts, estimates
             )
-            for r, t, difficulty in zip(self._records.values(), counts, estimates)
         ]
 
     @property
@@ -256,19 +244,18 @@ class CdasSampler(Sampler):
         return {r.id: r for r in self._views(self._t.tolist(), self._D.tolist())}
 
     def record(self, problem_id: str) -> ProblemRecord:
-        r = self._records[problem_id]
-        i = self._index[problem_id]
+        i = self.bank.index[problem_id]
         return ProblemRecord(
-            id=r.id,
-            level_tag=r.level_tag,
-            true_difficulty=r.true_difficulty,
+            id=problem_id,
+            level_tag=self.bank.level_tags[i],
+            true_difficulty=self.bank.latent[i].item(),
             t=self._t[i].item(),
             difficulty=self._D[i].item(),
         )
 
     def difficulties(self, problem_ids) -> list[float]:
         """Current difficulty estimates of ``problem_ids``, in the order given."""
-        return self._D[[self._index[pid] for pid in problem_ids]].tolist()
+        return self._D[[self.bank.index[pid] for pid in problem_ids]].tolist()
 
     # -- selection --------------------------------------------------------
 
@@ -280,16 +267,16 @@ class CdasSampler(Sampler):
             )
 
     def _choose(self, batch_size: int) -> list[str]:
+        ids = self.bank.ids
         if self.in_warmup():
-            n = len(self._ids)
-            chunk = self._warmup_order[(self._step * batch_size + np.arange(batch_size)) % n]
-            return [self._ids[i] for i in chunk.tolist()]
+            offsets = self._step * batch_size + np.arange(batch_size)
+            return [ids[i] for i in self._warmup_order[offsets % len(ids)].tolist()]
         gap = np.abs(self._competence - self._D)
         if self.symmetric:
             chosen = self._select_symmetric(batch_size, gap)
         else:
-            chosen = self._best_aligned(np.arange(len(self._ids)), gap, batch_size)
-        return [self._ids[i] for i in chosen.tolist()]
+            chosen = self._best_aligned(np.arange(len(ids)), gap, batch_size)
+        return [ids[i] for i in chosen.tolist()]
 
     def _select_symmetric(self, batch_size: int, gap: np.ndarray) -> np.ndarray:
         harder_mask = self._D > self._competence
@@ -333,7 +320,7 @@ class CdasSampler(Sampler):
         # core.instantaneous_difficulty and core.update_difficulty bit for
         # bit; the sigmoid stays scalar because np.exp rounds differently
         # from math.exp.
-        index = np.array([self._index[obs.problem_id] for obs in outcomes], dtype=np.intp)
+        index = np.array([self.bank.index[obs.problem_id] for obs in outcomes], dtype=np.intp)
         rates = np.array([obs.pass_rate for obs in outcomes], dtype=np.float64)
         previous = self._D[index]
         expected = [sigmoid(z) for z in (self._competence - previous).tolist()]
@@ -354,13 +341,15 @@ class CdasSampler(Sampler):
 
     def _load_state(self, payload: dict) -> None:
         counts, estimates = payload["t"], payload["difficulty"]
-        if not len(counts) == len(estimates) == len(self._ids):
+        if not len(counts) == len(estimates) == len(self.bank):
             raise ConfigError(
                 f"sampler state: {len(counts)} counts and {len(estimates)} difficulty "
-                f"estimates for a bank of {len(self._ids)} problems"
+                f"estimates for a bank of {len(self.bank)} problems"
             )
-        # The views refuse negative counts and non-finite estimates.
-        views = self._views(counts, estimates)
+        try:
+            views = self._views(counts, estimates)
+        except ValueError as err:  # a negative count or a non-finite estimate
+            raise ConfigError(f"sampler state: {err}") from err
         competence = payload["competence"]
         if payload["step"] > 0 and competence != update_competence(views):
             raise ConfigError(

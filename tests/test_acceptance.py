@@ -211,7 +211,7 @@ def test_criterion_05_symmetric_batch_law(capsys):
         bank_ss, sampler_ss, learner_ss = np.random.SeedSequence(config.seed).spawn(3)
         bank = generate_bank(config.n_problems, np.random.default_rng(bank_ss))
         sampler = CdasSampler(
-            bank.records,
+            bank,
             batch_size=config.batch_size,
             rng=np.random.default_rng(sampler_ss),
         )
@@ -252,7 +252,7 @@ def test_criterion_05_symmetric_batch_law(capsys):
                     skipped = [a for a, pid in pool if pid not in chosen]
                     if picked and skipped and max(picked) > min(skipped):
                         violations += 1
-            groups = [learner.rollout_group(bank.problem(pid)) for pid in batch]
+            groups = [learner.rollout_group(pid, bank.latent[bank.index[pid]]) for pid in batch]
             sampler.report_outcomes(
                 PassRateObservation(problem_id=g.problem_id, pass_rate=g.pass_rate)
                 for g in groups

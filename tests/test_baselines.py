@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cdas.core import PassRateObservation, ProblemRecord
+from cdas.core import PassRateObservation
 from cdas.errors import ConfigError, ConsistencyError, RolloutBudgetError
 from cdas.baselines import (
     CurriculumSampler,
@@ -13,13 +13,18 @@ from cdas.baselines import (
     PrioritizedSampler,
     RandomSampler,
 )
+from cdas.learner import ProblemBank
 
 
-def _records(n, tagged=True):
-    return [
-        ProblemRecord(id=f"p{i:03d}", level_tag=(i % 5) + 1 if tagged else None)
-        for i in range(n)
-    ]
+def _named_bank(ids, tags=None):
+    ids = list(ids)
+    return ProblemBank(ids, tags or [None] * len(ids), [0.0] * len(ids))
+
+
+def _bank(n, tagged=True):
+    """Problems p000, p001, ... tagged 1, 2, 3, 4, 5, 1, ... in turn."""
+    tags = [(i % 5) + 1 if tagged else None for i in range(n)]
+    return _named_bank([f"p{i:03d}" for i in range(n)], tags)
 
 
 def _obs(pid, rate):
@@ -28,13 +33,13 @@ def _obs(pid, rate):
 
 class TestRandomSampler:
     def test_bank_sized_batch_is_a_permutation(self):
-        sampler = RandomSampler(_records(10), rng=np.random.default_rng(0))
+        sampler = RandomSampler(_bank(10), rng=np.random.default_rng(0))
         batch = sampler.select_batch(10)
         assert sorted(batch) == [f"p{i:03d}" for i in range(10)]
 
     def test_same_seed_same_batches(self):
-        a = RandomSampler(_records(20), rng=np.random.default_rng(4))
-        b = RandomSampler(_records(20), rng=np.random.default_rng(4))
+        a = RandomSampler(_bank(20), rng=np.random.default_rng(4))
+        b = RandomSampler(_bank(20), rng=np.random.default_rng(4))
         assert [a.select_batch(5) for _ in range(10)] == [
             b.select_batch(5) for _ in range(10)
         ]
@@ -42,8 +47,8 @@ class TestRandomSampler:
     def test_selection_frequencies_are_uniform(self):
         # 1e5 draws of 10 from 100: each id is a binomial with p = 0.1.
         n, batch_size, draws = 100, 10, 100_000
-        sampler = RandomSampler(_records(n), rng=np.random.default_rng(2024))
-        counts = {pid: 0 for pid in sampler.records}
+        sampler = RandomSampler(_bank(n), rng=np.random.default_rng(2024))
+        counts = {pid: 0 for pid in sampler.bank.ids}
         for _ in range(draws):
             for pid in sampler.select_batch(batch_size):
                 counts[pid] += 1
@@ -53,13 +58,13 @@ class TestRandomSampler:
             assert abs(count / draws - p) <= 3 * standard_error, pid
 
     def test_batches_have_distinct_ids(self):
-        sampler = RandomSampler(_records(12), rng=np.random.default_rng(9))
+        sampler = RandomSampler(_bank(12), rng=np.random.default_rng(9))
         for _ in range(50):
             batch = sampler.select_batch(8)
             assert len(set(batch)) == 8
 
     def test_batch_size_bounds(self):
-        sampler = RandomSampler(_records(4), rng=np.random.default_rng(0))
+        sampler = RandomSampler(_bank(4), rng=np.random.default_rng(0))
         with pytest.raises(ConfigError):
             sampler.select_batch(0)
         with pytest.raises(ConfigError):
@@ -68,9 +73,9 @@ class TestRandomSampler:
 
 class TestCurriculumSampler:
     def test_matches_random_before_the_switch(self):
-        records = _records(30)
-        random_sampler = RandomSampler(records, rng=np.random.default_rng(7))
-        curriculum = CurriculumSampler(records, rng=np.random.default_rng(7), switch_step=3)
+        bank = _bank(30)
+        random_sampler = RandomSampler(bank, rng=np.random.default_rng(7))
+        curriculum = CurriculumSampler(bank, rng=np.random.default_rng(7), switch_step=3)
         for _ in range(3):
             batch = curriculum.select_batch(6)
             assert batch == random_sampler.select_batch(6)
@@ -78,42 +83,40 @@ class TestCurriculumSampler:
             random_sampler.report_outcomes([])
 
     def test_only_high_levels_after_the_switch(self):
-        sampler = CurriculumSampler(_records(50), rng=np.random.default_rng(2), switch_step=0)
+        sampler = CurriculumSampler(_bank(50), rng=np.random.default_rng(2), switch_step=0)
         for _ in range(20):
             batch = sampler.select_batch(5)
-            assert all(sampler.record(pid).level_tag >= 4 for pid in batch)
+            assert all(sampler.bank.level_tags[sampler.bank.index[pid]] >= 4 for pid in batch)
             sampler.report_outcomes([_obs(pid, 0.5) for pid in batch])
 
     def test_threshold_five_with_pool_equal_to_batch(self):
-        records = _records(25)  # five problems per level
-        sampler = CurriculumSampler(
-            records, rng=np.random.default_rng(3), switch_step=0, threshold=5
-        )
+        bank = _bank(25)  # five problems per level
+        sampler = CurriculumSampler(bank, rng=np.random.default_rng(3), switch_step=0, threshold=5)
         batch = sampler.select_batch(5)
         assert sorted(batch) == sorted(
-            r.id for r in records if r.level_tag == 5
+            pid for pid, tag in zip(bank.ids, bank.level_tags) if tag == 5
         )
 
     def test_eligible_pool_smaller_than_batch(self):
-        sampler = CurriculumSampler(_records(25), rng=np.random.default_rng(0), switch_step=0)
+        sampler = CurriculumSampler(_bank(25), rng=np.random.default_rng(0), switch_step=0)
         with pytest.raises(ConfigError):
             sampler.select_batch(11)  # only 10 problems at level >= 4
 
     def test_missing_level_tags_rejected(self):
         with pytest.raises(ConfigError):
-            CurriculumSampler(_records(10, tagged=False), rng=np.random.default_rng(0), switch_step=1)
+            CurriculumSampler(_bank(10, tagged=False), rng=np.random.default_rng(0), switch_step=1)
 
     def test_bad_switch_and_threshold(self):
         with pytest.raises(ConfigError):
-            CurriculumSampler(_records(10), rng=np.random.default_rng(0), switch_step=-1)
+            CurriculumSampler(_bank(10), rng=np.random.default_rng(0), switch_step=-1)
         with pytest.raises(ConfigError):
-            CurriculumSampler(_records(10), rng=np.random.default_rng(0), switch_step=0, threshold=6)
+            CurriculumSampler(_bank(10), rng=np.random.default_rng(0), switch_step=0, threshold=6)
 
 
 class TestPrioritizedSampler:
     def _three_problem_sampler(self, seed=0):
-        records = [ProblemRecord(id=pid) for pid in ("x1", "x2", "x3")]
-        sampler = PrioritizedSampler(records, rng=np.random.default_rng(seed))
+        bank = _named_bank(["x1", "x2", "x3"])
+        sampler = PrioritizedSampler(bank, rng=np.random.default_rng(seed))
         sampler.last_pass_rate = {"x1": 1.0, "x2": 0.5, "x3": 0.0}
         return sampler
 
@@ -141,8 +144,7 @@ class TestPrioritizedSampler:
         assert sampler.uniform_fallbacks == 1
 
     def test_all_zero_weights_fall_back_to_uniform(self):
-        records = [ProblemRecord(id=pid) for pid in ("a", "b", "c", "d")]
-        sampler = PrioritizedSampler(records, rng=np.random.default_rng(5))
+        sampler = PrioritizedSampler(_named_bank("abcd"), rng=np.random.default_rng(5))
         sampler.last_pass_rate = {pid: 1.0 for pid in ("a", "b", "c", "d")}
         batch = sampler.select_batch(3)
         assert len(set(batch)) == 3
@@ -151,18 +153,18 @@ class TestPrioritizedSampler:
     def test_unseen_problems_use_initial_weight(self):
         # With initial weight 0, an unseen problem is never drawn while a
         # failed problem remains.
-        records = [ProblemRecord(id="seen"), ProblemRecord(id="new")]
-        sampler = PrioritizedSampler(records, rng=np.random.default_rng(6), initial_weight=0.0)
+        bank = _named_bank(["seen", "new"])
+        sampler = PrioritizedSampler(bank, rng=np.random.default_rng(6), initial_weight=0.0)
         sampler.last_pass_rate = {"seen": 0.0}
         for _ in range(100):
             assert sampler.select_batch(1) == ["seen"]
 
     def test_equal_rates_select_uniformly(self):
-        records = [ProblemRecord(id=f"e{i}") for i in range(10)]
-        sampler = PrioritizedSampler(records, rng=np.random.default_rng(8))
-        sampler.last_pass_rate = {record.id: 0.5 for record in records}
+        bank = _named_bank(f"e{i}" for i in range(10))
+        sampler = PrioritizedSampler(bank, rng=np.random.default_rng(8))
+        sampler.last_pass_rate = {pid: 0.5 for pid in bank.ids}
         draws = 50_000
-        counts = {record.id: 0 for record in records}
+        counts = {pid: 0 for pid in bank.ids}
         for _ in range(draws):
             counts[sampler.select_batch(1)[0]] += 1
         standard_error = math.sqrt(0.1 * 0.9 / draws)
@@ -171,18 +173,16 @@ class TestPrioritizedSampler:
 
     def test_bad_initial_weight(self):
         with pytest.raises(ConfigError):
-            PrioritizedSampler([ProblemRecord(id="a")], rng=np.random.default_rng(0), initial_weight=1.5)
+            PrioritizedSampler(_named_bank("a"), rng=np.random.default_rng(0), initial_weight=1.5)
 
 
 class TestDynamicSampler:
     def _sampler(self, n=20, seed=0, **kwargs):
-        return DynamicSampler(_records(n), rng=np.random.default_rng(seed), **kwargs)
+        return DynamicSampler(_bank(n), rng=np.random.default_rng(seed), **kwargs)
 
     def test_filters_degenerate_pass_rates(self):
         rates = {"p000": 1.0, "p001": 0.5, "p002": 0.0, "p003": 0.25}
-        sampler = DynamicSampler(
-            [ProblemRecord(id=pid) for pid in rates], rng=np.random.default_rng(3)
-        )
+        sampler = DynamicSampler(_named_bank(rates), rng=np.random.default_rng(3))
         kept, consumed = sampler.select_and_filter(2, lambda pid: _obs(pid, rates[pid]))
         assert set(kept) == {"p001", "p003"}
         assert all(0.0 < rates[pid] < 1.0 for pid in kept)
@@ -250,7 +250,7 @@ class TestReportOutcomes:
     # one baseline that keeps the latest pass rates.
 
     def _armed(self):
-        sampler = PrioritizedSampler(_records(5), rng=np.random.default_rng(0))
+        sampler = PrioritizedSampler(_bank(5), rng=np.random.default_rng(0))
         sampler.select_batch(5)
         return sampler
 
@@ -275,22 +275,22 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "factory",
         [
-            lambda records: RandomSampler(records, rng=np.random.default_rng(10)),
-            lambda records: CurriculumSampler(
-                records, rng=np.random.default_rng(10), switch_step=2
+            lambda bank: RandomSampler(bank, rng=np.random.default_rng(10)),
+            lambda bank: CurriculumSampler(
+                bank, rng=np.random.default_rng(10), switch_step=2
             ),
-            lambda records: PrioritizedSampler(records, rng=np.random.default_rng(10)),
-            lambda records: DynamicSampler(records, rng=np.random.default_rng(10)),
+            lambda bank: PrioritizedSampler(bank, rng=np.random.default_rng(10)),
+            lambda bank: DynamicSampler(bank, rng=np.random.default_rng(10)),
         ],
     )
     def test_round_trip_preserves_behavior(self, factory):
-        sampler = factory(_records(15))
+        sampler = factory(_bank(15))
         if isinstance(sampler, DynamicSampler):
             batch, _ = sampler.select_and_filter(4, lambda pid: _obs(pid, 0.5))
         else:
             batch = sampler.select_batch(4)
         sampler.report_outcomes([_obs(pid, 0.5) for pid in batch])
-        clone = factory(_records(15))
+        clone = factory(_bank(15))
         clone.load_state_dict(sampler.state_dict())
         assert clone.state_dict() == sampler.state_dict()
         if isinstance(sampler, DynamicSampler):

@@ -9,6 +9,7 @@ from cdas.baselines import DynamicSampler
 from cdas.config import SAMPLERS, STRATEGIES, ExperimentConfig
 from cdas.core import PassRateObservation, ProblemRecord, alignment
 from cdas.errors import ConfigError, ConsistencyError
+from cdas.learner import ProblemBank
 from cdas.sampling import CdasSampler
 
 
@@ -25,17 +26,25 @@ def _refused(sampler, outcomes):
     return False
 
 
-def _records(difficulties, t=1):
-    return [ProblemRecord(id=pid, t=t, difficulty=d) for pid, d in difficulties.items()]
+def _bank(ids, tag=None):
+    ids = list(ids)
+    return ProblemBank(ids, [tag] * len(ids), [0.0] * len(ids))
 
 
-def _fresh(difficulties, batch_size, seed=0, **kwargs):
-    return CdasSampler(
-        records=_records(difficulties, t=kwargs.pop("t", 1)),
-        batch_size=batch_size,
-        rng=np.random.default_rng(seed),
-        **kwargs,
+def _seed(sampler, difficulties, t):
+    """Start every estimate of ``sampler`` at ``difficulties`` with ``t`` visits."""
+    state = sampler.state_dict()
+    state["t"] = [t] * len(difficulties)
+    state["difficulty"] = list(difficulties.values())
+    sampler.load_state_dict(state)
+    return sampler
+
+
+def _fresh(difficulties, batch_size, seed=0, t=1, **kwargs):
+    sampler = CdasSampler(
+        _bank(difficulties), batch_size=batch_size, rng=np.random.default_rng(seed), **kwargs
     )
+    return _seed(sampler, difficulties, t)
 
 
 SIX_PROBLEMS = {
@@ -247,11 +256,12 @@ class TestReportOutcomes:
 
 def _strategy_sampler(strategy):
     """A ``strategy`` sampler over SIX_PROBLEMS, built from the config."""
-    records = [
-        ProblemRecord(id=pid, level_tag=5, t=1, difficulty=d) for pid, d in SIX_PROBLEMS.items()
-    ]
     config = ExperimentConfig(batch_size=4, strategy=strategy, warmup=False)
-    return SAMPLERS[strategy].from_config(config, records, np.random.default_rng(0))
+    bank = _bank(SIX_PROBLEMS, tag=5)
+    sampler = SAMPLERS[strategy].from_config(config, bank, np.random.default_rng(0))
+    if isinstance(sampler, CdasSampler):
+        _seed(sampler, SIX_PROBLEMS, t=1)
+    return sampler
 
 
 def _armed(strategy):
@@ -304,6 +314,17 @@ class TestConsistencyChecks:
             assert sampler.step == 1, strategy
 
 
+def test_dynamic_select_batch_points_to_select_and_filter():
+    # Dynamic sampling must roll candidates out to choose a batch, so the
+    # plain contract entry point refuses and arms nothing.
+    sampler = _strategy_sampler("dynamic")
+    before = sampler.state_dict()
+    with pytest.raises(ConsistencyError, match="select_and_filter"):
+        sampler.select_batch(4)
+    assert sampler.state_dict() == before
+    assert _refused(sampler, [_obs("x1", 0.5)])
+
+
 class TestConfigChecks:
     def test_batch_bounds(self):
         sampler = _fresh(SIX_PROBLEMS, batch_size=4)
@@ -316,14 +337,23 @@ class TestConfigChecks:
         with pytest.raises(ConfigError):
             _fresh(SIX_PROBLEMS, batch_size=3)
 
+    # The bank refuses these before any sampler is built on it.
     def test_empty_bank(self):
-        with pytest.raises(ConfigError):
-            CdasSampler(records=[], batch_size=2, rng=np.random.default_rng(0))
+        with pytest.raises(ConfigError, match="at least one problem"):
+            _bank([])
 
     def test_duplicate_ids(self):
-        record = ProblemRecord(id="a")
-        with pytest.raises(ConfigError):
-            CdasSampler(records=[record, record], batch_size=1, rng=np.random.default_rng(0), symmetric=False)
+        with pytest.raises(ConfigError, match="duplicate"):
+            _bank(["a", "a"])
+
+    def test_non_finite_initial_difficulty(self):
+        with pytest.raises(ConfigError, match="initial_difficulty"):
+            CdasSampler(_bank("ab"), 2, np.random.default_rng(0), initial_difficulty=math.inf)
+
+    def test_initial_difficulty_seeds_every_estimate(self):
+        sampler = CdasSampler(_bank("abcd"), 2, np.random.default_rng(0), initial_difficulty=-0.5)
+        assert sampler.state_dict()["t"] == [0, 0, 0, 0]
+        assert sampler.difficulties("abcd") == [-0.5] * 4
 
 
 class TestBatchInvariants:

@@ -192,6 +192,26 @@ class TestResumeCommand:
         assert "stop_after" in capsys.readouterr().err
         assert len(read_metrics_csv(out / METRICS_FILE)) == 2
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda payload: payload["sampler"].pop("rng"),
+            lambda payload: payload["metrics_rows"][0].update(extra=1.0),
+        ],
+        ids=["no-sampler-rng", "extra-metrics-field"],
+    )
+    def test_damaged_checkpoint_exits_2(self, tmp_path, capsys, edit):
+        out = tmp_path / "run"
+        main(["run", *TINY_FLAGS, "--out", str(out), "--stop-after", "2"])
+        capsys.readouterr()
+        path = out / CHECKPOINT_FILE
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        assert main(["resume", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "checkpoint" in err and "Traceback" not in err
+
     def test_missing_checkpoint_exits_3(self, tmp_path, capsys):
         code = main(["resume", str(tmp_path / "nope.json")])
         assert code == 3

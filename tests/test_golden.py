@@ -1,0 +1,130 @@
+"""Golden outputs: the exact bytes small runs write, pinned by sha256.
+
+A change that alters output bytes on purpose updates these digests and says
+so in CHANGES.md.  Checkpoints are digested without ``config.out_dir``, the
+only field that names where a run was written.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from cdas.config import ExperimentConfig
+from cdas.harness import (
+    BATCHES_FILE,
+    CHECKPOINT_FILE,
+    METRICS_FILE,
+    PROBLEMS_FILE,
+    SUMMARY_FILE,
+    run_experiment,
+)
+from cdas.learner import generate_bank, save_bank
+
+SMALL = ExperimentConfig(n_problems=200, batch_size=16, total_steps=20, seed=11)
+
+RUNS = {
+    "cdas": SMALL,
+    "random": SMALL.with_overrides(strategy="random"),
+    "curriculum": SMALL.with_overrides(strategy="curriculum"),
+    "prioritized": SMALL.with_overrides(strategy="prioritized"),
+    "dynamic": SMALL.with_overrides(strategy="dynamic"),
+    "cdas-variant": SMALL.with_overrides(
+        bank_mode="levels", initial_difficulty=0.25, symmetric=False, batch_size=64
+    ),
+    # The bank file is written to the working directory, so the embedded
+    # config (and with it every config hash) names the same relative path.
+    "saved-bank": SMALL.with_overrides(bank_path="bank.json", total_steps=12),
+}
+
+RUN_FILES = (METRICS_FILE, BATCHES_FILE, PROBLEMS_FILE, SUMMARY_FILE)
+
+GOLDEN_RUNS = {
+    "cdas": {
+        "metrics.csv": "cc2d06a3a27364c7c526d37deb80a16e353cf9b1e39497214af05b077e8e86e2",
+        "batches.csv": "29034fa4b588e8d564dbbe38bd7ae568ea9208d5f5befef6ebdc40061cb93d04",
+        "problems.csv": "2cc7b615bcecc9c6b4ea299ca4c515d6745e93e583e6017d88ce23eb6179f6e4",
+        "summary.json": "0a7e2731d494f21c8a012b4b4e229190f73d0bc2d710bbd6b19cf73569ae5c89",
+        "checkpoint.json": "ed5100979c870afbd028f37c4ceb2889214619f40ac2986b5fc767ac7b6eafdd",
+    },
+    "cdas-variant": {
+        "metrics.csv": "9f3134deccd595c1f297b6f67d36ae54716f134c8cbfed639afe57ddf066c050",
+        "batches.csv": "192f8e6cfd7b4ef03a68b1020db24a5eb7026f436f628cfb7d95cab1759c2f88",
+        "problems.csv": "ca7115a661c4b3ccb636e0e303a6852a68f0d2da9bcaed31fbfa498c0d945f3e",
+        "summary.json": "74aba81dc1427306277c14a56bf8f44a218cc2e46b7540984df50fb6be045e23",
+        "checkpoint.json": "264704bd32d24426f41f5f6a1394cb2b3234f2295bd74b2ac596b82a68b6a7d5",
+    },
+    "curriculum": {
+        "metrics.csv": "2ece74a5912681632ecf0e1a4a1c619caf85dda5fa22ee1ac889e538daa7167c",
+        "batches.csv": "dc59751a95d8fc91451f888b1bd1d07340b416bec2c20dfdea0d628631ef107a",
+        "problems.csv": "fbc6e00def029246d75cdbb9d478981e9874dc3467e4fe90aa5648bdbca239f6",
+        "summary.json": "d570df69231fc32af17f232751bacf58beff517521e72b2e94432bc7d742e0e5",
+        "checkpoint.json": "107f7f663f0bc07cde0bafa748740141dcdb66a1a9db759c1732395b562005c5",
+    },
+    "dynamic": {
+        "metrics.csv": "09b851d2a1072c85cd7f4f7f2e677c60d6ac6993880bb5ef7414d132e823d11e",
+        "batches.csv": "5b091e3f274079c53fcb3be547bf622ecab45f5d691940e8859f8968ffd75777",
+        "problems.csv": "891e78615856a3704fdd70dd1dc023185e1240035d9379099996edbf7d72b765",
+        "summary.json": "b77465e66ed9d5ba6be2e7ce4fef33afb27623c2eb5661c2e7baa8d935a58100",
+        "checkpoint.json": "60898a06195e7f26a0e2675f61cf997caddfc2209f6bffff4a5114115be1aa29",
+    },
+    "prioritized": {
+        "metrics.csv": "75efbb0dd5f81e5e59f3b2bfd8c148ecdab9a5e701e810c8d5238c9a6a5fbefc",
+        "batches.csv": "4e96dc8a202cf306b38fe3351721c84ceff37a2e7a593ecae396482138376280",
+        "problems.csv": "3167874ab4a0bc6d05bb6ea23cde5cb05cb9de47743232d3b8ed1ea3418a93d1",
+        "summary.json": "0248d76f0703307927ff13b3da48cc49ab34117e547c16fd3594080f7cd3ab19",
+        "checkpoint.json": "9bb6638902a8a78f7c428b4d29955ee3f36508622f3cccff930f444190d69faa",
+    },
+    "random": {
+        "metrics.csv": "5b79768d1e5eaa3526d82a2133409aaf8421586f4ca1e81e9af669ae5ff2d7b7",
+        "batches.csv": "7e677f63ef2a61fcac869f5369fed0f01056d12ebc919059f9a0bb6d2690b3c6",
+        "problems.csv": "c4df2457e2d98d76371bdd4f5053b0792dccf50ebf6977d65f1157b0195a1d73",
+        "summary.json": "ee79d831959fadd376b6456c45e947fe17c2ddf74ee89a97d06c4a78fabf5671",
+        "checkpoint.json": "ac12ad8fee7e458b25eea6af09e7d1b11ce65b95705945013de955344e1c87ad",
+    },
+    "saved-bank": {
+        "metrics.csv": "230677bc614a13e72380d67838ac66fa2d3c255bb1acd225b47d57d8ce75b951",
+        "batches.csv": "18b2a44c86caf1cbe7a3751f4feb265966a360c450fa4ef283789532a3c8e305",
+        "problems.csv": "4e7be58288157b8d502446d5c910689aa3e47be5a54fe8bcf06c412bd9bbafaf",
+        "summary.json": "c6bd4e30acf0dd18d0c573f9c94e7fa47e3efd1c77e7c3e9797eb43eb10a1c26",
+        "checkpoint.json": "d911bd5c0e0de3832da967da89087eb7b77b420e636b2f0a91c84acd6dfbdd20",
+        "bank.json": "9b20c54a0da43fae935a603b8c0d26157c4cd189907b398fd7865e449f20bcb8",
+    },
+}
+
+GOLDEN_BANK_HASHES = {
+    "normal": "b206341963232c2b14788d04e96c198688cb314319b3f14058c95a45d7161521",
+    "levels": "304b233f268dcda273dac3576a7c7eb0777b14887a68d7c7841c03359242bdfa",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _digests(out) -> dict[str, str]:
+    digests = {name: _sha256((out / name).read_bytes()) for name in RUN_FILES}
+    checkpoint = json.loads((out / CHECKPOINT_FILE).read_text())
+    del checkpoint["config"]["out_dir"]
+    digests[CHECKPOINT_FILE] = _sha256(json.dumps(checkpoint).encode())
+    return digests
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_outputs_match_golden_digests(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    if name == "saved-bank":
+        save_bank(generate_bank(150, np.random.default_rng(3)), "bank.json")
+    out = tmp_path / "out"
+    run_experiment(RUNS[name].with_overrides(out_dir=str(out)))
+    digests = _digests(out)
+    if name == "saved-bank":
+        digests["bank.json"] = _sha256((tmp_path / "bank.json").read_bytes())
+    assert digests == GOLDEN_RUNS[name]
+
+
+@pytest.mark.parametrize("mode", ["normal", "levels"])
+def test_generated_bank_hash_matches_golden(mode):
+    bank = generate_bank(500, np.random.default_rng(7), mode=mode)
+    assert bank.content_hash() == GOLDEN_BANK_HASHES[mode]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cdas.grpo import RolloutGroup, group_advantages, rule_reward
+from cdas.grpo import RolloutGroup, group_advantages
 
 SQRT3 = 1.7320508075688772
 
@@ -15,11 +15,6 @@ reward_lists = st.lists(st.sampled_from([0.0, 1.0]), min_size=2, max_size=16)
 
 def _group(rewards):
     return RolloutGroup(problem_id="x", rewards=tuple(rewards))
-
-
-def test_rule_reward():
-    assert rule_reward(True) == 1.0
-    assert rule_reward(False) == 0.0
 
 
 def test_half_passing_group_is_exact():

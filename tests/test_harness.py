@@ -259,6 +259,58 @@ class TestCheckpointResume:
         assert result.completed
         assert (tmp_path / "run" / CHECKPOINT_FILE).read_bytes() == before
 
+    @pytest.mark.parametrize("stop_after", [2, 4])
+    def test_resume_stopping_at_or_before_the_checkpoint_is_a_noop(
+        self, tmp_path, caplog, stop_after
+    ):
+        run_experiment(_tiny(out_dir=str(tmp_path)), stop_after=4)
+        before = {
+            name: ((tmp_path / name).read_bytes(), (tmp_path / name).stat().st_mtime_ns)
+            for name in OUTPUT_FILES
+        }
+        with caplog.at_level(logging.INFO, logger="cdas.harness"):
+            result = resume_experiment(tmp_path / CHECKPOINT_FILE, stop_after=stop_after)
+        assert "nothing to resume" in caplog.text
+        assert len(result.rows) == 4
+        after = {
+            name: ((tmp_path / name).read_bytes(), (tmp_path / name).stat().st_mtime_ns)
+            for name in OUTPUT_FILES
+        }
+        assert after == before
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda p: p["sampler"].pop("rng"), "sampler state: missing field 'rng'"),
+            (lambda p: p["metrics_rows"][0].update(extra=1.0), "metrics rows"),
+            (lambda p: p["metrics_rows"][1].pop("competence"), "metrics rows"),
+            (lambda p: p["sampler"].pop("difficulty"), "missing field 'difficulty'"),
+            (lambda p: p["learner"].pop("rng"), "learner state: missing field 'rng'"),
+            (lambda p: p.pop("batches"), "missing field 'batches'"),
+            (lambda p: p.update(sampler=[]), "sampler state: expected a JSON object"),
+        ],
+        ids=[
+            "no-sampler-rng",
+            "extra-metrics-field",
+            "missing-metrics-field",
+            "no-cdas-difficulty",
+            "no-learner-rng",
+            "no-batches",
+            "sampler-not-an-object",
+        ],
+    )
+    def test_damaged_checkpoint_refused(self, tmp_path, edit, match):
+        run_experiment(_tiny(out_dir=str(tmp_path)), stop_after=2)
+        path = tmp_path / CHECKPOINT_FILE
+        _edit_checkpoint(path, edit)
+        with pytest.raises(ConfigError, match=match):
+            resume_experiment(path)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_state_fields_name_the_state_dict_keys(self, tmp_path, strategy):
+        result = run_experiment(_tiny(strategy=strategy), stop_after=2)
+        assert set(result.sampler.state_dict()) == set(result.sampler.state_fields)
+
     def test_resume_with_new_out_dir(self, tmp_path):
         run_experiment(_tiny(out_dir=str(tmp_path / "a")), stop_after=3)
         resume_experiment(tmp_path / "a" / CHECKPOINT_FILE, out_dir=tmp_path / "b")
@@ -287,6 +339,7 @@ class TestCheckpointResume:
         [
             ("cdas", lambda s: s["t"].pop(), "bank of 12"),
             ("cdas", lambda s: s["difficulty"].append(0.0), "bank of 12"),
+            ("cdas", lambda s: s["t"].__setitem__(0, -1), "t must be >= 0"),
             ("random", lambda s: s.update(step=s["step"] + 1), "step 3"),
             ("cdas", lambda s: s.update(step=s["step"] - 1), "step 1"),
             (

@@ -1,11 +1,12 @@
 """Synthetic learner calibration and problem-bank construction."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from cdas.core import ProblemRecord
+from cdas.core import PassRateObservation
 from cdas.errors import ConfigError
 from cdas.learner import (
     ProblemBank,
@@ -15,10 +16,7 @@ from cdas.learner import (
     load_bank,
     save_bank,
 )
-
-
-def _problem(b, pid="q", tag=None):
-    return ProblemRecord(id=pid, level_tag=tag, true_difficulty=b)
+from cdas.sampling import CdasSampler
 
 
 def _learner(ability, seed=0, **kwargs):
@@ -27,28 +25,27 @@ def _learner(ability, seed=0, **kwargs):
 
 class TestSuccessProbability:
     def test_ability_at_latent_difficulty_is_even_odds(self):
-        assert _learner(1.3).success_probability(_problem(1.3)) == 0.5
+        assert _learner(1.3).success_probability(1.3) == 0.5
 
     def test_logistic_value(self):
         # sigmoid(1) to the digit.
-        assert _learner(1.0).success_probability(_problem(0.0)) == pytest.approx(
+        assert _learner(1.0).success_probability(0.0) == pytest.approx(
             0.7310585786300049, abs=1e-15
         )
 
     def test_discrimination_scales_the_gap(self):
-        gentle = _learner(1.0, discrimination=0.5).success_probability(_problem(0.0))
-        steep = _learner(1.0, discrimination=4.0).success_probability(_problem(0.0))
+        gentle = _learner(1.0, discrimination=0.5).success_probability(0.0)
+        steep = _learner(1.0, discrimination=4.0).success_probability(0.0)
         assert gentle < steep
 
     def test_harder_problem_is_less_likely(self):
         learner = _learner(0.0)
-        assert learner.success_probability(_problem(1.0)) < learner.success_probability(
-            _problem(0.0)
-        )
+        assert learner.success_probability(1.0) < learner.success_probability(0.0)
 
     def test_missing_latent_difficulty_rejected(self):
-        with pytest.raises(ValueError):
-            _learner(0.0).success_probability(ProblemRecord(id="q"))
+        # A bank file's null latent becomes NaN, which the bank refuses.
+        with pytest.raises(ConfigError, match="latent"):
+            ProblemBank(["q"], [None], [None])
 
 
 class TestRollouts:
@@ -57,31 +54,25 @@ class TestRollouts:
         # standard errors of sigmoid(ability - b).
         p = 1.0 / (1.0 + math.exp(-0.7))
         learner = _learner(0.2, seed=11, rollouts=10_000)
-        group = learner.rollout_group(_problem(-0.5))
+        group = learner.rollout_group("q", -0.5)
         standard_error = math.sqrt(p * (1.0 - p) / 10_000)
         assert abs(group.pass_rate - p) <= 3 * standard_error
 
     def test_far_below_ability_groups_all_pass(self):
         learner = _learner(10.0, seed=5)
         all_pass = sum(
-            learner.rollout_group(_problem(0.0)).pass_rate == 1.0 for _ in range(10_000)
+            learner.rollout_group("q", 0.0).pass_rate == 1.0 for _ in range(10_000)
         )
         assert all_pass / 10_000 >= 0.999
 
     def test_group_size_and_id(self):
-        group = _learner(0.0, rollouts=6).rollout_group(_problem(0.0, pid="x9"))
+        group = _learner(0.0, rollouts=6).rollout_group("x9", 0.0)
         assert group.problem_id == "x9"
         assert len(group.rewards) == 6
 
-    def test_rollout_observation_carries_step(self):
-        obs = _learner(0.0).rollout(_problem(0.0, pid="x1"), step=7)
-        assert obs.problem_id == "x1"
-        assert obs.step == 7
-        assert 0.0 <= obs.pass_rate <= 1.0
-
     def test_same_seed_same_draws(self):
-        a = _learner(0.3, seed=77).rollout_group(_problem(0.1))
-        b = _learner(0.3, seed=77).rollout_group(_problem(0.1))
+        a = _learner(0.3, seed=77).rollout_group("q", 0.1)
+        b = _learner(0.3, seed=77).rollout_group("q", 0.1)
         assert a.rewards == b.rewards
 
 
@@ -132,11 +123,11 @@ class TestLearnerConfig:
     def test_pass_counts_match_per_problem_rollouts(self):
         # One (B, G) draw must give the bits, and leave the stream where, B
         # separate groups would.
-        problems = [_problem(b, pid=f"x{i}") for i, b in enumerate(np.linspace(-3, 3, 25))]
+        latents = np.linspace(-3, 3, 25).tolist()
         batched = _learner(0.4, seed=13, rollouts=6)
         single = _learner(0.4, seed=13, rollouts=6)
-        counts = batched.pass_counts(problems)
-        assert counts == [single.rollout_group(p).rewards.count(1.0) for p in problems]
+        counts = batched.pass_counts(latents)
+        assert counts == [single.rollout_group("q", b).rewards.count(1.0) for b in latents]
         assert all(type(k) is int for k in counts)
         assert batched.state_dict() == single.state_dict()
         assert batched.pass_counts([]) == []
@@ -144,11 +135,11 @@ class TestLearnerConfig:
 
     def test_state_round_trip_resumes_stream(self):
         learner = _learner(0.4, seed=21)
-        learner.rollout_group(_problem(0.0))
+        learner.rollout_group("q", 0.0)
         clone = _learner(0.0, seed=0)
         clone.load_state_dict(learner.state_dict())
-        want = learner.rollout_group(_problem(0.2))
-        got = clone.rollout_group(_problem(0.2))
+        want = learner.rollout_group("q", 0.2)
+        got = clone.rollout_group("q", 0.2)
         assert got.rewards == want.rewards
         assert clone.ability == learner.ability
 
@@ -156,21 +147,20 @@ class TestLearnerConfig:
 class TestGenerateBank:
     def test_normal_mode_quintiles_are_balanced(self):
         bank = generate_bank(100, np.random.default_rng(0))
-        tags = np.array([record.level_tag for record in bank.records])
+        tags = np.array(bank.level_tags)
         counts = np.bincount(tags, minlength=6)[1:]
         assert list(counts) == [20] * 5
 
     def test_normal_mode_tags_sort_with_latents(self):
         bank = generate_bank(50, np.random.default_rng(1))
-        by_latent = sorted(bank.records, key=lambda r: r.true_difficulty)
-        tags = [record.level_tag for record in by_latent]
+        tags = [tag for _, tag in sorted(zip(bank.latent.tolist(), bank.level_tags))]
         assert tags == sorted(tags)
 
     def test_levels_mode_latents_are_equally_spaced(self):
         bank = generate_bank(200, np.random.default_rng(2), mode="levels", level_spread=2.0)
-        for record in bank.records:
-            assert record.true_difficulty == (record.level_tag - 3) * 1.0
-        assert {record.level_tag for record in bank.records} == {1, 2, 3, 4, 5}
+        for tag, latent in zip(bank.level_tags, bank.latent.tolist()):
+            assert latent == (tag - 3) * 1.0
+        assert set(bank.level_tags) == {1, 2, 3, 4, 5}
 
     def test_ids_are_zero_padded_and_unique(self):
         bank = generate_bank(12, np.random.default_rng(3))
@@ -186,9 +176,19 @@ class TestGenerateBank:
         assert one.content_hash() != other.content_hash()
 
     def test_records_start_unscheduled(self):
-        bank = generate_bank(5, np.random.default_rng(4), initial_difficulty=0.25)
-        assert all(record.t == 0 for record in bank.records)
-        assert all(record.difficulty == 0.25 for record in bank.records)
+        # The bank holds no scheduler state; a CDAS sampler on it starts every
+        # problem at t = 0 with the configured initial difficulty.
+        bank = generate_bank(5, np.random.default_rng(4))
+        sampler = CdasSampler(bank, 2, np.random.default_rng(0), initial_difficulty=0.25)
+        assert all(record.t == 0 for record in sampler.records.values())
+        assert all(record.difficulty == 0.25 for record in sampler.records.values())
+
+    def test_columns_line_up_in_bank_order(self):
+        bank = generate_bank(5, np.random.default_rng(4))
+        assert type(bank.ids) is tuple and type(bank.level_tags) is tuple
+        assert bank.latent.dtype == np.float64 and not bank.latent.flags.writeable
+        assert len(bank.ids) == len(bank.level_tags) == bank.latent.size == 5
+        assert bank.index == {pid: i for i, pid in enumerate(bank.ids)}
 
     def test_bad_sizes_and_modes(self):
         rng = np.random.default_rng(0)
@@ -206,28 +206,51 @@ class TestBankContainer:
     def test_lookup_and_len(self):
         bank = generate_bank(7, np.random.default_rng(6))
         assert len(bank) == 7
-        assert bank.problem("p00003").id == "p00003"
+        assert bank.ids[bank.index["p00003"]] == "p00003"
 
     def test_duplicate_ids_rejected(self):
-        record = ProblemRecord(id="dup", true_difficulty=0.0)
-        with pytest.raises(ConfigError):
-            ProblemBank(records=(record, record))
+        with pytest.raises(ConfigError, match="duplicate problem id dup"):
+            ProblemBank(["a", "dup", "dup"], [None] * 3, [0.0] * 3)
 
     def test_missing_latent_rejected(self):
-        with pytest.raises(ConfigError):
-            ProblemBank(records=(ProblemRecord(id="a"),))
+        with pytest.raises(ConfigError, match="bank problem b"):
+            ProblemBank(["a", "b"], [None, None], [0.0, float("nan")])
+
+    def test_empty_bank_rejected(self):
+        with pytest.raises(ConfigError, match="at least one problem"):
+            ProblemBank([], [], [])
+
+    def test_columns_of_different_lengths_rejected(self):
+        with pytest.raises(ConfigError, match="columns"):
+            ProblemBank(["a", "b"], [1], [0.0, 0.0])
+        with pytest.raises(ConfigError, match="columns"):
+            ProblemBank(["a"], [1], [0.0, 0.0])
+
+    def test_level_tags_outside_one_to_five_rejected(self):
+        for tag in (0, 6):
+            with pytest.raises(ConfigError, match="level_tag"):
+                ProblemBank(["a", "b"], [1, tag], [0.0, 0.0])
 
     def test_hash_ignores_scheduler_state(self):
-        base = ProblemRecord(id="a", level_tag=2, true_difficulty=0.5)
-        touched = ProblemRecord(id="a", level_tag=2, true_difficulty=0.5, t=3, difficulty=-0.4)
-        assert (
-            ProblemBank(records=(base,)).content_hash()
-            == ProblemBank(records=(touched,)).content_hash()
-        )
+        bank = generate_bank(8, np.random.default_rng(5))
+        before = bank.content_hash()
+        sampler = CdasSampler(bank, 4, np.random.default_rng(0))
+        for _ in range(3):
+            batch = sampler.select_batch(4)
+            sampler.report_outcomes(PassRateObservation(pid, 0.25) for pid in batch)
+        assert bank.content_hash() == before
+
+    def test_hash_covers_ids_tags_and_latents(self):
+        base = ProblemBank(["a"], [2], [0.5]).content_hash()
+        # One line per problem, "id,level_tag,repr(latent)".
+        assert base == hashlib.sha256(b"a,2,0.5\n").hexdigest()
+        assert ProblemBank(["a"], [None], [0.5]).content_hash() != base
+        assert ProblemBank(["a"], [2], [0.25]).content_hash() != base
+        assert ProblemBank(["b"], [2], [0.5]).content_hash() != base
 
     def test_default_ability_is_fifth_percentile(self):
         bank = generate_bank(500, np.random.default_rng(12))
-        expected = float(np.percentile(bank.true_difficulties(), 5.0))
+        expected = float(np.percentile(bank.latent, 5.0))
         assert default_ability(bank) == expected
 
 
@@ -245,9 +268,8 @@ class TestBankFiles:
         bank = generate_bank(10, np.random.default_rng(15))
         path = tmp_path / "bank.json"
         save_bank(bank, path)
-        text = path.read_text().replace(
-            repr(bank.records[0].true_difficulty), repr(bank.records[0].true_difficulty + 1.0), 1
-        )
+        latent = bank.latent[0].item()
+        text = path.read_text().replace(repr(latent), repr(latent + 1.0), 1)
         path.write_text(text)
         with pytest.raises(ConfigError):
             load_bank(path)

@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
-from cdas.core import PassRateObservation, ProblemRecord
+from cdas.core import PassRateObservation
 from cdas.grpo import RolloutGroup, group_advantages
 from cdas.metrics import (
     METRICS_COLUMNS,
     StepMetrics,
-    difficulty_passrate_table,
     read_metrics_csv,
     summarize_step,
     write_metrics_csv,
 )
 from cdas.baselines import RandomSampler
+from cdas.learner import ProblemBank
 from cdas.sampling import CdasSampler
 
 
@@ -44,10 +44,12 @@ def _columns(groups):
     )
 
 
+def _bank(n):
+    return ProblemBank([f"p{i:03d}" for i in range(n)], [None] * n, [0.0] * n)
+
+
 def _random_sampler(n=6):
-    return RandomSampler(
-        [ProblemRecord(id=f"p{i:03d}") for i in range(n)], rng=np.random.default_rng(0)
-    )
+    return RandomSampler(_bank(n), rng=np.random.default_rng(0))
 
 
 class TestSummarizeStep:
@@ -72,11 +74,7 @@ class TestSummarizeStep:
         assert metrics.mean_sampled_difficulty is None
 
     def test_alignment_sampler_fills_model_columns(self):
-        sampler = CdasSampler(
-            records=[ProblemRecord(id=f"p{i:03d}") for i in range(4)],
-            batch_size=2,
-            rng=np.random.default_rng(1),
-        )
+        sampler = CdasSampler(_bank(4), batch_size=2, rng=np.random.default_rng(1))
         batch = sampler.select_batch(2)
         sampler.report_outcomes(
             [PassRateObservation(problem_id=pid, pass_rate=1.0) for pid in batch]
@@ -94,22 +92,6 @@ class TestSummarizeStep:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             summarize_step([], [], [], _random_sampler(), _StubLearner(0.0))
-
-
-class TestDifficultyPassrateTable:
-    def test_skips_unsampled_problems(self):
-        records = [
-            ProblemRecord(id="a", t=2, difficulty=-0.1),
-            ProblemRecord(id="b", t=0),
-            ProblemRecord(id="c", t=1, difficulty=0.3),
-        ]
-        rows = difficulty_passrate_table(records, {"a": 0.75, "c": 0.25})
-        assert rows == [("a", 2, -0.1, 0.75), ("c", 1, 0.3, 0.25)]
-
-    def test_sampled_problem_without_final_rate_rejected(self):
-        records = [ProblemRecord(id="a", t=1, difficulty=0.0)]
-        with pytest.raises(ValueError):
-            difficulty_passrate_table(records, {})
 
 
 class TestMetricsCsv:

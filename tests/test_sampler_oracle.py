@@ -18,6 +18,7 @@ from cdas.core import (
     update_competence,
     update_difficulty,
 )
+from cdas.learner import ProblemBank
 from cdas.sampling import CdasSampler
 
 
@@ -98,18 +99,25 @@ def _bits(values):
     return [float(v).hex() for v in values]
 
 
+def _sampler(records, competence, **kwargs):
+    """A post-warm-up CdasSampler starting from the records' ``t`` and ``difficulty``."""
+    ids = [record.id for record in records]
+    bank = ProblemBank(ids, [None] * len(ids), [0.0] * len(ids))
+    sampler = CdasSampler(
+        bank, rng=np.random.default_rng(0), warmup=False, initial_competence=competence, **kwargs
+    )
+    state = sampler.state_dict()
+    state["t"] = [record.t for record in records]
+    state["difficulty"] = [record.difficulty for record in records]
+    sampler.load_state_dict(state)
+    return sampler
+
+
 @settings(max_examples=300, deadline=None)
 @given(scenarios())
 def test_array_sampler_matches_the_scalar_reference(scenario):
     records, symmetric, batch_size, competence, rounds = scenario
-    sampler = CdasSampler(
-        records,
-        batch_size=batch_size,
-        rng=np.random.default_rng(0),
-        symmetric=symmetric,
-        warmup=False,
-        initial_competence=competence,
-    )
+    sampler = _sampler(records, competence, batch_size=batch_size, symmetric=symmetric)
     reference = ScalarCdas(records, symmetric, competence)
     for step, rates in enumerate(rounds, start=1):
         batch = sampler.select_batch(batch_size)
@@ -132,7 +140,7 @@ def test_array_sampler_matches_the_scalar_reference(scenario):
 def test_negative_zero_bank_has_the_scalar_competence():
     # The scalar loop starts from 0.0, so a bank of -0.0 estimates sums to 0.0.
     records = [ProblemRecord(id=pid, t=1, difficulty=-0.0) for pid in "abcd"]
-    sampler = CdasSampler(records, batch_size=2, rng=np.random.default_rng(0), warmup=False)
+    sampler = _sampler(records, 0.0, batch_size=2)
     reference = ScalarCdas(records, True, 0.0)
     sampler.select_batch(2)
     sampler.report_outcomes([])
