@@ -107,27 +107,32 @@ class PrioritizedSampler(BaselineSampler):
     def from_config(cls, config, bank, rng: np.random.Generator) -> "PrioritizedSampler":
         return cls(bank, rng=rng, initial_weight=config.prioritized_initial_weight)
 
-    def _weight(self, problem_id: str) -> float:
-        rate = self.last_pass_rate.get(problem_id)
-        if rate is None:
-            return self.initial_weight
-        return 1.0 - rate
-
     def _choose(self, batch_size: int) -> list[str]:
-        remaining = list(range(len(self.bank)))
-        weights = np.array([self._weight(pid) for pid in self.bank.ids])
+        # Each pick does what ``Generator.choice(n, p=weights / total)`` does
+        # inside, so batches and the generator state match that call exactly.
+        n = len(self.bank)
+        weights = np.full(n, self.initial_weight, dtype=np.float64)
+        if self.last_pass_rate:
+            seen = [self.bank.index[pid] for pid in self.last_pass_rate]
+            weights[seen] = 1.0 - np.fromiter(self.last_pass_rate.values(), np.float64, len(seen))
+        remaining = np.arange(n)
         picks: list[int] = []
         fell_back = False
         for _ in range(batch_size):
-            total = float(weights.sum())
+            # Only the live prefix is summed: zero padding would regroup
+            # np.sum's pairwise additions and can move ``total`` by an ulp.
+            total = float(weights[:n].sum())
             if total <= 0.0:
-                j = int(self._rng.integers(len(remaining)))
+                j = int(self._rng.integers(n))
                 fell_back = True
             else:
-                j = int(self._rng.choice(len(remaining), p=weights / total))
-            picks.append(remaining[j])
-            remaining.pop(j)
-            weights = np.delete(weights, j)
+                cdf = (weights[:n] / total).cumsum()
+                cdf /= cdf[-1]
+                j = int(cdf.searchsorted(self._rng.random(), side="right"))
+            picks.append(int(remaining[j]))
+            remaining[j : n - 1] = remaining[j + 1 : n]
+            weights[j : n - 1] = weights[j + 1 : n]
+            n -= 1
         if fell_back:
             self.uniform_fallbacks += 1
         return [self.bank.ids[i] for i in picks]
@@ -151,10 +156,11 @@ class PrioritizedSampler(BaselineSampler):
 class DynamicSampler(BaselineSampler):
     """Oversample-and-filter selection keeping only problems with interior pass rates.
 
-    Candidates are drawn uniformly in rounds and rolled out one at a time;
-    those with pass rate exactly 0 or 1 are discarded.  Drawing stops once the
-    batch is full or ``retry_cap`` rounds are spent.  A capped batch is padded
-    with the most recently filtered candidates so batch size is preserved.
+    Candidates are drawn uniformly in rounds and rolled out in draw order;
+    those with pass rate exactly 0 or 1 are discarded.  Rolling out stops once
+    the batch is full, and drawing once ``retry_cap`` rounds are spent.  A
+    capped batch is padded with the most recently filtered candidates so
+    batch size is preserved.
     """
 
     strategy = "dynamic"
@@ -187,55 +193,68 @@ class DynamicSampler(BaselineSampler):
 
     def select_batch(self, batch_size: int) -> list[str]:
         raise ConsistencyError(
-            "dynamic sampling rolls candidates out while it selects; call select_and_filter"
+            "dynamic sampling rolls candidates out while it selects; call select_and_roll"
         )
 
-    def select_and_filter(self, batch_size: int, rollout_fn) -> tuple[list[str], int]:
-        """Build a batch of interior-pass-rate problems.
+    def select_and_roll(
+        self, batch_size: int, group_size: int, roll_round
+    ) -> tuple[list[str], list[int], int]:
+        """Build a batch of problems whose rollout groups are interior.
 
-        ``rollout_fn`` maps a problem id to a PassRateObservation and is
-        invoked once per candidate; the second return value counts those
-        invocations (the rollout budget the batch consumed).  The returned
-        batch is pending until its outcomes are reported.
+        A group of ``group_size`` rollouts is interior when it passes more
+        than 0 and fewer than ``group_size`` times.  Each round draws its
+        candidates uniformly from the problems not yet tried this step and
+        calls ``roll_round(indices, needed)`` with their bank indices, in draw
+        order, and the number of interior groups the batch still needs.  It
+        returns the pass counts of a prefix of the candidates, and may stop at
+        the one that makes ``needed`` interior; counts past that candidate are
+        ignored.  Returns the batch, its pass counts and the number of groups
+        rolled out (the rollout budget the batch consumed).  The batch is
+        pending until its outcomes are reported.
 
         Raises:
+            ConsistencyError: ``roll_round`` returned more counts than candidates.
             RolloutBudgetError: retry cap spent with nothing keepable at all.
         """
         self._check_batch_size(batch_size)
         round_size = max(batch_size, math.ceil(self.oversample_factor * batch_size))
-        kept: list[str] = []
-        filtered: list[str] = []
-        tried: set[str] = set()
-        consumed = 0
+        untried = np.ones(len(self.bank), dtype=bool)
+        rolled: list[np.ndarray] = []
+        counts: list[np.ndarray] = []
+        n_kept = 0
         rounds = 0
-        while len(kept) < batch_size and rounds < self.retry_cap:
-            pool = [pid for pid in self.bank.ids if pid not in tried]
-            if not pool:
+        while n_kept < batch_size and rounds < self.retry_cap:
+            pool = np.flatnonzero(untried)
+            if not pool.size:
                 break
             rounds += 1
-            draw = self._rng.choice(len(pool), size=min(round_size, len(pool)), replace=False)
-            for i in draw:
-                pid = pool[i]
-                tried.add(pid)
-                obs = rollout_fn(pid)
-                consumed += 1
-                if obs.problem_id != pid:
-                    raise ConsistencyError(
-                        f"rollout_fn returned observation for {obs.problem_id}, expected {pid}"
-                    )
-                if 0.0 < obs.pass_rate < 1.0:
-                    kept.append(pid)
-                else:
-                    filtered.append(pid)
-                if len(kept) == batch_size:
-                    break
-        if len(kept) < batch_size:
-            if not kept:
+            draw = self._rng.choice(pool.size, size=min(round_size, pool.size), replace=False)
+            candidates = pool[draw]
+            round_counts = np.asarray(roll_round(candidates, batch_size - n_kept), dtype=np.int64)
+            if round_counts.size > candidates.size:
+                raise ConsistencyError(
+                    f"roll_round returned {round_counts.size} pass counts for "
+                    f"{candidates.size} candidates"
+                )
+            interior = np.flatnonzero((round_counts > 0) & (round_counts < group_size))
+            if interior.size >= batch_size - n_kept:
+                round_counts = round_counts[: interior[batch_size - n_kept - 1] + 1]
+            untried[candidates[: round_counts.size]] = False
+            rolled.append(candidates[: round_counts.size])
+            counts.append(round_counts)
+            n_kept += min(interior.size, batch_size - n_kept)
+        indices, group_counts = np.concatenate(rolled), np.concatenate(counts)
+        interior = (group_counts > 0) & (group_counts < group_size)
+        batch = np.flatnonzero(interior)
+        if batch.size < batch_size:
+            if not batch.size:
                 raise RolloutBudgetError(
                     f"no problem with interior pass rate found in {rounds} rounds "
-                    f"({consumed} rollouts)"
+                    f"({group_counts.size} rollouts)"
                 )
-            deficit = batch_size - len(kept)
-            kept = kept + filtered[-deficit:]
+            # Pad with the most recently filtered candidates.
+            filtered = np.flatnonzero(~interior)
+            batch = np.concatenate([batch, filtered[batch.size - batch_size :]])
+        kept = [self.bank.ids[i] for i in indices[batch]]
         self._pending = list(kept)
-        return kept, consumed
+        return kept, group_counts[batch].tolist(), int(group_counts.size)

@@ -185,7 +185,9 @@ def _cmd_bank_inspect(args: argparse.Namespace) -> int:
         f"true difficulty: min={latent.min():.4f} mean={latent.mean():.4f} "
         f"max={latent.max():.4f}"
     )
-    print("levels: " + ", ".join(f"{tag}: {levels[tag]}" for tag in sorted(levels)))
+    # Untagged problems (tag None) are listed last.
+    tags = sorted(levels, key=lambda tag: (tag is None, tag or 0))
+    print("levels: " + ", ".join(f"{tag or 'untagged'}: {levels[tag]}" for tag in tags))
     return 0
 
 

@@ -167,19 +167,11 @@ def _advance(run: RunResult, target_step: int) -> None:
     while run.sampler.step < target_step:
         step = run.sampler.step + 1
         if isinstance(run.sampler, DynamicSampler):
-            passes = {}
-
-            def rollout_fn(problem_id: str) -> PassRateObservation:
-                group = run.learner.rollout_group(problem_id, latent[index[problem_id]].item())
-                passes[problem_id] = group.rewards.count(1.0)
-                return PassRateObservation(
-                    problem_id=problem_id, pass_rate=group.pass_rate, step=step
-                )
-
-            batch_ids, consumed = run.sampler.select_and_filter(
-                config.batch_size, rollout_fn
+            batch_ids, counts, consumed = run.sampler.select_and_roll(
+                config.batch_size,
+                rollouts,
+                lambda indices, needed: run.learner.pass_counts(latent[indices].tolist(), needed),
             )
-            counts = [passes[pid] for pid in batch_ids]
         else:
             batch_ids = run.sampler.select_batch(config.batch_size)
             counts = run.learner.pass_counts(latent[[index[pid] for pid in batch_ids]].tolist())

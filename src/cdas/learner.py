@@ -54,15 +54,31 @@ class SyntheticLearner:
             rewards=tuple(1.0 if hit else 0.0 for hit in draws),
         )
 
-    def pass_counts(self, latents) -> list[int]:
+    def pass_counts(self, latents, interior_needed: int | None = None) -> list[int]:
         """Roll out a group per latent difficulty; return each group's number of passes.
 
         One ``random((B, G))`` draw yields the same bits, and leaves the
         generator in the same state, as B calls of ``rollout_group``.
+
+        With ``interior_needed`` (at least 1), rolling out stops at the group
+        that makes that many interior groups (0 < passes < G): only the first
+        k counts are returned, and the generator ends as after k calls of
+        ``rollout_group``.
         """
         probabilities = np.array([self.success_probability(b) for b in latents])
+        saved = self._rng.bit_generator.state
         draws = self._rng.random((len(probabilities), self.rollouts))
-        return (draws < probabilities[:, None]).sum(axis=1).tolist()
+        counts = (draws < probabilities[:, None]).sum(axis=1)
+        if interior_needed is not None:
+            if interior_needed < 1:
+                raise ValueError(f"interior_needed: must be >= 1, got {interior_needed}")
+            interior = np.flatnonzero((counts > 0) & (counts < self.rollouts))
+            if interior.size >= interior_needed:
+                counts = counts[: interior[interior_needed - 1] + 1]
+                # Redraw only the groups kept, so the stream ends right after them.
+                self._rng.bit_generator.state = saved
+                self._rng.random((counts.size, self.rollouts))
+        return counts.tolist()
 
     def learn_step(self, batch_outcomes) -> None:
         """Raise ability by learn_rate times the batch's useful-gradient fraction.
@@ -191,17 +207,28 @@ def save_bank(bank: ProblemBank, path: str | Path) -> None:
 
 
 def load_bank(path: str | Path) -> ProblemBank:
+    """Read a bank written by ``save_bank``, refusing one whose records are malformed."""
     payload = json.loads(Path(path).read_text())
-    version = payload.get("format_version")
+    version = payload.get("format_version") if isinstance(payload, dict) else None
     if version != BANK_FORMAT_VERSION:
         raise ConfigError(f"bank file {path}: unsupported format_version {version!r}")
-    entries = payload["records"]
-    bank = ProblemBank(
-        [entry["id"] for entry in entries],
-        [entry["level_tag"] for entry in entries],
-        [entry["true_difficulty"] for entry in entries],
-        mode=payload.get("mode", "normal"),
-    )
+    entries = payload.get("records")
+    if not isinstance(entries, list):
+        raise ConfigError(f"bank file {path}: 'records' must be a list")
+    fields = ("id", "level_tag", "true_difficulty")
+    for position, entry in enumerate(entries):
+        missing = [name for name in fields if not isinstance(entry, dict) or name not in entry]
+        if missing:
+            raise ConfigError(f"bank file {path}: record {position} has no {missing[0]!r}")
+    try:
+        bank = ProblemBank(
+            [entry["id"] for entry in entries],
+            [entry["level_tag"] for entry in entries],
+            [entry["true_difficulty"] for entry in entries],
+            mode=payload.get("mode", "normal"),
+        )
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"bank file {path}: {err}") from err
     stored = payload.get("hash")
     if stored is not None and stored != bank.content_hash():
         raise ConfigError(f"bank file {path}: content hash mismatch (file edited?)")

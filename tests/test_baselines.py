@@ -176,34 +176,44 @@ class TestPrioritizedSampler:
             PrioritizedSampler(_named_bank("a"), rng=np.random.default_rng(0), initial_weight=1.5)
 
 
+def _rolls(count_of):
+    """A ``roll_round`` callback giving each candidate ``count_of(bank index)`` passes."""
+    return lambda indices, needed: [count_of(i) for i in indices]
+
+
 class TestDynamicSampler:
+    # Groups of G = 4 rollouts: 0 or 4 passes is degenerate, 1..3 interior.
+    G = 4
+
     def _sampler(self, n=20, seed=0, **kwargs):
         return DynamicSampler(_bank(n), rng=np.random.default_rng(seed), **kwargs)
 
     def test_filters_degenerate_pass_rates(self):
-        rates = {"p000": 1.0, "p001": 0.5, "p002": 0.0, "p003": 0.25}
-        sampler = DynamicSampler(_named_bank(rates), rng=np.random.default_rng(3))
-        kept, consumed = sampler.select_and_filter(2, lambda pid: _obs(pid, rates[pid]))
+        passes = {"p000": 4, "p001": 2, "p002": 0, "p003": 1}
+        sampler = DynamicSampler(_named_bank(passes), rng=np.random.default_rng(3))
+        counts = list(passes.values())
+        kept, kept_counts, consumed = sampler.select_and_roll(2, self.G, _rolls(counts.__getitem__))
         assert set(kept) == {"p001", "p003"}
-        assert all(0.0 < rates[pid] < 1.0 for pid in kept)
+        assert all(0 < passes[pid] < self.G for pid in kept)
+        assert kept_counts == [passes[pid] for pid in kept]
         assert consumed <= 4
 
     def test_nothing_filtered_costs_exactly_the_batch(self):
         sampler = self._sampler(seed=11)
-        kept, consumed = sampler.select_and_filter(8, lambda pid: _obs(pid, 0.5))
+        kept, _, consumed = sampler.select_and_roll(8, self.G, _rolls(lambda i: 2))
         assert len(kept) == len(set(kept)) == 8
         assert consumed == 8
 
     def test_half_degenerate_pool_costs_about_twice_the_batch(self):
-        # Every candidate independently fails with rate 0 half the time, so
+        # Every candidate independently fails every rollout half the time, so
         # consumed rollouts per kept problem follow a geometric law with mean 2.
         n, batch_size, trials = 400, 16, 300
         total = 0
         for seed in range(trials):
             sampler = self._sampler(n=n, seed=seed)
-            flip = np.random.default_rng(1000 + seed)
-            kept, consumed = sampler.select_and_filter(
-                batch_size, lambda pid: _obs(pid, 0.5 if flip.random() < 0.5 else 0.0)
+            passes = np.where(np.random.default_rng(1000 + seed).random(n) < 0.5, 2, 0)
+            kept, _, consumed = sampler.select_and_roll(
+                batch_size, self.G, _rolls(passes.__getitem__)
             )
             assert len(kept) == batch_size
             total += consumed
@@ -214,27 +224,51 @@ class TestDynamicSampler:
         # Only one problem is keepable; two rounds exhaust the bank, then the
         # deficit is padded with filtered candidates.
         sampler = self._sampler(n=6, seed=2, retry_cap=2)
-        rates = {f"p{i:03d}": 0.5 if i == 0 else 1.0 for i in range(6)}
-        kept, consumed = sampler.select_and_filter(4, lambda pid: _obs(pid, rates[pid]))
+        kept, kept_counts, consumed = sampler.select_and_roll(
+            4, self.G, _rolls(lambda i: 2 if i == 0 else self.G)
+        )
         assert len(kept) == 4
         assert "p000" in kept
+        assert kept_counts[0] == 2 and kept_counts[1:] == [self.G] * 3
         assert consumed == 6  # both rounds together visit every problem once
 
     def test_budget_error_when_nothing_keepable(self):
         sampler = self._sampler(n=10, seed=4, retry_cap=3)
         with pytest.raises(RolloutBudgetError):
-            sampler.select_and_filter(4, lambda pid: _obs(pid, 1.0))
+            sampler.select_and_roll(4, self.G, _rolls(lambda i: self.G))
 
-    def test_rollout_fn_id_mismatch_detected(self):
+    def test_extra_counts_from_roll_round_detected(self):
         sampler = self._sampler(n=5, seed=5)
         with pytest.raises(ConsistencyError):
-            sampler.select_and_filter(2, lambda pid: _obs("p000", 0.5))
+            sampler.select_and_roll(2, self.G, lambda indices, needed: [2] * (len(indices) + 1))
 
     def test_oversample_factor_widens_rounds(self):
         sampler = self._sampler(n=100, seed=6, oversample_factor=2.0)
-        kept, consumed = sampler.select_and_filter(10, lambda pid: _obs(pid, 0.5))
+        seen = []
+
+        def roll_round(indices, needed):
+            seen.append((len(indices), needed))
+            return [2] * len(indices)
+
+        kept, _, consumed = sampler.select_and_roll(10, self.G, roll_round)
         assert len(kept) == 10
+        assert seen == [(20, 10)]
         assert consumed == 10  # early stop once the batch fills
+
+    def test_round_stopped_early_by_roll_round_continues_next_round(self):
+        # A callback may return a prefix of its candidates; the rest stay
+        # untried, and the next round asks only for what is still missing.
+        sampler = self._sampler(n=30, seed=7)
+        seen = []
+
+        def roll_round(indices, needed):
+            seen.append(needed)
+            return [2] * min(3, len(indices))
+
+        kept, kept_counts, consumed = sampler.select_and_roll(8, self.G, roll_round)
+        assert len(set(kept)) == 8 and kept_counts == [2] * 8
+        assert seen == [8, 5, 2]
+        assert consumed == 8
 
     def test_bad_config(self):
         with pytest.raises(ConfigError):
@@ -286,7 +320,7 @@ class TestSerialization:
     def test_round_trip_preserves_behavior(self, factory):
         sampler = factory(_bank(15))
         if isinstance(sampler, DynamicSampler):
-            batch, _ = sampler.select_and_filter(4, lambda pid: _obs(pid, 0.5))
+            batch, _, _ = sampler.select_and_roll(4, 4, _rolls(lambda i: 2))
         else:
             batch = sampler.select_batch(4)
         sampler.report_outcomes([_obs(pid, 0.5) for pid in batch])
@@ -294,8 +328,8 @@ class TestSerialization:
         clone.load_state_dict(sampler.state_dict())
         assert clone.state_dict() == sampler.state_dict()
         if isinstance(sampler, DynamicSampler):
-            want, _ = sampler.select_and_filter(4, lambda pid: _obs(pid, 0.5))
-            got, _ = clone.select_and_filter(4, lambda pid: _obs(pid, 0.5))
+            want, _, _ = sampler.select_and_roll(4, 4, _rolls(lambda i: 2))
+            got, _, _ = clone.select_and_roll(4, 4, _rolls(lambda i: 2))
         else:
             want = sampler.select_batch(4)
             got = clone.select_batch(4)

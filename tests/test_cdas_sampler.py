@@ -268,7 +268,7 @@ def _armed(strategy):
     """A ``strategy`` sampler with a batch of four pending, and that batch."""
     sampler = _strategy_sampler(strategy)
     if isinstance(sampler, DynamicSampler):
-        batch, _ = sampler.select_and_filter(4, lambda pid: _obs(pid, 0.5))
+        batch, _, _ = sampler.select_and_roll(4, 4, lambda indices, needed: [2] * len(indices))
     else:
         batch = sampler.select_batch(4)
     return sampler, batch
@@ -314,12 +314,12 @@ class TestConsistencyChecks:
             assert sampler.step == 1, strategy
 
 
-def test_dynamic_select_batch_points_to_select_and_filter():
+def test_dynamic_select_batch_points_to_select_and_roll():
     # Dynamic sampling must roll candidates out to choose a batch, so the
     # plain contract entry point refuses and arms nothing.
     sampler = _strategy_sampler("dynamic")
     before = sampler.state_dict()
-    with pytest.raises(ConsistencyError, match="select_and_filter"):
+    with pytest.raises(ConsistencyError, match="select_and_roll"):
         sampler.select_batch(4)
     assert sampler.state_dict() == before
     assert _refused(sampler, [_obs("x1", 0.5)])

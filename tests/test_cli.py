@@ -14,7 +14,7 @@ import cdas
 from cdas.cli import _config_from_args, build_parser, main
 from cdas.config import BANK_MODES, STRATEGIES, ExperimentConfig
 from cdas.harness import CHECKPOINT_FILE, METRICS_FILE, run_experiment
-from cdas.learner import generate_bank, load_bank, save_bank
+from cdas.learner import ProblemBank, generate_bank, load_bank, save_bank
 from cdas.metrics import read_metrics_csv
 
 TINY_FLAGS = [
@@ -283,6 +283,19 @@ class TestBankCommands:
         printed = capsys.readouterr().out
         assert "50 problems" in printed
         assert "levels: 1: 10, 2: 10, 3: 10, 4: 10, 5: 10" in printed
+
+    def test_untagged_problems_listed_last(self, tmp_path, capsys):
+        path = tmp_path / "bank.json"
+        save_bank(ProblemBank(["a", "b", "c"], [None, 2, 2], [0.0, 0.5, 1.0]), path)
+        assert main(["bank", "inspect", str(path)]) == 0
+        assert "levels: 2: 2, untagged: 1" in capsys.readouterr().out
+
+    def test_inspect_record_without_level_tag_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bank.json"
+        record = {"id": "p0", "true_difficulty": 0.5}
+        path.write_text(json.dumps({"format_version": 1, "records": [record]}))
+        assert main(["bank", "inspect", str(path)]) == 2
+        assert "record 0 has no 'level_tag'" in capsys.readouterr().err
 
     def test_generated_bank_matches_run_bank(self, tmp_path):
         # A bank written with seed k is the bank a run with seed k generates.

@@ -33,6 +33,16 @@ RUNS = {
     "cdas-variant": SMALL.with_overrides(
         bank_mode="levels", initial_difficulty=0.25, symmetric=False, batch_size=64
     ),
+    "prioritized-weighted": SMALL.with_overrides(
+        strategy="prioritized", prioritized_initial_weight=0.3, rollouts=7
+    ),
+    # A high start ability passes whole groups, so some batches fall back to uniform.
+    "prioritized-fallback": SMALL.with_overrides(strategy="prioritized", ability_init=4.0),
+    "dynamic-oversampled": SMALL.with_overrides(
+        strategy="dynamic", dynamic_oversample_factor=1.7, rollouts=5
+    ),
+    # One round per step leaves every batch short, so each one is padded.
+    "dynamic-capped": SMALL.with_overrides(strategy="dynamic", dynamic_retry_cap=1),
     # The bank file is written to the working directory, so the embedded
     # config (and with it every config hash) names the same relative path.
     "saved-bank": SMALL.with_overrides(bank_path="bank.json", total_steps=12),
@@ -68,6 +78,34 @@ GOLDEN_RUNS = {
         "problems.csv": "891e78615856a3704fdd70dd1dc023185e1240035d9379099996edbf7d72b765",
         "summary.json": "b77465e66ed9d5ba6be2e7ce4fef33afb27623c2eb5661c2e7baa8d935a58100",
         "checkpoint.json": "60898a06195e7f26a0e2675f61cf997caddfc2209f6bffff4a5114115be1aa29",
+    },
+    "dynamic-capped": {
+        "metrics.csv": "20be7ae66b70e3cbd6b6aea32fb1bbf6c3a8de13a90b9f8bb03433f509706676",
+        "batches.csv": "70c94f9c154e1a4e958647f2ab01722ac7a5f96846c03c834b3912712c7a75e4",
+        "problems.csv": "c4df2457e2d98d76371bdd4f5053b0792dccf50ebf6977d65f1157b0195a1d73",
+        "summary.json": "341e0a7f68cd5e7e0cb8d36ea0b151e43285c97d3967d8f656a64459ffe14fb2",
+        "checkpoint.json": "0de73fc8a60a04767a31dfd7fd9e12f9e5dc4024de4536a92ea8642201220467",
+    },
+    "dynamic-oversampled": {
+        "metrics.csv": "420cf4f71eb3509f29fa105f421551b9f7d4dd8b7e497ca03da4a9c357463986",
+        "batches.csv": "da5f4cfd08af528ee793c259c6c128fdb169b2a83bcc266d2d6c3dd1ff15f57e",
+        "problems.csv": "f8b8cef049921b6765e1b5c8e7478ce5f6bf2aef81a31e381c3f29472e3d08bb",
+        "summary.json": "d8620db54fd5239864437ad604bbf4c54cfb2bc8f9a878bd62ae79db8e1a3a9c",
+        "checkpoint.json": "d8ad11f4da7c92ea663a6ee5e33623b350aeca24a3ac1d78dded3b4583c1229d",
+    },
+    "prioritized-fallback": {
+        "metrics.csv": "f9242d7ee9354bd43d61d9e70bd4cba0b3ae07cc797b56e9f2236cf816e0a6ea",
+        "batches.csv": "7392aee92cc07c90e9bef7fd72474da99de6b6b0af9a11958a0e8c485b72a9d1",
+        "problems.csv": "e66d867b3afe9fb217f4d07176ed05de2a6c7094d8d41b57a6e17db505aca346",
+        "summary.json": "1cd10a0f066885ebeb5a1ab7899f8cabd2d69192991916f76fb8248ab3e139ac",
+        "checkpoint.json": "737dfc3a5b956ccf10053dfdf967e779b8835b3988c82a34f8eea9a7d75d003e",
+    },
+    "prioritized-weighted": {
+        "metrics.csv": "615cb9a59f8de11547302133f6737f49ee5c4ece95aa6fd7646761add6bb335c",
+        "batches.csv": "c717c3155f9a4af4eff79620662923509aace50b1868bef847734cfea9d059e7",
+        "problems.csv": "3e224b927f39745ea548e4d28dc0088e027bd78959037d8a0ca6c368fea830a4",
+        "summary.json": "ca25aa5bdf914615f590307be18efa52278be2f97d372ac46426983f57c7571e",
+        "checkpoint.json": "982f216f01d2f7a671c870c5f08aaf58e7db3a2882cb8b823f09a3965952959c",
     },
     "prioritized": {
         "metrics.csv": "75efbb0dd5f81e5e59f3b2bfd8c148ecdab9a5e701e810c8d5238c9a6a5fbefc",

@@ -1,6 +1,7 @@
 """Synthetic learner calibration and problem-bank construction."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -278,4 +279,22 @@ class TestBankFiles:
         path = tmp_path / "bank.json"
         path.write_text('{"format_version": 99, "records": []}')
         with pytest.raises(ConfigError):
+            load_bank(path)
+
+    @pytest.mark.parametrize("field", ["id", "level_tag", "true_difficulty"])
+    def test_record_missing_a_field_rejected(self, tmp_path, field):
+        record = {"id": "p0", "level_tag": 3, "true_difficulty": 0.5}
+        del record[field]
+        path = tmp_path / "bank.json"
+        path.write_text(json.dumps({"format_version": 1, "records": [record]}))
+        with pytest.raises(ConfigError, match=f"record 0 has no '{field}'"):
+            load_bank(path)
+
+    @pytest.mark.parametrize(
+        "records", [None, ["p0"], [{"id": "p0", "level_tag": 3, "true_difficulty": "hard"}]]
+    )
+    def test_malformed_records_rejected(self, tmp_path, records):
+        path = tmp_path / "bank.json"
+        path.write_text(json.dumps({"format_version": 1, "records": records}))
+        with pytest.raises(ConfigError, match="bank file"):
             load_bank(path)
