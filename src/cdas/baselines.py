@@ -20,11 +20,10 @@ from .sampling import Sampler
 class BaselineSampler(Sampler):
     """A sampler that, unless a subclass says otherwise, keeps no per-problem state."""
 
-    def _uniform_batch(self, batch_size: int) -> list[str]:
-        chosen = self._rng.choice(len(self.bank), size=batch_size, replace=False)
-        return [self.bank.ids[i] for i in chosen]
+    def _uniform_batch(self, batch_size: int) -> np.ndarray:
+        return self._rng.choice(len(self.bank), size=batch_size, replace=False)
 
-    def _fold(self, outcomes: list) -> None:
+    def _fold(self, indices: np.ndarray, rates: np.ndarray) -> None:
         pass
 
 
@@ -33,7 +32,7 @@ class RandomSampler(BaselineSampler):
 
     strategy = "random"
 
-    def _choose(self, batch_size: int) -> list[str]:
+    def _choose(self, batch_size: int) -> np.ndarray:
         return self._uniform_batch(batch_size)
 
 
@@ -48,16 +47,16 @@ class CurriculumSampler(BaselineSampler):
             raise ConfigError(f"curriculum_switch_step: must be >= 0, got {switch_step}")
         if threshold not in (1, 2, 3, 4, 5):
             raise ConfigError(f"curriculum_threshold: must be in 1..5, got {threshold}")
-        tagged = list(zip(bank.ids, bank.level_tags))
-        untagged = [pid for pid, tag in tagged if tag is None]
-        if untagged:
+        if None in bank.level_tags:
+            untagged = [pid for pid, tag in zip(bank.ids, bank.level_tags) if tag is None]
             raise ConfigError(
                 f"curriculum needs level tags on every problem; missing on {untagged[0]} "
                 f"and {len(untagged) - 1} others"
             )
         self.switch_step = switch_step
         self.threshold = threshold
-        self._eligible = [pid for pid, tag in tagged if tag >= threshold]
+        # Bank indices of the problems at or above the threshold level.
+        self._eligible = np.flatnonzero(np.array(bank.level_tags) >= threshold)
 
     @classmethod
     def from_config(cls, config, bank, rng: np.random.Generator) -> "CurriculumSampler":
@@ -68,7 +67,7 @@ class CurriculumSampler(BaselineSampler):
             threshold=config.curriculum_threshold,
         )
 
-    def _choose(self, batch_size: int) -> list[str]:
+    def _choose(self, batch_size: int) -> np.ndarray:
         if self._step < self.switch_step:
             return self._uniform_batch(batch_size)
         if batch_size > len(self._eligible):
@@ -77,7 +76,7 @@ class CurriculumSampler(BaselineSampler):
                 f"{self.threshold}, need {batch_size}"
             )
         chosen = self._rng.choice(len(self._eligible), size=batch_size, replace=False)
-        return [self._eligible[i] for i in chosen]
+        return self._eligible[chosen]
 
 
 class PrioritizedSampler(BaselineSampler):
@@ -107,7 +106,7 @@ class PrioritizedSampler(BaselineSampler):
     def from_config(cls, config, bank, rng: np.random.Generator) -> "PrioritizedSampler":
         return cls(bank, rng=rng, initial_weight=config.prioritized_initial_weight)
 
-    def _choose(self, batch_size: int) -> list[str]:
+    def _choose(self, batch_size: int) -> np.ndarray:
         # Each pick does what ``Generator.choice(n, p=weights / total)`` does
         # inside, so batches and the generator state match that call exactly.
         n = len(self.bank)
@@ -135,11 +134,10 @@ class PrioritizedSampler(BaselineSampler):
             n -= 1
         if fell_back:
             self.uniform_fallbacks += 1
-        return [self.bank.ids[i] for i in picks]
+        return np.array(picks, dtype=np.intp)
 
-    def _fold(self, outcomes: list) -> None:
-        for obs in outcomes:
-            self.last_pass_rate[obs.problem_id] = obs.pass_rate
+    def _fold(self, indices: np.ndarray, rates: np.ndarray) -> None:
+        self.last_pass_rate.update(zip(self._ids(indices), rates.tolist()))
 
     def _state(self) -> dict:
         return {
@@ -255,6 +253,5 @@ class DynamicSampler(BaselineSampler):
             # Pad with the most recently filtered candidates.
             filtered = np.flatnonzero(~interior)
             batch = np.concatenate([batch, filtered[batch.size - batch_size :]])
-        kept = [self.bank.ids[i] for i in indices[batch]]
-        self._pending = list(kept)
-        return kept, group_counts[batch].tolist(), int(group_counts.size)
+        self._hold(indices[batch])
+        return self._ids(self._pending), group_counts[batch].tolist(), int(group_counts.size)

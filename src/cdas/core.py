@@ -1,10 +1,12 @@
-"""Scalar scheduling math: sigmoid, difficulty estimates, competence.
+"""Scheduling math: sigmoid, difficulty estimates, competence.
 
 Difficulty here is model-relative: the gap between the pass rate a problem
 "should" have at the current competence and the pass rate actually observed.
 Per-problem estimates are incremental means of those gaps, and competence is
 the negated mean of all stored estimates.  All functions are pure; records
-are immutable and replaced, never mutated.
+are immutable and replaced, never mutated.  These scalar functions are the
+oracle the samplers' array paths are checked against; ``sigmoid_array`` is
+the one array function here, equal to ``sigmoid`` bit for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 # Saturation guard: beyond this logit the true sigmoid is closer to 0/1 than
 # one double-precision ulp, so clamp instead of returning an exact endpoint.
@@ -89,6 +93,27 @@ def sigmoid(z: float) -> float:
         return _SIGMOID_CEIL
     value = 1.0 / (1.0 + math.exp(-z))
     return min(value, _SIGMOID_CEIL)
+
+
+def sigmoid_array(z) -> np.ndarray:
+    """Elementwise ``sigmoid``, bit for bit.
+
+    ``np.exp`` rounds differently from ``math.exp``, so the exponentials are
+    taken with ``math.exp`` over the values; every other operation is a
+    correctly rounded IEEE operation that numpy and Python share.
+
+    Raises:
+        ValueError: an input is nan or infinite.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(z))
+    if bad.size:
+        raise ValueError(f"sigmoid input must be finite, got {z.flat[bad[0]]}")
+    magnitude = np.abs(z)
+    e = np.fromiter(map(math.exp, (-magnitude).ravel().tolist()), np.float64, z.size)
+    value = np.minimum(1.0 / (1.0 + e.reshape(z.shape)), _SIGMOID_CEIL)
+    value = np.where(magnitude > MAX_LOGIT, _SIGMOID_CEIL, value)
+    return np.where(z < 0.0, 1.0 - value, value)
 
 
 def expected_performance(competence: float, difficulty: float) -> float:

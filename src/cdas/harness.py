@@ -24,7 +24,6 @@ import numpy as np
 
 from .baselines import DynamicSampler, PrioritizedSampler
 from .config import SAMPLERS, ExperimentConfig
-from .core import PassRateObservation
 from .errors import ConfigError
 from .learner import ProblemBank, SyntheticLearner, default_ability, generate_bank, load_bank
 from .metrics import (
@@ -161,41 +160,36 @@ def sampler_from_state(
 
 
 def _advance(run: RunResult, target_step: int) -> None:
-    config = run.config
+    """Run steps up to ``target_step``, carrying each batch as bank indices."""
+    config, sampler = run.config, run.sampler
     rollouts = run.learner.rollouts
-    index, latent = run.bank.index, run.bank.latent
-    while run.sampler.step < target_step:
-        step = run.sampler.step + 1
-        if isinstance(run.sampler, DynamicSampler):
-            batch_ids, counts, consumed = run.sampler.select_and_roll(
+    latent = run.bank.latent
+    while sampler.step < target_step:
+        if isinstance(sampler, DynamicSampler):
+            batch_ids, counts, consumed = sampler.select_and_roll(
                 config.batch_size,
                 rollouts,
-                lambda indices, needed: run.learner.pass_counts(latent[indices].tolist(), needed),
+                lambda indices, needed: run.learner.pass_counts(latent[indices], needed),
             )
         else:
-            batch_ids = run.sampler.select_batch(config.batch_size)
-            counts = run.learner.pass_counts(latent[[index[pid] for pid in batch_ids]].tolist())
+            batch_ids = sampler.select_batch(config.batch_size)
+            counts = run.learner.pass_counts(latent[sampler.pending])
             consumed = len(batch_ids)
-        pass_rates = [k / rollouts for k in counts]
+        batch = sampler.pending
+        counts = np.array(counts)
+        pass_rates = counts / rollouts
         # A group whose rollouts all agree has zero advantage everywhere.
-        zero_gradient = [k == 0 or k == rollouts for k in counts]
-        run.sampler.report_outcomes(
-            PassRateObservation(problem_id=pid, pass_rate=rate, step=step)
-            for pid, rate in zip(batch_ids, pass_rates)
-        )
-        run.learner.learn_step(zip(pass_rates, zero_gradient))
+        zero_gradient = (counts == 0) | (counts == rollouts)
+        sampler.report_indices(batch, pass_rates)
+        rates, flags = pass_rates.tolist(), zero_gradient.tolist()
+        run.learner.learn_step(zip(rates, flags))
         run.rows.append(
             summarize_step(
-                batch_ids,
-                pass_rates,
-                zero_gradient,
-                run.sampler,
-                run.learner,
-                rollout_batches_consumed=consumed,
+                batch, rates, flags, sampler, run.learner, rollout_batches_consumed=consumed
             )
         )
-        run.batches.append(list(batch_ids))
-        run.final_pass_rates.update(zip(batch_ids, pass_rates))
+        run.batches.append(batch_ids)
+        run.final_pass_rates.update(zip(batch_ids, rates))
 
 
 def _target_step(config: ExperimentConfig, stop_after: int | None) -> int:
@@ -390,14 +384,18 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> None:
         writer.writerow(
             ["id", "level_tag", "true_difficulty", "t", "difficulty", "final_pass_rate"]
         )
-        for pid, tag, latent, t, estimate in zip(
-            bank.ids, bank.level_tags, bank.latent.tolist(), counts, estimates
-        ):
-            final = result.final_pass_rates.get(pid)
-            # csv writes a None level tag as an empty cell.
-            writer.writerow(
-                [pid, tag, repr(latent), t, repr(estimate), "" if final is None else repr(final)]
+        # csv writes a float as its repr and None (no level tag, or never
+        # reported) as an empty cell.
+        writer.writerows(
+            zip(
+                bank.ids,
+                bank.level_tags,
+                bank.latent.tolist(),
+                counts,
+                estimates,
+                map(result.final_pass_rates.get, bank.ids),
             )
+        )
     with _replacing(out / SUMMARY_FILE) as tmp, open(tmp, "w") as fh:
         fh.write(json.dumps(result.summary(), indent=2, sort_keys=True) + "\n")
     with _replacing(out / CHECKPOINT_FILE) as tmp, open(tmp, "w") as fh:

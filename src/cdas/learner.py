@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import LEVEL_TAGS, sigmoid
+from .core import LEVEL_TAGS, sigmoid, sigmoid_array
 from .errors import ConfigError
 from .grpo import RolloutGroup
 
@@ -57,15 +57,17 @@ class SyntheticLearner:
     def pass_counts(self, latents, interior_needed: int | None = None) -> list[int]:
         """Roll out a group per latent difficulty; return each group's number of passes.
 
-        One ``random((B, G))`` draw yields the same bits, and leaves the
-        generator in the same state, as B calls of ``rollout_group``.
+        ``latents`` is an array (or sequence) of latent difficulties.  One
+        ``random((B, G))`` draw yields the same bits, and leaves the generator
+        in the same state, as B calls of ``rollout_group``.
 
         With ``interior_needed`` (at least 1), rolling out stops at the group
         that makes that many interior groups (0 < passes < G): only the first
         k counts are returned, and the generator ends as after k calls of
         ``rollout_group``.
         """
-        probabilities = np.array([self.success_probability(b) for b in latents])
+        latents = np.asarray(latents, dtype=np.float64)
+        probabilities = sigmoid_array(self.discrimination * (self.ability - latents))
         saved = self._rng.bit_generator.state
         draws = self._rng.random((len(probabilities), self.rollouts))
         counts = (draws < probabilities[:, None]).sum(axis=1)

@@ -39,7 +39,7 @@ class StepMetrics:
 
 
 def summarize_step(
-    problem_ids: list[str],
+    batch,
     pass_rates: list[float],
     zero_gradient: list[bool],
     sampler,
@@ -49,13 +49,13 @@ def summarize_step(
     """Aggregate one completed step.
 
     Call after outcomes were reported and the learner updated: competence and
-    difficulty are read post-update, ability post-learn.  ``problem_ids`` is
-    the batch actually trained on, ``pass_rates`` its groups' pass rates and
-    ``zero_gradient`` each group's zero-gradient flag (all rollouts passed or
-    all failed); ``rollout_batches_consumed`` defaults to one rollout group
-    per batch problem.
+    difficulty are read post-update, ability post-learn.  ``batch`` holds the
+    bank indices of the problems actually trained on, ``pass_rates`` their
+    groups' pass rates and ``zero_gradient`` each group's zero-gradient flag
+    (all rollouts passed or all failed); ``rollout_batches_consumed``
+    defaults to one rollout group per batch problem.
     """
-    n = len(problem_ids)
+    n = len(batch)
     if not n:
         raise ValueError("summarize_step requires at least one rollout group")
     if not len(pass_rates) == len(zero_gradient) == n:
@@ -67,7 +67,8 @@ def summarize_step(
     if competence is None:
         mean_difficulty = None
     else:
-        mean_difficulty = sum(sampler.difficulties(problem_ids)) / n
+        # Python's left-to-right sum: np.sum pairs terms and rounds differently.
+        mean_difficulty = sum(sampler.estimates[batch].tolist()) / n
     return StepMetrics(
         step=sampler.step,
         mean_reward=sum(pass_rates) / n,

@@ -2,8 +2,12 @@
 
 Every strategy is a ``Sampler`` built on a fixed ``ProblemBank``: it hands out
 one batch of ids at a time and accepts outcomes only for the batch it handed
-out.  A checkpoint holds only what changes while a run goes on; the rest is
-rebuilt by constructing the sampler again from its config and bank.
+out.  Inside, a batch is an array of bank indices: strategies choose indices,
+the pending batch is held as indices, and outcomes are folded in from index
+and pass-rate arrays.  ``report_indices`` takes those arrays directly;
+``report_outcomes`` is its wrapper for ``PassRateObservation``s.  A
+checkpoint holds only what changes while a run goes on; the rest is rebuilt
+by constructing the sampler again from its config and bank.
 
 Alignment selection runs in two phases.  A warm-up phase walks a fixed random
 permutation of the bank in batch-size chunks so every problem collects at
@@ -25,7 +29,7 @@ import math
 
 import numpy as np
 
-from .core import CompetenceState, ProblemRecord, sigmoid, update_competence
+from .core import CompetenceState, ProblemRecord, sigmoid_array
 from .errors import ConfigError, ConsistencyError
 from .learner import ProblemBank
 
@@ -34,9 +38,10 @@ class Sampler:
     """Select/report contract shared by every strategy.
 
     A sampler is a single logical actor: interleave ``select_batch`` and
-    ``report_outcomes``, one batch at a time.  Subclasses set ``strategy``,
-    choose batches in ``_choose``, fold validated outcomes in ``_fold`` and
-    name their own mutable state in ``_state``/``_load_state``.
+    ``report_outcomes`` (or ``report_indices``), one batch at a time.
+    Subclasses set ``strategy``, choose the bank indices of a batch in
+    ``_choose``, fold validated outcomes in ``_fold`` and name their own
+    mutable state in ``_state``/``_load_state``.
     """
 
     strategy: str
@@ -48,7 +53,7 @@ class Sampler:
         self.bank = bank
         self._rng = rng
         self._step = 0
-        self._pending: list[str] | None = None
+        self._pending: np.ndarray | None = None
 
     @classmethod
     def from_config(cls, config, bank: ProblemBank, rng: np.random.Generator) -> "Sampler":
@@ -58,6 +63,11 @@ class Sampler:
     @property
     def step(self) -> int:
         return self._step
+
+    @property
+    def pending(self) -> np.ndarray | None:
+        """Read-only bank indices of the batch awaiting outcomes, in batch order."""
+        return self._pending
 
     # -- selection --------------------------------------------------------
 
@@ -72,12 +82,20 @@ class Sampler:
     def select_batch(self, batch_size: int) -> list[str]:
         """Pick the next batch of problem ids; it stays pending until reported."""
         self._check_batch_size(batch_size)
-        batch = self._choose(batch_size)
-        self._pending = list(batch)
-        return batch
+        self._hold(self._choose(batch_size))
+        return self._ids(self._pending)
 
-    def _choose(self, batch_size: int) -> list[str]:
+    def _choose(self, batch_size: int) -> np.ndarray:
         raise NotImplementedError
+
+    def _hold(self, indices: np.ndarray) -> None:
+        """Make ``indices`` the pending batch."""
+        indices.flags.writeable = False
+        self._pending = indices
+
+    def _ids(self, indices: np.ndarray) -> list[str]:
+        ids = self.bank.ids
+        return [ids[i] for i in indices.tolist()]
 
     # -- outcome reporting -------------------------------------------------
 
@@ -86,28 +104,80 @@ class Sampler:
 
         Raises ConsistencyError, leaving the sampler untouched, when no batch
         is pending or an outcome names an unknown problem, a problem outside
-        the pending batch, or a problem already reported in this call.
+        the pending batch, or a problem already reported in this call.  The
+        first outcome that fails is the one named.
         """
         outcomes = list(outcomes)
+        self._check_pending("report_outcomes")
+        index = self.bank.index
+        indices = np.fromiter(
+            (index.get(obs.problem_id, -1) for obs in outcomes), np.intp, len(outcomes)
+        )
+        rates = np.fromiter((obs.pass_rate for obs in outcomes), np.float64, len(outcomes))
+        self._report(indices, rates, lambda k: outcomes[k].problem_id)
+
+    def report_indices(self, indices, pass_rates) -> None:
+        """``report_outcomes`` for the bank indices and pass rates of a batch.
+
+        Refuses what ``report_outcomes`` refuses, an index outside the bank
+        as an unknown problem, and raises ValueError for a pass rate outside
+        [0, 1]; a refusal leaves the sampler untouched.
+        """
+        self._check_pending("report_indices")
+        indices = np.asarray(indices)
+        rates = np.asarray(pass_rates, dtype=np.float64)
+        if indices.ndim != 1 or rates.shape != indices.shape:
+            raise ValueError(
+                f"report_indices needs two 1-d arrays of one length, got shapes "
+                f"{indices.shape} and {rates.shape}"
+            )
+        if indices.size and indices.dtype.kind not in "iu":
+            raise ValueError(f"report_indices needs integer indices, got {indices.dtype}")
+        indices = indices.astype(np.intp, copy=False)
+        n = len(self.bank)
+
+        def name(k: int) -> str:
+            i = int(indices[k])
+            return self.bank.ids[i] if 0 <= i < n else f"at bank index {i}"
+
+        self._report(indices, rates, name)
+
+    def _check_pending(self, caller: str) -> None:
         if self._pending is None:
-            raise ConsistencyError("report_outcomes called with no batch outstanding")
-        pending = set(self._pending)
-        seen: set[str] = set()
-        for obs in outcomes:
-            if obs.problem_id not in self.bank.index:
-                raise ConsistencyError(f"unknown problem id {obs.problem_id}")
-            if obs.problem_id not in pending:
-                raise ConsistencyError(
-                    f"problem {obs.problem_id} was not in the most recent batch"
-                )
-            if obs.problem_id in seen:
-                raise ConsistencyError(f"duplicate outcome for problem {obs.problem_id}")
-            seen.add(obs.problem_id)
-        self._fold(outcomes)
+            raise ConsistencyError(f"{caller} called with no batch outstanding")
+
+    def _report(self, indices: np.ndarray, rates: np.ndarray, name) -> None:
+        """Check a report against the pending batch, then fold it in.
+
+        ``indices`` holds -1 (or any index outside the bank) for an unknown
+        problem, and ``name(k)`` names the problem of outcome ``k``.  The
+        first refused outcome is named, by the first check it fails.
+        """
+        n = len(self.bank)
+        known = (indices >= 0) & (indices < n)
+        in_batch = np.zeros(n, dtype=bool)
+        in_batch[self._pending] = True
+        outside = known & ~in_batch[np.where(known, indices, 0)]
+        # A repeat of an index reported earlier in this call.
+        order = np.argsort(indices, kind="stable")
+        repeat = np.zeros(indices.size, dtype=bool)
+        repeat[order[1:]] = indices[order[1:]] == indices[order[:-1]]
+        bad_rate = ~((rates >= 0.0) & (rates <= 1.0))
+        refused = ~known | outside | repeat | bad_rate
+        if refused.any():
+            k = int(np.argmax(refused))
+            if not known[k]:
+                raise ConsistencyError(f"unknown problem id {name(k)}")
+            if outside[k]:
+                raise ConsistencyError(f"problem {name(k)} was not in the most recent batch")
+            if repeat[k]:
+                raise ConsistencyError(f"duplicate outcome for problem {name(k)}")
+            raise ValueError(f"pass_rate must be in [0, 1], got {rates[k]} for {name(k)}")
+        self._fold(indices, rates)
         self._step += 1
         self._pending = None
 
-    def _fold(self, outcomes: list) -> None:
+    def _fold(self, indices: np.ndarray, rates: np.ndarray) -> None:
         raise NotImplementedError
 
     # -- serialization ------------------------------------------------------
@@ -117,7 +187,7 @@ class Sampler:
         return {
             "strategy": self.strategy,
             "step": self._step,
-            "pending": list(self._pending) if self._pending is not None else None,
+            "pending": self._ids(self._pending) if self._pending is not None else None,
             "rng": self._rng.bit_generator.state,
             **self._state(),
         }
@@ -139,7 +209,9 @@ class Sampler:
             self._check_known(pending, "pending batch")
         self._load_state(payload)
         self._step = payload["step"]
-        self._pending = list(pending) if pending is not None else None
+        self._pending = None
+        if pending is not None:
+            self._hold(np.array([self.bank.index[pid] for pid in pending], dtype=np.intp))
         self._rng.bit_generator.state = payload["rng"]
 
     def _check_known(self, problem_ids, what: str) -> None:
@@ -166,8 +238,9 @@ class CdasSampler(Sampler):
 
     The per-problem estimates live in bank-order arrays: visit counts ``t``,
     all 0 at the start, and difficulty estimates ``D``, all
-    ``initial_difficulty``.  ``records`` and ``record()`` build
-    ``ProblemRecord`` views of them on demand.
+    ``initial_difficulty``.  ``estimates`` is a read-only view of ``D``;
+    ``records``, ``record()`` and ``difficulties()`` build id-keyed views of
+    them on demand.
     """
 
     strategy = "cdas"
@@ -230,18 +303,26 @@ class CdasSampler(Sampler):
 
     # -- read-only views -------------------------------------------------
 
-    def _views(self, counts, estimates) -> list[ProblemRecord]:
-        bank = self.bank
-        return [
-            ProblemRecord(id=pid, level_tag=tag, true_difficulty=latent, t=t, difficulty=d)
-            for pid, tag, latent, t, d in zip(
-                bank.ids, bank.level_tags, bank.latent.tolist(), counts, estimates
-            )
-        ]
+    @property
+    def estimates(self) -> np.ndarray:
+        """The difficulty estimates in bank order, as a read-only view."""
+        view = self._D.view()
+        view.flags.writeable = False
+        return view
 
     @property
     def records(self) -> dict[str, ProblemRecord]:
-        return {r.id: r for r in self._views(self._t.tolist(), self._D.tolist())}
+        bank = self.bank
+        return {
+            pid: ProblemRecord(id=pid, level_tag=tag, true_difficulty=latent, t=t, difficulty=d)
+            for pid, tag, latent, t, d in zip(
+                bank.ids,
+                bank.level_tags,
+                bank.latent.tolist(),
+                self._t.tolist(),
+                self._D.tolist(),
+            )
+        }
 
     def record(self, problem_id: str) -> ProblemRecord:
         i = self.bank.index[problem_id]
@@ -266,17 +347,15 @@ class CdasSampler(Sampler):
                 f"batch_size: symmetric mode needs an even batch, got {batch_size}"
             )
 
-    def _choose(self, batch_size: int) -> list[str]:
-        ids = self.bank.ids
+    def _choose(self, batch_size: int) -> np.ndarray:
+        n = len(self.bank)
         if self.in_warmup():
             offsets = self._step * batch_size + np.arange(batch_size)
-            return [ids[i] for i in self._warmup_order[offsets % len(ids)].tolist()]
+            return self._warmup_order[offsets % n]
         gap = np.abs(self._competence - self._D)
         if self.symmetric:
-            chosen = self._select_symmetric(batch_size, gap)
-        else:
-            chosen = self._best_aligned(np.arange(len(ids)), gap, batch_size)
-        return [ids[i] for i in chosen.tolist()]
+            return self._select_symmetric(batch_size, gap)
+        return self._best_aligned(np.arange(n), gap, batch_size)
 
     def _select_symmetric(self, batch_size: int, gap: np.ndarray) -> np.ndarray:
         harder_mask = self._D > self._competence
@@ -313,21 +392,16 @@ class CdasSampler(Sampler):
 
     # -- outcome reporting -------------------------------------------------
 
-    def _fold(self, outcomes: list) -> None:
+    def _fold(self, indices: np.ndarray, rates: np.ndarray) -> None:
         # Every observation is scored against the competence from before this
         # batch, so outcome order within the batch cannot matter.  Competence
         # is then recomputed once over all problems.  The arithmetic matches
-        # core.instantaneous_difficulty and core.update_difficulty bit for
-        # bit; the sigmoid stays scalar because np.exp rounds differently
-        # from math.exp.
-        index = np.array([self.bank.index[obs.problem_id] for obs in outcomes], dtype=np.intp)
-        rates = np.array([obs.pass_rate for obs in outcomes], dtype=np.float64)
-        previous = self._D[index]
-        expected = [sigmoid(z) for z in (self._competence - previous).tolist()]
-        d_new = np.array(expected, dtype=np.float64) - rates
-        counts = self._t[index] + 1
-        self._D[index] = (self._t[index] / counts) * previous + d_new / counts
-        self._t[index] = counts
+        # core.instantaneous_difficulty and core.update_difficulty bit for bit.
+        previous = self._D[indices]
+        d_new = sigmoid_array(self._competence - previous) - rates
+        counts = self._t[indices] + 1
+        self._D[indices] = (self._t[indices] / counts) * previous + d_new / counts
+        self._t[indices] = counts
         self._competence = _competence(self._D)
 
     # -- serialization ------------------------------------------------------
@@ -341,23 +415,39 @@ class CdasSampler(Sampler):
 
     def _load_state(self, payload: dict) -> None:
         counts, estimates = payload["t"], payload["difficulty"]
+        if not (isinstance(counts, list) and isinstance(estimates, list)):
+            raise ConfigError("sampler state: t and difficulty must be lists")
         if not len(counts) == len(estimates) == len(self.bank):
             raise ConfigError(
                 f"sampler state: {len(counts)} counts and {len(estimates)} difficulty "
                 f"estimates for a bank of {len(self.bank)} problems"
             )
+        # By exact type: bool is an int subclass, and numpy would quietly
+        # truncate a fractional count or parse a numeric string.
+        if not set(map(type, counts)) <= {int}:
+            raise ConfigError("sampler state: every count in t must be an integer")
+        if not set(map(type, estimates)) <= {int, float}:
+            raise ConfigError("sampler state: every difficulty estimate must be a number")
         try:
-            views = self._views(counts, estimates)
-        except ValueError as err:  # a negative count or a non-finite estimate
-            raise ConfigError(f"sampler state: {err}") from err
+            t = np.array(counts, dtype=np.int64)
+        except OverflowError as err:
+            raise ConfigError(f"sampler state: a count in t is out of range ({err})") from err
+        difficulty = np.array(estimates, dtype=np.float64)
+        if (t < 0).any():
+            raise ConfigError(f"sampler state: t must be >= 0, got {t.min()}")
+        if not np.isfinite(difficulty).all():
+            raise ConfigError("sampler state: every difficulty estimate must be finite")
         competence = payload["competence"]
-        if payload["step"] > 0 and competence != update_competence(views):
+        if type(competence) not in (int, float) or not math.isfinite(competence):
+            raise ConfigError(
+                f"sampler state: competence must be a finite number, got {competence!r}"
+            )
+        if payload["step"] > 0 and competence != _competence(difficulty):
             raise ConfigError(
                 f"sampler state: competence {competence!r} is not the one its "
                 f"difficulty estimates give"
             )
-        self._t = np.array(counts, dtype=np.int64)
-        self._D = np.array(estimates, dtype=np.float64)
+        self._t, self._D = t, difficulty
         self._competence = competence
 
 

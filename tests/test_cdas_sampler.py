@@ -17,10 +17,14 @@ def _obs(pid, rate):
     return PassRateObservation(problem_id=pid, pass_rate=rate)
 
 
-def _refused(sampler, outcomes):
-    """True when the sampler raises ConsistencyError on ``outcomes``."""
+def _report_outcomes(sampler, outcomes):
+    sampler.report_outcomes(outcomes)
+
+
+def _refused(sampler, outcomes, report=_report_outcomes):
+    """True when ``report(sampler, outcomes)`` raises ConsistencyError."""
     try:
-        sampler.report_outcomes(outcomes)
+        report(sampler, outcomes)
     except ConsistencyError:
         return True
     return False
@@ -280,38 +284,104 @@ class TestConsistencyChecks:
     Each case loops over ``STRATEGIES`` and names the strategy on failure.
     """
 
+    report = staticmethod(_report_outcomes)
+
+    def refused(self, sampler, outcomes):
+        return _refused(sampler, outcomes, self.report)
+
     def test_report_without_batch(self):
         for strategy in STRATEGIES:
-            assert _refused(_strategy_sampler(strategy), [_obs("x1", 0.5)]), strategy
+            assert self.refused(_strategy_sampler(strategy), [_obs("x1", 0.5)]), strategy
             sampler, batch = _armed(strategy)
-            sampler.report_outcomes([_obs(batch[0], 0.5)])
-            assert _refused(sampler, [_obs(batch[1], 0.5)]), strategy
+            self.report(sampler, [_obs(batch[0], 0.5)])
+            assert self.refused(sampler, [_obs(batch[1], 0.5)]), strategy
 
     def test_unknown_problem(self):
         for strategy in STRATEGIES:
             sampler, _ = _armed(strategy)
-            assert _refused(sampler, [_obs("ghost", 0.5)]), strategy
+            assert self.refused(sampler, [_obs("ghost", 0.5)]), strategy
 
     def test_problem_outside_batch(self):
         for strategy in STRATEGIES:
             sampler, batch = _armed(strategy)
             outsider = next(pid for pid in SIX_PROBLEMS if pid not in batch)
-            assert _refused(sampler, [_obs(outsider, 0.5)]), strategy
+            assert self.refused(sampler, [_obs(outsider, 0.5)]), strategy
 
     def test_duplicate_outcome(self):
         for strategy in STRATEGIES:
             sampler, batch = _armed(strategy)
-            assert _refused(sampler, [_obs(batch[0], 0.5), _obs(batch[0], 1.0)]), strategy
+            assert self.refused(sampler, [_obs(batch[0], 0.5), _obs(batch[0], 1.0)]), strategy
 
     def test_failed_validation_leaves_state_untouched(self):
         for strategy in STRATEGIES:
             sampler, batch = _armed(strategy)
             before = sampler.state_dict()
-            assert _refused(sampler, [_obs(batch[0], 0.5), _obs(batch[0], 0.5)]), strategy
+            assert self.refused(sampler, [_obs(batch[0], 0.5), _obs(batch[0], 0.5)]), strategy
             assert sampler.state_dict() == before, strategy
             # The batch is still pending and can be reported properly.
-            sampler.report_outcomes([_obs(pid, 0.5) for pid in batch])
+            self.report(sampler, [_obs(pid, 0.5) for pid in batch])
             assert sampler.step == 1, strategy
+
+    def test_first_failing_outcome_is_named(self):
+        sampler, batch = _armed("cdas")
+        outsider = next(pid for pid in SIX_PROBLEMS if pid not in batch)
+        outcomes = [_obs(batch[0], 0.5), _obs(outsider, 0.5), _obs("ghost", 0.5)]
+        with pytest.raises(ConsistencyError, match=f"problem {outsider} was not in"):
+            self.report(sampler, outcomes)
+        with pytest.raises(ConsistencyError, match=f"duplicate outcome for problem {batch[1]}"):
+            self.report(sampler, [_obs(batch[1], 0.5), _obs(batch[1], 0.5), _obs("ghost", 0.5)])
+
+
+class TestIndexConsistencyChecks(TestConsistencyChecks):
+    """The same contract through ``report_indices``.
+
+    An unknown id becomes the first index past the end of the bank.
+    """
+
+    @staticmethod
+    def report(sampler, outcomes):
+        index, n = sampler.bank.index, len(sampler.bank)
+        sampler.report_indices(
+            [index.get(obs.problem_id, n) for obs in outcomes],
+            [obs.pass_rate for obs in outcomes],
+        )
+
+    @pytest.mark.parametrize("rate", [-0.25, 1.5, float("nan")])
+    def test_rate_outside_unit_interval_refused(self, rate):
+        for strategy in STRATEGIES:
+            sampler, _ = _armed(strategy)
+            before = sampler.state_dict()
+            with pytest.raises(ValueError, match="pass_rate"):
+                sampler.report_indices(sampler.pending, [0.5, 0.5, 0.5, rate])
+            assert sampler.state_dict() == before, strategy
+
+    def test_negative_index_is_unknown(self):
+        sampler, _ = _armed("cdas")
+        with pytest.raises(ConsistencyError, match="unknown problem id at bank index -1"):
+            sampler.report_indices([-1], [0.5])
+
+    def test_arrays_of_different_lengths_refused(self):
+        sampler, _ = _armed("cdas")
+        with pytest.raises(ValueError, match="1-d arrays"):
+            sampler.report_indices(sampler.pending, [0.5])
+
+    def test_fractional_indices_refused(self):
+        sampler, _ = _armed("cdas")
+        before = sampler.state_dict()
+        with pytest.raises(ValueError, match="integer indices"):
+            sampler.report_indices(sampler.pending + 0.5, [0.5] * 4)
+        assert sampler.state_dict() == before
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_report_by_index_and_by_observation_agree(strategy):
+    by_index, batch = _armed(strategy)
+    by_observation, _ = _armed(strategy)
+    rates = [1.0, 0.25, 0.0, 0.75]
+    by_index.report_indices(by_index.pending, rates)
+    by_observation.report_outcomes(_obs(pid, rate) for pid, rate in zip(batch, rates))
+    assert by_index.state_dict() == by_observation.state_dict()
+    assert by_index.pending is None and by_index.step == 1
 
 
 def test_dynamic_select_batch_points_to_select_and_roll():
@@ -447,6 +517,22 @@ class TestSerialization:
         payload["t"].pop()
         with pytest.raises(ConfigError, match="bank of 6"):
             _fresh(SIX_PROBLEMS, batch_size=4, t=0).load_state_dict(payload)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("t", 3.5), ("t", True), ("t", "3"), ("difficulty", "0.5")],
+        ids=["fractional-count", "bool-count", "string-count", "string-estimate"],
+    )
+    def test_malformed_estimates_refused(self, field, value):
+        sampler = _fresh(SIX_PROBLEMS, batch_size=4, t=0)
+        sampler.report_outcomes([_obs(pid, 0.5) for pid in sampler.select_batch(4)])
+        payload = sampler.state_dict()
+        payload[field][0] = value
+        fresh = _fresh(SIX_PROBLEMS, batch_size=4, t=0)
+        before = fresh.state_dict()
+        with pytest.raises(ConfigError, match="sampler state"):
+            fresh.load_state_dict(payload)
+        assert fresh.state_dict() == before
 
     def test_state_of_another_strategy_refused(self):
         payload = _fresh(SIX_PROBLEMS, batch_size=4, t=0).state_dict()

@@ -197,8 +197,19 @@ class TestResumeCommand:
         [
             lambda payload: payload["sampler"].pop("rng"),
             lambda payload: payload["metrics_rows"][0].update(extra=1.0),
+            lambda payload: payload["sampler"]["t"].__setitem__(0, 3.5),
+            lambda payload: payload["sampler"]["t"].__setitem__(0, True),
+            lambda payload: payload["sampler"]["t"].__setitem__(0, "3"),
+            lambda payload: payload["sampler"]["difficulty"].__setitem__(0, "0.5"),
         ],
-        ids=["no-sampler-rng", "extra-metrics-field"],
+        ids=[
+            "no-sampler-rng",
+            "extra-metrics-field",
+            "fractional-count",
+            "bool-count",
+            "string-count",
+            "string-estimate",
+        ],
     )
     def test_damaged_checkpoint_exits_2(self, tmp_path, capsys, edit):
         out = tmp_path / "run"

@@ -1,11 +1,14 @@
 """Scalar scheduling math: frozen oracle values and algebraic invariants."""
 
 import math
+import sys
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cdas import fixed_point
 from cdas.core import (
     CompetenceState,
     PassRateObservation,
@@ -14,6 +17,7 @@ from cdas.core import (
     expected_performance,
     instantaneous_difficulty,
     sigmoid,
+    sigmoid_array,
     update_competence,
     update_difficulty,
 )
@@ -59,6 +63,53 @@ class TestSigmoid:
         assert sigmoid(1000.0) < 1.0
         assert sigmoid(-1000.0) > 0.0
         assert sigmoid(1000.0) == sigmoid(50.0)
+
+    def test_within_machine_epsilon_of_the_solver_sigmoid(self):
+        # For z < 0, 1 - sigmoid(-z) cancels, and past -40 the clamp holds
+        # epsilon where the solver's value shrinks to 0: the two differ by up
+        # to ~1e16 ulps of a tiny value, yet never by more than epsilon.
+        z = np.linspace(-800.0, 800.0, 160_001)
+        ours = np.array([sigmoid(v) for v in z.tolist()])
+        gap = np.abs(ours - fixed_point._sigmoid(z))
+        assert gap.max() <= sys.float_info.epsilon
+
+
+# The clamp boundary on both sides, the extremes and the subnormals.
+SIGMOID_EDGES = [
+    0.0,
+    -0.0,
+    40.0,
+    -40.0,
+    math.nextafter(40.0, math.inf),
+    -math.nextafter(40.0, math.inf),
+    1e308,
+    -1e308,
+    5e-324,
+    -5e-324,
+    2.2250738585072e-309,
+    -2.2250738585072e-309,
+]
+
+
+class TestSigmoidArray:
+    @settings(max_examples=300)
+    @given(st.lists(st.one_of(finite_floats, st.floats(-60.0, 60.0)), max_size=40))
+    @example(SIGMOID_EDGES)
+    def test_bit_for_bit_with_the_scalar_sigmoid(self, values):
+        z = np.array(values, dtype=np.float64)
+        expected = np.array([sigmoid(v) for v in values], dtype=np.float64)
+        assert sigmoid_array(z).tobytes() == expected.tobytes()
+
+    def test_keeps_the_input_shape(self):
+        z = np.array([[0.0, 1.0], [-1.0, 50.0]])
+        assert sigmoid_array(z).shape == (2, 2)
+        assert sigmoid_array(z)[1, 0] == sigmoid(-1.0)
+        assert sigmoid_array(0.0).shape == ()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            sigmoid_array([0.0, bad, 1.0])
 
 
 class TestExpectedPerformance:

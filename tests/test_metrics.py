@@ -35,10 +35,10 @@ def _groups_with_rates(rates):
     return out
 
 
-def _columns(groups):
-    """summarize_step's per-group inputs: ids, pass rates and zero-gradient flags."""
+def _columns(groups, bank):
+    """summarize_step's per-group inputs: bank indices, pass rates and zero-gradient flags."""
     return (
-        [g.problem_id for g in groups],
+        [bank.index[g.problem_id] for g in groups],
         [g.pass_rate for g in groups],
         [group_advantages(g)[1] for g in groups],
     )
@@ -60,7 +60,7 @@ class TestSummarizeStep:
         sampler.report_outcomes(
             [PassRateObservation(problem_id=g.problem_id, pass_rate=g.pass_rate) for g in groups]
         )
-        metrics = summarize_step(*_columns(groups), sampler, _StubLearner(0.7))
+        metrics = summarize_step(*_columns(groups, sampler.bank), sampler, _StubLearner(0.7))
         assert metrics.mean_reward == pytest.approx(0.4375, abs=1e-15)
         assert metrics.zero_gradient_fraction == 0.5  # rates 0.0 and 1.0
         assert metrics.step == 1
@@ -69,7 +69,8 @@ class TestSummarizeStep:
 
     def test_baseline_strategies_leave_model_columns_empty(self):
         groups = _groups_with_rates([0.5, 0.75])
-        metrics = summarize_step(*_columns(groups), _random_sampler(), _StubLearner(0.0))
+        sampler = _random_sampler()
+        metrics = summarize_step(*_columns(groups, sampler.bank), sampler, _StubLearner(0.0))
         assert metrics.competence is None
         assert metrics.mean_sampled_difficulty is None
 
@@ -80,13 +81,14 @@ class TestSummarizeStep:
             [PassRateObservation(problem_id=pid, pass_rate=1.0) for pid in batch]
         )
         groups = [_group(pid, [1.0, 1.0, 1.0, 1.0]) for pid in batch]
-        metrics = summarize_step(*_columns(groups), sampler, _StubLearner(0.1))
+        metrics = summarize_step(*_columns(groups, sampler.bank), sampler, _StubLearner(0.1))
         assert metrics.competence == sampler.competence_value
         assert metrics.mean_sampled_difficulty == pytest.approx(-0.5, abs=1e-15)
 
     def test_explicit_rollout_consumption_overrides_default(self):
         groups = _groups_with_rates([0.5])
-        metrics = summarize_step(*_columns(groups), _random_sampler(), _StubLearner(0.0), 9)
+        sampler = _random_sampler()
+        metrics = summarize_step(*_columns(groups, sampler.bank), sampler, _StubLearner(0.0), 9)
         assert metrics.rollout_batches_consumed == 9
 
     def test_empty_batch_rejected(self):
