@@ -15,6 +15,7 @@ import numpy as np
 
 from .config import BANK_MODES, STRATEGIES, ExperimentConfig
 from .errors import ConfigError, ConsistencyError, ConvergenceError, RolloutBudgetError
+from .files import replacing
 from .fixed_point import EquilibriumProblem, solve, write_trajectory_csv
 from .harness import (
     _spawned_rngs,
@@ -153,7 +154,8 @@ def _cmd_fixed_point(args: argparse.Namespace) -> int:
             "final_residual": solution.final_residual,
             "contraction_ratios": solution.contraction_ratios,
         }
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+        with replacing(args.out) as tmp:
+            tmp.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"solution written to {args.out}")
     if args.trajectory_out is not None:
         write_trajectory_csv(solution.trajectory, args.trajectory_out)

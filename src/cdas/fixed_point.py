@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConvergenceError
+from .files import replacing
 
 # Ratios are only meaningful while the step size is clearly above rounding noise.
 _RATIO_FLOOR = 10.0 * sys.float_info.epsilon
@@ -174,7 +175,7 @@ def equation_residual(d: np.ndarray, c: float, s_star: np.ndarray) -> float:
 def write_trajectory_csv(trajectory: list[State], path: str | Path) -> None:
     """Dump per-iteration step sizes and ratios: columns iteration, delta, ratio."""
     deltas = _deltas(trajectory)
-    with open(path, "w", newline="") as fh:
+    with replacing(path) as tmp, open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["iteration", "delta", "ratio"])
         for i, delta in enumerate(deltas, start=1):

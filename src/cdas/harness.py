@@ -15,9 +15,8 @@ import dataclasses
 import json
 import logging
 import math
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +24,7 @@ import numpy as np
 from .baselines import DynamicSampler, PrioritizedSampler
 from .config import SAMPLERS, ExperimentConfig
 from .errors import ConfigError
+from .files import replacing
 from .learner import ProblemBank, SyntheticLearner, default_ability, generate_bank, load_bank
 from .metrics import (
     METRICS_COLUMNS,
@@ -350,55 +350,53 @@ def resume_experiment(
 # -- output files -------------------------------------------------------------
 
 
-@contextmanager
-def _replacing(path: Path):
-    """Yield a temp path beside ``path`` that replaces it once the block completes.
+def _final_state_columns(result: RunResult, state: dict) -> list:
+    """Cell functions for the t, difficulty and final_pass_rate columns of problems.csv.
 
-    A crash mid-write leaves the previous ``path`` intact instead of truncated.
+    Each takes ``(start, stop)`` and gives the cells of those bank rows, in
+    the text ``csv.writer`` would write: ints by ``str``, floats by ``repr``
+    and nothing for a problem never reported.
     """
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    if "t" in state:
+        counts, estimates = state["t"], state["difficulty"]
+        columns = [
+            lambda start, stop: map(str, counts[start:stop]),
+            lambda start, stop: map(repr, estimates[start:stop]),
+        ]
+    else:
+        # Strategies without estimates write every problem as never visited.
+        unvisited = repr(result.config.initial_difficulty)
+        columns = [
+            lambda start, stop: repeat("0", stop - start),
+            lambda start, stop: repeat(unvisited, stop - start),
+        ]
+    # A run reports at most rollouts + 1 distinct rates (pass counts over
+    # rollouts, so never -0.0), and each is formatted once.  A problem never
+    # reported gets None and an empty cell.
+    texts = {rate: repr(rate) for rate in set(result.final_pass_rates.values())}
+    texts[None] = ""
+    rate_of, ids = result.final_pass_rates.get, result.bank.ids
+    columns.append(lambda start, stop: map(texts.__getitem__, map(rate_of, ids[start:stop])))
+    return columns
 
 
 def write_outputs(result: RunResult, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with _replacing(out / METRICS_FILE) as tmp:
+    with replacing(out / METRICS_FILE) as tmp:
         write_metrics_csv(tmp, result.rows, result.config.strategy, result.config.seed)
-    with _replacing(out / BATCHES_FILE) as tmp, open(tmp, "w", newline="") as fh:
+    with replacing(out / BATCHES_FILE) as tmp, open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["step", "problem_ids"])
         for step, batch in enumerate(result.batches, start=1):
             writer.writerow([step, ";".join(batch)])
-    # Strategies without estimates write every problem as never visited.
     state = result.sampler.state_dict()
-    bank = result.bank
-    counts = state.get("t", [0] * len(bank))
-    estimates = state.get("difficulty", [result.config.initial_difficulty] * len(bank))
-    with _replacing(out / PROBLEMS_FILE) as tmp, open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["id", "level_tag", "true_difficulty", "t", "difficulty", "final_pass_rate"]
-        )
-        # csv writes a float as its repr and None (no level tag, or never
-        # reported) as an empty cell.
-        writer.writerows(
-            zip(
-                bank.ids,
-                bank.level_tags,
-                bank.latent.tolist(),
-                counts,
-                estimates,
-                map(result.final_pass_rates.get, bank.ids),
-            )
-        )
-    with _replacing(out / SUMMARY_FILE) as tmp, open(tmp, "w") as fh:
+    with replacing(out / PROBLEMS_FILE) as tmp, open(tmp, "w", newline="") as fh:
+        fh.write("id,level_tag,true_difficulty,t,difficulty,final_pass_rate\n")
+        fh.writelines(result.bank.text_blocks("", *_final_state_columns(result, state)))
+    with replacing(out / SUMMARY_FILE) as tmp, open(tmp, "w") as fh:
         fh.write(json.dumps(result.summary(), indent=2, sort_keys=True) + "\n")
-    with _replacing(out / CHECKPOINT_FILE) as tmp, open(tmp, "w") as fh:
+    with replacing(out / CHECKPOINT_FILE) as tmp, open(tmp, "w") as fh:
         fh.write(json.dumps(_checkpoint_payload(result, state)) + "\n")
 
 
@@ -467,7 +465,7 @@ def compare_strategies(
 
 def _write_comparison(comparison: ComparisonResult, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    with _replacing(out / "comparison.csv") as tmp, open(tmp, "w", newline="") as fh:
+    with replacing(out / "comparison.csv") as tmp, open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(METRICS_COLUMNS)
         for result in comparison.results:
@@ -479,7 +477,7 @@ def _write_comparison(comparison: ComparisonResult, out: Path) -> None:
     columns = sorted({key for row in summary_rows for key in row})
     lead = [c for c in ("strategy", "seed") if c in columns]
     columns = lead + [c for c in columns if c not in lead]
-    with _replacing(out / "comparison_summary.csv") as tmp, open(tmp, "w", newline="") as fh:
+    with replacing(out / "comparison_summary.csv") as tmp, open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in summary_rows:

@@ -10,15 +10,24 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 
 from .core import LEVEL_TAGS, sigmoid, sigmoid_array
 from .errors import ConfigError
+from .files import replacing
 from .grpo import RolloutGroup
 
 BANK_FORMAT_VERSION = 1
+
+# Rows formatted and joined at a time when the bank is written out as text.
+BLOCK_ROWS = 8192
+
+# Characters a problem id may not hold: cells are written unquoted, and
+# batches.csv joins a batch's ids with ";".
+_ID_FORBIDDEN = ',;"\r\n'
 
 
 class SyntheticLearner:
@@ -106,9 +115,11 @@ class SyntheticLearner:
 class ProblemBank:
     """The fixed problem set, held as columns in bank order.
 
-    ``ids`` names each problem, ``level_tags`` holds its level (1..5, or None
-    when untagged) and ``latent`` its hidden latent difficulty, which only the
-    learner reads.  ``index`` maps each id to its position.  Nothing here
+    ``ids`` names each problem, ``level_tags`` holds its level (an int in
+    1..5, or None when untagged) and ``latent`` its hidden latent difficulty,
+    which only the learner reads.  ``index`` maps each id to its position.  An
+    id is a non-empty str with no comma, semicolon, double quote or line
+    break, so it can stand unquoted in every output file.  Nothing here
     changes during a run; scheduler state lives in the samplers.
     """
 
@@ -125,29 +136,78 @@ class ProblemBank:
                 f"bank columns disagree: {len(self.ids)} ids, {len(self.level_tags)} "
                 f"level tags, {len(self.latent)} latent difficulties"
             )
+        # Whole-column checks first; the slow search only names the culprit.
+        if (
+            set(map(type, self.ids)) != {str}
+            or not all(self.ids)
+            or any(char in "".join(self.ids) for char in _ID_FORBIDDEN)
+        ):
+            bad = next(pid for pid in self.ids if not _plain_id(pid))
+            raise ConfigError(
+                f"problem id: must be a non-empty str without a comma, semicolon, "
+                f"double quote or line break, got {bad!r}"
+            )
         self.index = dict(zip(self.ids, range(len(self.ids))))
         if len(self.index) < len(self.ids):
             duplicate = next(pid for i, pid in enumerate(self.ids) if self.index[pid] != i)
             raise ConfigError(f"duplicate problem id {duplicate} in bank")
-        bad_tags = set(self.level_tags) - {None, *LEVEL_TAGS}
-        if bad_tags:
-            raise ConfigError(f"level_tag: must be in 1..5 or None, got {bad_tags.pop()!r}")
+        tag_types = set(map(type, self.level_tags))
+        if not tag_types <= {int, type(None)} or not set(self.level_tags) <= {None, *LEVEL_TAGS}:
+            bad = next(tag for tag in self.level_tags if not _plain_tag(tag))
+            raise ConfigError(f"level_tag: must be in 1..5 or None, got {bad!r}")
         missing = np.flatnonzero(~np.isfinite(self.latent))
         if missing.size:
             raise ConfigError(
                 f"bank problem {self.ids[missing[0]]} has no finite latent difficulty"
             )
+        self._hash: str | None = None
 
     def __len__(self) -> int:
         return len(self.ids)
 
+    def text_blocks(self, untagged: str, *columns) -> Iterator[str]:
+        """The bank as comma-separated text, ``BLOCK_ROWS`` rows per block.
+
+        Row i is ``id,tag,repr(latent)`` and then one cell from each of
+        ``columns``, ended by a newline.  A tag is written as its digit and a
+        missing one as ``untagged``.  Each column is a function ``(start,
+        stop)`` giving the cells of rows ``start`` to ``stop - 1`` as strings.
+        Cells are not quoted, so none may hold a comma, a double quote or a
+        line break; the bank refuses such ids.
+        """
+        tag_text = {None: untagged, **{tag: str(tag) for tag in LEVEL_TAGS}}.__getitem__
+        n = len(self.ids)
+        for start in range(0, n, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, n)
+            cells = [
+                self.ids[start:stop],
+                map(tag_text, self.level_tags[start:stop]),
+                map(repr, self.latent[start:stop].tolist()),
+                *(column(start, stop) for column in columns),
+            ]
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
     def content_hash(self) -> str:
-        """Digest of ids, level tags and latent difficulties, one line per problem."""
-        lines = "".join(
-            f"{pid},{tag},{latent!r}\n"
-            for pid, tag, latent in zip(self.ids, self.level_tags, self.latent.tolist())
-        )
-        return hashlib.sha256(lines.encode()).hexdigest()
+        """Digest of ids, level tags and latent difficulties, one line per problem.
+
+        The lines are ``f"{id},{tag},{latent!r}\\n"`` in bank order, fed to the
+        digest a block at a time.  The bank never changes, so the digest is
+        computed on first use and kept.
+        """
+        if self._hash is None:
+            digest = hashlib.sha256()
+            for block in self.text_blocks("None"):
+                digest.update(block.encode())
+            self._hash = digest.hexdigest()
+        return self._hash
+
+
+def _plain_id(pid) -> bool:
+    return type(pid) is str and pid != "" and not any(char in pid for char in _ID_FORBIDDEN)
+
+
+def _plain_tag(tag) -> bool:
+    return tag is None or (type(tag) is int and tag in LEVEL_TAGS)
 
 
 def _quintile_tags(values: np.ndarray) -> np.ndarray:
@@ -186,7 +246,7 @@ def generate_bank(
         latent = (tags - 3) * (level_spread / 2.0)
     else:
         raise ConfigError(f"bank_mode: unknown mode {mode!r}")
-    ids = (f"p{i:0{width}d}" for i in range(n))
+    ids = map(f"p%0{width}d".__mod__, range(n))
     return ProblemBank(ids, tags.tolist(), latent, mode=mode)
 
 
@@ -205,7 +265,8 @@ def save_bank(bank: ProblemBank, path: str | Path) -> None:
             for pid, tag, latent in zip(bank.ids, bank.level_tags, bank.latent.tolist())
         ],
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    with replacing(path) as tmp:
+        tmp.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def load_bank(path: str | Path) -> ProblemBank:

@@ -335,6 +335,22 @@ class TestBankCommands:
         rows = read_metrics_csv(out / METRICS_FILE)
         assert len(rows) == 3
 
+    @pytest.mark.parametrize("bad_id", [7, "p;1"])
+    def test_bank_with_a_malformed_id_exits_2_before_any_step(self, tmp_path, capsys, bad_id):
+        path = tmp_path / "bank.json"
+        records = [
+            {"id": "p0", "level_tag": 1, "true_difficulty": 0.0},
+            {"id": bad_id, "level_tag": 2, "true_difficulty": 0.5},
+        ]
+        path.write_text(json.dumps({"format_version": 1, "records": records}))
+        assert main(["bank", "inspect", str(path)]) == 2
+        assert "problem id" in capsys.readouterr().err
+        out = tmp_path / "run"
+        flags = ["--batch-size", "2", "--rollouts", "4", "--steps", "2", "--out", str(out)]
+        assert main(["run", "--bank-path", str(path), *flags]) == 2
+        assert f"got {bad_id!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupt_bank_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bank.json"
         save_bank(generate_bank(10, np.random.default_rng(1)), path)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -168,6 +169,9 @@ class TestGenerateBank:
         assert bank.ids[0] == "p00000"
         assert bank.ids[-1] == "p00011"
         assert len(set(bank.ids)) == 12
+        # Past 100k problems the padding widens with the largest index.
+        wide = generate_bank(100_001, np.random.default_rng(3))
+        assert (wide.ids[0], wide.ids[-1]) == ("p000000", "p100000")
 
     def test_reproducible_and_seed_sensitive(self):
         one = generate_bank(40, np.random.default_rng(9))
@@ -228,9 +232,18 @@ class TestBankContainer:
             ProblemBank(["a"], [1], [0.0, 0.0])
 
     def test_level_tags_outside_one_to_five_rejected(self):
-        for tag in (0, 6):
+        # A tag is written as its digit, so one that only equals a level
+        # (True, 1.0) is refused as well.
+        for tag in (0, 6, True, 1.0, "1"):
             with pytest.raises(ConfigError, match="level_tag"):
                 ProblemBank(["a", "b"], [1, tag], [0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "bad", [0, None, b"ab", "", "a,b", "a;b", 'a"b', "a\rb", "a\nb", "\n"]
+    )
+    def test_malformed_ids_rejected(self, bad):
+        with pytest.raises(ConfigError, match=r"problem id: .* got " + re.escape(repr(bad))):
+            ProblemBank(["ok", bad], [None, None], [0.0, 0.0])
 
     def test_hash_ignores_scheduler_state(self):
         bank = generate_bank(8, np.random.default_rng(5))
@@ -248,6 +261,18 @@ class TestBankContainer:
         assert ProblemBank(["a"], [None], [0.5]).content_hash() != base
         assert ProblemBank(["a"], [2], [0.25]).content_hash() != base
         assert ProblemBank(["b"], [2], [0.5]).content_hash() != base
+
+    def test_hash_is_computed_once(self, tmp_path, monkeypatch):
+        bank = generate_bank(20, np.random.default_rng(5))
+        path = tmp_path / "bank.json"
+        save_bank(bank, path)
+        loaded = load_bank(path)
+
+        def refuse(*args):
+            raise AssertionError("the bank was hashed again")
+
+        monkeypatch.setattr(ProblemBank, "text_blocks", refuse)
+        assert loaded.content_hash() == bank.content_hash()
 
     def test_default_ability_is_fifth_percentile(self):
         bank = generate_bank(500, np.random.default_rng(12))
@@ -291,7 +316,15 @@ class TestBankFiles:
             load_bank(path)
 
     @pytest.mark.parametrize(
-        "records", [None, ["p0"], [{"id": "p0", "level_tag": 3, "true_difficulty": "hard"}]]
+        "records",
+        [
+            None,
+            ["p0"],
+            [{"id": "p0", "level_tag": 3, "true_difficulty": "hard"}],
+            [{"id": 0, "level_tag": 3, "true_difficulty": 0.5}],
+            [{"id": "p;0", "level_tag": 3, "true_difficulty": 0.5}],
+            [{"id": ["p0"], "level_tag": 3, "true_difficulty": 0.5}],
+        ],
     )
     def test_malformed_records_rejected(self, tmp_path, records):
         path = tmp_path / "bank.json"

@@ -3,16 +3,21 @@
 Counting stand-ins replace the scalar ``sigmoid``, ``PassRateObservation``
 and ``ProblemRecord`` wherever a ``cdas`` module holds them.  A whole run,
 set-up and output writing included, must call none of them: each is a
-Python call per batch problem, the cost the array paths remove.  This gates
-the shape of a step, not its wall-clock time.
+Python call per batch problem, the cost the array paths remove.  Writing
+the outputs passes rows through ``csv.writer`` per step, never per problem,
+and the bank is hashed once.  This gates the shape of the work, not its
+wall-clock time.
 """
 
+import csv
+import hashlib
 import sys
+import types
 from collections import Counter
 
 import pytest
 
-from cdas import core
+from cdas import core, learner
 from cdas.config import STRATEGIES, ExperimentConfig
 from cdas.harness import run_experiment
 
@@ -52,16 +57,57 @@ def scalar_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_a_run_makes_no_per_problem_scalar_calls(scalar_calls, tmp_path, strategy):
+@pytest.fixture
+def work(monkeypatch):
+    """Counts rows handed to any ``csv.writer`` and bank digests computed."""
+    calls = Counter()
+    real_writer, real_sha256 = csv.writer, hashlib.sha256
+
+    class CountingWriter:
+        def __init__(self, *args, **kwargs):
+            self._writer = real_writer(*args, **kwargs)
+
+        def writerow(self, row):
+            calls["csv_rows"] += 1
+            return self._writer.writerow(row)
+
+        def writerows(self, rows):
+            rows = list(rows)
+            calls["csv_rows"] += len(rows)
+            return self._writer.writerows(rows)
+
+    def counting_sha256(*args):
+        calls["bank_digests"] += 1
+        return real_sha256(*args)
+
+    monkeypatch.setattr(csv, "writer", CountingWriter)
+    monkeypatch.setattr(learner, "hashlib", types.SimpleNamespace(sha256=counting_sha256))
+    return calls
+
+
+def _config(strategy, tmp_path):
     # 5k/256 warms the cdas sampler up in 20 steps, then selects by alignment.
-    config = ExperimentConfig(
+    return ExperimentConfig(
         n_problems=5000,
         batch_size=256,
         total_steps=30,
         strategy=strategy,
         out_dir=str(tmp_path),
     )
-    result = run_experiment(config)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_run_makes_no_per_problem_scalar_calls(scalar_calls, tmp_path, strategy):
+    result = run_experiment(_config(strategy, tmp_path))
     assert len(result.rows) == 30
     assert scalar_calls == Counter()
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_writing_outputs_is_per_step_and_the_bank_is_hashed_once(work, tmp_path, strategy):
+    config = _config(strategy, tmp_path)
+    run_experiment(config)
+    # metrics.csv and batches.csv: a header and a row per step each;
+    # problems.csv is written as text blocks.
+    assert work["csv_rows"] <= 2 * (config.total_steps + 1)
+    assert work["bank_digests"] == 1
