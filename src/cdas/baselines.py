@@ -3,8 +3,7 @@
 All baselines follow the select/report contract of ``sampling.Sampler``: pick
 a batch of ids, then report the observed pass rates for that batch.  None of
 them maintain a competence or difficulty model.  Only prioritized sampling
-reads a per-problem history, the latest pass rate; the others keep no
-per-problem state.
+reads a per-problem history: the latest pass rate, which every sampler keeps.
 """
 
 from __future__ import annotations
@@ -18,13 +17,10 @@ from .sampling import Sampler
 
 
 class BaselineSampler(Sampler):
-    """A sampler that, unless a subclass says otherwise, keeps no per-problem state."""
+    """A sampler with no competence or difficulty model."""
 
     def _uniform_batch(self, batch_size: int) -> np.ndarray:
         return self._rng.choice(len(self.bank), size=batch_size, replace=False)
-
-    def _fold(self, indices: np.ndarray, rates: np.ndarray) -> None:
-        pass
 
 
 class RandomSampler(BaselineSampler):
@@ -90,7 +86,7 @@ class PrioritizedSampler(BaselineSampler):
     """
 
     strategy = "prioritized"
-    state_fields = (*BaselineSampler.state_fields, "last_pass_rate", "uniform_fallbacks")
+    state_fields = (*BaselineSampler.state_fields, "uniform_fallbacks")
 
     def __init__(self, bank, rng: np.random.Generator, initial_weight: float = 1.0):
         super().__init__(bank, rng)
@@ -99,7 +95,6 @@ class PrioritizedSampler(BaselineSampler):
                 f"prioritized_initial_weight: must be in [0, 1], got {initial_weight}"
             )
         self.initial_weight = initial_weight
-        self.last_pass_rate: dict[str, float] = {}
         self.uniform_fallbacks = 0
 
     @classmethod
@@ -110,10 +105,8 @@ class PrioritizedSampler(BaselineSampler):
         # Each pick does what ``Generator.choice(n, p=weights / total)`` does
         # inside, so batches and the generator state match that call exactly.
         n = len(self.bank)
-        weights = np.full(n, self.initial_weight, dtype=np.float64)
-        if self.last_pass_rate:
-            seen = [self.bank.index[pid] for pid in self.last_pass_rate]
-            weights[seen] = 1.0 - np.fromiter(self.last_pass_rate.values(), np.float64, len(seen))
+        last = self._last_pass_rate
+        weights = np.where(np.isnan(last), self.initial_weight, 1.0 - last)
         remaining = np.arange(n)
         picks: list[int] = []
         fell_back = False
@@ -136,19 +129,16 @@ class PrioritizedSampler(BaselineSampler):
             self.uniform_fallbacks += 1
         return np.array(picks, dtype=np.intp)
 
-    def _fold(self, indices: np.ndarray, rates: np.ndarray) -> None:
-        self.last_pass_rate.update(zip(self._ids(indices), rates.tolist()))
-
     def _state(self) -> dict:
-        return {
-            "last_pass_rate": dict(self.last_pass_rate),
-            "uniform_fallbacks": self.uniform_fallbacks,
-        }
+        return {"uniform_fallbacks": self.uniform_fallbacks}
 
     def _load_state(self, payload: dict) -> None:
-        self._check_known(payload["last_pass_rate"], "last_pass_rate")
-        self.last_pass_rate = dict(payload["last_pass_rate"])
-        self.uniform_fallbacks = payload["uniform_fallbacks"]
+        fallbacks = payload["uniform_fallbacks"]
+        if type(fallbacks) is not int or fallbacks < 0:
+            raise ConfigError(
+                f"sampler state: uniform_fallbacks must be an integer >= 0, got {fallbacks!r}"
+            )
+        self.uniform_fallbacks = fallbacks
 
 
 class DynamicSampler(BaselineSampler):

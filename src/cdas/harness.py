@@ -37,7 +37,7 @@ from .sampling import Sampler
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 METRICS_FILE = "metrics.csv"
 SUMMARY_FILE = "summary.json"
@@ -57,7 +57,6 @@ class RunResult:
     learner: SyntheticLearner
     rows: list[StepMetrics] = field(default_factory=list)
     batches: list[list[str]] = field(default_factory=list)
-    final_pass_rates: dict[str, float] = field(default_factory=dict)
 
     @property
     def n_problems(self) -> int:
@@ -189,7 +188,6 @@ def _advance(run: RunResult, target_step: int) -> None:
             )
         )
         run.batches.append(batch_ids)
-        run.final_pass_rates.update(zip(batch_ids, rates))
 
 
 def _target_step(config: ExperimentConfig, stop_after: int | None) -> int:
@@ -232,13 +230,12 @@ def _checkpoint_payload(result: RunResult, sampler_state: dict) -> dict:
         "learner": result.learner.state_dict(),
         "metrics_rows": [dataclasses.asdict(row) for row in result.rows],
         "batches": result.batches,
-        "final_pass_rates": result.final_pass_rates,
     }
 
 
 _CHECKPOINT_FIELDS = (
     "format_version", "config", "config_hash", "bank_hash", "step",
-    "sampler", "learner", "metrics_rows", "batches", "final_pass_rates",
+    "sampler", "learner", "metrics_rows", "batches",
 )
 _METRICS_FIELDS = {f.name for f in dataclasses.fields(StepMetrics)}
 
@@ -297,8 +294,8 @@ def resume_experiment(
     The sampler and the learner are rebuilt from the checkpoint's config and
     bank, then their checkpointed state is restored.  Refuses checkpoints
     whose config hash does not match their embedded config, whose bank no
-    longer reproduces, or whose sampler state does not fit the bank or the
-    recorded steps.  A checkpoint already at the target step (the run's end
+    longer reproduces, or whose sampler or learner state or batches do not
+    fit the bank or the recorded steps.  A checkpoint already at the target step (the run's end
     or ``stop_after``) is left alone: the call logs a notice and writes nothing.
     """
     payload = load_checkpoint(checkpoint_path)
@@ -316,25 +313,22 @@ def resume_experiment(
         )
     try:
         sampler = sampler_from_state(config, bank, sampler_rng, payload["sampler"])
+        learner.load_state_dict(payload["learner"])
     except ConfigError as err:
         raise ConfigError(f"checkpoint {checkpoint_path}: {err}") from err
-    learner.load_state_dict(payload["learner"])
     rows = [StepMetrics(**row) for row in payload["metrics_rows"]]
     if sampler.step != len(rows):
         raise ConfigError(
             f"checkpoint {checkpoint_path}: sampler is at step {sampler.step} but "
             f"{len(rows)} steps are recorded"
         )
-    run = RunResult(
-        config,
-        bank,
-        bank_hash,
-        sampler,
-        learner,
-        rows=rows,
-        batches=[list(batch) for batch in payload["batches"]],
-        final_pass_rates=dict(payload["final_pass_rates"]),
-    )
+    batches = payload["batches"]
+    if not _batches_fit(batches, sampler.step, config.batch_size, bank):
+        raise ConfigError(
+            f"checkpoint {checkpoint_path}: batches must be {sampler.step} lists of "
+            f"{config.batch_size} problem ids from the bank, one per recorded step"
+        )
+    run = RunResult(config, bank, bank_hash, sampler, learner, rows=rows, batches=batches)
     if target <= sampler.step:
         logger.info(
             "checkpoint %s is already at step %d of %d; nothing to resume up to step %d",
@@ -347,15 +341,30 @@ def resume_experiment(
     return _finish(run, target)
 
 
+def _batches_fit(batches, steps: int, batch_size: int, bank: ProblemBank) -> bool:
+    """Whether ``batches`` is ``steps`` lists of ``batch_size`` str ids in ``bank``."""
+    return (
+        isinstance(batches, list)
+        and len(batches) == steps
+        and all(
+            isinstance(batch, list)
+            and len(batch) == batch_size
+            and all(type(pid) is str and pid in bank.index for pid in batch)
+            for batch in batches
+        )
+    )
+
+
 # -- output files -------------------------------------------------------------
 
 
 def _final_state_columns(result: RunResult, state: dict) -> list:
     """Cell functions for the t, difficulty and final_pass_rate columns of problems.csv.
 
-    Each takes ``(start, stop)`` and gives the cells of those bank rows, in
-    the text ``csv.writer`` would write: ints by ``str``, floats by ``repr``
-    and nothing for a problem never reported.
+    ``state`` is the sampler's ``state_dict()``.  Each function takes
+    ``(start, stop)`` and gives the cells of those bank rows, in the text
+    ``csv.writer`` would write: ints by ``str``, floats by ``repr`` and
+    nothing for a problem never reported.
     """
     if "t" in state:
         counts, estimates = state["t"], state["difficulty"]
@@ -370,13 +379,10 @@ def _final_state_columns(result: RunResult, state: dict) -> list:
             lambda start, stop: repeat("0", stop - start),
             lambda start, stop: repeat(unvisited, stop - start),
         ]
-    # A run reports at most rollouts + 1 distinct rates (pass counts over
-    # rollouts, so never -0.0), and each is formatted once.  A problem never
-    # reported gets None and an empty cell.
-    texts = {rate: repr(rate) for rate in set(result.final_pass_rates.values())}
-    texts[None] = ""
-    rate_of, ids = result.final_pass_rates.get, result.bank.ids
-    columns.append(lambda start, stop: map(texts.__getitem__, map(rate_of, ids[start:stop])))
+    rates = state["last_pass_rate"]
+    columns.append(
+        lambda start, stop: ("" if rate is None else repr(rate) for rate in rates[start:stop])
+    )
     return columns
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -108,7 +109,13 @@ class SyntheticLearner:
         return {"ability": self.ability, "rng": self._rng.bit_generator.state}
 
     def load_state_dict(self, payload: dict) -> None:
-        self.ability = float(payload["ability"])
+        """Restore ``state_dict`` output, refusing an ability that is not a finite number."""
+        ability = payload["ability"]
+        # By exact type: bool is an int subclass, and float() would parse a
+        # string.  The bound refuses NaN, infinities and ints too large for a float.
+        if type(ability) not in (int, float) or not abs(ability) <= sys.float_info.max:
+            raise ConfigError(f"learner state: ability must be a finite number, got {ability!r}")
+        self.ability = float(ability)
         self._rng.bit_generator.state = payload["rng"]
 
 

@@ -26,6 +26,7 @@ including problems whose estimates are stale.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -40,20 +41,22 @@ class Sampler:
     A sampler is a single logical actor: interleave ``select_batch`` and
     ``report_outcomes`` (or ``report_indices``), one batch at a time.
     Subclasses set ``strategy``, choose the bank indices of a batch in
-    ``_choose``, fold validated outcomes in ``_fold`` and name their own
-    mutable state in ``_state``/``_load_state``.
+    ``_choose``, fold validated outcomes into their own state in ``_fold``
+    and name that state in ``_state``/``_load_state``.  Every sampler keeps
+    the pass rate each problem last reported, in bank order.
     """
 
     strategy: str
     competence_value: float | None = None
     # The keys of ``state_dict``; subclasses add the ones ``_state`` returns.
-    state_fields: tuple[str, ...] = ("strategy", "step", "pending", "rng")
+    state_fields: tuple[str, ...] = ("strategy", "step", "pending", "rng", "last_pass_rate")
 
     def __init__(self, bank: ProblemBank, rng: np.random.Generator):
         self.bank = bank
         self._rng = rng
         self._step = 0
         self._pending: np.ndarray | None = None
+        self._last_pass_rate = np.full(len(bank), np.nan)
 
     @classmethod
     def from_config(cls, config, bank: ProblemBank, rng: np.random.Generator) -> "Sampler":
@@ -68,6 +71,13 @@ class Sampler:
     def pending(self) -> np.ndarray | None:
         """Read-only bank indices of the batch awaiting outcomes, in batch order."""
         return self._pending
+
+    @property
+    def last_pass_rates(self) -> np.ndarray:
+        """Read-only last reported pass rate of each problem, in bank order; NaN if none."""
+        view = self._last_pass_rate.view()
+        view.flags.writeable = False
+        return view
 
     # -- selection --------------------------------------------------------
 
@@ -174,11 +184,12 @@ class Sampler:
                 raise ConsistencyError(f"duplicate outcome for problem {name(k)}")
             raise ValueError(f"pass_rate must be in [0, 1], got {rates[k]} for {name(k)}")
         self._fold(indices, rates)
+        self._last_pass_rate[indices] = rates
         self._step += 1
         self._pending = None
 
     def _fold(self, indices: np.ndarray, rates: np.ndarray) -> None:
-        raise NotImplementedError
+        """Fold a checked report into the strategy's own state; most keep none."""
 
     # -- serialization ------------------------------------------------------
 
@@ -189,6 +200,8 @@ class Sampler:
             "step": self._step,
             "pending": self._ids(self._pending) if self._pending is not None else None,
             "rng": self._rng.bit_generator.state,
+            # JSON has no NaN: a problem never reported is written as null.
+            "last_pass_rate": [None if r != r else r for r in self._last_pass_rate.tolist()],
             **self._state(),
         }
 
@@ -196,8 +209,10 @@ class Sampler:
         """Restore ``state_dict`` output into a sampler built on the same bank.
 
         Raises:
-            ConfigError: the payload belongs to another strategy or does not
-                fit this sampler's bank; the sampler is left untouched.
+            ConfigError: the payload belongs to another strategy, does not
+                fit this sampler's bank, or holds a step or pass rate that is
+                out of range or of the wrong type; the sampler is left
+                untouched.
         """
         if payload.get("strategy") != self.strategy:
             raise ConfigError(
@@ -206,21 +221,42 @@ class Sampler:
             )
         pending = payload["pending"]
         if pending is not None:
-            self._check_known(pending, "pending batch")
+            unknown = [pid for pid in pending if pid not in self.bank.index]
+            if unknown:
+                raise ConfigError(
+                    f"sampler state: pending batch names {len(unknown)} problem(s) "
+                    f"outside the bank, first {unknown[0]!r}"
+                )
+        step = payload["step"]
+        # By exact type: bool is an int subclass, and a float step would be
+        # written back into metrics.csv as a float.
+        if type(step) is not int or step < 0:
+            raise ConfigError(f"sampler state: step must be an integer >= 0, got {step!r}")
+        last_pass_rate = self._load_rates(payload["last_pass_rate"])
         self._load_state(payload)
-        self._step = payload["step"]
+        self._step = step
+        self._last_pass_rate = last_pass_rate
         self._pending = None
         if pending is not None:
             self._hold(np.array([self.bank.index[pid] for pid in pending], dtype=np.intp))
         self._rng.bit_generator.state = payload["rng"]
 
-    def _check_known(self, problem_ids, what: str) -> None:
-        unknown = [pid for pid in problem_ids if pid not in self.bank.index]
-        if unknown:
+    def _load_rates(self, rates) -> np.ndarray:
+        """The ``last_pass_rate`` array a checkpointed list holds, null as NaN."""
+        n = len(self.bank)
+        if not isinstance(rates, list) or len(rates) != n:
             raise ConfigError(
-                f"sampler state: {what} names {len(unknown)} problem(s) outside the "
-                f"bank, first {unknown[0]!r}"
+                f"sampler state: last_pass_rate must be a list of one rate per problem "
+                f"for a bank of {n} problems"
             )
+        # By exact type: bool is an int subclass, and numpy would parse a string.
+        if not all(
+            rate is None or (type(rate) in (int, float) and 0.0 <= rate <= 1.0) for rate in rates
+        ):
+            raise ConfigError(
+                "sampler state: every last_pass_rate must be null or a number in [0, 1]"
+            )
+        return np.array(rates, dtype=np.float64)
 
     def _state(self) -> dict:
         return {}
@@ -438,7 +474,8 @@ class CdasSampler(Sampler):
         if not np.isfinite(difficulty).all():
             raise ConfigError("sampler state: every difficulty estimate must be finite")
         competence = payload["competence"]
-        if type(competence) not in (int, float) or not math.isfinite(competence):
+        # The bound refuses NaN, infinities and ints too large for a float.
+        if type(competence) not in (int, float) or not abs(competence) <= sys.float_info.max:
             raise ConfigError(
                 f"sampler state: competence must be a finite number, got {competence!r}"
             )

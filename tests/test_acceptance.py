@@ -348,8 +348,9 @@ def test_criterion_08_history_sensitivity(capsys, utility_comparison):
             for r in comparison.results
             if r.config.strategy == "cdas" and r.config.seed == 0
         )
+        last = run.sampler.last_pass_rates
         pairs = [
-            (record.difficulty, run.final_pass_rates[record.id])
+            (record.difficulty, last[run.bank.index[record.id]].item())
             for record in run.sampler.records.values()
             if record.t >= 1
         ]

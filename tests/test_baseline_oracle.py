@@ -43,7 +43,7 @@ def _reference_batch(weights, batch_size, rng):
 def prioritized_cases(draw):
     n = draw(st.integers(1, 40))
     initial_weight = draw(st.sampled_from([0.0, 0.3, 1.0]))
-    # Seen problems in first-seen order, which need not be bank order.
+    # The problems reported so far, any subset of the bank.
     seen = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
     if draw(st.booleans()):
         rates = [1.0] * len(seen)  # every seen weight zero
@@ -66,7 +66,9 @@ def test_prioritized_batch_matches_sequential_choice(case):
         rng=np.random.default_rng(seed),
         initial_weight=initial_weight,
     )
-    sampler.last_pass_rate = {ids[i]: rate for i, rate in rates.items()}
+    state = sampler.state_dict()
+    state["last_pass_rate"] = [rates.get(i) for i in range(n)]
+    sampler.load_state_dict(state)
     weights = [1.0 - rates[i] if i in rates else initial_weight for i in range(n)]
     reference_rng = np.random.default_rng(seed)
     picks, fell_back = _reference_batch(weights, batch_size, reference_rng)

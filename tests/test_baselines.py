@@ -31,6 +31,14 @@ def _obs(pid, rate):
     return PassRateObservation(problem_id=pid, pass_rate=rate)
 
 
+def _with_rates(sampler, rates):
+    """``sampler`` restored with ``rates`` (by id) as the last reported pass rates."""
+    state = sampler.state_dict()
+    state["last_pass_rate"] = [rates.get(pid) for pid in sampler.bank.ids]
+    sampler.load_state_dict(state)
+    return sampler
+
+
 class TestRandomSampler:
     def test_bank_sized_batch_is_a_permutation(self):
         sampler = RandomSampler(_bank(10), rng=np.random.default_rng(0))
@@ -117,8 +125,7 @@ class TestPrioritizedSampler:
     def _three_problem_sampler(self, seed=0):
         bank = _named_bank(["x1", "x2", "x3"])
         sampler = PrioritizedSampler(bank, rng=np.random.default_rng(seed))
-        sampler.last_pass_rate = {"x1": 1.0, "x2": 0.5, "x3": 0.0}
-        return sampler
+        return _with_rates(sampler, {"x1": 1.0, "x2": 0.5, "x3": 0.0})
 
     def test_single_draw_frequencies_match_weights(self):
         # Weights {0, 0.5, 1} normalize to probabilities {0, 1/3, 2/3}.
@@ -145,7 +152,7 @@ class TestPrioritizedSampler:
 
     def test_all_zero_weights_fall_back_to_uniform(self):
         sampler = PrioritizedSampler(_named_bank("abcd"), rng=np.random.default_rng(5))
-        sampler.last_pass_rate = {pid: 1.0 for pid in ("a", "b", "c", "d")}
+        _with_rates(sampler, {pid: 1.0 for pid in ("a", "b", "c", "d")})
         batch = sampler.select_batch(3)
         assert len(set(batch)) == 3
         assert sampler.uniform_fallbacks == 1
@@ -155,14 +162,14 @@ class TestPrioritizedSampler:
         # failed problem remains.
         bank = _named_bank(["seen", "new"])
         sampler = PrioritizedSampler(bank, rng=np.random.default_rng(6), initial_weight=0.0)
-        sampler.last_pass_rate = {"seen": 0.0}
+        _with_rates(sampler, {"seen": 0.0})
         for _ in range(100):
             assert sampler.select_batch(1) == ["seen"]
 
     def test_equal_rates_select_uniformly(self):
         bank = _named_bank(f"e{i}" for i in range(10))
         sampler = PrioritizedSampler(bank, rng=np.random.default_rng(8))
-        sampler.last_pass_rate = {pid: 0.5 for pid in bank.ids}
+        _with_rates(sampler, {pid: 0.5 for pid in bank.ids})
         draws = 50_000
         counts = {pid: 0 for pid in bank.ids}
         for _ in range(draws):
@@ -280,8 +287,8 @@ class TestDynamicSampler:
 class TestReportOutcomes:
     # Outcomes are accepted only for the pending batch; a bank-sized batch
     # makes every id reportable.  The full contract, for every strategy, is
-    # pinned in test_cdas_sampler.TestConsistencyChecks.  Prioritized is the
-    # one baseline that keeps the latest pass rates.
+    # pinned in test_cdas_sampler.TestConsistencyChecks.  Every sampler keeps
+    # the latest pass rates; prioritized is the baseline that reads them.
 
     def _armed(self):
         sampler = PrioritizedSampler(_bank(5), rng=np.random.default_rng(0))
@@ -291,13 +298,16 @@ class TestReportOutcomes:
     def test_records_latest_pass_rate(self):
         sampler = self._armed()
         sampler.report_outcomes([_obs("p001", 0.75)])
-        assert sampler.last_pass_rate["p001"] == 0.75
+        last = sampler.last_pass_rates
+        assert last[1] == 0.75
+        assert np.isnan(np.delete(last, 1)).all()
+        assert sampler.state_dict()["last_pass_rate"] == [None, 0.75, None, None, None]
 
     def test_empty_outcomes_only_advance_the_step(self):
         sampler = self._armed()
         sampler.report_outcomes([])
         assert sampler.step == 1
-        assert sampler.last_pass_rate == {}
+        assert np.isnan(sampler.last_pass_rates).all()
 
     def test_unknown_id_rejected(self):
         sampler = self._armed()

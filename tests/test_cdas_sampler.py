@@ -509,7 +509,7 @@ class TestSerialization:
     def test_state_holds_only_what_a_run_changes(self):
         sampler = _fresh(SIX_PROBLEMS, batch_size=4, t=0)
         assert set(sampler.state_dict()) == {
-            "strategy", "step", "pending", "rng", "competence", "t", "difficulty"
+            "strategy", "step", "pending", "rng", "last_pass_rate", "competence", "t", "difficulty"
         }
 
     def test_state_from_another_bank_refused(self):
@@ -552,16 +552,16 @@ class TestSerialization:
             assert fresh.state_dict() == before, strategy
 
     def test_last_pass_rate_ids_outside_the_bank_refused(self):
+        # The rates are a bank-order list: an entry past the bank's end would
+        # be a rate for a problem outside it.
         for strategy in STRATEGIES:
             sampler, batch = _armed(strategy)
             sampler.report_outcomes([_obs(pid, 0.5) for pid in batch])
             payload = sampler.state_dict()
-            if "last_pass_rate" not in payload:
-                continue
-            payload["last_pass_rate"]["ghost"] = 0.5
+            payload["last_pass_rate"].append(0.5)
             fresh = _strategy_sampler(strategy)
             before = fresh.state_dict()
-            with pytest.raises(ConfigError, match="outside the bank"):
+            with pytest.raises(ConfigError, match="last_pass_rate must be a list"):
                 fresh.load_state_dict(payload)
             assert fresh.state_dict() == before, strategy
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -201,6 +202,8 @@ class TestResumeCommand:
             lambda payload: payload["sampler"]["t"].__setitem__(0, True),
             lambda payload: payload["sampler"]["t"].__setitem__(0, "3"),
             lambda payload: payload["sampler"]["difficulty"].__setitem__(0, "0.5"),
+            lambda payload: payload["batches"][0].__setitem__(0, 7),
+            lambda payload: payload["learner"].update(ability=math.nan),
         ],
         ids=[
             "no-sampler-rng",
@@ -209,6 +212,8 @@ class TestResumeCommand:
             "bool-count",
             "string-count",
             "string-estimate",
+            "int-id-in-batch",
+            "nan-ability",
         ],
     )
     def test_damaged_checkpoint_exits_2(self, tmp_path, capsys, edit):

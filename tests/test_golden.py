@@ -56,77 +56,77 @@ GOLDEN_RUNS = {
         "batches.csv": "29034fa4b588e8d564dbbe38bd7ae568ea9208d5f5befef6ebdc40061cb93d04",
         "problems.csv": "2cc7b615bcecc9c6b4ea299ca4c515d6745e93e583e6017d88ce23eb6179f6e4",
         "summary.json": "0a7e2731d494f21c8a012b4b4e229190f73d0bc2d710bbd6b19cf73569ae5c89",
-        "checkpoint.json": "ed5100979c870afbd028f37c4ceb2889214619f40ac2986b5fc767ac7b6eafdd",
+        "checkpoint.json": "bbe637789f57a50b538ce0eece40084a8c00b1ef623acf109929b919a63cfc1f",
     },
     "cdas-variant": {
         "metrics.csv": "9f3134deccd595c1f297b6f67d36ae54716f134c8cbfed639afe57ddf066c050",
         "batches.csv": "192f8e6cfd7b4ef03a68b1020db24a5eb7026f436f628cfb7d95cab1759c2f88",
         "problems.csv": "ca7115a661c4b3ccb636e0e303a6852a68f0d2da9bcaed31fbfa498c0d945f3e",
         "summary.json": "74aba81dc1427306277c14a56bf8f44a218cc2e46b7540984df50fb6be045e23",
-        "checkpoint.json": "264704bd32d24426f41f5f6a1394cb2b3234f2295bd74b2ac596b82a68b6a7d5",
+        "checkpoint.json": "05482b1e50f8c8e169939053062ce37d9eec1b060bb41e693ea556971e5de93e",
     },
     "curriculum": {
         "metrics.csv": "2ece74a5912681632ecf0e1a4a1c619caf85dda5fa22ee1ac889e538daa7167c",
         "batches.csv": "dc59751a95d8fc91451f888b1bd1d07340b416bec2c20dfdea0d628631ef107a",
         "problems.csv": "fbc6e00def029246d75cdbb9d478981e9874dc3467e4fe90aa5648bdbca239f6",
         "summary.json": "d570df69231fc32af17f232751bacf58beff517521e72b2e94432bc7d742e0e5",
-        "checkpoint.json": "107f7f663f0bc07cde0bafa748740141dcdb66a1a9db759c1732395b562005c5",
+        "checkpoint.json": "df1319eaf740d35efd63c779c97f0634615df385da0e4b3224cd4c0ce09f409f",
     },
     "dynamic": {
         "metrics.csv": "09b851d2a1072c85cd7f4f7f2e677c60d6ac6993880bb5ef7414d132e823d11e",
         "batches.csv": "5b091e3f274079c53fcb3be547bf622ecab45f5d691940e8859f8968ffd75777",
         "problems.csv": "891e78615856a3704fdd70dd1dc023185e1240035d9379099996edbf7d72b765",
         "summary.json": "b77465e66ed9d5ba6be2e7ce4fef33afb27623c2eb5661c2e7baa8d935a58100",
-        "checkpoint.json": "60898a06195e7f26a0e2675f61cf997caddfc2209f6bffff4a5114115be1aa29",
+        "checkpoint.json": "04250d2a5a4b6a21df5da324e8b0bfd1cf2323752f80decd72bbf0f329a96367",
     },
     "dynamic-capped": {
         "metrics.csv": "20be7ae66b70e3cbd6b6aea32fb1bbf6c3a8de13a90b9f8bb03433f509706676",
         "batches.csv": "70c94f9c154e1a4e958647f2ab01722ac7a5f96846c03c834b3912712c7a75e4",
         "problems.csv": "c4df2457e2d98d76371bdd4f5053b0792dccf50ebf6977d65f1157b0195a1d73",
         "summary.json": "341e0a7f68cd5e7e0cb8d36ea0b151e43285c97d3967d8f656a64459ffe14fb2",
-        "checkpoint.json": "0de73fc8a60a04767a31dfd7fd9e12f9e5dc4024de4536a92ea8642201220467",
+        "checkpoint.json": "795beac588856749b37a4633a958e87c395c3f5b2132adc30eb8f48dae58a2ad",
     },
     "dynamic-oversampled": {
         "metrics.csv": "420cf4f71eb3509f29fa105f421551b9f7d4dd8b7e497ca03da4a9c357463986",
         "batches.csv": "da5f4cfd08af528ee793c259c6c128fdb169b2a83bcc266d2d6c3dd1ff15f57e",
         "problems.csv": "f8b8cef049921b6765e1b5c8e7478ce5f6bf2aef81a31e381c3f29472e3d08bb",
         "summary.json": "d8620db54fd5239864437ad604bbf4c54cfb2bc8f9a878bd62ae79db8e1a3a9c",
-        "checkpoint.json": "d8ad11f4da7c92ea663a6ee5e33623b350aeca24a3ac1d78dded3b4583c1229d",
+        "checkpoint.json": "c9eb71d21f8fe59a9de4081718a7031924d4fc22a94e18e3d5cb29c2440d9a3d",
     },
     "prioritized-fallback": {
         "metrics.csv": "f9242d7ee9354bd43d61d9e70bd4cba0b3ae07cc797b56e9f2236cf816e0a6ea",
         "batches.csv": "7392aee92cc07c90e9bef7fd72474da99de6b6b0af9a11958a0e8c485b72a9d1",
         "problems.csv": "e66d867b3afe9fb217f4d07176ed05de2a6c7094d8d41b57a6e17db505aca346",
         "summary.json": "1cd10a0f066885ebeb5a1ab7899f8cabd2d69192991916f76fb8248ab3e139ac",
-        "checkpoint.json": "737dfc3a5b956ccf10053dfdf967e779b8835b3988c82a34f8eea9a7d75d003e",
+        "checkpoint.json": "0f5169700796627ea03fa04cbc4ac4e129a4ab2307749f94c63ab9643ebb050c",
     },
     "prioritized-weighted": {
         "metrics.csv": "615cb9a59f8de11547302133f6737f49ee5c4ece95aa6fd7646761add6bb335c",
         "batches.csv": "c717c3155f9a4af4eff79620662923509aace50b1868bef847734cfea9d059e7",
         "problems.csv": "3e224b927f39745ea548e4d28dc0088e027bd78959037d8a0ca6c368fea830a4",
         "summary.json": "ca25aa5bdf914615f590307be18efa52278be2f97d372ac46426983f57c7571e",
-        "checkpoint.json": "982f216f01d2f7a671c870c5f08aaf58e7db3a2882cb8b823f09a3965952959c",
+        "checkpoint.json": "0e0007e64d0251d93eb76dcb0e0e1cfa6de4e7c369e26af905fa4b14e70dfe10",
     },
     "prioritized": {
         "metrics.csv": "75efbb0dd5f81e5e59f3b2bfd8c148ecdab9a5e701e810c8d5238c9a6a5fbefc",
         "batches.csv": "4e96dc8a202cf306b38fe3351721c84ceff37a2e7a593ecae396482138376280",
         "problems.csv": "3167874ab4a0bc6d05bb6ea23cde5cb05cb9de47743232d3b8ed1ea3418a93d1",
         "summary.json": "0248d76f0703307927ff13b3da48cc49ab34117e547c16fd3594080f7cd3ab19",
-        "checkpoint.json": "9bb6638902a8a78f7c428b4d29955ee3f36508622f3cccff930f444190d69faa",
+        "checkpoint.json": "8ff3e820c5ac787bbd7f41572ec3b0c71d05186c534f1ac9a1c56cb2d7b8c04a",
     },
     "random": {
         "metrics.csv": "5b79768d1e5eaa3526d82a2133409aaf8421586f4ca1e81e9af669ae5ff2d7b7",
         "batches.csv": "7e677f63ef2a61fcac869f5369fed0f01056d12ebc919059f9a0bb6d2690b3c6",
         "problems.csv": "c4df2457e2d98d76371bdd4f5053b0792dccf50ebf6977d65f1157b0195a1d73",
         "summary.json": "ee79d831959fadd376b6456c45e947fe17c2ddf74ee89a97d06c4a78fabf5671",
-        "checkpoint.json": "ac12ad8fee7e458b25eea6af09e7d1b11ce65b95705945013de955344e1c87ad",
+        "checkpoint.json": "49a9dec109920d8e84ff1f188d81c085bad42c9b7dcb201aacade6861403e5c3",
     },
     "saved-bank": {
         "metrics.csv": "230677bc614a13e72380d67838ac66fa2d3c255bb1acd225b47d57d8ce75b951",
         "batches.csv": "18b2a44c86caf1cbe7a3751f4feb265966a360c450fa4ef283789532a3c8e305",
         "problems.csv": "4e7be58288157b8d502446d5c910689aa3e47be5a54fe8bcf06c412bd9bbafaf",
         "summary.json": "c6bd4e30acf0dd18d0c573f9c94e7fa47e3efd1c77e7c3e9797eb43eb10a1c26",
-        "checkpoint.json": "d911bd5c0e0de3832da967da89087eb7b77b420e636b2f0a91c84acd6dfbdd20",
+        "checkpoint.json": "db8eb8a454fb18dc3c83923097f7037243e263b7b7d509adcad046bc77a32a6f",
         "bank.json": "9b20c54a0da43fae935a603b8c0d26157c4cd189907b398fd7865e449f20bcb8",
     },
 }

@@ -155,13 +155,16 @@ class TestOutputs:
         assert first[1].split(";") == result.batches[0]
 
     def test_problems_file_has_final_estimates(self, tmp_path):
-        result = run_experiment(_tiny(out_dir=str(tmp_path / "run")))
+        # Two warm-up steps of four leave four of the twelve problems unreported.
+        result = run_experiment(_tiny(out_dir=str(tmp_path / "run")), stop_after=2)
         lines = (tmp_path / "run" / PROBLEMS_FILE).read_text().splitlines()
         assert lines[0] == "id,level_tag,true_difficulty,t,difficulty,final_pass_rate"
         assert len(lines) == 13
-        by_id = {line.split(",")[0]: line.split(",") for line in lines[1:]}
-        for pid, rate in result.final_pass_rates.items():
-            assert float(by_id[pid][5]) == rate
+        cells = [line.split(",") for line in lines[1:]]
+        assert [cell[0] for cell in cells] == list(result.bank.ids)
+        rates = result.sampler.last_pass_rates.tolist()
+        assert [cell[5] for cell in cells] == ["" if math.isnan(r) else repr(r) for r in rates]
+        assert [cell[5] for cell in cells].count("") == 4
 
     def test_summary_file_matches_summary(self, tmp_path):
         result = run_experiment(_tiny(out_dir=str(tmp_path / "run")))
@@ -204,36 +207,29 @@ class TestCheckpointResume:
     def test_checkpoint_holds_only_mutable_state(self, tmp_path, strategy):
         # No records, warm-up order or constructor parameters: resume rebuilds
         # those from the config and the bank.
-        run_experiment(_tiny(strategy=strategy, out_dir=str(tmp_path)), stop_after=2)
+        result = run_experiment(
+            _tiny(strategy=strategy, out_dir=str(tmp_path)), stop_after=2
+        )
         payload = load_checkpoint(tmp_path / CHECKPOINT_FILE)
+        assert set(payload) == {
+            "format_version", "config", "config_hash", "bank_hash", "step",
+            "sampler", "learner", "metrics_rows", "batches",
+        }
         own = {
             "cdas": {"competence", "t", "difficulty"},
-            "prioritized": {"last_pass_rate", "uniform_fallbacks"},
+            "prioritized": {"uniform_fallbacks"},
         }.get(strategy, set())
-        assert set(payload["sampler"]) == {"strategy", "step", "pending", "rng"} | own
+        assert set(payload["sampler"]) == {
+            "strategy", "step", "pending", "rng", "last_pass_rate"
+        } | own
         assert set(payload["learner"]) == {"ability", "rng"}
-
-    @pytest.mark.parametrize("strategy", ["random", "curriculum", "dynamic"])
-    def test_old_last_pass_rate_key_is_ignored(self, tmp_path, strategy):
-        # Earlier format-2 checkpoints stored the latest pass rates for every
-        # baseline; only prioritized reads them now.
-        config = _tiny(strategy=strategy, seed=9)
-        straight = tmp_path / "straight"
-        split = tmp_path / "split"
-        run_experiment(config.with_overrides(out_dir=str(straight)))
-        run_experiment(config.with_overrides(out_dir=str(split)), stop_after=4)
-        path = split / CHECKPOINT_FILE
-        _edit_checkpoint(
-            path,
-            lambda payload: payload["sampler"].update(
-                last_pass_rate=dict(payload["final_pass_rates"])
-            ),
+        # The latest pass rates, in bank order, with null for the problems
+        # the two batches of four left out.
+        rates = payload["sampler"]["last_pass_rate"]
+        assert isinstance(rates, list) and len(rates) == len(result.bank)
+        assert [i for i, rate in enumerate(rates) if rate is not None] == sorted(
+            {result.bank.index[pid] for batch in result.batches for pid in batch}
         )
-        resume_experiment(path)
-        for name in OUTPUT_FILES:
-            if name != CHECKPOINT_FILE:
-                assert (split / name).read_bytes() == (straight / name).read_bytes(), name
-        assert _checkpoint_sans_out_dir(split) == _checkpoint_sans_out_dir(straight)
 
     def test_partial_checkpoint_records_progress(self, tmp_path):
         run_experiment(_tiny(out_dir=str(tmp_path)), stop_after=2)
@@ -288,6 +284,18 @@ class TestCheckpointResume:
             (lambda p: p["learner"].pop("rng"), "learner state: missing field 'rng'"),
             (lambda p: p.pop("batches"), "missing field 'batches'"),
             (lambda p: p.update(sampler=[]), "sampler state: expected a JSON object"),
+            (lambda p: p["batches"][0].__setitem__(0, 7), "batches must be"),
+            (lambda p: p["batches"].pop(), "batches must be"),
+            (lambda p: p["batches"][1].append(p["batches"][0][0]), "batches must be"),
+            (lambda p: p["batches"][1].__setitem__(0, "ghost"), "batches must be"),
+            (lambda p: p.update(batches={"1": p["batches"][0]}), "batches must be"),
+            (lambda p: p["sampler"].update(step=2.0), "step must be an integer"),
+            (lambda p: p["sampler"].update(step=True), "step must be an integer"),
+            (lambda p: p["sampler"].update(step=-2), "step must be an integer"),
+            (lambda p: p["learner"].update(ability="0.5"), "ability must be a finite number"),
+            (lambda p: p["learner"].update(ability=math.nan), "ability must be a finite number"),
+            (lambda p: p["learner"].update(ability=True), "ability must be a finite number"),
+            (lambda p: p["learner"].update(ability=10**400), "ability must be a finite number"),
         ],
         ids=[
             "no-sampler-rng",
@@ -297,6 +305,18 @@ class TestCheckpointResume:
             "no-learner-rng",
             "no-batches",
             "sampler-not-an-object",
+            "int-id-in-batch",
+            "batch-missing",
+            "batch-too-long",
+            "unknown-id-in-batch",
+            "batches-not-a-list",
+            "float-step",
+            "bool-step",
+            "negative-step",
+            "string-ability",
+            "nan-ability",
+            "bool-ability",
+            "overflowing-ability",
         ],
     )
     def test_damaged_checkpoint_refused(self, tmp_path, edit, match):
@@ -326,8 +346,9 @@ class TestCheckpointResume:
             resume_experiment(path)
 
     def test_unsupported_version_detected(self, tmp_path):
-        # Version 1 checkpoints carried whole sampler objects; they are refused.
-        for version in (1, 99):
+        # Version 1 checkpoints carried whole sampler objects and version 2 a
+        # pass-rate dict keyed by id; both are refused.
+        for version in (1, 2, 99):
             run_experiment(_tiny(out_dir=str(tmp_path)), stop_after=2)
             path = tmp_path / CHECKPOINT_FILE
             _edit_checkpoint(path, lambda payload: payload.update(format_version=version))
@@ -348,7 +369,12 @@ class TestCheckpointResume:
                 "competence",
             ),
             ("random", lambda s: s.update(pending=["ghost"]), "outside the bank"),
-            ("prioritized", lambda s: s["last_pass_rate"].update(ghost=0.5), "outside the bank"),
+            ("random", lambda s: s["last_pass_rate"].pop(), "bank of 12"),
+            ("curriculum", lambda s: s["last_pass_rate"].__setitem__(0, "0.5"), "null or"),
+            ("prioritized", lambda s: s["last_pass_rate"].__setitem__(0, 1.5), "null or"),
+            ("dynamic", lambda s: s["last_pass_rate"].__setitem__(0, True), "null or"),
+            ("prioritized", lambda s: s.update(uniform_fallbacks=1.0), "uniform_fallbacks"),
+            ("cdas", lambda s: s.update(competence=10**400), "competence must be a finite"),
         ],
     )
     def test_edited_sampler_state_detected(self, tmp_path, strategy, edit, match):

@@ -9,6 +9,7 @@ lines for the hash.  Bank sizes sit on both sides of each block boundary.
 import csv
 import hashlib
 import io
+import math
 import tempfile
 from pathlib import Path
 
@@ -55,7 +56,7 @@ def _problems_csv_oracle(run: RunResult) -> bytes:
             bank.latent.tolist(),
             counts,
             estimates,
-            map(run.final_pass_rates.get, bank.ids),
+            (None if math.isnan(rate) else rate for rate in run.sampler.last_pass_rates.tolist()),
         )
     )
     return text.getvalue().encode()
@@ -104,27 +105,17 @@ def test_problems_csv_matches_csv_writer(
 
     # The same run with edge values in every column: odd id text, untagged
     # problems, negative zero, subnormal and huge latents and estimates.
+    state = run.sampler.state_dict()
     if strategy == "cdas":
-        state = run.sampler.state_dict()
         state["t"] = _tile(counts, n)
         state["difficulty"] = _tile(estimates, n)
         state["competence"] = _competence(np.array(state["difficulty"]))
-        run.sampler.load_state_dict(state)
-    bank = ProblemBank([f"{prefix}{i}" for i in range(n)], _tile(tags, n), _tile(latents, n))
-    final_pass_rates = {
-        bank.ids[run.bank.index[pid]]: rate for pid, rate in run.final_pass_rates.items()
-    }
     for position, rate in rates:
-        final_pass_rates[bank.ids[position % n]] = rate
+        state["last_pass_rate"][position % n] = rate
+    run.sampler.load_state_dict(state)
+    bank = ProblemBank([f"{prefix}{i}" for i in range(n)], _tile(tags, n), _tile(latents, n))
     edged = RunResult(
-        config,
-        bank,
-        bank.content_hash(),
-        run.sampler,
-        run.learner,
-        run.rows,
-        run.batches,
-        final_pass_rates,
+        config, bank, bank.content_hash(), run.sampler, run.learner, run.rows, run.batches
     )
     with tempfile.TemporaryDirectory() as out:
         write_outputs(edged, out)

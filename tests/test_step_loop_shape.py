@@ -5,12 +5,14 @@ and ``ProblemRecord`` wherever a ``cdas`` module holds them.  A whole run,
 set-up and output writing included, must call none of them: each is a
 Python call per batch problem, the cost the array paths remove.  Writing
 the outputs passes rows through ``csv.writer`` per step, never per problem,
-and the bank is hashed once.  This gates the shape of the work, not its
-wall-clock time.
+and the bank is hashed once.  Per-problem state sits in the checkpoint as
+bank-order lists, never as objects keyed by problem id.  This gates the
+shape of the work, not its wall-clock time.
 """
 
 import csv
 import hashlib
+import json
 import sys
 import types
 from collections import Counter
@@ -19,7 +21,7 @@ import pytest
 
 from cdas import core, learner
 from cdas.config import STRATEGIES, ExperimentConfig
-from cdas.harness import run_experiment
+from cdas.harness import CHECKPOINT_FILE, run_experiment
 
 SCALAR = {
     "sigmoid": core.sigmoid,
@@ -111,3 +113,22 @@ def test_writing_outputs_is_per_step_and_the_bank_is_hashed_once(work, tmp_path,
     # problems.csv is written as text blocks.
     assert work["csv_rows"] <= 2 * (config.total_steps + 1)
     assert work["bank_digests"] == 1
+
+
+def _object_keys(value):
+    """Every key of every JSON object inside ``value``."""
+    if isinstance(value, dict):
+        yield from value
+        for item in value.values():
+            yield from _object_keys(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _object_keys(item)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_checkpoint_keys_no_object_by_problem_id(tmp_path, strategy):
+    result = run_experiment(_config(strategy, tmp_path))
+    checkpoint = json.loads((tmp_path / CHECKPOINT_FILE).read_text())
+    keyed_by_id = set(_object_keys(checkpoint)) & set(result.bank.ids)
+    assert not keyed_by_id, sorted(keyed_by_id)[:3]
