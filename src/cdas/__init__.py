@@ -9,8 +9,6 @@ from .baselines import (
 )
 from .config import STRATEGIES, ExperimentConfig
 from .core import (
-    CompetenceState,
-    PassRateObservation,
     ProblemRecord,
     alignment,
     expected_performance,
@@ -43,7 +41,6 @@ from .sampling import CdasSampler
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompetenceState",
     "ComparisonResult",
     "ConfigError",
     "ConsistencyError",
@@ -55,7 +52,6 @@ __all__ = [
     "EquilibriumSolution",
     "ExperimentConfig",
     "METRICS_COLUMNS",
-    "PassRateObservation",
     "PrioritizedSampler",
     "ProblemBank",
     "ProblemRecord",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,6 +59,9 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def validate(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name}: must be finite, got {value}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy: must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.n_problems < 1:

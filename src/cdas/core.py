@@ -50,35 +50,6 @@ class ProblemRecord:
             raise ValueError(f"difficulty must be finite, got {self.difficulty}")
 
 
-@dataclass(frozen=True, slots=True)
-class CompetenceState:
-    """Scalar competence plus the number of completed scheduler steps."""
-
-    competence: float = 0.0
-    step: int = 0
-
-    def __post_init__(self):
-        if not math.isfinite(self.competence):
-            raise ValueError(f"competence must be finite, got {self.competence}")
-        if self.step < 0:
-            raise ValueError(f"step must be >= 0, got {self.step}")
-
-
-@dataclass(frozen=True, slots=True)
-class PassRateObservation:
-    """Observed pass rate for one problem at one step."""
-
-    problem_id: str
-    pass_rate: float
-    step: int = 0
-
-    def __post_init__(self):
-        if not (0.0 <= self.pass_rate <= 1.0):
-            raise ValueError(
-                f"pass_rate must be in [0, 1], got {self.pass_rate} for {self.problem_id}"
-            )
-
-
 def sigmoid(z: float) -> float:
     """Logistic function with output clamped to the open interval (0, 1).
 

@@ -15,13 +15,14 @@ import dataclasses
 import json
 import logging
 import math
+import typing
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .baselines import DynamicSampler, PrioritizedSampler
+from .baselines import PrioritizedSampler
 from .config import SAMPLERS, ExperimentConfig
 from .errors import ConfigError
 from .files import replacing
@@ -164,16 +165,11 @@ def _advance(run: RunResult, target_step: int) -> None:
     rollouts = run.learner.rollouts
     latent = run.bank.latent
     while sampler.step < target_step:
-        if isinstance(sampler, DynamicSampler):
-            batch_ids, counts, consumed = sampler.select_and_roll(
-                config.batch_size,
-                rollouts,
-                lambda indices, needed: run.learner.pass_counts(latent[indices], needed),
-            )
-        else:
-            batch_ids = sampler.select_batch(config.batch_size)
-            counts = run.learner.pass_counts(latent[sampler.pending])
-            consumed = len(batch_ids)
+        batch_ids, counts, consumed = sampler.select_and_roll(
+            config.batch_size,
+            rollouts,
+            lambda indices, needed: run.learner.pass_counts(latent[indices], needed),
+        )
         batch = sampler.pending
         counts = np.array(counts)
         pass_rates = counts / rollouts
@@ -237,7 +233,12 @@ _CHECKPOINT_FIELDS = (
     "format_version", "config", "config_hash", "bank_hash", "step",
     "sampler", "learner", "metrics_rows", "batches",
 )
-_METRICS_FIELDS = {f.name for f in dataclasses.fields(StepMetrics)}
+# Each metrics field's allowed JSON value types, by exact type: an int where a
+# float belongs would be written back into metrics.csv without its ".0".
+_METRICS_TYPES = {
+    name: set(typing.get_args(hint) or (hint,))
+    for name, hint in typing.get_type_hints(StepMetrics).items()
+}
 
 
 def _require(value, fields, what: str) -> None:
@@ -269,11 +270,17 @@ def load_checkpoint(path: str | Path) -> dict:
         _require(payload["learner"], ("ability", "rng"), "learner state")
         rows = payload["metrics_rows"]
         if not isinstance(rows, list) or any(
-            not isinstance(row, dict) or set(row) != _METRICS_FIELDS for row in rows
+            not isinstance(row, dict) or set(row) != set(_METRICS_TYPES) for row in rows
         ):
             raise ConfigError(
-                f"metrics rows must each hold exactly the fields {sorted(_METRICS_FIELDS)}"
+                f"metrics rows must each hold exactly the fields {sorted(_METRICS_TYPES)}"
             )
+        for step, row in enumerate(rows, start=1):
+            bad = [name for name, types in _METRICS_TYPES.items() if type(row[name]) not in types]
+            if bad:
+                raise ConfigError(f"metrics row {step}: {bad[0]} has a wrong type, {row[bad[0]]!r}")
+            if row["step"] != step:
+                raise ConfigError(f"metrics row {step} has step {row['step']}")
     except ConfigError as err:
         raise ConfigError(f"checkpoint {path}: {err}") from err
     if config.content_hash() != payload.get("config_hash"):
@@ -326,7 +333,7 @@ def resume_experiment(
     if not _batches_fit(batches, sampler.step, config.batch_size, bank):
         raise ConfigError(
             f"checkpoint {checkpoint_path}: batches must be {sampler.step} lists of "
-            f"{config.batch_size} problem ids from the bank, one per recorded step"
+            f"{config.batch_size} distinct problem ids from the bank, one per recorded step"
         )
     run = RunResult(config, bank, bank_hash, sampler, learner, rows=rows, batches=batches)
     if target <= sampler.step:
@@ -342,7 +349,7 @@ def resume_experiment(
 
 
 def _batches_fit(batches, steps: int, batch_size: int, bank: ProblemBank) -> bool:
-    """Whether ``batches`` is ``steps`` lists of ``batch_size`` str ids in ``bank``."""
+    """Whether ``batches`` is ``steps`` lists of ``batch_size`` distinct str ids in ``bank``."""
     return (
         isinstance(batches, list)
         and len(batches) == steps
@@ -350,6 +357,7 @@ def _batches_fit(batches, steps: int, batch_size: int, bank: ProblemBank) -> boo
             isinstance(batch, list)
             and len(batch) == batch_size
             and all(type(pid) is str and pid in bank.index for pid in batch)
+            and len(set(batch)) == batch_size
             for batch in batches
         )
     )

@@ -109,14 +109,37 @@ class SyntheticLearner:
         return {"ability": self.ability, "rng": self._rng.bit_generator.state}
 
     def load_state_dict(self, payload: dict) -> None:
-        """Restore ``state_dict`` output, refusing an ability that is not a finite number."""
+        """Restore ``state_dict`` output.
+
+        Raises:
+            ConfigError: the ability is not a finite number, or the rng state
+                does not fit this learner's bit generator; the learner is left
+                untouched.
+        """
         ability = payload["ability"]
         # By exact type: bool is an int subclass, and float() would parse a
         # string.  The bound refuses NaN, infinities and ints too large for a float.
         if type(ability) not in (int, float) or not abs(ability) <= sys.float_info.max:
             raise ConfigError(f"learner state: ability must be a finite number, got {ability!r}")
+        check_rng_state(self._rng, payload["rng"], "learner state")
         self.ability = float(ability)
         self._rng.bit_generator.state = payload["rng"]
+
+
+def check_rng_state(generator: np.random.Generator, state, what: str) -> None:
+    """Refuse, with ConfigError, a ``state`` that ``generator`` would not restore as given.
+
+    The state is tried on a scratch bit generator of the same kind, so
+    ``generator`` is left alone either way.
+    """
+    scratch = type(generator.bit_generator)(0)
+    try:
+        scratch.state = state
+        restored = scratch.state == state
+    except (TypeError, ValueError, KeyError, OverflowError):
+        restored = False
+    if not restored:
+        raise ConfigError(f"{what}: rng must be a {type(scratch).__name__} bit generator state")
 
 
 class ProblemBank:

@@ -1,13 +1,13 @@
 """The shared sampler contract and the competence-difficulty alignment sampler.
 
 Every strategy is a ``Sampler`` built on a fixed ``ProblemBank``: it hands out
-one batch of ids at a time and accepts outcomes only for the batch it handed
-out.  Inside, a batch is an array of bank indices: strategies choose indices,
-the pending batch is held as indices, and outcomes are folded in from index
-and pass-rate arrays.  ``report_indices`` takes those arrays directly;
-``report_outcomes`` is its wrapper for ``PassRateObservation``s.  A
-checkpoint holds only what changes while a run goes on; the rest is rebuilt
-by constructing the sampler again from its config and bank.
+one batch at a time and accepts outcomes only for the batch it handed out.
+Inside, a batch is an array of bank indices: strategies choose indices, the
+pending batch is held as indices, and ``report_indices`` folds outcomes in
+from index and pass-rate arrays.  ``select_and_roll`` picks a batch and rolls
+it out in one call, the same call for every strategy.  A checkpoint holds
+only what changes while a run goes on; the rest is rebuilt by constructing
+the sampler again from its config and bank.
 
 Alignment selection runs in two phases.  A warm-up phase walks a fixed random
 permutation of the bank in batch-size chunks so every problem collects at
@@ -30,16 +30,16 @@ import sys
 
 import numpy as np
 
-from .core import CompetenceState, ProblemRecord, sigmoid_array
+from .core import ProblemRecord, sigmoid_array
 from .errors import ConfigError, ConsistencyError
-from .learner import ProblemBank
+from .learner import ProblemBank, check_rng_state
 
 
 class Sampler:
     """Select/report contract shared by every strategy.
 
-    A sampler is a single logical actor: interleave ``select_batch`` and
-    ``report_outcomes`` (or ``report_indices``), one batch at a time.
+    A sampler is a single logical actor: interleave ``select_batch`` (or
+    ``select_and_roll``) and ``report_indices``, one batch at a time.
     Subclasses set ``strategy``, choose the bank indices of a batch in
     ``_choose``, fold validated outcomes into their own state in ``_fold``
     and name that state in ``_state``/``_load_state``.  Every sampler keeps
@@ -95,6 +95,28 @@ class Sampler:
         self._hold(self._choose(batch_size))
         return self._ids(self._pending)
 
+    def select_and_roll(
+        self, batch_size: int, group_size: int, roll_round
+    ) -> tuple[list[str], list[int], int]:
+        """Pick the next batch and roll it out with one ``roll_round(indices, None)``.
+
+        ``roll_round`` gets the batch's bank indices and returns one pass
+        count per problem, each out of ``group_size`` rollouts.  Returns the
+        batch, its pass counts and the rollout groups consumed, one per
+        problem.  The batch is pending until its outcomes are reported.
+
+        Raises:
+            ConsistencyError: ``roll_round`` did not return one count per
+                batch problem.
+        """
+        batch = self.select_batch(batch_size)
+        counts = roll_round(self._pending, None)
+        if len(counts) != batch_size:
+            raise ConsistencyError(
+                f"roll_round returned {len(counts)} pass counts for a batch of {batch_size}"
+            )
+        return batch, counts, batch_size
+
     def _choose(self, batch_size: int) -> np.ndarray:
         raise NotImplementedError
 
@@ -109,31 +131,19 @@ class Sampler:
 
     # -- outcome reporting -------------------------------------------------
 
-    def report_outcomes(self, outcomes) -> None:
-        """Fold observations for the pending batch in and advance the step.
-
-        Raises ConsistencyError, leaving the sampler untouched, when no batch
-        is pending or an outcome names an unknown problem, a problem outside
-        the pending batch, or a problem already reported in this call.  The
-        first outcome that fails is the one named.
-        """
-        outcomes = list(outcomes)
-        self._check_pending("report_outcomes")
-        index = self.bank.index
-        indices = np.fromiter(
-            (index.get(obs.problem_id, -1) for obs in outcomes), np.intp, len(outcomes)
-        )
-        rates = np.fromiter((obs.pass_rate for obs in outcomes), np.float64, len(outcomes))
-        self._report(indices, rates, lambda k: outcomes[k].problem_id)
-
     def report_indices(self, indices, pass_rates) -> None:
-        """``report_outcomes`` for the bank indices and pass rates of a batch.
+        """Fold in the pass rates of the pending batch, by bank index, and advance the step.
 
-        Refuses what ``report_outcomes`` refuses, an index outside the bank
-        as an unknown problem, and raises ValueError for a pass rate outside
-        [0, 1]; a refusal leaves the sampler untouched.
+        Raises ConsistencyError when no batch is pending or an outcome names
+        an index outside the bank (an unknown problem), a problem outside the
+        pending batch, or a problem already reported in this call; the first
+        outcome that fails is named, by the first check it fails.  Raises
+        ValueError for arrays of different lengths, indices that are not
+        integers, or a pass rate outside [0, 1].  A refusal leaves the
+        sampler untouched.
         """
-        self._check_pending("report_indices")
+        if self._pending is None:
+            raise ConsistencyError("report_indices called with no batch outstanding")
         indices = np.asarray(indices)
         rates = np.asarray(pass_rates, dtype=np.float64)
         if indices.ndim != 1 or rates.shape != indices.shape:
@@ -144,25 +154,6 @@ class Sampler:
         if indices.size and indices.dtype.kind not in "iu":
             raise ValueError(f"report_indices needs integer indices, got {indices.dtype}")
         indices = indices.astype(np.intp, copy=False)
-        n = len(self.bank)
-
-        def name(k: int) -> str:
-            i = int(indices[k])
-            return self.bank.ids[i] if 0 <= i < n else f"at bank index {i}"
-
-        self._report(indices, rates, name)
-
-    def _check_pending(self, caller: str) -> None:
-        if self._pending is None:
-            raise ConsistencyError(f"{caller} called with no batch outstanding")
-
-    def _report(self, indices: np.ndarray, rates: np.ndarray, name) -> None:
-        """Check a report against the pending batch, then fold it in.
-
-        ``indices`` holds -1 (or any index outside the bank) for an unknown
-        problem, and ``name(k)`` names the problem of outcome ``k``.  The
-        first refused outcome is named, by the first check it fails.
-        """
         n = len(self.bank)
         known = (indices >= 0) & (indices < n)
         in_batch = np.zeros(n, dtype=bool)
@@ -176,13 +167,15 @@ class Sampler:
         refused = ~known | outside | repeat | bad_rate
         if refused.any():
             k = int(np.argmax(refused))
+            i = int(indices[k])
             if not known[k]:
-                raise ConsistencyError(f"unknown problem id {name(k)}")
+                raise ConsistencyError(f"unknown problem id at bank index {i}")
+            name = self.bank.ids[i]
             if outside[k]:
-                raise ConsistencyError(f"problem {name(k)} was not in the most recent batch")
+                raise ConsistencyError(f"problem {name} was not in the most recent batch")
             if repeat[k]:
-                raise ConsistencyError(f"duplicate outcome for problem {name(k)}")
-            raise ValueError(f"pass_rate must be in [0, 1], got {rates[k]} for {name(k)}")
+                raise ConsistencyError(f"duplicate outcome for problem {name}")
+            raise ValueError(f"pass_rate must be in [0, 1], got {rates[k]} for {name}")
         self._fold(indices, rates)
         self._last_pass_rate[indices] = rates
         self._step += 1
@@ -210,8 +203,9 @@ class Sampler:
 
         Raises:
             ConfigError: the payload belongs to another strategy, does not
-                fit this sampler's bank, or holds a step or pass rate that is
-                out of range or of the wrong type; the sampler is left
+                fit this sampler's bank, holds a step, pending batch or pass
+                rate that is out of range or of the wrong type, or an rng
+                state that does not fit the bit generator; the sampler is left
                 untouched.
         """
         if payload.get("strategy") != self.strategy:
@@ -221,6 +215,14 @@ class Sampler:
             )
         pending = payload["pending"]
         if pending is not None:
+            if (
+                not isinstance(pending, list)
+                or not set(map(type, pending)) <= {str}
+                or len(set(pending)) < len(pending)
+            ):
+                raise ConfigError(
+                    "sampler state: pending must be null or a list of distinct problem ids"
+                )
             unknown = [pid for pid in pending if pid not in self.bank.index]
             if unknown:
                 raise ConfigError(
@@ -233,6 +235,7 @@ class Sampler:
         if type(step) is not int or step < 0:
             raise ConfigError(f"sampler state: step must be an integer >= 0, got {step!r}")
         last_pass_rate = self._load_rates(payload["last_pass_rate"])
+        check_rng_state(self._rng, payload["rng"], "sampler state")
         self._load_state(payload)
         self._step = step
         self._last_pass_rate = last_pass_rate
@@ -275,8 +278,7 @@ class CdasSampler(Sampler):
     The per-problem estimates live in bank-order arrays: visit counts ``t``,
     all 0 at the start, and difficulty estimates ``D``, all
     ``initial_difficulty``.  ``estimates`` is a read-only view of ``D``;
-    ``records``, ``record()`` and ``difficulties()`` build id-keyed views of
-    them on demand.
+    ``records`` and ``record()`` build id-keyed views of them on demand.
     """
 
     strategy = "cdas"
@@ -298,16 +300,17 @@ class CdasSampler(Sampler):
         self._check_batch_size(self.batch_size)
         if not math.isfinite(initial_difficulty):
             raise ConfigError(f"initial_difficulty: must be finite, got {initial_difficulty}")
+        if not math.isfinite(initial_competence):
+            raise ConfigError(f"initial_competence: must be finite, got {initial_competence}")
+        self._competence = initial_competence
         n = len(bank)
         self._t = np.zeros(n, dtype=np.int64)
         self._D = np.full(n, initial_difficulty, dtype=np.float64)
         # Each id's position in ascending id order: the alignment tie-break.
         self._rank = np.empty(n, dtype=np.int64)
         self._rank[sorted(range(n), key=bank.ids.__getitem__)] = np.arange(n)
-        self._warmup_order = rng.permutation(n)
+        self._warmup_walk = rng.permutation(n)
         self.warmup_steps = math.ceil(n / self.batch_size) if warmup else 0
-        # CompetenceState refuses a non-finite start.
-        self._competence = CompetenceState(competence=initial_competence).competence
 
     @classmethod
     def from_config(cls, config, bank: ProblemBank, rng: np.random.Generator) -> "CdasSampler":
@@ -325,17 +328,8 @@ class CdasSampler(Sampler):
     def competence_value(self) -> float:
         return self._competence
 
-    @property
-    def competence_state(self) -> CompetenceState:
-        return CompetenceState(competence=self._competence, step=self._step)
-
     def in_warmup(self) -> bool:
         return self._step < self.warmup_steps
-
-    @property
-    def warmup_order(self) -> tuple[str, ...]:
-        """The permutation of problem ids the warm-up batches walk."""
-        return tuple(self.bank.ids[i] for i in self._warmup_order.tolist())
 
     # -- read-only views -------------------------------------------------
 
@@ -370,10 +364,6 @@ class CdasSampler(Sampler):
             difficulty=self._D[i].item(),
         )
 
-    def difficulties(self, problem_ids) -> list[float]:
-        """Current difficulty estimates of ``problem_ids``, in the order given."""
-        return self._D[[self.bank.index[pid] for pid in problem_ids]].tolist()
-
     # -- selection --------------------------------------------------------
 
     def _check_batch_size(self, batch_size: int) -> None:
@@ -387,7 +377,7 @@ class CdasSampler(Sampler):
         n = len(self.bank)
         if self.in_warmup():
             offsets = self._step * batch_size + np.arange(batch_size)
-            return self._warmup_order[offsets % n]
+            return self._warmup_walk[offsets % n]
         gap = np.abs(self._competence - self._D)
         if self.symmetric:
             return self._select_symmetric(batch_size, gap)

@@ -17,7 +17,6 @@ from scipy.stats import spearmanr
 from cdas.cli import main as cli_main
 from cdas.config import STRATEGIES, ExperimentConfig
 from cdas.core import (
-    PassRateObservation,
     ProblemRecord,
     instantaneous_difficulty,
     update_difficulty,
@@ -253,9 +252,8 @@ def test_criterion_05_symmetric_batch_law(capsys):
                     if picked and skipped and max(picked) > min(skipped):
                         violations += 1
             groups = [learner.rollout_group(pid, bank.latent[bank.index[pid]]) for pid in batch]
-            sampler.report_outcomes(
-                PassRateObservation(problem_id=g.problem_id, pass_rate=g.pass_rate)
-                for g in groups
+            sampler.report_indices(
+                [bank.index[g.problem_id] for g in groups], [g.pass_rate for g in groups]
             )
             learner.learn_step(
                 [(g.pass_rate, group_advantages(g)[1]) for g in groups]

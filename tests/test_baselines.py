@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from cdas.core import PassRateObservation
 from cdas.errors import ConfigError, ConsistencyError, RolloutBudgetError
 from cdas.baselines import (
     CurriculumSampler,
@@ -25,10 +24,6 @@ def _bank(n, tagged=True):
     """Problems p000, p001, ... tagged 1, 2, 3, 4, 5, 1, ... in turn."""
     tags = [(i % 5) + 1 if tagged else None for i in range(n)]
     return _named_bank([f"p{i:03d}" for i in range(n)], tags)
-
-
-def _obs(pid, rate):
-    return PassRateObservation(problem_id=pid, pass_rate=rate)
 
 
 def _with_rates(sampler, rates):
@@ -87,15 +82,15 @@ class TestCurriculumSampler:
         for _ in range(3):
             batch = curriculum.select_batch(6)
             assert batch == random_sampler.select_batch(6)
-            curriculum.report_outcomes([_obs(pid, 0.5) for pid in batch])
-            random_sampler.report_outcomes([])
+            curriculum.report_indices(curriculum.pending, [0.5] * len(batch))
+            random_sampler.report_indices([], [])
 
     def test_only_high_levels_after_the_switch(self):
         sampler = CurriculumSampler(_bank(50), rng=np.random.default_rng(2), switch_step=0)
         for _ in range(20):
             batch = sampler.select_batch(5)
             assert all(sampler.bank.level_tags[sampler.bank.index[pid]] >= 4 for pid in batch)
-            sampler.report_outcomes([_obs(pid, 0.5) for pid in batch])
+            sampler.report_indices(sampler.pending, [0.5] * len(batch))
 
     def test_threshold_five_with_pool_equal_to_batch(self):
         bank = _bank(25)  # five problems per level
@@ -286,7 +281,7 @@ class TestDynamicSampler:
 
 class TestReportOutcomes:
     # Outcomes are accepted only for the pending batch; a bank-sized batch
-    # makes every id reportable.  The full contract, for every strategy, is
+    # makes every problem reportable.  The full contract, for every strategy, is
     # pinned in test_cdas_sampler.TestConsistencyChecks.  Every sampler keeps
     # the latest pass rates; prioritized is the baseline that reads them.
 
@@ -297,7 +292,7 @@ class TestReportOutcomes:
 
     def test_records_latest_pass_rate(self):
         sampler = self._armed()
-        sampler.report_outcomes([_obs("p001", 0.75)])
+        sampler.report_indices([1], [0.75])
         last = sampler.last_pass_rates
         assert last[1] == 0.75
         assert np.isnan(np.delete(last, 1)).all()
@@ -305,14 +300,14 @@ class TestReportOutcomes:
 
     def test_empty_outcomes_only_advance_the_step(self):
         sampler = self._armed()
-        sampler.report_outcomes([])
+        sampler.report_indices([], [])
         assert sampler.step == 1
         assert np.isnan(sampler.last_pass_rates).all()
 
     def test_unknown_id_rejected(self):
         sampler = self._armed()
         with pytest.raises(ConsistencyError, match="unknown"):
-            sampler.report_outcomes([_obs("nope", 0.5)])
+            sampler.report_indices([len(sampler.bank)], [0.5])
 
 
 class TestSerialization:
@@ -329,18 +324,10 @@ class TestSerialization:
     )
     def test_round_trip_preserves_behavior(self, factory):
         sampler = factory(_bank(15))
-        if isinstance(sampler, DynamicSampler):
-            batch, _, _ = sampler.select_and_roll(4, 4, _rolls(lambda i: 2))
-        else:
-            batch = sampler.select_batch(4)
-        sampler.report_outcomes([_obs(pid, 0.5) for pid in batch])
+        sampler.select_and_roll(4, 4, _rolls(lambda i: 2))
+        sampler.report_indices(sampler.pending, [0.5] * 4)
         clone = factory(_bank(15))
         clone.load_state_dict(sampler.state_dict())
         assert clone.state_dict() == sampler.state_dict()
-        if isinstance(sampler, DynamicSampler):
-            want, _, _ = sampler.select_and_roll(4, 4, _rolls(lambda i: 2))
-            got, _, _ = clone.select_and_roll(4, 4, _rolls(lambda i: 2))
-        else:
-            want = sampler.select_batch(4)
-            got = clone.select_batch(4)
-        assert got == want
+        want = sampler.select_and_roll(4, 4, _rolls(lambda i: 2))
+        assert clone.select_and_roll(4, 4, _rolls(lambda i: 2)) == want

@@ -5,23 +5,23 @@ import math
 import numpy as np
 import pytest
 
-from cdas.baselines import DynamicSampler
 from cdas.config import SAMPLERS, STRATEGIES, ExperimentConfig
-from cdas.core import PassRateObservation, ProblemRecord, alignment
+from cdas.core import ProblemRecord, alignment
 from cdas.errors import ConfigError, ConsistencyError
-from cdas.learner import ProblemBank
+from cdas.learner import ProblemBank, SyntheticLearner, generate_bank
 from cdas.sampling import CdasSampler
 
 
-def _obs(pid, rate):
-    return PassRateObservation(problem_id=pid, pass_rate=rate)
+def _report(sampler, outcomes, unknown=-1):
+    """Report ``(id, pass_rate)`` pairs by bank index; an unknown id becomes ``unknown``."""
+    outcomes = list(outcomes)
+    sampler.report_indices(
+        [sampler.bank.index.get(pid, unknown) for pid, _ in outcomes],
+        [rate for _, rate in outcomes],
+    )
 
 
-def _report_outcomes(sampler, outcomes):
-    sampler.report_outcomes(outcomes)
-
-
-def _refused(sampler, outcomes, report=_report_outcomes):
+def _refused(sampler, outcomes, report=_report):
     """True when ``report(sampler, outcomes)`` raises ConsistencyError."""
     try:
         report(sampler, outcomes)
@@ -131,7 +131,8 @@ class TestWarmup:
     def test_chunks_walk_the_permutation_and_wrap(self):
         difficulties = {f"p{i}": 0.0 for i in range(5)}
         sampler = _fresh(difficulties, batch_size=2, t=0)
-        order = sampler.warmup_order
+        # The permutation a generator with the sampler's seed draws first.
+        order = [f"p{i}" for i in np.random.default_rng(0).permutation(5)]
         expected = [
             [order[0], order[1]],
             [order[2], order[3]],
@@ -141,9 +142,7 @@ class TestWarmup:
             assert sampler.in_warmup()
             batch = sampler.select_batch(2)
             assert batch == want
-            sampler.report_outcomes(
-                [PassRateObservation(problem_id=pid, pass_rate=0.5) for pid in batch]
-            )
+            sampler.report_indices(sampler.pending, [0.5] * len(batch))
         assert not sampler.in_warmup()
         counts = sorted(record.t for record in sampler.records.values())
         assert counts == [1, 1, 1, 1, 2]
@@ -156,10 +155,7 @@ class TestWarmup:
         rng = np.random.default_rng(99)
         for _ in range(sampler.warmup_steps):
             batch = sampler.select_batch(batch_size)
-            sampler.report_outcomes(
-                PassRateObservation(problem_id=pid, pass_rate=float(rng.integers(0, 5)) / 4.0)
-                for pid in batch
-            )
+            sampler.report_indices(sampler.pending, rng.integers(0, 5, len(batch)) / 4.0)
         assert not sampler.in_warmup()
         assert min(record.t for record in sampler.records.values()) >= 1
 
@@ -174,7 +170,7 @@ class TestReportOutcomes:
         sampler = _fresh(difficulties, batch_size=1, t=0, warmup=False, symmetric=False)
         batch = sampler.select_batch(1)
         assert batch == ["x1"]  # all-zero alignments tie-break on id
-        sampler.report_outcomes([PassRateObservation(problem_id="x1", pass_rate=1.0)])
+        _report(sampler, [("x1", 1.0)])
         assert sampler.record("x1").difficulty == -0.5
         assert sampler.competence_value == 0.5 / 5
         assert sampler.step == 1
@@ -184,9 +180,7 @@ class TestReportOutcomes:
         sampler = _fresh(difficulties, batch_size=4, t=0, warmup=False)
         batch = sampler.select_batch(4)
         # sigmoid(C - D) = 0.5 everywhere, so s = 0.5 leaves d at zero.
-        sampler.report_outcomes(
-            [PassRateObservation(problem_id=pid, pass_rate=0.5) for pid in batch]
-        )
+        sampler.report_indices(sampler.pending, [0.5] * len(batch))
         assert all(record.difficulty == 0.0 for record in sampler.records.values())
         assert sampler.competence_value == 0.0
 
@@ -199,9 +193,7 @@ class TestReportOutcomes:
         )
         batch = sampler.select_batch(2)
         assert set(batch) == {"a", "b"}
-        sampler.report_outcomes(
-            [PassRateObservation(problem_id=pid, pass_rate=0.75) for pid in batch]
-        )
+        sampler.report_indices(sampler.pending, [0.75] * len(batch))
         assert sampler.record("a").difficulty == sampler.record("b").difficulty
 
     def test_all_outcomes_score_against_pre_batch_competence(self):
@@ -210,12 +202,7 @@ class TestReportOutcomes:
         # before the second.
         sampler = _fresh({"a": 0.1, "b": 0.1}, batch_size=2, warmup=False)
         sampler.select_batch(2)
-        sampler.report_outcomes(
-            [
-                PassRateObservation(problem_id="a", pass_rate=1.0),
-                PassRateObservation(problem_id="b", pass_rate=1.0),
-            ]
-        )
+        _report(sampler, [("a", 1.0), ("b", 1.0)])
         assert sampler.record("a").difficulty == sampler.record("b").difficulty
 
     def test_outcome_order_is_irrelevant(self):
@@ -223,20 +210,14 @@ class TestReportOutcomes:
         rng = np.random.default_rng(5)
         for _ in range(3):
             batch = sampler.select_batch(4)
-            sampler.report_outcomes(
-                PassRateObservation(problem_id=pid, pass_rate=float(rng.integers(0, 5)) / 4.0)
-                for pid in batch
-            )
+            sampler.report_indices(sampler.pending, rng.integers(0, 5, len(batch)) / 4.0)
         clone = _fresh(SIX_PROBLEMS, batch_size=4, seed=23, t=0)
         clone.load_state_dict(sampler.state_dict())
         batch = sampler.select_batch(4)
         assert clone.select_batch(4) == batch
-        outcomes = [
-            PassRateObservation(problem_id=pid, pass_rate=rate)
-            for pid, rate in zip(batch, (1.0, 0.25, 0.0, 0.75))
-        ]
-        sampler.report_outcomes(outcomes)
-        clone.report_outcomes(reversed(outcomes))
+        outcomes = list(zip(batch, (1.0, 0.25, 0.0, 0.75)))
+        _report(sampler, outcomes)
+        _report(clone, reversed(outcomes))
         assert clone.state_dict() == sampler.state_dict()
 
     def test_competence_is_negated_mean_difficulty(self):
@@ -244,10 +225,7 @@ class TestReportOutcomes:
         rng = np.random.default_rng(8)
         for _ in range(6):
             batch = sampler.select_batch(2)
-            sampler.report_outcomes(
-                PassRateObservation(problem_id=pid, pass_rate=float(rng.random()))
-                for pid in batch
-            )
+            sampler.report_indices(sampler.pending, rng.random(len(batch)))
         estimates = [record.difficulty for record in sampler.records.values()]
         assert sampler.competence_value == pytest.approx(-np.mean(estimates), abs=1e-12)
 
@@ -271,80 +249,72 @@ def _strategy_sampler(strategy):
 def _armed(strategy):
     """A ``strategy`` sampler with a batch of four pending, and that batch."""
     sampler = _strategy_sampler(strategy)
-    if isinstance(sampler, DynamicSampler):
-        batch, _, _ = sampler.select_and_roll(4, 4, lambda indices, needed: [2] * len(indices))
-    else:
-        batch = sampler.select_batch(4)
+    batch, _, _ = sampler.select_and_roll(4, 4, lambda indices, needed: [2] * len(indices))
     return sampler, batch
 
 
 class TestConsistencyChecks:
     """The report contract, checked on every strategy.
 
-    Each case loops over ``STRATEGIES`` and names the strategy on failure.
+    Outcomes are ``(id, pass_rate)`` pairs reported by bank index; an
+    unknown id becomes index -1.  Each case loops over ``STRATEGIES`` and
+    names the strategy on failure.
     """
 
-    report = staticmethod(_report_outcomes)
+    report = staticmethod(_report)
 
     def refused(self, sampler, outcomes):
         return _refused(sampler, outcomes, self.report)
 
     def test_report_without_batch(self):
         for strategy in STRATEGIES:
-            assert self.refused(_strategy_sampler(strategy), [_obs("x1", 0.5)]), strategy
+            assert self.refused(_strategy_sampler(strategy), [("x1", 0.5)]), strategy
             sampler, batch = _armed(strategy)
-            self.report(sampler, [_obs(batch[0], 0.5)])
-            assert self.refused(sampler, [_obs(batch[1], 0.5)]), strategy
+            self.report(sampler, [(batch[0], 0.5)])
+            assert self.refused(sampler, [(batch[1], 0.5)]), strategy
 
     def test_unknown_problem(self):
         for strategy in STRATEGIES:
             sampler, _ = _armed(strategy)
-            assert self.refused(sampler, [_obs("ghost", 0.5)]), strategy
+            assert self.refused(sampler, [("ghost", 0.5)]), strategy
 
     def test_problem_outside_batch(self):
         for strategy in STRATEGIES:
             sampler, batch = _armed(strategy)
             outsider = next(pid for pid in SIX_PROBLEMS if pid not in batch)
-            assert self.refused(sampler, [_obs(outsider, 0.5)]), strategy
+            assert self.refused(sampler, [(outsider, 0.5)]), strategy
 
     def test_duplicate_outcome(self):
         for strategy in STRATEGIES:
             sampler, batch = _armed(strategy)
-            assert self.refused(sampler, [_obs(batch[0], 0.5), _obs(batch[0], 1.0)]), strategy
+            assert self.refused(sampler, [(batch[0], 0.5), (batch[0], 1.0)]), strategy
 
     def test_failed_validation_leaves_state_untouched(self):
         for strategy in STRATEGIES:
             sampler, batch = _armed(strategy)
             before = sampler.state_dict()
-            assert self.refused(sampler, [_obs(batch[0], 0.5), _obs(batch[0], 0.5)]), strategy
+            assert self.refused(sampler, [(batch[0], 0.5), (batch[0], 0.5)]), strategy
             assert sampler.state_dict() == before, strategy
             # The batch is still pending and can be reported properly.
-            self.report(sampler, [_obs(pid, 0.5) for pid in batch])
+            self.report(sampler, [(pid, 0.5) for pid in batch])
             assert sampler.step == 1, strategy
 
     def test_first_failing_outcome_is_named(self):
         sampler, batch = _armed("cdas")
         outsider = next(pid for pid in SIX_PROBLEMS if pid not in batch)
-        outcomes = [_obs(batch[0], 0.5), _obs(outsider, 0.5), _obs("ghost", 0.5)]
+        outcomes = [(batch[0], 0.5), (outsider, 0.5), ("ghost", 0.5)]
         with pytest.raises(ConsistencyError, match=f"problem {outsider} was not in"):
             self.report(sampler, outcomes)
         with pytest.raises(ConsistencyError, match=f"duplicate outcome for problem {batch[1]}"):
-            self.report(sampler, [_obs(batch[1], 0.5), _obs(batch[1], 0.5), _obs("ghost", 0.5)])
+            self.report(sampler, [(batch[1], 0.5), (batch[1], 0.5), ("ghost", 0.5)])
 
 
 class TestIndexConsistencyChecks(TestConsistencyChecks):
-    """The same contract through ``report_indices``.
-
-    An unknown id becomes the first index past the end of the bank.
-    """
+    """The same contract, with an unknown id as the first index past the end of the bank."""
 
     @staticmethod
     def report(sampler, outcomes):
-        index, n = sampler.bank.index, len(sampler.bank)
-        sampler.report_indices(
-            [index.get(obs.problem_id, n) for obs in outcomes],
-            [obs.pass_rate for obs in outcomes],
-        )
+        _report(sampler, outcomes, unknown=len(sampler.bank))
 
     @pytest.mark.parametrize("rate", [-0.25, 1.5, float("nan")])
     def test_rate_outside_unit_interval_refused(self, rate):
@@ -375,13 +345,51 @@ class TestIndexConsistencyChecks(TestConsistencyChecks):
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_report_by_index_and_by_observation_agree(strategy):
+    # The pending index array, and the same outcomes as (id, pass_rate)
+    # pairs in reverse order, mapped through the bank's id index.
     by_index, batch = _armed(strategy)
     by_observation, _ = _armed(strategy)
     rates = [1.0, 0.25, 0.0, 0.75]
     by_index.report_indices(by_index.pending, rates)
-    by_observation.report_outcomes(_obs(pid, rate) for pid, rate in zip(batch, rates))
+    _report(by_observation, reversed(list(zip(batch, rates))))
     assert by_index.state_dict() == by_observation.state_dict()
     assert by_index.pending is None and by_index.step == 1
+
+
+@pytest.mark.parametrize("strategy", ["cdas", "random", "curriculum", "prioritized"])
+def test_select_and_roll_is_select_batch_then_one_rollout(strategy):
+    """The shared ``select_and_roll``: ``select_batch``, then one ``pass_counts`` call."""
+    config = ExperimentConfig(n_problems=40, batch_size=8, strategy=strategy, total_steps=6)
+    bank = generate_bank(config.n_problems, np.random.default_rng(3))
+
+    def side(seed):
+        sampler = SAMPLERS[strategy].from_config(config, bank, np.random.default_rng(seed))
+        learner = SyntheticLearner(ability=0.0, rng=np.random.default_rng(seed + 1), rollouts=4)
+        return sampler, learner
+
+    rolled, rolled_learner = side(5)
+    plain, plain_learner = side(5)
+    for _ in range(config.total_steps):
+        got = rolled.select_and_roll(
+            config.batch_size,
+            rolled_learner.rollouts,
+            lambda indices, needed: rolled_learner.pass_counts(bank.latent[indices], needed),
+        )
+        ids = plain.select_batch(config.batch_size)
+        counts = plain_learner.pass_counts(bank.latent[plain.pending])
+        assert got == (ids, counts, config.batch_size)
+        assert np.array_equal(rolled.pending, plain.pending)
+        assert rolled.state_dict() == plain.state_dict()
+        assert rolled_learner.state_dict() == plain_learner.state_dict()
+        rates = np.array(counts) / plain_learner.rollouts
+        rolled.report_indices(rolled.pending, rates)
+        plain.report_indices(plain.pending, rates)
+
+
+def test_select_and_roll_refuses_counts_for_another_batch_size():
+    sampler = _strategy_sampler("random")
+    with pytest.raises(ConsistencyError, match="3 pass counts for a batch of 4"):
+        sampler.select_and_roll(4, 4, lambda indices, needed: [2] * 3)
 
 
 def test_dynamic_select_batch_points_to_select_and_roll():
@@ -392,7 +400,7 @@ def test_dynamic_select_batch_points_to_select_and_roll():
     with pytest.raises(ConsistencyError, match="select_and_roll"):
         sampler.select_batch(4)
     assert sampler.state_dict() == before
-    assert _refused(sampler, [_obs("x1", 0.5)])
+    assert _refused(sampler, [("x1", 0.5)])
 
 
 class TestConfigChecks:
@@ -420,10 +428,15 @@ class TestConfigChecks:
         with pytest.raises(ConfigError, match="initial_difficulty"):
             CdasSampler(_bank("ab"), 2, np.random.default_rng(0), initial_difficulty=math.inf)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_initial_competence(self, value):
+        with pytest.raises(ConfigError, match="initial_competence: must be finite"):
+            CdasSampler(_bank("ab"), 2, np.random.default_rng(0), initial_competence=value)
+
     def test_initial_difficulty_seeds_every_estimate(self):
         sampler = CdasSampler(_bank("abcd"), 2, np.random.default_rng(0), initial_difficulty=-0.5)
         assert sampler.state_dict()["t"] == [0, 0, 0, 0]
-        assert sampler.difficulties("abcd") == [-0.5] * 4
+        assert sampler.estimates.tolist() == [-0.5] * 4
 
 
 class TestBatchInvariants:
@@ -456,12 +469,7 @@ class TestBatchInvariants:
                     skipped = [a for a, pid in side if pid not in chosen]
                     if picked and skipped:
                         assert max(picked) <= min(skipped)
-            sampler.report_outcomes(
-                PassRateObservation(
-                    problem_id=pid, pass_rate=float(rng.integers(0, 5)) / 4.0, step=step
-                )
-                for pid in batch
-            )
+            sampler.report_indices(sampler.pending, rng.integers(0, 5, len(batch)) / 4.0)
         assert min(record.t for record in sampler.records.values()) >= 1
 
     def test_same_seed_same_history_is_bit_identical(self):
@@ -472,10 +480,7 @@ class TestBatchInvariants:
             for _ in range(8):
                 batch = sampler.select_batch(2)
                 batches.append(batch)
-                sampler.report_outcomes(
-                    PassRateObservation(problem_id=pid, pass_rate=float(rng.integers(0, 3)) / 2.0)
-                    for pid in batch
-                )
+                sampler.report_indices(sampler.pending, rng.integers(0, 3, len(batch)) / 2.0)
             return batches, sampler.state_dict()
 
         batches_a, state_a = drive(6)
@@ -490,17 +495,13 @@ class TestSerialization:
         batch = sampler.select_batch(4)
         clone = _fresh(SIX_PROBLEMS, batch_size=4, t=0)
         clone.load_state_dict(sampler.state_dict())
-        clone.report_outcomes(
-            [PassRateObservation(problem_id=pid, pass_rate=0.5) for pid in batch]
-        )
+        _report(clone, [(pid, 0.5) for pid in batch])
         assert clone.step == 1
 
     def test_round_trip_is_identity_on_state(self):
         sampler = _fresh(SIX_PROBLEMS, batch_size=4, t=0)
         batch = sampler.select_batch(4)
-        sampler.report_outcomes(
-            [PassRateObservation(problem_id=pid, pass_rate=0.25) for pid in batch]
-        )
+        sampler.report_indices(sampler.pending, [0.25] * len(batch))
         payload = sampler.state_dict()
         clone = _fresh(SIX_PROBLEMS, batch_size=4, t=0)
         clone.load_state_dict(payload)
@@ -525,7 +526,7 @@ class TestSerialization:
     )
     def test_malformed_estimates_refused(self, field, value):
         sampler = _fresh(SIX_PROBLEMS, batch_size=4, t=0)
-        sampler.report_outcomes([_obs(pid, 0.5) for pid in sampler.select_batch(4)])
+        _report(sampler, [(pid, 0.5) for pid in sampler.select_batch(4)])
         payload = sampler.state_dict()
         payload[field][0] = value
         fresh = _fresh(SIX_PROBLEMS, batch_size=4, t=0)
@@ -551,12 +552,29 @@ class TestSerialization:
                 fresh.load_state_dict(payload)
             assert fresh.state_dict() == before, strategy
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("pending", 5), ("pending", [["x1"]]), ("pending", ["x1", "x1"]), ("rng", {}),
+         ("rng", 5), ("rng", {"bit_generator": "PCG64"})],
+        ids=["int-pending", "nested-pending", "repeated-pending", "empty-rng", "int-rng",
+             "rng-without-state"],
+    )
+    def test_malformed_pending_or_rng_refused(self, field, value):
+        for strategy in STRATEGIES:
+            sampler, _ = _armed(strategy)
+            payload = {**sampler.state_dict(), field: value}
+            fresh = _strategy_sampler(strategy)
+            before = fresh.state_dict()
+            with pytest.raises(ConfigError, match=f"sampler state: {field}"):
+                fresh.load_state_dict(payload)
+            assert fresh.state_dict() == before, strategy
+
     def test_last_pass_rate_ids_outside_the_bank_refused(self):
         # The rates are a bank-order list: an entry past the bank's end would
         # be a rate for a problem outside it.
         for strategy in STRATEGIES:
             sampler, batch = _armed(strategy)
-            sampler.report_outcomes([_obs(pid, 0.5) for pid in batch])
+            _report(sampler, [(pid, 0.5) for pid in batch])
             payload = sampler.state_dict()
             payload["last_pass_rate"].append(0.5)
             fresh = _strategy_sampler(strategy)
@@ -570,7 +588,7 @@ class TestRecordViews:
     def test_records_hand_out_plain_detached_values(self):
         sampler = _fresh(SIX_PROBLEMS, batch_size=4, t=0, warmup=False)
         batch = sampler.select_batch(4)
-        sampler.report_outcomes([_obs(pid, 0.25) for pid in batch])
+        sampler.report_indices(sampler.pending, [0.25] * len(batch))
         before = sampler.state_dict()
         records = sampler.records
         for record in [*records.values(), sampler.record(batch[0])]:
@@ -585,4 +603,6 @@ class TestRecordViews:
     def test_difficulties_follow_the_ids_given(self):
         sampler = _fresh(SIX_PROBLEMS, batch_size=4, warmup=False)
         ids = ["x5", "x1", "x6"]
-        assert sampler.difficulties(ids) == [SIX_PROBLEMS[pid] for pid in ids]
+        at = [sampler.bank.index[pid] for pid in ids]
+        assert sampler.estimates[at].tolist() == [SIX_PROBLEMS[pid] for pid in ids]
+        assert [sampler.record(pid).difficulty for pid in ids] == sampler.estimates[at].tolist()

@@ -118,6 +118,27 @@ class TestRunCommand:
         assert main(["run", "--n-problems", "4", "--batch-size", "9"]) == 2
         assert "batch_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--initial-competence", "nan"],
+            ["--initial-competence", "inf"],
+            ["--learn-rate", "nan"],
+            ["--learn-rate", "inf"],
+            ["--discrimination", "nan"],
+            ["--ability-init", "nan"],
+            ["--strategy", "dynamic", "--dynamic-oversample-factor", "nan"],
+        ],
+        ids=lambda flags: " ".join(flags[-2:]),
+    )
+    def test_non_finite_float_exits_2_before_any_run_directory(self, tmp_path, capsys, flags):
+        out = tmp_path / "run"
+        assert main(["run", *TINY_FLAGS, *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{flags[-2][2:].replace('-', '_')}: must be finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         target = tmp_path / "blocked"
         target.write_text("a file, not a directory")
@@ -204,6 +225,13 @@ class TestResumeCommand:
             lambda payload: payload["sampler"]["difficulty"].__setitem__(0, "0.5"),
             lambda payload: payload["batches"][0].__setitem__(0, 7),
             lambda payload: payload["learner"].update(ability=math.nan),
+            lambda payload: payload["sampler"].update(rng={}),
+            lambda payload: payload["learner"].update(rng=5),
+            lambda payload: payload["sampler"].update(pending=5),
+            lambda payload: payload["sampler"].update(pending=[["x"]]),
+            lambda payload: payload["metrics_rows"][1].update(mean_reward="oops"),
+            lambda payload: payload["metrics_rows"][1].update(step=7),
+            lambda payload: payload["batches"][1].__setitem__(1, payload["batches"][1][0]),
         ],
         ids=[
             "no-sampler-rng",
@@ -214,6 +242,13 @@ class TestResumeCommand:
             "string-estimate",
             "int-id-in-batch",
             "nan-ability",
+            "empty-sampler-rng",
+            "int-learner-rng",
+            "int-pending",
+            "nested-pending",
+            "string-mean-reward",
+            "step-7-in-row-2",
+            "repeated-id-in-batch",
         ],
     )
     def test_damaged_checkpoint_exits_2(self, tmp_path, capsys, edit):

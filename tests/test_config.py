@@ -1,6 +1,7 @@
 """Experiment config: validation, JSON round trip, overrides, hashing."""
 
 import json
+import math
 
 import pytest
 
@@ -31,6 +32,16 @@ class TestValidation:
             ("prioritized_initial_weight", 2.0),
             ("dynamic_retry_cap", 0),
             ("dynamic_oversample_factor", 0.9),
+            ("discrimination", math.nan),
+            ("learn_rate", math.inf),
+            ("ability_init", math.nan),
+            ("bank_scale", math.inf),
+            ("bank_level_spread", math.nan),
+            ("initial_difficulty", -math.inf),
+            ("initial_competence", math.nan),
+            ("initial_competence", math.inf),
+            ("prioritized_initial_weight", math.nan),
+            ("dynamic_oversample_factor", math.nan),
         ],
     )
     def test_bad_field_is_named_in_the_error(self, field, value):

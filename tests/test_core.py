@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from cdas import fixed_point
 from cdas.core import (
-    CompetenceState,
-    PassRateObservation,
     ProblemRecord,
     alignment,
     expected_performance,
@@ -305,19 +303,3 @@ class TestRecordTypes:
     def test_bad_level_rejected(self):
         with pytest.raises(ValueError):
             ProblemRecord(id="x", level_tag=6)
-
-    def test_competence_state_validation(self):
-        with pytest.raises(ValueError):
-            CompetenceState(competence=float("nan"))
-        with pytest.raises(ValueError):
-            CompetenceState(step=-1)
-
-    @pytest.mark.parametrize("rate", [-0.01, 1.01])
-    def test_observation_rate_domain(self, rate):
-        with pytest.raises(ValueError):
-            PassRateObservation(problem_id="x", pass_rate=rate)
-
-    def test_fresh_state_defaults(self):
-        state = CompetenceState()
-        assert state.step == 0
-        assert state.competence == 0.0

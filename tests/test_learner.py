@@ -8,7 +8,6 @@ import re
 import numpy as np
 import pytest
 
-from cdas.core import PassRateObservation
 from cdas.errors import ConfigError
 from cdas.learner import (
     ProblemBank,
@@ -145,6 +144,29 @@ class TestLearnerConfig:
         assert got.rewards == want.rewards
         assert clone.ability == learner.ability
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda good: 5,
+            lambda good: {},
+            lambda good: "state",
+            lambda good: {"bit_generator": "MT19937"},
+            lambda good: {"bit_generator": "PCG64"},
+            # Values the bit generator would drop or truncate without a word.
+            lambda good: {**good, "extra": 1},
+            lambda good: {**good, "state": {**good["state"], "state": 1.5}},
+            lambda good: {**good, "state": {**good["state"], "inc": -1}},
+        ],
+        ids=["int", "empty", "string", "other-bit-generator", "no-state", "extra-key",
+             "fractional-state", "negative-inc"],
+    )
+    def test_malformed_rng_state_refused(self, edit):
+        learner = _learner(0.4, seed=21)
+        before = learner.state_dict()
+        with pytest.raises(ConfigError, match="learner state: rng"):
+            learner.load_state_dict({"ability": 1.5, "rng": edit(before["rng"])})
+        assert learner.state_dict() == before
+
 
 class TestGenerateBank:
     def test_normal_mode_quintiles_are_balanced(self):
@@ -251,7 +273,7 @@ class TestBankContainer:
         sampler = CdasSampler(bank, 4, np.random.default_rng(0))
         for _ in range(3):
             batch = sampler.select_batch(4)
-            sampler.report_outcomes(PassRateObservation(pid, 0.25) for pid in batch)
+            sampler.report_indices(sampler.pending, [0.25] * len(batch))
         assert bank.content_hash() == before
 
     def test_hash_covers_ids_tags_and_latents(self):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from cdas.core import PassRateObservation
 from cdas.grpo import RolloutGroup, group_advantages
 from cdas.metrics import (
     METRICS_COLUMNS,
@@ -57,9 +56,7 @@ class TestSummarizeStep:
         groups = _groups_with_rates([0.0, 0.5, 1.0, 0.25])
         sampler = _random_sampler(n=4)  # a bank-sized batch holds every group's id
         sampler.select_batch(4)
-        sampler.report_outcomes(
-            [PassRateObservation(problem_id=g.problem_id, pass_rate=g.pass_rate) for g in groups]
-        )
+        sampler.report_indices(*_columns(groups, sampler.bank)[:2])
         metrics = summarize_step(*_columns(groups, sampler.bank), sampler, _StubLearner(0.7))
         assert metrics.mean_reward == pytest.approx(0.4375, abs=1e-15)
         assert metrics.zero_gradient_fraction == 0.5  # rates 0.0 and 1.0
@@ -77,9 +74,7 @@ class TestSummarizeStep:
     def test_alignment_sampler_fills_model_columns(self):
         sampler = CdasSampler(_bank(4), batch_size=2, rng=np.random.default_rng(1))
         batch = sampler.select_batch(2)
-        sampler.report_outcomes(
-            [PassRateObservation(problem_id=pid, pass_rate=1.0) for pid in batch]
-        )
+        sampler.report_indices(sampler.pending, [1.0] * len(batch))
         groups = [_group(pid, [1.0, 1.0, 1.0, 1.0]) for pid in batch]
         metrics = summarize_step(*_columns(groups, sampler.bank), sampler, _StubLearner(0.1))
         assert metrics.competence == sampler.competence_value

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdas.core import (
-    PassRateObservation,
     ProblemRecord,
     alignment,
     instantaneous_difficulty,
@@ -123,9 +122,7 @@ def test_array_sampler_matches_the_scalar_reference(scenario):
         batch = sampler.select_batch(batch_size)
         assert batch == reference.select(batch_size), step
         outcomes = list(zip(batch, rates))
-        sampler.report_outcomes(
-            PassRateObservation(problem_id=pid, pass_rate=rate) for pid, rate in outcomes
-        )
+        sampler.report_indices(sampler.pending, rates)
         reference.report(outcomes)
         got = sampler.records
         want = reference.records
@@ -143,6 +140,6 @@ def test_negative_zero_bank_has_the_scalar_competence():
     sampler = _sampler(records, 0.0, batch_size=2)
     reference = ScalarCdas(records, True, 0.0)
     sampler.select_batch(2)
-    sampler.report_outcomes([])
+    sampler.report_indices([], [])
     reference.report([])
     assert _bits([sampler.competence_value]) == _bits([reference.competence])

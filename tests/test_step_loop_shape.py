@@ -1,11 +1,11 @@
 """The step loop works on bank-index arrays, with no per-problem scalar calls.
 
-Counting stand-ins replace the scalar ``sigmoid``, ``PassRateObservation``
-and ``ProblemRecord`` wherever a ``cdas`` module holds them.  A whole run,
-set-up and output writing included, must call none of them: each is a
-Python call per batch problem, the cost the array paths remove.  Writing
-the outputs passes rows through ``csv.writer`` per step, never per problem,
-and the bank is hashed once.  Per-problem state sits in the checkpoint as
+Counting stand-ins replace the scalar ``sigmoid`` and ``ProblemRecord``
+wherever a ``cdas`` module holds them.  A whole run, set-up and output
+writing included, must call neither: each is a Python call per batch
+problem, the cost the array paths remove.  Writing the outputs passes rows
+through ``csv.writer`` per step, never per problem, and the bank is hashed
+once.  Per-problem state sits in the checkpoint as
 bank-order lists, never as objects keyed by problem id.  This gates the
 shape of the work, not its wall-clock time.
 """
@@ -25,7 +25,6 @@ from cdas.harness import CHECKPOINT_FILE, run_experiment
 
 SCALAR = {
     "sigmoid": core.sigmoid,
-    "PassRateObservation": core.PassRateObservation,
     "ProblemRecord": core.ProblemRecord,
 }
 
