@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, RolloutBudgetError
-from .sampling import Sampler
+from .sampling import Sampler, smallest_by
 
 
 class BaselineSampler(Sampler):
@@ -78,11 +78,14 @@ class CurriculumSampler(BaselineSampler):
 class PrioritizedSampler(BaselineSampler):
     """Weighted sampling by failure rate: weight 1 - latest pass rate.
 
-    Unseen problems carry ``initial_weight``.  Batches are drawn sequentially
-    without replacement, renormalizing after each draw, so a zero-weight
-    problem is never taken while positive-weight problems remain.  If no
-    positive weight remains the rest of the batch falls back to uniform and
-    the ``uniform_fallbacks`` counter increments.
+    Unseen problems carry ``initial_weight``.  A batch has the distribution
+    of sequential draws without replacement, each in proportion to the
+    weights that remain, so a zero-weight problem is never taken while
+    positive-weight problems remain.  It is drawn in one go: one exponential
+    per problem and the batch's smallest keys (Efraimidis & Spirakis, 2006).
+    If fewer positive weights than the batch holds remain, the rest of the
+    batch is uniform over the zero-weight problems and the
+    ``uniform_fallbacks`` counter increments.
     """
 
     strategy = "prioritized"
@@ -102,32 +105,19 @@ class PrioritizedSampler(BaselineSampler):
         return cls(bank, rng=rng, initial_weight=config.prioritized_initial_weight)
 
     def _choose(self, batch_size: int) -> np.ndarray:
-        # Each pick does what ``Generator.choice(n, p=weights / total)`` does
-        # inside, so batches and the generator state match that call exactly.
-        n = len(self.bank)
+        # Efraimidis-Spirakis: the smallest keys E / w, E ~ Exp(1), are a
+        # sequential weighted draw without replacement.  A zero weight keys
+        # +inf and ranks after every positive one, even one whose key
+        # overflows to +inf; E breaks the remaining ties at random.
         last = self._last_pass_rate
         weights = np.where(np.isnan(last), self.initial_weight, 1.0 - last)
-        remaining = np.arange(n)
-        picks: list[int] = []
-        fell_back = False
-        for _ in range(batch_size):
-            # Only the live prefix is summed: zero padding would regroup
-            # np.sum's pairwise additions and can move ``total`` by an ulp.
-            total = float(weights[:n].sum())
-            if total <= 0.0:
-                j = int(self._rng.integers(n))
-                fell_back = True
-            else:
-                cdf = (weights[:n] / total).cumsum()
-                cdf /= cdf[-1]
-                j = int(cdf.searchsorted(self._rng.random(), side="right"))
-            picks.append(int(remaining[j]))
-            remaining[j : n - 1] = remaining[j + 1 : n]
-            weights[j : n - 1] = weights[j + 1 : n]
-            n -= 1
-        if fell_back:
+        draws = self._rng.standard_exponential(len(self.bank))
+        zero = weights == 0.0
+        with np.errstate(over="ignore"):
+            keys = np.divide(draws, weights, out=np.full(len(draws), np.inf), where=~zero)
+        if len(draws) - np.count_nonzero(zero) < batch_size:
             self.uniform_fallbacks += 1
-        return np.array(picks, dtype=np.intp)
+        return smallest_by(np.arange(len(draws)), batch_size, keys, zero, draws)
 
     def _state(self) -> dict:
         return {"uniform_fallbacks": self.uniform_fallbacks}

@@ -111,10 +111,13 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 def _load_s_star(path: str) -> np.ndarray:
     text = Path(path).read_text()
     if path.endswith(".json"):
-        payload = json.loads(text)
-        if not isinstance(payload, list):
-            raise ConfigError(f"s_star file {path}: expected a JSON list of pass rates")
-        values = payload
+        try:
+            values = json.loads(text)
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"s_star file {path}: invalid JSON ({err})") from err
+        # By exact type: bool is an int subclass, and numpy would parse a string.
+        if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+            raise ConfigError(f"s_star file {path}: expected a JSON list of numbers")
     else:
         try:
             values = [float(line) for line in text.split() if line.strip()]
@@ -122,21 +125,24 @@ def _load_s_star(path: str) -> np.ndarray:
             raise ConfigError(f"s_star file {path}: {err}") from err
     if not values:
         raise ConfigError(f"s_star file {path}: no values found")
-    return np.asarray(values, dtype=float)
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError as err:
+        raise ConfigError(f"s_star file {path}: {err}") from err
 
 
 def _cmd_fixed_point(args: argparse.Namespace) -> int:
     s_star = _load_s_star(args.s_star)
-    if args.init_seed is not None:
-        rng = np.random.default_rng(args.init_seed)
-        problem = EquilibriumProblem(
-            s_star=s_star,
-            init_d=rng.uniform(-5.0, 5.0, size=s_star.size),
-            init_c=float(rng.uniform(-5.0, 5.0)),
-        )
-    else:
-        problem = EquilibriumProblem(s_star=s_star)
     try:
+        if args.init_seed is not None:
+            rng = np.random.default_rng(args.init_seed)
+            problem = EquilibriumProblem(
+                s_star=s_star,
+                init_d=rng.uniform(-5.0, 5.0, size=s_star.size),
+                init_c=float(rng.uniform(-5.0, 5.0)),
+            )
+        else:
+            problem = EquilibriumProblem(s_star=s_star)
         solution = solve(problem, tolerance=args.tolerance, max_iters=args.max_iters)
     except ValueError as err:
         raise ConfigError(str(err)) from err

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,6 +61,12 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         for name, value in vars(self).items():
+            # By exact type: bool is an int subclass, and a JSON config can
+            # hold a string or a fraction where a number or a flag belongs.
+            if type(value) not in _FIELD_TYPES[name]:
+                raise ConfigError(
+                    f"{name}: must be of type {self.__annotations__[name]}, got {value!r}"
+                )
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{name}: must be finite, got {value}")
         if self.strategy not in STRATEGIES:
@@ -160,3 +167,14 @@ class ExperimentConfig:
         payload.pop("out_dir")
         canonical = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _allowed_types(hint) -> set[type]:
+    """The exact value types a field with type hint ``hint`` accepts; a float also takes an int."""
+    allowed = set(typing.get_args(hint) or (hint,))
+    return (allowed | {int}) if float in allowed else allowed
+
+
+_FIELD_TYPES = {
+    name: _allowed_types(hint) for name, hint in typing.get_type_hints(ExperimentConfig).items()
+}

@@ -265,7 +265,8 @@ def load_checkpoint(path: str | Path) -> dict:
         _require(payload, _CHECKPOINT_FIELDS, "checkpoint")
         _require(payload["config"], (), "config")
         config = ExperimentConfig.from_dict(payload["config"])
-        sampler_cls = SAMPLERS.get(config.strategy, Sampler)
+        config.validate()
+        sampler_cls = SAMPLERS[config.strategy]
         _require(payload["sampler"], sampler_cls.state_fields, "sampler state")
         _require(payload["learner"], ("ability", "rng"), "learner state")
         rows = payload["metrics_rows"]
@@ -279,6 +280,10 @@ def load_checkpoint(path: str | Path) -> dict:
             bad = [name for name, types in _METRICS_TYPES.items() if type(row[name]) not in types]
             if bad:
                 raise ConfigError(f"metrics row {step}: {bad[0]} has a wrong type, {row[bad[0]]!r}")
+            # Python's json module reads NaN and Infinity.
+            bad = [k for k, v in row.items() if type(v) is float and not math.isfinite(v)]
+            if bad:
+                raise ConfigError(f"metrics row {step}: {bad[0]} must be finite, got {row[bad[0]]}")
             if row["step"] != step:
                 raise ConfigError(f"metrics row {step} has step {row['step']}")
     except ConfigError as err:

@@ -35,6 +35,22 @@ from .errors import ConfigError, ConsistencyError
 from .learner import ProblemBank, check_rng_state
 
 
+def smallest_by(candidates: np.ndarray, k: int, *keys: np.ndarray) -> np.ndarray:
+    """The ``k`` candidates smallest by ``keys``, compared in turn, in that order.
+
+    Each key is a bank-order array.  Ties on every key go to the candidate
+    that comes first.  Only the first key is partitioned on: every candidate
+    tied with its k-th smallest value is kept so the later keys decide among
+    them, and only those are sorted.
+    """
+    primary = keys[0][candidates]
+    if k < len(candidates):
+        keep = primary <= np.partition(primary, k - 1)[k - 1]
+        candidates, primary = candidates[keep], primary[keep]
+    order = np.lexsort([key[candidates] for key in reversed(keys[1:])] + [primary])
+    return candidates[order[:k]]
+
+
 class Sampler:
     """Select/report contract shared by every strategy.
 
@@ -381,7 +397,7 @@ class CdasSampler(Sampler):
         gap = np.abs(self._competence - self._D)
         if self.symmetric:
             return self._select_symmetric(batch_size, gap)
-        return self._best_aligned(np.arange(n), gap, batch_size)
+        return smallest_by(np.arange(n), batch_size, gap, self._rank)
 
     def _select_symmetric(self, batch_size: int, gap: np.ndarray) -> np.ndarray:
         harder_mask = self._D > self._competence
@@ -397,24 +413,10 @@ class CdasSampler(Sampler):
             take_easier = min(batch_size - take_harder, len(easier))
         return np.concatenate(
             [
-                self._best_aligned(easier, gap, take_easier),
-                self._best_aligned(harder, gap, take_harder),
+                smallest_by(easier, take_easier, gap, self._rank),
+                smallest_by(harder, take_harder, gap, self._rank),
             ]
         )
-
-    def _best_aligned(self, candidates: np.ndarray, gap: np.ndarray, k: int) -> np.ndarray:
-        """The ``k`` candidates smallest by (gap, id), in that order."""
-        if k == 0:
-            return candidates[:0]
-        side_gap = gap[candidates]
-        if k < len(candidates):
-            # Keep every candidate tied with the k-th gap so the id tie-break
-            # decides among them.
-            kth = np.partition(side_gap, k - 1)[k - 1]
-            keep = side_gap <= kth
-            candidates, side_gap = candidates[keep], side_gap[keep]
-        order = np.lexsort((self._rank[candidates], side_gap))
-        return candidates[order[:k]]
 
     # -- outcome reporting -------------------------------------------------
 

@@ -1,16 +1,24 @@
 """The array paths of prioritized and dynamic sampling against per-draw references.
 
-Prioritized sampling is checked against sequential ``Generator.choice(p=...)``
-draws that delete each pick, and the learner's stop-early block rollout
-against sequential ``rollout_group`` calls.  Both must give the same results
-and leave the generator in the same state, so a numpy release that changes
-``choice`` or the stream layout fails here first.
+Prioritized sampling is checked two ways.  A scalar reference keys each
+problem one Python float at a time and sorts the keys, and must give the
+same batch from the same exponentials and leave the generator in the same
+state.  Its batches must also follow the probabilities of sequential weighted
+draws without replacement, enumerated exactly over every ordered batch.  The
+learner's stop-early block rollout is checked against sequential
+``rollout_group`` calls, for the same results and the same generator state,
+so a numpy release that changes the stream layout fails here first.
 """
+
+import itertools
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 from cdas.baselines import PrioritizedSampler
 from cdas.learner import ProblemBank, SyntheticLearner
@@ -23,26 +31,35 @@ PASS_RATES = st.one_of(
 
 
 def _reference_batch(weights, batch_size, rng):
-    """Draw one batch by ``Generator.choice`` over the remaining weights."""
-    weights = np.array(weights, dtype=np.float64)
-    remaining = list(range(len(weights)))
-    picks, fell_back = [], False
-    for _ in range(batch_size):
-        total = float(weights.sum())
-        if total <= 0.0:
-            j = int(rng.integers(len(remaining)))
-            fell_back = True
-        else:
-            j = int(rng.choice(len(remaining), p=weights / total))
-        picks.append(remaining.pop(j))
-        weights = np.delete(weights, j)
-    return picks, fell_back
+    """Draw one batch by keys ``E / w`` computed and sorted one Python float at a time."""
+    draws = rng.standard_exponential(len(weights)).tolist()
+
+    def key(i):
+        w = weights[i]
+        return (w == 0.0, draws[i] / w if w > 0.0 else math.inf, draws[i], i)
+
+    picks = sorted(range(len(weights)), key=key)[:batch_size]
+    return picks, sum(w > 0.0 for w in weights) < batch_size
+
+
+def _prioritized(n, seed, rates, initial_weight):
+    """A prioritized sampler whose problems ``i`` last reported ``rates[i]``."""
+    sampler = PrioritizedSampler(
+        ProblemBank([f"q{i}" for i in range(n)], [None] * n, [0.0] * n),
+        rng=np.random.default_rng(seed),
+        initial_weight=initial_weight,
+    )
+    state = sampler.state_dict()
+    state["last_pass_rate"] = [rates.get(i) for i in range(n)]
+    sampler.load_state_dict(state)
+    return sampler
 
 
 @st.composite
 def prioritized_cases(draw):
     n = draw(st.integers(1, 40))
-    initial_weight = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    # 5e-324 is the smallest positive weight: every key it divides overflows.
+    initial_weight = draw(st.sampled_from([0.0, 0.3, 1.0, 5e-324]))
     # The problems reported so far, any subset of the bank.
     seen = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
     if draw(st.booleans()):
@@ -58,24 +75,61 @@ def prioritized_cases(draw):
 @given(prioritized_cases())
 # Non-dyadic weights and one zero, unseen, weight: the last pick falls back.
 @example((4, 0.0, {3: 0.3, 0: 0.9, 1: 2 / 3}, 4, 1))
-def test_prioritized_batch_matches_sequential_choice(case):
+def test_prioritized_batch_matches_scalar_key_reference(case):
     n, initial_weight, rates, batch_size, seed = case
-    ids = [f"q{i}" for i in range(n)]
-    sampler = PrioritizedSampler(
-        ProblemBank(ids, [None] * n, [0.0] * n),
-        rng=np.random.default_rng(seed),
-        initial_weight=initial_weight,
-    )
-    state = sampler.state_dict()
-    state["last_pass_rate"] = [rates.get(i) for i in range(n)]
-    sampler.load_state_dict(state)
+    sampler = _prioritized(n, seed, rates, initial_weight)
     weights = [1.0 - rates[i] if i in rates else initial_weight for i in range(n)]
     reference_rng = np.random.default_rng(seed)
     picks, fell_back = _reference_batch(weights, batch_size, reference_rng)
 
-    assert sampler.select_batch(batch_size) == [ids[i] for i in picks]
+    assert sampler.select_batch(batch_size) == [f"q{i}" for i in picks]
     assert sampler.state_dict()["rng"] == reference_rng.bit_generator.state
     assert sampler.uniform_fallbacks == int(fell_back)
+
+
+def _sequential_probabilities(weights, batch_size):
+    """The probability of each ordered batch of sequential draws without replacement.
+
+    Each pick takes a problem in proportion to the weights that remain, and
+    uniformly once every remaining weight is zero.
+    """
+    probabilities = {}
+    for batch in itertools.permutations(range(len(weights)), batch_size):
+        p, left = 1.0, list(range(len(weights)))
+        for j in batch:
+            total = sum(weights[i] for i in left)
+            p *= weights[j] / total if total > 0.0 else 1.0 / len(left)
+            left.remove(j)
+        probabilities[batch] = p
+    return probabilities
+
+
+@pytest.mark.parametrize(
+    "rates, initial_weight, seed",
+    [
+        ([0.0, 0.5, 0.75, 0.75, 1.0], 1.0, 0),
+        ([0.4, 0.7, 1.0, 1.0, 1.0], 1.0, 1),  # two positive weights: every batch falls back
+        ([None, 0.5, None, 0.9, 1.0], 0.3, 2),
+    ],
+    ids=["mixed", "always-falls-back", "unseen-weighted"],
+)
+def test_prioritized_batches_follow_sequential_draw_probabilities(rates, initial_weight, seed):
+    draws, batch_size = 20_000, 3
+    sampler = _prioritized(5, seed, dict(enumerate(rates)), initial_weight)
+    weights = [initial_weight if r is None else 1.0 - r for r in rates]
+    expected = _sequential_probabilities(weights, batch_size)
+    seen = Counter()
+    for _ in range(draws):
+        sampler.select_batch(batch_size)
+        seen[tuple(sampler.pending.tolist())] += 1
+
+    assert all(expected[batch] > 0.0 for batch in seen), "a batch of probability 0 was drawn"
+    possible = [batch for batch, p in expected.items() if p > 0.0]
+    observed = [seen[batch] for batch in possible]
+    result = chisquare(observed, [expected[batch] * draws for batch in possible])
+    assert result.pvalue >= 1e-3, result
+    short = sum(w > 0.0 for w in weights) < batch_size
+    assert sampler.uniform_fallbacks == (draws if short else 0)
 
 
 G = 6

@@ -139,6 +139,21 @@ class TestRunCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("learn_rate", "0.1"), ("n_problems", 12.5), ("symmetric", "no"), ("strategy", [])],
+    )
+    def test_config_file_value_of_the_wrong_type_exits_2_before_any_run_directory(
+        self, tmp_path, capsys, field, value
+    ):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({field: value}))
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{field}: must be of type" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         target = tmp_path / "blocked"
         target.write_text("a file, not a directory")
@@ -232,6 +247,9 @@ class TestResumeCommand:
             lambda payload: payload["metrics_rows"][1].update(mean_reward="oops"),
             lambda payload: payload["metrics_rows"][1].update(step=7),
             lambda payload: payload["batches"][1].__setitem__(1, payload["batches"][1][0]),
+            lambda payload: payload["metrics_rows"][1].update(mean_reward=math.nan),
+            lambda payload: payload["metrics_rows"][0].update(learner_ability=-math.inf),
+            lambda payload: payload["config"].update(strategy=[]),
         ],
         ids=[
             "no-sampler-rng",
@@ -249,6 +267,9 @@ class TestResumeCommand:
             "string-mean-reward",
             "step-7-in-row-2",
             "repeated-id-in-batch",
+            "nan-mean-reward",
+            "infinite-ability-in-row-1",
+            "list-strategy",
         ],
     )
     def test_damaged_checkpoint_exits_2(self, tmp_path, capsys, edit):
@@ -324,6 +345,33 @@ class TestFixedPointCommand:
         empty = tmp_path / "empty.txt"
         empty.write_text("")
         assert main(["fixed-point", "--s-star", str(empty)]) == 2
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("s.json", "[0.5, "),
+            ("s.json", '["0.5", true]'),
+            ("s.json", "[0.5, true]"),
+            ("s.json", "[0.5, NaN]"),
+            ("s.json", "[0.5, 1e400]"),
+            ("s.json", f"[0.5, {10**400}]"),
+            ("s.json", "[1.5]"),
+            ("s.txt", "0.5\nnan\n"),
+            ("s.txt", "1.5\n"),
+            ("s.txt", "-0.25\n"),
+        ],
+        ids=[
+            "invalid-json", "string-and-bool", "bool", "json-nan", "json-inf", "huge-int",
+            "json-above-1", "text-nan", "text-above-1", "text-below-0",
+        ],
+    )
+    @pytest.mark.parametrize("init", [[], ["--init-seed", "0"]], ids=["zero-start", "random-start"])
+    def test_bad_s_star_exits_2_without_a_traceback(self, tmp_path, capsys, name, text, init):
+        s_path = tmp_path / name
+        s_path.write_text(text)
+        assert main(["fixed-point", "--s-star", str(s_path), *init]) == 2
+        err = capsys.readouterr().err
+        assert "s_star" in err and "Traceback" not in err
 
 
 class TestBankCommands:

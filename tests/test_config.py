@@ -42,12 +42,27 @@ class TestValidation:
             ("initial_competence", math.inf),
             ("prioritized_initial_weight", math.nan),
             ("dynamic_oversample_factor", math.nan),
+            ("learn_rate", "0.1"),
+            ("n_problems", 12.5),
+            ("n_problems", None),
+            ("symmetric", "no"),
+            ("warmup", 1),
+            ("seed", True),
+            ("strategy", []),
+            ("ability_init", "0"),
+            ("bank_path", 5),
+            ("curriculum_switch_step", 2.0),
+            ("prioritized_initial_weight", False),
         ],
     )
     def test_bad_field_is_named_in_the_error(self, field, value):
         config = ExperimentConfig(**{field: value})
         with pytest.raises(ConfigError, match=field):
             config.validate()
+
+    def test_float_fields_take_ints_and_optional_fields_none(self):
+        ExperimentConfig(learn_rate=1, ability_init=0, bank_scale=2).validate()
+        ExperimentConfig(ability_init=None, curriculum_switch_step=None).validate()
 
     def test_batch_cannot_exceed_generated_bank(self):
         with pytest.raises(ConfigError, match="batch_size"):

@@ -94,25 +94,25 @@ GOLDEN_RUNS = {
         "checkpoint.json": "c9eb71d21f8fe59a9de4081718a7031924d4fc22a94e18e3d5cb29c2440d9a3d",
     },
     "prioritized-fallback": {
-        "metrics.csv": "f9242d7ee9354bd43d61d9e70bd4cba0b3ae07cc797b56e9f2236cf816e0a6ea",
-        "batches.csv": "7392aee92cc07c90e9bef7fd72474da99de6b6b0af9a11958a0e8c485b72a9d1",
-        "problems.csv": "e66d867b3afe9fb217f4d07176ed05de2a6c7094d8d41b57a6e17db505aca346",
-        "summary.json": "1cd10a0f066885ebeb5a1ab7899f8cabd2d69192991916f76fb8248ab3e139ac",
-        "checkpoint.json": "0f5169700796627ea03fa04cbc4ac4e129a4ab2307749f94c63ab9643ebb050c",
+        "metrics.csv": "f4b06cd67eafd60dcc67e4fd0cff77e456b3a9d2d2a8416a05250315e7f28c2c",
+        "batches.csv": "0ad770980b9aa5b9a9f4cb98304a40c05ad32a1d8d8f1ef6150c081675f7ebce",
+        "problems.csv": "768d1f34bcb1a31442c6b9b9f8be075988ef1e1ecc048a5975865c18e366d271",
+        "summary.json": "095347069aecc7551d86a17e47b6033d0f63614d2fcad74fb96d0e52301212c6",
+        "checkpoint.json": "fe0216dda8e0b3a1061e10379c076d74f7c3ae9cdb1ac30025398474c826d663",
     },
     "prioritized-weighted": {
-        "metrics.csv": "615cb9a59f8de11547302133f6737f49ee5c4ece95aa6fd7646761add6bb335c",
-        "batches.csv": "c717c3155f9a4af4eff79620662923509aace50b1868bef847734cfea9d059e7",
-        "problems.csv": "3e224b927f39745ea548e4d28dc0088e027bd78959037d8a0ca6c368fea830a4",
-        "summary.json": "ca25aa5bdf914615f590307be18efa52278be2f97d372ac46426983f57c7571e",
-        "checkpoint.json": "0e0007e64d0251d93eb76dcb0e0e1cfa6de4e7c369e26af905fa4b14e70dfe10",
+        "metrics.csv": "b7a745a788b2b6117f9eb416669d94b5e8121cf2007c210a4687b4edcc1c9365",
+        "batches.csv": "6079deb493956a69d9e1c2ffc3b34150ecf1353785b02dfc10db310f881ed418",
+        "problems.csv": "aa8579245b4d2ed6294ae07a0849382b70e72c1bddede7102cad8109ca573e8b",
+        "summary.json": "168e5302b3da38cedb1c3f5f8ac20a324c20fa52f08d5c3b5e1325535cca7edf",
+        "checkpoint.json": "73b66fb1dd668f51f87f8c241beab5ce864684044aef7a812a8a4d2d688e2586",
     },
     "prioritized": {
-        "metrics.csv": "75efbb0dd5f81e5e59f3b2bfd8c148ecdab9a5e701e810c8d5238c9a6a5fbefc",
-        "batches.csv": "4e96dc8a202cf306b38fe3351721c84ceff37a2e7a593ecae396482138376280",
-        "problems.csv": "3167874ab4a0bc6d05bb6ea23cde5cb05cb9de47743232d3b8ed1ea3418a93d1",
-        "summary.json": "0248d76f0703307927ff13b3da48cc49ab34117e547c16fd3594080f7cd3ab19",
-        "checkpoint.json": "8ff3e820c5ac787bbd7f41572ec3b0c71d05186c534f1ac9a1c56cb2d7b8c04a",
+        "metrics.csv": "d0b7a4d066bb1bd774d1de9a4967c049776107fe9a73e177171a767b2597eaf9",
+        "batches.csv": "7d4ed9c5a3d6cc8d161c255ebada1cae2f11562b3448d1819611ae9e7dfd9ecd",
+        "problems.csv": "81a9d3de17609dddbddfd136842a2d1446e2a9d1dcec85fce7fce9675f6ea894",
+        "summary.json": "be4d8e8570727acea386a3c62a7d404b251cc908c793c9103830ea680e0e401e",
+        "checkpoint.json": "897192fe5fd7443ddaa17f1ad49510d82625460bc03e3f4f8762b3768d917517",
     },
     "random": {
         "metrics.csv": "5b79768d1e5eaa3526d82a2133409aaf8421586f4ca1e81e9af669ae5ff2d7b7",

@@ -5,9 +5,10 @@ wherever a ``cdas`` module holds them.  A whole run, set-up and output
 writing included, must call neither: each is a Python call per batch
 problem, the cost the array paths remove.  Writing the outputs passes rows
 through ``csv.writer`` per step, never per problem, and the bank is hashed
-once.  Per-problem state sits in the checkpoint as
-bank-order lists, never as objects keyed by problem id.  This gates the
-shape of the work, not its wall-clock time.
+once.  A sampler calls its generator at most once per step, and dynamic
+sampling at most once per rollout round: never once per pick.  Per-problem
+state sits in the checkpoint as bank-order lists, never as objects keyed by
+problem id.  This gates the shape of the work, not its wall-clock time.
 """
 
 import csv
@@ -19,7 +20,7 @@ from collections import Counter
 
 import pytest
 
-from cdas import core, learner
+from cdas import core, harness, learner
 from cdas.config import STRATEGIES, ExperimentConfig
 from cdas.harness import CHECKPOINT_FILE, run_experiment
 
@@ -112,6 +113,55 @@ def test_writing_outputs_is_per_step_and_the_bank_is_hashed_once(work, tmp_path,
     # problems.csv is written as text blocks.
     assert work["csv_rows"] <= 2 * (config.total_steps + 1)
     assert work["bank_digests"] == 1
+
+
+class LoggingGenerator:
+    """Stands in for a sampler's generator and logs the name of each method called."""
+
+    def __init__(self, rng, log):
+        self._rng, self._log = rng, log
+
+    @property
+    def bit_generator(self):
+        return self._rng.bit_generator
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def logged(*args, **kwargs):
+            self._log.append(name)
+            return method(*args, **kwargs)
+
+        return logged
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_sampler_draws_at_most_once_per_step_or_round(monkeypatch, tmp_path, strategy):
+    log = []
+    real_make_sampler, real_pass_counts = harness.make_sampler, learner.SyntheticLearner.pass_counts
+
+    def make_sampler(config, bank, rng):
+        sampler = real_make_sampler(config, bank, LoggingGenerator(rng, log))
+        log.clear()  # set-up draws, such as the cdas warm-up permutation
+        return sampler
+
+    def pass_counts(self, *args):
+        log.append("rollout round")
+        return real_pass_counts(self, *args)
+
+    monkeypatch.setattr(harness, "make_sampler", make_sampler)
+    monkeypatch.setattr(learner.SyntheticLearner, "pass_counts", pass_counts)
+    config = _config(strategy, tmp_path)
+    run_experiment(config)
+    rounds = log.count("rollout round")
+    if strategy != "dynamic":
+        assert rounds == config.total_steps
+    # The generator calls that pick a round's problems come right before it.
+    draws, most = 0, 0
+    for name in log:
+        draws = 0 if name == "rollout round" else draws + 1
+        most = max(most, draws)
+    assert most <= 1, Counter(log).most_common(2)
 
 
 def _object_keys(value):
