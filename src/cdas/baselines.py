@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, RolloutBudgetError
-from .sampling import Sampler, smallest_by
+from .sampling import Sampler, rolled_counts, smallest_by
 
 
 class BaselineSampler(Sampler):
@@ -135,10 +135,10 @@ class DynamicSampler(BaselineSampler):
     """Oversample-and-filter selection keeping only problems with interior pass rates.
 
     Candidates are drawn uniformly in rounds and rolled out in draw order;
-    those with pass rate exactly 0 or 1 are discarded.  Rolling out stops once
-    the batch is full, and drawing once ``retry_cap`` rounds are spent.  A
-    capped batch is padded with the most recently filtered candidates so
-    batch size is preserved.
+    those with pass rate exactly 0 or 1 are discarded.  A round stops at the
+    candidate that fills the batch, and drawing once ``retry_cap`` rounds are
+    spent.  A capped batch is padded with the most recently filtered
+    candidates so batch size is preserved.
     """
 
     strategy = "dynamic"
@@ -182,16 +182,16 @@ class DynamicSampler(BaselineSampler):
         A group of ``group_size`` rollouts is interior when it passes more
         than 0 and fewer than ``group_size`` times.  Each round draws its
         candidates uniformly from the problems not yet tried this step and
-        calls ``roll_round(indices, needed)`` with their bank indices, in draw
-        order, and the number of interior groups the batch still needs.  It
-        returns the pass counts of a prefix of the candidates, and may stop at
-        the one that makes ``needed`` interior; counts past that candidate are
-        ignored.  Returns the batch, its pass counts and the number of groups
-        rolled out (the rollout budget the batch consumed).  The batch is
-        pending until its outcomes are reported.
+        calls ``roll_round(indices)`` with their bank indices, in draw order;
+        it returns one pass count per candidate.  The round stops at the
+        candidate that fills the batch: the counts after it are neither kept
+        nor counted as consumed.  Returns the batch, its pass counts and the
+        number of groups counted (the rollout budget the batch consumed).  The
+        batch is pending until its outcomes are reported.
 
         Raises:
-            ConsistencyError: ``roll_round`` returned more counts than candidates.
+            ConsistencyError: ``roll_round`` did not return one count per
+                candidate; no batch is left pending.
             RolloutBudgetError: retry cap spent with nothing keepable at all.
         """
         self._check_batch_size(batch_size)
@@ -208,17 +208,13 @@ class DynamicSampler(BaselineSampler):
             rounds += 1
             draw = self._rng.choice(pool.size, size=min(round_size, pool.size), replace=False)
             candidates = pool[draw]
-            round_counts = np.asarray(roll_round(candidates, batch_size - n_kept), dtype=np.int64)
-            if round_counts.size > candidates.size:
-                raise ConsistencyError(
-                    f"roll_round returned {round_counts.size} pass counts for "
-                    f"{candidates.size} candidates"
-                )
+            round_counts = np.asarray(rolled_counts(roll_round, candidates), dtype=np.int64)
+            untried[candidates] = False
             interior = np.flatnonzero((round_counts > 0) & (round_counts < group_size))
             if interior.size >= batch_size - n_kept:
-                round_counts = round_counts[: interior[batch_size - n_kept - 1] + 1]
-            untried[candidates[: round_counts.size]] = False
-            rolled.append(candidates[: round_counts.size])
+                stop = interior[batch_size - n_kept - 1] + 1
+                candidates, round_counts = candidates[:stop], round_counts[:stop]
+            rolled.append(candidates)
             counts.append(round_counts)
             n_kept += min(interior.size, batch_size - n_kept)
         indices, group_counts = np.concatenate(rolled), np.concatenate(counts)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import BANK_MODES, STRATEGIES, ExperimentConfig
 from .errors import ConfigError, ConsistencyError, ConvergenceError, RolloutBudgetError
-from .files import replacing
+from .files import read_json, replacing
 from .fixed_point import EquilibriumProblem, solve, write_trajectory_csv
 from .harness import (
     _spawned_rngs,
@@ -109,19 +109,16 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
 
 def _load_s_star(path: str) -> np.ndarray:
-    text = Path(path).read_text()
     if path.endswith(".json"):
-        try:
-            values = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"s_star file {path}: invalid JSON ({err})") from err
+        values = read_json(path, "s_star file")
         # By exact type: bool is an int subclass, and numpy would parse a string.
         if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
             raise ConfigError(f"s_star file {path}: expected a JSON list of numbers")
     else:
         try:
+            text = Path(path).read_text(encoding="utf-8")
             values = [float(line) for line in text.split() if line.strip()]
-        except ValueError as err:
+        except ValueError as err:  # UnicodeDecodeError among others
             raise ConfigError(f"s_star file {path}: {err}") from err
     if not values:
         raise ConfigError(f"s_star file {path}: no values found")

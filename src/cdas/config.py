@@ -12,6 +12,7 @@ from pathlib import Path
 
 from .baselines import CurriculumSampler, DynamicSampler, PrioritizedSampler, RandomSampler
 from .errors import ConfigError
+from .files import read_json
 from .sampling import CdasSampler
 
 # Strategy name -> sampler class; each name is declared once, on its class.
@@ -144,10 +145,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        try:
-            payload = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config file {path}: invalid JSON ({err})") from err
+        payload = read_json(path, "config file")
         if not isinstance(payload, dict):
             raise ConfigError(f"config file {path}: expected a JSON object")
         return cls.from_dict(payload)

@@ -118,8 +118,9 @@ def solve(
         ConvergenceError: if ``max_iters`` applications do not reach the
             tolerance; the partial trajectory rides along on the exception.
     """
-    if tolerance <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    # NaN fails both comparisons.
+    if not 0.0 < tolerance < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
 

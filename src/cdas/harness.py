@@ -25,7 +25,7 @@ import numpy as np
 from .baselines import PrioritizedSampler
 from .config import SAMPLERS, ExperimentConfig
 from .errors import ConfigError
-from .files import replacing
+from .files import read_json, replacing
 from .learner import ProblemBank, SyntheticLearner, default_ability, generate_bank, load_bank
 from .metrics import (
     METRICS_COLUMNS,
@@ -168,7 +168,7 @@ def _advance(run: RunResult, target_step: int) -> None:
         batch_ids, counts, consumed = sampler.select_and_roll(
             config.batch_size,
             rollouts,
-            lambda indices, needed: run.learner.pass_counts(latent[indices], needed),
+            lambda indices: run.learner.pass_counts(latent[indices]),
         )
         batch = sampler.pending
         counts = np.array(counts)
@@ -177,7 +177,7 @@ def _advance(run: RunResult, target_step: int) -> None:
         zero_gradient = (counts == 0) | (counts == rollouts)
         sampler.report_indices(batch, pass_rates)
         rates, flags = pass_rates.tolist(), zero_gradient.tolist()
-        run.learner.learn_step(zip(rates, flags))
+        run.learner.learn_step(flags)
         run.rows.append(
             summarize_step(
                 batch, rates, flags, sampler, run.learner, rollout_batches_consumed=consumed
@@ -251,10 +251,7 @@ def _require(value, fields, what: str) -> None:
 
 def load_checkpoint(path: str | Path) -> dict:
     """Read a checkpoint, refusing one whose version, shape or config hash is off."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"checkpoint {path}: invalid JSON ({err})") from err
+    payload = read_json(path, "checkpoint")
     version = payload.get("format_version") if isinstance(payload, dict) else None
     if version != CHECKPOINT_VERSION:
         raise ConfigError(
@@ -286,6 +283,10 @@ def load_checkpoint(path: str | Path) -> dict:
                 raise ConfigError(f"metrics row {step}: {bad[0]} must be finite, got {row[bad[0]]}")
             if row["step"] != step:
                 raise ConfigError(f"metrics row {step} has step {row['step']}")
+        # By exact type: 2.0 and True compare equal to ints.
+        recorded = payload["step"]
+        if type(recorded) is not int or recorded != len(rows):
+            raise ConfigError(f"step must be {len(rows)}, one per metrics row, got {recorded!r}")
     except ConfigError as err:
         raise ConfigError(f"checkpoint {path}: {err}") from err
     if config.content_hash() != payload.get("config_hash"):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import LEVEL_TAGS, sigmoid, sigmoid_array
 from .errors import ConfigError
-from .files import replacing
+from .files import read_json, replacing
 from .grpo import RolloutGroup
 
 BANK_FORMAT_VERSION = 1
@@ -64,45 +64,29 @@ class SyntheticLearner:
             rewards=tuple(1.0 if hit else 0.0 for hit in draws),
         )
 
-    def pass_counts(self, latents, interior_needed: int | None = None) -> list[int]:
+    def pass_counts(self, latents) -> list[int]:
         """Roll out a group per latent difficulty; return each group's number of passes.
 
         ``latents`` is an array (or sequence) of latent difficulties.  One
         ``random((B, G))`` draw yields the same bits, and leaves the generator
         in the same state, as B calls of ``rollout_group``.
-
-        With ``interior_needed`` (at least 1), rolling out stops at the group
-        that makes that many interior groups (0 < passes < G): only the first
-        k counts are returned, and the generator ends as after k calls of
-        ``rollout_group``.
         """
         latents = np.asarray(latents, dtype=np.float64)
         probabilities = sigmoid_array(self.discrimination * (self.ability - latents))
-        saved = self._rng.bit_generator.state
         draws = self._rng.random((len(probabilities), self.rollouts))
-        counts = (draws < probabilities[:, None]).sum(axis=1)
-        if interior_needed is not None:
-            if interior_needed < 1:
-                raise ValueError(f"interior_needed: must be >= 1, got {interior_needed}")
-            interior = np.flatnonzero((counts > 0) & (counts < self.rollouts))
-            if interior.size >= interior_needed:
-                counts = counts[: interior[interior_needed - 1] + 1]
-                # Redraw only the groups kept, so the stream ends right after them.
-                self._rng.bit_generator.state = saved
-                self._rng.random((counts.size, self.rollouts))
-        return counts.tolist()
+        return (draws < probabilities[:, None]).sum(axis=1).tolist()
 
-    def learn_step(self, batch_outcomes) -> None:
+    def learn_step(self, zero_gradient) -> None:
         """Raise ability by learn_rate times the batch's useful-gradient fraction.
 
-        ``batch_outcomes`` is a collection of (pass_rate, zero_gradient) pairs;
-        only the flags matter here.  Ability never decreases.
+        ``zero_gradient`` holds one flag per batch problem, true where its
+        group had no gradient signal.  Ability never decreases.
         """
-        outcomes = list(batch_outcomes)
-        if not outcomes:
+        flags = list(zero_gradient)
+        if not flags:
             raise ValueError("learn_step requires a non-empty batch")
-        useful = sum(1 for _, zero_gradient in outcomes if not zero_gradient)
-        self.ability += self.learn_rate * (useful / len(outcomes))
+        useful = sum(not flag for flag in flags)
+        self.ability += self.learn_rate * (useful / len(flags))
 
     def state_dict(self) -> dict:
         """The state a run changes; the constructor rebuilds the parameters."""
@@ -301,7 +285,7 @@ def save_bank(bank: ProblemBank, path: str | Path) -> None:
 
 def load_bank(path: str | Path) -> ProblemBank:
     """Read a bank written by ``save_bank``, refusing one whose records are malformed."""
-    payload = json.loads(Path(path).read_text())
+    payload = read_json(path, "bank file")
     version = payload.get("format_version") if isinstance(payload, dict) else None
     if version != BANK_FORMAT_VERSION:
         raise ConfigError(f"bank file {path}: unsupported format_version {version!r}")

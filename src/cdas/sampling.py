@@ -51,6 +51,20 @@ def smallest_by(candidates: np.ndarray, k: int, *keys: np.ndarray) -> np.ndarray
     return candidates[order[:k]]
 
 
+def rolled_counts(roll_round, indices: np.ndarray) -> list[int]:
+    """``roll_round(indices)``, refused unless it gives one pass count per index.
+
+    Raises:
+        ConsistencyError: the count list is longer or shorter than ``indices``.
+    """
+    counts = roll_round(indices)
+    if len(counts) != len(indices):
+        raise ConsistencyError(
+            f"roll_round returned {len(counts)} pass counts for {len(indices)} problems"
+        )
+    return counts
+
+
 class Sampler:
     """Select/report contract shared by every strategy.
 
@@ -114,7 +128,7 @@ class Sampler:
     def select_and_roll(
         self, batch_size: int, group_size: int, roll_round
     ) -> tuple[list[str], list[int], int]:
-        """Pick the next batch and roll it out with one ``roll_round(indices, None)``.
+        """Pick the next batch and roll it out with one ``roll_round(indices)``.
 
         ``roll_round`` gets the batch's bank indices and returns one pass
         count per problem, each out of ``group_size`` rollouts.  Returns the
@@ -126,12 +140,7 @@ class Sampler:
                 batch problem.
         """
         batch = self.select_batch(batch_size)
-        counts = roll_round(self._pending, None)
-        if len(counts) != batch_size:
-            raise ConsistencyError(
-                f"roll_round returned {len(counts)} pass counts for a batch of {batch_size}"
-            )
-        return batch, counts, batch_size
+        return batch, rolled_counts(roll_round, self._pending), batch_size
 
     def _choose(self, batch_size: int) -> np.ndarray:
         raise NotImplementedError

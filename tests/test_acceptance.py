@@ -255,9 +255,7 @@ def test_criterion_05_symmetric_batch_law(capsys):
             sampler.report_indices(
                 [bank.index[g.problem_id] for g in groups], [g.pass_rate for g in groups]
             )
-            learner.learn_step(
-                [(g.pass_rate, group_advantages(g)[1]) for g in groups]
-            )
+            learner.learn_step([group_advantages(g)[1] for g in groups])
         out["ok"] = violations == 0 and checked > 0 and exact_splits > 0
         out["detail"] = (
             f"{checked} post-warm-up steps checked, {exact_splits} with both pools "

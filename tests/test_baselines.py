@@ -180,7 +180,7 @@ class TestPrioritizedSampler:
 
 def _rolls(count_of):
     """A ``roll_round`` callback giving each candidate ``count_of(bank index)`` passes."""
-    return lambda indices, needed: [count_of(i) for i in indices]
+    return lambda indices: [count_of(i) for i in indices]
 
 
 class TestDynamicSampler:
@@ -240,37 +240,25 @@ class TestDynamicSampler:
             sampler.select_and_roll(4, self.G, _rolls(lambda i: self.G))
 
     def test_extra_counts_from_roll_round_detected(self):
-        sampler = self._sampler(n=5, seed=5)
-        with pytest.raises(ConsistencyError):
-            sampler.select_and_roll(2, self.G, lambda indices, needed: [2] * (len(indices) + 1))
+        # One count too many or one too few: a round is one count per candidate.
+        for extra in (1, -1):
+            sampler = self._sampler(n=5, seed=5)
+            with pytest.raises(ConsistencyError, match="pass counts for"):
+                sampler.select_and_roll(2, self.G, lambda indices: [2] * (len(indices) + extra))
+            assert sampler.pending is None
 
     def test_oversample_factor_widens_rounds(self):
         sampler = self._sampler(n=100, seed=6, oversample_factor=2.0)
         seen = []
 
-        def roll_round(indices, needed):
-            seen.append((len(indices), needed))
+        def roll_round(indices):
+            seen.append(len(indices))
             return [2] * len(indices)
 
         kept, _, consumed = sampler.select_and_roll(10, self.G, roll_round)
         assert len(kept) == 10
-        assert seen == [(20, 10)]
-        assert consumed == 10  # early stop once the batch fills
-
-    def test_round_stopped_early_by_roll_round_continues_next_round(self):
-        # A callback may return a prefix of its candidates; the rest stay
-        # untried, and the next round asks only for what is still missing.
-        sampler = self._sampler(n=30, seed=7)
-        seen = []
-
-        def roll_round(indices, needed):
-            seen.append(needed)
-            return [2] * min(3, len(indices))
-
-        kept, kept_counts, consumed = sampler.select_and_roll(8, self.G, roll_round)
-        assert len(set(kept)) == 8 and kept_counts == [2] * 8
-        assert seen == [8, 5, 2]
-        assert consumed == 8
+        assert seen == [20]
+        assert consumed == 10  # the round stops at the candidate that fills the batch
 
     def test_bad_config(self):
         with pytest.raises(ConfigError):

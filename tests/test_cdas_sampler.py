@@ -249,7 +249,7 @@ def _strategy_sampler(strategy):
 def _armed(strategy):
     """A ``strategy`` sampler with a batch of four pending, and that batch."""
     sampler = _strategy_sampler(strategy)
-    batch, _, _ = sampler.select_and_roll(4, 4, lambda indices, needed: [2] * len(indices))
+    batch, _, _ = sampler.select_and_roll(4, 4, lambda indices: [2] * len(indices))
     return sampler, batch
 
 
@@ -373,7 +373,7 @@ def test_select_and_roll_is_select_batch_then_one_rollout(strategy):
         got = rolled.select_and_roll(
             config.batch_size,
             rolled_learner.rollouts,
-            lambda indices, needed: rolled_learner.pass_counts(bank.latent[indices], needed),
+            lambda indices: rolled_learner.pass_counts(bank.latent[indices]),
         )
         ids = plain.select_batch(config.batch_size)
         counts = plain_learner.pass_counts(bank.latent[plain.pending])
@@ -388,8 +388,8 @@ def test_select_and_roll_is_select_batch_then_one_rollout(strategy):
 
 def test_select_and_roll_refuses_counts_for_another_batch_size():
     sampler = _strategy_sampler("random")
-    with pytest.raises(ConsistencyError, match="3 pass counts for a batch of 4"):
-        sampler.select_and_roll(4, 4, lambda indices, needed: [2] * 3)
+    with pytest.raises(ConsistencyError, match="3 pass counts for 4 problems"):
+        sampler.select_and_roll(4, 4, lambda indices: [2] * 3)
 
 
 def test_dynamic_select_batch_points_to_select_and_roll():

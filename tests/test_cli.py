@@ -250,6 +250,7 @@ class TestResumeCommand:
             lambda payload: payload["metrics_rows"][1].update(mean_reward=math.nan),
             lambda payload: payload["metrics_rows"][0].update(learner_ability=-math.inf),
             lambda payload: payload["config"].update(strategy=[]),
+            lambda payload: payload.update(step=99),
         ],
         ids=[
             "no-sampler-rng",
@@ -270,6 +271,7 @@ class TestResumeCommand:
             "nan-mean-reward",
             "infinite-ability-in-row-1",
             "list-strategy",
+            "top-level-step-99",
         ],
     )
     def test_damaged_checkpoint_exits_2(self, tmp_path, capsys, edit):
@@ -345,6 +347,14 @@ class TestFixedPointCommand:
         empty = tmp_path / "empty.txt"
         empty.write_text("")
         assert main(["fixed-point", "--s-star", str(empty)]) == 2
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
+    def test_bad_tolerance_exits_2(self, tmp_path, capsys, tolerance):
+        s_path = tmp_path / "s.json"
+        s_path.write_text(json.dumps([0.25, 0.5]))
+        assert main(["fixed-point", "--s-star", str(s_path), "--tolerance", tolerance]) == 2
+        err = capsys.readouterr().err
+        assert "error: tolerance" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "name, text",
@@ -447,3 +457,25 @@ class TestBankCommands:
         path.write_text(json.dumps(payload))
         assert main(["run", "--bank-path", str(path), *TINY_FLAGS]) == 2
         assert "hash" in capsys.readouterr().err
+
+
+# Each command that reads an outside file, with the name it reads it under.
+FILE_READERS = {
+    "run-config": ("config.json", lambda path: ["run", *TINY_FLAGS, "--config", path]),
+    "run-bank-path": ("bank.json", lambda path: ["run", *TINY_FLAGS, "--bank-path", path]),
+    "resume": (CHECKPOINT_FILE, lambda path: ["resume", path]),
+    "bank-inspect": ("bank.json", lambda path: ["bank", "inspect", path]),
+    "s-star-json": ("s.json", lambda path: ["fixed-point", "--s-star", path]),
+    "s-star-text": ("s.txt", lambda path: ["fixed-point", "--s-star", path]),
+}
+
+
+@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe"], ids=["bad-json", "not-text"])
+@pytest.mark.parametrize("reader", sorted(FILE_READERS))
+def test_unreadable_input_file_exits_2_without_a_traceback(tmp_path, capsys, reader, content):
+    name, command = FILE_READERS[reader]
+    path = tmp_path / name
+    path.write_bytes(content)
+    assert main(command(str(path))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err and "Traceback" not in err

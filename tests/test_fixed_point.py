@@ -186,8 +186,9 @@ class TestProblemValidation:
             EquilibriumProblem(s_star=np.array([0.5]), init_c=float("nan"))
 
     def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            solve(EquilibriumProblem(s_star=np.array([0.5])), tolerance=0.0)
+        for tolerance in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tolerance"):
+                solve(EquilibriumProblem(s_star=np.array([0.5])), tolerance=tolerance)
 
     def test_bad_budget(self):
         with pytest.raises(ValueError):

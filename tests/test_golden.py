@@ -73,11 +73,11 @@ GOLDEN_RUNS = {
         "checkpoint.json": "df1319eaf740d35efd63c779c97f0634615df385da0e4b3224cd4c0ce09f409f",
     },
     "dynamic": {
-        "metrics.csv": "09b851d2a1072c85cd7f4f7f2e677c60d6ac6993880bb5ef7414d132e823d11e",
-        "batches.csv": "5b091e3f274079c53fcb3be547bf622ecab45f5d691940e8859f8968ffd75777",
-        "problems.csv": "891e78615856a3704fdd70dd1dc023185e1240035d9379099996edbf7d72b765",
-        "summary.json": "b77465e66ed9d5ba6be2e7ce4fef33afb27623c2eb5661c2e7baa8d935a58100",
-        "checkpoint.json": "04250d2a5a4b6a21df5da324e8b0bfd1cf2323752f80decd72bbf0f329a96367",
+        "metrics.csv": "a6c5bc9df3d30dde4fda32967ab2160bacc68b533f367e696058a73b80380370",
+        "batches.csv": "40e31e5ec4f4727a9fa6e4f9602ddbe2b757413527d3f943978dbc1f7381aa0c",
+        "problems.csv": "0893ec40326a04566d3dbb5591c3437648e08b9e3c42f644ca67a73e79b9d309",
+        "summary.json": "2e907d2a6d09f290b85d201d97a43c1d91c7ae02c05aba41dacd7b1fb08a3391",
+        "checkpoint.json": "203cea097b802ff8e7214c201b19110a42fe01c9b28a169335804b534aa09c11",
     },
     "dynamic-capped": {
         "metrics.csv": "20be7ae66b70e3cbd6b6aea32fb1bbf6c3a8de13a90b9f8bb03433f509706676",
@@ -87,11 +87,11 @@ GOLDEN_RUNS = {
         "checkpoint.json": "795beac588856749b37a4633a958e87c395c3f5b2132adc30eb8f48dae58a2ad",
     },
     "dynamic-oversampled": {
-        "metrics.csv": "420cf4f71eb3509f29fa105f421551b9f7d4dd8b7e497ca03da4a9c357463986",
-        "batches.csv": "da5f4cfd08af528ee793c259c6c128fdb169b2a83bcc266d2d6c3dd1ff15f57e",
-        "problems.csv": "f8b8cef049921b6765e1b5c8e7478ce5f6bf2aef81a31e381c3f29472e3d08bb",
-        "summary.json": "d8620db54fd5239864437ad604bbf4c54cfb2bc8f9a878bd62ae79db8e1a3a9c",
-        "checkpoint.json": "c9eb71d21f8fe59a9de4081718a7031924d4fc22a94e18e3d5cb29c2440d9a3d",
+        "metrics.csv": "6f911b236774e27d90425610f7eb82fbe2583ececb70ac4503689fd641d39e8a",
+        "batches.csv": "9224098cd542b5df40a853071e50c3863faf40799b62e45231e2aec90ff607b9",
+        "problems.csv": "4c0af95b0db74de5f6da7e282af311ab9459e52f1eb9dc95777e6e1a2adcbd99",
+        "summary.json": "863a39b6dc31df822a88034c0b49a628ac1a409c503e3f1b40ae061ad772eae2",
+        "checkpoint.json": "cd7a43fc7181da6fdaafb8b49eff692932b815c8d6b88e4b761c20b749bb5d4e",
     },
     "prioritized-fallback": {
         "metrics.csv": "f4b06cd67eafd60dcc67e4fd0cff77e456b3a9d2d2a8416a05250315e7f28c2c",

@@ -296,6 +296,7 @@ class TestCheckpointResume:
             (lambda p: p["learner"].update(ability=math.nan), "ability must be a finite number"),
             (lambda p: p["learner"].update(ability=True), "ability must be a finite number"),
             (lambda p: p["learner"].update(ability=10**400), "ability must be a finite number"),
+            (lambda p: p.update(step=99), "step must be 2, one per metrics row"),
         ],
         ids=[
             "no-sampler-rng",
@@ -317,6 +318,7 @@ class TestCheckpointResume:
             "nan-ability",
             "bool-ability",
             "overflowing-ability",
+            "top-level-step-99",
         ],
     )
     def test_damaged_checkpoint_refused(self, tmp_path, edit, match):

@@ -80,17 +80,17 @@ class TestRollouts:
 class TestLearnStep:
     def test_all_useful_moves_by_full_rate(self):
         learner = _learner(1.0, learn_rate=0.05)
-        learner.learn_step([(0.5, False), (0.25, False)])
+        learner.learn_step([False, False])
         assert learner.ability == pytest.approx(1.05, abs=1e-15)
 
     def test_all_zero_gradient_moves_nothing(self):
         learner = _learner(1.0)
-        learner.learn_step([(1.0, True), (0.0, True)])
+        learner.learn_step([True, True])
         assert learner.ability == 1.0
 
     def test_half_useful_moves_half(self):
         learner = _learner(0.0, learn_rate=0.1)
-        learner.learn_step([(0.5, False), (1.0, True)])
+        learner.learn_step([False, True])
         assert learner.ability == pytest.approx(0.05, abs=1e-15)
 
     def test_empty_batch_rejected(self):
@@ -102,8 +102,8 @@ class TestLearnStep:
         learner = _learner(-1.0, seed=8)
         previous = learner.ability
         for _ in range(200):
-            outcomes = [(0.5, bool(rng.random() < 0.5)) for _ in range(4)]
-            learner.learn_step(outcomes)
+            flags = [bool(rng.random() < 0.5) for _ in range(4)]
+            learner.learn_step(flags)
             assert learner.ability >= previous
             previous = learner.ability
 

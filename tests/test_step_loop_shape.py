@@ -6,7 +6,8 @@ writing included, must call neither: each is a Python call per batch
 problem, the cost the array paths remove.  Writing the outputs passes rows
 through ``csv.writer`` per step, never per problem, and the bank is hashed
 once.  A sampler calls its generator at most once per step, and dynamic
-sampling at most once per rollout round: never once per pick.  Per-problem
+sampling at most once per rollout round: never once per pick.  The learner
+draws once per rollout round, whatever the strategy.  Per-problem
 state sits in the checkpoint as bank-order lists, never as objects keyed by
 problem id.  This gates the shape of the work, not its wall-clock time.
 """
@@ -137,25 +138,38 @@ class LoggingGenerator:
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_a_sampler_draws_at_most_once_per_step_or_round(monkeypatch, tmp_path, strategy):
-    log = []
+    log, learner_log, round_draws = [], [], []
     real_make_sampler, real_pass_counts = harness.make_sampler, learner.SyntheticLearner.pass_counts
+    real_start = harness._start
 
     def make_sampler(config, bank, rng):
         sampler = real_make_sampler(config, bank, LoggingGenerator(rng, log))
         log.clear()  # set-up draws, such as the cdas warm-up permutation
         return sampler
 
+    def start(config):
+        bank, bank_hash, sampler_rng, run_learner = real_start(config)
+        run_learner._rng = LoggingGenerator(run_learner._rng, learner_log)
+        return bank, bank_hash, sampler_rng, run_learner
+
     def pass_counts(self, *args):
         log.append("rollout round")
-        return real_pass_counts(self, *args)
+        first = len(learner_log)
+        counts = real_pass_counts(self, *args)
+        round_draws.append(learner_log[first:])
+        return counts
 
     monkeypatch.setattr(harness, "make_sampler", make_sampler)
+    monkeypatch.setattr(harness, "_start", start)
     monkeypatch.setattr(learner.SyntheticLearner, "pass_counts", pass_counts)
     config = _config(strategy, tmp_path)
     run_experiment(config)
     rounds = log.count("rollout round")
     if strategy != "dynamic":
         assert rounds == config.total_steps
+    # The learner draws once per rollout round, and only there.
+    assert round_draws == [["random"]] * rounds
+    assert len(learner_log) == rounds
     # The generator calls that pick a round's problems come right before it.
     draws, most = 0, 0
     for name in log:
