@@ -190,8 +190,8 @@ class DynamicSampler(BaselineSampler):
         batch is pending until its outcomes are reported.
 
         Raises:
-            ConsistencyError: ``roll_round`` did not return one count per
-                candidate; no batch is left pending.
+            ConsistencyError: ``roll_round`` did not return one integer count
+                in [0, ``group_size``] per candidate; no batch is left pending.
             RolloutBudgetError: retry cap spent with nothing keepable at all.
         """
         self._check_batch_size(batch_size)
@@ -208,7 +208,7 @@ class DynamicSampler(BaselineSampler):
             rounds += 1
             draw = self._rng.choice(pool.size, size=min(round_size, pool.size), replace=False)
             candidates = pool[draw]
-            round_counts = np.asarray(rolled_counts(roll_round, candidates), dtype=np.int64)
+            round_counts = rolled_counts(roll_round, candidates, group_size)
             untried[candidates] = False
             interior = np.flatnonzero((round_counts > 0) & (round_counts < group_size))
             if interior.size >= batch_size - n_kept:

@@ -167,6 +167,8 @@ def _cmd_fixed_point(args: argparse.Namespace) -> int:
 
 
 def _cmd_bank_generate(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {args.seed}")
     bank_rng, _, _ = _spawned_rngs(args.seed)
     bank = generate_bank(
         args.n,

@@ -38,7 +38,7 @@ from .sampling import Sampler
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 METRICS_FILE = "metrics.csv"
 SUMMARY_FILE = "summary.json"
@@ -175,7 +175,7 @@ def _advance(run: RunResult, target_step: int) -> None:
         pass_rates = counts / rollouts
         # A group whose rollouts all agree has zero advantage everywhere.
         zero_gradient = (counts == 0) | (counts == rollouts)
-        sampler.report_indices(batch, pass_rates)
+        sampler.report(pass_rates)
         rates, flags = pass_rates.tolist(), zero_gradient.tolist()
         run.learner.learn_step(flags)
         run.rows.append(
@@ -221,7 +221,6 @@ def _checkpoint_payload(result: RunResult, sampler_state: dict) -> dict:
         "config": result.config.to_dict(),
         "config_hash": result.config.content_hash(),
         "bank_hash": result.bank_hash,
-        "step": len(result.rows),
         "sampler": sampler_state,
         "learner": result.learner.state_dict(),
         "metrics_rows": [dataclasses.asdict(row) for row in result.rows],
@@ -230,7 +229,7 @@ def _checkpoint_payload(result: RunResult, sampler_state: dict) -> dict:
 
 
 _CHECKPOINT_FIELDS = (
-    "format_version", "config", "config_hash", "bank_hash", "step",
+    "format_version", "config", "config_hash", "bank_hash",
     "sampler", "learner", "metrics_rows", "batches",
 )
 # Each metrics field's allowed JSON value types, by exact type: an int where a
@@ -283,10 +282,6 @@ def load_checkpoint(path: str | Path) -> dict:
                 raise ConfigError(f"metrics row {step}: {bad[0]} must be finite, got {row[bad[0]]}")
             if row["step"] != step:
                 raise ConfigError(f"metrics row {step} has step {row['step']}")
-        # By exact type: 2.0 and True compare equal to ints.
-        recorded = payload["step"]
-        if type(recorded) is not int or recorded != len(rows):
-            raise ConfigError(f"step must be {len(rows)}, one per metrics row, got {recorded!r}")
     except ConfigError as err:
         raise ConfigError(f"checkpoint {path}: {err}") from err
     if config.content_hash() != payload.get("config_hash"):

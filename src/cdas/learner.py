@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from collections.abc import Iterator
 from pathlib import Path
@@ -247,15 +248,15 @@ def generate_bank(
     """
     if n < 1:
         raise ConfigError(f"n_problems: must be >= 1, got {n}")
+    if not 0.0 < scale < math.inf:
+        raise ConfigError(f"bank_scale: must be finite and > 0, got {scale}")
+    if not 0.0 < level_spread < math.inf:
+        raise ConfigError(f"bank_level_spread: must be finite and > 0, got {level_spread}")
     width = max(5, len(str(n - 1)))
     if mode == "normal":
-        if scale <= 0.0:
-            raise ConfigError(f"bank_scale: must be > 0, got {scale}")
         latent = rng.normal(0.0, scale, size=n)
         tags = _quintile_tags(latent)
     elif mode == "levels":
-        if level_spread <= 0.0:
-            raise ConfigError(f"bank_level_spread: must be > 0, got {level_spread}")
         tags = rng.integers(1, 6, size=n)
         latent = (tags - 3) * (level_spread / 2.0)
     else:

@@ -2,12 +2,13 @@
 
 Every strategy is a ``Sampler`` built on a fixed ``ProblemBank``: it hands out
 one batch at a time and accepts outcomes only for the batch it handed out.
-Inside, a batch is an array of bank indices: strategies choose indices, the
-pending batch is held as indices, and ``report_indices`` folds outcomes in
-from index and pass-rate arrays.  ``select_and_roll`` picks a batch and rolls
-it out in one call, the same call for every strategy.  A checkpoint holds
-only what changes while a run goes on; the rest is rebuilt by constructing
-the sampler again from its config and bank.
+Inside, a batch is an array of bank indices: strategies choose indices, and
+the sampler holds the pending batch itself.  ``report`` takes one pass rate
+per pending problem, in batch order.  ``select_and_roll`` picks a batch and
+rolls it out in one call, the same call for every strategy.  A checkpoint
+holds only what changes while a run goes on, and never a batch in flight;
+the rest is rebuilt by constructing the sampler again from its config and
+bank.
 
 Alignment selection runs in two phases.  A warm-up phase walks a fixed random
 permutation of the bank in batch-size chunks so every problem collects at
@@ -26,7 +27,6 @@ including problems whose estimates are stale.
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
@@ -51,25 +51,40 @@ def smallest_by(candidates: np.ndarray, k: int, *keys: np.ndarray) -> np.ndarray
     return candidates[order[:k]]
 
 
-def rolled_counts(roll_round, indices: np.ndarray) -> list[int]:
-    """``roll_round(indices)``, refused unless it gives one pass count per index.
+def rolled_counts(roll_round, indices: np.ndarray, group_size: int) -> np.ndarray:
+    """``roll_round(indices)`` as int64 counts, one integer in [0, ``group_size``] per index.
 
     Raises:
-        ConsistencyError: the count list is longer or shorter than ``indices``.
+        ConsistencyError: the counts are not one per index, not integers
+            (bools and floats are refused), or one is outside
+            [0, ``group_size``]; the first bad count is named.
     """
-    counts = roll_round(indices)
-    if len(counts) != len(indices):
+    counts = np.asarray(roll_round(indices))
+    if counts.ndim != 1 or counts.size != indices.size:
         raise ConsistencyError(
-            f"roll_round returned {len(counts)} pass counts for {len(indices)} problems"
+            f"roll_round returned {counts.size} pass counts for {indices.size} problems"
         )
-    return counts
+    if counts.dtype.kind not in "iu":
+        raise ConsistencyError(
+            f"roll_round returned {counts.dtype} pass counts, first {counts[0]}; "
+            f"counts must be integers"
+        )
+    bad = (counts < 0) | (counts > group_size)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ConsistencyError(
+            f"roll_round returned pass count {counts[k]} for candidate {k}; "
+            f"counts must be in [0, {group_size}]"
+        )
+    return counts.astype(np.int64, copy=False)
 
 
 class Sampler:
     """Select/report contract shared by every strategy.
 
     A sampler is a single logical actor: interleave ``select_batch`` (or
-    ``select_and_roll``) and ``report_indices``, one batch at a time.
+    ``select_and_roll``) and ``report``, one batch at a time; ``state_dict``
+    is taken between the two, never while a batch is pending.
     Subclasses set ``strategy``, choose the bank indices of a batch in
     ``_choose``, fold validated outcomes into their own state in ``_fold``
     and name that state in ``_state``/``_load_state``.  Every sampler keeps
@@ -79,7 +94,7 @@ class Sampler:
     strategy: str
     competence_value: float | None = None
     # The keys of ``state_dict``; subclasses add the ones ``_state`` returns.
-    state_fields: tuple[str, ...] = ("strategy", "step", "pending", "rng", "last_pass_rate")
+    state_fields: tuple[str, ...] = ("strategy", "step", "rng", "last_pass_rate")
 
     def __init__(self, bank: ProblemBank, rng: np.random.Generator):
         self.bank = bank
@@ -136,11 +151,15 @@ class Sampler:
         problem.  The batch is pending until its outcomes are reported.
 
         Raises:
-            ConsistencyError: ``roll_round`` did not return one count per
-                batch problem.
+            ConsistencyError: ``roll_round`` did not return one integer count
+                in [0, ``group_size``] per batch problem; no batch is left
+                pending.
         """
-        batch = self.select_batch(batch_size)
-        return batch, rolled_counts(roll_round, self._pending), batch_size
+        self._check_batch_size(batch_size)
+        indices = self._choose(batch_size)
+        counts = rolled_counts(roll_round, indices, group_size)
+        self._hold(indices)
+        return self._ids(indices), counts.tolist(), batch_size
 
     def _choose(self, batch_size: int) -> np.ndarray:
         raise NotImplementedError
@@ -156,50 +175,27 @@ class Sampler:
 
     # -- outcome reporting -------------------------------------------------
 
-    def report_indices(self, indices, pass_rates) -> None:
-        """Fold in the pass rates of the pending batch, by bank index, and advance the step.
+    def report(self, pass_rates) -> None:
+        """Fold in one pass rate per pending problem, in batch order, and advance the step.
 
-        Raises ConsistencyError when no batch is pending or an outcome names
-        an index outside the bank (an unknown problem), a problem outside the
-        pending batch, or a problem already reported in this call; the first
-        outcome that fails is named, by the first check it fails.  Raises
-        ValueError for arrays of different lengths, indices that are not
-        integers, or a pass rate outside [0, 1].  A refusal leaves the
+        Raises ConsistencyError when no batch is pending, and ValueError
+        unless there is exactly one rate per pending problem, each in
+        [0, 1]; a bad rate is named by its problem.  A refusal leaves the
         sampler untouched.
         """
         if self._pending is None:
-            raise ConsistencyError("report_indices called with no batch outstanding")
-        indices = np.asarray(indices)
+            raise ConsistencyError("report called with no batch outstanding")
+        indices = self._pending
         rates = np.asarray(pass_rates, dtype=np.float64)
-        if indices.ndim != 1 or rates.shape != indices.shape:
+        if rates.shape != indices.shape:
             raise ValueError(
-                f"report_indices needs two 1-d arrays of one length, got shapes "
-                f"{indices.shape} and {rates.shape}"
+                f"report needs one pass rate per pending problem ({indices.size}), "
+                f"got shape {rates.shape}"
             )
-        if indices.size and indices.dtype.kind not in "iu":
-            raise ValueError(f"report_indices needs integer indices, got {indices.dtype}")
-        indices = indices.astype(np.intp, copy=False)
-        n = len(self.bank)
-        known = (indices >= 0) & (indices < n)
-        in_batch = np.zeros(n, dtype=bool)
-        in_batch[self._pending] = True
-        outside = known & ~in_batch[np.where(known, indices, 0)]
-        # A repeat of an index reported earlier in this call.
-        order = np.argsort(indices, kind="stable")
-        repeat = np.zeros(indices.size, dtype=bool)
-        repeat[order[1:]] = indices[order[1:]] == indices[order[:-1]]
         bad_rate = ~((rates >= 0.0) & (rates <= 1.0))
-        refused = ~known | outside | repeat | bad_rate
-        if refused.any():
-            k = int(np.argmax(refused))
-            i = int(indices[k])
-            if not known[k]:
-                raise ConsistencyError(f"unknown problem id at bank index {i}")
-            name = self.bank.ids[i]
-            if outside[k]:
-                raise ConsistencyError(f"problem {name} was not in the most recent batch")
-            if repeat[k]:
-                raise ConsistencyError(f"duplicate outcome for problem {name}")
+        if bad_rate.any():
+            k = int(np.argmax(bad_rate))
+            name = self.bank.ids[indices[k]]
             raise ValueError(f"pass_rate must be in [0, 1], got {rates[k]} for {name}")
         self._fold(indices, rates)
         self._last_pass_rate[indices] = rates
@@ -212,11 +208,17 @@ class Sampler:
     # -- serialization ------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """The state a run changes; the constructor rebuilds everything else."""
+        """The state a run changes; the constructor rebuilds everything else.
+
+        Raises:
+            ConsistencyError: a batch is pending; its outcomes are not state
+                a checkpoint can hold.
+        """
+        if self._pending is not None:
+            raise ConsistencyError("a batch is pending; report it before saving state")
         return {
             "strategy": self.strategy,
             "step": self._step,
-            "pending": self._ids(self._pending) if self._pending is not None else None,
             "rng": self._rng.bit_generator.state,
             # JSON has no NaN: a problem never reported is written as null.
             "last_pass_rate": [None if r != r else r for r in self._last_pass_rate.tolist()],
@@ -228,32 +230,15 @@ class Sampler:
 
         Raises:
             ConfigError: the payload belongs to another strategy, does not
-                fit this sampler's bank, holds a step, pending batch or pass
-                rate that is out of range or of the wrong type, or an rng
-                state that does not fit the bit generator; the sampler is left
-                untouched.
+                fit this sampler's bank, holds a step or pass rate that is out
+                of range or of the wrong type, or an rng state that does not
+                fit the bit generator; the sampler is left untouched.
         """
         if payload.get("strategy") != self.strategy:
             raise ConfigError(
                 f"sampler state: strategy {payload.get('strategy')!r} cannot restore "
                 f"into a {self.strategy!r} sampler"
             )
-        pending = payload["pending"]
-        if pending is not None:
-            if (
-                not isinstance(pending, list)
-                or not set(map(type, pending)) <= {str}
-                or len(set(pending)) < len(pending)
-            ):
-                raise ConfigError(
-                    "sampler state: pending must be null or a list of distinct problem ids"
-                )
-            unknown = [pid for pid in pending if pid not in self.bank.index]
-            if unknown:
-                raise ConfigError(
-                    f"sampler state: pending batch names {len(unknown)} problem(s) "
-                    f"outside the bank, first {unknown[0]!r}"
-                )
         step = payload["step"]
         # By exact type: bool is an int subclass, and a float step would be
         # written back into metrics.csv as a float.
@@ -265,8 +250,6 @@ class Sampler:
         self._step = step
         self._last_pass_rate = last_pass_rate
         self._pending = None
-        if pending is not None:
-            self._hold(np.array([self.bank.index[pid] for pid in pending], dtype=np.intp))
         self._rng.bit_generator.state = payload["rng"]
 
     def _load_rates(self, rates) -> np.ndarray:
@@ -304,10 +287,12 @@ class CdasSampler(Sampler):
     all 0 at the start, and difficulty estimates ``D``, all
     ``initial_difficulty``.  ``estimates`` is a read-only view of ``D``;
     ``records`` and ``record()`` build id-keyed views of them on demand.
+    Competence is ``initial_competence`` until the first report and the
+    negated mean estimate after it, so the state holds no copy of it.
     """
 
     strategy = "cdas"
-    state_fields = (*Sampler.state_fields, "competence", "t", "difficulty")
+    state_fields = (*Sampler.state_fields, "t", "difficulty")
 
     def __init__(
         self,
@@ -327,7 +312,7 @@ class CdasSampler(Sampler):
             raise ConfigError(f"initial_difficulty: must be finite, got {initial_difficulty}")
         if not math.isfinite(initial_competence):
             raise ConfigError(f"initial_competence: must be finite, got {initial_competence}")
-        self._competence = initial_competence
+        self._initial_competence = self._competence = initial_competence
         n = len(bank)
         self._t = np.zeros(n, dtype=np.int64)
         self._D = np.full(n, initial_difficulty, dtype=np.float64)
@@ -445,7 +430,6 @@ class CdasSampler(Sampler):
 
     def _state(self) -> dict:
         return {
-            "competence": self._competence,
             "t": self._t.tolist(),
             "difficulty": self._D.tolist(),
         }
@@ -474,19 +458,10 @@ class CdasSampler(Sampler):
             raise ConfigError(f"sampler state: t must be >= 0, got {t.min()}")
         if not np.isfinite(difficulty).all():
             raise ConfigError("sampler state: every difficulty estimate must be finite")
-        competence = payload["competence"]
-        # The bound refuses NaN, infinities and ints too large for a float.
-        if type(competence) not in (int, float) or not abs(competence) <= sys.float_info.max:
-            raise ConfigError(
-                f"sampler state: competence must be a finite number, got {competence!r}"
-            )
-        if payload["step"] > 0 and competence != _competence(difficulty):
-            raise ConfigError(
-                f"sampler state: competence {competence!r} is not the one its "
-                f"difficulty estimates give"
-            )
         self._t, self._D = t, difficulty
-        self._competence = competence
+        self._competence = (
+            _competence(difficulty) if payload["step"] > 0 else self._initial_competence
+        )
 
 
 def _competence(difficulty: np.ndarray) -> float:

@@ -252,9 +252,7 @@ def test_criterion_05_symmetric_batch_law(capsys):
                     if picked and skipped and max(picked) > min(skipped):
                         violations += 1
             groups = [learner.rollout_group(pid, bank.latent[bank.index[pid]]) for pid in batch]
-            sampler.report_indices(
-                [bank.index[g.problem_id] for g in groups], [g.pass_rate for g in groups]
-            )
+            sampler.report([g.pass_rate for g in groups])
             learner.learn_step([group_advantages(g)[1] for g in groups])
         out["ok"] = violations == 0 and checked > 0 and exact_splits > 0
         out["detail"] = (

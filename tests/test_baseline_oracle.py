@@ -83,6 +83,7 @@ def test_prioritized_batch_matches_scalar_key_reference(case):
     picks, fell_back = _reference_batch(weights, batch_size, reference_rng)
 
     assert sampler.select_batch(batch_size) == [f"q{i}" for i in picks]
+    sampler.report([0.5] * batch_size)  # draws nothing; a saved state needs no pending batch
     assert sampler.state_dict()["rng"] == reference_rng.bit_generator.state
     assert sampler.uniform_fallbacks == int(fell_back)
 

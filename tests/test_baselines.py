@@ -82,15 +82,15 @@ class TestCurriculumSampler:
         for _ in range(3):
             batch = curriculum.select_batch(6)
             assert batch == random_sampler.select_batch(6)
-            curriculum.report_indices(curriculum.pending, [0.5] * len(batch))
-            random_sampler.report_indices([], [])
+            curriculum.report([0.5] * len(batch))
+            random_sampler.report([0.5] * len(batch))
 
     def test_only_high_levels_after_the_switch(self):
         sampler = CurriculumSampler(_bank(50), rng=np.random.default_rng(2), switch_step=0)
         for _ in range(20):
             batch = sampler.select_batch(5)
             assert all(sampler.bank.level_tags[sampler.bank.index[pid]] >= 4 for pid in batch)
-            sampler.report_indices(sampler.pending, [0.5] * len(batch))
+            sampler.report([0.5] * len(batch))
 
     def test_threshold_five_with_pool_equal_to_batch(self):
         bank = _bank(25)  # five problems per level
@@ -268,34 +268,25 @@ class TestDynamicSampler:
 
 
 class TestReportOutcomes:
-    # Outcomes are accepted only for the pending batch; a bank-sized batch
-    # makes every problem reportable.  The full contract, for every strategy, is
-    # pinned in test_cdas_sampler.TestConsistencyChecks.  Every sampler keeps
-    # the latest pass rates; prioritized is the baseline that reads them.
-
-    def _armed(self):
-        sampler = PrioritizedSampler(_bank(5), rng=np.random.default_rng(0))
-        sampler.select_batch(5)
-        return sampler
+    # The full report contract, for every strategy, is pinned in
+    # test_cdas_sampler.TestReportContract.  Every sampler keeps the latest
+    # pass rates; prioritized is the baseline that reads them.
 
     def test_records_latest_pass_rate(self):
-        sampler = self._armed()
-        sampler.report_indices([1], [0.75])
+        sampler = PrioritizedSampler(_bank(5), rng=np.random.default_rng(0))
+        sampler.select_batch(2)
+        first = sampler.pending.tolist()
+        sampler.report([0.25, 0.5])
+        sampler.select_batch(1)
+        (second,) = sampler.pending.tolist()
+        sampler.report([0.75])
+        want = [None] * 5
+        for i, rate in [*zip(first, [0.25, 0.5]), (second, 0.75)]:
+            want[i] = rate
+        assert sampler.state_dict()["last_pass_rate"] == want
         last = sampler.last_pass_rates
-        assert last[1] == 0.75
-        assert np.isnan(np.delete(last, 1)).all()
-        assert sampler.state_dict()["last_pass_rate"] == [None, 0.75, None, None, None]
-
-    def test_empty_outcomes_only_advance_the_step(self):
-        sampler = self._armed()
-        sampler.report_indices([], [])
-        assert sampler.step == 1
-        assert np.isnan(sampler.last_pass_rates).all()
-
-    def test_unknown_id_rejected(self):
-        sampler = self._armed()
-        with pytest.raises(ConsistencyError, match="unknown"):
-            sampler.report_indices([len(sampler.bank)], [0.5])
+        assert last[second] == 0.75
+        assert np.isnan(last[[i for i in range(5) if want[i] is None]]).all()
 
 
 class TestSerialization:
@@ -313,7 +304,7 @@ class TestSerialization:
     def test_round_trip_preserves_behavior(self, factory):
         sampler = factory(_bank(15))
         sampler.select_and_roll(4, 4, _rolls(lambda i: 2))
-        sampler.report_indices(sampler.pending, [0.5] * 4)
+        sampler.report([0.5] * 4)
         clone = factory(_bank(15))
         clone.load_state_dict(sampler.state_dict())
         assert clone.state_dict() == sampler.state_dict()

@@ -242,15 +242,12 @@ class TestResumeCommand:
             lambda payload: payload["learner"].update(ability=math.nan),
             lambda payload: payload["sampler"].update(rng={}),
             lambda payload: payload["learner"].update(rng=5),
-            lambda payload: payload["sampler"].update(pending=5),
-            lambda payload: payload["sampler"].update(pending=[["x"]]),
             lambda payload: payload["metrics_rows"][1].update(mean_reward="oops"),
             lambda payload: payload["metrics_rows"][1].update(step=7),
             lambda payload: payload["batches"][1].__setitem__(1, payload["batches"][1][0]),
             lambda payload: payload["metrics_rows"][1].update(mean_reward=math.nan),
             lambda payload: payload["metrics_rows"][0].update(learner_ability=-math.inf),
             lambda payload: payload["config"].update(strategy=[]),
-            lambda payload: payload.update(step=99),
         ],
         ids=[
             "no-sampler-rng",
@@ -263,15 +260,12 @@ class TestResumeCommand:
             "nan-ability",
             "empty-sampler-rng",
             "int-learner-rng",
-            "int-pending",
-            "nested-pending",
             "string-mean-reward",
             "step-7-in-row-2",
             "repeated-id-in-batch",
             "nan-mean-reward",
             "infinite-ability-in-row-1",
             "list-strategy",
-            "top-level-step-99",
         ],
     )
     def test_damaged_checkpoint_exits_2(self, tmp_path, capsys, edit):
@@ -392,6 +386,24 @@ class TestBankCommands:
         printed = capsys.readouterr().out
         assert "50 problems" in printed
         assert "levels: 1: 10, 2: 10, 3: 10, 4: 10, 5: 10" in printed
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--seed", "-1"], "seed"),
+            (["--scale", "nan"], "bank_scale"),
+            (["--scale", "inf"], "bank_scale"),
+            (["--mode", "levels", "--level-spread", "inf"], "bank_level_spread"),
+            (["--mode", "levels", "--level-spread", "nan"], "bank_level_spread"),
+        ],
+        ids=["negative-seed", "nan-scale", "inf-scale", "inf-level-spread", "nan-level-spread"],
+    )
+    def test_bad_generate_argument_exits_2(self, tmp_path, capsys, flags, name):
+        path = tmp_path / "bank.json"
+        assert main(["bank", "generate", *flags, "--n", "10", "--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {name}: must be" in err and "Traceback" not in err
+        assert not path.exists()
 
     def test_untagged_problems_listed_last(self, tmp_path, capsys):
         path = tmp_path / "bank.json"

@@ -212,16 +212,14 @@ class TestCheckpointResume:
         )
         payload = load_checkpoint(tmp_path / CHECKPOINT_FILE)
         assert set(payload) == {
-            "format_version", "config", "config_hash", "bank_hash", "step",
+            "format_version", "config", "config_hash", "bank_hash",
             "sampler", "learner", "metrics_rows", "batches",
         }
         own = {
-            "cdas": {"competence", "t", "difficulty"},
+            "cdas": {"t", "difficulty"},
             "prioritized": {"uniform_fallbacks"},
         }.get(strategy, set())
-        assert set(payload["sampler"]) == {
-            "strategy", "step", "pending", "rng", "last_pass_rate"
-        } | own
+        assert set(payload["sampler"]) == {"strategy", "step", "rng", "last_pass_rate"} | own
         assert set(payload["learner"]) == {"ability", "rng"}
         # The latest pass rates, in bank order, with null for the problems
         # the two batches of four left out.
@@ -234,7 +232,7 @@ class TestCheckpointResume:
     def test_partial_checkpoint_records_progress(self, tmp_path):
         run_experiment(_tiny(out_dir=str(tmp_path)), stop_after=2)
         payload = load_checkpoint(tmp_path / CHECKPOINT_FILE)
-        assert payload["step"] == 2
+        assert payload["sampler"]["step"] == 2
         assert len(payload["metrics_rows"]) == 2
         assert len(payload["batches"]) == 2
 
@@ -296,7 +294,6 @@ class TestCheckpointResume:
             (lambda p: p["learner"].update(ability=math.nan), "ability must be a finite number"),
             (lambda p: p["learner"].update(ability=True), "ability must be a finite number"),
             (lambda p: p["learner"].update(ability=10**400), "ability must be a finite number"),
-            (lambda p: p.update(step=99), "step must be 2, one per metrics row"),
         ],
         ids=[
             "no-sampler-rng",
@@ -318,7 +315,6 @@ class TestCheckpointResume:
             "nan-ability",
             "bool-ability",
             "overflowing-ability",
-            "top-level-step-99",
         ],
     )
     def test_damaged_checkpoint_refused(self, tmp_path, edit, match):
@@ -348,9 +344,10 @@ class TestCheckpointResume:
             resume_experiment(path)
 
     def test_unsupported_version_detected(self, tmp_path):
-        # Version 1 checkpoints carried whole sampler objects and version 2 a
-        # pass-rate dict keyed by id; both are refused.
-        for version in (1, 2, 99):
+        # Version 1 checkpoints carried whole sampler objects, version 2 a
+        # pass-rate dict keyed by id and version 3 a pending batch, a stored
+        # competence and a second step; all are refused.
+        for version in (1, 2, 3, 99):
             run_experiment(_tiny(out_dir=str(tmp_path)), stop_after=2)
             path = tmp_path / CHECKPOINT_FILE
             _edit_checkpoint(path, lambda payload: payload.update(format_version=version))
@@ -365,18 +362,11 @@ class TestCheckpointResume:
             ("cdas", lambda s: s["t"].__setitem__(0, -1), "t must be >= 0"),
             ("random", lambda s: s.update(step=s["step"] + 1), "step 3"),
             ("cdas", lambda s: s.update(step=s["step"] - 1), "step 1"),
-            (
-                "cdas",
-                lambda s: s.update(competence=math.nextafter(s["competence"], 1.0)),
-                "competence",
-            ),
-            ("random", lambda s: s.update(pending=["ghost"]), "outside the bank"),
             ("random", lambda s: s["last_pass_rate"].pop(), "bank of 12"),
             ("curriculum", lambda s: s["last_pass_rate"].__setitem__(0, "0.5"), "null or"),
             ("prioritized", lambda s: s["last_pass_rate"].__setitem__(0, 1.5), "null or"),
             ("dynamic", lambda s: s["last_pass_rate"].__setitem__(0, True), "null or"),
             ("prioritized", lambda s: s.update(uniform_fallbacks=1.0), "uniform_fallbacks"),
-            ("cdas", lambda s: s.update(competence=10**400), "competence must be a finite"),
         ],
     )
     def test_edited_sampler_state_detected(self, tmp_path, strategy, edit, match):
@@ -408,7 +398,7 @@ class TestCheckpointResume:
             patch.setattr(harness.json, "dumps", crashing_dumps)
             with pytest.raises(OSError, match="disk full"):
                 resume_experiment(run / CHECKPOINT_FILE, stop_after=4)
-        assert load_checkpoint(run / CHECKPOINT_FILE)["step"] == 2
+        assert len(load_checkpoint(run / CHECKPOINT_FILE)["metrics_rows"]) == 2
         assert sorted(p.name for p in run.iterdir()) == sorted(OUTPUT_FILES)
         resume_experiment(run / CHECKPOINT_FILE)
         for name in OUTPUT_FILES:

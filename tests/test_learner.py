@@ -228,6 +228,16 @@ class TestGenerateBank:
         with pytest.raises(ConfigError):
             generate_bank(5, rng, mode="mystery")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scale_and_spread_refused_before_drawing(self, value):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ConfigError, match="bank_scale: must be finite and > 0"):
+            generate_bank(5, rng, scale=value)
+        with pytest.raises(ConfigError, match="bank_level_spread: must be finite and > 0"):
+            generate_bank(5, rng, mode="levels", level_spread=value)
+        assert rng.bit_generator.state == before
+
 
 class TestBankContainer:
     def test_lookup_and_len(self):
@@ -273,7 +283,7 @@ class TestBankContainer:
         sampler = CdasSampler(bank, 4, np.random.default_rng(0))
         for _ in range(3):
             batch = sampler.select_batch(4)
-            sampler.report_indices(sampler.pending, [0.25] * len(batch))
+            sampler.report([0.25] * len(batch))
         assert bank.content_hash() == before
 
     def test_hash_covers_ids_tags_and_latents(self):

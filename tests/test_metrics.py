@@ -25,12 +25,13 @@ def _group(pid, rewards):
     return RolloutGroup(problem_id=pid, rewards=tuple(rewards))
 
 
-def _groups_with_rates(rates):
+def _groups_with_rates(rates, ids=None):
     # Four rollouts per group; rates must be multiples of 0.25.
     out = []
     for i, rate in enumerate(rates):
         passes = round(rate * 4)
-        out.append(_group(f"p{i:03d}", [1.0] * passes + [0.0] * (4 - passes)))
+        pid = f"p{i:03d}" if ids is None else ids[i]
+        out.append(_group(pid, [1.0] * passes + [0.0] * (4 - passes)))
     return out
 
 
@@ -53,10 +54,9 @@ def _random_sampler(n=6):
 
 class TestSummarizeStep:
     def test_mean_reward_and_zero_gradient_fraction(self):
-        groups = _groups_with_rates([0.0, 0.5, 1.0, 0.25])
-        sampler = _random_sampler(n=4)  # a bank-sized batch holds every group's id
-        sampler.select_batch(4)
-        sampler.report_indices(*_columns(groups, sampler.bank)[:2])
+        sampler = _random_sampler(n=4)
+        groups = _groups_with_rates([0.0, 0.5, 1.0, 0.25], ids=sampler.select_batch(4))
+        sampler.report([g.pass_rate for g in groups])
         metrics = summarize_step(*_columns(groups, sampler.bank), sampler, _StubLearner(0.7))
         assert metrics.mean_reward == pytest.approx(0.4375, abs=1e-15)
         assert metrics.zero_gradient_fraction == 0.5  # rates 0.0 and 1.0
@@ -74,7 +74,7 @@ class TestSummarizeStep:
     def test_alignment_sampler_fills_model_columns(self):
         sampler = CdasSampler(_bank(4), batch_size=2, rng=np.random.default_rng(1))
         batch = sampler.select_batch(2)
-        sampler.report_indices(sampler.pending, [1.0] * len(batch))
+        sampler.report([1.0] * len(batch))
         groups = [_group(pid, [1.0, 1.0, 1.0, 1.0]) for pid in batch]
         metrics = summarize_step(*_columns(groups, sampler.bank), sampler, _StubLearner(0.1))
         assert metrics.competence == sampler.competence_value

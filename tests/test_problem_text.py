@@ -13,7 +13,6 @@ import math
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -21,7 +20,6 @@ from hypothesis import strategies as st
 from cdas.config import BANK_MODES, STRATEGIES, ExperimentConfig
 from cdas.harness import PROBLEMS_FILE, RunResult, run_experiment, write_outputs
 from cdas.learner import BLOCK_ROWS, ProblemBank
-from cdas.sampling import _competence
 
 SIZES = [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]
 
@@ -109,7 +107,6 @@ def test_problems_csv_matches_csv_writer(
     if strategy == "cdas":
         state["t"] = _tile(counts, n)
         state["difficulty"] = _tile(estimates, n)
-        state["competence"] = _competence(np.array(state["difficulty"]))
     for position, rate in rates:
         state["last_pass_rate"][position % n] = rate
     run.sampler.load_state_dict(state)

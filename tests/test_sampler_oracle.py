@@ -122,7 +122,7 @@ def test_array_sampler_matches_the_scalar_reference(scenario):
         batch = sampler.select_batch(batch_size)
         assert batch == reference.select(batch_size), step
         outcomes = list(zip(batch, rates))
-        sampler.report_indices(sampler.pending, rates)
+        sampler.report(rates)
         reference.report(outcomes)
         got = sampler.records
         want = reference.records
@@ -135,11 +135,12 @@ def test_array_sampler_matches_the_scalar_reference(scenario):
 
 
 def test_negative_zero_bank_has_the_scalar_competence():
-    # The scalar loop starts from 0.0, so a bank of -0.0 estimates sums to 0.0.
+    # The scalar loop starts from 0.0, so a bank of -0.0 estimates sums to 0.0
+    # and its competence is -0.0.  A restored step-1 sampler derives its
+    # competence from the estimates, not from initial_competence.
     records = [ProblemRecord(id=pid, t=1, difficulty=-0.0) for pid in "abcd"]
-    sampler = _sampler(records, 0.0, batch_size=2)
-    reference = ScalarCdas(records, True, 0.0)
-    sampler.select_batch(2)
-    sampler.report_indices([], [])
-    reference.report([])
-    assert _bits([sampler.competence_value]) == _bits([reference.competence])
+    sampler = _sampler(records, 0.5, batch_size=2)
+    state = sampler.state_dict()
+    state["step"] = 1
+    sampler.load_state_dict(state)
+    assert _bits([sampler.competence_value]) == _bits([update_competence(records)]) == ["-0x0.0p+0"]
