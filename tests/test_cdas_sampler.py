@@ -222,14 +222,11 @@ def _armed(strategy):
     return sampler, batch
 
 
-class TestReportContract:
-    """The report contract, checked on every strategy.
-
-    ``report`` takes one pass rate per pending problem, in batch order.  Each
-    case loops over ``STRATEGIES`` and names the strategy on failure.
-    """
+class TestConsistencyChecks:
+    """A report is refused unless a batch is pending, on every strategy."""
 
     def test_report_without_batch(self):
+        # Before any selection, and after the pending batch was reported once.
         for strategy in STRATEGIES:
             sampler = _strategy_sampler(strategy)
             with pytest.raises(ConsistencyError, match="no batch outstanding"):
@@ -238,6 +235,30 @@ class TestReportContract:
             sampler.report([0.5] * 4)
             with pytest.raises(ConsistencyError, match="no batch outstanding"):
                 sampler.report([0.5] * 4)
+
+
+class TestIndexConsistencyChecks:
+    """The pending bank indices: set by a selection, cleared by a restore."""
+
+    def test_report_without_batch(self):
+        for strategy in STRATEGIES:
+            sampler = _strategy_sampler(strategy)
+            saved = sampler.state_dict()
+            assert sampler.pending is None, strategy
+            batch, _, _ = sampler.select_and_roll(4, 4, lambda indices: [2] * len(indices))
+            assert [sampler.bank.ids[i] for i in sampler.pending] == batch, strategy
+            sampler.load_state_dict(saved)
+            assert sampler.pending is None, strategy
+            with pytest.raises(ConsistencyError, match="no batch outstanding"):
+                sampler.report([0.5] * 4)
+
+
+class TestReportContract:
+    """The report contract, checked on every strategy.
+
+    ``report`` takes one pass rate per pending problem, in batch order.  Each
+    case loops over ``STRATEGIES`` and names the strategy on failure.
+    """
 
     @pytest.mark.parametrize(
         "rates", [[0.5] * 3, [0.5] * 5, [[0.5] * 4]], ids=["too-few", "too-many", "2-d"]
