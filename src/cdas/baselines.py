@@ -85,7 +85,7 @@ class PrioritizedSampler(BaselineSampler):
     per problem and the batch's smallest keys (Efraimidis & Spirakis, 2006).
     If fewer positive weights than the batch holds remain, the rest of the
     batch is uniform over the zero-weight problems and the
-    ``uniform_fallbacks`` counter increments.
+    ``uniform_fallbacks`` counter increments once that batch is held.
     """
 
     strategy = "prioritized"
@@ -99,6 +99,7 @@ class PrioritizedSampler(BaselineSampler):
             )
         self.initial_weight = initial_weight
         self.uniform_fallbacks = 0
+        self._falls_back = False
 
     @classmethod
     def from_config(cls, config, bank, rng: np.random.Generator) -> "PrioritizedSampler":
@@ -115,9 +116,14 @@ class PrioritizedSampler(BaselineSampler):
         zero = weights == 0.0
         with np.errstate(over="ignore"):
             keys = np.divide(draws, weights, out=np.full(len(draws), np.inf), where=~zero)
-        if len(draws) - np.count_nonzero(zero) < batch_size:
-            self.uniform_fallbacks += 1
+        # Counted by _hold: a batch refused for its rollout counts is not held.
+        self._falls_back = len(draws) - np.count_nonzero(zero) < batch_size
         return smallest_by(np.arange(len(draws)), batch_size, keys, zero, draws)
+
+    def _hold(self, indices: np.ndarray) -> None:
+        super()._hold(indices)
+        if self._falls_back:
+            self.uniform_fallbacks += 1
 
     def _state(self) -> dict:
         return {"uniform_fallbacks": self.uniform_fallbacks}
@@ -191,7 +197,8 @@ class DynamicSampler(BaselineSampler):
 
         Raises:
             ConsistencyError: ``roll_round`` did not return one integer count
-                in [0, ``group_size``] per candidate; no batch is left pending.
+                in [0, ``group_size``] per candidate; no batch is left pending,
+                but the sampler's generator has moved on, so discard it.
             RolloutBudgetError: retry cap spent with nothing keepable at all.
         """
         self._check_batch_size(batch_size)

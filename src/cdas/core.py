@@ -6,7 +6,10 @@ Per-problem estimates are incremental means of those gaps, and competence is
 the negated mean of all stored estimates.  All functions are pure; records
 are immutable and replaced, never mutated.  These scalar functions are the
 oracle the samplers' array paths are checked against; ``sigmoid_array`` is
-the one array function here, equal to ``sigmoid`` bit for bit.
+the one array function here, equal to ``sigmoid`` bit for bit.  The
+fixed-point solver (``cdas.fixed_point.iterate_once``) takes its logistic
+unclamped, in one array pass: it is within machine epsilon of ``sigmoid`` but
+not bit-exact with it.
 """
 
 from __future__ import annotations

@@ -68,26 +68,32 @@ class EquilibriumSolution:
     trajectory: list[State] = field(default_factory=list)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Split by sign so exp never overflows.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    expz = np.exp(z[~pos])
-    out[~pos] = expz / (1.0 + expz)
-    return out
-
-
 def iterate_once(d: np.ndarray, c: float, s_star: np.ndarray) -> State:
-    """One synchronous application of the difficulty/competence map."""
-    d_next = _sigmoid(c - np.asarray(d, dtype=float)) - s_star
-    c_next = -float(d_next.mean())
-    return d_next, c_next
+    """One synchronous application of the difficulty/competence map.
+
+    The logistic is taken by sign so exp never overflows: with
+    e = exp(-|z|) it is 1 / (1 + e) for z >= 0 and e / (1 + e) below.
+    Those are the IEEE operations of evaluating each sign on its own, in one
+    exp pass, with one scratch array beside the returned one.
+    """
+    z = np.subtract(c, np.asarray(d, dtype=float))
+    # -|z| as min(z, -z), which passes a NaN through as it is (abs clears its sign).
+    e = np.negative(z)
+    np.minimum(z, e, out=e)
+    np.exp(e, out=e)
+    # The numerator, 1 where z >= 0 and e elsewhere: as 0 <= e <= 1 that is
+    # max(e, z >= 0), several times cheaper than a masked write.
+    np.maximum(e, z >= 0, out=z)
+    e += 1.0
+    z /= e
+    z -= s_star
+    return z, -float(z.mean())
 
 
 def _sup_distance(a: State, b: State) -> float:
-    d_gap = float(np.max(np.abs(a[0] - b[0])))
-    return max(d_gap, abs(a[1] - b[1]))
+    gap = np.subtract(a[0], b[0])
+    np.abs(gap, out=gap)
+    return max(float(gap.max()), abs(a[1] - b[1]))
 
 
 def _deltas(trajectory: list[State]) -> list[float]:

@@ -153,7 +153,9 @@ class Sampler:
         Raises:
             ConsistencyError: ``roll_round`` did not return one integer count
                 in [0, ``group_size``] per batch problem; no batch is left
-                pending.
+                pending and no counter moves, but choosing the batch may
+                have advanced the sampler's generator, so discard the sampler
+                rather than retry with it.
         """
         self._check_batch_size(batch_size)
         indices = self._choose(batch_size)

@@ -332,6 +332,25 @@ def test_bad_counts_from_roll_round_refused(case):
         assert sampler.state_dict()["step"] == 0, strategy
 
 
+@pytest.mark.parametrize(
+    "strategy", [s for s in STRATEGIES if "uniform_fallbacks" in SAMPLERS[s].state_fields]
+)
+def test_refused_roll_counts_no_fallback(strategy):
+    # Zero-weight unseen problems force a uniform fallback on the first batch;
+    # it is counted only once a batch is held.
+    config = ExperimentConfig(
+        batch_size=4, strategy=strategy, warmup=False, prioritized_initial_weight=0.0
+    )
+    bank = _bank(SIX_PROBLEMS, tag=5)
+    sampler = SAMPLERS[strategy].from_config(config, bank, np.random.default_rng(0))
+    with pytest.raises(ConsistencyError):
+        sampler.select_and_roll(4, 4, lambda indices: [2] * 3)
+    assert sampler.uniform_fallbacks == 0
+    assert sampler.pending is None
+    sampler.select_and_roll(4, 4, lambda indices: [2] * 4)
+    assert sampler.uniform_fallbacks == 1
+
+
 @pytest.mark.parametrize("strategy", ["cdas", "random", "curriculum", "prioritized"])
 def test_select_and_roll_is_select_batch_then_one_rollout(strategy):
     """The shared ``select_and_roll``: ``select_batch``, then one ``pass_counts`` call."""

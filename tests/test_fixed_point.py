@@ -1,7 +1,10 @@
 """Equilibrium solver: analytic fixed points, contraction bound, error paths."""
 
 import csv
+import importlib.util
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,50 @@ from cdas.fixed_point import (
 )
 
 CONTRACTION_BOUND = 0.5 + 1e-9
+DEMO = Path(__file__).resolve().parents[1] / "scripts" / "fixed_point_demo.py"
+
+
+def _masked_sigmoid(z):
+    # The reference: each sign evaluated on its own, so exp never overflows.
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    expz = np.exp(z[~pos])
+    out[~pos] = expz / (1.0 + expz)
+    return out
+
+
+def _masked_iterate_once(d, c, s_star):
+    d_next = _masked_sigmoid(c - np.asarray(d, dtype=float)) - s_star
+    return d_next, -float(d_next.mean())
+
+
+def _masked_solve(s_star, d, c, tolerance, max_iters):
+    """The reference iteration: its trajectory and its step sizes."""
+    trajectory, deltas = [(d, c)], []
+    for _ in range(max_iters):
+        d_next, c_next = _masked_iterate_once(d, c, s_star)
+        deltas.append(max(float(np.max(np.abs(d_next - d))), abs(c_next - c)))
+        trajectory.append((d_next, c_next))
+        d, c = d_next, c_next
+        if deltas[-1] <= tolerance:
+            break
+    return trajectory, deltas
+
+
+def _reference_csv(deltas):
+    rows = [["iteration", "delta", "ratio"]]
+    for i, delta in enumerate(deltas, start=1):
+        measurable = i >= 2 and deltas[i - 2] > 10.0 * np.finfo(float).eps
+        rows.append([str(i), repr(delta), repr(delta / deltas[i - 2]) if measurable else ""])
+    return "".join(",".join(row) + "\n" for row in rows).encode()
+
+
+def _same_states(got, want):
+    assert len(got) == len(want)
+    for (d, c), (ref_d, ref_c) in zip(got, want):
+        assert d.tobytes() == ref_d.tobytes()
+        assert repr(c) == repr(ref_c)
 
 
 def _bisection_root(f, lo, hi, iterations=200):
@@ -42,6 +89,75 @@ def test_iterate_once_preserves_balanced_point():
     d, c = iterate_once(np.zeros(3), 0.0, np.full(3, 0.5))
     assert np.all(d == 0.0)
     assert c == 0.0
+
+
+LOGIT_EDGES = [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 700.0, -700.0]
+
+
+@pytest.mark.parametrize("c", [0.0, -0.0, 1.5])
+@pytest.mark.parametrize("z", ["edges", "uniform", "non-finite"])
+def test_iterate_once_is_the_masked_form_bit_for_bit(z, c):
+    values = {
+        "edges": np.array(LOGIT_EDGES),
+        "uniform": np.random.default_rng(17).uniform(-800.0, 800.0, 100_001),
+        "non-finite": np.array([np.nan, -np.nan, np.inf, -np.inf]),
+    }[z]
+    s_star = np.random.default_rng(18).uniform(0.0, 1.0, values.size)
+    for d in (values, -values):
+        got_d, got_c = iterate_once(d, c, s_star)
+        want_d, want_c = _masked_iterate_once(d, c, s_star)
+        assert got_d.tobytes() == want_d.tobytes()
+        assert np.array(got_c).tobytes() == np.array(want_c).tobytes()
+
+
+# The last start has d at 0 and c at 5, so its first step size is c's.
+@pytest.mark.parametrize("seed, scattered", [(0, True), (1, True), (2, False)])
+def test_solve_is_the_masked_iteration_bit_for_bit(seed, scattered, tmp_path):
+    rng = np.random.default_rng(seed)
+    s_star = rng.uniform(0.0, 1.0, 10_000)
+    if scattered:
+        d, c = rng.uniform(-5.0, 5.0, 10_000), float(rng.uniform(-5.0, 5.0))
+    else:
+        d, c = np.zeros(10_000), 5.0
+    solution = solve(EquilibriumProblem(s_star=s_star, init_d=d, init_c=c), tolerance=1e-10)
+    trajectory, deltas = _masked_solve(s_star, d, c, 1e-10, 200)
+    _same_states(solution.trajectory, trajectory)
+    assert solution.d_star.tobytes() == trajectory[-1][0].tobytes()
+    assert repr(solution.final_residual) == repr(deltas[-1])
+    floor = 10.0 * np.finfo(float).eps
+    ratios = [b / a for a, b in zip(deltas, deltas[1:]) if a > floor]
+    assert list(map(repr, solution.contraction_ratios)) == list(map(repr, ratios))
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(solution.trajectory, path)
+    assert path.read_bytes() == _reference_csv(deltas)
+
+
+def test_unconverged_trajectory_is_the_masked_iteration_bit_for_bit():
+    problem = EquilibriumProblem(
+        s_star=np.linspace(0.0, 1.0, 7), init_d=np.linspace(-5.0, 5.0, 7), init_c=-5.0
+    )
+    with pytest.raises(ConvergenceError) as excinfo:
+        solve(problem, tolerance=1e-12, max_iters=2)
+    trajectory, _ = _masked_solve(problem.s_star, problem.init_d, problem.init_c, 0.0, 2)
+    _same_states(excinfo.value.trajectory, trajectory)
+
+
+def test_solve_allocates_little_beyond_its_trajectory():
+    # Shape, not time: past the iterates it returns, solving holds one
+    # scratch array of n doubles plus a mask at a time, about 1.2 arrays.
+    n = 100_000
+    rng = np.random.default_rng(4)
+    problem = EquilibriumProblem(
+        s_star=rng.uniform(0.0, 1.0, n), init_d=rng.uniform(-5.0, 5.0, n), init_c=5.0
+    )
+    tracemalloc.start()
+    try:
+        solution = solve(problem, tolerance=1e-10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = (solution.iterations + 1) * n * 8
+    assert peak - held <= 1.5 * n * 8
 
 
 def test_balanced_targets_solve_to_zero():
@@ -166,6 +282,18 @@ def test_trajectory_csv(tmp_path):
     assert rows[1][2] == ""  # no ratio before the second step
     deltas = [float(row[1]) for row in rows[1:]]
     assert deltas[-1] == solution.final_residual
+
+
+def test_demo_script_runs_and_writes_a_trajectory(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("fixed_point_demo", DEMO)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    out = tmp_path / "traj.csv"
+    argv = ["--instances", "2", "--size", "5", "--inits", "2", "--trajectory-out", str(out)]
+    assert demo.main(argv) == 0
+    assert "worst contraction ratio" in capsys.readouterr().out
+    with open(out, newline="") as fh:
+        assert next(csv.reader(fh)) == ["iteration", "delta", "ratio"]
 
 
 class TestProblemValidation:
