@@ -15,7 +15,9 @@ import dataclasses
 import json
 import logging
 import math
+import time
 import typing
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -46,18 +48,34 @@ CHECKPOINT_FILE = "checkpoint.json"
 PROBLEMS_FILE = "problems.csv"
 BATCHES_FILE = "batches.csv"
 
+# The stages of a run that RunResult.stage_seconds times.
+STAGES = ("select", "rollout", "report", "learn", "summarize", "write")
+
 
 @dataclass
 class RunResult:
-    """A run as it goes on: its bank, sampler, learner and what each step recorded."""
+    """A run as it goes on: its bank, sampler, learner and what each step recorded.
+
+    ``stage_seconds`` adds up the wall-clock seconds this process spent in
+    each of ``STAGES``: choosing batches (``select``), the learner's rollout
+    rounds within them (``rollout``), reporting pass rates, the learner
+    update, the metrics row, and writing the output files.  It is kept in
+    memory only, out of every output file and the checkpoint, so a resumed
+    run counts from zero.
+    """
 
     config: ExperimentConfig
     bank: ProblemBank
-    bank_hash: str
     sampler: Sampler
     learner: SyntheticLearner
     rows: list[StepMetrics] = field(default_factory=list)
     batches: list[list[str]] = field(default_factory=list)
+    stage_seconds: dict[str, float] = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
+
+    @property
+    def bank_hash(self) -> str:
+        """The bank's content hash; writing problems.csv computes it on the way."""
+        return self.bank.content_hash()
 
     @property
     def n_problems(self) -> int:
@@ -119,8 +137,8 @@ def _spawned_rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator, 
 
 def _start(
     config: ExperimentConfig,
-) -> tuple[ProblemBank, str, np.random.Generator, SyntheticLearner]:
-    """The bank, its hash, the sampler's random stream and a fresh learner."""
+) -> tuple[ProblemBank, np.random.Generator, SyntheticLearner]:
+    """The bank, the sampler's random stream and a fresh learner."""
     bank_rng, sampler_rng, learner_rng = _spawned_rngs(config.seed)
     if config.bank_path is not None:
         bank = load_bank(config.bank_path)
@@ -140,7 +158,7 @@ def _start(
         learn_rate=config.learn_rate,
         rollouts=config.rollouts,
     )
-    return bank, bank.content_hash(), sampler_rng, learner
+    return bank, sampler_rng, learner
 
 
 def make_sampler(config: ExperimentConfig, bank: ProblemBank, rng: np.random.Generator) -> Sampler:
@@ -164,12 +182,22 @@ def _advance(run: RunResult, target_step: int) -> None:
     config, sampler = run.config, run.sampler
     rollouts = run.learner.rollouts
     latent = run.bank.latent
+    seconds, clock = run.stage_seconds, time.perf_counter
+    rolling = 0.0
+
+    def roll_round(indices):
+        nonlocal rolling
+        began = clock()
+        counts = run.learner.pass_counts(latent[indices])
+        rolling += clock() - began
+        return counts
+
     while sampler.step < target_step:
+        began, rolling = clock(), 0.0
         batch_ids, counts, consumed = sampler.select_and_roll(
-            config.batch_size,
-            rollouts,
-            lambda indices: run.learner.pass_counts(latent[indices]),
+            config.batch_size, rollouts, roll_round
         )
+        selected = clock()
         batch = sampler.pending
         counts = np.array(counts)
         pass_rates = counts / rollouts
@@ -177,13 +205,21 @@ def _advance(run: RunResult, target_step: int) -> None:
         zero_gradient = (counts == 0) | (counts == rollouts)
         sampler.report(pass_rates)
         rates, flags = pass_rates.tolist(), zero_gradient.tolist()
+        reported = clock()
         run.learner.learn_step(flags)
+        learned = clock()
         run.rows.append(
             summarize_step(
                 batch, rates, flags, sampler, run.learner, rollout_batches_consumed=consumed
             )
         )
         run.batches.append(batch_ids)
+        summarized = clock()
+        seconds["select"] += selected - began - rolling
+        seconds["rollout"] += rolling
+        seconds["report"] += reported - selected
+        seconds["learn"] += learned - reported
+        seconds["summarize"] += summarized - learned
 
 
 def _target_step(config: ExperimentConfig, stop_after: int | None) -> int:
@@ -195,7 +231,9 @@ def _target_step(config: ExperimentConfig, stop_after: int | None) -> int:
 def _finish(run: RunResult, target_step: int) -> RunResult:
     _advance(run, target_step)
     if run.config.out_dir is not None:
+        began = time.perf_counter()
         write_outputs(run, run.config.out_dir)
+        run.stage_seconds["write"] += time.perf_counter() - began
     return run
 
 
@@ -207,9 +245,9 @@ def run_experiment(config: ExperimentConfig, stop_after: int | None = None) -> R
     """
     config.validate()
     target = _target_step(config, stop_after)
-    bank, bank_hash, sampler_rng, learner = _start(config)
+    bank, sampler_rng, learner = _start(config)
     sampler = make_sampler(config, bank, sampler_rng)
-    return _finish(RunResult(config, bank, bank_hash, sampler, learner), target)
+    return _finish(RunResult(config, bank, sampler, learner), target)
 
 
 # -- checkpointing ----------------------------------------------------------
@@ -313,8 +351,8 @@ def resume_experiment(
     config.validate()
     target = _target_step(config, stop_after)
 
-    bank, bank_hash, sampler_rng, learner = _start(config)
-    if bank_hash != payload["bank_hash"]:
+    bank, sampler_rng, learner = _start(config)
+    if bank.content_hash() != payload["bank_hash"]:
         raise ConfigError(
             f"checkpoint {checkpoint_path}: bank hash mismatch; the configured "
             f"bank no longer reproduces the checkpointed one"
@@ -336,7 +374,7 @@ def resume_experiment(
             f"checkpoint {checkpoint_path}: batches must be {sampler.step} lists of "
             f"{config.batch_size} distinct problem ids from the bank, one per recorded step"
         )
-    run = RunResult(config, bank, bank_hash, sampler, learner, rows=rows, batches=batches)
+    run = RunResult(config, bank, sampler, learner, rows=rows, batches=batches)
     if target <= sampler.step:
         logger.info(
             "checkpoint %s is already at step %d of %d; nothing to resume up to step %d",
@@ -367,20 +405,55 @@ def _batches_fit(batches, steps: int, batch_size: int, bank: ProblemBank) -> boo
 # -- output files -------------------------------------------------------------
 
 
-def _final_state_columns(result: RunResult, state: dict) -> list:
+def _distinct_text(values: np.ndarray) -> tuple[list[str], str]:
+    """The problems.csv cells of ``values`` and the JSON text of their list's items.
+
+    Each distinct bit pattern is formatted once, which keeps -0.0 apart
+    from 0.0.  A number is written by ``repr``, as ``csv.writer`` and
+    ``json.dumps`` write ints and floats; NaN, a problem never reported, is
+    an empty cell and ``null``.  No value is infinite: the two would spell
+    an infinity differently.
+    """
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    distinct = bits.view(values.dtype).tolist()
+    cells = ["" if v != v else repr(v) for v in distinct]
+    items = [cell or "null" for cell in cells]
+    return (
+        np.array(cells, dtype=object).take(inverse).tolist(),
+        ", ".join(np.array(items, dtype=object).take(inverse).tolist()),
+    )
+
+
+def _final_state_columns(result: RunResult, state: dict) -> tuple[list, dict[str, list[str]]]:
     """Cell functions for the t, difficulty and final_pass_rate columns of problems.csv.
 
     ``state`` is the sampler's ``state_dict()``.  Each function takes
     ``(start, stop)`` and gives the cells of those bank rows, in the text
     ``csv.writer`` would write: ints by ``str``, floats by ``repr`` and
     nothing for a problem never reported.
+
+    The per-problem lists are taken out of ``state`` as arrays, which frees
+    their Python objects at once; their keys stay, holding None.  A
+    function for such a list also appends the JSON text of the same items
+    to that key's blocks in the dict returned beside the functions, so once
+    problems.csv is written the dict holds the checkpoint's text of each.
     """
+    blocks: dict[str, list[str]] = {}
+
+    def formatted(key, dtype):
+        # None, the JSON form of a problem never reported, becomes NaN.
+        values, state[key] = np.array(state[key], dtype=dtype), None
+        texts = blocks[key] = []
+
+        def cells(start, stop):
+            block_cells, text = _distinct_text(values[start:stop])
+            texts.append(text)
+            return block_cells
+
+        return cells
+
     if "t" in state:
-        counts, estimates = state["t"], state["difficulty"]
-        columns = [
-            lambda start, stop: map(str, counts[start:stop]),
-            lambda start, stop: map(repr, estimates[start:stop]),
-        ]
+        columns = [formatted("t", np.int64), formatted("difficulty", np.float64)]
     else:
         # Strategies without estimates write every problem as never visited.
         unvisited = repr(result.config.initial_difficulty)
@@ -388,14 +461,50 @@ def _final_state_columns(result: RunResult, state: dict) -> list:
             lambda start, stop: repeat("0", stop - start),
             lambda start, stop: repeat(unvisited, stop - start),
         ]
-    rates = state["last_pass_rate"]
-    columns.append(
-        lambda start, stop: ("" if rate is None else repr(rate) for rate in rates[start:stop])
+    columns.append(formatted("last_pass_rate", np.float64))
+    return columns, blocks
+
+
+def _checkpoint_text(payload: dict, lists: dict[str, list[str]]) -> Iterator[str]:
+    """``json.dumps(payload) + "\\n"`` in pieces, never as one string.
+
+    Each sampler state list named in ``lists`` is written from its JSON text
+    blocks, and its value in ``payload`` is not read; every other value goes
+    through ``json.dumps`` on its own, which writes it as the whole
+    payload's dump would.
+    """
+
+    def object_text(obj: dict, value_text) -> Iterator[str]:
+        yield "{"
+        for i, (key, value) in enumerate(obj.items()):
+            yield f"{', ' if i else ''}{json.dumps(key)}: "
+            yield from value_text(key, value)
+        yield "}"
+
+    def list_text(texts: list[str]) -> Iterator[str]:
+        yield "["
+        for i, text in enumerate(texts):
+            yield f", {text}" if i else text
+        yield "]"
+
+    sampler = object_text(
+        payload["sampler"],
+        lambda key, value: list_text(lists[key]) if key in lists else (json.dumps(value),),
     )
-    return columns
+    yield from object_text(
+        payload, lambda key, value: sampler if key == "sampler" else (json.dumps(value),)
+    )
+    yield "\n"
 
 
 def write_outputs(result: RunResult, out_dir: str | Path) -> None:
+    """Write the five output files, each atomically.
+
+    problems.csv is written first of the files that need the bank hash
+    or the sampler's per-problem lists: its pass formats every value the
+    checkpoint repeats and, on a run that has not hashed its bank yet, the
+    bank hash.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with replacing(out / METRICS_FILE) as tmp:
@@ -406,13 +515,14 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> None:
         for step, batch in enumerate(result.batches, start=1):
             writer.writerow([step, ";".join(batch)])
     state = result.sampler.state_dict()
+    columns, lists = _final_state_columns(result, state)
     with replacing(out / PROBLEMS_FILE) as tmp, open(tmp, "w", newline="") as fh:
         fh.write("id,level_tag,true_difficulty,t,difficulty,final_pass_rate\n")
-        fh.writelines(result.bank.text_blocks("", *_final_state_columns(result, state)))
+        fh.writelines(result.bank.text_blocks("", *columns))
     with replacing(out / SUMMARY_FILE) as tmp, open(tmp, "w") as fh:
         fh.write(json.dumps(result.summary(), indent=2, sort_keys=True) + "\n")
     with replacing(out / CHECKPOINT_FILE) as tmp, open(tmp, "w") as fh:
-        fh.write(json.dumps(_checkpoint_payload(result, state)) + "\n")
+        fh.writelines(_checkpoint_text(_checkpoint_payload(result, state), lists))
 
 
 # -- comparisons ---------------------------------------------------------------

@@ -189,32 +189,55 @@ class ProblemBank:
         stop)`` giving the cells of rows ``start`` to ``stop - 1`` as strings.
         Cells are not quoted, so none may hold a comma, a double quote or a
         line break; the bank refuses such ids.
+
+        While the content hash is not yet known, the pass also feeds the
+        ``content_hash`` lines from the same latent text, and keeps the
+        digest once the last block is out.
         """
-        tag_text = {None: untagged, **{tag: str(tag) for tag in LEVEL_TAGS}}.__getitem__
+        tag_text = {None: untagged, **_TAG_TEXT}.__getitem__
+        digest = hashlib.sha256() if self._hash is None else None
+        # content_hash's own pass: the hash lines are the rows as written.
+        rows_are_hash_lines = untagged == "None" and not columns
         n = len(self.ids)
         for start in range(0, n, BLOCK_ROWS):
             stop = min(start + BLOCK_ROWS, n)
-            cells = [
-                self.ids[start:stop],
-                map(tag_text, self.level_tags[start:stop]),
-                map(repr, self.latent[start:stop].tolist()),
-                *(column(start, stop) for column in columns),
-            ]
-            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+            ids, tags = self.ids[start:stop], self.level_tags[start:stop]
+            latent = list(map(repr, self.latent[start:stop].tolist()))
+            block = _joined_rows(
+                ids, map(tag_text, tags), latent, *(column(start, stop) for column in columns)
+            )
+            if digest is not None:
+                lines = (
+                    block
+                    if rows_are_hash_lines
+                    else _joined_rows(ids, map(_HASH_TAG_TEXT, tags), latent)
+                )
+                digest.update(lines.encode())
+            yield block
+        if digest is not None:
+            self._hash = digest.hexdigest()
 
     def content_hash(self) -> str:
         """Digest of ids, level tags and latent difficulties, one line per problem.
 
         The lines are ``f"{id},{tag},{latent!r}\\n"`` in bank order, fed to the
         digest a block at a time.  The bank never changes, so the digest is
-        computed on first use and kept.
+        kept once known: from the first full ``text_blocks`` pass (such as
+        writing problems.csv), or else from one made here.
         """
         if self._hash is None:
-            digest = hashlib.sha256()
-            for block in self.text_blocks("None"):
-                digest.update(block.encode())
-            self._hash = digest.hexdigest()
+            for _ in self.text_blocks("None"):
+                pass
         return self._hash
+
+
+_TAG_TEXT = {tag: str(tag) for tag in LEVEL_TAGS}
+_HASH_TAG_TEXT = {None: "None", **_TAG_TEXT}.__getitem__
+
+
+def _joined_rows(*cells) -> str:
+    """Rows of comma-joined cells, one per line, each line ended by a newline."""
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def _plain_id(pid) -> bool:

@@ -1,9 +1,11 @@
 """Closed-loop experiment driver: determinism, outputs, checkpoint/resume."""
 
 import csv
+import itertools
 import json
 import logging
 import math
+import types
 from pathlib import Path
 
 import pytest
@@ -59,6 +61,30 @@ class TestRunExperiment:
         result = run_experiment(_tiny())
         assert result.warmup_window == 3
         assert min(r.t for r in result.sampler.records.values()) >= 1
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_stage_seconds_are_timed_in_memory_only(self, tmp_path, monkeypatch, strategy):
+        config = _tiny(strategy=strategy)
+        timed = run_experiment(config.with_overrides(out_dir=str(tmp_path / "timed")))
+        assert list(timed.stage_seconds) == list(harness.STAGES) == [
+            "select", "rollout", "report", "learn", "summarize", "write",
+        ]
+        assert all(type(value) is float and value >= 0.0 for value in timed.stage_seconds.values())
+        assert run_experiment(config).stage_seconds["write"] == 0.0
+        # A clock that ticks a quarter second per reading: every stage counts
+        # time, and none of it reaches a file.
+        ticks = itertools.count(0.0, 0.25)
+        monkeypatch.setattr(harness, "time", types.SimpleNamespace(perf_counter=ticks.__next__))
+        ticked = run_experiment(config.with_overrides(out_dir=str(tmp_path / "ticked")))
+        assert min(ticked.stage_seconds.values()) > 0.0
+        for name in OUTPUT_FILES:
+            if name != CHECKPOINT_FILE:
+                assert (tmp_path / "ticked" / name).read_bytes() == (
+                    tmp_path / "timed" / name
+                ).read_bytes(), name
+        assert _checkpoint_sans_out_dir(tmp_path / "ticked") == _checkpoint_sans_out_dir(
+            tmp_path / "timed"
+        )
 
     def test_strategies_share_bank_and_initial_ability(self):
         hashes = set()
@@ -182,6 +208,62 @@ def _edit_checkpoint(path, edit):
     payload = json.loads(path.read_text())
     edit(payload)
     path.write_text(json.dumps(payload))
+
+
+class _DiskFull:
+    """A text file that takes ``room`` characters, then raises OSError("disk full")."""
+
+    def __init__(self, fh, room: int):
+        self._fh, self._room = fh, room
+
+    def write(self, text: str) -> int:
+        if len(text) > self._room:
+            self._fh.write(text[: self._room])
+            raise OSError("disk full")
+        self._room -= len(text)
+        return self._fh.write(text)
+
+    def writelines(self, pieces) -> None:
+        for piece in pieces:
+            self.write(piece)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def _crash_a_resume_midway(tmp_path, monkeypatch, name):
+    """Fill the disk halfway through ``name`` while a resumed run writes its outputs.
+
+    The files not yet replaced keep their previous bytes, no temp file is
+    left behind, and the checkpoint still resumes to the uninterrupted run.
+    """
+    config = _tiny(seed=6)
+    straight = tmp_path / "straight"
+    run = tmp_path / "run"
+    run_experiment(config.with_overrides(out_dir=str(straight)))
+    run_experiment(config.with_overrides(out_dir=str(run)), stop_after=2)
+    later = OUTPUT_FILES[OUTPUT_FILES.index(name):]
+    before = {other: (run / other).read_bytes() for other in later}
+    room = len(before[name]) // 2
+
+    def crashing_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return _DiskFull(fh, room) if Path(path).name == f"{name}.tmp" else fh
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "open", crashing_open, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            resume_experiment(run / CHECKPOINT_FILE, stop_after=4)
+    assert {other: (run / other).read_bytes() for other in later} == before
+    assert len(load_checkpoint(run / CHECKPOINT_FILE)["metrics_rows"]) == 2
+    assert sorted(p.name for p in run.iterdir()) == sorted(OUTPUT_FILES)
+    resume_experiment(run / CHECKPOINT_FILE)
+    for other in OUTPUT_FILES:
+        if other != CHECKPOINT_FILE:
+            assert (run / other).read_bytes() == (straight / other).read_bytes(), other
 
 
 class TestCheckpointResume:
@@ -381,29 +463,10 @@ class TestCheckpointResume:
     def test_failed_checkpoint_write_keeps_the_previous_checkpoint(
         self, tmp_path, monkeypatch
     ):
-        config = _tiny(seed=6)
-        straight = tmp_path / "straight"
-        run = tmp_path / "run"
-        run_experiment(config.with_overrides(out_dir=str(straight)))
-        run_experiment(config.with_overrides(out_dir=str(run)), stop_after=2)
+        _crash_a_resume_midway(tmp_path, monkeypatch, CHECKPOINT_FILE)
 
-        real_dumps = json.dumps
-
-        def crashing_dumps(obj, *args, **kwargs):
-            if isinstance(obj, dict) and "format_version" in obj:
-                raise OSError("disk full")
-            return real_dumps(obj, *args, **kwargs)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(harness.json, "dumps", crashing_dumps)
-            with pytest.raises(OSError, match="disk full"):
-                resume_experiment(run / CHECKPOINT_FILE, stop_after=4)
-        assert len(load_checkpoint(run / CHECKPOINT_FILE)["metrics_rows"]) == 2
-        assert sorted(p.name for p in run.iterdir()) == sorted(OUTPUT_FILES)
-        resume_experiment(run / CHECKPOINT_FILE)
-        for name in OUTPUT_FILES:
-            if name != CHECKPOINT_FILE:
-                assert (run / name).read_bytes() == (straight / name).read_bytes(), name
+    def test_failed_problems_csv_write_keeps_the_previous_files(self, tmp_path, monkeypatch):
+        _crash_a_resume_midway(tmp_path, monkeypatch, PROBLEMS_FILE)
 
     def test_unreproducible_bank_detected(self, tmp_path):
         run_experiment(_tiny(out_dir=str(tmp_path)), stop_after=2)

@@ -148,9 +148,9 @@ def test_a_sampler_draws_at_most_once_per_step_or_round(monkeypatch, tmp_path, s
         return sampler
 
     def start(config):
-        bank, bank_hash, sampler_rng, run_learner = real_start(config)
+        bank, sampler_rng, run_learner = real_start(config)
         run_learner._rng = LoggingGenerator(run_learner._rng, learner_log)
-        return bank, bank_hash, sampler_rng, run_learner
+        return bank, sampler_rng, run_learner
 
     def pass_counts(self, *args):
         log.append("rollout round")
