@@ -23,7 +23,6 @@ from .grpo import RolloutGroup, group_advantages
 from .harness import (
     ComparisonResult,
     RunResult,
-    compare_runs,
     compare_strategies,
     resume_experiment,
     run_experiment,
@@ -63,7 +62,6 @@ __all__ = [
     "StepMetrics",
     "SyntheticLearner",
     "alignment",
-    "compare_runs",
     "compare_strategies",
     "default_ability",
     "expected_performance",

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, ConsistencyError, RolloutBudgetError
+from .errors import ConfigError, ConsistencyError, RolloutBudgetError, check_field
 from .sampling import Sampler, rolled_counts, smallest_by
 
 
@@ -39,10 +39,8 @@ class CurriculumSampler(BaselineSampler):
 
     def __init__(self, bank, rng: np.random.Generator, switch_step: int, threshold: int = 4):
         super().__init__(bank, rng)
-        if switch_step < 0:
-            raise ConfigError(f"curriculum_switch_step: must be >= 0, got {switch_step}")
-        if threshold not in (1, 2, 3, 4, 5):
-            raise ConfigError(f"curriculum_threshold: must be in 1..5, got {threshold}")
+        check_field("curriculum_switch_step", switch_step)
+        check_field("curriculum_threshold", threshold)
         if None in bank.level_tags:
             untagged = [pid for pid, tag in zip(bank.ids, bank.level_tags) if tag is None]
             raise ConfigError(
@@ -93,10 +91,7 @@ class PrioritizedSampler(BaselineSampler):
 
     def __init__(self, bank, rng: np.random.Generator, initial_weight: float = 1.0):
         super().__init__(bank, rng)
-        if not (0.0 <= initial_weight <= 1.0):
-            raise ConfigError(
-                f"prioritized_initial_weight: must be in [0, 1], got {initial_weight}"
-            )
+        check_field("prioritized_initial_weight", initial_weight)
         self.initial_weight = initial_weight
         self.uniform_fallbacks = 0
         self._falls_back = False
@@ -157,12 +152,8 @@ class DynamicSampler(BaselineSampler):
         oversample_factor: float = 1.0,
     ):
         super().__init__(bank, rng)
-        if retry_cap < 1:
-            raise ConfigError(f"dynamic_retry_cap: must be >= 1, got {retry_cap}")
-        if oversample_factor < 1.0:
-            raise ConfigError(
-                f"dynamic_oversample_factor: must be >= 1, got {oversample_factor}"
-            )
+        check_field("dynamic_retry_cap", retry_cap)
+        check_field("dynamic_oversample_factor", oversample_factor)
         self.retry_cap = retry_cap
         self.oversample_factor = oversample_factor
 

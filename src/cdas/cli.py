@@ -14,7 +14,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import BANK_MODES, STRATEGIES, ExperimentConfig
-from .errors import ConfigError, ConsistencyError, ConvergenceError, RolloutBudgetError
+from .errors import (
+    ConfigError,
+    ConsistencyError,
+    ConvergenceError,
+    RolloutBudgetError,
+    check_field,
+)
 from .files import read_json, replacing
 from .fixed_point import EquilibriumProblem, solve, write_trajectory_csv
 from .harness import (
@@ -167,8 +173,7 @@ def _cmd_fixed_point(args: argparse.Namespace) -> int:
 
 
 def _cmd_bank_generate(args: argparse.Namespace) -> int:
-    if args.seed < 0:
-        raise ConfigError(f"seed: must be >= 0, got {args.seed}")
+    check_field("seed", args.seed)
     bank_rng, _, _ = _spawned_rngs(args.seed)
     bank = generate_bank(
         args.n,
@@ -242,11 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     bank_p = sub.add_parser("bank", help="generate or inspect problem banks")
     bank_sub = bank_p.add_subparsers(dest="bank_command", required=True)
     gen_p = bank_sub.add_parser("generate", help="draw a bank and write it as JSON")
-    gen_p.add_argument("--n", type=int, default=2000)
-    gen_p.add_argument("--seed", type=int, default=0)
-    gen_p.add_argument("--mode", choices=BANK_MODES, default="normal")
-    gen_p.add_argument("--scale", type=float, default=1.0)
-    gen_p.add_argument("--level-spread", type=float, default=2.0)
+    # A run's defaults, so that a bank written with seed k is the bank a run with seed k draws.
+    defaults = ExperimentConfig()
+    gen_p.add_argument("--n", type=int, default=defaults.n_problems)
+    gen_p.add_argument("--seed", type=int, default=defaults.seed)
+    gen_p.add_argument("--mode", choices=BANK_MODES, default=defaults.bank_mode)
+    gen_p.add_argument("--scale", type=float, default=defaults.bank_scale)
+    gen_p.add_argument("--level-spread", type=float, default=defaults.bank_level_spread)
     gen_p.add_argument("--out", required=True, metavar="PATH")
     gen_p.set_defaults(func=_cmd_bank_generate)
     ins_p = bank_sub.add_parser("inspect", help="summarize a bank file")

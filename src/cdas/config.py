@@ -5,13 +5,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 from .baselines import CurriculumSampler, DynamicSampler, PrioritizedSampler, RandomSampler
-from .errors import ConfigError
+from .errors import BANK_MODES, FIELD_RULES, ConfigError, check_field
 from .files import read_json
 from .sampling import CdasSampler
 
@@ -21,8 +20,6 @@ SAMPLERS = {
     for cls in (CdasSampler, RandomSampler, CurriculumSampler, PrioritizedSampler, DynamicSampler)
 }
 STRATEGIES = tuple(SAMPLERS)
-
-BANK_MODES = ("normal", "levels")
 
 
 @dataclass(frozen=True)
@@ -68,14 +65,11 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"{name}: must be of type {self.__annotations__[name]}, got {value!r}"
                 )
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{name}: must be finite, got {value}")
+            # None, where the type allows it, means "derive the value".
+            if value is not None and name in FIELD_RULES:
+                check_field(name, value)
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy: must be one of {STRATEGIES}, got {self.strategy!r}")
-        if self.n_problems < 1:
-            raise ConfigError(f"n_problems: must be >= 1, got {self.n_problems}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size: must be >= 1, got {self.batch_size}")
         if self.bank_path is None and self.batch_size > self.n_problems:
             raise ConfigError(
                 f"batch_size: must not exceed n_problems "
@@ -84,46 +78,6 @@ class ExperimentConfig:
         if self.strategy == CdasSampler.strategy and self.symmetric and self.batch_size % 2 != 0:
             raise ConfigError(
                 f"batch_size: symmetric mode needs an even batch, got {self.batch_size}"
-            )
-        if self.rollouts < 2:
-            raise ConfigError(f"rollouts: must be >= 2, got {self.rollouts}")
-        if self.total_steps < 1:
-            raise ConfigError(f"total_steps: must be >= 1, got {self.total_steps}")
-        if self.seed < 0:
-            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
-        if self.discrimination <= 0.0:
-            raise ConfigError(f"discrimination: must be > 0, got {self.discrimination}")
-        if self.learn_rate < 0.0:
-            raise ConfigError(f"learn_rate: must be >= 0, got {self.learn_rate}")
-        if self.bank_mode not in BANK_MODES:
-            raise ConfigError(f"bank_mode: must be one of {BANK_MODES}, got {self.bank_mode!r}")
-        if self.bank_scale <= 0.0:
-            raise ConfigError(f"bank_scale: must be > 0, got {self.bank_scale}")
-        if self.bank_level_spread <= 0.0:
-            raise ConfigError(
-                f"bank_level_spread: must be > 0, got {self.bank_level_spread}"
-            )
-        if self.curriculum_switch_step is not None and self.curriculum_switch_step < 0:
-            raise ConfigError(
-                f"curriculum_switch_step: must be >= 0, got {self.curriculum_switch_step}"
-            )
-        if self.curriculum_threshold not in (1, 2, 3, 4, 5):
-            raise ConfigError(
-                f"curriculum_threshold: must be in 1..5, got {self.curriculum_threshold}"
-            )
-        if not (0.0 <= self.prioritized_initial_weight <= 1.0):
-            raise ConfigError(
-                f"prioritized_initial_weight: must be in [0, 1], "
-                f"got {self.prioritized_initial_weight}"
-            )
-        if self.dynamic_retry_cap < 1:
-            raise ConfigError(
-                f"dynamic_retry_cap: must be >= 1, got {self.dynamic_retry_cap}"
-            )
-        if self.dynamic_oversample_factor < 1.0:
-            raise ConfigError(
-                f"dynamic_oversample_factor: must be >= 1, "
-                f"got {self.dynamic_oversample_factor}"
             )
 
     @property

@@ -1,6 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the range rule of each config field."""
 
 from __future__ import annotations
+
+import math
+from collections.abc import Callable
+
+from .core import LEVEL_TAGS
+
+BANK_MODES = ("normal", "levels")
 
 
 class ConfigError(ValueError):
@@ -24,3 +31,42 @@ class ConvergenceError(RuntimeError):
 
 class RolloutBudgetError(RuntimeError):
     """Dynamic filtering hit its retry cap without keeping a single problem."""
+
+
+def _at_least(low: int) -> tuple[str, Callable]:
+    return f">= {low}", lambda value: value >= low
+
+
+_FINITE = ("finite", math.isfinite)
+_POSITIVE = ("finite and > 0", lambda value: 0.0 < value < math.inf)
+
+# Config field -> (requirement, predicate): the one statement of each field's
+# range, checked by ExperimentConfig.validate and by every constructor that
+# takes the field.  Types are checked by validate alone.
+FIELD_RULES: dict[str, tuple[str, Callable]] = {
+    "n_problems": _at_least(1),
+    "batch_size": _at_least(1),
+    "rollouts": _at_least(2),
+    "total_steps": _at_least(1),
+    "seed": _at_least(0),
+    "discrimination": _POSITIVE,
+    "learn_rate": ("finite and >= 0", lambda value: 0.0 <= value < math.inf),
+    "ability_init": _FINITE,
+    "bank_mode": (f"one of {BANK_MODES}", BANK_MODES.__contains__),
+    "bank_scale": _POSITIVE,
+    "bank_level_spread": _POSITIVE,
+    "initial_difficulty": _FINITE,
+    "initial_competence": _FINITE,
+    "curriculum_switch_step": _at_least(0),
+    "curriculum_threshold": ("in 1..5", LEVEL_TAGS.__contains__),
+    "prioritized_initial_weight": ("in [0, 1]", lambda value: 0.0 <= value <= 1.0),
+    "dynamic_retry_cap": _at_least(1),
+    "dynamic_oversample_factor": ("finite and >= 1", lambda value: 1.0 <= value < math.inf),
+}
+
+
+def check_field(name: str, value) -> None:
+    """Refuse ``value`` for config field ``name`` unless it meets the field's rule."""
+    requirement, holds = FIELD_RULES[name]
+    if not holds(value):
+        raise ConfigError(f"{name}: must be {requirement}, got {value!r}")

@@ -32,6 +32,7 @@ from .learner import ProblemBank, SyntheticLearner, default_ability, generate_ba
 from .metrics import (
     METRICS_COLUMNS,
     StepMetrics,
+    _cell,
     format_metrics_row,
     summarize_step,
     write_metrics_csv,
@@ -528,30 +529,6 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> None:
 # -- comparisons ---------------------------------------------------------------
 
 
-def compare_runs(configs: list[ExperimentConfig]) -> ComparisonResult:
-    """Run several configs that differ only in strategy, on the identical bank."""
-    if not configs:
-        raise ConfigError("compare: need at least one config")
-    reference = configs[0].to_dict()
-    for other in configs[1:]:
-        candidate = other.to_dict()
-        for name in reference:
-            if name in ("strategy", "out_dir"):
-                continue
-            if candidate[name] != reference[name]:
-                raise ConfigError(
-                    f"compare: configs must be identical apart from strategy; "
-                    f"{name} differs ({reference[name]!r} vs {candidate[name]!r})"
-                )
-    comparison = ComparisonResult()
-    for config in configs:
-        comparison.results.append(run_experiment(config))
-    hashes = {result.bank_hash for result in comparison.results}
-    if len(hashes) > 1:
-        raise ConfigError(f"compare: bank hash diverged across runs: {sorted(hashes)}")
-    return comparison
-
-
 def compare_strategies(
     config: ExperimentConfig,
     strategies: list[str],
@@ -574,15 +551,12 @@ def compare_strategies(
         raise ConfigError("seeds: need at least one")
     combined = ComparisonResult()
     for seed in seeds:
-        cohort = []
         for strategy in strategies:
             run_dir = (
                 str(Path(out_dir) / f"{strategy}_seed{seed}") if out_dir is not None else None
             )
-            cohort.append(
-                config.with_overrides(strategy=strategy, seed=seed, out_dir=run_dir)
-            )
-        combined.results.extend(compare_runs(cohort).results)
+            run = config.with_overrides(strategy=strategy, seed=seed, out_dir=run_dir)
+            combined.results.append(run_experiment(run))
     if out_dir is not None:
         _write_comparison(combined, Path(out_dir))
     return combined
@@ -606,9 +580,4 @@ def _write_comparison(comparison: ComparisonResult, out: Path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in summary_rows:
-            writer.writerow(
-                [
-                    repr(row[c]) if isinstance(row.get(c), float) else row.get(c, "")
-                    for c in columns
-                ]
-            )
+            writer.writerow([_cell(row.get(c)) for c in columns])

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import sys
 from collections.abc import Iterator
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import LEVEL_TAGS, sigmoid, sigmoid_array
-from .errors import ConfigError
+from .errors import ConfigError, check_field
 from .files import read_json, replacing
 from .grpo import RolloutGroup
 
@@ -41,12 +40,10 @@ class SyntheticLearner:
         learn_rate: float = 0.05,
         rollouts: int = 8,
     ):
-        if discrimination <= 0.0:
-            raise ConfigError(f"discrimination: must be > 0, got {discrimination}")
-        if learn_rate < 0.0:
-            raise ConfigError(f"learn_rate: must be >= 0, got {learn_rate}")
-        if rollouts < 2:
-            raise ConfigError(f"rollouts: must be >= 2, got {rollouts}")
+        check_field("ability_init", ability)
+        check_field("discrimination", discrimination)
+        check_field("learn_rate", learn_rate)
+        check_field("rollouts", rollouts)
         self.ability = float(ability)
         self.discrimination = float(discrimination)
         self.learn_rate = float(learn_rate)
@@ -269,21 +266,17 @@ def generate_bank(
     mode draws tags uniformly and maps them to five equally spaced latent
     values in [-level_spread, +level_spread].
     """
-    if n < 1:
-        raise ConfigError(f"n_problems: must be >= 1, got {n}")
-    if not 0.0 < scale < math.inf:
-        raise ConfigError(f"bank_scale: must be finite and > 0, got {scale}")
-    if not 0.0 < level_spread < math.inf:
-        raise ConfigError(f"bank_level_spread: must be finite and > 0, got {level_spread}")
+    check_field("n_problems", n)
+    check_field("bank_mode", mode)
+    check_field("bank_scale", scale)
+    check_field("bank_level_spread", level_spread)
     width = max(5, len(str(n - 1)))
     if mode == "normal":
         latent = rng.normal(0.0, scale, size=n)
         tags = _quintile_tags(latent)
-    elif mode == "levels":
+    else:
         tags = rng.integers(1, 6, size=n)
         latent = (tags - 3) * (level_spread / 2.0)
-    else:
-        raise ConfigError(f"bank_mode: unknown mode {mode!r}")
     ids = map(f"p%0{width}d".__mod__, range(n))
     return ProblemBank(ids, tags.tolist(), latent, mode=mode)
 

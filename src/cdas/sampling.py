@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .core import ProblemRecord, sigmoid_array
-from .errors import ConfigError, ConsistencyError
+from .errors import ConfigError, ConsistencyError, check_field
 from .learner import ProblemBank, check_rng_state
 
 
@@ -127,8 +127,7 @@ class Sampler:
     # -- selection --------------------------------------------------------
 
     def _check_batch_size(self, batch_size: int) -> None:
-        if batch_size < 1:
-            raise ConfigError(f"batch_size: must be >= 1, got {batch_size}")
+        check_field("batch_size", batch_size)
         if batch_size > len(self.bank):
             raise ConfigError(
                 f"batch_size: must not exceed bank size ({batch_size} > {len(self.bank)})"
@@ -310,10 +309,8 @@ class CdasSampler(Sampler):
         self.symmetric = bool(symmetric)
         self.batch_size = int(batch_size)
         self._check_batch_size(self.batch_size)
-        if not math.isfinite(initial_difficulty):
-            raise ConfigError(f"initial_difficulty: must be finite, got {initial_difficulty}")
-        if not math.isfinite(initial_competence):
-            raise ConfigError(f"initial_competence: must be finite, got {initial_competence}")
+        check_field("initial_difficulty", initial_difficulty)
+        check_field("initial_competence", initial_competence)
         self._initial_competence = self._competence = initial_competence
         n = len(bank)
         self._t = np.zeros(n, dtype=np.int64)

@@ -1,12 +1,19 @@
 """Experiment config: validation, JSON round trip, overrides, hashing."""
 
+import argparse
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
+from cdas import cli
+from cdas.baselines import CurriculumSampler, DynamicSampler, PrioritizedSampler
 from cdas.config import ExperimentConfig
-from cdas.errors import ConfigError
+from cdas.errors import FIELD_RULES, ConfigError
+from cdas.learner import SyntheticLearner, generate_bank
+from cdas.sampling import CdasSampler
 
 
 class TestValidation:
@@ -146,3 +153,109 @@ class TestContentHash:
 
     def test_hash_is_stable_across_instances(self):
         assert ExperimentConfig(seed=4).content_hash() == ExperimentConfig(seed=4).content_hash()
+
+
+# Config fields with no range rule, and where their values are checked instead.
+FIELDS_WITHOUT_RANGE = {
+    "strategy": "validate, against the sampler registry",
+    "symmetric": "its type only",
+    "warmup": "its type only",
+    "bank_path": "load_bank, when the file is read",
+    "out_dir": "its type only",
+}
+
+BAD_VALUES = {
+    "n_problems": [0, -3],
+    "batch_size": [0, -1],
+    "rollouts": [1, 0],
+    "total_steps": [0],
+    "seed": [-1],
+    "discrimination": [0.0, -1.0, math.nan, math.inf, -math.inf],
+    "learn_rate": [-0.01, math.nan, math.inf],
+    "ability_init": [math.nan, math.inf, -math.inf],
+    "bank_mode": ["lognormal", ""],
+    "bank_scale": [0.0, -1.0, math.nan, math.inf],
+    "bank_level_spread": [0.0, -2.0, math.nan, math.inf],
+    "initial_difficulty": [math.nan, math.inf, -math.inf],
+    "initial_competence": [math.nan, math.inf, -math.inf],
+    "curriculum_switch_step": [-1, -5],
+    "curriculum_threshold": [0, 6],
+    "prioritized_initial_weight": [-0.1, 1.5, math.nan, math.inf],
+    "dynamic_retry_cap": [0],
+    "dynamic_oversample_factor": [0.9, 0, math.nan, math.inf],
+}
+
+BANK = generate_bank(20, np.random.default_rng(0))
+
+
+def _rng():
+    return np.random.default_rng(0)
+
+
+def _bank_generate(**flags):
+    """``cdas bank generate`` with its defaults, ``flags`` replaced, writing bank.json."""
+    args = cli.build_parser().parse_args(["bank", "generate", "--out", "bank.json"])
+    return cli._cmd_bank_generate(argparse.Namespace(**{**vars(args), **flags}))
+
+
+# Field -> each constructor (or command) that takes it, given the value.
+CONSUMERS = {
+    "n_problems": [lambda v: generate_bank(v, _rng()), lambda v: _bank_generate(n=v)],
+    "batch_size": [lambda v: CdasSampler(BANK, v, _rng())],
+    "rollouts": [lambda v: SyntheticLearner(0.0, _rng(), rollouts=v)],
+    # Only the harness's step loop reads it, after validate.
+    "total_steps": [],
+    "seed": [lambda v: _bank_generate(seed=v)],
+    "discrimination": [lambda v: SyntheticLearner(0.0, _rng(), discrimination=v)],
+    "learn_rate": [lambda v: SyntheticLearner(0.0, _rng(), learn_rate=v)],
+    "ability_init": [lambda v: SyntheticLearner(v, _rng())],
+    "bank_mode": [lambda v: generate_bank(10, _rng(), mode=v), lambda v: _bank_generate(mode=v)],
+    "bank_scale": [
+        lambda v: generate_bank(10, _rng(), scale=v),
+        lambda v: _bank_generate(scale=v),
+    ],
+    "bank_level_spread": [
+        lambda v: generate_bank(10, _rng(), mode="levels", level_spread=v),
+        lambda v: _bank_generate(mode="levels", level_spread=v),
+    ],
+    "initial_difficulty": [lambda v: CdasSampler(BANK, 2, _rng(), initial_difficulty=v)],
+    "initial_competence": [lambda v: CdasSampler(BANK, 2, _rng(), initial_competence=v)],
+    "curriculum_switch_step": [lambda v: CurriculumSampler(BANK, _rng(), switch_step=v)],
+    "curriculum_threshold": [
+        lambda v: CurriculumSampler(BANK, _rng(), switch_step=0, threshold=v)
+    ],
+    "prioritized_initial_weight": [lambda v: PrioritizedSampler(BANK, _rng(), initial_weight=v)],
+    "dynamic_retry_cap": [lambda v: DynamicSampler(BANK, _rng(), retry_cap=v)],
+    "dynamic_oversample_factor": [lambda v: DynamicSampler(BANK, _rng(), oversample_factor=v)],
+}
+
+
+class TestFieldRules:
+    def test_every_field_has_a_rule_or_is_named_without_one(self):
+        fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
+        assert set(FIELD_RULES) | set(FIELDS_WITHOUT_RANGE) == fields
+        assert not set(FIELD_RULES) & set(FIELDS_WITHOUT_RANGE)
+        # A float field's rule is where NaN and infinities are refused.
+        floats = {f.name for f in dataclasses.fields(ExperimentConfig) if "float" in str(f.type)}
+        assert not floats & set(FIELDS_WITHOUT_RANGE)
+
+    def test_every_rule_has_bad_values_and_consumers(self):
+        assert set(BAD_VALUES) == set(FIELD_RULES) == set(CONSUMERS)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [(field, value) for field, values in BAD_VALUES.items() for value in values],
+    )
+    def test_config_and_consumers_refuse_with_one_message(
+        self, tmp_path, monkeypatch, field, value
+    ):
+        monkeypatch.chdir(tmp_path)
+        message = f"{field}: must be {FIELD_RULES[field][0]}, got {value!r}"
+        with pytest.raises(ConfigError) as refused:
+            ExperimentConfig(**{field: value}).validate()
+        assert str(refused.value) == message
+        for consume in CONSUMERS[field]:
+            with pytest.raises(ConfigError) as refused:
+                consume(value)
+            assert str(refused.value) == message
+        assert not list(tmp_path.iterdir())

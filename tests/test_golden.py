@@ -11,13 +11,14 @@ import json
 import numpy as np
 import pytest
 
-from cdas.config import ExperimentConfig
+from cdas.config import STRATEGIES, ExperimentConfig
 from cdas.harness import (
     BATCHES_FILE,
     CHECKPOINT_FILE,
     METRICS_FILE,
     PROBLEMS_FILE,
     SUMMARY_FILE,
+    compare_strategies,
     run_experiment,
 )
 from cdas.learner import generate_bank, save_bank
@@ -131,6 +132,12 @@ GOLDEN_RUNS = {
     },
 }
 
+# Every strategy over two seeds, written by compare_strategies.
+GOLDEN_COMPARISON = {
+    "comparison.csv": "3e53d7cdb8d7b0f6efee611f78654cc90c33879c60eeaae5f5af8920f0d6cc8b",
+    "comparison_summary.csv": "76d0434d2030102ec52e1f8aa578391f0970cc1662c70023126270a0a7c4f283",
+}
+
 GOLDEN_BANK_HASHES = {
     "normal": "b206341963232c2b14788d04e96c198688cb314319b3f14058c95a45d7161521",
     "levels": "304b233f268dcda273dac3576a7c7eb0777b14887a68d7c7841c03359242bdfa",
@@ -160,6 +167,12 @@ def test_run_outputs_match_golden_digests(tmp_path, monkeypatch, name):
     if name == "saved-bank":
         digests["bank.json"] = _sha256((tmp_path / "bank.json").read_bytes())
     assert digests == GOLDEN_RUNS[name]
+
+
+def test_comparison_outputs_match_golden_digests(tmp_path):
+    compare_strategies(SMALL, list(STRATEGIES), seeds=[11, 12], out_dir=tmp_path)
+    digests = {name: _sha256((tmp_path / name).read_bytes()) for name in GOLDEN_COMPARISON}
+    assert digests == GOLDEN_COMPARISON
 
 
 @pytest.mark.parametrize("mode", ["normal", "levels"])

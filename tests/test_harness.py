@@ -19,7 +19,6 @@ from cdas.harness import (
     METRICS_FILE,
     PROBLEMS_FILE,
     SUMMARY_FILE,
-    compare_runs,
     compare_strategies,
     load_checkpoint,
     resume_experiment,
@@ -541,12 +540,6 @@ class TestComparisons:
             for name in intact:
                 assert (tmp_path / name).read_bytes() == before[name], (crash_at, name)
             assert not list(tmp_path.glob("*.tmp")), crash_at
-
-    def test_mismatched_configs_refused(self):
-        with pytest.raises(ConfigError, match="seed"):
-            compare_runs([_tiny(seed=0), _tiny(seed=1, strategy="random")])
-        with pytest.raises(ConfigError, match="rollouts"):
-            compare_runs([_tiny(), _tiny(rollouts=6, strategy="random")])
 
     def test_duplicate_or_empty_strategy_lists_refused(self):
         with pytest.raises(ConfigError):
