@@ -173,7 +173,7 @@ class DynamicSampler(BaselineSampler):
 
     def select_and_roll(
         self, batch_size: int, group_size: int, roll_round
-    ) -> tuple[list[str], list[int], int]:
+    ) -> tuple[np.ndarray, list[int], int]:
         """Build a batch of problems whose rollout groups are interior.
 
         A group of ``group_size`` rollouts is interior when it passes more
@@ -182,9 +182,10 @@ class DynamicSampler(BaselineSampler):
         calls ``roll_round(indices)`` with their bank indices, in draw order;
         it returns one pass count per candidate.  The round stops at the
         candidate that fills the batch: the counts after it are neither kept
-        nor counted as consumed.  Returns the batch, its pass counts and the
-        number of groups counted (the rollout budget the batch consumed).  The
-        batch is pending until its outcomes are reported.
+        nor counted as consumed.  Returns the batch as the read-only bank
+        indices ``pending`` holds, its pass counts and the number of groups
+        counted (the rollout budget the batch consumed).  The batch is pending
+        until its outcomes are reported.
 
         Raises:
             ConsistencyError: ``roll_round`` did not return one integer count
@@ -228,4 +229,4 @@ class DynamicSampler(BaselineSampler):
             filtered = np.flatnonzero(~interior)
             batch = np.concatenate([batch, filtered[batch.size - batch_size :]])
         self._hold(indices[batch])
-        return self._ids(self._pending), group_counts[batch].tolist(), int(group_counts.size)
+        return self._pending, group_counts[batch].tolist(), int(group_counts.size)

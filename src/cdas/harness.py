@@ -11,7 +11,6 @@ bank or the learner's initialization.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import logging
 import math
@@ -57,6 +56,9 @@ STAGES = ("select", "rollout", "report", "learn", "summarize", "write")
 class RunResult:
     """A run as it goes on: its bank, sampler, learner and what each step recorded.
 
+    ``batches`` holds each step's batch as a read-only array of bank
+    indices, in batch order; ``bank.ids`` names them.
+
     ``stage_seconds`` adds up the wall-clock seconds this process spent in
     each of ``STAGES``: choosing batches (``select``), the learner's rollout
     rounds within them (``rollout``), reporting pass rates, the learner
@@ -70,7 +72,7 @@ class RunResult:
     sampler: Sampler
     learner: SyntheticLearner
     rows: list[StepMetrics] = field(default_factory=list)
-    batches: list[list[str]] = field(default_factory=list)
+    batches: list[np.ndarray] = field(default_factory=list)
     stage_seconds: dict[str, float] = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
 
     @property
@@ -163,10 +165,8 @@ def _start(
 
 
 def make_sampler(config: ExperimentConfig, bank: ProblemBank, rng: np.random.Generator) -> Sampler:
-    cls = SAMPLERS.get(config.strategy)
-    if cls is None:
-        raise ConfigError(f"strategy: unknown strategy {config.strategy!r}")
-    return cls.from_config(config, bank, rng)
+    """The configured strategy's sampler; ``config`` has been validated."""
+    return SAMPLERS[config.strategy].from_config(config, bank, rng)
 
 
 def sampler_from_state(
@@ -195,11 +195,8 @@ def _advance(run: RunResult, target_step: int) -> None:
 
     while sampler.step < target_step:
         began, rolling = clock(), 0.0
-        batch_ids, counts, consumed = sampler.select_and_roll(
-            config.batch_size, rollouts, roll_round
-        )
+        batch, counts, consumed = sampler.select_and_roll(config.batch_size, rollouts, roll_round)
         selected = clock()
-        batch = sampler.pending
         counts = np.array(counts)
         pass_rates = counts / rollouts
         # A group whose rollouts all agree has zero advantage everywhere.
@@ -214,7 +211,7 @@ def _advance(run: RunResult, target_step: int) -> None:
                 batch, rates, flags, sampler, run.learner, rollout_batches_consumed=consumed
             )
         )
-        run.batches.append(batch_ids)
+        run.batches.append(batch)
         summarized = clock()
         seconds["select"] += selected - began - rolling
         seconds["rollout"] += rolling
@@ -255,6 +252,7 @@ def run_experiment(config: ExperimentConfig, stop_after: int | None = None) -> R
 
 
 def _checkpoint_payload(result: RunResult, sampler_state: dict) -> dict:
+    """The checkpoint, but for ``batches``, whose JSON text is written from batches.csv's."""
     return {
         "format_version": CHECKPOINT_VERSION,
         "config": result.config.to_dict(),
@@ -262,8 +260,10 @@ def _checkpoint_payload(result: RunResult, sampler_state: dict) -> dict:
         "bank_hash": result.bank_hash,
         "sampler": sampler_state,
         "learner": result.learner.state_dict(),
-        "metrics_rows": [dataclasses.asdict(row) for row in result.rows],
-        "batches": result.batches,
+        "metrics_rows": [
+            {name: getattr(row, name) for name in _METRICS_TYPES} for row in result.rows
+        ],
+        "batches": None,
     }
 
 
@@ -369,13 +369,16 @@ def resume_experiment(
             f"checkpoint {checkpoint_path}: sampler is at step {sampler.step} but "
             f"{len(rows)} steps are recorded"
         )
-    batches = payload["batches"]
-    if not _batches_fit(batches, sampler.step, config.batch_size, bank):
+    batches = _batch_indices(payload["batches"], sampler.step, config.batch_size, bank)
+    if batches is None:
         raise ConfigError(
             f"checkpoint {checkpoint_path}: batches must be {sampler.step} lists of "
             f"{config.batch_size} distinct problem ids from the bank, one per recorded step"
         )
     run = RunResult(config, bank, sampler, learner, rows=rows, batches=batches)
+    # The run now holds all it needs; the parsed checkpoint's per-problem
+    # lists and batch ids need not live through the steps and the write.
+    del payload
     if target <= sampler.step:
         logger.info(
             "checkpoint %s is already at step %d of %d; nothing to resume up to step %d",
@@ -388,19 +391,29 @@ def resume_experiment(
     return _finish(run, target)
 
 
-def _batches_fit(batches, steps: int, batch_size: int, bank: ProblemBank) -> bool:
-    """Whether ``batches`` is ``steps`` lists of ``batch_size`` distinct str ids in ``bank``."""
-    return (
-        isinstance(batches, list)
-        and len(batches) == steps
-        and all(
-            isinstance(batch, list)
-            and len(batch) == batch_size
-            and all(type(pid) is str and pid in bank.index for pid in batch)
-            and len(set(batch)) == batch_size
-            for batch in batches
-        )
-    )
+def _batch_indices(
+    batches, steps: int, batch_size: int, bank: ProblemBank
+) -> list[np.ndarray] | None:
+    """Checkpointed ``batches`` as read-only bank-index arrays, checked as they go.
+
+    None unless ``batches`` is ``steps`` lists of ``batch_size`` distinct
+    str ids in ``bank``.
+    """
+    if not isinstance(batches, list) or len(batches) != steps:
+        return None
+    arrays = []
+    for batch in batches:
+        if not isinstance(batch, list) or len(batch) != batch_size:
+            return None
+        if set(map(type, batch)) != {str}:
+            return None
+        positions = list(map(bank.index.get, batch))
+        if None in positions or len(set(positions)) != batch_size:
+            return None
+        indices = np.array(positions, dtype=np.intp)
+        indices.flags.writeable = False
+        arrays.append(indices)
+    return arrays
 
 
 # -- output files -------------------------------------------------------------
@@ -428,22 +441,20 @@ def _distinct_text(values: np.ndarray) -> tuple[list[str], str]:
 def _final_state_columns(result: RunResult, state: dict) -> tuple[list, dict[str, list[str]]]:
     """Cell functions for the t, difficulty and final_pass_rate columns of problems.csv.
 
-    ``state`` is the sampler's ``state_dict()``.  Each function takes
+    ``state`` is the sampler's ``state_arrays()``.  Each function takes
     ``(start, stop)`` and gives the cells of those bank rows, in the text
     ``csv.writer`` would write: ints by ``str``, floats by ``repr`` and
     nothing for a problem never reported.
 
-    The per-problem lists are taken out of ``state`` as arrays, which frees
-    their Python objects at once; their keys stay, holding None.  A
-    function for such a list also appends the JSON text of the same items
-    to that key's blocks in the dict returned beside the functions, so once
-    problems.csv is written the dict holds the checkpoint's text of each.
+    A function for a per-problem array also appends the JSON text of the
+    same items to that key's blocks in the dict returned beside the
+    functions, so once problems.csv is written the dict holds the
+    checkpoint's text of each.
     """
     blocks: dict[str, list[str]] = {}
 
-    def formatted(key, dtype):
-        # None, the JSON form of a problem never reported, becomes NaN.
-        values, state[key] = np.array(state[key], dtype=dtype), None
+    def formatted(key):
+        values = state[key]
         texts = blocks[key] = []
 
         def cells(start, stop):
@@ -454,7 +465,7 @@ def _final_state_columns(result: RunResult, state: dict) -> tuple[list, dict[str
         return cells
 
     if "t" in state:
-        columns = [formatted("t", np.int64), formatted("difficulty", np.float64)]
+        columns = [formatted("t"), formatted("difficulty")]
     else:
         # Strategies without estimates write every problem as never visited.
         unvisited = repr(result.config.initial_difficulty)
@@ -462,17 +473,28 @@ def _final_state_columns(result: RunResult, state: dict) -> tuple[list, dict[str
             lambda start, stop: repeat("0", stop - start),
             lambda start, stop: repeat(unvisited, stop - start),
         ]
-    columns.append(formatted("last_pass_rate", np.float64))
+    columns.append(formatted("last_pass_rate"))
     return columns, blocks
 
 
-def _checkpoint_text(payload: dict, lists: dict[str, list[str]]) -> Iterator[str]:
+def _batches_json(texts: list[str]) -> str:
+    """``json.dumps`` of the batches whose ids, joined by ``;``, are ``texts``.
+
+    ``json.dumps`` leaves a ``;`` as it is and no id holds one, so each
+    ``;`` in a batch's dumped text is where one id's text ends and the next
+    begins.
+    """
+    items = ("[" + json.dumps(text).replace(";", '", "') + "]" for text in texts)
+    return "[" + ", ".join(items) + "]"
+
+
+def _checkpoint_text(payload: dict, lists: dict[str, list[str]], batches: str) -> Iterator[str]:
     """``json.dumps(payload) + "\\n"`` in pieces, never as one string.
 
     Each sampler state list named in ``lists`` is written from its JSON text
-    blocks, and its value in ``payload`` is not read; every other value goes
-    through ``json.dumps`` on its own, which writes it as the whole
-    payload's dump would.
+    blocks, and ``batches`` is the JSON text of the batches; their values in
+    ``payload`` are not read.  Every other value goes through ``json.dumps``
+    on its own, which writes it as the whole payload's dump would.
     """
 
     def object_text(obj: dict, value_text) -> Iterator[str]:
@@ -492,9 +514,13 @@ def _checkpoint_text(payload: dict, lists: dict[str, list[str]]) -> Iterator[str
         payload["sampler"],
         lambda key, value: list_text(lists[key]) if key in lists else (json.dumps(value),),
     )
-    yield from object_text(
-        payload, lambda key, value: sampler if key == "sampler" else (json.dumps(value),)
-    )
+
+    def top_level(key, value):
+        if key == "sampler":
+            return sampler
+        return (batches,) if key == "batches" else (json.dumps(value),)
+
+    yield from object_text(payload, top_level)
     yield "\n"
 
 
@@ -504,18 +530,20 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> None:
     problems.csv is written first of the files that need the bank hash
     or the sampler's per-problem lists: its pass formats every value the
     checkpoint repeats and, on a run that has not hashed its bank yet, the
-    bank hash.
+    bank hash.  Each batch's ids are joined once, for batches.csv, and the
+    checkpoint's batches are written from that text.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with replacing(out / METRICS_FILE) as tmp:
         write_metrics_csv(tmp, result.rows, result.config.strategy, result.config.seed)
+    ids = result.bank.ids
+    batch_texts = [";".join(map(ids.__getitem__, batch.tolist())) for batch in result.batches]
+    # No id needs quoting, so this is the text csv.writer would write.
     with replacing(out / BATCHES_FILE) as tmp, open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["step", "problem_ids"])
-        for step, batch in enumerate(result.batches, start=1):
-            writer.writerow([step, ";".join(batch)])
-    state = result.sampler.state_dict()
+        fh.write("step,problem_ids\n")
+        fh.writelines(f"{step},{text}\n" for step, text in enumerate(batch_texts, start=1))
+    state = result.sampler.state_arrays()
     columns, lists = _final_state_columns(result, state)
     with replacing(out / PROBLEMS_FILE) as tmp, open(tmp, "w", newline="") as fh:
         fh.write("id,level_tag,true_difficulty,t,difficulty,final_pass_rate\n")
@@ -523,7 +551,8 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> None:
     with replacing(out / SUMMARY_FILE) as tmp, open(tmp, "w") as fh:
         fh.write(json.dumps(result.summary(), indent=2, sort_keys=True) + "\n")
     with replacing(out / CHECKPOINT_FILE) as tmp, open(tmp, "w") as fh:
-        fh.writelines(_checkpoint_text(_checkpoint_payload(result, state), lists))
+        payload = _checkpoint_payload(result, state)
+        fh.writelines(_checkpoint_text(payload, lists, _batches_json(batch_texts)))
 
 
 # -- comparisons ---------------------------------------------------------------

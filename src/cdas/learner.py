@@ -8,6 +8,7 @@ batch that produced a usable gradient signal.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import sys
@@ -129,10 +130,11 @@ class ProblemBank:
 
     ``ids`` names each problem, ``level_tags`` holds its level (an int in
     1..5, or None when untagged) and ``latent`` its hidden latent difficulty,
-    which only the learner reads.  ``index`` maps each id to its position.  An
-    id is a non-empty str with no comma, semicolon, double quote or line
-    break, so it can stand unquoted in every output file.  Nothing here
-    changes during a run; scheduler state lives in the samplers.
+    which only the learner reads.  ``index`` maps each id to its position; it
+    is built on first use.  An id is a non-empty str with no comma,
+    semicolon, double quote or line break, so it can stand unquoted in every
+    output file.  Nothing here changes during a run; scheduler state lives in
+    the samplers.
     """
 
     def __init__(self, ids, level_tags, latent, mode: str = "normal"):
@@ -159,8 +161,7 @@ class ProblemBank:
                 f"problem id: must be a non-empty str without a comma, semicolon, "
                 f"double quote or line break, got {bad!r}"
             )
-        self.index = dict(zip(self.ids, range(len(self.ids))))
-        if len(self.index) < len(self.ids):
+        if len(set(self.ids)) < len(self.ids):
             duplicate = next(pid for i, pid in enumerate(self.ids) if self.index[pid] != i)
             raise ConfigError(f"duplicate problem id {duplicate} in bank")
         tag_types = set(map(type, self.level_tags))
@@ -173,6 +174,14 @@ class ProblemBank:
                 f"bank problem {self.ids[missing[0]]} has no finite latent difficulty"
             )
         self._hash: str | None = None
+        # The latent column's text, one newline-joined string per block, kept
+        # by content_hash's own pass for the next full text pass to reuse.
+        self._latent_text: list[str] | None = None
+
+    @functools.cached_property
+    def index(self) -> dict[str, int]:
+        """Each id's position in the bank."""
+        return dict(zip(self.ids, range(len(self.ids))))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -189,17 +198,26 @@ class ProblemBank:
 
         While the content hash is not yet known, the pass also feeds the
         ``content_hash`` lines from the same latent text, and keeps the
-        digest once the last block is out.
+        digest once the last block is out.  ``content_hash``'s own pass also
+        keeps the latent text, and the next pass splits it rather than
+        formatting the latents again, then drops it.
         """
         tag_text = {None: untagged, **_TAG_TEXT}.__getitem__
         digest = hashlib.sha256() if self._hash is None else None
         # content_hash's own pass: the hash lines are the rows as written.
         rows_are_hash_lines = untagged == "None" and not columns
+        kept, self._latent_text = self._latent_text, None
+        keeping = [] if digest is not None and rows_are_hash_lines else None
         n = len(self.ids)
-        for start in range(0, n, BLOCK_ROWS):
+        for block_no, start in enumerate(range(0, n, BLOCK_ROWS)):
             stop = min(start + BLOCK_ROWS, n)
             ids, tags = self.ids[start:stop], self.level_tags[start:stop]
-            latent = list(map(repr, self.latent[start:stop].tolist()))
+            if kept is None:
+                latent = list(map(repr, self.latent[start:stop].tolist()))
+            else:
+                latent, kept[block_no] = kept[block_no].split("\n"), None
+            if keeping is not None:
+                keeping.append("\n".join(latent))
             block = _joined_rows(
                 ids, map(tag_text, tags), latent, *(column(start, stop) for column in columns)
             )
@@ -213,6 +231,7 @@ class ProblemBank:
             yield block
         if digest is not None:
             self._hash = digest.hexdigest()
+        self._latent_text = keeping
 
     def content_hash(self) -> str:
         """Digest of ids, level tags and latent difficulties, one line per problem.
@@ -220,7 +239,8 @@ class ProblemBank:
         The lines are ``f"{id},{tag},{latent!r}\\n"`` in bank order, fed to the
         digest a block at a time.  The bank never changes, so the digest is
         kept once known: from the first full ``text_blocks`` pass (such as
-        writing problems.csv), or else from one made here.
+        writing problems.csv), or else from one made here, which also keeps
+        the latent text for the next pass.
         """
         if self._hash is None:
             for _ in self.text_blocks("None"):

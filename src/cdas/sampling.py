@@ -87,8 +87,9 @@ class Sampler:
     is taken between the two, never while a batch is pending.
     Subclasses set ``strategy``, choose the bank indices of a batch in
     ``_choose``, fold validated outcomes into their own state in ``_fold``
-    and name that state in ``_state``/``_load_state``.  Every sampler keeps
-    the pass rate each problem last reported, in bank order.
+    and name that state in ``_state``/``_load_state``, giving per-problem
+    state as bank-order arrays.  Every sampler keeps the pass rate each
+    problem last reported, in bank order.
     """
 
     strategy: str
@@ -120,9 +121,7 @@ class Sampler:
     @property
     def last_pass_rates(self) -> np.ndarray:
         """Read-only last reported pass rate of each problem, in bank order; NaN if none."""
-        view = self._last_pass_rate.view()
-        view.flags.writeable = False
-        return view
+        return _read_only(self._last_pass_rate)
 
     # -- selection --------------------------------------------------------
 
@@ -137,17 +136,19 @@ class Sampler:
         """Pick the next batch of problem ids; it stays pending until reported."""
         self._check_batch_size(batch_size)
         self._hold(self._choose(batch_size))
-        return self._ids(self._pending)
+        ids = self.bank.ids
+        return [ids[i] for i in self._pending.tolist()]
 
     def select_and_roll(
         self, batch_size: int, group_size: int, roll_round
-    ) -> tuple[list[str], list[int], int]:
+    ) -> tuple[np.ndarray, list[int], int]:
         """Pick the next batch and roll it out with one ``roll_round(indices)``.
 
         ``roll_round`` gets the batch's bank indices and returns one pass
         count per problem, each out of ``group_size`` rollouts.  Returns the
-        batch, its pass counts and the rollout groups consumed, one per
-        problem.  The batch is pending until its outcomes are reported.
+        batch as the read-only bank indices ``pending`` holds, its pass
+        counts and the rollout groups consumed, one per problem.  The batch
+        is pending until its outcomes are reported.
 
         Raises:
             ConsistencyError: ``roll_round`` did not return one integer count
@@ -160,7 +161,7 @@ class Sampler:
         indices = self._choose(batch_size)
         counts = rolled_counts(roll_round, indices, group_size)
         self._hold(indices)
-        return self._ids(indices), counts.tolist(), batch_size
+        return indices, counts.tolist(), batch_size
 
     def _choose(self, batch_size: int) -> np.ndarray:
         raise NotImplementedError
@@ -169,10 +170,6 @@ class Sampler:
         """Make ``indices`` the pending batch."""
         indices.flags.writeable = False
         self._pending = indices
-
-    def _ids(self, indices: np.ndarray) -> list[str]:
-        ids = self.bank.ids
-        return [ids[i] for i in indices.tolist()]
 
     # -- outcome reporting -------------------------------------------------
 
@@ -215,14 +212,28 @@ class Sampler:
             ConsistencyError: a batch is pending; its outcomes are not state
                 a checkpoint can hold.
         """
+        state = self.state_arrays()
+        for key, value in state.items():
+            if isinstance(value, np.ndarray):
+                state[key] = value.tolist()
+        # JSON has no NaN: a problem never reported is written as null.
+        state["last_pass_rate"] = [None if r != r else r for r in state["last_pass_rate"]]
+        return state
+
+    def state_arrays(self) -> dict:
+        """``state_dict`` with each per-problem list as a read-only bank-order array.
+
+        ``last_pass_rate`` holds NaN where ``state_dict`` holds null.  The
+        arrays are views of the sampler's own, so a later report or restore
+        changes or replaces what they show.
+        """
         if self._pending is not None:
             raise ConsistencyError("a batch is pending; report it before saving state")
         return {
             "strategy": self.strategy,
             "step": self._step,
             "rng": self._rng.bit_generator.state,
-            # JSON has no NaN: a problem never reported is written as null.
-            "last_pass_rate": [None if r != r else r for r in self._last_pass_rate.tolist()],
+            "last_pass_rate": self.last_pass_rates,
             **self._state(),
         }
 
@@ -261,14 +272,20 @@ class Sampler:
                 f"sampler state: last_pass_rate must be a list of one rate per problem "
                 f"for a bank of {n} problems"
             )
+        refused = ConfigError(
+            "sampler state: every last_pass_rate must be null or a number in [0, 1]"
+        )
         # By exact type: bool is an int subclass, and numpy would parse a string.
-        if not all(
-            rate is None or (type(rate) in (int, float) and 0.0 <= rate <= 1.0) for rate in rates
-        ):
-            raise ConfigError(
-                "sampler state: every last_pass_rate must be null or a number in [0, 1]"
-            )
-        return np.array(rates, dtype=np.float64)
+        if not set(map(type, rates)) <= {int, float, type(None)}:
+            raise refused
+        try:
+            column = np.array(rates, dtype=np.float64)
+        except OverflowError as err:
+            raise refused from err
+        # NaN is in no range, so only a null may stand outside [0, 1].
+        if np.count_nonzero((column >= 0.0) & (column <= 1.0)) + rates.count(None) != n:
+            raise refused
+        return column
 
     def _state(self) -> dict:
         return {}
@@ -345,9 +362,7 @@ class CdasSampler(Sampler):
     @property
     def estimates(self) -> np.ndarray:
         """The difficulty estimates in bank order, as a read-only view."""
-        view = self._D.view()
-        view.flags.writeable = False
-        return view
+        return _read_only(self._D)
 
     @property
     def records(self) -> dict[str, ProblemRecord]:
@@ -428,10 +443,7 @@ class CdasSampler(Sampler):
     # -- serialization ------------------------------------------------------
 
     def _state(self) -> dict:
-        return {
-            "t": self._t.tolist(),
-            "difficulty": self._D.tolist(),
-        }
+        return {"t": _read_only(self._t), "difficulty": self.estimates}
 
     def _load_state(self, payload: dict) -> None:
         counts, estimates = payload["t"], payload["difficulty"]
@@ -461,6 +473,12 @@ class CdasSampler(Sampler):
         self._competence = (
             _competence(difficulty) if payload["step"] > 0 else self._initial_competence
         )
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 def _competence(difficulty: np.ndarray) -> float:

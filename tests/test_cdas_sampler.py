@@ -216,10 +216,10 @@ def _strategy_sampler(strategy):
 
 
 def _armed(strategy):
-    """A ``strategy`` sampler with a batch of four pending, and that batch."""
+    """A ``strategy`` sampler with a batch of four pending, and that batch's ids."""
     sampler = _strategy_sampler(strategy)
     batch, _, _ = sampler.select_and_roll(4, 4, lambda indices: [2] * len(indices))
-    return sampler, batch
+    return sampler, [sampler.bank.ids[i] for i in batch]
 
 
 class TestConsistencyChecks:
@@ -246,7 +246,7 @@ class TestIndexConsistencyChecks:
             saved = sampler.state_dict()
             assert sampler.pending is None, strategy
             batch, _, _ = sampler.select_and_roll(4, 4, lambda indices: [2] * len(indices))
-            assert [sampler.bank.ids[i] for i in sampler.pending] == batch, strategy
+            assert batch is sampler.pending, strategy
             sampler.load_state_dict(saved)
             assert sampler.pending is None, strategy
             with pytest.raises(ConsistencyError, match="no batch outstanding"):
@@ -372,7 +372,10 @@ def test_select_and_roll_is_select_batch_then_one_rollout(strategy):
         )
         ids = plain.select_batch(config.batch_size)
         counts = plain_learner.pass_counts(bank.latent[plain.pending])
-        assert got == (ids, counts, config.batch_size)
+        batch, *rest = got
+        assert batch is rolled.pending
+        assert [bank.ids[i] for i in batch] == ids
+        assert rest == [counts, config.batch_size]
         assert np.array_equal(rolled.pending, plain.pending)
         assert rolled_learner.state_dict() == plain_learner.state_dict()
         rates = np.array(counts) / plain_learner.rollouts
@@ -543,6 +546,34 @@ class TestSerialization:
             with pytest.raises(ConfigError, match=f"sampler state: {field}"):
                 fresh.load_state_dict(payload)
             assert fresh.state_dict() == before, strategy
+
+    @pytest.mark.parametrize(
+        "rate",
+        [math.nan, True, "0.5", 1.5, -0.25, 10**400],
+        ids=["nan", "true", "string", "above-one", "below-zero", "int-past-float"],
+    )
+    def test_bad_last_pass_rate_refused(self, rate):
+        for strategy in STRATEGIES:
+            sampler, _ = _armed(strategy)
+            sampler.report([0.5] * 4)
+            payload = sampler.state_dict()
+            payload["last_pass_rate"][1] = rate
+            fresh = _strategy_sampler(strategy)
+            before = fresh.state_dict()
+            with pytest.raises(ConfigError) as refused:
+                fresh.load_state_dict(payload)
+            assert str(refused.value) == (
+                "sampler state: every last_pass_rate must be null or a number in [0, 1]"
+            ), strategy
+            assert fresh.state_dict() == before, strategy
+
+    def test_last_pass_rate_takes_ints_floats_and_nulls(self):
+        for strategy in STRATEGIES:
+            payload = _strategy_sampler(strategy).state_dict()
+            payload["last_pass_rate"][:4] = [0, 1, 0.25, None]
+            fresh = _strategy_sampler(strategy)
+            fresh.load_state_dict(payload)
+            assert fresh.state_dict()["last_pass_rate"][:4] == [0.0, 1.0, 0.25, None], strategy
 
     def test_last_pass_rate_ids_outside_the_bank_refused(self):
         # The rates are a bank-order list: an entry past the bank's end would

@@ -243,6 +243,17 @@ class TestFieldRules:
         assert set(BAD_VALUES) == set(FIELD_RULES) == set(CONSUMERS)
 
     @pytest.mark.parametrize(
+        "field,value", [("learn_rate", "0.1"), ("curriculum_switch_step", None)]
+    )
+    def test_consumers_refuse_a_value_the_rule_cannot_compare(self, field, value):
+        # validate names the wrong type; a constructor, which checks no
+        # types, refuses the value as out of range.
+        for consume in CONSUMERS[field]:
+            with pytest.raises(ConfigError) as refused:
+                consume(value)
+            assert str(refused.value) == f"{field}: must be {FIELD_RULES[field][0]}, got {value!r}"
+
+    @pytest.mark.parametrize(
         "field,value",
         [(field, value) for field, values in BAD_VALUES.items() for value in values],
     )

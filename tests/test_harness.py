@@ -47,13 +47,14 @@ class TestRunExperiment:
 
     def test_single_step_with_bank_sized_batch(self):
         result = run_experiment(_tiny(batch_size=12, total_steps=1))
-        assert sorted(result.batches[0]) == sorted(result.sampler.records)
+        ids = [result.bank.ids[i] for i in result.batches[0]]
+        assert sorted(ids) == sorted(result.sampler.records)
 
     def test_same_config_is_deterministic(self):
         a = run_experiment(_tiny(seed=3))
         b = run_experiment(_tiny(seed=3))
         assert a.rows == b.rows
-        assert a.batches == b.batches
+        assert [batch.tolist() for batch in a.batches] == [batch.tolist() for batch in b.batches]
         assert a.learner.ability == b.learner.ability
 
     def test_warmup_covers_the_bank(self):
@@ -177,7 +178,7 @@ class TestOutputs:
         assert len(lines) == 7
         first = lines[1].split(",", 1)
         assert first[0] == "1"
-        assert first[1].split(";") == result.batches[0]
+        assert first[1].split(";") == [result.bank.ids[i] for i in result.batches[0]]
 
     def test_problems_file_has_final_estimates(self, tmp_path):
         # Two warm-up steps of four leave four of the twelve problems unreported.
@@ -307,7 +308,7 @@ class TestCheckpointResume:
         rates = payload["sampler"]["last_pass_rate"]
         assert isinstance(rates, list) and len(rates) == len(result.bank)
         assert [i for i, rate in enumerate(rates) if rate is not None] == sorted(
-            {result.bank.index[pid] for batch in result.batches for pid in batch}
+            {i for batch in result.batches for i in batch.tolist()}
         )
 
     def test_partial_checkpoint_records_progress(self, tmp_path):

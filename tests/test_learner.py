@@ -245,6 +245,12 @@ class TestBankContainer:
         assert len(bank) == 7
         assert bank.ids[bank.index["p00003"]] == "p00003"
 
+    def test_index_is_built_on_first_use(self):
+        bank = generate_bank(7, np.random.default_rng(6))
+        assert "index" not in vars(bank)
+        assert bank.index["p00003"] == 3
+        assert bank.index is bank.index
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ConfigError, match="duplicate problem id dup"):
             ProblemBank(["a", "dup", "dup"], [None] * 3, [0.0] * 3)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from cdas import harness
@@ -87,7 +87,7 @@ def _checkpoint_oracle(run: RunResult) -> bytes:
         "sampler": run.sampler.state_dict(),
         "learner": run.learner.state_dict(),
         "metrics_rows": [dataclasses.asdict(row) for row in run.rows],
-        "batches": run.batches,
+        "batches": [[run.bank.ids[i] for i in batch] for batch in run.batches],
     }
     return (json.dumps(payload) + "\n").encode()
 
@@ -211,3 +211,11 @@ def test_a_text_pass_cut_short_keeps_no_hash():
     next(blocks)
     blocks.close()
     assert cut.content_hash() == bank().content_hash()
+
+
+@settings(max_examples=200, deadline=None)
+@given(batches=st.lists(st.lists(ID_TEXT.filter(bool), min_size=1, max_size=5), max_size=4))
+@example(batches=[["é", "\\", "a\tb"], ["\U0001f600", "\x00", "'"]])
+def test_batches_text_matches_json_dumps(batches):
+    texts = [";".join(batch) for batch in batches]
+    assert harness._batches_json(texts) == json.dumps(batches)

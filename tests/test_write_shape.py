@@ -4,7 +4,10 @@ A run with outputs writes problems.csv in one full ``text_blocks`` pass,
 which also gives the bank hash and the checkpoint's per-problem lists, so
 ``json.dumps`` never sees a list with one entry per problem.  A run without
 outputs never hashes its bank, and a resume hashes it once, for its bank
-check.  This gates the shape of the work, not its wall-clock time.
+check, and formats the latent column once, in that pass.  Batches travel as
+bank indices: the step loop never looks an id up, and a write looks up each
+batch's ids once and dumps no batch to JSON.  This gates the shape of the
+work, not its wall-clock time.
 """
 
 import json
@@ -13,19 +16,21 @@ from collections import Counter
 
 import pytest
 
-from cdas import learner
+from cdas import harness, learner
 from cdas.config import STRATEGIES, ExperimentConfig
 from cdas.harness import CHECKPOINT_FILE, resume_experiment, run_experiment
 from cdas.learner import BLOCK_ROWS, ProblemBank
 
 # Three blocks, the last one short; a size no other list in a run has.
 N_PROBLEMS = 2 * BLOCK_ROWS + 5
+# Nor has any list but a batch this size.
+BATCH_SIZE = 256
 
 
 def _config(strategy, **overrides):
     return ExperimentConfig(
         n_problems=N_PROBLEMS,
-        batch_size=256,
+        batch_size=BATCH_SIZE,
         total_steps=6,
         strategy=strategy,
         **overrides,
@@ -34,7 +39,8 @@ def _config(strategy, **overrides):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts bank hash requests, digests, text passes and bank-sized lists dumped to JSON."""
+    """Counts bank hash requests, digests, text passes, and bank-sized lists and
+    batches dumped to JSON."""
     calls = Counter()
     real_hash, real_blocks = ProblemBank.content_hash, ProblemBank.text_blocks
     real_sha256, real_dumps = learner.hashlib.sha256, json.dumps
@@ -55,15 +61,16 @@ def calls(monkeypatch):
         calls["digests"] += 1
         return real_sha256(*args)
 
-    def bank_sized_lists(value):
+    def lists_of(size, value):
         if isinstance(value, dict):
-            return sum(map(bank_sized_lists, value.values()))
+            return sum(lists_of(size, item) for item in value.values())
         if isinstance(value, (list, tuple)):
-            return (len(value) == N_PROBLEMS) + sum(map(bank_sized_lists, value))
+            return (len(value) == size) + sum(lists_of(size, item) for item in value)
         return 0
 
     def dumps(obj, *args, **kwargs):
-        calls["bank_sized_lists_dumped"] += bank_sized_lists(obj)
+        calls["bank_sized_lists_dumped"] += lists_of(N_PROBLEMS, obj)
+        calls["batches_dumped"] += lists_of(BATCH_SIZE, obj)
         return real_dumps(obj, *args, **kwargs)
 
     monkeypatch.setattr(ProblemBank, "content_hash", content_hash)
@@ -101,3 +108,90 @@ def test_a_resume_hashes_the_bank_once(calls, tmp_path, strategy):
     assert calls["digests"] == 1
     assert calls["text_passes"] == calls["full_text_passes"] == 2
     assert calls["bank_sized_lists_dumped"] == 0
+
+
+@pytest.fixture
+def latent_reprs(monkeypatch):
+    """Counts the values ``cdas.learner`` formats by ``repr``: the latent column's."""
+    calls = Counter()
+
+    def counting_repr(value):
+        calls["latent"] += 1
+        return repr(value)
+
+    monkeypatch.setattr(learner, "repr", counting_repr, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_resume_formats_the_latent_column_once(latent_reprs, tmp_path, strategy):
+    # A run that writes without hashing first formats it once, in that pass.
+    run_experiment(_config(strategy, out_dir=str(tmp_path)), stop_after=3)
+    assert latent_reprs["latent"] == N_PROBLEMS
+    latent_reprs.clear()
+    result = resume_experiment(tmp_path / CHECKPOINT_FILE)
+    assert len(result.rows) == 6
+    # The bank check's hash pass keeps the text and problems.csv reuses it.
+    assert latent_reprs["latent"] == N_PROBLEMS
+    # The text was dropped once used: another pass formats the column again.
+    for _ in result.bank.text_blocks(""):
+        pass
+    assert latent_reprs["latent"] == 2 * N_PROBLEMS
+
+
+@pytest.fixture
+def id_lookups(monkeypatch):
+    """Counts lookups of a bank id by position, in the step loop, in writes and elsewhere."""
+    calls = Counter()
+    stage = ["elsewhere"]
+
+    class CountingIds(tuple):
+        def __getitem__(self, key):
+            if not isinstance(key, slice):
+                calls[stage[0]] += 1
+            return tuple.__getitem__(self, key)
+
+    def staged(name, real):
+        def wrapper(*args, **kwargs):
+            stage[0] = name
+            try:
+                return real(*args, **kwargs)
+            finally:
+                stage[0] = "elsewhere"
+
+        return wrapper
+
+    real_generate_bank = harness.generate_bank
+
+    def generate_bank(*args, **kwargs):
+        bank = real_generate_bank(*args, **kwargs)
+        bank.ids = CountingIds(bank.ids)
+        return bank
+
+    monkeypatch.setattr(harness, "generate_bank", generate_bank)
+    monkeypatch.setattr(harness, "_advance", staged("step_loop", harness._advance))
+    monkeypatch.setattr(harness, "write_outputs", staged("write", harness.write_outputs))
+    return calls
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_the_step_loop_never_looks_up_an_id(id_lookups, strategy):
+    result = run_experiment(_config(strategy))
+    assert len(result.rows) == 6
+    assert id_lookups["step_loop"] == 0
+    # Nor does anything build the id-to-position map.
+    assert "index" not in vars(result.bank)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_each_write_looks_up_each_batch_id_once(calls, id_lookups, tmp_path, strategy):
+    run_experiment(_config(strategy, out_dir=str(tmp_path)), stop_after=3)
+    assert id_lookups["write"] == 3 * BATCH_SIZE
+    id_lookups.clear()
+    result = resume_experiment(tmp_path / CHECKPOINT_FILE)
+    assert id_lookups["write"] == len(result.batches) * BATCH_SIZE == 6 * BATCH_SIZE
+    assert id_lookups["step_loop"] == 0
+    # The checkpoint's batches are written from batches.csv's text.
+    assert calls["batches_dumped"] == 0
+    checkpoint = json.loads((tmp_path / CHECKPOINT_FILE).read_text())
+    assert checkpoint["batches"] == [[result.bank.ids[i] for i in b] for b in result.batches]
