@@ -1,11 +1,15 @@
-"""File access shared across the package: atomic replacement and the JSON reader."""
+"""File access shared across the package: atomic replacement, the JSON reader
+and the base64 text a checkpoint stores each array as."""
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -35,3 +39,31 @@ def replacing(path: str | Path):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def encode_array(values: np.ndarray, dtype: str) -> str:
+    """The base64 text of ``values`` as the bytes of ``dtype``, such as ``"<f8"``."""
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
+
+
+def decode_array(text, dtype: str, length: int, what: str) -> np.ndarray:
+    """The ``length`` values of ``dtype`` that ``encode_array`` wrote as ``text``.
+
+    The array is a writable copy in native byte order.
+
+    Raises:
+        ConfigError: ``text`` is not a str, not base64, or not ``length``
+            values long; ``what`` names it.
+    """
+    if not isinstance(text, str):
+        raise ConfigError(f"{what}: must be a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as err:  # binascii.Error, or a character beyond ASCII
+        raise ConfigError(f"{what}: invalid base64 ({err})") from err
+    kind = np.dtype(dtype)
+    if len(raw) != length * kind.itemsize:
+        raise ConfigError(
+            f"{what}: {len(raw)} bytes where {length} values of {kind.itemsize} bytes belong"
+        )
+    return np.frombuffer(raw, dtype=kind).astype(kind.newbyteorder("="))

@@ -16,7 +16,6 @@ import logging
 import math
 import time
 import typing
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -26,7 +25,7 @@ import numpy as np
 from .baselines import PrioritizedSampler
 from .config import SAMPLERS, ExperimentConfig
 from .errors import ConfigError
-from .files import read_json, replacing
+from .files import decode_array, encode_array, read_json, replacing
 from .learner import ProblemBank, SyntheticLearner, default_ability, generate_bank, load_bank
 from .metrics import (
     METRICS_COLUMNS,
@@ -40,7 +39,7 @@ from .sampling import Sampler
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 METRICS_FILE = "metrics.csv"
 SUMMARY_FILE = "summary.json"
@@ -251,19 +250,19 @@ def run_experiment(config: ExperimentConfig, stop_after: int | None = None) -> R
 # -- checkpointing ----------------------------------------------------------
 
 
-def _checkpoint_payload(result: RunResult, sampler_state: dict) -> dict:
-    """The checkpoint, but for ``batches``, whose JSON text is written from batches.csv's."""
+def _checkpoint_payload(result: RunResult) -> dict:
+    """The checkpoint: ``batches`` is the ``encode_array`` text of the bank indices."""
     return {
         "format_version": CHECKPOINT_VERSION,
         "config": result.config.to_dict(),
         "config_hash": result.config.content_hash(),
         "bank_hash": result.bank_hash,
-        "sampler": sampler_state,
+        "sampler": result.sampler.state_dict(),
         "learner": result.learner.state_dict(),
         "metrics_rows": [
             {name: getattr(row, name) for name in _METRICS_TYPES} for row in result.rows
         ],
-        "batches": None,
+        "batches": encode_array(result.batches, "<i8"),
     }
 
 
@@ -358,26 +357,20 @@ def resume_experiment(
             f"checkpoint {checkpoint_path}: bank hash mismatch; the configured "
             f"bank no longer reproduces the checkpointed one"
         )
+    rows = [StepMetrics(**row) for row in payload["metrics_rows"]]
     try:
         sampler = sampler_from_state(config, bank, sampler_rng, payload["sampler"])
         learner.load_state_dict(payload["learner"])
+        if sampler.step != len(rows):
+            raise ConfigError(
+                f"sampler is at step {sampler.step} but {len(rows)} steps are recorded"
+            )
+        batches = _batch_indices(payload["batches"], sampler.step, config.batch_size, len(bank))
     except ConfigError as err:
         raise ConfigError(f"checkpoint {checkpoint_path}: {err}") from err
-    rows = [StepMetrics(**row) for row in payload["metrics_rows"]]
-    if sampler.step != len(rows):
-        raise ConfigError(
-            f"checkpoint {checkpoint_path}: sampler is at step {sampler.step} but "
-            f"{len(rows)} steps are recorded"
-        )
-    batches = _batch_indices(payload["batches"], sampler.step, config.batch_size, bank)
-    if batches is None:
-        raise ConfigError(
-            f"checkpoint {checkpoint_path}: batches must be {sampler.step} lists of "
-            f"{config.batch_size} distinct problem ids from the bank, one per recorded step"
-        )
     run = RunResult(config, bank, sampler, learner, rows=rows, batches=batches)
-    # The run now holds all it needs; the parsed checkpoint's per-problem
-    # lists and batch ids need not live through the steps and the write.
+    # The run now holds all it needs; the parsed checkpoint's column and
+    # batch texts need not live through the steps and the write.
     del payload
     if target <= sampler.step:
         logger.info(
@@ -391,78 +384,51 @@ def resume_experiment(
     return _finish(run, target)
 
 
-def _batch_indices(
-    batches, steps: int, batch_size: int, bank: ProblemBank
-) -> list[np.ndarray] | None:
-    """Checkpointed ``batches`` as read-only bank-index arrays, checked as they go.
+def _batch_indices(text, steps: int, batch_size: int, n: int) -> list[np.ndarray]:
+    """Checkpointed ``batches`` as read-only bank-index arrays, one per step.
 
-    None unless ``batches`` is ``steps`` lists of ``batch_size`` distinct
-    str ids in ``bank``.
+    Raises:
+        ConfigError: ``text`` does not decode to ``steps`` rows of
+            ``batch_size`` distinct indices into a bank of ``n`` problems.
     """
-    if not isinstance(batches, list) or len(batches) != steps:
-        return None
-    arrays = []
-    for batch in batches:
-        if not isinstance(batch, list) or len(batch) != batch_size:
-            return None
-        if set(map(type, batch)) != {str}:
-            return None
-        positions = list(map(bank.index.get, batch))
-        if None in positions or len(set(positions)) != batch_size:
-            return None
-        indices = np.array(positions, dtype=np.intp)
-        indices.flags.writeable = False
-        arrays.append(indices)
-    return arrays
+    indices = decode_array(text, "<i8", steps * batch_size, "batches").reshape(steps, batch_size)
+    if ((indices < 0) | (indices >= n)).any():
+        raise ConfigError(f"batches: every index must be in [0, {n})")
+    ordered = np.sort(indices, axis=1)
+    repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if repeats.any():
+        raise ConfigError(f"batches: step {int(np.argmax(repeats)) + 1} repeats a problem")
+    indices.flags.writeable = False
+    return list(indices)
 
 
 # -- output files -------------------------------------------------------------
 
 
-def _distinct_text(values: np.ndarray) -> tuple[list[str], str]:
-    """The problems.csv cells of ``values`` and the JSON text of their list's items.
+def _distinct_text(values: np.ndarray) -> list[str]:
+    """The problems.csv cells of ``values``.
 
     Each distinct bit pattern is formatted once, which keeps -0.0 apart
-    from 0.0.  A number is written by ``repr``, as ``csv.writer`` and
-    ``json.dumps`` write ints and floats; NaN, a problem never reported, is
-    an empty cell and ``null``.  No value is infinite: the two would spell
-    an infinity differently.
+    from 0.0.  A number is written by ``repr``, as ``csv.writer`` writes
+    ints and floats; NaN, a problem never reported, is an empty cell.
     """
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    distinct = bits.view(values.dtype).tolist()
-    cells = ["" if v != v else repr(v) for v in distinct]
-    items = [cell or "null" for cell in cells]
-    return (
-        np.array(cells, dtype=object).take(inverse).tolist(),
-        ", ".join(np.array(items, dtype=object).take(inverse).tolist()),
-    )
+    cells = ["" if v != v else repr(v) for v in bits.view(values.dtype).tolist()]
+    return np.array(cells, dtype=object).take(inverse).tolist()
 
 
-def _final_state_columns(result: RunResult, state: dict) -> tuple[list, dict[str, list[str]]]:
+def _final_state_columns(result: RunResult, state: dict) -> list:
     """Cell functions for the t, difficulty and final_pass_rate columns of problems.csv.
 
     ``state`` is the sampler's ``state_arrays()``.  Each function takes
     ``(start, stop)`` and gives the cells of those bank rows, in the text
     ``csv.writer`` would write: ints by ``str``, floats by ``repr`` and
     nothing for a problem never reported.
-
-    A function for a per-problem array also appends the JSON text of the
-    same items to that key's blocks in the dict returned beside the
-    functions, so once problems.csv is written the dict holds the
-    checkpoint's text of each.
     """
-    blocks: dict[str, list[str]] = {}
 
     def formatted(key):
         values = state[key]
-        texts = blocks[key] = []
-
-        def cells(start, stop):
-            block_cells, text = _distinct_text(values[start:stop])
-            texts.append(text)
-            return block_cells
-
-        return cells
+        return lambda start, stop: _distinct_text(values[start:stop])
 
     if "t" in state:
         columns = [formatted("t"), formatted("difficulty")]
@@ -474,85 +440,36 @@ def _final_state_columns(result: RunResult, state: dict) -> tuple[list, dict[str
             lambda start, stop: repeat(unvisited, stop - start),
         ]
     columns.append(formatted("last_pass_rate"))
-    return columns, blocks
-
-
-def _batches_json(texts: list[str]) -> str:
-    """``json.dumps`` of the batches whose ids, joined by ``;``, are ``texts``.
-
-    ``json.dumps`` leaves a ``;`` as it is and no id holds one, so each
-    ``;`` in a batch's dumped text is where one id's text ends and the next
-    begins.
-    """
-    items = ("[" + json.dumps(text).replace(";", '", "') + "]" for text in texts)
-    return "[" + ", ".join(items) + "]"
-
-
-def _checkpoint_text(payload: dict, lists: dict[str, list[str]], batches: str) -> Iterator[str]:
-    """``json.dumps(payload) + "\\n"`` in pieces, never as one string.
-
-    Each sampler state list named in ``lists`` is written from its JSON text
-    blocks, and ``batches`` is the JSON text of the batches; their values in
-    ``payload`` are not read.  Every other value goes through ``json.dumps``
-    on its own, which writes it as the whole payload's dump would.
-    """
-
-    def object_text(obj: dict, value_text) -> Iterator[str]:
-        yield "{"
-        for i, (key, value) in enumerate(obj.items()):
-            yield f"{', ' if i else ''}{json.dumps(key)}: "
-            yield from value_text(key, value)
-        yield "}"
-
-    def list_text(texts: list[str]) -> Iterator[str]:
-        yield "["
-        for i, text in enumerate(texts):
-            yield f", {text}" if i else text
-        yield "]"
-
-    sampler = object_text(
-        payload["sampler"],
-        lambda key, value: list_text(lists[key]) if key in lists else (json.dumps(value),),
-    )
-
-    def top_level(key, value):
-        if key == "sampler":
-            return sampler
-        return (batches,) if key == "batches" else (json.dumps(value),)
-
-    yield from object_text(payload, top_level)
-    yield "\n"
+    return columns
 
 
 def write_outputs(result: RunResult, out_dir: str | Path) -> None:
-    """Write the five output files, each atomically.
+    """Write the five output files, each atomically, the checkpoint last.
 
-    problems.csv is written first of the files that need the bank hash
-    or the sampler's per-problem lists: its pass formats every value the
-    checkpoint repeats and, on a run that has not hashed its bank yet, the
-    bank hash.  Each batch's ids are joined once, for batches.csv, and the
-    checkpoint's batches are written from that text.
+    problems.csv is written before the checkpoint: on a run that has not
+    hashed its bank yet, its text pass computes the bank hash on the way.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with replacing(out / METRICS_FILE) as tmp:
         write_metrics_csv(tmp, result.rows, result.config.strategy, result.config.seed)
     ids = result.bank.ids
-    batch_texts = [";".join(map(ids.__getitem__, batch.tolist())) for batch in result.batches]
     # No id needs quoting, so this is the text csv.writer would write.
     with replacing(out / BATCHES_FILE) as tmp, open(tmp, "w", newline="") as fh:
         fh.write("step,problem_ids\n")
-        fh.writelines(f"{step},{text}\n" for step, text in enumerate(batch_texts, start=1))
-    state = result.sampler.state_arrays()
-    columns, lists = _final_state_columns(result, state)
+        fh.writelines(
+            f"{step},{';'.join(map(ids.__getitem__, batch.tolist()))}\n"
+            for step, batch in enumerate(result.batches, start=1)
+        )
+    columns = _final_state_columns(result, result.sampler.state_arrays())
     with replacing(out / PROBLEMS_FILE) as tmp, open(tmp, "w", newline="") as fh:
         fh.write("id,level_tag,true_difficulty,t,difficulty,final_pass_rate\n")
         fh.writelines(result.bank.text_blocks("", *columns))
     with replacing(out / SUMMARY_FILE) as tmp, open(tmp, "w") as fh:
         fh.write(json.dumps(result.summary(), indent=2, sort_keys=True) + "\n")
     with replacing(out / CHECKPOINT_FILE) as tmp, open(tmp, "w") as fh:
-        payload = _checkpoint_payload(result, state)
-        fh.writelines(_checkpoint_text(payload, lists, _batches_json(batch_texts)))
+        json.dump(_checkpoint_payload(result), fh)
+        fh.write("\n")
 
 
 # -- comparisons ---------------------------------------------------------------

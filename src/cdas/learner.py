@@ -334,14 +334,22 @@ def load_bank(path: str | Path) -> ProblemBank:
         missing = [name for name in fields if not isinstance(entry, dict) or name not in entry]
         if missing:
             raise ConfigError(f"bank file {path}: record {position} has no {missing[0]!r}")
+    latent = [entry["true_difficulty"] for entry in entries]
+    # By exact type, as ids and tags are: numpy would parse "0.5" and True.
+    if not set(map(type, latent)) <= {int, float}:
+        position = next(i for i, value in enumerate(latent) if type(value) not in (int, float))
+        raise ConfigError(
+            f"bank file {path}: record {position} has a true_difficulty that is not "
+            f"a number, {latent[position]!r}"
+        )
     try:
         bank = ProblemBank(
             [entry["id"] for entry in entries],
             [entry["level_tag"] for entry in entries],
-            [entry["true_difficulty"] for entry in entries],
+            latent,
             mode=payload.get("mode", "normal"),
         )
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"bank file {path}: {err}") from err
     stored = payload.get("hash")
     if stored is not None and stored != bank.content_hash():

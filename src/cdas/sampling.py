@@ -32,7 +32,11 @@ import numpy as np
 
 from .core import ProblemRecord, sigmoid_array
 from .errors import ConfigError, ConsistencyError, check_field
+from .files import decode_array, encode_array
 from .learner import ProblemBank, check_rng_state
+
+# The byte layout ``state_dict`` stores each per-problem column in.
+COLUMN_TYPES = {"last_pass_rate": "<f8", "t": "<i8", "difficulty": "<f8"}
 
 
 def smallest_by(candidates: np.ndarray, k: int, *keys: np.ndarray) -> np.ndarray:
@@ -208,24 +212,26 @@ class Sampler:
     def state_dict(self) -> dict:
         """The state a run changes; the constructor rebuilds everything else.
 
+        Each per-problem column is the ``files.encode_array`` text of its
+        little-endian bytes, named in ``COLUMN_TYPES``: NaN stands for a
+        problem never reported.  So the dict is JSON-ready, and two compare
+        equal with ``==`` when their columns match bit for bit.
+
         Raises:
             ConsistencyError: a batch is pending; its outcomes are not state
                 a checkpoint can hold.
         """
         state = self.state_arrays()
-        for key, value in state.items():
-            if isinstance(value, np.ndarray):
-                state[key] = value.tolist()
-        # JSON has no NaN: a problem never reported is written as null.
-        state["last_pass_rate"] = [None if r != r else r for r in state["last_pass_rate"]]
+        for key, dtype in COLUMN_TYPES.items():
+            if key in state:
+                state[key] = encode_array(state[key], dtype)
         return state
 
     def state_arrays(self) -> dict:
-        """``state_dict`` with each per-problem list as a read-only bank-order array.
+        """``state_dict`` with each per-problem column as a read-only bank-order array.
 
-        ``last_pass_rate`` holds NaN where ``state_dict`` holds null.  The
-        arrays are views of the sampler's own, so a later report or restore
-        changes or replaces what they show.
+        The arrays are views of the sampler's own, so a later report or
+        restore changes or replaces what they show.
         """
         if self._pending is not None:
             raise ConsistencyError("a batch is pending; report it before saving state")
@@ -241,10 +247,11 @@ class Sampler:
         """Restore ``state_dict`` output into a sampler built on the same bank.
 
         Raises:
-            ConfigError: the payload belongs to another strategy, does not
-                fit this sampler's bank, holds a step or pass rate that is out
-                of range or of the wrong type, or an rng state that does not
-                fit the bit generator; the sampler is left untouched.
+            ConfigError: the payload belongs to another strategy, holds a
+                column that does not decode to one value per problem of this
+                sampler's bank, a step or pass rate that is out of range or
+                of the wrong type, or an rng state that does not fit the bit
+                generator; the sampler is left untouched.
         """
         if payload.get("strategy") != self.strategy:
             raise ConfigError(
@@ -264,28 +271,18 @@ class Sampler:
         self._pending = None
         self._rng.bit_generator.state = payload["rng"]
 
-    def _load_rates(self, rates) -> np.ndarray:
-        """The ``last_pass_rate`` array a checkpointed list holds, null as NaN."""
-        n = len(self.bank)
-        if not isinstance(rates, list) or len(rates) != n:
+    def _load_rates(self, text) -> np.ndarray:
+        """The ``last_pass_rate`` column a checkpointed text holds."""
+        rates = self._load_column(text, "last_pass_rate")
+        if not ((rates >= 0.0) & (rates <= 1.0) | np.isnan(rates)).all():
             raise ConfigError(
-                f"sampler state: last_pass_rate must be a list of one rate per problem "
-                f"for a bank of {n} problems"
+                "sampler state: every last_pass_rate must be NaN or a number in [0, 1]"
             )
-        refused = ConfigError(
-            "sampler state: every last_pass_rate must be null or a number in [0, 1]"
-        )
-        # By exact type: bool is an int subclass, and numpy would parse a string.
-        if not set(map(type, rates)) <= {int, float, type(None)}:
-            raise refused
-        try:
-            column = np.array(rates, dtype=np.float64)
-        except OverflowError as err:
-            raise refused from err
-        # NaN is in no range, so only a null may stand outside [0, 1].
-        if np.count_nonzero((column >= 0.0) & (column <= 1.0)) + rates.count(None) != n:
-            raise refused
-        return column
+        return rates
+
+    def _load_column(self, text, key: str) -> np.ndarray:
+        """The per-problem column ``key`` that ``state_dict`` wrote as ``text``."""
+        return decode_array(text, COLUMN_TYPES[key], len(self.bank), f"sampler state: {key}")
 
     def _state(self) -> dict:
         return {}
@@ -446,25 +443,8 @@ class CdasSampler(Sampler):
         return {"t": _read_only(self._t), "difficulty": self.estimates}
 
     def _load_state(self, payload: dict) -> None:
-        counts, estimates = payload["t"], payload["difficulty"]
-        if not (isinstance(counts, list) and isinstance(estimates, list)):
-            raise ConfigError("sampler state: t and difficulty must be lists")
-        if not len(counts) == len(estimates) == len(self.bank):
-            raise ConfigError(
-                f"sampler state: {len(counts)} counts and {len(estimates)} difficulty "
-                f"estimates for a bank of {len(self.bank)} problems"
-            )
-        # By exact type: bool is an int subclass, and numpy would quietly
-        # truncate a fractional count or parse a numeric string.
-        if not set(map(type, counts)) <= {int}:
-            raise ConfigError("sampler state: every count in t must be an integer")
-        if not set(map(type, estimates)) <= {int, float}:
-            raise ConfigError("sampler state: every difficulty estimate must be a number")
-        try:
-            t = np.array(counts, dtype=np.int64)
-        except OverflowError as err:
-            raise ConfigError(f"sampler state: a count in t is out of range ({err})") from err
-        difficulty = np.array(estimates, dtype=np.float64)
+        t = self._load_column(payload["t"], "t")
+        difficulty = self._load_column(payload["difficulty"], "difficulty")
         if (t < 0).any():
             raise ConfigError(f"sampler state: t must be >= 0, got {t.min()}")
         if not np.isfinite(difficulty).all():

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from cdas.baselines import PrioritizedSampler
+from cdas.files import encode_array
 from cdas.learner import ProblemBank, SyntheticLearner
 
 # Exact 1.0 makes zero weights; non-dyadic rates make totals that round.
@@ -50,7 +51,7 @@ def _prioritized(n, seed, rates, initial_weight):
         initial_weight=initial_weight,
     )
     state = sampler.state_dict()
-    state["last_pass_rate"] = [rates.get(i) for i in range(n)]
+    state["last_pass_rate"] = encode_array([rates.get(i, math.nan) for i in range(n)], "<f8")
     sampler.load_state_dict(state)
     return sampler
 

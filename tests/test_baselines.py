@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cdas.errors import ConfigError, ConsistencyError, RolloutBudgetError
+from cdas.files import encode_array
 from cdas.baselines import (
     CurriculumSampler,
     DynamicSampler,
@@ -29,7 +30,9 @@ def _bank(n, tagged=True):
 def _with_rates(sampler, rates):
     """``sampler`` restored with ``rates`` (by id) as the last reported pass rates."""
     state = sampler.state_dict()
-    state["last_pass_rate"] = [rates.get(pid) for pid in sampler.bank.ids]
+    state["last_pass_rate"] = encode_array(
+        [rates.get(pid, math.nan) for pid in sampler.bank.ids], "<f8"
+    )
     sampler.load_state_dict(state)
     return sampler
 
@@ -283,13 +286,13 @@ class TestReportOutcomes:
         sampler.select_batch(1)
         (second,) = sampler.pending.tolist()
         sampler.report([0.75])
-        want = [None] * 5
+        want = [math.nan] * 5
         for i, rate in [*zip(first, [0.25, 0.5]), (second, 0.75)]:
             want[i] = rate
-        assert sampler.state_dict()["last_pass_rate"] == want
+        assert sampler.state_dict()["last_pass_rate"] == encode_array(want, "<f8")
         last = sampler.last_pass_rates
         assert last[second] == 0.75
-        assert np.isnan(last[[i for i in range(5) if want[i] is None]]).all()
+        assert np.isnan(last[[i for i in range(5) if math.isnan(want[i])]]).all()
 
 
 class TestSerialization:

@@ -8,6 +8,7 @@ import pytest
 from cdas.config import SAMPLERS, STRATEGIES, ExperimentConfig
 from cdas.core import ProblemRecord, alignment
 from cdas.errors import ConfigError, ConsistencyError
+from cdas.files import decode_array, encode_array
 from cdas.learner import ProblemBank, SyntheticLearner, generate_bank
 from cdas.sampling import CdasSampler
 
@@ -20,8 +21,8 @@ def _bank(ids, tag=None):
 def _seed(sampler, difficulties, t):
     """Start every estimate of ``sampler`` at ``difficulties`` with ``t`` visits."""
     state = sampler.state_dict()
-    state["t"] = [t] * len(difficulties)
-    state["difficulty"] = list(difficulties.values())
+    state["t"] = encode_array([t] * len(difficulties), "<i8")
+    state["difficulty"] = encode_array(list(difficulties.values()), "<f8")
     sampler.load_state_dict(state)
     return sampler
 
@@ -220,6 +221,13 @@ def _armed(strategy):
     sampler = _strategy_sampler(strategy)
     batch, _, _ = sampler.select_and_roll(4, 4, lambda indices: [2] * len(indices))
     return sampler, [sampler.bank.ids[i] for i in batch]
+
+
+def _with_rate(text, position, rate):
+    """The ``last_pass_rate`` text ``text`` with ``rate`` at ``position``."""
+    rates = decode_array(text, "<f8", len(SIX_PROBLEMS), "last_pass_rate")
+    rates[position] = rate
+    return encode_array(rates, "<f8")
 
 
 class TestConsistencyChecks:
@@ -434,7 +442,7 @@ class TestConfigChecks:
 
     def test_initial_difficulty_seeds_every_estimate(self):
         sampler = CdasSampler(_bank("abcd"), 2, np.random.default_rng(0), initial_difficulty=-0.5)
-        assert sampler.state_dict()["t"] == [0, 0, 0, 0]
+        assert sampler.state_arrays()["t"].tolist() == [0, 0, 0, 0]
         assert sampler.estimates.tolist() == [-0.5] * 4
 
 
@@ -506,24 +514,40 @@ class TestSerialization:
 
     def test_state_from_another_bank_refused(self):
         payload = _fresh(SIX_PROBLEMS, batch_size=4, t=0).state_dict()
-        payload["t"].pop()
-        with pytest.raises(ConfigError, match="bank of 6"):
+        payload["t"] = encode_array([0] * 5, "<i8")
+        with pytest.raises(ConfigError, match="sampler state: t: 40 bytes where 6 values"):
             _fresh(SIX_PROBLEMS, batch_size=4, t=0).load_state_dict(payload)
 
     @pytest.mark.parametrize(
-        "field, value",
-        [("t", 3.5), ("t", True), ("t", "3"), ("difficulty", "0.5")],
-        ids=["fractional-count", "bool-count", "string-count", "string-estimate"],
+        "field, value, match",
+        [
+            ("t", [0] * 6, "t: must be a base64 string"),
+            ("difficulty", "AAAA AAAA", "difficulty: invalid base64"),
+            ("t", encode_array([0] * 7, "<i8"), "t: 56 bytes where 6 values"),
+            ("difficulty", encode_array([0.0] * 6, "<f8")[:-1], "difficulty: invalid base64"),
+            ("t", encode_array([0, -1, 0, 0, 0, 0], "<i8"), "t must be >= 0, got -1"),
+            ("difficulty", encode_array([0.0, math.nan] + [0.0] * 4, "<f8"), "every difficulty"),
+            ("difficulty", encode_array([-math.inf] + [0.0] * 5, "<f8"), "every difficulty"),
+        ],
+        ids=[
+            "list-of-counts",
+            "space-in-base64",
+            "count-too-many",
+            "cut-base64",
+            "negative-count",
+            "nan-estimate",
+            "infinite-estimate",
+        ],
     )
-    def test_malformed_estimates_refused(self, field, value):
+    def test_malformed_estimates_refused(self, field, value, match):
         sampler = _fresh(SIX_PROBLEMS, batch_size=4, t=0)
         sampler.select_batch(4)
         sampler.report([0.5] * 4)
         payload = sampler.state_dict()
-        payload[field][0] = value
+        payload[field] = value
         fresh = _fresh(SIX_PROBLEMS, batch_size=4, t=0)
         before = fresh.state_dict()
-        with pytest.raises(ConfigError, match="sampler state"):
+        with pytest.raises(ConfigError, match=f"sampler state: {match}"):
             fresh.load_state_dict(payload)
         assert fresh.state_dict() == before
 
@@ -549,43 +573,50 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "rate",
-        [math.nan, True, "0.5", 1.5, -0.25, 10**400],
-        ids=["nan", "true", "string", "above-one", "below-zero", "int-past-float"],
+        [1.5, -0.25, math.inf],
+        ids=["above-one", "below-zero", "infinite"],
     )
     def test_bad_last_pass_rate_refused(self, rate):
         for strategy in STRATEGIES:
             sampler, _ = _armed(strategy)
             sampler.report([0.5] * 4)
             payload = sampler.state_dict()
-            payload["last_pass_rate"][1] = rate
+            payload["last_pass_rate"] = _with_rate(payload["last_pass_rate"], 1, rate)
             fresh = _strategy_sampler(strategy)
             before = fresh.state_dict()
             with pytest.raises(ConfigError) as refused:
                 fresh.load_state_dict(payload)
             assert str(refused.value) == (
-                "sampler state: every last_pass_rate must be null or a number in [0, 1]"
+                "sampler state: every last_pass_rate must be NaN or a number in [0, 1]"
             ), strategy
             assert fresh.state_dict() == before, strategy
 
-    def test_last_pass_rate_takes_ints_floats_and_nulls(self):
+    def test_last_pass_rate_takes_nan_and_the_ends_of_the_range(self):
         for strategy in STRATEGIES:
             payload = _strategy_sampler(strategy).state_dict()
-            payload["last_pass_rate"][:4] = [0, 1, 0.25, None]
+            for position, rate in enumerate([0.0, 1.0, -0.0, 5e-324]):
+                payload["last_pass_rate"] = _with_rate(payload["last_pass_rate"], position, rate)
             fresh = _strategy_sampler(strategy)
             fresh.load_state_dict(payload)
-            assert fresh.state_dict()["last_pass_rate"][:4] == [0.0, 1.0, 0.25, None], strategy
+            assert fresh.state_dict() == payload, strategy
+            rates = fresh.last_pass_rates
+            assert [r.hex() for r in rates[:4].tolist()] == [
+                "0x0.0p+0", "0x1.0000000000000p+0", "-0x0.0p+0", "0x0.0000000000001p-1022"
+            ], strategy
+            assert np.isnan(rates[4:]).all(), strategy
 
-    def test_last_pass_rate_ids_outside_the_bank_refused(self):
-        # The rates are a bank-order list: an entry past the bank's end would
+    def test_last_pass_rate_past_the_bank_refused(self):
+        # The rates are a bank-order column: a value past the bank's end would
         # be a rate for a problem outside it.
         for strategy in STRATEGIES:
             sampler, _ = _armed(strategy)
             sampler.report([0.5] * 4)
             payload = sampler.state_dict()
-            payload["last_pass_rate"].append(0.5)
+            rates = sampler.last_pass_rates.tolist()
+            payload["last_pass_rate"] = encode_array([*rates, 0.5], "<f8")
             fresh = _strategy_sampler(strategy)
             before = fresh.state_dict()
-            with pytest.raises(ConfigError, match="last_pass_rate must be a list"):
+            with pytest.raises(ConfigError, match="last_pass_rate: .* bytes where"):
                 fresh.load_state_dict(payload)
             assert fresh.state_dict() == before, strategy
 

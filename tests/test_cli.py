@@ -14,6 +14,7 @@ import pytest
 import cdas
 from cdas.cli import _config_from_args, build_parser, main
 from cdas.config import BANK_MODES, STRATEGIES, ExperimentConfig
+from cdas.files import encode_array
 from cdas.harness import CHECKPOINT_FILE, METRICS_FILE, run_experiment
 from cdas.learner import ProblemBank, generate_bank, load_bank, save_bank
 from cdas.metrics import read_metrics_csv
@@ -234,17 +235,26 @@ class TestResumeCommand:
         [
             lambda payload: payload["sampler"].pop("rng"),
             lambda payload: payload["metrics_rows"][0].update(extra=1.0),
-            lambda payload: payload["sampler"]["t"].__setitem__(0, 3.5),
-            lambda payload: payload["sampler"]["t"].__setitem__(0, True),
-            lambda payload: payload["sampler"]["t"].__setitem__(0, "3"),
-            lambda payload: payload["sampler"]["difficulty"].__setitem__(0, "0.5"),
-            lambda payload: payload["batches"][0].__setitem__(0, 7),
+            lambda payload: payload["sampler"].update(t=[0] * 12),
+            lambda payload: payload["sampler"].update(difficulty="not base64"),
+            lambda payload: payload["sampler"].update(t=encode_array([0] * 11, "<i8")),
+            lambda payload: payload["sampler"].update(t=encode_array([-1] * 12, "<i8")),
+            lambda payload: payload["sampler"].update(
+                difficulty=encode_array([math.nan] * 12, "<f8")
+            ),
+            lambda payload: payload["sampler"].update(
+                last_pass_rate=encode_array([2.0] * 12, "<f8")
+            ),
+            lambda payload: payload.update(batches=encode_array([12] * 8, "<i8")),
+            lambda payload: payload.update(format_version=4),
             lambda payload: payload["learner"].update(ability=math.nan),
             lambda payload: payload["sampler"].update(rng={}),
             lambda payload: payload["learner"].update(rng=5),
             lambda payload: payload["metrics_rows"][1].update(mean_reward="oops"),
             lambda payload: payload["metrics_rows"][1].update(step=7),
-            lambda payload: payload["batches"][1].__setitem__(1, payload["batches"][1][0]),
+            lambda payload: payload.update(
+                batches=encode_array([*range(4), 4, 4, 5, 6], "<i8")
+            ),
             lambda payload: payload["metrics_rows"][1].update(mean_reward=math.nan),
             lambda payload: payload["metrics_rows"][0].update(learner_ability=-math.inf),
             lambda payload: payload["config"].update(strategy=[]),
@@ -252,17 +262,20 @@ class TestResumeCommand:
         ids=[
             "no-sampler-rng",
             "extra-metrics-field",
-            "fractional-count",
-            "bool-count",
-            "string-count",
-            "string-estimate",
-            "int-id-in-batch",
+            "counts-a-list",
+            "estimates-not-base64",
+            "count-missing",
+            "negative-counts",
+            "nan-estimates",
+            "rates-above-one",
+            "index-past-the-bank",
+            "format-4",
             "nan-ability",
             "empty-sampler-rng",
             "int-learner-rng",
             "string-mean-reward",
             "step-7-in-row-2",
-            "repeated-id-in-batch",
+            "index-repeated-in-a-step",
             "nan-mean-reward",
             "infinite-ability-in-row-1",
             "list-strategy",
@@ -459,6 +472,24 @@ class TestBankCommands:
         flags = ["--batch-size", "2", "--rollouts", "4", "--steps", "2", "--out", str(out)]
         assert main(["run", "--bank-path", str(path), *flags]) == 2
         assert f"got {bad_id!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("latent", ["0.5", True])
+    def test_bank_with_a_latent_that_is_not_a_number_exits_2(self, tmp_path, capsys, latent):
+        # The hash cannot catch it: repr(0.5) is the same either way.
+        path = tmp_path / "bank.json"
+        records = [
+            {"id": "p0", "level_tag": 1, "true_difficulty": 0.0},
+            {"id": "p1", "level_tag": 2, "true_difficulty": latent},
+        ]
+        path.write_text(json.dumps({"format_version": 1, "records": records}))
+        assert main(["bank", "inspect", str(path)]) == 2
+        assert "record 1 has a true_difficulty that is not a number" in capsys.readouterr().err
+        out = tmp_path / "run"
+        flags = ["--batch-size", "2", "--rollouts", "4", "--steps", "2", "--out", str(out)]
+        assert main(["run", "--bank-path", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert f"not a number, {latent!r}" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_corrupt_bank_exits_2(self, tmp_path, capsys):

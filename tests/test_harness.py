@@ -1,5 +1,6 @@
 """Closed-loop experiment driver: determinism, outputs, checkpoint/resume."""
 
+import base64
 import csv
 import itertools
 import json
@@ -8,11 +9,13 @@ import math
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cdas import harness
 from cdas.config import STRATEGIES, ExperimentConfig
 from cdas.errors import ConfigError
+from cdas.files import decode_array, encode_array
 from cdas.harness import (
     BATCHES_FILE,
     CHECKPOINT_FILE,
@@ -210,6 +213,22 @@ def _edit_checkpoint(path, edit):
     path.write_text(json.dumps(payload))
 
 
+def _recoded(obj, key, dtype, edit):
+    """Replace the encoded array ``obj[key]`` of ``dtype`` by ``edit`` of its values."""
+    values = np.frombuffer(base64.b64decode(obj[key]), dtype=dtype).copy()
+    obj[key] = encode_array(edit(values), dtype)
+
+
+def _set(position, value):
+    """An edit that sets one value of an array."""
+
+    def edit(values):
+        values[position] = value
+        return values
+
+    return edit
+
+
 class _DiskFull:
     """A text file that takes ``room`` characters, then raises OSError("disk full")."""
 
@@ -303,20 +322,23 @@ class TestCheckpointResume:
         }.get(strategy, set())
         assert set(payload["sampler"]) == {"strategy", "step", "rng", "last_pass_rate"} | own
         assert set(payload["learner"]) == {"ability", "rng"}
-        # The latest pass rates, in bank order, with null for the problems
+        # The latest pass rates, in bank order, with NaN for the problems
         # the two batches of four left out.
-        rates = payload["sampler"]["last_pass_rate"]
-        assert isinstance(rates, list) and len(rates) == len(result.bank)
-        assert [i for i, rate in enumerate(rates) if rate is not None] == sorted(
+        n = len(result.bank)
+        rates = decode_array(payload["sampler"]["last_pass_rate"], "<f8", n, "last_pass_rate")
+        assert np.flatnonzero(~np.isnan(rates)).tolist() == sorted(
             {i for batch in result.batches for i in batch.tolist()}
         )
+        # The batches, as bank indices, steps by batch size.
+        batches = decode_array(payload["batches"], "<i8", 2 * 4, "batches")
+        assert batches.tolist() == np.concatenate(result.batches).tolist()
 
     def test_partial_checkpoint_records_progress(self, tmp_path):
         run_experiment(_tiny(out_dir=str(tmp_path)), stop_after=2)
         payload = load_checkpoint(tmp_path / CHECKPOINT_FILE)
         assert payload["sampler"]["step"] == 2
         assert len(payload["metrics_rows"]) == 2
-        assert len(payload["batches"]) == 2
+        assert decode_array(payload["batches"], "<i8", 2 * 4, "batches").shape == (8,)
 
     def test_resume_in_stages(self, tmp_path):
         config = _tiny(seed=4, out_dir=str(tmp_path / "run"))
@@ -364,11 +386,15 @@ class TestCheckpointResume:
             (lambda p: p["learner"].pop("rng"), "learner state: missing field 'rng'"),
             (lambda p: p.pop("batches"), "missing field 'batches'"),
             (lambda p: p.update(sampler=[]), "sampler state: expected a JSON object"),
-            (lambda p: p["batches"][0].__setitem__(0, 7), "batches must be"),
-            (lambda p: p["batches"].pop(), "batches must be"),
-            (lambda p: p["batches"][1].append(p["batches"][0][0]), "batches must be"),
-            (lambda p: p["batches"][1].__setitem__(0, "ghost"), "batches must be"),
-            (lambda p: p.update(batches={"1": p["batches"][0]}), "batches must be"),
+            (lambda p: p.update(batches=[[0, 1, 2, 3]] * 2), "batches: must be a base64 string"),
+            (lambda p: p.update(batches=p["batches"] + "!"), "batches: invalid base64"),
+            (lambda p: _recoded(p, "batches", "<i8", lambda b: b[:4]), "batches: 32 bytes"),
+            (lambda p: _recoded(p, "batches", "<i8", _set(5, 12)), r"index must be in \[0, 12\)"),
+            (lambda p: _recoded(p, "batches", "<i8", _set(0, -1)), r"index must be in \[0, 12\)"),
+            (
+                lambda p: _recoded(p, "batches", "<i8", lambda b: b[[0, 1, 2, 3, 4, 5, 6, 4]]),
+                "batches: step 2 repeats a problem",
+            ),
             (lambda p: p["sampler"].update(step=2.0), "step must be an integer"),
             (lambda p: p["sampler"].update(step=True), "step must be an integer"),
             (lambda p: p["sampler"].update(step=-2), "step must be an integer"),
@@ -385,11 +411,12 @@ class TestCheckpointResume:
             "no-learner-rng",
             "no-batches",
             "sampler-not-an-object",
-            "int-id-in-batch",
+            "batches-a-list",
+            "batches-bad-base64",
             "batch-missing",
-            "batch-too-long",
-            "unknown-id-in-batch",
-            "batches-not-a-list",
+            "index-past-the-bank",
+            "negative-index",
+            "index-repeated-in-a-step",
             "float-step",
             "bool-step",
             "negative-step",
@@ -427,28 +454,43 @@ class TestCheckpointResume:
 
     def test_unsupported_version_detected(self, tmp_path):
         # Version 1 checkpoints carried whole sampler objects, version 2 a
-        # pass-rate dict keyed by id and version 3 a pending batch, a stored
-        # competence and a second step; all are refused.
-        for version in (1, 2, 3, 99):
+        # pass-rate dict keyed by id, version 3 a pending batch, a stored
+        # competence and a second step, and version 4 per-problem lists and
+        # id batches; all are refused.
+        for version in (1, 2, 3, 4, 99):
             run_experiment(_tiny(out_dir=str(tmp_path)), stop_after=2)
             path = tmp_path / CHECKPOINT_FILE
             _edit_checkpoint(path, lambda payload: payload.update(format_version=version))
-            with pytest.raises(ConfigError, match="format_version"):
+            with pytest.raises(ConfigError, match="unsupported format_version"):
                 resume_experiment(path)
 
     @pytest.mark.parametrize(
         "strategy, edit, match",
         [
-            ("cdas", lambda s: s["t"].pop(), "bank of 12"),
-            ("cdas", lambda s: s["difficulty"].append(0.0), "bank of 12"),
-            ("cdas", lambda s: s["t"].__setitem__(0, -1), "t must be >= 0"),
+            ("cdas", lambda s: _recoded(s, "t", "<i8", lambda t: t[:-1]), "where 12 values"),
+            ("cdas", lambda s: s.update(difficulty=[0.0] * 12), "must be a base64 string"),
+            ("cdas", lambda s: _recoded(s, "t", "<i8", _set(0, -1)), "t must be >= 0"),
+            ("cdas", lambda s: _recoded(s, "difficulty", "<f8", _set(3, math.inf)), "finite"),
             ("random", lambda s: s.update(step=s["step"] + 1), "step 3"),
             ("cdas", lambda s: s.update(step=s["step"] - 1), "step 1"),
-            ("random", lambda s: s["last_pass_rate"].pop(), "bank of 12"),
-            ("curriculum", lambda s: s["last_pass_rate"].__setitem__(0, "0.5"), "null or"),
-            ("prioritized", lambda s: s["last_pass_rate"].__setitem__(0, 1.5), "null or"),
-            ("dynamic", lambda s: s["last_pass_rate"].__setitem__(0, True), "null or"),
+            ("random", lambda s: _recoded(s, "last_pass_rate", "<f8", lambda r: r[:-1]), "where"),
+            ("curriculum", lambda s: s.update(last_pass_rate=None), "must be a base64 string"),
+            ("prioritized", lambda s: _recoded(s, "last_pass_rate", "<f8", _set(0, 1.5)), "NaN or"),
+            ("dynamic", lambda s: s.update(last_pass_rate="\u00e9" * 128), "invalid base64"),
             ("prioritized", lambda s: s.update(uniform_fallbacks=1.0), "uniform_fallbacks"),
+        ],
+        ids=[
+            "count-missing",
+            "estimates-a-list",
+            "negative-count",
+            "infinite-estimate",
+            "step-ahead",
+            "step-behind",
+            "rate-missing",
+            "rates-null",
+            "rate-above-one",
+            "rates-not-ascii",
+            "float-fallbacks",
         ],
     )
     def test_edited_sampler_state_detected(self, tmp_path, strategy, edit, match):

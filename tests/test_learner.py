@@ -359,6 +359,9 @@ class TestBankFiles:
             None,
             ["p0"],
             [{"id": "p0", "level_tag": 3, "true_difficulty": "hard"}],
+            [{"id": "p0", "level_tag": 3, "true_difficulty": "0.5"}],
+            [{"id": "p0", "level_tag": 3, "true_difficulty": True}],
+            [{"id": "p0", "level_tag": 3, "true_difficulty": 10**400}],
             [{"id": 0, "level_tag": 3, "true_difficulty": 0.5}],
             [{"id": "p;0", "level_tag": 3, "true_difficulty": 0.5}],
             [{"id": ["p0"], "level_tag": 3, "true_difficulty": 0.5}],

@@ -17,6 +17,7 @@ from cdas.core import (
     update_competence,
     update_difficulty,
 )
+from cdas.files import encode_array
 from cdas.learner import ProblemBank
 from cdas.sampling import CdasSampler
 
@@ -106,8 +107,8 @@ def _sampler(records, competence, **kwargs):
         bank, rng=np.random.default_rng(0), warmup=False, initial_competence=competence, **kwargs
     )
     state = sampler.state_dict()
-    state["t"] = [record.t for record in records]
-    state["difficulty"] = [record.difficulty for record in records]
+    state["t"] = encode_array([record.t for record in records], "<i8")
+    state["difficulty"] = encode_array([record.difficulty for record in records], "<f8")
     sampler.load_state_dict(state)
     return sampler
 

@@ -1,23 +1,26 @@
 """Each value is formatted once per run: the text pass the output files share.
 
 A run with outputs writes problems.csv in one full ``text_blocks`` pass,
-which also gives the bank hash and the checkpoint's per-problem lists, so
-``json.dumps`` never sees a list with one entry per problem.  A run without
-outputs never hashes its bank, and a resume hashes it once, for its bank
-check, and formats the latent column once, in that pass.  Batches travel as
-bank indices: the step loop never looks an id up, and a write looks up each
-batch's ids once and dumps no batch to JSON.  This gates the shape of the
-work, not its wall-clock time.
+which also gives the bank hash.  The checkpoint holds each per-problem
+column and the batches as base64 bytes, so JSON never sees a list with one
+entry per problem, nor a batch.  A run without outputs never hashes its
+bank, and a resume hashes it once, for its bank check, and formats the
+latent column once, in that pass.  Batches travel as bank indices: the step
+loop never looks an id up, a write looks up each batch's ids once, for
+batches.csv, and a resume never maps an id to its position.  This gates the
+shape of the work, not its wall-clock time.
 """
 
 import json
 import types
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from cdas import harness, learner
 from cdas.config import STRATEGIES, ExperimentConfig
+from cdas.files import decode_array
 from cdas.harness import CHECKPOINT_FILE, resume_experiment, run_experiment
 from cdas.learner import BLOCK_ROWS, ProblemBank
 
@@ -40,10 +43,10 @@ def _config(strategy, **overrides):
 @pytest.fixture
 def calls(monkeypatch):
     """Counts bank hash requests, digests, text passes, and bank-sized lists and
-    batches dumped to JSON."""
+    batches dumped to JSON, to a string or to a file."""
     calls = Counter()
     real_hash, real_blocks = ProblemBank.content_hash, ProblemBank.text_blocks
-    real_sha256, real_dumps = learner.hashlib.sha256, json.dumps
+    real_sha256, real_dump, real_dumps = learner.hashlib.sha256, json.dump, json.dumps
 
     def content_hash(self):
         calls["content_hash"] += 1
@@ -68,15 +71,19 @@ def calls(monkeypatch):
             return (len(value) == size) + sum(lists_of(size, item) for item in value)
         return 0
 
-    def dumps(obj, *args, **kwargs):
-        calls["bank_sized_lists_dumped"] += lists_of(N_PROBLEMS, obj)
-        calls["batches_dumped"] += lists_of(BATCH_SIZE, obj)
-        return real_dumps(obj, *args, **kwargs)
+    def counted(real):
+        def dump(obj, *args, **kwargs):
+            calls["bank_sized_lists_dumped"] += lists_of(N_PROBLEMS, obj)
+            calls["batches_dumped"] += lists_of(BATCH_SIZE, obj)
+            return real(obj, *args, **kwargs)
+
+        return dump
 
     monkeypatch.setattr(ProblemBank, "content_hash", content_hash)
     monkeypatch.setattr(ProblemBank, "text_blocks", text_blocks)
     monkeypatch.setattr(learner, "hashlib", types.SimpleNamespace(sha256=sha256))
-    monkeypatch.setattr(json, "dumps", dumps)
+    monkeypatch.setattr(json, "dump", counted(real_dump))
+    monkeypatch.setattr(json, "dumps", counted(real_dumps))
     return calls
 
 
@@ -94,7 +101,8 @@ def test_a_run_with_outputs_formats_the_bank_in_one_text_pass(calls, tmp_path, s
     assert calls["digests"] == 1
     assert calls["bank_sized_lists_dumped"] == 0
     checkpoint = json.loads((tmp_path / CHECKPOINT_FILE).read_text())
-    assert len(checkpoint["sampler"]["last_pass_rate"]) == N_PROBLEMS
+    rates = checkpoint["sampler"]["last_pass_rate"]
+    assert decode_array(rates, "<f8", N_PROBLEMS, "last_pass_rate").shape == (N_PROBLEMS,)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -191,7 +199,16 @@ def test_each_write_looks_up_each_batch_id_once(calls, id_lookups, tmp_path, str
     result = resume_experiment(tmp_path / CHECKPOINT_FILE)
     assert id_lookups["write"] == len(result.batches) * BATCH_SIZE == 6 * BATCH_SIZE
     assert id_lookups["step_loop"] == 0
-    # The checkpoint's batches are written from batches.csv's text.
+    # The checkpoint's batches are bank indices, not ids.
     assert calls["batches_dumped"] == 0
     checkpoint = json.loads((tmp_path / CHECKPOINT_FILE).read_text())
-    assert checkpoint["batches"] == [[result.bank.ids[i] for i in b] for b in result.batches]
+    batches = decode_array(checkpoint["batches"], "<i8", 6 * BATCH_SIZE, "batches")
+    assert batches.tolist() == np.concatenate(result.batches).tolist()
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_resume_never_builds_the_id_index(tmp_path, strategy):
+    run_experiment(_config(strategy, out_dir=str(tmp_path)), stop_after=3)
+    result = resume_experiment(tmp_path / CHECKPOINT_FILE)
+    assert len(result.rows) == 6
+    assert "index" not in vars(result.bank)
