@@ -1,0 +1,138 @@
+#!/usr/bin/env python3
+"""Run the benchmark in interleaved parent/change pairs and compare each metric.
+
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload resume-chain --pairs 10 --seed-base 5000
+
+PARENT and CHANGE are two source checkouts.  Pair i runs ``cdasbench/run.py``
+with ``--seed SEED_BASE + i`` in each checkout, the parent first in even
+pairs and the change first in odd ones, and reads each run's last JSON line.
+For every end-to-end metric named in the change's ``BENCHMARK.json`` it
+prints both sides' median and quartiles, the change's median against the
+parent's, how many pairs the change won (ties count for neither), the
+metric's bound, and whether a gain could be claimed: a win in at least nine
+pairs in ten, and medians further apart than the parent's interquartile
+range; a metric equal on both sides of every pair reads ``identical``.  Runs
+that failed their output checks are listed after the table.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def last_json(stdout: str) -> dict:
+    """The last line of ``stdout`` that holds a JSON object."""
+    for line in reversed(stdout.splitlines()):
+        if line.startswith("{"):
+            return json.loads(line)
+    raise ValueError("no JSON result line in the benchmark's output")
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """Lower quartile, median and upper quartile, interpolated between runs."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    low, median, high = statistics.quantiles(values, n=4, method="inclusive")
+    return low, median, high
+
+
+def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
+    """One row per metric that every run reported, in ``metrics`` order.
+
+    ``pairs`` holds (parent, change) result lines as ``cdasbench/run.py``
+    prints them; ``metrics`` holds the benchmark's end-to-end entries, each
+    with a ``name``, ``better`` (``lower`` or ``higher``) and ``bound``.
+    """
+    rows = []
+    for metric in metrics:
+        name = metric["name"]
+        if not all(name in side["metrics"] for pair in pairs for side in pair):
+            continue
+        values = [tuple(side["metrics"][name]["value"] for side in pair) for pair in pairs]
+        parent = quartiles([p for p, _ in values])
+        change = quartiles([c for _, c in values])
+        sign = 1 if metric["better"] == "higher" else -1
+        wins = sum(sign * (c - p) > 0 for p, c in values)
+        gain = sign * (change[1] - parent[1])
+        rows.append(
+            {
+                "name": name,
+                "parent": parent,
+                "change": change,
+                "relative": (change[1] - parent[1]) / parent[1] if parent[1] else None,
+                "wins": wins,
+                "pairs": len(values),
+                "bound": metric["bound"],
+                "claimable": wins >= 0.9 * len(values) and gain > parent[2] - parent[0],
+                "identical": all(p == c for p, c in values),
+            }
+        )
+    return rows
+
+
+def format_rows(rows: list[dict]) -> str:
+    lines = [
+        f"{'metric':<32} {'parent median [q1, q3]':>32} {'change median [q1, q3]':>32}"
+        f" {'change':>8} {'wins':>6} {'bound':>6}  gain"
+    ]
+    for row in rows:
+        sides = (f"{m:.4g} [{lo:.4g}, {hi:.4g}]" for lo, m, hi in (row["parent"], row["change"]))
+        relative = "n/a" if row["relative"] is None else f"{row['relative']:+.1%}"
+        lines.append(
+            f"{row['name']:<32} {next(sides):>32} {next(sides):>32} {relative:>8}"
+            f" {row['wins']:>3}/{row['pairs']:<2} {row['bound']:>6}"
+            f"  {'claimable' if row['claimable'] else 'identical' if row['identical'] else '-'}"
+        )
+    return "\n".join(lines)
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    command = [sys.executable, "cdasbench/run.py", "--workload", workload]
+    command += ["--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=False)
+    try:
+        return last_json(done.stdout)
+    except ValueError as err:
+        raise SystemExit(f"{checkout} seed {seed}: {err}\n{done.stderr}") from err
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed-base", type=int, required=True)
+    parser.add_argument(
+        "--seconds", type=float, default=None, help="window per run (default: BENCHMARK.json's)"
+    )
+    args = parser.parse_args(argv)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+
+    pairs, failed = [], []
+    for i in range(args.pairs):
+        seed = args.seed_base + i
+        order = [("parent", args.parent), ("change", args.change)]
+        results = {}
+        for side, checkout in order if i % 2 == 0 else order[::-1]:
+            results[side] = run_once(checkout, args.workload, seed, seconds)
+            if not results[side]["correct"] or results[side]["failed"]:
+                failed.append(f"{side} seed {seed}: {results[side]['failed']} failed")
+        pairs.append((results["parent"], results["change"]))
+        print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
+
+    print(f"{args.workload}: {args.pairs} pairs of {seconds} s, seeds from {args.seed_base}")
+    print(format_rows(summarize(pairs, spec["end_to_end"])))
+    for line in failed:
+        print(f"FAILED: {line}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

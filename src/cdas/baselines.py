@@ -50,7 +50,8 @@ class CurriculumSampler(BaselineSampler):
         self.switch_step = switch_step
         self.threshold = threshold
         # Bank indices of the problems at or above the threshold level.
-        self._eligible = np.flatnonzero(np.array(bank.level_tags) >= threshold)
+        tags = np.fromiter(bank.level_tags, dtype=np.int64, count=len(bank))
+        self._eligible = np.flatnonzero(tags >= threshold)
 
     @classmethod
     def from_config(cls, config, bank, rng: np.random.Generator) -> "CurriculumSampler":

@@ -231,6 +231,8 @@ def _finish(run: RunResult, target_step: int) -> RunResult:
         began = time.perf_counter()
         write_outputs(run, run.config.out_dir)
         run.stage_seconds["write"] += time.perf_counter() - began
+    else:
+        run.bank.drop_kept_text()
     return run
 
 
@@ -380,6 +382,7 @@ def resume_experiment(
             config.total_steps,
             target,
         )
+        run.bank.drop_kept_text()
         return run
     return _finish(run, target)
 

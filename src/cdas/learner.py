@@ -151,10 +151,11 @@ class ProblemBank:
                 f"level tags, {len(self.latent)} latent difficulties"
             )
         # Whole-column checks first; the slow search only names the culprit.
+        # The ids are all str by then, so one join serves all five characters.
         if (
             set(map(type, self.ids)) != {str}
             or not all(self.ids)
-            or any(char in "".join(self.ids) for char in _ID_FORBIDDEN)
+            or any(map("".join(self.ids).__contains__, _ID_FORBIDDEN))
         ):
             bad = next(pid for pid in self.ids if not _plain_id(pid))
             raise ConfigError(
@@ -233,6 +234,10 @@ class ProblemBank:
             self._hash = digest.hexdigest()
         self._latent_text = keeping
 
+    def drop_kept_text(self) -> None:
+        """Free the latent text ``content_hash`` kept, when no text pass will use it."""
+        self._latent_text = None
+
     def content_hash(self) -> str:
         """Digest of ids, level tags and latent difficulties, one line per problem.
 
@@ -266,10 +271,43 @@ def _plain_tag(tag) -> bool:
 
 
 def _quintile_tags(values: np.ndarray) -> np.ndarray:
+    """Each value's quintile, 1..5: rank r of n in a stable sort gets ``1 + 5r // n``.
+
+    A rank reaches quintile boundary q when it is at least ``ceil(q·n/5)``, so
+    only those four ranks matter, and one partition finds their values.  A
+    value above a boundary's value reaches it, one below does not, and of the
+    values equal to it the first ``boundary − count(below)`` in bank order
+    (as a stable sort ranks them) do not.
+    """
     n = values.size
-    tags = np.empty(n, dtype=int)
-    tags[np.argsort(values, kind="stable")] = 1 + (np.arange(n) * 5) // n
+    tags = np.ones(n, dtype=np.int64)
+    boundaries = [b for b in (-(-q * n // 5) for q in range(1, 5)) if b < n]
+    if not boundaries:
+        return tags
+    parted = np.partition(values, boundaries)
+    for boundary in boundaries:
+        value = parted[boundary]
+        tags += values > value
+        equal = np.flatnonzero(values == value)
+        tags[equal[boundary - np.count_nonzero(values < value) :]] += 1
     return tags
+
+
+def _padded_ids(n: int, width: int) -> list[str]:
+    """``"p%0{width}d" % i`` for every i in range(n), as one byte array's text.
+
+    Row i holds ``p``, then the digits of i and a newline; the digits are
+    filled one column at a time from the last.  ``width`` must hold n - 1.
+    """
+    rows = np.empty((n, width + 2), dtype=np.uint8)
+    rows[:, 0] = ord("p")
+    rows[:, -1] = ord("\n")
+    number, digit = np.arange(n), np.empty(n, dtype=np.int64)
+    for column in range(width, 0, -1):
+        np.divmod(number, 10, out=(number, digit))
+        rows[:, column] = digit
+    rows[:, 1:-1] += ord("0")
+    return str(rows, "ascii").splitlines()
 
 
 def generate_bank(
@@ -297,8 +335,7 @@ def generate_bank(
     else:
         tags = rng.integers(1, 6, size=n)
         latent = (tags - 3) * (level_spread / 2.0)
-    ids = map(f"p%0{width}d".__mod__, range(n))
-    return ProblemBank(ids, tags.tolist(), latent, mode=mode)
+    return ProblemBank(_padded_ids(n, width), tags.tolist(), latent, mode=mode)
 
 
 def default_ability(bank: ProblemBank, percentile: float = 5.0) -> float:

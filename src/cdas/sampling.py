@@ -331,7 +331,8 @@ class CdasSampler(Sampler):
         self._D = np.full(n, initial_difficulty, dtype=np.float64)
         # Each id's position in ascending id order: the alignment tie-break.
         self._rank = np.empty(n, dtype=np.int64)
-        self._rank[sorted(range(n), key=bank.ids.__getitem__)] = np.arange(n)
+        by_id = sorted(range(n), key=bank.ids.__getitem__)
+        self._rank[np.fromiter(by_id, dtype=np.int64, count=n)] = np.arange(n)
         self._warmup_walk = rng.permutation(n)
         self.warmup_steps = math.ceil(n / self.batch_size) if warmup else 0
 

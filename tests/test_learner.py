@@ -7,11 +7,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdas.errors import ConfigError
 from cdas.learner import (
     ProblemBank,
     SyntheticLearner,
+    _quintile_tags,
     default_ability,
     generate_bank,
     load_bank,
@@ -195,6 +198,27 @@ class TestGenerateBank:
         wide = generate_bank(100_001, np.random.default_rng(3))
         assert (wide.ids[0], wide.ids[-1]) == ("p000000", "p100000")
 
+    @pytest.mark.parametrize("n", [1, 9, 10, 12, 100_001])
+    def test_ids_match_the_percent_format(self, n):
+        width = max(5, len(str(n - 1)))
+        bank = generate_bank(n, np.random.default_rng(3))
+        assert bank.ids == tuple(f"p%0{width}d" % i for i in range(n))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.one_of(
+            st.lists(st.sampled_from([-1.0, 0.0, 2.0]), min_size=1, max_size=300),
+            st.lists(st.floats(-1e9, 1e9, allow_nan=False), min_size=1, max_size=300),
+        )
+    )
+    def test_quintile_tags_match_a_stable_argsort(self, values):
+        # Includes n < 5, where some quintiles are empty, and runs of ties.
+        values = np.array(values)
+        n = values.size
+        expected = np.empty(n, dtype=int)
+        expected[np.argsort(values, kind="stable")] = 1 + (np.arange(n) * 5) // n
+        assert _quintile_tags(values).tolist() == expected.tolist()
+
     def test_reproducible_and_seed_sensitive(self):
         one = generate_bank(40, np.random.default_rng(9))
         two = generate_bank(40, np.random.default_rng(9))
@@ -282,6 +306,10 @@ class TestBankContainer:
     def test_malformed_ids_rejected(self, bad):
         with pytest.raises(ConfigError, match=r"problem id: .* got " + re.escape(repr(bad))):
             ProblemBank(["ok", bad], [None, None], [0.0, 0.0])
+
+    def test_first_malformed_id_is_named_mid_column(self):
+        with pytest.raises(ConfigError, match=r"problem id: .* got 5$"):
+            ProblemBank(["a", 5, "b"], [None] * 3, [0.0] * 3)
 
     def test_hash_ignores_scheduler_state(self):
         bank = generate_bank(8, np.random.default_rng(5))

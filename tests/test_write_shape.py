@@ -147,6 +147,34 @@ def test_a_resume_formats_the_latent_column_once(latent_reprs, tmp_path, strateg
     assert latent_reprs["latent"] == 2 * N_PROBLEMS
 
 
+def _format_latents_again(bank):
+    for _ in bank.text_blocks(""):
+        pass
+
+
+def test_a_resume_with_nothing_to_do_keeps_no_latent_text(latent_reprs, tmp_path):
+    run_experiment(_config("random", out_dir=str(tmp_path)))
+    latent_reprs.clear()
+    result = resume_experiment(tmp_path / CHECKPOINT_FILE)
+    assert len(result.rows) == 6
+    # The bank check formats the column once; nothing writes, so nothing keeps it.
+    assert latent_reprs["latent"] == N_PROBLEMS
+    _format_latents_again(result.bank)
+    assert latent_reprs["latent"] == 2 * N_PROBLEMS
+
+
+def test_a_loaded_bank_run_without_outputs_keeps_no_latent_text(latent_reprs, tmp_path):
+    path = tmp_path / "bank.json"
+    learner.save_bank(learner.generate_bank(N_PROBLEMS, np.random.default_rng(0)), path)
+    latent_reprs.clear()
+    result = run_experiment(_config("random", bank_path=str(path)))
+    assert len(result.rows) == 6
+    # load_bank's hash check formats the column once.
+    assert latent_reprs["latent"] == N_PROBLEMS
+    _format_latents_again(result.bank)
+    assert latent_reprs["latent"] == 2 * N_PROBLEMS
+
+
 @pytest.fixture
 def id_lookups(monkeypatch):
     """Counts lookups of a bank id by position, in the step loop, in writes and elsewhere."""
