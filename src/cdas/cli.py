@@ -86,9 +86,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             raise ConfigError(f"seeds: expected comma-separated integers ({err})") from err
     else:
         seeds = [config.seed]
-    out_dir = config.out_dir
-    base = dataclasses.replace(config, out_dir=None)
-    comparison = compare_strategies(base, strategies, seeds=seeds, out_dir=out_dir)
+    comparison = compare_strategies(config, strategies, seeds=seeds)
     for row in comparison.summary_rows():
         post = row["post_warmup_zero_gradient_mean"]
         post_text = f"{post:.4f}" if post is not None else "n/a"
@@ -98,8 +96,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             f"post_warmup_zero_grad={post_text} "
             f"rollout_batches={row['cumulative_rollout_batches']}"
         )
-    if out_dir is not None:
-        print(f"outputs in {out_dir}")
+    if config.out_dir is not None:
+        print(f"outputs in {config.out_dir}")
     return 0
 
 

@@ -16,7 +16,7 @@ import logging
 import math
 import time
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
 
@@ -24,6 +24,7 @@ import numpy as np
 
 from .baselines import PrioritizedSampler
 from .config import SAMPLERS, ExperimentConfig
+from .core import LEVEL_TAGS
 from .errors import ConfigError
 from .files import decode_array, encode_array, read_json, replacing
 from .learner import ProblemBank, SyntheticLearner, default_ability, generate_bank, load_bank
@@ -76,7 +77,7 @@ class RunResult:
 
     @property
     def bank_hash(self) -> str:
-        """The bank's content hash; writing problems.csv computes it on the way."""
+        """The bank's content hash, computed by the bank on first use."""
         return self.bank.content_hash()
 
     @property
@@ -420,43 +421,21 @@ def _distinct_text(values: np.ndarray) -> list[str]:
     return np.array(cells, dtype=object).take(inverse).tolist()
 
 
-def _final_state_columns(result: RunResult, state: dict) -> list:
-    """Cell functions for the t, difficulty and final_pass_rate columns of problems.csv.
-
-    ``state`` is the sampler's ``state_arrays()``.  Each function takes
-    ``(start, stop)`` and gives the cells of those bank rows, in the text
-    ``csv.writer`` would write: ints by ``str``, floats by ``repr`` and
-    nothing for a problem never reported.
-    """
-
-    def formatted(key):
-        values = state[key]
-        return lambda start, stop: _distinct_text(values[start:stop])
-
-    if "t" in state:
-        columns = [formatted("t"), formatted("difficulty")]
-    else:
-        # Strategies without estimates write every problem as never visited.
-        unvisited = repr(result.config.initial_difficulty)
-        columns = [
-            lambda start, stop: repeat("0", stop - start),
-            lambda start, stop: repeat(unvisited, stop - start),
-        ]
-    columns.append(formatted("last_pass_rate"))
-    return columns
+_CSV_TAG_TEXT = {None: "", **{tag: str(tag) for tag in LEVEL_TAGS}}.__getitem__
 
 
 def write_outputs(result: RunResult, out_dir: str | Path) -> None:
     """Write the five output files, each atomically, the checkpoint last.
 
-    problems.csv is written before the checkpoint: on a run that has not
-    hashed its bank yet, its text pass computes the bank hash on the way.
+    The summary is built first, so a run that has not hashed its bank yet
+    hashes it there, and problems.csv reuses the latent text that pass keeps.
     """
+    summary = result.summary()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with replacing(out / METRICS_FILE) as tmp:
         write_metrics_csv(tmp, result.rows, result.config.strategy, result.config.seed)
-    ids = result.bank.ids
+    bank, ids = result.bank, result.bank.ids
     # No id needs quoting, so this is the text csv.writer would write.
     with replacing(out / BATCHES_FILE) as tmp, open(tmp, "w", newline="") as fh:
         fh.write("step,problem_ids\n")
@@ -464,12 +443,23 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> None:
             f"{step},{';'.join(map(ids.__getitem__, batch.tolist()))}\n"
             for step, batch in enumerate(result.batches, start=1)
         )
-    columns = _final_state_columns(result, result.sampler.state_arrays())
+    state = result.sampler.state_arrays()
+    unvisited = repr(result.config.initial_difficulty)
     with replacing(out / PROBLEMS_FILE) as tmp, open(tmp, "w", newline="") as fh:
         fh.write("id,level_tag,true_difficulty,t,difficulty,final_pass_rate\n")
-        fh.writelines(result.bank.text_blocks("", *columns))
+        for start, stop, latent in bank.latent_blocks():
+            tags = map(_CSV_TAG_TEXT, bank.level_tags[start:stop])
+            if "t" in state:
+                t = _distinct_text(state["t"][start:stop])
+                difficulty = _distinct_text(state["difficulty"][start:stop])
+            else:
+                # Strategies without estimates write every problem as never visited.
+                t, difficulty = repeat("0"), repeat(unvisited)
+            rates = _distinct_text(state["last_pass_rate"][start:stop])
+            rows = zip(ids[start:stop], tags, latent, t, difficulty, rates)
+            fh.write("\n".join(map(",".join, rows)) + "\n")
     with replacing(out / SUMMARY_FILE) as tmp, open(tmp, "w") as fh:
-        fh.write(json.dumps(result.summary(), indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     with replacing(out / CHECKPOINT_FILE) as tmp, open(tmp, "w") as fh:
         json.dump(_checkpoint_payload(result), fh)
         fh.write("\n")
@@ -488,8 +478,11 @@ def compare_strategies(
 
     Writes each run under ``<out_dir>/<strategy>_seed<seed>/`` plus a combined
     ``comparison.csv`` (all per-step rows) and ``comparison_summary.csv``
-    (one row per run) when ``out_dir`` is given.
+    (one row per run) when there is an ``out_dir``: the argument, or else
+    ``config.out_dir``.
     """
+    if out_dir is None:
+        out_dir = config.out_dir
     if not strategies:
         raise ConfigError("strategies: need at least one")
     if len(set(strategies)) != len(strategies):
@@ -504,7 +497,7 @@ def compare_strategies(
             run_dir = (
                 str(Path(out_dir) / f"{strategy}_seed{seed}") if out_dir is not None else None
             )
-            run = config.with_overrides(strategy=strategy, seed=seed, out_dir=run_dir)
+            run = replace(config, strategy=strategy, seed=seed, out_dir=run_dir)
             combined.results.append(run_experiment(run))
     if out_dir is not None:
         _write_comparison(combined, Path(out_dir))

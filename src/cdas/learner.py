@@ -176,7 +176,7 @@ class ProblemBank:
             )
         self._hash: str | None = None
         # The latent column's text, one newline-joined string per block, kept
-        # by content_hash's own pass for the next full text pass to reuse.
+        # by content_hash's pass for the next latent_blocks pass to reuse.
         self._latent_text: list[str] | None = None
 
     @functools.cached_property
@@ -187,55 +187,25 @@ class ProblemBank:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def text_blocks(self, untagged: str, *columns) -> Iterator[str]:
-        """The bank as comma-separated text, ``BLOCK_ROWS`` rows per block.
+    def latent_blocks(self) -> Iterator[tuple[int, int, list[str]]]:
+        """The latent column as ``repr`` text, ``BLOCK_ROWS`` rows at a time.
 
-        Row i is ``id,tag,repr(latent)`` and then one cell from each of
-        ``columns``, ended by a newline.  A tag is written as its digit and a
-        missing one as ``untagged``.  Each column is a function ``(start,
-        stop)`` giving the cells of rows ``start`` to ``stop - 1`` as strings.
-        Cells are not quoted, so none may hold a comma, a double quote or a
-        line break; the bank refuses such ids.
-
-        While the content hash is not yet known, the pass also feeds the
-        ``content_hash`` lines from the same latent text, and keeps the
-        digest once the last block is out.  ``content_hash``'s own pass also
-        keeps the latent text, and the next pass splits it rather than
-        formatting the latents again, then drops it.
+        Yields ``(start, stop, cells)``, the cells of rows ``start`` to
+        ``stop - 1``.  The pass takes and drops any text ``content_hash``
+        kept, and splits it rather than formatting the latents again.
         """
-        tag_text = {None: untagged, **_TAG_TEXT}.__getitem__
-        digest = hashlib.sha256() if self._hash is None else None
-        # content_hash's own pass: the hash lines are the rows as written.
-        rows_are_hash_lines = untagged == "None" and not columns
         kept, self._latent_text = self._latent_text, None
-        keeping = [] if digest is not None and rows_are_hash_lines else None
         n = len(self.ids)
         for block_no, start in enumerate(range(0, n, BLOCK_ROWS)):
             stop = min(start + BLOCK_ROWS, n)
-            ids, tags = self.ids[start:stop], self.level_tags[start:stop]
             if kept is None:
-                latent = list(map(repr, self.latent[start:stop].tolist()))
+                cells = list(map(repr, self.latent[start:stop].tolist()))
             else:
-                latent, kept[block_no] = kept[block_no].split("\n"), None
-            if keeping is not None:
-                keeping.append("\n".join(latent))
-            block = _joined_rows(
-                ids, map(tag_text, tags), latent, *(column(start, stop) for column in columns)
-            )
-            if digest is not None:
-                lines = (
-                    block
-                    if rows_are_hash_lines
-                    else _joined_rows(ids, map(_HASH_TAG_TEXT, tags), latent)
-                )
-                digest.update(lines.encode())
-            yield block
-        if digest is not None:
-            self._hash = digest.hexdigest()
-        self._latent_text = keeping
+                cells, kept[block_no] = kept[block_no].split("\n"), None
+            yield start, stop, cells
 
     def drop_kept_text(self) -> None:
-        """Free the latent text ``content_hash`` kept, when no text pass will use it."""
+        """Free the latent text ``content_hash`` kept, when no later pass will use it."""
         self._latent_text = None
 
     def content_hash(self) -> str:
@@ -243,23 +213,21 @@ class ProblemBank:
 
         The lines are ``f"{id},{tag},{latent!r}\\n"`` in bank order, fed to the
         digest a block at a time.  The bank never changes, so the digest is
-        kept once known: from the first full ``text_blocks`` pass (such as
-        writing problems.csv), or else from one made here, which also keeps
-        the latent text for the next pass.
+        kept once known.  The pass that computes it also keeps the latent
+        text, for the next ``latent_blocks`` pass to reuse.
         """
         if self._hash is None:
-            for _ in self.text_blocks("None"):
-                pass
+            digest, keeping = hashlib.sha256(), []
+            for start, stop, latent in self.latent_blocks():
+                keeping.append("\n".join(latent))
+                tags = map(_HASH_TAG_TEXT, self.level_tags[start:stop])
+                lines = "\n".join(map(",".join, zip(self.ids[start:stop], tags, latent)))
+                digest.update(f"{lines}\n".encode())
+            self._hash, self._latent_text = digest.hexdigest(), keeping
         return self._hash
 
 
-_TAG_TEXT = {tag: str(tag) for tag in LEVEL_TAGS}
-_HASH_TAG_TEXT = {None: "None", **_TAG_TEXT}.__getitem__
-
-
-def _joined_rows(*cells) -> str:
-    """Rows of comma-joined cells, one per line, each line ended by a newline."""
-    return "\n".join(map(",".join, zip(*cells))) + "\n"
+_HASH_TAG_TEXT = {None: "None", **{tag: str(tag) for tag in LEVEL_TAGS}}.__getitem__
 
 
 def _plain_id(pid) -> bool:

@@ -295,8 +295,9 @@ class CdasSampler(Sampler):
     """Stateful scheduler over a fixed problem bank.
 
     ``batch_size`` fixes the warm-up schedule: warm-up lasts
-    ceil(N / batch_size) steps so the permutation covers the bank.  Selection
-    consumes no randomness.
+    ceil(N / batch_size) steps so the permutation covers the bank.  So every
+    batch is that size, and a selection of any other size raises
+    ``ConfigError``.  Selection consumes no randomness.
 
     The per-problem estimates live in bank-order arrays: visit counts ``t``,
     all 0 at the start, and difficulty estimates ``D``, all
@@ -390,6 +391,11 @@ class CdasSampler(Sampler):
 
     def _check_batch_size(self, batch_size: int) -> None:
         super()._check_batch_size(batch_size)
+        if batch_size != self.batch_size:
+            raise ConfigError(
+                f"batch_size: this sampler was built for batches of {self.batch_size}, "
+                f"got {batch_size}"
+            )
         if self.symmetric and batch_size % 2 != 0:
             raise ConfigError(
                 f"batch_size: symmetric mode needs an even batch, got {batch_size}"

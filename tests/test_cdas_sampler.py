@@ -422,6 +422,20 @@ class TestConfigChecks:
         with pytest.raises(ConfigError):
             _fresh(SIX_PROBLEMS, batch_size=3)
 
+    def test_a_batch_of_another_size_refused(self):
+        # Warm-up lasts the steps the built size needs to cover the bank, so
+        # batches of 2 on a sampler built for 4 would end it with 6 of 10 visited.
+        sampler = CdasSampler(_bank("abcdefghij"), 4, np.random.default_rng(0))
+
+        def select_and_roll(size):
+            return sampler.select_and_roll(size, 4, lambda indices: [2] * len(indices))
+
+        for select in (sampler.select_batch, select_and_roll):
+            with pytest.raises(ConfigError, match="built for batches of 4, got 2"):
+                select(2)
+        assert sampler.pending is None
+        assert sampler.step == 0
+
     # The bank refuses these before any sampler is built on it.
     def test_empty_bank(self):
         with pytest.raises(ConfigError, match="at least one problem"):

@@ -539,6 +539,23 @@ class TestComparisons:
         assert (tmp_path / "comparison_summary.csv").exists()
         assert (tmp_path / "random_seed1" / METRICS_FILE).exists()
 
+    def test_config_out_dir_holds_each_run_apart(self, tmp_path):
+        compare_strategies(_tiny(out_dir=str(tmp_path)), ["cdas", "random"], seeds=[0, 1])
+        runs = ["cdas_seed0", "cdas_seed1", "random_seed0", "random_seed1"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            [*runs, "comparison.csv", "comparison_summary.csv"]
+        )
+        for run in runs:
+            assert sorted(path.name for path in (tmp_path / run).iterdir()) == sorted(OUTPUT_FILES)
+        lines = (tmp_path / "comparison.csv").read_text().splitlines()
+        assert len(lines) == 1 + 4 * 6
+
+    def test_out_dir_argument_overrides_the_config(self, tmp_path):
+        config = _tiny(out_dir=str(tmp_path / "config"))
+        compare_strategies(config, ["random"], out_dir=tmp_path / "argument")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["argument"]
+        assert (tmp_path / "argument" / "random_seed0" / METRICS_FILE).exists()
+
     def test_comparison_csv_holds_every_run(self, tmp_path):
         compare_strategies(_tiny(), ["cdas", "random"], seeds=[0], out_dir=tmp_path)
         lines = (tmp_path / "comparison.csv").read_text().splitlines()

@@ -337,7 +337,7 @@ class TestBankContainer:
         def refuse(*args):
             raise AssertionError("the bank was hashed again")
 
-        monkeypatch.setattr(ProblemBank, "text_blocks", refuse)
+        monkeypatch.setattr(ProblemBank, "latent_blocks", refuse)
         assert loaded.content_hash() == bank.content_hash()
 
     def test_default_ability_is_fifth_percentile(self):

@@ -1,11 +1,12 @@
 """problems.csv, the bank hash and the checkpoint's sampler state at their edge values.
 
-problems.csv and the hash are written from ``ProblemBank.text_blocks``,
-``BLOCK_ROWS`` rows at a time.  The oracles are the earlier forms:
-``csv.writer.writerows`` over the columns for problems.csv, and one string
-of ``f"{id},{tag},{latent!r}\\n"`` lines for the hash.  Bank sizes sit on
-both sides of each block boundary.  The sampler state's columns are bytes,
-so they must come back from JSON bit for bit.
+problems.csv and the hash are written ``BLOCK_ROWS`` rows at a time, from
+``ProblemBank.latent_blocks`` and ``ProblemBank.content_hash``.  The
+oracles are the earlier forms: ``csv.writer.writerows`` over the columns
+for problems.csv, and one string of ``f"{id},{tag},{latent!r}\\n"`` lines
+for the hash.  Bank sizes sit on both sides of each block boundary.  The
+sampler state's columns are bytes, so they must come back from JSON bit
+for bit.
 """
 
 import csv
@@ -175,16 +176,37 @@ def test_content_hash_matches_one_string_oracle(n, prefix, tags, latents):
     assert bank.content_hash() == hashlib.sha256(lines.encode()).hexdigest()
 
 
-def test_a_text_pass_cut_short_keeps_no_hash():
-    def bank():
-        n = 2 * BLOCK_ROWS + 3
-        return ProblemBank([f"p{i}" for i in range(n)], _tile([None, 3], n), np.arange(n) / 7)
+def test_a_failed_write_leaves_the_next_write_correct(tmp_path, monkeypatch):
+    # Three blocks; a cdas run formats three sampler columns a block.
+    config = ExperimentConfig(n_problems=2 * BLOCK_ROWS + 3, batch_size=64, total_steps=2)
+    written = run_experiment(config.with_overrides(out_dir=str(tmp_path)))
+    before = (tmp_path / PROBLEMS_FILE).read_bytes()
+    run = run_experiment(config)
+    bank_hash = run.bank.content_hash()
+    assert bank_hash == written.bank_hash
+    # The hash pass keeps the latent text for the next write.
+    assert run.bank._latent_text is not None
 
-    cut = bank()
-    blocks = cut.text_blocks("", lambda start, stop: map(str, range(start, stop)))
-    next(blocks)
-    blocks.close()
-    assert cut.content_hash() == bank().content_hash()
+    real_distinct_text, calls = harness._distinct_text, []
+
+    def failing(values):
+        calls.append(len(values))
+        if len(calls) > 3:
+            raise OSError("disk full")
+        return real_distinct_text(values)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_distinct_text", failing)
+        with pytest.raises(OSError, match="disk full"):
+            write_outputs(run, tmp_path)
+    assert calls == [BLOCK_ROWS] * 4
+    assert (tmp_path / PROBLEMS_FILE).read_bytes() == before
+    assert not list(tmp_path.glob("*.tmp"))
+    assert run.bank.content_hash() == bank_hash
+    # The cut pass took the kept text; the retry formats the latents afresh.
+    assert run.bank._latent_text is None
+    write_outputs(run, tmp_path)
+    assert (tmp_path / PROBLEMS_FILE).read_bytes() == before
 
 
 # Counts up to 2**62: past a 32-bit int and past the integers a float holds exactly.

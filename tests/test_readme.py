@@ -1,7 +1,11 @@
-"""The README's library example runs against the library as it is."""
+"""The README's library example runs, and the names it uses exist, in the library as it is."""
 
+import dataclasses
+import importlib
 import re
 from pathlib import Path
+
+import cdas
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -27,3 +31,40 @@ def test_library_example_runs():
     assert sampler.step == 2
     assert sampler.pending is None
     assert namespace["state"]["step"] == 2
+
+
+# A backticked dotted name, such as `cdas.files.replacing` or `RunResult.batches`.
+DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`")
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module, or an attribute or dataclass field of one."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+            break
+        except ImportError:
+            continue
+    else:
+        return False
+    for position, name in enumerate(parts[cut:], start=cut + 1):
+        if hasattr(target, name):
+            target = getattr(target, name)
+        else:
+            fields = dataclasses.fields(target) if dataclasses.is_dataclass(target) else ()
+            return position == len(parts) and name in {field.name for field in fields}
+    return True
+
+
+def test_readme_names_resolve():
+    # `cdas.`-qualified names, and names under anything the package exports
+    # (`RunResult.bank_hash`, `harness.STAGES`); file names are not names.
+    exported = {name for name in dir(cdas) if not name.startswith("_")}
+    names = {
+        name if name.startswith("cdas.") else f"cdas.{name}"
+        for name in DOTTED.findall(README.read_text(encoding="utf-8"))
+        if name.split(".")[0] in exported | {"cdas"} and not name.endswith((".csv", ".json"))
+    }
+    assert {"cdas.learner.ProblemBank", "cdas.RunResult.batches", "cdas.harness.STAGES"} <= names
+    assert sorted(name for name in names if not _resolves(name)) == []

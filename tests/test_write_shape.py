@@ -1,7 +1,8 @@
-"""Each value is formatted once per run: the text pass the output files share.
+"""Each value is formatted once per run, and the bank is hashed at most once.
 
-A run with outputs writes problems.csv in one full ``text_blocks`` pass,
-which also gives the bank hash.  The checkpoint holds each per-problem
+A run with outputs hashes its bank once, in ``content_hash``'s own
+``latent_blocks`` pass, and writes problems.csv in one more pass that reuses
+the latent text the hash pass kept.  The checkpoint holds each per-problem
 column and the batches as base64 bytes, so JSON never sees a list with one
 entry per problem, nor a batch.  A run without outputs never hashes its
 bank, and a resume hashes it once, for its bank check, and formats the
@@ -42,23 +43,23 @@ def _config(strategy, **overrides):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts bank hash requests, digests, text passes, and bank-sized lists and
+    """Counts bank hash requests, digests, latent passes, and bank-sized lists and
     batches dumped to JSON, to a string or to a file."""
     calls = Counter()
-    real_hash, real_blocks = ProblemBank.content_hash, ProblemBank.text_blocks
+    real_hash, real_blocks = ProblemBank.content_hash, ProblemBank.latent_blocks
     real_sha256, real_dump, real_dumps = learner.hashlib.sha256, json.dump, json.dumps
 
     def content_hash(self):
         calls["content_hash"] += 1
         return real_hash(self)
 
-    def text_blocks(self, *args):
-        calls["text_passes"] += 1
+    def latent_blocks(self):
+        calls["latent_passes"] += 1
         blocks = 0
-        for block in real_blocks(self, *args):
+        for block in real_blocks(self):
             blocks += 1
             yield block
-        calls["full_text_passes"] += blocks == -(-len(self) // BLOCK_ROWS)
+        calls["full_latent_passes"] += blocks == -(-len(self) // BLOCK_ROWS)
 
     def sha256(*args):
         calls["digests"] += 1
@@ -80,7 +81,7 @@ def calls(monkeypatch):
         return dump
 
     monkeypatch.setattr(ProblemBank, "content_hash", content_hash)
-    monkeypatch.setattr(ProblemBank, "text_blocks", text_blocks)
+    monkeypatch.setattr(ProblemBank, "latent_blocks", latent_blocks)
     monkeypatch.setattr(learner, "hashlib", types.SimpleNamespace(sha256=sha256))
     monkeypatch.setattr(json, "dump", counted(real_dump))
     monkeypatch.setattr(json, "dumps", counted(real_dumps))
@@ -88,17 +89,22 @@ def calls(monkeypatch):
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_a_run_without_outputs_never_hashes_the_bank(calls, strategy):
+def test_a_run_without_outputs_never_hashes_the_bank(calls, latent_reprs, strategy):
     result = run_experiment(_config(strategy))
     assert len(result.rows) == 6
     assert calls == Counter()
+    assert latent_reprs == Counter()
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_a_run_with_outputs_formats_the_bank_in_one_text_pass(calls, tmp_path, strategy):
+def test_a_run_with_outputs_hashes_once_and_formats_each_latent_once(
+    calls, latent_reprs, tmp_path, strategy
+):
     run_experiment(_config(strategy, out_dir=str(tmp_path)))
-    assert calls["text_passes"] == calls["full_text_passes"] == 1
+    # The hash pass formats the latents and keeps the text; problems.csv splits it.
+    assert calls["latent_passes"] == calls["full_latent_passes"] == 2
     assert calls["digests"] == 1
+    assert latent_reprs["latent"] == N_PROBLEMS
     assert calls["bank_sized_lists_dumped"] == 0
     checkpoint = json.loads((tmp_path / CHECKPOINT_FILE).read_text())
     rates = checkpoint["sampler"]["last_pass_rate"]
@@ -114,7 +120,7 @@ def test_a_resume_hashes_the_bank_once(calls, tmp_path, strategy):
     # The bank check hashes in content_hash's own pass; writing problems.csv
     # then reuses the digest.
     assert calls["digests"] == 1
-    assert calls["text_passes"] == calls["full_text_passes"] == 2
+    assert calls["latent_passes"] == calls["full_latent_passes"] == 2
     assert calls["bank_sized_lists_dumped"] == 0
 
 
@@ -133,7 +139,7 @@ def latent_reprs(monkeypatch):
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_a_resume_formats_the_latent_column_once(latent_reprs, tmp_path, strategy):
-    # A run that writes without hashing first formats it once, in that pass.
+    # A fresh run with outputs formats it once, in its hash pass.
     run_experiment(_config(strategy, out_dir=str(tmp_path)), stop_after=3)
     assert latent_reprs["latent"] == N_PROBLEMS
     latent_reprs.clear()
@@ -142,13 +148,12 @@ def test_a_resume_formats_the_latent_column_once(latent_reprs, tmp_path, strateg
     # The bank check's hash pass keeps the text and problems.csv reuses it.
     assert latent_reprs["latent"] == N_PROBLEMS
     # The text was dropped once used: another pass formats the column again.
-    for _ in result.bank.text_blocks(""):
-        pass
+    _format_latents_again(result.bank)
     assert latent_reprs["latent"] == 2 * N_PROBLEMS
 
 
 def _format_latents_again(bank):
-    for _ in bank.text_blocks(""):
+    for _ in bank.latent_blocks():
         pass
 
 
