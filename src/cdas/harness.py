@@ -40,13 +40,16 @@ from .sampling import Sampler
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 METRICS_FILE = "metrics.csv"
 SUMMARY_FILE = "summary.json"
 CHECKPOINT_FILE = "checkpoint.json"
 PROBLEMS_FILE = "problems.csv"
 BATCHES_FILE = "batches.csv"
+
+# Rows formatted and joined at a time when problems.csv is written.
+BLOCK_ROWS = 8192
 
 # The stages of a run that RunResult.stage_seconds times.
 STAGES = ("select", "rollout", "report", "learn", "summarize", "write")
@@ -232,8 +235,6 @@ def _finish(run: RunResult, target_step: int) -> RunResult:
         began = time.perf_counter()
         write_outputs(run, run.config.out_dir)
         run.stage_seconds["write"] += time.perf_counter() - began
-    else:
-        run.bank.drop_kept_text()
     return run
 
 
@@ -383,7 +384,6 @@ def resume_experiment(
             config.total_steps,
             target,
         )
-        run.bank.drop_kept_text()
         return run
     return _finish(run, target)
 
@@ -425,12 +425,7 @@ _CSV_TAG_TEXT = {None: "", **{tag: str(tag) for tag in LEVEL_TAGS}}.__getitem__
 
 
 def write_outputs(result: RunResult, out_dir: str | Path) -> None:
-    """Write the five output files, each atomically, the checkpoint last.
-
-    The summary is built first, so a run that has not hashed its bank yet
-    hashes it there, and problems.csv reuses the latent text that pass keeps.
-    """
-    summary = result.summary()
+    """Write the five output files, each atomically, the checkpoint last."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with replacing(out / METRICS_FILE) as tmp:
@@ -447,8 +442,10 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> None:
     unvisited = repr(result.config.initial_difficulty)
     with replacing(out / PROBLEMS_FILE) as tmp, open(tmp, "w", newline="") as fh:
         fh.write("id,level_tag,true_difficulty,t,difficulty,final_pass_rate\n")
-        for start, stop, latent in bank.latent_blocks():
+        for start in range(0, len(bank), BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, len(bank))
             tags = map(_CSV_TAG_TEXT, bank.level_tags[start:stop])
+            latent = map(repr, bank.latent[start:stop].tolist())
             if "t" in state:
                 t = _distinct_text(state["t"][start:stop])
                 difficulty = _distinct_text(state["difficulty"][start:stop])
@@ -459,7 +456,7 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> None:
             rows = zip(ids[start:stop], tags, latent, t, difficulty, rates)
             fh.write("\n".join(map(",".join, rows)) + "\n")
     with replacing(out / SUMMARY_FILE) as tmp, open(tmp, "w") as fh:
-        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(result.summary(), indent=2, sort_keys=True) + "\n")
     with replacing(out / CHECKPOINT_FILE) as tmp, open(tmp, "w") as fh:
         json.dump(_checkpoint_payload(result), fh)
         fh.write("\n")
@@ -491,6 +488,8 @@ def compare_strategies(
         seeds = [config.seed]
     if not seeds:
         raise ConfigError("seeds: need at least one")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"seeds: duplicates in {seeds}")
     combined = ComparisonResult()
     for seed in seeds:
         for strategy in strategies:

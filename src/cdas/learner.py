@@ -12,7 +12,6 @@ import functools
 import hashlib
 import json
 import sys
-from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +21,7 @@ from .errors import ConfigError, check_field
 from .files import read_json, replacing
 from .grpo import RolloutGroup
 
-BANK_FORMAT_VERSION = 1
-
-# Rows formatted and joined at a time when the bank is written out as text.
-BLOCK_ROWS = 8192
+BANK_FORMAT_VERSION = 2
 
 # Characters a problem id may not hold: cells are written unquoted, and
 # batches.csv joins a batch's ids with ";".
@@ -131,10 +127,10 @@ class ProblemBank:
     ``ids`` names each problem, ``level_tags`` holds its level (an int in
     1..5, or None when untagged) and ``latent`` its hidden latent difficulty,
     which only the learner reads.  ``index`` maps each id to its position; it
-    is built on first use.  An id is a non-empty str with no comma,
-    semicolon, double quote or line break, so it can stand unquoted in every
-    output file.  Nothing here changes during a run; scheduler state lives in
-    the samplers.
+    is built on first use.  An id is a non-empty str of UTF-8 text with no
+    comma, semicolon, double quote or line break, so it can stand unquoted in
+    every output file.  Nothing here changes during a run; scheduler state
+    lives in the samplers.
     """
 
     def __init__(self, ids, level_tags, latent, mode: str = "normal"):
@@ -142,6 +138,7 @@ class ProblemBank:
         self.level_tags = tuple(level_tags)
         self.latent = np.array(latent, dtype=np.float64)
         self.latent.flags.writeable = False
+        check_field("bank_mode", mode)
         self.mode = mode
         if not self.ids:
             raise ConfigError("n_problems: a bank needs at least one problem")
@@ -151,16 +148,16 @@ class ProblemBank:
                 f"level tags, {len(self.latent)} latent difficulties"
             )
         # Whole-column checks first; the slow search only names the culprit.
-        # The ids are all str by then, so one join serves all five characters.
+        # The ids are all str by then, so one join serves every character check.
         if (
             set(map(type, self.ids)) != {str}
             or not all(self.ids)
-            or any(map("".join(self.ids).__contains__, _ID_FORBIDDEN))
+            or not _plain_id("".join(self.ids))
         ):
             bad = next(pid for pid in self.ids if not _plain_id(pid))
             raise ConfigError(
-                f"problem id: must be a non-empty str without a comma, semicolon, "
-                f"double quote or line break, got {bad!r}"
+                f"problem id: must be a non-empty str of UTF-8 text without a comma, "
+                f"semicolon, double quote or line break, got {bad!r}"
             )
         if len(set(self.ids)) < len(self.ids):
             duplicate = next(pid for i, pid in enumerate(self.ids) if self.index[pid] != i)
@@ -175,9 +172,6 @@ class ProblemBank:
                 f"bank problem {self.ids[missing[0]]} has no finite latent difficulty"
             )
         self._hash: str | None = None
-        # The latent column's text, one newline-joined string per block, kept
-        # by content_hash's pass for the next latent_blocks pass to reuse.
-        self._latent_text: list[str] | None = None
 
     @functools.cached_property
     def index(self) -> dict[str, int]:
@@ -187,51 +181,32 @@ class ProblemBank:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def latent_blocks(self) -> Iterator[tuple[int, int, list[str]]]:
-        """The latent column as ``repr`` text, ``BLOCK_ROWS`` rows at a time.
-
-        Yields ``(start, stop, cells)``, the cells of rows ``start`` to
-        ``stop - 1``.  The pass takes and drops any text ``content_hash``
-        kept, and splits it rather than formatting the latents again.
-        """
-        kept, self._latent_text = self._latent_text, None
-        n = len(self.ids)
-        for block_no, start in enumerate(range(0, n, BLOCK_ROWS)):
-            stop = min(start + BLOCK_ROWS, n)
-            if kept is None:
-                cells = list(map(repr, self.latent[start:stop].tolist()))
-            else:
-                cells, kept[block_no] = kept[block_no].split("\n"), None
-            yield start, stop, cells
-
-    def drop_kept_text(self) -> None:
-        """Free the latent text ``content_hash`` kept, when no later pass will use it."""
-        self._latent_text = None
-
     def content_hash(self) -> str:
-        """Digest of ids, level tags and latent difficulties, one line per problem.
+        """Digest of ids, level tags and latent difficulties, as bytes in bank order.
 
-        The lines are ``f"{id},{tag},{latent!r}\\n"`` in bank order, fed to the
-        digest a block at a time.  The bank never changes, so the digest is
-        kept once known.  The pass that computes it also keeps the latent
-        text, for the next ``latent_blocks`` pass to reuse.
+        The digest reads the problem count and a newline, each id and a
+        newline as UTF-8, one byte per level tag (0 for None), then the
+        latents as little-endian float64.  No id is empty or holds a line
+        break, so the id text splits one way only.  The bank never changes,
+        so the digest is kept once known.
         """
         if self._hash is None:
-            digest, keeping = hashlib.sha256(), []
-            for start, stop, latent in self.latent_blocks():
-                keeping.append("\n".join(latent))
-                tags = map(_HASH_TAG_TEXT, self.level_tags[start:stop])
-                lines = "\n".join(map(",".join, zip(self.ids[start:stop], tags, latent)))
-                digest.update(f"{lines}\n".encode())
-            self._hash, self._latent_text = digest.hexdigest(), keeping
+            digest = hashlib.sha256("\n".join((str(len(self.ids)), *self.ids, "")).encode())
+            digest.update(bytes([tag or 0 for tag in self.level_tags]))
+            digest.update(self.latent.astype("<f8").tobytes())
+            self._hash = digest.hexdigest()
         return self._hash
 
 
-_HASH_TAG_TEXT = {None: "None", **{tag: str(tag) for tag in LEVEL_TAGS}}.__getitem__
-
-
 def _plain_id(pid) -> bool:
-    return type(pid) is str and pid != "" and not any(char in pid for char in _ID_FORBIDDEN)
+    """A non-empty str, with no forbidden character, that encodes as UTF-8 (no lone surrogate)."""
+    if type(pid) is not str or not pid or any(map(pid.__contains__, _ID_FORBIDDEN)):
+        return False
+    try:
+        pid.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _plain_tag(tag) -> bool:

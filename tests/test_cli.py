@@ -16,7 +16,7 @@ from cdas.cli import _config_from_args, build_parser, main
 from cdas.config import BANK_MODES, STRATEGIES, ExperimentConfig
 from cdas.files import encode_array
 from cdas.harness import CHECKPOINT_FILE, METRICS_FILE, run_experiment
-from cdas.learner import ProblemBank, generate_bank, load_bank, save_bank
+from cdas.learner import BANK_FORMAT_VERSION, ProblemBank, generate_bank, load_bank, save_bank
 from cdas.metrics import read_metrics_csv
 
 TINY_FLAGS = [
@@ -192,6 +192,13 @@ class TestCompareCommand:
         code = main(["compare", *TINY_FLAGS, "--seeds", "0,x"])
         assert code == 2
         assert "seeds" in capsys.readouterr().err
+
+    def test_duplicate_seeds_exit_2_before_any_run(self, tmp_path, capsys):
+        out = tmp_path / "compare"
+        code = main(["compare", *TINY_FLAGS, "--seeds", "1,1", "--out", str(out)])
+        assert code == 2
+        assert "seeds: duplicates in [1, 1]" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestResumeCommand:
@@ -427,7 +434,7 @@ class TestBankCommands:
     def test_inspect_record_without_level_tag_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bank.json"
         record = {"id": "p0", "true_difficulty": 0.5}
-        path.write_text(json.dumps({"format_version": 1, "records": [record]}))
+        path.write_text(json.dumps({"format_version": BANK_FORMAT_VERSION, "records": [record]}))
         assert main(["bank", "inspect", str(path)]) == 2
         assert "record 0 has no 'level_tag'" in capsys.readouterr().err
 
@@ -458,14 +465,14 @@ class TestBankCommands:
         rows = read_metrics_csv(out / METRICS_FILE)
         assert len(rows) == 3
 
-    @pytest.mark.parametrize("bad_id", [7, "p;1"])
+    @pytest.mark.parametrize("bad_id", [7, "p;1", "a\ud800"])
     def test_bank_with_a_malformed_id_exits_2_before_any_step(self, tmp_path, capsys, bad_id):
         path = tmp_path / "bank.json"
         records = [
             {"id": "p0", "level_tag": 1, "true_difficulty": 0.0},
             {"id": bad_id, "level_tag": 2, "true_difficulty": 0.5},
         ]
-        path.write_text(json.dumps({"format_version": 1, "records": records}))
+        path.write_text(json.dumps({"format_version": BANK_FORMAT_VERSION, "records": records}))
         assert main(["bank", "inspect", str(path)]) == 2
         assert "problem id" in capsys.readouterr().err
         out = tmp_path / "run"
@@ -476,13 +483,13 @@ class TestBankCommands:
 
     @pytest.mark.parametrize("latent", ["0.5", True])
     def test_bank_with_a_latent_that_is_not_a_number_exits_2(self, tmp_path, capsys, latent):
-        # The hash cannot catch it: repr(0.5) is the same either way.
+        # The hash cannot catch it: the latent's bytes are the same either way.
         path = tmp_path / "bank.json"
         records = [
             {"id": "p0", "level_tag": 1, "true_difficulty": 0.0},
             {"id": "p1", "level_tag": 2, "true_difficulty": latent},
         ]
-        path.write_text(json.dumps({"format_version": 1, "records": records}))
+        path.write_text(json.dumps({"format_version": BANK_FORMAT_VERSION, "records": records}))
         assert main(["bank", "inspect", str(path)]) == 2
         assert "record 1 has a true_difficulty that is not a number" in capsys.readouterr().err
         out = tmp_path / "run"
@@ -491,6 +498,14 @@ class TestBankCommands:
         err = capsys.readouterr().err
         assert f"not a number, {latent!r}" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_bank_with_an_unknown_mode_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bank.json"
+        save_bank(generate_bank(3, np.random.default_rng(0)), path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "mode": ["x"]}))
+        assert main(["bank", "inspect", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "bank_mode: must be one of" in err and "Traceback" not in err
 
     def test_corrupt_bank_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bank.json"

@@ -33,6 +33,8 @@ TINY = ExperimentConfig(n_problems=12, batch_size=4, rollouts=4, total_steps=6)
 
 OUTPUT_FILES = [METRICS_FILE, BATCHES_FILE, PROBLEMS_FILE, SUMMARY_FILE, CHECKPOINT_FILE]
 
+DATA = Path(__file__).resolve().parent / "data"
+
 
 def _tiny(**overrides):
     return TINY.with_overrides(**overrides)
@@ -455,14 +457,27 @@ class TestCheckpointResume:
     def test_unsupported_version_detected(self, tmp_path):
         # Version 1 checkpoints carried whole sampler objects, version 2 a
         # pass-rate dict keyed by id, version 3 a pending batch, a stored
-        # competence and a second step, and version 4 per-problem lists and
-        # id batches; all are refused.
-        for version in (1, 2, 3, 4, 99):
+        # competence and a second step, version 4 per-problem lists and id
+        # batches, and version 5 a bank hash over text lines; all are refused.
+        for version in (1, 2, 3, 4, 5, 99):
             run_experiment(_tiny(out_dir=str(tmp_path)), stop_after=2)
             path = tmp_path / CHECKPOINT_FILE
             _edit_checkpoint(path, lambda payload: payload.update(format_version=version))
             with pytest.raises(ConfigError, match="unsupported format_version"):
                 resume_experiment(path)
+
+    def test_format_5_checkpoint_refused_by_its_version(self, tmp_path):
+        # Written by the format-5 code, which hashed the bank as repr text lines.
+        old = DATA / "checkpoint_format5.json"
+        with pytest.raises(ConfigError, match="unsupported format_version 5"):
+            resume_experiment(old, out_dir=tmp_path / "run")
+        # Read as the current format, only its bank hash gives it away.
+        path = tmp_path / CHECKPOINT_FILE
+        current = {**json.loads(old.read_text()), "format_version": harness.CHECKPOINT_VERSION}
+        path.write_text(json.dumps(current))
+        with pytest.raises(ConfigError, match="bank hash mismatch"):
+            resume_experiment(path, out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
         "strategy, edit, match",
@@ -601,10 +616,12 @@ class TestComparisons:
                 assert (tmp_path / name).read_bytes() == before[name], (crash_at, name)
             assert not list(tmp_path.glob("*.tmp")), crash_at
 
-    def test_duplicate_or_empty_strategy_lists_refused(self):
+    def test_duplicate_or_empty_strategy_and_seed_lists_refused(self):
         with pytest.raises(ConfigError):
             compare_strategies(_tiny(), [])
         with pytest.raises(ConfigError):
             compare_strategies(_tiny(), ["cdas", "cdas"])
         with pytest.raises(ConfigError):
             compare_strategies(_tiny(), ["cdas"], seeds=[])
+        with pytest.raises(ConfigError, match=r"seeds: duplicates in \[1, 0, 1\]"):
+            compare_strategies(_tiny(), ["cdas"], seeds=[1, 0, 1])

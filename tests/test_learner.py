@@ -4,14 +4,19 @@ import hashlib
 import json
 import math
 import re
+import struct
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdas import learner
 from cdas.errors import ConfigError
 from cdas.learner import (
+    BANK_FORMAT_VERSION,
     ProblemBank,
     SyntheticLearner,
     _quintile_tags,
@@ -21,6 +26,9 @@ from cdas.learner import (
     save_bank,
 )
 from cdas.sampling import CdasSampler
+
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _learner(ability, seed=0, **kwargs):
@@ -301,7 +309,7 @@ class TestBankContainer:
                 ProblemBank(["a", "b"], [1, tag], [0.0, 0.0])
 
     @pytest.mark.parametrize(
-        "bad", [0, None, b"ab", "", "a,b", "a;b", 'a"b', "a\rb", "a\nb", "\n"]
+        "bad", [0, None, b"ab", "", "a,b", "a;b", 'a"b', "a\rb", "a\nb", "\n", "a\ud800"]
     )
     def test_malformed_ids_rejected(self, bad):
         with pytest.raises(ConfigError, match=r"problem id: .* got " + re.escape(repr(bad))):
@@ -320,13 +328,34 @@ class TestBankContainer:
             sampler.report([0.25] * len(batch))
         assert bank.content_hash() == before
 
-    def test_hash_covers_ids_tags_and_latents(self):
-        base = ProblemBank(["a"], [2], [0.5]).content_hash()
-        # One line per problem, "id,level_tag,repr(latent)".
-        assert base == hashlib.sha256(b"a,2,0.5\n").hexdigest()
-        assert ProblemBank(["a"], [None], [0.5]).content_hash() != base
-        assert ProblemBank(["a"], [2], [0.25]).content_hash() != base
-        assert ProblemBank(["b"], [2], [0.5]).content_hash() != base
+    @pytest.mark.parametrize("mode", ["x", ["x"], None])
+    def test_unknown_mode_rejected(self, mode):
+        with pytest.raises(ConfigError, match=re.escape("bank_mode: must be one of")):
+            ProblemBank(["a"], [None], [0.0], mode=mode)
+
+    def test_hash_known_answer(self):
+        # The count and a newline, each id and a newline, a byte per tag,
+        # then each latent as little-endian float64.
+        expected = hashlib.sha256(b"1\na\n\x02" + struct.pack("<d", 0.5)).hexdigest()
+        assert ProblemBank(["a"], [2], [0.5]).content_hash() == expected
+
+    @pytest.mark.parametrize(
+        "one, other",
+        [
+            ((["ab", "c"], [1, 1], [0.0, 0.0]), (["a", "bc"], [1, 1], [0.0, 0.0])),
+            *(((["a"], [None], [0.5]), (["a"], [tag], [0.5])) for tag in range(1, 6)),
+            ((["a"], [2], [-0.0]), (["a"], [2], [0.0])),
+            ((["a", "b"], [1, 2], [0.5, 1.5]), (["b", "a"], [2, 1], [1.5, 0.5])),
+            ((["a"], [2], [0.5]), (["b"], [2], [0.5])),
+            ((["a"], [2], [0.5]), (["a"], [2], [0.25])),
+        ],
+        ids=[
+            "id-split", *(f"untagged-vs-{tag}" for tag in range(1, 6)),
+            "zero-sign", "swap", "id", "latent",
+        ],
+    )
+    def test_hash_separates(self, one, other):
+        assert ProblemBank(*one).content_hash() != ProblemBank(*other).content_hash()
 
     def test_hash_is_computed_once(self, tmp_path, monkeypatch):
         bank = generate_bank(20, np.random.default_rng(5))
@@ -337,7 +366,7 @@ class TestBankContainer:
         def refuse(*args):
             raise AssertionError("the bank was hashed again")
 
-        monkeypatch.setattr(ProblemBank, "latent_blocks", refuse)
+        monkeypatch.setattr(learner, "hashlib", types.SimpleNamespace(sha256=refuse))
         assert loaded.content_hash() == bank.content_hash()
 
     def test_default_ability_is_fifth_percentile(self):
@@ -372,12 +401,24 @@ class TestBankFiles:
         with pytest.raises(ConfigError):
             load_bank(path)
 
+    def test_version_1_file_refused_by_its_version(self, tmp_path):
+        # Written by save_bank when the hash was taken over repr text lines.
+        old = DATA / "bank_format1.json"
+        with pytest.raises(ConfigError, match="unsupported format_version 1"):
+            load_bank(old)
+        # Read as the current version, only its stored hash gives it away.
+        path = tmp_path / "bank.json"
+        current = {**json.loads(old.read_text()), "format_version": BANK_FORMAT_VERSION}
+        path.write_text(json.dumps(current))
+        with pytest.raises(ConfigError, match="content hash mismatch"):
+            load_bank(path)
+
     @pytest.mark.parametrize("field", ["id", "level_tag", "true_difficulty"])
     def test_record_missing_a_field_rejected(self, tmp_path, field):
         record = {"id": "p0", "level_tag": 3, "true_difficulty": 0.5}
         del record[field]
         path = tmp_path / "bank.json"
-        path.write_text(json.dumps({"format_version": 1, "records": [record]}))
+        path.write_text(json.dumps({"format_version": BANK_FORMAT_VERSION, "records": [record]}))
         with pytest.raises(ConfigError, match=f"record 0 has no '{field}'"):
             load_bank(path)
 
@@ -397,6 +438,6 @@ class TestBankFiles:
     )
     def test_malformed_records_rejected(self, tmp_path, records):
         path = tmp_path / "bank.json"
-        path.write_text(json.dumps({"format_version": 1, "records": records}))
+        path.write_text(json.dumps({"format_version": BANK_FORMAT_VERSION, "records": records}))
         with pytest.raises(ConfigError, match="bank file"):
             load_bank(path)

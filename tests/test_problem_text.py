@@ -1,12 +1,11 @@
 """problems.csv, the bank hash and the checkpoint's sampler state at their edge values.
 
-problems.csv and the hash are written ``BLOCK_ROWS`` rows at a time, from
-``ProblemBank.latent_blocks`` and ``ProblemBank.content_hash``.  The
-oracles are the earlier forms: ``csv.writer.writerows`` over the columns
-for problems.csv, and one string of ``f"{id},{tag},{latent!r}\\n"`` lines
-for the hash.  Bank sizes sit on both sides of each block boundary.  The
-sampler state's columns are bytes, so they must come back from JSON bit
-for bit.
+problems.csv is written ``BLOCK_ROWS`` rows at a time, and
+``ProblemBank.content_hash`` digests whole columns.  The oracles are plain
+forms: ``csv.writer.writerows`` over the columns for problems.csv, and the
+hash's bytes built one problem at a time.  Bank sizes sit on both sides of
+each block boundary.  The sampler state's columns are bytes, so they must
+come back from JSON bit for bit.
 """
 
 import csv
@@ -14,6 +13,7 @@ import hashlib
 import io
 import json
 import math
+import struct
 import tempfile
 from pathlib import Path
 
@@ -25,8 +25,8 @@ from hypothesis import strategies as st
 from cdas import harness
 from cdas.config import BANK_MODES, STRATEGIES, ExperimentConfig
 from cdas.files import encode_array
-from cdas.harness import PROBLEMS_FILE, RunResult, run_experiment, write_outputs
-from cdas.learner import BLOCK_ROWS, ProblemBank
+from cdas.harness import BLOCK_ROWS, PROBLEMS_FILE, RunResult, run_experiment, write_outputs
+from cdas.learner import ProblemBank
 from cdas.sampling import COLUMN_TYPES
 
 SIZES = [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]
@@ -166,14 +166,15 @@ def test_count_cells_are_str_of_each_value(values):
     tags=st.lists(TAGS, min_size=1, max_size=8),
     latents=st.lists(EDGE_FLOATS, min_size=1, max_size=8),
 )
-def test_content_hash_matches_one_string_oracle(n, prefix, tags, latents):
+def test_content_hash_matches_per_problem_bytes(n, prefix, tags, latents):
     ids = [f"{prefix}{i}" for i in range(n)]
     tags, latents = _tile(tags, n), _tile(latents, n)
     bank = ProblemBank(ids, tags, latents)
-    lines = "".join(
-        f"{pid},{tag},{latent!r}\n" for pid, tag, latent in zip(ids, tags, bank.latent.tolist())
-    )
-    assert bank.content_hash() == hashlib.sha256(lines.encode()).hexdigest()
+    data = f"{n}\n".encode()
+    data += b"".join(pid.encode("utf-8") + b"\n" for pid in ids)
+    data += b"".join(struct.pack("B", 0 if tag is None else tag) for tag in tags)
+    data += b"".join(struct.pack("<d", latent) for latent in latents)
+    assert bank.content_hash() == hashlib.sha256(data).hexdigest()
 
 
 def test_a_failed_write_leaves_the_next_write_correct(tmp_path, monkeypatch):
@@ -184,8 +185,6 @@ def test_a_failed_write_leaves_the_next_write_correct(tmp_path, monkeypatch):
     run = run_experiment(config)
     bank_hash = run.bank.content_hash()
     assert bank_hash == written.bank_hash
-    # The hash pass keeps the latent text for the next write.
-    assert run.bank._latent_text is not None
 
     real_distinct_text, calls = harness._distinct_text, []
 
@@ -203,8 +202,6 @@ def test_a_failed_write_leaves_the_next_write_correct(tmp_path, monkeypatch):
     assert (tmp_path / PROBLEMS_FILE).read_bytes() == before
     assert not list(tmp_path.glob("*.tmp"))
     assert run.bank.content_hash() == bank_hash
-    # The cut pass took the kept text; the retry formats the latents afresh.
-    assert run.bank._latent_text is None
     write_outputs(run, tmp_path)
     assert (tmp_path / PROBLEMS_FILE).read_bytes() == before
 

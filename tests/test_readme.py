@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import cdas
+from cdas import harness, learner
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -68,3 +69,15 @@ def test_readme_names_resolve():
     }
     assert {"cdas.learner.ProblemBank", "cdas.RunResult.batches", "cdas.harness.STAGES"} <= names
     assert sorted(name for name in names if not _resolves(name)) == []
+
+
+def test_readme_format_versions_match_the_code():
+    text = README.read_text(encoding="utf-8")
+
+    def stated(pattern: str) -> list[int]:
+        return [int(n) for n in re.findall(pattern.replace(" ", r"\s+"), text)]
+
+    checkpoint = harness.CHECKPOINT_VERSION
+    assert stated(r"`checkpoint\.json` \(format version (\d+)\)") == [checkpoint]
+    assert stated(r"Checkpoints of versions 1 to (\d+) are refused") == [checkpoint - 1]
+    assert stated(r"Bank files are format version (\d+)") == [learner.BANK_FORMAT_VERSION]

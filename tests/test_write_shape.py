@@ -1,13 +1,12 @@
 """Each value is formatted once per run, and the bank is hashed at most once.
 
-A run with outputs hashes its bank once, in ``content_hash``'s own
-``latent_blocks`` pass, and writes problems.csv in one more pass that reuses
-the latent text the hash pass kept.  The checkpoint holds each per-problem
-column and the batches as base64 bytes, so JSON never sees a list with one
-entry per problem, nor a batch.  A run without outputs never hashes its
-bank, and a resume hashes it once, for its bank check, and formats the
-latent column once, in that pass.  Batches travel as bank indices: the step
-loop never looks an id up, a write looks up each batch's ids once, for
+A run with outputs hashes its bank once, over the bank's bytes, and writes
+problems.csv in one pass that formats each latent once.  The checkpoint
+holds each per-problem column and the batches as base64 bytes, so JSON
+never sees a list with one entry per problem, nor a batch.  A run without
+outputs never hashes its bank and formats no latent, and a resume hashes it
+once, for its bank check.  Batches travel as bank indices: the step loop
+never looks an id up, a write looks up each batch's ids once, for
 batches.csv, and a resume never maps an id to its position.  This gates the
 shape of the work, not its wall-clock time.
 """
@@ -22,8 +21,8 @@ import pytest
 from cdas import harness, learner
 from cdas.config import STRATEGIES, ExperimentConfig
 from cdas.files import decode_array
-from cdas.harness import CHECKPOINT_FILE, resume_experiment, run_experiment
-from cdas.learner import BLOCK_ROWS, ProblemBank
+from cdas.harness import BLOCK_ROWS, CHECKPOINT_FILE, resume_experiment, run_experiment
+from cdas.learner import ProblemBank
 
 # Three blocks, the last one short; a size no other list in a run has.
 N_PROBLEMS = 2 * BLOCK_ROWS + 5
@@ -43,23 +42,15 @@ def _config(strategy, **overrides):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts bank hash requests, digests, latent passes, and bank-sized lists and
-    batches dumped to JSON, to a string or to a file."""
+    """Counts bank hash requests, digests, and bank-sized lists and batches
+    dumped to JSON, to a string or to a file."""
     calls = Counter()
-    real_hash, real_blocks = ProblemBank.content_hash, ProblemBank.latent_blocks
+    real_hash = ProblemBank.content_hash
     real_sha256, real_dump, real_dumps = learner.hashlib.sha256, json.dump, json.dumps
 
     def content_hash(self):
         calls["content_hash"] += 1
         return real_hash(self)
-
-    def latent_blocks(self):
-        calls["latent_passes"] += 1
-        blocks = 0
-        for block in real_blocks(self):
-            blocks += 1
-            yield block
-        calls["full_latent_passes"] += blocks == -(-len(self) // BLOCK_ROWS)
 
     def sha256(*args):
         calls["digests"] += 1
@@ -81,30 +72,58 @@ def calls(monkeypatch):
         return dump
 
     monkeypatch.setattr(ProblemBank, "content_hash", content_hash)
-    monkeypatch.setattr(ProblemBank, "latent_blocks", latent_blocks)
     monkeypatch.setattr(learner, "hashlib", types.SimpleNamespace(sha256=sha256))
     monkeypatch.setattr(json, "dump", counted(real_dump))
     monkeypatch.setattr(json, "dumps", counted(real_dumps))
     return calls
 
 
+@pytest.fixture
+def formatted(monkeypatch):
+    """The values ``cdas.learner`` and ``cdas.harness`` format by ``repr``, but for
+    the sampler-state cells ``_distinct_text`` formats."""
+    values, inside = Counter(), [False]
+    real_distinct_text = harness._distinct_text
+
+    def counting_repr(value):
+        if not inside[0]:
+            values[value] += 1
+        return repr(value)
+
+    def distinct_text(column):
+        inside[0] = True
+        try:
+            return real_distinct_text(column)
+        finally:
+            inside[0] = False
+
+    for module in (harness, learner):
+        monkeypatch.setattr(module, "repr", counting_repr, raising=False)
+    monkeypatch.setattr(harness, "_distinct_text", distinct_text)
+    return values
+
+
+def _one_write(result) -> Counter:
+    """What one write formats: each latent once, and the initial difficulty
+    once, for problems never visited."""
+    return Counter([*result.bank.latent.tolist(), result.config.initial_difficulty])
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_a_run_without_outputs_never_hashes_the_bank(calls, latent_reprs, strategy):
+def test_a_run_without_outputs_never_hashes_the_bank(calls, formatted, strategy):
     result = run_experiment(_config(strategy))
     assert len(result.rows) == 6
     assert calls == Counter()
-    assert latent_reprs == Counter()
+    assert formatted == Counter()
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_a_run_with_outputs_hashes_once_and_formats_each_latent_once(
-    calls, latent_reprs, tmp_path, strategy
+    calls, formatted, tmp_path, strategy
 ):
-    run_experiment(_config(strategy, out_dir=str(tmp_path)))
-    # The hash pass formats the latents and keeps the text; problems.csv splits it.
-    assert calls["latent_passes"] == calls["full_latent_passes"] == 2
+    result = run_experiment(_config(strategy, out_dir=str(tmp_path)))
     assert calls["digests"] == 1
-    assert latent_reprs["latent"] == N_PROBLEMS
+    assert formatted == _one_write(result)
     assert calls["bank_sized_lists_dumped"] == 0
     checkpoint = json.loads((tmp_path / CHECKPOINT_FILE).read_text())
     rates = checkpoint["sampler"]["last_pass_rate"]
@@ -117,67 +136,43 @@ def test_a_resume_hashes_the_bank_once(calls, tmp_path, strategy):
     calls.clear()
     result = resume_experiment(tmp_path / CHECKPOINT_FILE)
     assert len(result.rows) == 6
-    # The bank check hashes in content_hash's own pass; writing problems.csv
-    # then reuses the digest.
+    # The bank check hashes; writing summary.json and the checkpoint then
+    # reuses the digest.
     assert calls["digests"] == 1
-    assert calls["latent_passes"] == calls["full_latent_passes"] == 2
     assert calls["bank_sized_lists_dumped"] == 0
 
 
-@pytest.fixture
-def latent_reprs(monkeypatch):
-    """Counts the values ``cdas.learner`` formats by ``repr``: the latent column's."""
-    calls = Counter()
-
-    def counting_repr(value):
-        calls["latent"] += 1
-        return repr(value)
-
-    monkeypatch.setattr(learner, "repr", counting_repr, raising=False)
-    return calls
-
-
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_a_resume_formats_the_latent_column_once(latent_reprs, tmp_path, strategy):
-    # A fresh run with outputs formats it once, in its hash pass.
-    run_experiment(_config(strategy, out_dir=str(tmp_path)), stop_after=3)
-    assert latent_reprs["latent"] == N_PROBLEMS
-    latent_reprs.clear()
+def test_a_resume_formats_the_latent_column_once(formatted, tmp_path, strategy):
+    first = run_experiment(_config(strategy, out_dir=str(tmp_path)), stop_after=3)
+    assert formatted == _one_write(first)
+    formatted.clear()
     result = resume_experiment(tmp_path / CHECKPOINT_FILE)
     assert len(result.rows) == 6
-    # The bank check's hash pass keeps the text and problems.csv reuses it.
-    assert latent_reprs["latent"] == N_PROBLEMS
-    # The text was dropped once used: another pass formats the column again.
-    _format_latents_again(result.bank)
-    assert latent_reprs["latent"] == 2 * N_PROBLEMS
+    assert formatted == _one_write(result)
 
 
-def _format_latents_again(bank):
-    for _ in bank.latent_blocks():
-        pass
-
-
-def test_a_resume_with_nothing_to_do_keeps_no_latent_text(latent_reprs, tmp_path):
+def test_a_resume_with_nothing_to_do_formats_no_latent(calls, formatted, tmp_path):
     run_experiment(_config("random", out_dir=str(tmp_path)))
-    latent_reprs.clear()
+    calls.clear()
+    formatted.clear()
     result = resume_experiment(tmp_path / CHECKPOINT_FILE)
     assert len(result.rows) == 6
-    # The bank check formats the column once; nothing writes, so nothing keeps it.
-    assert latent_reprs["latent"] == N_PROBLEMS
-    _format_latents_again(result.bank)
-    assert latent_reprs["latent"] == 2 * N_PROBLEMS
+    # The bank check hashes the bank; nothing writes.
+    assert calls["digests"] == 1
+    assert formatted == Counter()
 
 
-def test_a_loaded_bank_run_without_outputs_keeps_no_latent_text(latent_reprs, tmp_path):
+def test_a_loaded_bank_run_without_outputs_formats_no_latent(calls, formatted, tmp_path):
     path = tmp_path / "bank.json"
     learner.save_bank(learner.generate_bank(N_PROBLEMS, np.random.default_rng(0)), path)
-    latent_reprs.clear()
+    calls.clear()
+    formatted.clear()
     result = run_experiment(_config("random", bank_path=str(path)))
     assert len(result.rows) == 6
-    # load_bank's hash check formats the column once.
-    assert latent_reprs["latent"] == N_PROBLEMS
-    _format_latents_again(result.bank)
-    assert latent_reprs["latent"] == 2 * N_PROBLEMS
+    # load_bank's hash check is the one digest.
+    assert calls["digests"] == 1
+    assert formatted == Counter()
 
 
 @pytest.fixture
