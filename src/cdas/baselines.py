@@ -1,9 +1,11 @@
 """Baseline problem-selection strategies.
 
 All baselines follow the select/report contract of ``sampling.Sampler``: pick
-a batch of ids, then report the observed pass rates for that batch.  None of
-them maintain a competence or difficulty model.  Only prioritized sampling
-reads a per-problem history: the latest pass rate, which every sampler keeps.
+a batch of ids, then report the observed pass rates for that batch.  Each is
+built as ``cls(config, bank, rng)`` and reads its parameters from the config.
+None of them maintain a competence or difficulty model.  Only prioritized
+sampling reads a per-problem history: the latest pass rate, which every
+sampler keeps.
 """
 
 from __future__ import annotations
@@ -12,15 +14,15 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, ConsistencyError, RolloutBudgetError, check_field
+from .errors import ConfigError, ConsistencyError, RolloutBudgetError
 from .sampling import Sampler, rolled_counts, smallest_by
 
 
 class BaselineSampler(Sampler):
     """A sampler with no competence or difficulty model."""
 
-    def _uniform_batch(self, batch_size: int) -> np.ndarray:
-        return self._rng.choice(len(self.bank), size=batch_size, replace=False)
+    def _uniform_batch(self) -> np.ndarray:
+        return self._rng.choice(len(self.bank), size=self.batch_size, replace=False)
 
 
 class RandomSampler(BaselineSampler):
@@ -28,58 +30,52 @@ class RandomSampler(BaselineSampler):
 
     strategy = "random"
 
-    def _choose(self, batch_size: int) -> np.ndarray:
-        return self._uniform_batch(batch_size)
+    def _choose(self) -> np.ndarray:
+        return self._uniform_batch()
 
 
 class CurriculumSampler(BaselineSampler):
-    """Uniform sampling that switches to high-level problems at a fixed step."""
+    """Uniform sampling that switches to high-level problems at a fixed step.
+
+    The constructor refuses a bank with too few problems at or above
+    ``config.curriculum_threshold`` to fill a batch, unless the switch comes
+    only after ``config.total_steps``.
+    """
 
     strategy = "curriculum"
 
-    def __init__(self, bank, rng: np.random.Generator, switch_step: int, threshold: int = 4):
-        super().__init__(bank, rng)
-        check_field("curriculum_switch_step", switch_step)
-        check_field("curriculum_threshold", threshold)
+    def __init__(self, config, bank, rng: np.random.Generator):
+        super().__init__(config, bank, rng)
         if None in bank.level_tags:
             untagged = [pid for pid, tag in zip(bank.ids, bank.level_tags) if tag is None]
             raise ConfigError(
                 f"curriculum needs level tags on every problem; missing on {untagged[0]} "
                 f"and {len(untagged) - 1} others"
             )
-        self.switch_step = switch_step
-        self.threshold = threshold
+        self.switch_step = config.resolved_curriculum_switch_step
+        self.threshold = config.curriculum_threshold
         # Bank indices of the problems at or above the threshold level.
         tags = np.fromiter(bank.level_tags, dtype=np.int64, count=len(bank))
-        self._eligible = np.flatnonzero(tags >= threshold)
-
-    @classmethod
-    def from_config(cls, config, bank, rng: np.random.Generator) -> "CurriculumSampler":
-        return cls(
-            bank,
-            rng=rng,
-            switch_step=config.resolved_curriculum_switch_step,
-            threshold=config.curriculum_threshold,
-        )
-
-    def _choose(self, batch_size: int) -> np.ndarray:
-        if self._step < self.switch_step:
-            return self._uniform_batch(batch_size)
-        if batch_size > len(self._eligible):
+        self._eligible = np.flatnonzero(tags >= self.threshold)
+        if self.switch_step < config.total_steps and self.batch_size > len(self._eligible):
             raise ConfigError(
                 f"batch_size: only {len(self._eligible)} problems at level >= "
-                f"{self.threshold}, need {batch_size}"
+                f"{self.threshold}, need {self.batch_size}"
             )
-        chosen = self._rng.choice(len(self._eligible), size=batch_size, replace=False)
+
+    def _choose(self) -> np.ndarray:
+        if self._step < self.switch_step:
+            return self._uniform_batch()
+        chosen = self._rng.choice(len(self._eligible), size=self.batch_size, replace=False)
         return self._eligible[chosen]
 
 
 class PrioritizedSampler(BaselineSampler):
     """Weighted sampling by failure rate: weight 1 - latest pass rate.
 
-    Unseen problems carry ``initial_weight``.  A batch has the distribution
-    of sequential draws without replacement, each in proportion to the
-    weights that remain, so a zero-weight problem is never taken while
+    Unseen problems carry ``config.prioritized_initial_weight``.  A batch has
+    the distribution of sequential draws without replacement, each in
+    proportion to the weights that remain, so a zero-weight problem is never taken while
     positive-weight problems remain.  It is drawn in one go: one exponential
     per problem and the batch's smallest keys (Efraimidis & Spirakis, 2006).
     If fewer positive weights than the batch holds remain, the rest of the
@@ -90,18 +86,13 @@ class PrioritizedSampler(BaselineSampler):
     strategy = "prioritized"
     state_fields = (*BaselineSampler.state_fields, "uniform_fallbacks")
 
-    def __init__(self, bank, rng: np.random.Generator, initial_weight: float = 1.0):
-        super().__init__(bank, rng)
-        check_field("prioritized_initial_weight", initial_weight)
-        self.initial_weight = initial_weight
+    def __init__(self, config, bank, rng: np.random.Generator):
+        super().__init__(config, bank, rng)
+        self.initial_weight = config.prioritized_initial_weight
         self.uniform_fallbacks = 0
         self._falls_back = False
 
-    @classmethod
-    def from_config(cls, config, bank, rng: np.random.Generator) -> "PrioritizedSampler":
-        return cls(bank, rng=rng, initial_weight=config.prioritized_initial_weight)
-
-    def _choose(self, batch_size: int) -> np.ndarray:
+    def _choose(self) -> np.ndarray:
         # Efraimidis-Spirakis: the smallest keys E / w, E ~ Exp(1), are a
         # sequential weighted draw without replacement.  A zero weight keys
         # +inf and ranks after every positive one, even one whose key
@@ -113,8 +104,8 @@ class PrioritizedSampler(BaselineSampler):
         with np.errstate(over="ignore"):
             keys = np.divide(draws, weights, out=np.full(len(draws), np.inf), where=~zero)
         # Counted by _hold: a batch refused for its rollout counts is not held.
-        self._falls_back = len(draws) - np.count_nonzero(zero) < batch_size
-        return smallest_by(np.arange(len(draws)), batch_size, keys, zero, draws)
+        self._falls_back = len(draws) - np.count_nonzero(zero) < self.batch_size
+        return smallest_by(np.arange(len(draws)), self.batch_size, keys, zero, draws)
 
     def _hold(self, indices: np.ndarray) -> None:
         super()._hold(indices)
@@ -138,43 +129,26 @@ class DynamicSampler(BaselineSampler):
 
     Candidates are drawn uniformly in rounds and rolled out in draw order;
     those with pass rate exactly 0 or 1 are discarded.  A round stops at the
-    candidate that fills the batch, and drawing once ``retry_cap`` rounds are
-    spent.  A capped batch is padded with the most recently filtered
-    candidates so batch size is preserved.
+    candidate that fills the batch, and drawing once
+    ``config.dynamic_retry_cap`` rounds are spent.  A round draws
+    ``config.dynamic_oversample_factor`` times the batch size, rounded up.  A
+    capped batch is padded with the most recently filtered candidates so
+    batch size is preserved.
     """
 
     strategy = "dynamic"
 
-    def __init__(
-        self,
-        bank,
-        rng: np.random.Generator,
-        retry_cap: int = 10,
-        oversample_factor: float = 1.0,
-    ):
-        super().__init__(bank, rng)
-        check_field("dynamic_retry_cap", retry_cap)
-        check_field("dynamic_oversample_factor", oversample_factor)
-        self.retry_cap = retry_cap
-        self.oversample_factor = oversample_factor
+    def __init__(self, config, bank, rng: np.random.Generator):
+        super().__init__(config, bank, rng)
+        self.retry_cap = config.dynamic_retry_cap
+        self.oversample_factor = config.dynamic_oversample_factor
 
-    @classmethod
-    def from_config(cls, config, bank, rng: np.random.Generator) -> "DynamicSampler":
-        return cls(
-            bank,
-            rng=rng,
-            retry_cap=config.dynamic_retry_cap,
-            oversample_factor=config.dynamic_oversample_factor,
-        )
-
-    def select_batch(self, batch_size: int) -> list[str]:
+    def select_batch(self) -> list[str]:
         raise ConsistencyError(
             "dynamic sampling rolls candidates out while it selects; call select_and_roll"
         )
 
-    def select_and_roll(
-        self, batch_size: int, group_size: int, roll_round
-    ) -> tuple[np.ndarray, list[int], int]:
+    def select_and_roll(self, roll_round) -> tuple[np.ndarray, list[int], int]:
         """Build a batch of problems whose rollout groups are interior.
 
         A group of ``group_size`` rollouts is interior when it passes more
@@ -194,7 +168,7 @@ class DynamicSampler(BaselineSampler):
                 but the sampler's generator has moved on, so discard it.
             RolloutBudgetError: retry cap spent with nothing keepable at all.
         """
-        self._check_batch_size(batch_size)
+        batch_size, group_size = self.batch_size, self.group_size
         round_size = max(batch_size, math.ceil(self.oversample_factor * batch_size))
         untried = np.ones(len(self.bank), dtype=bool)
         rolled: list[np.ndarray] = []

@@ -168,8 +168,8 @@ def _start(
 
 
 def make_sampler(config: ExperimentConfig, bank: ProblemBank, rng: np.random.Generator) -> Sampler:
-    """The configured strategy's sampler; ``config`` has been validated."""
-    return SAMPLERS[config.strategy].from_config(config, bank, rng)
+    """The sampler of ``config.strategy``, built from ``config``."""
+    return SAMPLERS[config.strategy](config, bank, rng)
 
 
 def sampler_from_state(
@@ -183,7 +183,7 @@ def sampler_from_state(
 
 def _advance(run: RunResult, target_step: int) -> None:
     """Run steps up to ``target_step``, carrying each batch as bank indices."""
-    config, sampler = run.config, run.sampler
+    sampler = run.sampler
     rollouts = run.learner.rollouts
     latent = run.bank.latent
     seconds, clock = run.stage_seconds, time.perf_counter
@@ -198,7 +198,7 @@ def _advance(run: RunResult, target_step: int) -> None:
 
     while sampler.step < target_step:
         began, rolling = clock(), 0.0
-        batch, counts, consumed = sampler.select_and_roll(config.batch_size, rollouts, roll_round)
+        batch, counts, consumed = sampler.select_and_roll(roll_round)
         selected = clock()
         counts = np.array(counts)
         pass_rates = counts / rollouts

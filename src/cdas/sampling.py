@@ -5,10 +5,12 @@ one batch at a time and accepts outcomes only for the batch it handed out.
 Inside, a batch is an array of bank indices: strategies choose indices, and
 the sampler holds the pending batch itself.  ``report`` takes one pass rate
 per pending problem, in batch order.  ``select_and_roll`` picks a batch and
-rolls it out in one call, the same call for every strategy.  A checkpoint
-holds only what changes while a run goes on, and never a batch in flight;
-the rest is rebuilt by constructing the sampler again from its config and
-bank.
+rolls it out in one call, the same call for every strategy.  Every sampler is
+built as ``cls(config, bank, rng)`` from an ``ExperimentConfig``: the config
+alone sets its parameters, its batch size and its rollout group size.  A
+checkpoint holds only what changes while a run goes on, and never a batch in
+flight; the rest is rebuilt by constructing the sampler again from its config
+and bank.
 
 Alignment selection runs in two phases.  A warm-up phase walks a fixed random
 permutation of the bank in batch-size chunks so every problem collects at
@@ -31,7 +33,7 @@ import math
 import numpy as np
 
 from .core import ProblemRecord, sigmoid_array
-from .errors import ConfigError, ConsistencyError, check_field
+from .errors import ConfigError, ConsistencyError
 from .files import decode_array, encode_array
 from .learner import ProblemBank, check_rng_state
 
@@ -88,9 +90,13 @@ class Sampler:
 
     A sampler is a single logical actor: interleave ``select_batch`` (or
     ``select_and_roll``) and ``report``, one batch at a time; ``state_dict``
-    is taken between the two, never while a batch is pending.
-    Subclasses set ``strategy``, choose the bank indices of a batch in
-    ``_choose``, fold validated outcomes into their own state in ``_fold``
+    is taken between the two, never while a batch is pending.  Every batch
+    holds ``config.batch_size`` problems, and each is rolled out
+    ``config.rollouts`` times.  The constructor refuses a config that
+    ``validate`` refuses, and a batch larger than the bank.
+    Subclasses set ``strategy``, read their own fields from the config,
+    choose the bank indices of a batch in ``_choose``, fold validated
+    outcomes into their own state in ``_fold``
     and name that state in ``_state``/``_load_state``, giving per-problem
     state as bank-order arrays.  Every sampler keeps the pass rate each
     problem last reported, in bank order.
@@ -101,17 +107,19 @@ class Sampler:
     # The keys of ``state_dict``; subclasses add the ones ``_state`` returns.
     state_fields: tuple[str, ...] = ("strategy", "step", "rng", "last_pass_rate")
 
-    def __init__(self, bank: ProblemBank, rng: np.random.Generator):
+    def __init__(self, config, bank: ProblemBank, rng: np.random.Generator):
+        config.validate()
+        if config.batch_size > len(bank):
+            raise ConfigError(
+                f"batch_size: must not exceed bank size ({config.batch_size} > {len(bank)})"
+            )
         self.bank = bank
+        self.batch_size = config.batch_size
+        self.group_size = config.rollouts
         self._rng = rng
         self._step = 0
         self._pending: np.ndarray | None = None
         self._last_pass_rate = np.full(len(bank), np.nan)
-
-    @classmethod
-    def from_config(cls, config, bank: ProblemBank, rng: np.random.Generator) -> "Sampler":
-        """Build this strategy with the parameters ``config`` sets for it."""
-        return cls(bank, rng=rng)
 
     @property
     def step(self) -> int:
@@ -129,23 +137,13 @@ class Sampler:
 
     # -- selection --------------------------------------------------------
 
-    def _check_batch_size(self, batch_size: int) -> None:
-        check_field("batch_size", batch_size)
-        if batch_size > len(self.bank):
-            raise ConfigError(
-                f"batch_size: must not exceed bank size ({batch_size} > {len(self.bank)})"
-            )
-
-    def select_batch(self, batch_size: int) -> list[str]:
+    def select_batch(self) -> list[str]:
         """Pick the next batch of problem ids; it stays pending until reported."""
-        self._check_batch_size(batch_size)
-        self._hold(self._choose(batch_size))
+        self._hold(self._choose())
         ids = self.bank.ids
         return [ids[i] for i in self._pending.tolist()]
 
-    def select_and_roll(
-        self, batch_size: int, group_size: int, roll_round
-    ) -> tuple[np.ndarray, list[int], int]:
+    def select_and_roll(self, roll_round) -> tuple[np.ndarray, list[int], int]:
         """Pick the next batch and roll it out with one ``roll_round(indices)``.
 
         ``roll_round`` gets the batch's bank indices and returns one pass
@@ -161,13 +159,12 @@ class Sampler:
                 have advanced the sampler's generator, so discard the sampler
                 rather than retry with it.
         """
-        self._check_batch_size(batch_size)
-        indices = self._choose(batch_size)
-        counts = rolled_counts(roll_round, indices, group_size)
+        indices = self._choose()
+        counts = rolled_counts(roll_round, indices, self.group_size)
         self._hold(indices)
-        return indices, counts.tolist(), batch_size
+        return indices, counts.tolist(), self.batch_size
 
-    def _choose(self, batch_size: int) -> np.ndarray:
+    def _choose(self) -> np.ndarray:
         raise NotImplementedError
 
     def _hold(self, indices: np.ndarray) -> None:
@@ -294,60 +291,40 @@ class Sampler:
 class CdasSampler(Sampler):
     """Stateful scheduler over a fixed problem bank.
 
-    ``batch_size`` fixes the warm-up schedule: warm-up lasts
-    ceil(N / batch_size) steps so the permutation covers the bank.  So every
-    batch is that size, and a selection of any other size raises
-    ``ConfigError``.  Selection consumes no randomness.
+    The batch size fixes the warm-up schedule: with ``config.warmup`` on,
+    warm-up lasts ceil(N / batch_size) steps so the permutation covers the
+    bank.  In symmetric mode the batch must be even.  Selection consumes no
+    randomness.
 
     The per-problem estimates live in bank-order arrays: visit counts ``t``,
     all 0 at the start, and difficulty estimates ``D``, all
-    ``initial_difficulty``.  ``estimates`` is a read-only view of ``D``;
-    ``records`` and ``record()`` build id-keyed views of them on demand.
-    Competence is ``initial_competence`` until the first report and the
-    negated mean estimate after it, so the state holds no copy of it.
+    ``config.initial_difficulty``.  ``estimates`` is a read-only view of
+    ``D``; ``records`` builds an id-keyed view of them on demand.
+    Competence is ``config.initial_competence`` until the first report and
+    the negated mean estimate after it, so the state holds no copy of it.
     """
 
     strategy = "cdas"
     state_fields = (*Sampler.state_fields, "t", "difficulty")
 
-    def __init__(
-        self,
-        bank: ProblemBank,
-        batch_size: int,
-        rng: np.random.Generator,
-        symmetric: bool = True,
-        warmup: bool = True,
-        initial_competence: float = 0.0,
-        initial_difficulty: float = 0.0,
-    ):
-        super().__init__(bank, rng)
-        self.symmetric = bool(symmetric)
-        self.batch_size = int(batch_size)
-        self._check_batch_size(self.batch_size)
-        check_field("initial_difficulty", initial_difficulty)
-        check_field("initial_competence", initial_competence)
-        self._initial_competence = self._competence = initial_competence
+    def __init__(self, config, bank: ProblemBank, rng: np.random.Generator):
+        super().__init__(config, bank, rng)
+        self.symmetric = config.symmetric
+        # validate checks this only for a config whose strategy is cdas.
+        if self.symmetric and self.batch_size % 2 != 0:
+            raise ConfigError(
+                f"batch_size: symmetric mode needs an even batch, got {self.batch_size}"
+            )
+        self._initial_competence = self._competence = config.initial_competence
         n = len(bank)
         self._t = np.zeros(n, dtype=np.int64)
-        self._D = np.full(n, initial_difficulty, dtype=np.float64)
+        self._D = np.full(n, config.initial_difficulty, dtype=np.float64)
         # Each id's position in ascending id order: the alignment tie-break.
         self._rank = np.empty(n, dtype=np.int64)
         by_id = sorted(range(n), key=bank.ids.__getitem__)
         self._rank[np.fromiter(by_id, dtype=np.int64, count=n)] = np.arange(n)
         self._warmup_walk = rng.permutation(n)
-        self.warmup_steps = math.ceil(n / self.batch_size) if warmup else 0
-
-    @classmethod
-    def from_config(cls, config, bank: ProblemBank, rng: np.random.Generator) -> "CdasSampler":
-        return cls(
-            bank,
-            batch_size=config.batch_size,
-            rng=rng,
-            symmetric=config.symmetric,
-            warmup=config.warmup,
-            initial_competence=config.initial_competence,
-            initial_difficulty=config.initial_difficulty,
-        )
+        self.warmup_steps = math.ceil(n / self.batch_size) if config.warmup else 0
 
     @property
     def competence_value(self) -> float:
@@ -377,32 +354,10 @@ class CdasSampler(Sampler):
             )
         }
 
-    def record(self, problem_id: str) -> ProblemRecord:
-        i = self.bank.index[problem_id]
-        return ProblemRecord(
-            id=problem_id,
-            level_tag=self.bank.level_tags[i],
-            true_difficulty=self.bank.latent[i].item(),
-            t=self._t[i].item(),
-            difficulty=self._D[i].item(),
-        )
-
     # -- selection --------------------------------------------------------
 
-    def _check_batch_size(self, batch_size: int) -> None:
-        super()._check_batch_size(batch_size)
-        if batch_size != self.batch_size:
-            raise ConfigError(
-                f"batch_size: this sampler was built for batches of {self.batch_size}, "
-                f"got {batch_size}"
-            )
-        if self.symmetric and batch_size % 2 != 0:
-            raise ConfigError(
-                f"batch_size: symmetric mode needs an even batch, got {batch_size}"
-            )
-
-    def _choose(self, batch_size: int) -> np.ndarray:
-        n = len(self.bank)
+    def _choose(self) -> np.ndarray:
+        n, batch_size = len(self.bank), self.batch_size
         if self.in_warmup():
             offsets = self._step * batch_size + np.arange(batch_size)
             return self._warmup_walk[offsets % n]

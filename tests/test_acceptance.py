@@ -209,11 +209,7 @@ def test_criterion_05_symmetric_batch_law(capsys):
         config = ExperimentConfig()
         bank_ss, sampler_ss, learner_ss = np.random.SeedSequence(config.seed).spawn(3)
         bank = generate_bank(config.n_problems, np.random.default_rng(bank_ss))
-        sampler = CdasSampler(
-            bank,
-            batch_size=config.batch_size,
-            rng=np.random.default_rng(sampler_ss),
-        )
+        sampler = CdasSampler(config, bank, np.random.default_rng(sampler_ss))
         learner = SyntheticLearner(
             ability=default_ability(bank),
             rng=np.random.default_rng(learner_ss),
@@ -225,7 +221,7 @@ def test_criterion_05_symmetric_batch_law(capsys):
             in_warmup = sampler.in_warmup()
             competence = sampler.competence_value
             records = sampler.records
-            batch = sampler.select_batch(config.batch_size)
+            batch = sampler.select_batch()
             if not in_warmup:
                 checked += 1
                 chosen = set(batch)

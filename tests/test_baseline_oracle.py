@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from cdas.baselines import PrioritizedSampler
+from cdas.config import ExperimentConfig
 from cdas.files import encode_array
 from cdas.learner import ProblemBank, SyntheticLearner
 
@@ -43,12 +44,18 @@ def _reference_batch(weights, batch_size, rng):
     return picks, sum(w > 0.0 for w in weights) < batch_size
 
 
-def _prioritized(n, seed, rates, initial_weight):
+def _prioritized(n, seed, rates, initial_weight, batch_size):
     """A prioritized sampler whose problems ``i`` last reported ``rates[i]``."""
+    config = ExperimentConfig(
+        n_problems=n,
+        batch_size=batch_size,
+        strategy="prioritized",
+        prioritized_initial_weight=initial_weight,
+    )
     sampler = PrioritizedSampler(
+        config,
         ProblemBank([f"q{i}" for i in range(n)], [None] * n, [0.0] * n),
-        rng=np.random.default_rng(seed),
-        initial_weight=initial_weight,
+        np.random.default_rng(seed),
     )
     state = sampler.state_dict()
     state["last_pass_rate"] = encode_array([rates.get(i, math.nan) for i in range(n)], "<f8")
@@ -78,12 +85,12 @@ def prioritized_cases(draw):
 @example((4, 0.0, {3: 0.3, 0: 0.9, 1: 2 / 3}, 4, 1))
 def test_prioritized_batch_matches_scalar_key_reference(case):
     n, initial_weight, rates, batch_size, seed = case
-    sampler = _prioritized(n, seed, rates, initial_weight)
+    sampler = _prioritized(n, seed, rates, initial_weight, batch_size)
     weights = [1.0 - rates[i] if i in rates else initial_weight for i in range(n)]
     reference_rng = np.random.default_rng(seed)
     picks, fell_back = _reference_batch(weights, batch_size, reference_rng)
 
-    assert sampler.select_batch(batch_size) == [f"q{i}" for i in picks]
+    assert sampler.select_batch() == [f"q{i}" for i in picks]
     sampler.report([0.5] * batch_size)  # draws nothing; a saved state needs no pending batch
     assert sampler.state_dict()["rng"] == reference_rng.bit_generator.state
     assert sampler.uniform_fallbacks == int(fell_back)
@@ -117,12 +124,12 @@ def _sequential_probabilities(weights, batch_size):
 )
 def test_prioritized_batches_follow_sequential_draw_probabilities(rates, initial_weight, seed):
     draws, batch_size = 20_000, 3
-    sampler = _prioritized(5, seed, dict(enumerate(rates)), initial_weight)
+    sampler = _prioritized(5, seed, dict(enumerate(rates)), initial_weight, batch_size)
     weights = [initial_weight if r is None else 1.0 - r for r in rates]
     expected = _sequential_probabilities(weights, batch_size)
     seen = Counter()
     for _ in range(draws):
-        sampler.select_batch(batch_size)
+        sampler.select_batch()
         seen[tuple(sampler.pending.tolist())] += 1
 
     assert all(expected[batch] > 0.0 for batch in seen), "a batch of probability 0 was drawn"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cdas.config import ExperimentConfig
 from cdas.errors import ConfigError, ConsistencyError, RolloutBudgetError
 from cdas.files import encode_array
 from cdas.baselines import (
@@ -13,7 +14,8 @@ from cdas.baselines import (
     PrioritizedSampler,
     RandomSampler,
 )
-from cdas.learner import ProblemBank
+from cdas.harness import run_experiment
+from cdas.learner import ProblemBank, SyntheticLearner
 
 
 def _named_bank(ids, tags=None):
@@ -25,6 +27,14 @@ def _bank(n, tagged=True):
     """Problems p000, p001, ... tagged 1, 2, 3, 4, 5, 1, ... in turn."""
     tags = [(i % 5) + 1 if tagged else None for i in range(n)]
     return _named_bank([f"p{i:03d}" for i in range(n)], tags)
+
+
+def _build(cls, bank, batch_size, seed=0, **fields):
+    """``cls`` on ``bank``, built from a config with batches of ``batch_size``."""
+    config = ExperimentConfig(
+        n_problems=len(bank), batch_size=batch_size, strategy=cls.strategy, **fields
+    )
+    return cls(config, bank, np.random.default_rng(seed))
 
 
 def _with_rates(sampler, rates):
@@ -39,24 +49,22 @@ def _with_rates(sampler, rates):
 
 class TestRandomSampler:
     def test_bank_sized_batch_is_a_permutation(self):
-        sampler = RandomSampler(_bank(10), rng=np.random.default_rng(0))
-        batch = sampler.select_batch(10)
+        sampler = _build(RandomSampler, _bank(10), 10)
+        batch = sampler.select_batch()
         assert sorted(batch) == [f"p{i:03d}" for i in range(10)]
 
     def test_same_seed_same_batches(self):
-        a = RandomSampler(_bank(20), rng=np.random.default_rng(4))
-        b = RandomSampler(_bank(20), rng=np.random.default_rng(4))
-        assert [a.select_batch(5) for _ in range(10)] == [
-            b.select_batch(5) for _ in range(10)
-        ]
+        a = _build(RandomSampler, _bank(20), 5, seed=4)
+        b = _build(RandomSampler, _bank(20), 5, seed=4)
+        assert [a.select_batch() for _ in range(10)] == [b.select_batch() for _ in range(10)]
 
     def test_selection_frequencies_are_uniform(self):
         # 1e5 draws of 10 from 100: each id is a binomial with p = 0.1.
         n, batch_size, draws = 100, 10, 100_000
-        sampler = RandomSampler(_bank(n), rng=np.random.default_rng(2024))
+        sampler = _build(RandomSampler, _bank(n), batch_size, seed=2024)
         counts = {pid: 0 for pid in sampler.bank.ids}
         for _ in range(draws):
-            for pid in sampler.select_batch(batch_size):
+            for pid in sampler.select_batch():
                 counts[pid] += 1
         p = batch_size / n
         standard_error = math.sqrt(p * (1.0 - p) / draws)
@@ -64,94 +72,112 @@ class TestRandomSampler:
             assert abs(count / draws - p) <= 3 * standard_error, pid
 
     def test_batches_have_distinct_ids(self):
-        sampler = RandomSampler(_bank(12), rng=np.random.default_rng(9))
+        sampler = _build(RandomSampler, _bank(12), 8, seed=9)
         for _ in range(50):
-            batch = sampler.select_batch(8)
+            batch = sampler.select_batch()
             assert len(set(batch)) == 8
 
     def test_batch_size_bounds(self):
-        sampler = RandomSampler(_bank(4), rng=np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            sampler.select_batch(0)
+            _build(RandomSampler, _bank(4), 0)
         with pytest.raises(ConfigError):
-            sampler.select_batch(5)
+            _build(RandomSampler, _bank(4), 5)
 
 
 class TestCurriculumSampler:
     def test_matches_random_before_the_switch(self):
         bank = _bank(30)
-        random_sampler = RandomSampler(bank, rng=np.random.default_rng(7))
-        curriculum = CurriculumSampler(bank, rng=np.random.default_rng(7), switch_step=3)
+        random_sampler = _build(RandomSampler, bank, 6, seed=7)
+        curriculum = _build(CurriculumSampler, bank, 6, seed=7, curriculum_switch_step=3)
         for _ in range(3):
-            batch = curriculum.select_batch(6)
-            assert batch == random_sampler.select_batch(6)
+            batch = curriculum.select_batch()
+            assert batch == random_sampler.select_batch()
             curriculum.report([0.5] * len(batch))
             random_sampler.report([0.5] * len(batch))
 
     def test_only_high_levels_after_the_switch(self):
-        sampler = CurriculumSampler(_bank(50), rng=np.random.default_rng(2), switch_step=0)
+        sampler = _build(CurriculumSampler, _bank(50), 5, seed=2, curriculum_switch_step=0)
         for _ in range(20):
-            batch = sampler.select_batch(5)
+            batch = sampler.select_batch()
             assert all(sampler.bank.level_tags[sampler.bank.index[pid]] >= 4 for pid in batch)
             sampler.report([0.5] * len(batch))
 
     def test_threshold_five_with_pool_equal_to_batch(self):
         bank = _bank(25)  # five problems per level
-        sampler = CurriculumSampler(bank, rng=np.random.default_rng(3), switch_step=0, threshold=5)
-        batch = sampler.select_batch(5)
+        sampler = _build(
+            CurriculumSampler, bank, 5, seed=3, curriculum_switch_step=0, curriculum_threshold=5
+        )
+        batch = sampler.select_batch()
         assert sorted(batch) == sorted(
             pid for pid, tag in zip(bank.ids, bank.level_tags) if tag == 5
         )
 
     def test_eligible_pool_smaller_than_batch(self):
-        sampler = CurriculumSampler(_bank(25), rng=np.random.default_rng(0), switch_step=0)
-        with pytest.raises(ConfigError):
-            sampler.select_batch(11)  # only 10 problems at level >= 4
+        with pytest.raises(ConfigError, match="only 10 problems at level >= 4, need 11"):
+            _build(CurriculumSampler, _bank(25), 11, curriculum_switch_step=0)
+        # A switch no step of the run reaches needs no eligible pool.
+        _build(CurriculumSampler, _bank(25), 11, curriculum_switch_step=5, total_steps=5)
+
+    def test_run_with_too_few_eligible_refused_before_its_first_step(self, tmp_path, monkeypatch):
+        # 40 of 100 problems reach level 4; the switch at step 75 needs 64.
+        def no_rollouts(learner, latents):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(SyntheticLearner, "pass_counts", no_rollouts)
+        out = tmp_path / "run"
+        config = ExperimentConfig(
+            strategy="curriculum", n_problems=100, batch_size=64, out_dir=str(out)
+        )
+        with pytest.raises(ConfigError, match="only 40 problems at level >= 4, need 64"):
+            run_experiment(config)
+        assert not out.exists()
 
     def test_missing_level_tags_rejected(self):
         with pytest.raises(ConfigError):
-            CurriculumSampler(_bank(10, tagged=False), rng=np.random.default_rng(0), switch_step=1)
+            _build(CurriculumSampler, _bank(10, tagged=False), 2, curriculum_switch_step=1)
 
     def test_bad_switch_and_threshold(self):
         with pytest.raises(ConfigError):
-            CurriculumSampler(_bank(10), rng=np.random.default_rng(0), switch_step=-1)
+            _build(CurriculumSampler, _bank(10), 2, curriculum_switch_step=-1)
         with pytest.raises(ConfigError):
-            CurriculumSampler(_bank(10), rng=np.random.default_rng(0), switch_step=0, threshold=6)
+            _build(
+                CurriculumSampler, _bank(10), 2, curriculum_switch_step=0, curriculum_threshold=6
+            )
 
 
 class TestPrioritizedSampler:
-    def _three_problem_sampler(self, seed=0):
+    def _three_problem_sampler(self, batch_size, seed=0):
         bank = _named_bank(["x1", "x2", "x3"])
-        sampler = PrioritizedSampler(bank, rng=np.random.default_rng(seed))
+        sampler = _build(PrioritizedSampler, bank, batch_size, seed=seed)
         return _with_rates(sampler, {"x1": 1.0, "x2": 0.5, "x3": 0.0})
 
     def test_single_draw_frequencies_match_weights(self):
         # Weights {0, 0.5, 1} normalize to probabilities {0, 1/3, 2/3}.
-        sampler = self._three_problem_sampler(seed=42)
+        sampler = self._three_problem_sampler(1, seed=42)
         draws = 100_000
         counts = {"x1": 0, "x2": 0, "x3": 0}
         for _ in range(draws):
-            counts[sampler.select_batch(1)[0]] += 1
+            counts[sampler.select_batch()[0]] += 1
         assert counts["x1"] == 0
         for pid, p in (("x2", 1 / 3), ("x3", 2 / 3)):
             standard_error = math.sqrt(p * (1.0 - p) / draws)
             assert abs(counts[pid] / draws - p) <= 3 * standard_error, pid
 
     def test_zero_weight_left_out_while_positive_weight_remains(self):
-        sampler = self._three_problem_sampler(seed=1)
+        sampler = self._three_problem_sampler(2, seed=1)
         for _ in range(200):
-            assert "x1" not in sampler.select_batch(2)
+            assert "x1" not in sampler.select_batch()
 
     def test_zero_weight_taken_only_when_nothing_else_remains(self):
-        sampler = self._three_problem_sampler(seed=2)
-        batch = sampler.select_batch(3)
+        sampler = self._three_problem_sampler(3, seed=2)
+        batch = sampler.select_batch()
         assert batch[2] == "x1"
         assert sampler.uniform_fallbacks == 1
 
     def test_all_zero_weights_fall_back_to_uniform(self):
-        sampler = PrioritizedSampler(_named_bank("abcd"), rng=np.random.default_rng(5))
+        sampler = _build(PrioritizedSampler, _named_bank("abcd"), 3, seed=5)
         _with_rates(sampler, {pid: 1.0 for pid in ("a", "b", "c", "d")})
-        batch = sampler.select_batch(3)
+        batch = sampler.select_batch()
         assert len(set(batch)) == 3
         assert sampler.uniform_fallbacks == 1
 
@@ -159,26 +185,26 @@ class TestPrioritizedSampler:
         # With initial weight 0, an unseen problem is never drawn while a
         # failed problem remains.
         bank = _named_bank(["seen", "new"])
-        sampler = PrioritizedSampler(bank, rng=np.random.default_rng(6), initial_weight=0.0)
+        sampler = _build(PrioritizedSampler, bank, 1, seed=6, prioritized_initial_weight=0.0)
         _with_rates(sampler, {"seen": 0.0})
         for _ in range(100):
-            assert sampler.select_batch(1) == ["seen"]
+            assert sampler.select_batch() == ["seen"]
 
     def test_equal_rates_select_uniformly(self):
         bank = _named_bank(f"e{i}" for i in range(10))
-        sampler = PrioritizedSampler(bank, rng=np.random.default_rng(8))
+        sampler = _build(PrioritizedSampler, bank, 1, seed=8)
         _with_rates(sampler, {pid: 0.5 for pid in bank.ids})
         draws = 50_000
         counts = {pid: 0 for pid in bank.ids}
         for _ in range(draws):
-            counts[sampler.select_batch(1)[0]] += 1
+            counts[sampler.select_batch()[0]] += 1
         standard_error = math.sqrt(0.1 * 0.9 / draws)
         for pid, count in counts.items():
             assert abs(count / draws - 0.1) <= 3 * standard_error, pid
 
     def test_bad_initial_weight(self):
         with pytest.raises(ConfigError):
-            PrioritizedSampler(_named_bank("a"), rng=np.random.default_rng(0), initial_weight=1.5)
+            _build(PrioritizedSampler, _named_bank("a"), 1, prioritized_initial_weight=1.5)
 
 
 def _rolls(count_of):
@@ -190,16 +216,14 @@ class TestDynamicSampler:
     # Groups of G = 4 rollouts: 0 or 4 passes is degenerate, 1..3 interior.
     G = 4
 
-    def _sampler(self, n=20, seed=0, **kwargs):
-        return DynamicSampler(_bank(n), rng=np.random.default_rng(seed), **kwargs)
+    def _sampler(self, batch_size, n=20, seed=0, **fields):
+        return _build(DynamicSampler, _bank(n), batch_size, seed=seed, rollouts=self.G, **fields)
 
     def test_filters_degenerate_pass_rates(self):
         passes = {"p000": 4, "p001": 2, "p002": 0, "p003": 1}
-        sampler = DynamicSampler(_named_bank(passes), rng=np.random.default_rng(3))
+        sampler = _build(DynamicSampler, _named_bank(passes), 2, seed=3, rollouts=self.G)
         counts = list(passes.values())
-        batch, kept_counts, consumed = sampler.select_and_roll(
-            2, self.G, _rolls(counts.__getitem__)
-        )
+        batch, kept_counts, consumed = sampler.select_and_roll(_rolls(counts.__getitem__))
         kept = [sampler.bank.ids[i] for i in batch]
         assert set(kept) == {"p001", "p003"}
         assert all(0 < passes[pid] < self.G for pid in kept)
@@ -207,8 +231,8 @@ class TestDynamicSampler:
         assert consumed <= 4
 
     def test_nothing_filtered_costs_exactly_the_batch(self):
-        sampler = self._sampler(seed=11)
-        kept, _, consumed = sampler.select_and_roll(8, self.G, _rolls(lambda i: 2))
+        sampler = self._sampler(8, seed=11)
+        kept, _, consumed = sampler.select_and_roll(_rolls(lambda i: 2))
         assert len(kept) == len(set(kept)) == 8
         assert consumed == 8
 
@@ -218,11 +242,9 @@ class TestDynamicSampler:
         n, batch_size, trials = 400, 16, 300
         total = 0
         for seed in range(trials):
-            sampler = self._sampler(n=n, seed=seed)
+            sampler = self._sampler(batch_size, n=n, seed=seed)
             passes = np.where(np.random.default_rng(1000 + seed).random(n) < 0.5, 2, 0)
-            kept, _, consumed = sampler.select_and_roll(
-                batch_size, self.G, _rolls(passes.__getitem__)
-            )
+            kept, _, consumed = sampler.select_and_roll(_rolls(passes.__getitem__))
             assert len(kept) == batch_size
             total += consumed
         mean_cost = total / trials
@@ -231,9 +253,9 @@ class TestDynamicSampler:
     def test_capped_batch_pads_with_recently_filtered(self):
         # Only one problem is keepable; two rounds exhaust the bank, then the
         # deficit is padded with filtered candidates.
-        sampler = self._sampler(n=6, seed=2, retry_cap=2)
+        sampler = self._sampler(4, n=6, seed=2, dynamic_retry_cap=2)
         kept, kept_counts, consumed = sampler.select_and_roll(
-            4, self.G, _rolls(lambda i: 2 if i == 0 else self.G)
+            _rolls(lambda i: 2 if i == 0 else self.G)
         )
         assert len(kept) == 4
         assert 0 in kept.tolist()
@@ -241,36 +263,36 @@ class TestDynamicSampler:
         assert consumed == 6  # both rounds together visit every problem once
 
     def test_budget_error_when_nothing_keepable(self):
-        sampler = self._sampler(n=10, seed=4, retry_cap=3)
+        sampler = self._sampler(4, n=10, seed=4, dynamic_retry_cap=3)
         with pytest.raises(RolloutBudgetError):
-            sampler.select_and_roll(4, self.G, _rolls(lambda i: self.G))
+            sampler.select_and_roll(_rolls(lambda i: self.G))
 
     def test_extra_counts_from_roll_round_detected(self):
         # One count too many or one too few: a round is one count per candidate.
         for extra in (1, -1):
-            sampler = self._sampler(n=5, seed=5)
+            sampler = self._sampler(2, n=5, seed=5)
             with pytest.raises(ConsistencyError, match="pass counts for"):
-                sampler.select_and_roll(2, self.G, lambda indices: [2] * (len(indices) + extra))
+                sampler.select_and_roll(lambda indices: [2] * (len(indices) + extra))
             assert sampler.pending is None
 
     def test_oversample_factor_widens_rounds(self):
-        sampler = self._sampler(n=100, seed=6, oversample_factor=2.0)
+        sampler = self._sampler(10, n=100, seed=6, dynamic_oversample_factor=2.0)
         seen = []
 
         def roll_round(indices):
             seen.append(len(indices))
             return [2] * len(indices)
 
-        kept, _, consumed = sampler.select_and_roll(10, self.G, roll_round)
+        kept, _, consumed = sampler.select_and_roll(roll_round)
         assert len(kept) == 10
         assert seen == [20]
         assert consumed == 10  # the round stops at the candidate that fills the batch
 
     def test_bad_config(self):
         with pytest.raises(ConfigError):
-            self._sampler(retry_cap=0)
+            self._sampler(2, dynamic_retry_cap=0)
         with pytest.raises(ConfigError):
-            self._sampler(oversample_factor=0.5)
+            self._sampler(2, dynamic_oversample_factor=0.5)
 
 
 class TestReportOutcomes:
@@ -279,19 +301,19 @@ class TestReportOutcomes:
     # pass rates; prioritized is the baseline that reads them.
 
     def test_records_latest_pass_rate(self):
-        sampler = PrioritizedSampler(_bank(5), rng=np.random.default_rng(0))
-        sampler.select_batch(2)
+        sampler = _build(PrioritizedSampler, _bank(5), 2)
+        sampler.select_batch()
         first = sampler.pending.tolist()
         sampler.report([0.25, 0.5])
-        sampler.select_batch(1)
-        (second,) = sampler.pending.tolist()
-        sampler.report([0.75])
+        sampler.select_batch()
+        second = sampler.pending.tolist()
+        sampler.report([0.75, 1.0])
         want = [math.nan] * 5
-        for i, rate in [*zip(first, [0.25, 0.5]), (second, 0.75)]:
+        for i, rate in [*zip(first, [0.25, 0.5]), *zip(second, [0.75, 1.0])]:
             want[i] = rate
         assert sampler.state_dict()["last_pass_rate"] == encode_array(want, "<f8")
         last = sampler.last_pass_rates
-        assert last[second] == 0.75
+        assert last[second].tolist() == [0.75, 1.0]
         assert np.isnan(last[[i for i in range(5) if math.isnan(want[i])]]).all()
 
 
@@ -299,21 +321,19 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "factory",
         [
-            lambda bank: RandomSampler(bank, rng=np.random.default_rng(10)),
-            lambda bank: CurriculumSampler(
-                bank, rng=np.random.default_rng(10), switch_step=2
-            ),
-            lambda bank: PrioritizedSampler(bank, rng=np.random.default_rng(10)),
-            lambda bank: DynamicSampler(bank, rng=np.random.default_rng(10)),
+            lambda bank: _build(RandomSampler, bank, 4, seed=10),
+            lambda bank: _build(CurriculumSampler, bank, 4, seed=10, curriculum_switch_step=2),
+            lambda bank: _build(PrioritizedSampler, bank, 4, seed=10),
+            lambda bank: _build(DynamicSampler, bank, 4, seed=10),
         ],
     )
     def test_round_trip_preserves_behavior(self, factory):
         sampler = factory(_bank(15))
-        sampler.select_and_roll(4, 4, _rolls(lambda i: 2))
+        sampler.select_and_roll(_rolls(lambda i: 2))
         sampler.report([0.5] * 4)
         clone = factory(_bank(15))
         clone.load_state_dict(sampler.state_dict())
         assert clone.state_dict() == sampler.state_dict()
-        want_batch, *want = sampler.select_and_roll(4, 4, _rolls(lambda i: 2))
-        got_batch, *got = clone.select_and_roll(4, 4, _rolls(lambda i: 2))
+        want_batch, *want = sampler.select_and_roll(_rolls(lambda i: 2))
+        got_batch, *got = clone.select_and_roll(_rolls(lambda i: 2))
         assert got_batch.tolist() == want_batch.tolist() and got == want

@@ -18,6 +18,10 @@ def _bank(ids, tag=None):
     return ProblemBank(ids, [tag] * len(ids), [0.0] * len(ids))
 
 
+def _rng():
+    return np.random.default_rng(0)
+
+
 def _seed(sampler, difficulties, t):
     """Start every estimate of ``sampler`` at ``difficulties`` with ``t`` visits."""
     state = sampler.state_dict()
@@ -27,10 +31,14 @@ def _seed(sampler, difficulties, t):
     return sampler
 
 
-def _fresh(difficulties, batch_size, seed=0, t=1, **kwargs):
-    sampler = CdasSampler(
-        _bank(difficulties), batch_size=batch_size, rng=np.random.default_rng(seed), **kwargs
-    )
+def _config(n, batch_size, **fields):
+    """A config for a bank of ``n`` problems and batches of ``batch_size``."""
+    return ExperimentConfig(n_problems=n, batch_size=batch_size, **fields)
+
+
+def _fresh(difficulties, batch_size, seed=0, t=1, **fields):
+    config = _config(len(difficulties), batch_size, **fields)
+    sampler = CdasSampler(config, _bank(difficulties), np.random.default_rng(seed))
     return _seed(sampler, difficulties, t)
 
 
@@ -47,7 +55,7 @@ SIX_PROBLEMS = {
 class TestSymmetricSelection:
     def test_six_problem_batch_splits_by_alignment(self):
         sampler = _fresh(SIX_PROBLEMS, batch_size=4, warmup=False)
-        batch = sampler.select_batch(4)
+        batch = sampler.select_batch()
         assert set(batch) == {"x1", "x2", "x3", "x4"}
         easier = {pid for pid in batch if SIX_PROBLEMS[pid] <= 0.0}
         harder = {pid for pid in batch if SIX_PROBLEMS[pid] > 0.0}
@@ -57,18 +65,18 @@ class TestSymmetricSelection:
     def test_bank_sized_batch_returns_everything(self):
         difficulties = {"a": -0.2, "b": -0.1, "c": 0.1, "d": 0.2}
         sampler = _fresh(difficulties, batch_size=4, warmup=False)
-        assert set(sampler.select_batch(4)) == set(difficulties)
+        assert set(sampler.select_batch()) == set(difficulties)
 
     def test_boundary_difficulty_counts_as_easier(self):
         sampler = _fresh({"a": 0.0, "b": 0.1, "c": 0.5}, batch_size=2, warmup=False)
-        batch = sampler.select_batch(2)
+        batch = sampler.select_batch()
         assert set(batch) == {"a", "b"}
 
     def test_backfill_when_everything_is_harder(self):
         sampler = _fresh(
             SIX_PROBLEMS, batch_size=4, warmup=False, initial_competence=-1.0
         )
-        batch = sampler.select_batch(4)
+        batch = sampler.select_batch()
         scored = sorted((alignment(-1.0, d), pid) for pid, d in SIX_PROBLEMS.items())
         assert set(batch) == {pid for _, pid in scored[:4]}
 
@@ -76,7 +84,7 @@ class TestSymmetricSelection:
         sampler = _fresh(
             SIX_PROBLEMS, batch_size=4, warmup=False, initial_competence=1.0
         )
-        batch = sampler.select_batch(4)
+        batch = sampler.select_batch()
         scored = sorted((alignment(1.0, d), pid) for pid, d in SIX_PROBLEMS.items())
         assert set(batch) == {pid for _, pid in scored[:4]}
 
@@ -86,18 +94,18 @@ class TestSymmetricSelection:
             batch_size=4,
             warmup=False,
         )
-        batch = sampler.select_batch(4)
+        batch = sampler.select_batch()
         assert set(batch) == {"q", "r", "k", "m"}
 
 
 class TestNonSymmetricSelection:
     def test_takes_globally_lowest_alignment(self):
         sampler = _fresh(SIX_PROBLEMS, batch_size=4, warmup=False, symmetric=False)
-        assert set(sampler.select_batch(4)) == {"x3", "x2", "x4", "x1"}
+        assert set(sampler.select_batch()) == {"x3", "x2", "x4", "x1"}
 
     def test_odd_batch_allowed(self):
         sampler = _fresh(SIX_PROBLEMS, batch_size=3, warmup=False, symmetric=False)
-        assert set(sampler.select_batch(3)) == {"x3", "x2", "x4"}
+        assert set(sampler.select_batch()) == {"x3", "x2", "x4"}
 
 
 class TestWarmup:
@@ -123,7 +131,7 @@ class TestWarmup:
         ]
         for want in expected:
             assert sampler.in_warmup()
-            batch = sampler.select_batch(2)
+            batch = sampler.select_batch()
             assert batch == want
             sampler.report([0.5] * len(batch))
         assert not sampler.in_warmup()
@@ -137,31 +145,31 @@ class TestWarmup:
         assert sampler.warmup_steps == 8
         rng = np.random.default_rng(99)
         for _ in range(sampler.warmup_steps):
-            batch = sampler.select_batch(batch_size)
+            batch = sampler.select_batch()
             sampler.report(rng.integers(0, 5, len(batch)) / 4.0)
         assert not sampler.in_warmup()
         assert min(record.t for record in sampler.records.values()) >= 1
 
     def test_reselection_before_report_is_stable(self):
         sampler = _fresh(SIX_PROBLEMS, batch_size=2, t=0)
-        assert sampler.select_batch(2) == sampler.select_batch(2)
+        assert sampler.select_batch() == sampler.select_batch()
 
 
 class TestReportOutcomes:
     def test_single_pass_outcome_from_fresh_state(self):
         difficulties = {f"x{i}": 0.0 for i in range(1, 6)}
         sampler = _fresh(difficulties, batch_size=1, t=0, warmup=False, symmetric=False)
-        batch = sampler.select_batch(1)
+        batch = sampler.select_batch()
         assert batch == ["x1"]  # all-zero alignments tie-break on id
         sampler.report([1.0])
-        assert sampler.record("x1").difficulty == -0.5
+        assert sampler.records["x1"].difficulty == -0.5
         assert sampler.competence_value == 0.5 / 5
         assert sampler.step == 1
 
     def test_matching_pass_rates_change_nothing_from_fresh_state(self):
         difficulties = {f"x{i}": 0.0 for i in range(1, 7)}
         sampler = _fresh(difficulties, batch_size=4, t=0, warmup=False)
-        batch = sampler.select_batch(4)
+        batch = sampler.select_batch()
         # sigmoid(C - D) = 0.5 everywhere, so s = 0.5 leaves d at zero.
         sampler.report([0.5] * len(batch))
         assert all(record.difficulty == 0.0 for record in sampler.records.values())
@@ -174,25 +182,27 @@ class TestReportOutcomes:
             warmup=False,
             symmetric=False,
         )
-        batch = sampler.select_batch(2)
+        batch = sampler.select_batch()
         assert set(batch) == {"a", "b"}
         sampler.report([0.75] * len(batch))
-        assert sampler.record("a").difficulty == sampler.record("b").difficulty
+        records = sampler.records
+        assert records["a"].difficulty == records["b"].difficulty
 
     def test_all_outcomes_score_against_pre_batch_competence(self):
         # Two problems with the same difficulty must update identically even
         # though folding the first outcome in eagerly would shift competence
         # before the second.
         sampler = _fresh({"a": 0.1, "b": 0.1}, batch_size=2, warmup=False)
-        sampler.select_batch(2)
+        sampler.select_batch()
         sampler.report([1.0, 1.0])
-        assert sampler.record("a").difficulty == sampler.record("b").difficulty
+        records = sampler.records
+        assert records["a"].difficulty == records["b"].difficulty
 
     def test_competence_is_negated_mean_difficulty(self):
         sampler = _fresh(SIX_PROBLEMS, batch_size=2, seed=3, t=0)
         rng = np.random.default_rng(8)
         for _ in range(6):
-            batch = sampler.select_batch(2)
+            batch = sampler.select_batch()
             sampler.report(rng.random(len(batch)))
         estimates = [record.difficulty for record in sampler.records.values()]
         assert sampler.competence_value == pytest.approx(-np.mean(estimates), abs=1e-12)
@@ -201,16 +211,16 @@ class TestReportOutcomes:
         # Reporting draws nothing either, so the state after it shows the rng.
         sampler = _fresh(SIX_PROBLEMS, batch_size=4, warmup=False)
         before = sampler.state_dict()["rng"]
-        sampler.select_batch(4)
+        sampler.select_batch()
         sampler.report([0.5] * 4)
         assert sampler.state_dict()["rng"] == before
 
 
 def _strategy_sampler(strategy):
     """A ``strategy`` sampler over SIX_PROBLEMS, built from the config."""
-    config = ExperimentConfig(batch_size=4, strategy=strategy, warmup=False)
+    config = _config(6, 4, rollouts=4, strategy=strategy, warmup=False)
     bank = _bank(SIX_PROBLEMS, tag=5)
-    sampler = SAMPLERS[strategy].from_config(config, bank, np.random.default_rng(0))
+    sampler = SAMPLERS[strategy](config, bank, np.random.default_rng(0))
     if isinstance(sampler, CdasSampler):
         _seed(sampler, SIX_PROBLEMS, t=1)
     return sampler
@@ -219,7 +229,7 @@ def _strategy_sampler(strategy):
 def _armed(strategy):
     """A ``strategy`` sampler with a batch of four pending, and that batch's ids."""
     sampler = _strategy_sampler(strategy)
-    batch, _, _ = sampler.select_and_roll(4, 4, lambda indices: [2] * len(indices))
+    batch, _, _ = sampler.select_and_roll(lambda indices: [2] * len(indices))
     return sampler, [sampler.bank.ids[i] for i in batch]
 
 
@@ -253,7 +263,7 @@ class TestIndexConsistencyChecks:
             sampler = _strategy_sampler(strategy)
             saved = sampler.state_dict()
             assert sampler.pending is None, strategy
-            batch, _, _ = sampler.select_and_roll(4, 4, lambda indices: [2] * len(indices))
+            batch, _, _ = sampler.select_and_roll(lambda indices: [2] * len(indices))
             assert batch is sampler.pending, strategy
             sampler.load_state_dict(saved)
             assert sampler.pending is None, strategy
@@ -334,7 +344,7 @@ def test_bad_counts_from_roll_round_refused(case):
     for strategy in STRATEGIES:
         sampler = _strategy_sampler(strategy)
         with pytest.raises(ConsistencyError, match=match):
-            sampler.select_and_roll(4, 4, lambda indices: counts)
+            sampler.select_and_roll(lambda indices: counts)
         assert sampler.pending is None, strategy
         assert sampler.step == 0, strategy
         assert sampler.state_dict()["step"] == 0, strategy
@@ -346,39 +356,39 @@ def test_bad_counts_from_roll_round_refused(case):
 def test_refused_roll_counts_no_fallback(strategy):
     # Zero-weight unseen problems force a uniform fallback on the first batch;
     # it is counted only once a batch is held.
-    config = ExperimentConfig(
-        batch_size=4, strategy=strategy, warmup=False, prioritized_initial_weight=0.0
+    config = _config(
+        6, 4, rollouts=4, strategy=strategy, warmup=False, prioritized_initial_weight=0.0
     )
     bank = _bank(SIX_PROBLEMS, tag=5)
-    sampler = SAMPLERS[strategy].from_config(config, bank, np.random.default_rng(0))
+    sampler = SAMPLERS[strategy](config, bank, np.random.default_rng(0))
     with pytest.raises(ConsistencyError):
-        sampler.select_and_roll(4, 4, lambda indices: [2] * 3)
+        sampler.select_and_roll(lambda indices: [2] * 3)
     assert sampler.uniform_fallbacks == 0
     assert sampler.pending is None
-    sampler.select_and_roll(4, 4, lambda indices: [2] * 4)
+    sampler.select_and_roll(lambda indices: [2] * 4)
     assert sampler.uniform_fallbacks == 1
 
 
 @pytest.mark.parametrize("strategy", ["cdas", "random", "curriculum", "prioritized"])
 def test_select_and_roll_is_select_batch_then_one_rollout(strategy):
     """The shared ``select_and_roll``: ``select_batch``, then one ``pass_counts`` call."""
-    config = ExperimentConfig(n_problems=40, batch_size=8, strategy=strategy, total_steps=6)
+    config = _config(40, 8, rollouts=4, strategy=strategy, total_steps=6)
     bank = generate_bank(config.n_problems, np.random.default_rng(3))
 
     def side(seed):
-        sampler = SAMPLERS[strategy].from_config(config, bank, np.random.default_rng(seed))
-        learner = SyntheticLearner(ability=0.0, rng=np.random.default_rng(seed + 1), rollouts=4)
+        sampler = SAMPLERS[strategy](config, bank, np.random.default_rng(seed))
+        learner = SyntheticLearner(
+            ability=0.0, rng=np.random.default_rng(seed + 1), rollouts=config.rollouts
+        )
         return sampler, learner
 
     rolled, rolled_learner = side(5)
     plain, plain_learner = side(5)
     for _ in range(config.total_steps):
         got = rolled.select_and_roll(
-            config.batch_size,
-            rolled_learner.rollouts,
-            lambda indices: rolled_learner.pass_counts(bank.latent[indices]),
+            lambda indices: rolled_learner.pass_counts(bank.latent[indices])
         )
-        ids = plain.select_batch(config.batch_size)
+        ids = plain.select_batch()
         counts = plain_learner.pass_counts(bank.latent[plain.pending])
         batch, *rest = got
         assert batch is rolled.pending
@@ -395,7 +405,7 @@ def test_select_and_roll_is_select_batch_then_one_rollout(strategy):
 def test_select_and_roll_refuses_counts_for_another_batch_size():
     sampler = _strategy_sampler("random")
     with pytest.raises(ConsistencyError, match="3 pass counts for 4 problems"):
-        sampler.select_and_roll(4, 4, lambda indices: [2] * 3)
+        sampler.select_and_roll(lambda indices: [2] * 3)
 
 
 def test_dynamic_select_batch_points_to_select_and_roll():
@@ -404,7 +414,7 @@ def test_dynamic_select_batch_points_to_select_and_roll():
     sampler = _strategy_sampler("dynamic")
     before = sampler.state_dict()
     with pytest.raises(ConsistencyError, match="select_and_roll"):
-        sampler.select_batch(4)
+        sampler.select_batch()
     assert sampler.state_dict() == before
     with pytest.raises(ConsistencyError, match="no batch outstanding"):
         sampler.report([0.5] * 4)
@@ -412,29 +422,18 @@ def test_dynamic_select_batch_points_to_select_and_roll():
 
 class TestConfigChecks:
     def test_batch_bounds(self):
-        sampler = _fresh(SIX_PROBLEMS, batch_size=4)
-        with pytest.raises(ConfigError):
-            sampler.select_batch(0)
-        with pytest.raises(ConfigError):
-            sampler.select_batch(8)
+        with pytest.raises(ConfigError, match="batch_size: must be >= 1, got 0"):
+            _fresh(SIX_PROBLEMS, batch_size=0)
+        # The config allows 8 of its 2000 problems; the bank holds six.
+        with pytest.raises(ConfigError, match=r"must not exceed bank size \(8 > 6\)"):
+            CdasSampler(ExperimentConfig(batch_size=8), _bank(SIX_PROBLEMS), _rng())
 
     def test_odd_symmetric_batch(self):
         with pytest.raises(ConfigError):
             _fresh(SIX_PROBLEMS, batch_size=3)
-
-    def test_a_batch_of_another_size_refused(self):
-        # Warm-up lasts the steps the built size needs to cover the bank, so
-        # batches of 2 on a sampler built for 4 would end it with 6 of 10 visited.
-        sampler = CdasSampler(_bank("abcdefghij"), 4, np.random.default_rng(0))
-
-        def select_and_roll(size):
-            return sampler.select_and_roll(size, 4, lambda indices: [2] * len(indices))
-
-        for select in (sampler.select_batch, select_and_roll):
-            with pytest.raises(ConfigError, match="built for batches of 4, got 2"):
-                select(2)
-        assert sampler.pending is None
-        assert sampler.step == 0
+        # validate checks the batch only for a cdas config; the sampler always does.
+        with pytest.raises(ConfigError, match="symmetric mode needs an even batch, got 3"):
+            CdasSampler(_config(6, 3, strategy="random"), _bank(SIX_PROBLEMS), _rng())
 
     # The bank refuses these before any sampler is built on it.
     def test_empty_bank(self):
@@ -447,15 +446,15 @@ class TestConfigChecks:
 
     def test_non_finite_initial_difficulty(self):
         with pytest.raises(ConfigError, match="initial_difficulty"):
-            CdasSampler(_bank("ab"), 2, np.random.default_rng(0), initial_difficulty=math.inf)
+            CdasSampler(_config(2, 2, initial_difficulty=math.inf), _bank("ab"), _rng())
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_initial_competence(self, value):
         with pytest.raises(ConfigError, match="initial_competence: must be finite"):
-            CdasSampler(_bank("ab"), 2, np.random.default_rng(0), initial_competence=value)
+            CdasSampler(_config(2, 2, initial_competence=value), _bank("ab"), _rng())
 
     def test_initial_difficulty_seeds_every_estimate(self):
-        sampler = CdasSampler(_bank("abcd"), 2, np.random.default_rng(0), initial_difficulty=-0.5)
+        sampler = CdasSampler(_config(4, 2, initial_difficulty=-0.5), _bank("abcd"), _rng())
         assert sampler.state_arrays()["t"].tolist() == [0, 0, 0, 0]
         assert sampler.estimates.tolist() == [-0.5] * 4
 
@@ -469,7 +468,7 @@ class TestBatchInvariants:
         for step in range(30):
             competence = sampler.competence_value
             records = sampler.records
-            batch = sampler.select_batch(batch_size)
+            batch = sampler.select_batch()
             assert len(batch) == len(set(batch)) == batch_size
             if not sampler.in_warmup():
                 harder_pool = sum(1 for r in records.values() if r.difficulty > competence)
@@ -499,7 +498,7 @@ class TestBatchInvariants:
             rng = np.random.default_rng(1234)
             batches = []
             for _ in range(8):
-                batch = sampler.select_batch(2)
+                batch = sampler.select_batch()
                 batches.append(batch)
                 sampler.report(rng.integers(0, 3, len(batch)) / 2.0)
             return batches, sampler.state_dict()
@@ -513,7 +512,7 @@ class TestBatchInvariants:
 class TestSerialization:
     def test_round_trip_is_identity_on_state(self):
         sampler = _fresh(SIX_PROBLEMS, batch_size=4, t=0)
-        batch = sampler.select_batch(4)
+        batch = sampler.select_batch()
         sampler.report([0.25] * len(batch))
         payload = sampler.state_dict()
         clone = _fresh(SIX_PROBLEMS, batch_size=4, t=0)
@@ -555,7 +554,7 @@ class TestSerialization:
     )
     def test_malformed_estimates_refused(self, field, value, match):
         sampler = _fresh(SIX_PROBLEMS, batch_size=4, t=0)
-        sampler.select_batch(4)
+        sampler.select_batch()
         sampler.report([0.5] * 4)
         payload = sampler.state_dict()
         payload[field] = value
@@ -638,16 +637,15 @@ class TestSerialization:
 class TestRecordViews:
     def test_records_hand_out_plain_detached_values(self):
         sampler = _fresh(SIX_PROBLEMS, batch_size=4, t=0, warmup=False)
-        batch = sampler.select_batch(4)
+        batch = sampler.select_batch()
         sampler.report([0.25] * len(batch))
         before = sampler.state_dict()
         records = sampler.records
-        for record in [*records.values(), sampler.record(batch[0])]:
+        for record in records.values():
             assert type(record.t) is int and type(record.difficulty) is float
-        assert records[batch[0]] == sampler.record(batch[0])
         records[batch[0]] = ProblemRecord(id=batch[0], t=99, difficulty=0.9)
         del records[batch[1]]
-        assert sampler.record(batch[0]).t == 1
+        assert sampler.records[batch[0]].t == 1
         assert set(sampler.records) == set(SIX_PROBLEMS)
         assert sampler.state_dict() == before
 
@@ -656,4 +654,4 @@ class TestRecordViews:
         ids = ["x5", "x1", "x6"]
         at = [sampler.bank.index[pid] for pid in ids]
         assert sampler.estimates[at].tolist() == [SIX_PROBLEMS[pid] for pid in ids]
-        assert [sampler.record(pid).difficulty for pid in ids] == sampler.estimates[at].tolist()
+        assert [sampler.records[pid].difficulty for pid in ids] == sampler.estimates[at].tolist()

@@ -10,8 +10,8 @@ import pytest
 
 from cdas import cli
 from cdas.baselines import CurriculumSampler, DynamicSampler, PrioritizedSampler
-from cdas.config import ExperimentConfig
-from cdas.errors import FIELD_RULES, ConfigError
+from cdas.config import SAMPLERS, STRATEGIES, ExperimentConfig
+from cdas.errors import FIELD_RULES, ConfigError, ConsistencyError
 from cdas.learner import SyntheticLearner, generate_bank
 from cdas.sampling import CdasSampler
 
@@ -198,13 +198,24 @@ def _bank_generate(**flags):
     return cli._cmd_bank_generate(argparse.Namespace(**{**vars(args), **flags}))
 
 
+def _sampler(cls, **fields):
+    """``cls(config, BANK, rng)`` for a config of batches of 2 with ``fields`` set."""
+    config = ExperimentConfig(
+        **{"n_problems": len(BANK), "batch_size": 2, "strategy": cls.strategy, **fields}
+    )
+    return cls(config, BANK, _rng())
+
+
 # Field -> each constructor (or command) that takes it, given the value.
+# A sampler takes the whole config, so its consumers set the one field.
 CONSUMERS = {
     "n_problems": [lambda v: generate_bank(v, _rng()), lambda v: _bank_generate(n=v)],
-    "batch_size": [lambda v: CdasSampler(BANK, v, _rng())],
-    "rollouts": [lambda v: SyntheticLearner(0.0, _rng(), rollouts=v)],
-    # Only the harness's step loop reads it, after validate.
-    "total_steps": [],
+    "batch_size": [lambda v: _sampler(CdasSampler, batch_size=v)],
+    "rollouts": [
+        lambda v: SyntheticLearner(0.0, _rng(), rollouts=v),
+        lambda v: _sampler(CdasSampler, rollouts=v),
+    ],
+    "total_steps": [lambda v: _sampler(CurriculumSampler, total_steps=v)],
     "seed": [lambda v: _bank_generate(seed=v)],
     "discrimination": [lambda v: SyntheticLearner(0.0, _rng(), discrimination=v)],
     "learn_rate": [lambda v: SyntheticLearner(0.0, _rng(), learn_rate=v)],
@@ -218,15 +229,17 @@ CONSUMERS = {
         lambda v: generate_bank(10, _rng(), mode="levels", level_spread=v),
         lambda v: _bank_generate(mode="levels", level_spread=v),
     ],
-    "initial_difficulty": [lambda v: CdasSampler(BANK, 2, _rng(), initial_difficulty=v)],
-    "initial_competence": [lambda v: CdasSampler(BANK, 2, _rng(), initial_competence=v)],
-    "curriculum_switch_step": [lambda v: CurriculumSampler(BANK, _rng(), switch_step=v)],
-    "curriculum_threshold": [
-        lambda v: CurriculumSampler(BANK, _rng(), switch_step=0, threshold=v)
+    "initial_difficulty": [lambda v: _sampler(CdasSampler, initial_difficulty=v)],
+    "initial_competence": [lambda v: _sampler(CdasSampler, initial_competence=v)],
+    "curriculum_switch_step": [lambda v: _sampler(CurriculumSampler, curriculum_switch_step=v)],
+    "curriculum_threshold": [lambda v: _sampler(CurriculumSampler, curriculum_threshold=v)],
+    "prioritized_initial_weight": [
+        lambda v: _sampler(PrioritizedSampler, prioritized_initial_weight=v)
     ],
-    "prioritized_initial_weight": [lambda v: PrioritizedSampler(BANK, _rng(), initial_weight=v)],
-    "dynamic_retry_cap": [lambda v: DynamicSampler(BANK, _rng(), retry_cap=v)],
-    "dynamic_oversample_factor": [lambda v: DynamicSampler(BANK, _rng(), oversample_factor=v)],
+    "dynamic_retry_cap": [lambda v: _sampler(DynamicSampler, dynamic_retry_cap=v)],
+    "dynamic_oversample_factor": [
+        lambda v: _sampler(DynamicSampler, dynamic_oversample_factor=v)
+    ],
 }
 
 
@@ -242,12 +255,10 @@ class TestFieldRules:
     def test_every_rule_has_bad_values_and_consumers(self):
         assert set(BAD_VALUES) == set(FIELD_RULES) == set(CONSUMERS)
 
-    @pytest.mark.parametrize(
-        "field,value", [("learn_rate", "0.1"), ("curriculum_switch_step", None)]
-    )
+    @pytest.mark.parametrize("field,value", [("learn_rate", "0.1"), ("bank_scale", None)])
     def test_consumers_refuse_a_value_the_rule_cannot_compare(self, field, value):
-        # validate names the wrong type; a constructor, which checks no
-        # types, refuses the value as out of range.
+        # validate names the wrong type; a constructor that takes the field
+        # alone checks no types and refuses the value as out of range.
         for consume in CONSUMERS[field]:
             with pytest.raises(ConfigError) as refused:
                 consume(value)
@@ -270,3 +281,36 @@ class TestFieldRules:
                 consume(value)
             assert str(refused.value) == message
         assert not list(tmp_path.iterdir())
+
+
+# Configs validate refuses for more than a field's range: a wrong type, an
+# unknown strategy, a batch larger than the bank the config describes.
+REFUSED_CONFIGS = [
+    *({field: value} for field, values in BAD_VALUES.items() for value in values),
+    {"learn_rate": "0.1"},
+    {"curriculum_switch_step": 1.5},
+    {"symmetric": "no"},
+    {"strategy": "greedy"},
+    {"n_problems": 1},
+]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_every_sampler_takes_its_sizes_and_refusals_from_the_config(strategy):
+    cls = SAMPLERS[strategy]
+    for fields in REFUSED_CONFIGS:
+        config = ExperimentConfig(**{"n_problems": 20, "batch_size": 2, **fields})
+        with pytest.raises(ConfigError) as by_validate:
+            config.validate()
+        with pytest.raises(ConfigError) as by_sampler:
+            cls(config, BANK, _rng())
+        assert str(by_sampler.value) == str(by_validate.value), fields
+
+    config = ExperimentConfig(n_problems=20, batch_size=2, rollouts=3, strategy=strategy)
+    sampler = cls(config, BANK, _rng())
+    assert (sampler.batch_size, sampler.group_size) == (2, 3)
+    with pytest.raises(ConsistencyError, match=r"pass count 4 for candidate 0; .* \[0, 3\]"):
+        sampler.select_and_roll(lambda indices: [config.rollouts + 1] * len(indices))
+    assert sampler.pending is None
+    batch, counts, consumed = sampler.select_and_roll(lambda indices: [1] * len(indices))
+    assert (len(batch), counts, consumed) == (2, [1, 1], 2)

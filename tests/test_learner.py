@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdas import learner
+from cdas.config import ExperimentConfig
 from cdas.errors import ConfigError
 from cdas.learner import (
     BANK_FORMAT_VERSION,
@@ -238,7 +239,8 @@ class TestGenerateBank:
         # The bank holds no scheduler state; a CDAS sampler on it starts every
         # problem at t = 0 with the configured initial difficulty.
         bank = generate_bank(5, np.random.default_rng(4))
-        sampler = CdasSampler(bank, 2, np.random.default_rng(0), initial_difficulty=0.25)
+        config = ExperimentConfig(n_problems=5, batch_size=2, initial_difficulty=0.25)
+        sampler = CdasSampler(config, bank, np.random.default_rng(0))
         assert all(record.t == 0 for record in sampler.records.values())
         assert all(record.difficulty == 0.25 for record in sampler.records.values())
 
@@ -322,9 +324,11 @@ class TestBankContainer:
     def test_hash_ignores_scheduler_state(self):
         bank = generate_bank(8, np.random.default_rng(5))
         before = bank.content_hash()
-        sampler = CdasSampler(bank, 4, np.random.default_rng(0))
+        sampler = CdasSampler(
+            ExperimentConfig(n_problems=8, batch_size=4), bank, np.random.default_rng(0)
+        )
         for _ in range(3):
-            batch = sampler.select_batch(4)
+            batch = sampler.select_batch()
             sampler.report([0.25] * len(batch))
         assert bank.content_hash() == before
 

@@ -12,6 +12,7 @@ from cdas.metrics import (
     write_metrics_csv,
 )
 from cdas.baselines import RandomSampler
+from cdas.config import ExperimentConfig
 from cdas.learner import ProblemBank
 from cdas.sampling import CdasSampler
 
@@ -48,14 +49,15 @@ def _bank(n):
     return ProblemBank([f"p{i:03d}" for i in range(n)], [None] * n, [0.0] * n)
 
 
-def _random_sampler(n=6):
-    return RandomSampler(_bank(n), rng=np.random.default_rng(0))
+def _random_sampler(n=6, batch_size=1):
+    config = ExperimentConfig(n_problems=n, batch_size=batch_size, strategy="random")
+    return RandomSampler(config, _bank(n), np.random.default_rng(0))
 
 
 class TestSummarizeStep:
     def test_mean_reward_and_zero_gradient_fraction(self):
-        sampler = _random_sampler(n=4)
-        groups = _groups_with_rates([0.0, 0.5, 1.0, 0.25], ids=sampler.select_batch(4))
+        sampler = _random_sampler(n=4, batch_size=4)
+        groups = _groups_with_rates([0.0, 0.5, 1.0, 0.25], ids=sampler.select_batch())
         sampler.report([g.pass_rate for g in groups])
         metrics = summarize_step(*_columns(groups, sampler.bank), sampler, _StubLearner(0.7))
         assert metrics.mean_reward == pytest.approx(0.4375, abs=1e-15)
@@ -72,8 +74,9 @@ class TestSummarizeStep:
         assert metrics.mean_sampled_difficulty is None
 
     def test_alignment_sampler_fills_model_columns(self):
-        sampler = CdasSampler(_bank(4), batch_size=2, rng=np.random.default_rng(1))
-        batch = sampler.select_batch(2)
+        config = ExperimentConfig(n_problems=4, batch_size=2)
+        sampler = CdasSampler(config, _bank(4), np.random.default_rng(1))
+        batch = sampler.select_batch()
         sampler.report([1.0] * len(batch))
         groups = [_group(pid, [1.0, 1.0, 1.0, 1.0]) for pid in batch]
         metrics = summarize_step(*_columns(groups, sampler.bank), sampler, _StubLearner(0.1))

@@ -222,7 +222,10 @@ STATE_ESTIMATES = st.one_of(st.sampled_from([-0.0, 5e-324, 1e300, -1e300]), EDGE
     estimates=st.lists(STATE_ESTIMATES, min_size=1, max_size=12),
 )
 def test_state_survives_json_bit_for_bit(strategy, n, step, rates, counts, estimates):
-    config = ExperimentConfig(n_problems=n, batch_size=1, symmetric=False, strategy=strategy)
+    # Threshold 1: every problem is one a curriculum can switch to.
+    config = ExperimentConfig(
+        n_problems=n, batch_size=1, symmetric=False, strategy=strategy, curriculum_threshold=1
+    )
     bank = ProblemBank([f"p{i}" for i in range(n)], [1] * n, [0.0] * n)
 
     def sampler():

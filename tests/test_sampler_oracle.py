@@ -17,6 +17,7 @@ from cdas.core import (
     update_competence,
     update_difficulty,
 )
+from cdas.config import ExperimentConfig
 from cdas.files import encode_array
 from cdas.learner import ProblemBank
 from cdas.sampling import CdasSampler
@@ -99,13 +100,14 @@ def _bits(values):
     return [float(v).hex() for v in values]
 
 
-def _sampler(records, competence, **kwargs):
+def _sampler(records, competence, **fields):
     """A post-warm-up CdasSampler starting from the records' ``t`` and ``difficulty``."""
     ids = [record.id for record in records]
     bank = ProblemBank(ids, [None] * len(ids), [0.0] * len(ids))
-    sampler = CdasSampler(
-        bank, rng=np.random.default_rng(0), warmup=False, initial_competence=competence, **kwargs
+    config = ExperimentConfig(
+        n_problems=len(ids), warmup=False, initial_competence=competence, **fields
     )
+    sampler = CdasSampler(config, bank, np.random.default_rng(0))
     state = sampler.state_dict()
     state["t"] = encode_array([record.t for record in records], "<i8")
     state["difficulty"] = encode_array([record.difficulty for record in records], "<f8")
@@ -120,7 +122,7 @@ def test_array_sampler_matches_the_scalar_reference(scenario):
     sampler = _sampler(records, competence, batch_size=batch_size, symmetric=symmetric)
     reference = ScalarCdas(records, symmetric, competence)
     for step, rates in enumerate(rounds, start=1):
-        batch = sampler.select_batch(batch_size)
+        batch = sampler.select_batch()
         assert batch == reference.select(batch_size), step
         outcomes = list(zip(batch, rates))
         sampler.report(rates)
