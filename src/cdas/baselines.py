@@ -39,7 +39,8 @@ class CurriculumSampler(BaselineSampler):
 
     The constructor refuses a bank with too few problems at or above
     ``config.curriculum_threshold`` to fill a batch, unless the switch comes
-    only after ``config.total_steps``.
+    only after ``config.total_steps``; then a batch chosen after the switch
+    is refused instead.
     """
 
     strategy = "curriculum"
@@ -57,7 +58,12 @@ class CurriculumSampler(BaselineSampler):
         # Bank indices of the problems at or above the threshold level.
         tags = np.fromiter(bank.level_tags, dtype=np.int64, count=len(bank))
         self._eligible = np.flatnonzero(tags >= self.threshold)
-        if self.switch_step < config.total_steps and self.batch_size > len(self._eligible):
+        if self.switch_step < config.total_steps:
+            self._check_pool()
+
+    def _check_pool(self) -> None:
+        """Refuse a batch larger than the pool of problems at or above the threshold."""
+        if self.batch_size > len(self._eligible):
             raise ConfigError(
                 f"batch_size: only {len(self._eligible)} problems at level >= "
                 f"{self.threshold}, need {self.batch_size}"
@@ -66,6 +72,9 @@ class CurriculumSampler(BaselineSampler):
     def _choose(self) -> np.ndarray:
         if self._step < self.switch_step:
             return self._uniform_batch()
+        # A run whose switch comes only after its last step builds with a
+        # short pool; stepping past that run's end is refused here.
+        self._check_pool()
         chosen = self._rng.choice(len(self._eligible), size=self.batch_size, replace=False)
         return self._eligible[chosen]
 

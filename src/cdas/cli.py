@@ -14,13 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import BANK_MODES, STRATEGIES, ExperimentConfig
-from .errors import (
-    ConfigError,
-    ConsistencyError,
-    ConvergenceError,
-    RolloutBudgetError,
-    check_field,
-)
+from .errors import ConfigError, ConsistencyError, ConvergenceError, RolloutBudgetError
 from .files import read_json, replacing
 from .fixed_point import EquilibriumProblem, solve, write_trajectory_csv
 from .harness import (
@@ -171,15 +165,17 @@ def _cmd_fixed_point(args: argparse.Namespace) -> int:
 
 
 def _cmd_bank_generate(args: argparse.Namespace) -> int:
-    check_field("seed", args.seed)
-    bank_rng, _, _ = _spawned_rngs(args.seed)
-    bank = generate_bank(
-        args.n,
-        bank_rng,
-        mode=args.mode,
-        scale=args.scale,
-        level_spread=args.level_spread,
+    # A run's config, so that a bank written with seed k is the bank a run with seed k draws.
+    config = ExperimentConfig().with_overrides(
+        n_problems=args.n,
+        seed=args.seed,
+        bank_mode=args.mode,
+        bank_scale=args.scale,
+        bank_level_spread=args.level_spread,
     )
+    config.validate()
+    bank_rng, _, _ = _spawned_rngs(config.seed)
+    bank = generate_bank(config, bank_rng)
     save_bank(bank, args.out)
     print(f"bank of {len(bank)} problems written to {args.out} (hash {bank.content_hash()[:12]})")
     return 0
@@ -245,13 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
     bank_p = sub.add_parser("bank", help="generate or inspect problem banks")
     bank_sub = bank_p.add_subparsers(dest="bank_command", required=True)
     gen_p = bank_sub.add_parser("generate", help="draw a bank and write it as JSON")
-    # A run's defaults, so that a bank written with seed k is the bank a run with seed k draws.
-    defaults = ExperimentConfig()
-    gen_p.add_argument("--n", type=int, default=defaults.n_problems)
-    gen_p.add_argument("--seed", type=int, default=defaults.seed)
-    gen_p.add_argument("--mode", choices=BANK_MODES, default=defaults.bank_mode)
-    gen_p.add_argument("--scale", type=float, default=defaults.bank_scale)
-    gen_p.add_argument("--level-spread", type=float, default=defaults.bank_level_spread)
+    # Each flag left unset keeps the value of a run's default config.
+    gen_p.add_argument("--n", type=int)
+    gen_p.add_argument("--seed", type=int)
+    gen_p.add_argument("--mode", choices=BANK_MODES)
+    gen_p.add_argument("--scale", type=float)
+    gen_p.add_argument("--level-spread", type=float)
     gen_p.add_argument("--out", required=True, metavar="PATH")
     gen_p.set_defaults(func=_cmd_bank_generate)
     ins_p = bank_sub.add_parser("inspect", help="summarize a bank file")

@@ -58,6 +58,12 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def validate(self) -> None:
+        """Refuse a field of the wrong type or outside its range, or an unknown strategy.
+
+        A rule that ties a field to the bank or to the strategy is checked
+        where it applies: ``Sampler`` refuses a batch larger than its bank and
+        ``CdasSampler`` an odd symmetric batch.
+        """
         for name, value in vars(self).items():
             # By exact type: bool is an int subclass, and a JSON config can
             # hold a string or a fraction where a number or a flag belongs.
@@ -70,15 +76,6 @@ class ExperimentConfig:
                 check_field(name, value)
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy: must be one of {STRATEGIES}, got {self.strategy!r}")
-        if self.bank_path is None and self.batch_size > self.n_problems:
-            raise ConfigError(
-                f"batch_size: must not exceed n_problems "
-                f"({self.batch_size} > {self.n_problems})"
-            )
-        if self.strategy == CdasSampler.strategy and self.symmetric and self.batch_size % 2 != 0:
-            raise ConfigError(
-                f"batch_size: symmetric mode needs an even batch, got {self.batch_size}"
-            )
 
     @property
     def resolved_curriculum_switch_step(self) -> int:

@@ -41,9 +41,9 @@ _FINITE = ("finite", math.isfinite)
 _POSITIVE = ("finite and > 0", lambda value: 0.0 < value < math.inf)
 
 # Config field -> (requirement, predicate): the one statement of each field's
-# range, checked by ExperimentConfig.validate and by every constructor that
-# takes the field.  Only validate names a wrong type; a constructor refuses a
-# value its predicate cannot compare as out of range.
+# range, checked by ExperimentConfig.validate.  Every object a run builds
+# takes the whole config and validates it; only ProblemBank checks a field on
+# its own, the mode a bank file names.
 FIELD_RULES: dict[str, tuple[str, Callable]] = {
     "n_problems": _at_least(1),
     "batch_size": _at_least(1),
@@ -69,9 +69,5 @@ FIELD_RULES: dict[str, tuple[str, Callable]] = {
 def check_field(name: str, value) -> None:
     """Refuse ``value`` for config field ``name`` unless it meets the field's rule."""
     requirement, holds = FIELD_RULES[name]
-    try:
-        ok = holds(value)
-    except TypeError:
-        ok = False
-    if not ok:
+    if not holds(value):
         raise ConfigError(f"{name}: must be {requirement}, got {value!r}")

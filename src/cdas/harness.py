@@ -27,7 +27,7 @@ from .config import SAMPLERS, ExperimentConfig
 from .core import LEVEL_TAGS
 from .errors import ConfigError
 from .files import decode_array, encode_array, read_json, replacing
-from .learner import ProblemBank, SyntheticLearner, default_ability, generate_bank, load_bank
+from .learner import ProblemBank, SyntheticLearner, generate_bank, load_bank
 from .metrics import (
     METRICS_COLUMNS,
     StepMetrics,
@@ -149,22 +149,8 @@ def _start(
     if config.bank_path is not None:
         bank = load_bank(config.bank_path)
     else:
-        bank = generate_bank(
-            config.n_problems,
-            bank_rng,
-            mode=config.bank_mode,
-            scale=config.bank_scale,
-            level_spread=config.bank_level_spread,
-        )
-    ability = config.ability_init if config.ability_init is not None else default_ability(bank)
-    learner = SyntheticLearner(
-        ability=ability,
-        rng=learner_rng,
-        discrimination=config.discrimination,
-        learn_rate=config.learn_rate,
-        rollouts=config.rollouts,
-    )
-    return bank, sampler_rng, learner
+        bank = generate_bank(config, bank_rng)
+    return bank, sampler_rng, SyntheticLearner(config, bank, learner_rng)
 
 
 def make_sampler(config: ExperimentConfig, bank: ProblemBank, rng: np.random.Generator) -> Sampler:

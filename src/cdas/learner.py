@@ -29,22 +29,21 @@ _ID_FORBIDDEN = ',;"\r\n'
 
 
 class SyntheticLearner:
-    def __init__(
-        self,
-        ability: float,
-        rng: np.random.Generator,
-        discrimination: float = 1.0,
-        learn_rate: float = 0.05,
-        rollouts: int = 8,
-    ):
-        check_field("ability_init", ability)
-        check_field("discrimination", discrimination)
-        check_field("learn_rate", learn_rate)
-        check_field("rollouts", rollouts)
-        self.ability = float(ability)
-        self.discrimination = float(discrimination)
-        self.learn_rate = float(learn_rate)
-        self.rollouts = int(rollouts)
+    """Built as ``SyntheticLearner(config, bank, rng)`` from an ``ExperimentConfig``.
+
+    The constructor refuses a config that ``validate`` refuses.  The config
+    sets the rollouts per group, the discrimination and the learn rate.  The
+    starting ability is ``config.ability_init``, or ``default_ability(bank)``
+    when that is None.
+    """
+
+    def __init__(self, config, bank: ProblemBank, rng: np.random.Generator):
+        config.validate()
+        ability = config.ability_init
+        self.ability = float(default_ability(bank) if ability is None else ability)
+        self.discrimination = float(config.discrimination)
+        self.learn_rate = float(config.learn_rate)
+        self.rollouts = config.rollouts
         self._rng = rng
 
     def success_probability(self, latent: float) -> float:
@@ -253,37 +252,30 @@ def _padded_ids(n: int, width: int) -> list[str]:
     return str(rows, "ascii").splitlines()
 
 
-def generate_bank(
-    n: int,
-    rng: np.random.Generator,
-    mode: str = "normal",
-    scale: float = 1.0,
-    level_spread: float = 2.0,
-) -> ProblemBank:
-    """Draw a problem bank.
+def generate_bank(config, rng: np.random.Generator) -> ProblemBank:
+    """Draw a bank of ``config.n_problems`` problems, refusing a config ``validate`` refuses.
 
-    ``normal`` mode draws latent difficulties from N(0, scale^2) and tags each
-    problem with its difficulty quintile (1 easiest .. 5 hardest).  ``levels``
-    mode draws tags uniformly and maps them to five equally spaced latent
-    values in [-level_spread, +level_spread].
+    ``normal`` mode (``config.bank_mode``) draws latent difficulties from
+    N(0, bank_scale^2) and tags each problem with its difficulty quintile
+    (1 easiest .. 5 hardest).  ``levels`` mode draws tags uniformly and maps
+    them to five equally spaced latent values in [-bank_level_spread,
+    +bank_level_spread].
     """
-    check_field("n_problems", n)
-    check_field("bank_mode", mode)
-    check_field("bank_scale", scale)
-    check_field("bank_level_spread", level_spread)
+    config.validate()
+    n, mode = config.n_problems, config.bank_mode
     width = max(5, len(str(n - 1)))
     if mode == "normal":
-        latent = rng.normal(0.0, scale, size=n)
+        latent = rng.normal(0.0, config.bank_scale, size=n)
         tags = _quintile_tags(latent)
     else:
         tags = rng.integers(1, 6, size=n)
-        latent = (tags - 3) * (level_spread / 2.0)
+        latent = (tags - 3) * (config.bank_level_spread / 2.0)
     return ProblemBank(_padded_ids(n, width), tags.tolist(), latent, mode=mode)
 
 
-def default_ability(bank: ProblemBank, percentile: float = 5.0) -> float:
-    """Starting ability: a low percentile of the bank's latent difficulties."""
-    return float(np.percentile(bank.latent, percentile))
+def default_ability(bank: ProblemBank) -> float:
+    """Starting ability: the 5th percentile of the bank's latent difficulties."""
+    return float(np.percentile(bank.latent, 5.0))
 
 
 def save_bank(bank: ProblemBank, path: str | Path) -> None:

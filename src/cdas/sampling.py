@@ -310,7 +310,7 @@ class CdasSampler(Sampler):
     def __init__(self, config, bank: ProblemBank, rng: np.random.Generator):
         super().__init__(config, bank, rng)
         self.symmetric = config.symmetric
-        # validate checks this only for a config whose strategy is cdas.
+        # A rule of this sampler, not of validate: any strategy's config may hold an odd batch.
         if self.symmetric and self.batch_size % 2 != 0:
             raise ConfigError(
                 f"batch_size: symmetric mode needs an even batch, got {self.batch_size}"

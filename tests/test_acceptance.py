@@ -31,7 +31,7 @@ from cdas.harness import (
     resume_experiment,
     run_experiment,
 )
-from cdas.learner import SyntheticLearner, default_ability, generate_bank
+from cdas.learner import SyntheticLearner, generate_bank
 from cdas.sampling import CdasSampler
 
 CONTRACTION_BOUND = 0.5 + 1e-9
@@ -208,13 +208,9 @@ def test_criterion_05_symmetric_batch_law(capsys):
     with criterion(capsys, 5, "post-warm-up batches split evenly and take best alignments") as out:
         config = ExperimentConfig()
         bank_ss, sampler_ss, learner_ss = np.random.SeedSequence(config.seed).spawn(3)
-        bank = generate_bank(config.n_problems, np.random.default_rng(bank_ss))
+        bank = generate_bank(config, np.random.default_rng(bank_ss))
         sampler = CdasSampler(config, bank, np.random.default_rng(sampler_ss))
-        learner = SyntheticLearner(
-            ability=default_ability(bank),
-            rng=np.random.default_rng(learner_ss),
-            rollouts=config.rollouts,
-        )
+        learner = SyntheticLearner(config, bank, np.random.default_rng(learner_ss))
         half = config.batch_size // 2
         checked = exact_splits = violations = 0
         for _ in range(config.total_steps):

@@ -145,7 +145,8 @@ G = 6
 
 
 def _learner(seed):
-    return SyntheticLearner(ability=0.0, rng=np.random.default_rng(seed), rollouts=G)
+    config = ExperimentConfig(rollouts=G, ability_init=0.0)
+    return SyntheticLearner(config, ProblemBank(["q"], [None], [0.0]), np.random.default_rng(seed))
 
 
 def _sequential_counts(learner, latents):

@@ -118,6 +118,18 @@ class TestCurriculumSampler:
         # A switch no step of the run reaches needs no eligible pool.
         _build(CurriculumSampler, _bank(25), 11, curriculum_switch_step=5, total_steps=5)
 
+    def test_batch_past_the_run_with_too_few_eligible_refused(self):
+        # Built because its switch comes only at the run's end; a sixth batch reaches it.
+        sampler = _build(CurriculumSampler, _bank(25), 11, curriculum_switch_step=5, total_steps=5)
+        for _ in range(5):
+            sampler.select_batch()
+            sampler.report([0.5] * 11)
+        before = sampler.state_dict()
+        with pytest.raises(ConfigError, match="only 10 problems at level >= 4, need 11"):
+            sampler.select_batch()
+        assert sampler.pending is None
+        assert sampler.state_dict() == before
+
     def test_run_with_too_few_eligible_refused_before_its_first_step(self, tmp_path, monkeypatch):
         # 40 of 100 problems reach level 4; the switch at step 75 needs 64.
         def no_rollouts(learner, latents):

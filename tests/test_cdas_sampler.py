@@ -373,12 +373,12 @@ def test_refused_roll_counts_no_fallback(strategy):
 def test_select_and_roll_is_select_batch_then_one_rollout(strategy):
     """The shared ``select_and_roll``: ``select_batch``, then one ``pass_counts`` call."""
     config = _config(40, 8, rollouts=4, strategy=strategy, total_steps=6)
-    bank = generate_bank(config.n_problems, np.random.default_rng(3))
+    bank = generate_bank(config, np.random.default_rng(3))
 
     def side(seed):
         sampler = SAMPLERS[strategy](config, bank, np.random.default_rng(seed))
         learner = SyntheticLearner(
-            ability=0.0, rng=np.random.default_rng(seed + 1), rollouts=config.rollouts
+            config.with_overrides(ability_init=0.0), bank, np.random.default_rng(seed + 1)
         )
         return sampler, learner
 
@@ -431,7 +431,7 @@ class TestConfigChecks:
     def test_odd_symmetric_batch(self):
         with pytest.raises(ConfigError):
             _fresh(SIX_PROBLEMS, batch_size=3)
-        # validate checks the batch only for a cdas config; the sampler always does.
+        # The sampler checks the batch, whatever strategy its config names.
         with pytest.raises(ConfigError, match="symmetric mode needs an even batch, got 3"):
             CdasSampler(_config(6, 3, strategy="random"), _bank(SIX_PROBLEMS), _rng())
 

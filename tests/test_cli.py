@@ -118,6 +118,8 @@ class TestRunCommand:
     def test_invalid_config_exits_2(self, capsys):
         assert main(["run", "--n-problems", "4", "--batch-size", "9"]) == 2
         assert "batch_size" in capsys.readouterr().err
+        assert main(["run", "--n-problems", "20", "--batch-size", "7"]) == 2
+        assert "batch_size: symmetric mode needs an even batch" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags",
@@ -440,16 +442,18 @@ class TestBankCommands:
 
     def test_generated_bank_matches_run_bank(self, tmp_path):
         # A bank written with seed k is the bank a run with seed k generates.
+        # 5 problems is fewer than a default batch, which only a run's sampler refuses.
         path = tmp_path / "bank.json"
-        main(["bank", "generate", "--n", "12", "--seed", "3", "--out", str(path)])
-        result = run_experiment(
-            ExperimentConfig(n_problems=12, batch_size=4, rollouts=4, total_steps=1, seed=3)
-        )
-        assert load_bank(path).content_hash() == result.bank_hash
+        for n in (12, 5):
+            assert main(["bank", "generate", "--n", str(n), "--seed", "3", "--out", str(path)]) == 0
+            result = run_experiment(
+                ExperimentConfig(n_problems=n, batch_size=4, rollouts=4, total_steps=1, seed=3)
+            )
+            assert load_bank(path).content_hash() == result.bank_hash
 
     def test_run_from_bank_file(self, tmp_path, capsys):
         path = tmp_path / "bank.json"
-        save_bank(generate_bank(20, np.random.default_rng(2)), path)
+        save_bank(generate_bank(ExperimentConfig(n_problems=20), np.random.default_rng(2)), path)
         out = tmp_path / "run"
         code = main(
             [
@@ -501,7 +505,7 @@ class TestBankCommands:
 
     def test_bank_with_an_unknown_mode_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bank.json"
-        save_bank(generate_bank(3, np.random.default_rng(0)), path)
+        save_bank(generate_bank(ExperimentConfig(n_problems=3), np.random.default_rng(0)), path)
         path.write_text(json.dumps({**json.loads(path.read_text()), "mode": ["x"]}))
         assert main(["bank", "inspect", str(path)]) == 2
         err = capsys.readouterr().err
@@ -509,7 +513,7 @@ class TestBankCommands:
 
     def test_corrupt_bank_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bank.json"
-        save_bank(generate_bank(10, np.random.default_rng(1)), path)
+        save_bank(generate_bank(ExperimentConfig(n_problems=10), np.random.default_rng(1)), path)
         payload = json.loads(path.read_text())
         payload["records"][0]["true_difficulty"] += 1.0
         path.write_text(json.dumps(payload))

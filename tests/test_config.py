@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 
@@ -71,19 +72,11 @@ class TestValidation:
         ExperimentConfig(learn_rate=1, ability_init=0, bank_scale=2).validate()
         ExperimentConfig(ability_init=None, curriculum_switch_step=None).validate()
 
-    def test_batch_cannot_exceed_generated_bank(self):
-        with pytest.raises(ConfigError, match="batch_size"):
-            ExperimentConfig(n_problems=10, batch_size=12).validate()
-
-    def test_batch_check_deferred_for_loaded_banks(self):
-        # With a bank file the real size is unknown until load time.
-        ExperimentConfig(n_problems=10, batch_size=12, bank_path="bank.json").validate()
-
-    def test_symmetric_batch_must_be_even(self):
-        with pytest.raises(ConfigError, match="batch_size"):
-            ExperimentConfig(batch_size=7).validate()
-        ExperimentConfig(batch_size=7, symmetric=False).validate()
-        ExperimentConfig(batch_size=7, strategy="random").validate()
+    def test_rules_between_fields_are_left_to_the_samplers(self):
+        # A batch larger than the bank, or an odd symmetric cdas batch, is
+        # refused when the sampler is built (see test_harness).
+        ExperimentConfig(n_problems=10, batch_size=12).validate()
+        ExperimentConfig(batch_size=7).validate()
 
 
 class TestCurriculumSwitch:
@@ -185,7 +178,7 @@ BAD_VALUES = {
     "dynamic_oversample_factor": [0.9, 0, math.nan, math.inf],
 }
 
-BANK = generate_bank(20, np.random.default_rng(0))
+BANK = generate_bank(ExperimentConfig(n_problems=20), np.random.default_rng(0))
 
 
 def _rng():
@@ -193,7 +186,7 @@ def _rng():
 
 
 def _bank_generate(**flags):
-    """``cdas bank generate`` with its defaults, ``flags`` replaced, writing bank.json."""
+    """``cdas bank generate`` with ``flags`` set and the rest unset, writing bank.json."""
     args = cli.build_parser().parse_args(["bank", "generate", "--out", "bank.json"])
     return cli._cmd_bank_generate(argparse.Namespace(**{**vars(args), **flags}))
 
@@ -206,27 +199,37 @@ def _sampler(cls, **fields):
     return cls(config, BANK, _rng())
 
 
+def _learner(**fields):
+    """``SyntheticLearner(config, BANK, rng)`` for a config with ``fields`` set."""
+    return SyntheticLearner(ExperimentConfig(**fields), BANK, _rng())
+
+
+def _bank(**fields):
+    """``generate_bank(config, rng)`` for a config of 10 problems with ``fields`` set."""
+    return generate_bank(ExperimentConfig(**{"n_problems": 10, **fields}), _rng())
+
+
 # Field -> each constructor (or command) that takes it, given the value.
-# A sampler takes the whole config, so its consumers set the one field.
+# Each takes the whole config, so its consumers set the one field.
 CONSUMERS = {
-    "n_problems": [lambda v: generate_bank(v, _rng()), lambda v: _bank_generate(n=v)],
+    "n_problems": [lambda v: _bank(n_problems=v), lambda v: _bank_generate(n=v)],
     "batch_size": [lambda v: _sampler(CdasSampler, batch_size=v)],
     "rollouts": [
-        lambda v: SyntheticLearner(0.0, _rng(), rollouts=v),
+        lambda v: _learner(rollouts=v),
         lambda v: _sampler(CdasSampler, rollouts=v),
     ],
     "total_steps": [lambda v: _sampler(CurriculumSampler, total_steps=v)],
     "seed": [lambda v: _bank_generate(seed=v)],
-    "discrimination": [lambda v: SyntheticLearner(0.0, _rng(), discrimination=v)],
-    "learn_rate": [lambda v: SyntheticLearner(0.0, _rng(), learn_rate=v)],
-    "ability_init": [lambda v: SyntheticLearner(v, _rng())],
-    "bank_mode": [lambda v: generate_bank(10, _rng(), mode=v), lambda v: _bank_generate(mode=v)],
+    "discrimination": [lambda v: _learner(discrimination=v)],
+    "learn_rate": [lambda v: _learner(learn_rate=v)],
+    "ability_init": [lambda v: _learner(ability_init=v)],
+    "bank_mode": [lambda v: _bank(bank_mode=v), lambda v: _bank_generate(mode=v)],
     "bank_scale": [
-        lambda v: generate_bank(10, _rng(), scale=v),
+        lambda v: _bank(bank_scale=v),
         lambda v: _bank_generate(scale=v),
     ],
     "bank_level_spread": [
-        lambda v: generate_bank(10, _rng(), mode="levels", level_spread=v),
+        lambda v: _bank(bank_mode="levels", bank_level_spread=v),
         lambda v: _bank_generate(mode="levels", level_spread=v),
     ],
     "initial_difficulty": [lambda v: _sampler(CdasSampler, initial_difficulty=v)],
@@ -255,14 +258,17 @@ class TestFieldRules:
     def test_every_rule_has_bad_values_and_consumers(self):
         assert set(BAD_VALUES) == set(FIELD_RULES) == set(CONSUMERS)
 
-    @pytest.mark.parametrize("field,value", [("learn_rate", "0.1"), ("bank_scale", None)])
-    def test_consumers_refuse_a_value_the_rule_cannot_compare(self, field, value):
-        # validate names the wrong type; a constructor that takes the field
-        # alone checks no types and refuses the value as out of range.
+    @pytest.mark.parametrize(
+        "field,value", [("learn_rate", "0.1"), ("bank_scale", "1.0"), ("n_problems", 12.5)]
+    )
+    def test_consumers_refuse_a_wrong_type_as_validate_does(self, field, value):
+        with pytest.raises(ConfigError) as by_validate:
+            ExperimentConfig(**{field: value}).validate()
+        assert str(by_validate.value).startswith(f"{field}: must be of type ")
         for consume in CONSUMERS[field]:
             with pytest.raises(ConfigError) as refused:
                 consume(value)
-            assert str(refused.value) == f"{field}: must be {FIELD_RULES[field][0]}, got {value!r}"
+            assert str(refused.value) == str(by_validate.value)
 
     @pytest.mark.parametrize(
         "field,value",
@@ -283,15 +289,14 @@ class TestFieldRules:
         assert not list(tmp_path.iterdir())
 
 
-# Configs validate refuses for more than a field's range: a wrong type, an
-# unknown strategy, a batch larger than the bank the config describes.
+# Configs validate refuses for more than a field's range: a wrong type or an
+# unknown strategy.
 REFUSED_CONFIGS = [
     *({field: value} for field, values in BAD_VALUES.items() for value in values),
     {"learn_rate": "0.1"},
     {"curriculum_switch_step": 1.5},
     {"symmetric": "no"},
     {"strategy": "greedy"},
-    {"n_problems": 1},
 ]
 
 
@@ -305,6 +310,9 @@ def test_every_sampler_takes_its_sizes_and_refusals_from_the_config(strategy):
         with pytest.raises(ConfigError) as by_sampler:
             cls(config, BANK, _rng())
         assert str(by_sampler.value) == str(by_validate.value), fields
+    # The bank, not n_problems, bounds the batch.
+    with pytest.raises(ConfigError, match=r"batch_size: must not exceed bank size \(21 > 20\)"):
+        cls(ExperimentConfig(n_problems=40, batch_size=21, symmetric=False), BANK, _rng())
 
     config = ExperimentConfig(n_problems=20, batch_size=2, rollouts=3, strategy=strategy)
     sampler = cls(config, BANK, _rng())
@@ -314,3 +322,12 @@ def test_every_sampler_takes_its_sizes_and_refusals_from_the_config(strategy):
     assert sampler.pending is None
     batch, counts, consumed = sampler.select_and_roll(lambda indices: [1] * len(indices))
     assert (len(batch), counts, consumed) == (2, [1, 1], 2)
+
+
+@pytest.mark.parametrize(
+    "build", [*SAMPLERS.values(), SyntheticLearner, generate_bank], ids=lambda build: build.__name__
+)
+def test_what_a_run_builds_takes_no_defaulted_parameter(build):
+    # Each reads its fields from the config; a default would repeat one.
+    parameters = inspect.signature(build).parameters.values()
+    assert [p.name for p in parameters if p.default is not p.empty] == []

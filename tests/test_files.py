@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cdas.cli import main
+from cdas.config import ExperimentConfig
 from cdas.files import replacing
 from cdas.fixed_point import EquilibriumProblem, solve, write_trajectory_csv
 from cdas.learner import generate_bank, load_bank, save_bank
@@ -60,11 +61,11 @@ def test_replacing_keeps_the_previous_file_when_the_block_raises(tmp_path):
 
 def test_failed_bank_write_keeps_the_previous_bank(tmp_path, monkeypatch):
     path = tmp_path / "bank.json"
-    old = generate_bank(30, np.random.default_rng(1))
+    old = generate_bank(ExperimentConfig(n_problems=30), np.random.default_rng(1))
     save_bank(old, path)
     monkeypatch.setattr(pathlib.Path, "write_text", _half_then_fail)
     with pytest.raises(OSError, match="disk full"):
-        save_bank(generate_bank(40, np.random.default_rng(2)), path)
+        save_bank(generate_bank(ExperimentConfig(n_problems=40), np.random.default_rng(2)), path)
     monkeypatch.undo()
     assert load_bank(path).content_hash() == old.content_hash()
     assert _files(tmp_path) == ["bank.json"]

@@ -160,7 +160,8 @@ def _digests(out) -> dict[str, str]:
 def test_run_outputs_match_golden_digests(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
     if name == "saved-bank":
-        save_bank(generate_bank(150, np.random.default_rng(3)), "bank.json")
+        bank = generate_bank(ExperimentConfig(n_problems=150), np.random.default_rng(3))
+        save_bank(bank, "bank.json")
     out = tmp_path / "out"
     run_experiment(RUNS[name].with_overrides(out_dir=str(out)))
     digests = _digests(out)
@@ -177,5 +178,5 @@ def test_comparison_outputs_match_golden_digests(tmp_path):
 
 @pytest.mark.parametrize("mode", ["normal", "levels"])
 def test_generated_bank_hash_matches_golden(mode):
-    bank = generate_bank(500, np.random.default_rng(7), mode=mode)
+    bank = generate_bank(ExperimentConfig(n_problems=500, bank_mode=mode), np.random.default_rng(7))
     assert bank.content_hash() == GOLDEN_BANK_HASHES[mode]

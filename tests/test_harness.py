@@ -27,6 +27,7 @@ from cdas.harness import (
     resume_experiment,
     run_experiment,
 )
+from cdas.learner import generate_bank, save_bank
 from cdas.metrics import read_metrics_csv
 
 TINY = ExperimentConfig(n_problems=12, batch_size=4, rollouts=4, total_steps=6)
@@ -133,6 +134,25 @@ class TestRunExperiment:
     def test_invalid_config_refused(self):
         with pytest.raises(ConfigError):
             run_experiment(_tiny(batch_size=13))
+
+    def test_batch_cannot_exceed_generated_bank(self):
+        with pytest.raises(ConfigError, match=r"batch_size: must not exceed bank size \(12 > 10\)"):
+            run_experiment(_tiny(n_problems=10, batch_size=12))
+
+    def test_batch_check_deferred_for_loaded_banks(self, tmp_path):
+        # A loaded bank's size is known only once it is read; n_problems does not count.
+        path = tmp_path / "bank.json"
+        save_bank(generate_bank(ExperimentConfig(n_problems=10), np.random.default_rng(0)), path)
+        result = run_experiment(_tiny(n_problems=4, batch_size=8, bank_path=str(path)))
+        assert len(result.bank) == 10
+        with pytest.raises(ConfigError, match=r"batch_size: must not exceed bank size \(12 > 10\)"):
+            run_experiment(_tiny(n_problems=20, batch_size=12, bank_path=str(path)))
+
+    def test_symmetric_batch_must_be_even(self):
+        with pytest.raises(ConfigError, match="batch_size: symmetric mode needs an even batch"):
+            run_experiment(_tiny(batch_size=3))
+        run_experiment(_tiny(batch_size=3, symmetric=False))
+        run_experiment(_tiny(batch_size=3, strategy="random"))
 
 
 class TestSummary:

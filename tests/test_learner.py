@@ -32,8 +32,15 @@ from cdas.sampling import CdasSampler
 DATA = Path(__file__).resolve().parent / "data"
 
 
-def _learner(ability, seed=0, **kwargs):
-    return SyntheticLearner(ability=ability, rng=np.random.default_rng(seed), **kwargs)
+def _learner(ability, seed=0, **fields):
+    """A learner built from a config with ``ability_init`` and ``fields`` set."""
+    config = ExperimentConfig(ability_init=ability, **fields)
+    return SyntheticLearner(config, ProblemBank(["q"], [None], [0.0]), np.random.default_rng(seed))
+
+
+def _bank(n, seed, **fields):
+    """The bank of a config of ``n`` problems with ``fields`` set, drawn from seed ``seed``."""
+    return generate_bank(ExperimentConfig(n_problems=n, **fields), np.random.default_rng(seed))
 
 
 class TestSuccessProbability:
@@ -121,6 +128,13 @@ class TestLearnStep:
 
 
 class TestLearnerConfig:
+    def test_ability_starts_at_ability_init_or_the_banks_fifth_percentile(self):
+        bank = _bank(500, 12)
+        rng = np.random.default_rng(0)
+        assert SyntheticLearner(ExperimentConfig(), bank, rng).ability == default_ability(bank)
+        fixed = SyntheticLearner(ExperimentConfig(ability_init=0), bank, rng)
+        assert type(fixed.ability) is float and fixed.ability == 0.0
+
     def test_bad_discrimination(self):
         with pytest.raises(ConfigError):
             _learner(0.0, discrimination=0.0)
@@ -182,35 +196,35 @@ class TestLearnerConfig:
 
 class TestGenerateBank:
     def test_normal_mode_quintiles_are_balanced(self):
-        bank = generate_bank(100, np.random.default_rng(0))
+        bank = _bank(100, 0)
         tags = np.array(bank.level_tags)
         counts = np.bincount(tags, minlength=6)[1:]
         assert list(counts) == [20] * 5
 
     def test_normal_mode_tags_sort_with_latents(self):
-        bank = generate_bank(50, np.random.default_rng(1))
+        bank = _bank(50, 1)
         tags = [tag for _, tag in sorted(zip(bank.latent.tolist(), bank.level_tags))]
         assert tags == sorted(tags)
 
     def test_levels_mode_latents_are_equally_spaced(self):
-        bank = generate_bank(200, np.random.default_rng(2), mode="levels", level_spread=2.0)
+        bank = _bank(200, 2, bank_mode="levels", bank_level_spread=2.0)
         for tag, latent in zip(bank.level_tags, bank.latent.tolist()):
             assert latent == (tag - 3) * 1.0
         assert set(bank.level_tags) == {1, 2, 3, 4, 5}
 
     def test_ids_are_zero_padded_and_unique(self):
-        bank = generate_bank(12, np.random.default_rng(3))
+        bank = _bank(12, 3)
         assert bank.ids[0] == "p00000"
         assert bank.ids[-1] == "p00011"
         assert len(set(bank.ids)) == 12
         # Past 100k problems the padding widens with the largest index.
-        wide = generate_bank(100_001, np.random.default_rng(3))
+        wide = _bank(100_001, 3)
         assert (wide.ids[0], wide.ids[-1]) == ("p000000", "p100000")
 
     @pytest.mark.parametrize("n", [1, 9, 10, 12, 100_001])
     def test_ids_match_the_percent_format(self, n):
         width = max(5, len(str(n - 1)))
-        bank = generate_bank(n, np.random.default_rng(3))
+        bank = _bank(n, 3)
         assert bank.ids == tuple(f"p%0{width}d" % i for i in range(n))
 
     @settings(max_examples=300, deadline=None)
@@ -229,58 +243,58 @@ class TestGenerateBank:
         assert _quintile_tags(values).tolist() == expected.tolist()
 
     def test_reproducible_and_seed_sensitive(self):
-        one = generate_bank(40, np.random.default_rng(9))
-        two = generate_bank(40, np.random.default_rng(9))
-        other = generate_bank(40, np.random.default_rng(10))
+        one = _bank(40, 9)
+        two = _bank(40, 9)
+        other = _bank(40, 10)
         assert one.content_hash() == two.content_hash()
         assert one.content_hash() != other.content_hash()
 
     def test_records_start_unscheduled(self):
         # The bank holds no scheduler state; a CDAS sampler on it starts every
         # problem at t = 0 with the configured initial difficulty.
-        bank = generate_bank(5, np.random.default_rng(4))
+        bank = _bank(5, 4)
         config = ExperimentConfig(n_problems=5, batch_size=2, initial_difficulty=0.25)
         sampler = CdasSampler(config, bank, np.random.default_rng(0))
         assert all(record.t == 0 for record in sampler.records.values())
         assert all(record.difficulty == 0.25 for record in sampler.records.values())
 
     def test_columns_line_up_in_bank_order(self):
-        bank = generate_bank(5, np.random.default_rng(4))
+        bank = _bank(5, 4)
         assert type(bank.ids) is tuple and type(bank.level_tags) is tuple
         assert bank.latent.dtype == np.float64 and not bank.latent.flags.writeable
         assert len(bank.ids) == len(bank.level_tags) == bank.latent.size == 5
         assert bank.index == {pid: i for i, pid in enumerate(bank.ids)}
 
     def test_bad_sizes_and_modes(self):
-        rng = np.random.default_rng(0)
         with pytest.raises(ConfigError):
-            generate_bank(0, rng)
+            _bank(0, 0)
         with pytest.raises(ConfigError):
-            generate_bank(5, rng, scale=0.0)
+            _bank(5, 0, bank_scale=0.0)
         with pytest.raises(ConfigError):
-            generate_bank(5, rng, mode="levels", level_spread=-1.0)
+            _bank(5, 0, bank_mode="levels", bank_level_spread=-1.0)
         with pytest.raises(ConfigError):
-            generate_bank(5, rng, mode="mystery")
+            _bank(5, 0, bank_mode="mystery")
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_scale_and_spread_refused_before_drawing(self, value):
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         with pytest.raises(ConfigError, match="bank_scale: must be finite and > 0"):
-            generate_bank(5, rng, scale=value)
+            generate_bank(ExperimentConfig(n_problems=5, bank_scale=value), rng)
+        levels = ExperimentConfig(n_problems=5, bank_mode="levels", bank_level_spread=value)
         with pytest.raises(ConfigError, match="bank_level_spread: must be finite and > 0"):
-            generate_bank(5, rng, mode="levels", level_spread=value)
+            generate_bank(levels, rng)
         assert rng.bit_generator.state == before
 
 
 class TestBankContainer:
     def test_lookup_and_len(self):
-        bank = generate_bank(7, np.random.default_rng(6))
+        bank = _bank(7, 6)
         assert len(bank) == 7
         assert bank.ids[bank.index["p00003"]] == "p00003"
 
     def test_index_is_built_on_first_use(self):
-        bank = generate_bank(7, np.random.default_rng(6))
+        bank = _bank(7, 6)
         assert "index" not in vars(bank)
         assert bank.index["p00003"] == 3
         assert bank.index is bank.index
@@ -322,7 +336,7 @@ class TestBankContainer:
             ProblemBank(["a", 5, "b"], [None] * 3, [0.0] * 3)
 
     def test_hash_ignores_scheduler_state(self):
-        bank = generate_bank(8, np.random.default_rng(5))
+        bank = _bank(8, 5)
         before = bank.content_hash()
         sampler = CdasSampler(
             ExperimentConfig(n_problems=8, batch_size=4), bank, np.random.default_rng(0)
@@ -362,7 +376,7 @@ class TestBankContainer:
         assert ProblemBank(*one).content_hash() != ProblemBank(*other).content_hash()
 
     def test_hash_is_computed_once(self, tmp_path, monkeypatch):
-        bank = generate_bank(20, np.random.default_rng(5))
+        bank = _bank(20, 5)
         path = tmp_path / "bank.json"
         save_bank(bank, path)
         loaded = load_bank(path)
@@ -374,14 +388,14 @@ class TestBankContainer:
         assert loaded.content_hash() == bank.content_hash()
 
     def test_default_ability_is_fifth_percentile(self):
-        bank = generate_bank(500, np.random.default_rng(12))
+        bank = _bank(500, 12)
         expected = float(np.percentile(bank.latent, 5.0))
         assert default_ability(bank) == expected
 
 
 class TestBankFiles:
     def test_round_trip(self, tmp_path):
-        bank = generate_bank(30, np.random.default_rng(14), mode="levels")
+        bank = _bank(30, 14, bank_mode="levels")
         path = tmp_path / "bank.json"
         save_bank(bank, path)
         loaded = load_bank(path)
@@ -390,7 +404,7 @@ class TestBankFiles:
         assert loaded.ids == bank.ids
 
     def test_tampered_file_rejected(self, tmp_path):
-        bank = generate_bank(10, np.random.default_rng(15))
+        bank = _bank(10, 15)
         path = tmp_path / "bank.json"
         save_bank(bank, path)
         latent = bank.latent[0].item()

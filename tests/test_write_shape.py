@@ -165,7 +165,8 @@ def test_a_resume_with_nothing_to_do_formats_no_latent(calls, formatted, tmp_pat
 
 def test_a_loaded_bank_run_without_outputs_formats_no_latent(calls, formatted, tmp_path):
     path = tmp_path / "bank.json"
-    learner.save_bank(learner.generate_bank(N_PROBLEMS, np.random.default_rng(0)), path)
+    bank = learner.generate_bank(ExperimentConfig(n_problems=N_PROBLEMS), np.random.default_rng(0))
+    learner.save_bank(bank, path)
     calls.clear()
     formatted.clear()
     result = run_experiment(_config("random", bank_path=str(path)))
