@@ -2,20 +2,26 @@
 
 All baselines follow the select/report contract of ``sampling.Sampler``: pick
 a batch of ids, then report the observed pass rates for that batch.  Each is
-built as ``cls(config, bank, rng)`` and reads its parameters from the config.
-None of them maintain a competence or difficulty model.  Only prioritized
-sampling reads a per-problem history: the latest pass rate, which every
-sampler keeps.
+built as ``cls(config, bank, rng)``; beyond the batch, the group size and the
+run length the config sets, each runs at fixed settings: curriculum switches
+to level ``CURRICULUM_LEVEL`` and above halfway through the run, prioritized
+gives an unseen problem weight 1, and dynamic draws rounds of one batch, at
+most ``RETRY_CAP`` of them per step.  None of them maintain a competence or
+difficulty model.  Only prioritized sampling reads a per-problem history: the
+latest pass rate, which every sampler keeps.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, RolloutBudgetError
 from .sampling import Sampler, rolled_counts, smallest_by
+
+# The lowest level curriculum samples from after its switch.
+CURRICULUM_LEVEL = 4
+# The most rounds dynamic sampling draws for one batch.
+RETRY_CAP = 10
 
 
 class BaselineSampler(Sampler):
@@ -37,10 +43,9 @@ class RandomSampler(BaselineSampler):
 class CurriculumSampler(BaselineSampler):
     """Uniform sampling that switches to high-level problems at a fixed step.
 
-    The constructor refuses a bank with too few problems at or above
-    ``config.curriculum_threshold`` to fill a batch, unless the switch comes
-    only after ``config.total_steps``; then a batch chosen after the switch
-    is refused instead.
+    From step ``config.total_steps // 2`` on, batches are drawn uniformly
+    from the problems at level ``CURRICULUM_LEVEL`` or above.  The
+    constructor refuses a bank with too few of them to fill a batch.
     """
 
     strategy = "curriculum"
@@ -53,28 +58,19 @@ class CurriculumSampler(BaselineSampler):
                 f"curriculum needs level tags on every problem; missing on {untagged[0]} "
                 f"and {len(untagged) - 1} others"
             )
-        self.switch_step = config.resolved_curriculum_switch_step
-        self.threshold = config.curriculum_threshold
-        # Bank indices of the problems at or above the threshold level.
+        self.switch_step = config.total_steps // 2
+        # Bank indices of the problems at or above the curriculum level.
         tags = np.fromiter(bank.level_tags, dtype=np.int64, count=len(bank))
-        self._eligible = np.flatnonzero(tags >= self.threshold)
-        if self.switch_step < config.total_steps:
-            self._check_pool()
-
-    def _check_pool(self) -> None:
-        """Refuse a batch larger than the pool of problems at or above the threshold."""
+        self._eligible = np.flatnonzero(tags >= CURRICULUM_LEVEL)
         if self.batch_size > len(self._eligible):
             raise ConfigError(
                 f"batch_size: only {len(self._eligible)} problems at level >= "
-                f"{self.threshold}, need {self.batch_size}"
+                f"{CURRICULUM_LEVEL}, need {self.batch_size}"
             )
 
     def _choose(self) -> np.ndarray:
         if self._step < self.switch_step:
             return self._uniform_batch()
-        # A run whose switch comes only after its last step builds with a
-        # short pool; stepping past that run's end is refused here.
-        self._check_pool()
         chosen = self._rng.choice(len(self._eligible), size=self.batch_size, replace=False)
         return self._eligible[chosen]
 
@@ -82,9 +78,9 @@ class CurriculumSampler(BaselineSampler):
 class PrioritizedSampler(BaselineSampler):
     """Weighted sampling by failure rate: weight 1 - latest pass rate.
 
-    Unseen problems carry ``config.prioritized_initial_weight``.  A batch has
-    the distribution of sequential draws without replacement, each in
-    proportion to the weights that remain, so a zero-weight problem is never taken while
+    Unseen problems carry weight 1.  A batch has the distribution of
+    sequential draws without replacement, each in proportion to the weights
+    that remain, so a zero-weight problem is never taken while
     positive-weight problems remain.  It is drawn in one go: one exponential
     per problem and the batch's smallest keys (Efraimidis & Spirakis, 2006).
     If fewer positive weights than the batch holds remain, the rest of the
@@ -97,21 +93,20 @@ class PrioritizedSampler(BaselineSampler):
 
     def __init__(self, config, bank, rng: np.random.Generator):
         super().__init__(config, bank, rng)
-        self.initial_weight = config.prioritized_initial_weight
         self.uniform_fallbacks = 0
         self._falls_back = False
 
     def _choose(self) -> np.ndarray:
         # Efraimidis-Spirakis: the smallest keys E / w, E ~ Exp(1), are a
         # sequential weighted draw without replacement.  A zero weight keys
-        # +inf and ranks after every positive one, even one whose key
-        # overflows to +inf; E breaks the remaining ties at random.
+        # +inf and ranks after every positive one; E breaks the remaining
+        # ties at random.  A positive weight is at least 2**-53, so every
+        # such key is finite.
         last = self._last_pass_rate
-        weights = np.where(np.isnan(last), self.initial_weight, 1.0 - last)
+        weights = np.where(np.isnan(last), 1.0, 1.0 - last)
         draws = self._rng.standard_exponential(len(self.bank))
         zero = weights == 0.0
-        with np.errstate(over="ignore"):
-            keys = np.divide(draws, weights, out=np.full(len(draws), np.inf), where=~zero)
+        keys = np.divide(draws, weights, out=np.full(len(draws), np.inf), where=~zero)
         # Counted by _hold: a batch refused for its rollout counts is not held.
         self._falls_back = len(draws) - np.count_nonzero(zero) < self.batch_size
         return smallest_by(np.arange(len(draws)), self.batch_size, keys, zero, draws)
@@ -137,20 +132,13 @@ class DynamicSampler(BaselineSampler):
     """Oversample-and-filter selection keeping only problems with interior pass rates.
 
     Candidates are drawn uniformly in rounds and rolled out in draw order;
-    those with pass rate exactly 0 or 1 are discarded.  A round stops at the
-    candidate that fills the batch, and drawing once
-    ``config.dynamic_retry_cap`` rounds are spent.  A round draws
-    ``config.dynamic_oversample_factor`` times the batch size, rounded up.  A
-    capped batch is padded with the most recently filtered candidates so
-    batch size is preserved.
+    those with pass rate exactly 0 or 1 are discarded.  A round draws one
+    batch's worth.  A round stops at the candidate that fills the batch, and
+    drawing once ``RETRY_CAP`` rounds are spent.  A capped batch is padded
+    with the most recently filtered candidates so batch size is preserved.
     """
 
     strategy = "dynamic"
-
-    def __init__(self, config, bank, rng: np.random.Generator):
-        super().__init__(config, bank, rng)
-        self.retry_cap = config.dynamic_retry_cap
-        self.oversample_factor = config.dynamic_oversample_factor
 
     def select_batch(self) -> list[str]:
         raise ConsistencyError(
@@ -178,18 +166,17 @@ class DynamicSampler(BaselineSampler):
             RolloutBudgetError: retry cap spent with nothing keepable at all.
         """
         batch_size, group_size = self.batch_size, self.group_size
-        round_size = max(batch_size, math.ceil(self.oversample_factor * batch_size))
         untried = np.ones(len(self.bank), dtype=bool)
         rolled: list[np.ndarray] = []
         counts: list[np.ndarray] = []
         n_kept = 0
         rounds = 0
-        while n_kept < batch_size and rounds < self.retry_cap:
+        while n_kept < batch_size and rounds < RETRY_CAP:
             pool = np.flatnonzero(untried)
             if not pool.size:
                 break
             rounds += 1
-            draw = self._rng.choice(pool.size, size=min(round_size, pool.size), replace=False)
+            draw = self._rng.choice(pool.size, size=min(batch_size, pool.size), replace=False)
             candidates = pool[draw]
             round_counts = rolled_counts(roll_round, candidates, group_size)
             untried[candidates] = False

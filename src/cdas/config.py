@@ -43,17 +43,6 @@ class ExperimentConfig:
     bank_scale: float = 1.0
     bank_level_spread: float = 2.0
     bank_path: str | None = None  # load instead of generating; n_problems then ignored
-    # scheduler initial values
-    initial_difficulty: float = 0.0
-    initial_competence: float = 0.0
-    # curriculum baseline
-    curriculum_switch_step: int | None = None  # None: total_steps // 2
-    curriculum_threshold: int = 4
-    # prioritized baseline
-    prioritized_initial_weight: float = 1.0
-    # dynamic baseline
-    dynamic_retry_cap: int = 10
-    dynamic_oversample_factor: float = 1.0
     # output (not part of the experiment identity)
     out_dir: str | None = None
 
@@ -76,12 +65,6 @@ class ExperimentConfig:
                 check_field(name, value)
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy: must be one of {STRATEGIES}, got {self.strategy!r}")
-
-    @property
-    def resolved_curriculum_switch_step(self) -> int:
-        if self.curriculum_switch_step is not None:
-            return self.curriculum_switch_step
-        return self.total_steps // 2
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import math
+import sys
 from collections.abc import Callable
-
-from .core import LEVEL_TAGS
 
 BANK_MODES = ("normal", "levels")
 
@@ -37,8 +35,11 @@ def _at_least(low: int) -> tuple[str, Callable]:
     return f">= {low}", lambda value: value >= low
 
 
-_FINITE = ("finite", math.isfinite)
-_POSITIVE = ("finite and > 0", lambda value: 0.0 < value < math.inf)
+# A float field is bounded by the largest float: that refuses NaN, the
+# infinities and an int too large to become a float.
+_MAX = sys.float_info.max
+_FINITE = ("finite", lambda value: abs(value) <= _MAX)
+_POSITIVE = ("finite and > 0", lambda value: 0.0 < value <= _MAX)
 
 # Config field -> (requirement, predicate): the one statement of each field's
 # range, checked by ExperimentConfig.validate.  Every object a run builds
@@ -51,18 +52,11 @@ FIELD_RULES: dict[str, tuple[str, Callable]] = {
     "total_steps": _at_least(1),
     "seed": _at_least(0),
     "discrimination": _POSITIVE,
-    "learn_rate": ("finite and >= 0", lambda value: 0.0 <= value < math.inf),
+    "learn_rate": ("finite and >= 0", lambda value: 0.0 <= value <= _MAX),
     "ability_init": _FINITE,
     "bank_mode": (f"one of {BANK_MODES}", BANK_MODES.__contains__),
     "bank_scale": _POSITIVE,
     "bank_level_spread": _POSITIVE,
-    "initial_difficulty": _FINITE,
-    "initial_competence": _FINITE,
-    "curriculum_switch_step": _at_least(0),
-    "curriculum_threshold": ("in 1..5", LEVEL_TAGS.__contains__),
-    "prioritized_initial_weight": ("in [0, 1]", lambda value: 0.0 <= value <= 1.0),
-    "dynamic_retry_cap": _at_least(1),
-    "dynamic_oversample_factor": ("finite and >= 1", lambda value: 1.0 <= value < math.inf),
 }
 
 

@@ -40,7 +40,7 @@ from .sampling import Sampler
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 METRICS_FILE = "metrics.csv"
 SUMMARY_FILE = "summary.json"
@@ -425,7 +425,6 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> None:
             for step, batch in enumerate(result.batches, start=1)
         )
     state = result.sampler.state_arrays()
-    unvisited = repr(result.config.initial_difficulty)
     with replacing(out / PROBLEMS_FILE) as tmp, open(tmp, "w", newline="") as fh:
         fh.write("id,level_tag,true_difficulty,t,difficulty,final_pass_rate\n")
         for start in range(0, len(bank), BLOCK_ROWS):
@@ -437,7 +436,7 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> None:
                 difficulty = _distinct_text(state["difficulty"][start:stop])
             else:
                 # Strategies without estimates write every problem as never visited.
-                t, difficulty = repeat("0"), repeat(unvisited)
+                t, difficulty = repeat("0"), repeat("0.0")
             rates = _distinct_text(state["last_pass_rate"][start:stop])
             rows = zip(ids[start:stop], tags, latent, t, difficulty, rates)
             fh.write("\n".join(map(",".join, rows)) + "\n")

@@ -44,7 +44,7 @@ def summarize_step(
     zero_gradient: list[bool],
     sampler,
     learner,
-    rollout_batches_consumed: int | None = None,
+    rollout_batches_consumed: int,
 ) -> StepMetrics:
     """Aggregate one completed step.
 
@@ -52,8 +52,8 @@ def summarize_step(
     difficulty are read post-update, ability post-learn.  ``batch`` holds the
     bank indices of the problems actually trained on, ``pass_rates`` their
     groups' pass rates and ``zero_gradient`` each group's zero-gradient flag
-    (all rollouts passed or all failed); ``rollout_batches_consumed``
-    defaults to one rollout group per batch problem.
+    (all rollouts passed or all failed); ``rollout_batches_consumed`` is
+    the number of rollout groups the step spent, filtered ones included.
     """
     n = len(batch)
     if not n:
@@ -73,9 +73,7 @@ def summarize_step(
         step=sampler.step,
         mean_reward=sum(pass_rates) / n,
         zero_gradient_fraction=sum(1 for zero in zero_gradient if zero) / n,
-        rollout_batches_consumed=(
-            rollout_batches_consumed if rollout_batches_consumed is not None else n
-        ),
+        rollout_batches_consumed=rollout_batches_consumed,
         competence=competence,
         mean_sampled_difficulty=mean_difficulty,
         learner_ability=learner.ability,
@@ -91,17 +89,9 @@ def _cell(value) -> str:
 
 
 def format_metrics_row(row: StepMetrics, strategy: str, seed: int) -> list[str]:
-    return [
-        str(row.step),
-        strategy,
-        str(seed),
-        _cell(row.mean_reward),
-        _cell(row.zero_gradient_fraction),
-        str(row.rollout_batches_consumed),
-        _cell(row.competence),
-        _cell(row.mean_sampled_difficulty),
-        _cell(row.learner_ability),
-    ]
+    """The cells of ``METRICS_COLUMNS``: the step, the run's strategy and seed, then the rest."""
+    values = (row.step, strategy, seed, *(getattr(row, name) for name in METRICS_COLUMNS[3:]))
+    return [_cell(value) for value in values]
 
 
 def write_metrics_csv(path: str | Path, rows: list[StepMetrics], strategy: str, seed: int) -> None:

@@ -296,12 +296,11 @@ class CdasSampler(Sampler):
     bank.  In symmetric mode the batch must be even.  Selection consumes no
     randomness.
 
-    The per-problem estimates live in bank-order arrays: visit counts ``t``,
-    all 0 at the start, and difficulty estimates ``D``, all
-    ``config.initial_difficulty``.  ``estimates`` is a read-only view of
-    ``D``; ``records`` builds an id-keyed view of them on demand.
-    Competence is ``config.initial_competence`` until the first report and
-    the negated mean estimate after it, so the state holds no copy of it.
+    The per-problem estimates live in bank-order arrays: visit counts ``t``
+    and difficulty estimates ``D``, all 0 at the start.  ``estimates`` is a
+    read-only view of ``D``; ``records`` builds an id-keyed view of them on
+    demand.  Competence is 0.0 until the first report and the negated mean
+    estimate after it, so the state holds no copy of it.
     """
 
     strategy = "cdas"
@@ -315,10 +314,10 @@ class CdasSampler(Sampler):
             raise ConfigError(
                 f"batch_size: symmetric mode needs an even batch, got {self.batch_size}"
             )
-        self._initial_competence = self._competence = config.initial_competence
+        self._competence = 0.0
         n = len(bank)
         self._t = np.zeros(n, dtype=np.int64)
-        self._D = np.full(n, config.initial_difficulty, dtype=np.float64)
+        self._D = np.zeros(n, dtype=np.float64)
         # Each id's position in ascending id order: the alignment tie-break.
         self._rank = np.empty(n, dtype=np.int64)
         by_id = sorted(range(n), key=bank.ids.__getitem__)
@@ -412,9 +411,7 @@ class CdasSampler(Sampler):
         if not np.isfinite(difficulty).all():
             raise ConfigError("sampler state: every difficulty estimate must be finite")
         self._t, self._D = t, difficulty
-        self._competence = (
-            _competence(difficulty) if payload["step"] > 0 else self._initial_competence
-        )
+        self._competence = _competence(difficulty) if payload["step"] > 0 else 0.0
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -44,14 +44,9 @@ def _reference_batch(weights, batch_size, rng):
     return picks, sum(w > 0.0 for w in weights) < batch_size
 
 
-def _prioritized(n, seed, rates, initial_weight, batch_size):
+def _prioritized(n, seed, rates, batch_size):
     """A prioritized sampler whose problems ``i`` last reported ``rates[i]``."""
-    config = ExperimentConfig(
-        n_problems=n,
-        batch_size=batch_size,
-        strategy="prioritized",
-        prioritized_initial_weight=initial_weight,
-    )
+    config = ExperimentConfig(n_problems=n, batch_size=batch_size, strategy="prioritized")
     sampler = PrioritizedSampler(
         config,
         ProblemBank([f"q{i}" for i in range(n)], [None] * n, [0.0] * n),
@@ -66,8 +61,6 @@ def _prioritized(n, seed, rates, initial_weight, batch_size):
 @st.composite
 def prioritized_cases(draw):
     n = draw(st.integers(1, 40))
-    # 5e-324 is the smallest positive weight: every key it divides overflows.
-    initial_weight = draw(st.sampled_from([0.0, 0.3, 1.0, 5e-324]))
     # The problems reported so far, any subset of the bank.
     seen = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
     if draw(st.booleans()):
@@ -76,17 +69,17 @@ def prioritized_cases(draw):
         rates = draw(st.lists(PASS_RATES, min_size=len(seen), max_size=len(seen)))
     batch_size = draw(st.integers(1, n))
     seed = draw(st.integers(0, 2**32 - 1))
-    return n, initial_weight, dict(zip(seen, rates)), batch_size, seed
+    return n, dict(zip(seen, rates)), batch_size, seed
 
 
 @settings(max_examples=300, deadline=None)
 @given(prioritized_cases())
-# Non-dyadic weights and one zero, unseen, weight: the last pick falls back.
-@example((4, 0.0, {3: 0.3, 0: 0.9, 1: 2 / 3}, 4, 1))
+# Non-dyadic weights and one zero weight: the last pick falls back.
+@example((4, {3: 0.3, 0: 0.9, 1: 2 / 3, 2: 1.0}, 4, 1))
 def test_prioritized_batch_matches_scalar_key_reference(case):
-    n, initial_weight, rates, batch_size, seed = case
-    sampler = _prioritized(n, seed, rates, initial_weight, batch_size)
-    weights = [1.0 - rates[i] if i in rates else initial_weight for i in range(n)]
+    n, rates, batch_size, seed = case
+    sampler = _prioritized(n, seed, rates, batch_size)
+    weights = [1.0 - rates[i] if i in rates else 1.0 for i in range(n)]
     reference_rng = np.random.default_rng(seed)
     picks, fell_back = _reference_batch(weights, batch_size, reference_rng)
 
@@ -114,18 +107,18 @@ def _sequential_probabilities(weights, batch_size):
 
 
 @pytest.mark.parametrize(
-    "rates, initial_weight, seed",
+    "rates, seed",
     [
-        ([0.0, 0.5, 0.75, 0.75, 1.0], 1.0, 0),
-        ([0.4, 0.7, 1.0, 1.0, 1.0], 1.0, 1),  # two positive weights: every batch falls back
-        ([None, 0.5, None, 0.9, 1.0], 0.3, 2),
+        ([0.0, 0.5, 0.75, 0.75, 1.0], 0),
+        ([0.4, 0.7, 1.0, 1.0, 1.0], 1),  # two positive weights: every batch falls back
+        ([None, 0.5, None, 0.9, 1.0], 2),  # None: never reported, weight 1
     ],
     ids=["mixed", "always-falls-back", "unseen-weighted"],
 )
-def test_prioritized_batches_follow_sequential_draw_probabilities(rates, initial_weight, seed):
+def test_prioritized_batches_follow_sequential_draw_probabilities(rates, seed):
     draws, batch_size = 20_000, 3
-    sampler = _prioritized(5, seed, dict(enumerate(rates)), initial_weight, batch_size)
-    weights = [initial_weight if r is None else 1.0 - r for r in rates]
+    sampler = _prioritized(5, seed, dict(enumerate(rates)), batch_size)
+    weights = [1.0 if r is None else 1.0 - r for r in rates]
     expected = _sequential_probabilities(weights, batch_size)
     seen = Counter()
     for _ in range(draws):

@@ -9,6 +9,7 @@ from cdas.config import ExperimentConfig
 from cdas.errors import ConfigError, ConsistencyError, RolloutBudgetError
 from cdas.files import encode_array
 from cdas.baselines import (
+    RETRY_CAP,
     CurriculumSampler,
     DynamicSampler,
     PrioritizedSampler,
@@ -88,7 +89,8 @@ class TestCurriculumSampler:
     def test_matches_random_before_the_switch(self):
         bank = _bank(30)
         random_sampler = _build(RandomSampler, bank, 6, seed=7)
-        curriculum = _build(CurriculumSampler, bank, 6, seed=7, curriculum_switch_step=3)
+        curriculum = _build(CurriculumSampler, bank, 6, seed=7, total_steps=6)
+        assert curriculum.switch_step == 3
         for _ in range(3):
             batch = curriculum.select_batch()
             assert batch == random_sampler.select_batch()
@@ -96,39 +98,25 @@ class TestCurriculumSampler:
             random_sampler.report([0.5] * len(batch))
 
     def test_only_high_levels_after_the_switch(self):
-        sampler = _build(CurriculumSampler, _bank(50), 5, seed=2, curriculum_switch_step=0)
+        sampler = _build(CurriculumSampler, _bank(50), 5, seed=2, total_steps=1)
         for _ in range(20):
             batch = sampler.select_batch()
             assert all(sampler.bank.level_tags[sampler.bank.index[pid]] >= 4 for pid in batch)
             sampler.report([0.5] * len(batch))
 
-    def test_threshold_five_with_pool_equal_to_batch(self):
+    def test_pool_equal_to_batch_is_taken_whole(self):
         bank = _bank(25)  # five problems per level
-        sampler = _build(
-            CurriculumSampler, bank, 5, seed=3, curriculum_switch_step=0, curriculum_threshold=5
-        )
+        sampler = _build(CurriculumSampler, bank, 10, seed=3, total_steps=1)
         batch = sampler.select_batch()
         assert sorted(batch) == sorted(
-            pid for pid, tag in zip(bank.ids, bank.level_tags) if tag == 5
+            pid for pid, tag in zip(bank.ids, bank.level_tags) if tag >= 4
         )
 
     def test_eligible_pool_smaller_than_batch(self):
-        with pytest.raises(ConfigError, match="only 10 problems at level >= 4, need 11"):
-            _build(CurriculumSampler, _bank(25), 11, curriculum_switch_step=0)
-        # A switch no step of the run reaches needs no eligible pool.
-        _build(CurriculumSampler, _bank(25), 11, curriculum_switch_step=5, total_steps=5)
-
-    def test_batch_past_the_run_with_too_few_eligible_refused(self):
-        # Built because its switch comes only at the run's end; a sixth batch reaches it.
-        sampler = _build(CurriculumSampler, _bank(25), 11, curriculum_switch_step=5, total_steps=5)
-        for _ in range(5):
-            sampler.select_batch()
-            sampler.report([0.5] * 11)
-        before = sampler.state_dict()
-        with pytest.raises(ConfigError, match="only 10 problems at level >= 4, need 11"):
-            sampler.select_batch()
-        assert sampler.pending is None
-        assert sampler.state_dict() == before
+        # The switch, at total_steps // 2, always comes within the run.
+        for total_steps in (1, 2, 150):
+            with pytest.raises(ConfigError, match="only 10 problems at level >= 4, need 11"):
+                _build(CurriculumSampler, _bank(25), 11, total_steps=total_steps)
 
     def test_run_with_too_few_eligible_refused_before_its_first_step(self, tmp_path, monkeypatch):
         # 40 of 100 problems reach level 4; the switch at step 75 needs 64.
@@ -146,15 +134,7 @@ class TestCurriculumSampler:
 
     def test_missing_level_tags_rejected(self):
         with pytest.raises(ConfigError):
-            _build(CurriculumSampler, _bank(10, tagged=False), 2, curriculum_switch_step=1)
-
-    def test_bad_switch_and_threshold(self):
-        with pytest.raises(ConfigError):
-            _build(CurriculumSampler, _bank(10), 2, curriculum_switch_step=-1)
-        with pytest.raises(ConfigError):
-            _build(
-                CurriculumSampler, _bank(10), 2, curriculum_switch_step=0, curriculum_threshold=6
-            )
+            _build(CurriculumSampler, _bank(10, tagged=False), 2)
 
 
 class TestPrioritizedSampler:
@@ -193,14 +173,28 @@ class TestPrioritizedSampler:
         assert len(set(batch)) == 3
         assert sampler.uniform_fallbacks == 1
 
-    def test_unseen_problems_use_initial_weight(self):
-        # With initial weight 0, an unseen problem is never drawn while a
-        # failed problem remains.
-        bank = _named_bank(["seen", "new"])
-        sampler = _build(PrioritizedSampler, bank, 1, seed=6, prioritized_initial_weight=0.0)
-        _with_rates(sampler, {"seen": 0.0})
-        for _ in range(100):
-            assert sampler.select_batch() == ["seen"]
+    def test_unseen_problems_weigh_as_much_as_failed_ones(self):
+        # Weights {1, 0.5, 1} normalize to probabilities {0.4, 0.2, 0.4}.
+        bank = _named_bank(["failed", "half", "new"])
+        sampler = _build(PrioritizedSampler, bank, 1, seed=6)
+        _with_rates(sampler, {"failed": 0.0, "half": 0.5})
+        draws = 50_000
+        counts = {pid: 0 for pid in bank.ids}
+        for _ in range(draws):
+            counts[sampler.select_batch()[0]] += 1
+        for pid, p in (("failed", 0.4), ("half", 0.2), ("new", 0.4)):
+            standard_error = math.sqrt(p * (1.0 - p) / draws)
+            assert abs(counts[pid] / draws - p) <= 3 * standard_error, pid
+
+    def test_smallest_positive_weight_keys_stay_finite(self):
+        # The largest pass rate below 1 weighs 2**-53; every key E / w is
+        # finite, so no draw overflows and the problem ranks before zero weights.
+        bank = _named_bank(["almost", "passed"])
+        sampler = _build(PrioritizedSampler, bank, 1, seed=7)
+        _with_rates(sampler, {"almost": 1.0 - 2.0**-53, "passed": 1.0})
+        for _ in range(200):
+            assert sampler.select_batch() == ["almost"]
+        assert sampler.uniform_fallbacks == 0
 
     def test_equal_rates_select_uniformly(self):
         bank = _named_bank(f"e{i}" for i in range(10))
@@ -213,10 +207,6 @@ class TestPrioritizedSampler:
         standard_error = math.sqrt(0.1 * 0.9 / draws)
         for pid, count in counts.items():
             assert abs(count / draws - 0.1) <= 3 * standard_error, pid
-
-    def test_bad_initial_weight(self):
-        with pytest.raises(ConfigError):
-            _build(PrioritizedSampler, _named_bank("a"), 1, prioritized_initial_weight=1.5)
 
 
 def _rolls(count_of):
@@ -265,7 +255,7 @@ class TestDynamicSampler:
     def test_capped_batch_pads_with_recently_filtered(self):
         # Only one problem is keepable; two rounds exhaust the bank, then the
         # deficit is padded with filtered candidates.
-        sampler = self._sampler(4, n=6, seed=2, dynamic_retry_cap=2)
+        sampler = self._sampler(4, n=6, seed=2)
         kept, kept_counts, consumed = sampler.select_and_roll(
             _rolls(lambda i: 2 if i == 0 else self.G)
         )
@@ -274,10 +264,27 @@ class TestDynamicSampler:
         assert kept_counts[0] == 2 and kept_counts[1:] == [self.G] * 3
         assert consumed == 6  # both rounds together visit every problem once
 
+    def test_capped_batch_pads_with_the_last_round(self):
+        # One candidate is keepable; RETRY_CAP rounds of one batch each are
+        # drawn, and the last three filtered pad the batch.
+        sampler = self._sampler(4, n=100, seed=3)
+        rounds = []
+
+        def roll_round(indices):
+            rounds.append(indices.tolist())
+            return [2 if len(rounds) == 1 and k == 0 else self.G for k in range(len(indices))]
+
+        kept, kept_counts, consumed = sampler.select_and_roll(roll_round)
+        assert [len(r) for r in rounds] == [4] * RETRY_CAP
+        assert kept.tolist() == [rounds[0][0], *rounds[-1][1:]]
+        assert kept_counts == [2, self.G, self.G, self.G]
+        assert consumed == 4 * RETRY_CAP
+
     def test_budget_error_when_nothing_keepable(self):
-        sampler = self._sampler(4, n=10, seed=4, dynamic_retry_cap=3)
-        with pytest.raises(RolloutBudgetError):
+        sampler = self._sampler(4, n=10, seed=4)
+        with pytest.raises(RolloutBudgetError, match=r"in 3 rounds \(10 rollouts\)"):
             sampler.select_and_roll(_rolls(lambda i: self.G))
+        assert sampler.pending is None
 
     def test_extra_counts_from_roll_round_detected(self):
         # One count too many or one too few: a round is one count per candidate.
@@ -287,24 +294,17 @@ class TestDynamicSampler:
                 sampler.select_and_roll(lambda indices: [2] * (len(indices) + extra))
             assert sampler.pending is None
 
-    def test_oversample_factor_widens_rounds(self):
-        sampler = self._sampler(10, n=100, seed=6, dynamic_oversample_factor=2.0)
+    def test_each_round_draws_one_batch_up_to_the_cap(self):
+        sampler = self._sampler(10, n=200, seed=6)
         seen = []
 
         def roll_round(indices):
             seen.append(len(indices))
-            return [2] * len(indices)
+            return [self.G] * len(indices)
 
-        kept, _, consumed = sampler.select_and_roll(roll_round)
-        assert len(kept) == 10
-        assert seen == [20]
-        assert consumed == 10  # the round stops at the candidate that fills the batch
-
-    def test_bad_config(self):
-        with pytest.raises(ConfigError):
-            self._sampler(2, dynamic_retry_cap=0)
-        with pytest.raises(ConfigError):
-            self._sampler(2, dynamic_oversample_factor=0.5)
+        with pytest.raises(RolloutBudgetError, match=rf"in {RETRY_CAP} rounds \(100 rollouts\)"):
+            sampler.select_and_roll(roll_round)
+        assert seen == [10] * RETRY_CAP
 
 
 class TestReportOutcomes:
@@ -334,7 +334,7 @@ class TestSerialization:
         "factory",
         [
             lambda bank: _build(RandomSampler, bank, 4, seed=10),
-            lambda bank: _build(CurriculumSampler, bank, 4, seed=10, curriculum_switch_step=2),
+            lambda bank: _build(CurriculumSampler, bank, 4, seed=10, total_steps=4),
             lambda bank: _build(PrioritizedSampler, bank, 4, seed=10),
             lambda bank: _build(DynamicSampler, bank, 4, seed=10),
         ],

@@ -22,9 +22,10 @@ def _rng():
     return np.random.default_rng(0)
 
 
-def _seed(sampler, difficulties, t):
-    """Start every estimate of ``sampler`` at ``difficulties`` with ``t`` visits."""
+def _seed(sampler, difficulties, t, step=0):
+    """Restore ``sampler`` at ``step`` with ``difficulties`` as its estimates, ``t`` visits each."""
     state = sampler.state_dict()
+    state["step"] = step
     state["t"] = encode_array([t] * len(difficulties), "<i8")
     state["difficulty"] = encode_array(list(difficulties.values()), "<f8")
     sampler.load_state_dict(state)
@@ -36,10 +37,10 @@ def _config(n, batch_size, **fields):
     return ExperimentConfig(n_problems=n, batch_size=batch_size, **fields)
 
 
-def _fresh(difficulties, batch_size, seed=0, t=1, **fields):
+def _fresh(difficulties, batch_size, seed=0, t=1, step=0, **fields):
     config = _config(len(difficulties), batch_size, **fields)
     sampler = CdasSampler(config, _bank(difficulties), np.random.default_rng(seed))
-    return _seed(sampler, difficulties, t)
+    return _seed(sampler, difficulties, t, step)
 
 
 SIX_PROBLEMS = {
@@ -72,20 +73,16 @@ class TestSymmetricSelection:
         batch = sampler.select_batch()
         assert set(batch) == {"a", "b"}
 
-    def test_backfill_when_everything_is_harder(self):
-        sampler = _fresh(
-            SIX_PROBLEMS, batch_size=4, warmup=False, initial_competence=-1.0
-        )
+    # Past step 0 competence is minus the mean estimate, so a bank shifted
+    # to one side of zero lies wholly on the other side of it.
+    @pytest.mark.parametrize("shift", [1.0, -1.0], ids=["harder", "easier"])
+    def test_backfill_when_everything_is_on_one_side(self, shift):
+        difficulties = {pid: d + shift for pid, d in SIX_PROBLEMS.items()}
+        sampler = _fresh(difficulties, batch_size=4, warmup=False, step=1)
+        competence = sampler.competence_value
+        assert all((d > competence) == (shift > 0) for d in difficulties.values())
         batch = sampler.select_batch()
-        scored = sorted((alignment(-1.0, d), pid) for pid, d in SIX_PROBLEMS.items())
-        assert set(batch) == {pid for _, pid in scored[:4]}
-
-    def test_backfill_when_everything_is_easier(self):
-        sampler = _fresh(
-            SIX_PROBLEMS, batch_size=4, warmup=False, initial_competence=1.0
-        )
-        batch = sampler.select_batch()
-        scored = sorted((alignment(1.0, d), pid) for pid, d in SIX_PROBLEMS.items())
+        scored = sorted((alignment(competence, d), pid) for pid, d in difficulties.items())
         assert set(batch) == {pid for _, pid in scored[:4]}
 
     def test_alignment_ties_break_on_ascending_id(self):
@@ -354,13 +351,14 @@ def test_bad_counts_from_roll_round_refused(case):
     "strategy", [s for s in STRATEGIES if "uniform_fallbacks" in SAMPLERS[s].state_fields]
 )
 def test_refused_roll_counts_no_fallback(strategy):
-    # Zero-weight unseen problems force a uniform fallback on the first batch;
-    # it is counted only once a batch is held.
-    config = _config(
-        6, 4, rollouts=4, strategy=strategy, warmup=False, prioritized_initial_weight=0.0
-    )
+    # Problems that all passed weigh zero and force a uniform fallback; it
+    # is counted only once a batch is held.
+    config = _config(6, 4, rollouts=4, strategy=strategy, warmup=False)
     bank = _bank(SIX_PROBLEMS, tag=5)
     sampler = SAMPLERS[strategy](config, bank, np.random.default_rng(0))
+    state = sampler.state_dict()
+    state["last_pass_rate"] = encode_array([1.0] * len(bank), "<f8")
+    sampler.load_state_dict(state)
     with pytest.raises(ConsistencyError):
         sampler.select_and_roll(lambda indices: [2] * 3)
     assert sampler.uniform_fallbacks == 0
@@ -444,19 +442,12 @@ class TestConfigChecks:
         with pytest.raises(ConfigError, match="duplicate"):
             _bank(["a", "a"])
 
-    def test_non_finite_initial_difficulty(self):
-        with pytest.raises(ConfigError, match="initial_difficulty"):
-            CdasSampler(_config(2, 2, initial_difficulty=math.inf), _bank("ab"), _rng())
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_initial_competence(self, value):
-        with pytest.raises(ConfigError, match="initial_competence: must be finite"):
-            CdasSampler(_config(2, 2, initial_competence=value), _bank("ab"), _rng())
-
-    def test_initial_difficulty_seeds_every_estimate(self):
-        sampler = CdasSampler(_config(4, 2, initial_difficulty=-0.5), _bank("abcd"), _rng())
+    def test_estimates_and_competence_start_at_zero(self):
+        sampler = CdasSampler(_config(4, 2), _bank("abcd"), _rng())
         assert sampler.state_arrays()["t"].tolist() == [0, 0, 0, 0]
-        assert sampler.estimates.tolist() == [-0.5] * 4
+        # 0.0, not -0.0: problems.csv writes the sign.
+        values = [*sampler.estimates.tolist(), sampler.competence_value]
+        assert [(v, math.copysign(1.0, v)) for v in values] == [(0.0, 1.0)] * 5
 
 
 class TestBatchInvariants:

@@ -26,6 +26,17 @@ TINY_FLAGS = [
     "--steps", "5",
 ]
 
+# Settings that were config fields and are constants now, at the values they had.
+MADE_CONSTANT = {
+    "initial_difficulty": 0.0,
+    "initial_competence": 0.0,
+    "curriculum_switch_step": None,
+    "curriculum_threshold": 4,
+    "prioritized_initial_weight": 1.0,
+    "dynamic_retry_cap": 10,
+    "dynamic_oversample_factor": 1.0,
+}
+
 
 def _other_value(field):
     """A value for ``field`` that differs from its default."""
@@ -35,8 +46,8 @@ def _other_value(field):
         return next(c for c in choices if c != default)
     if isinstance(default, bool):
         return not default
-    if isinstance(default, int) or field.name == "curriculum_switch_step":
-        return (default or 0) + 3
+    if isinstance(default, int):
+        return default + 3
     if isinstance(default, float) or field.name == "ability_init":
         return (default or 0.0) + 0.375
     return f"some/{field.name}"
@@ -58,6 +69,14 @@ class TestConfigFlags:
                 argv += [flag, str(value)]
         args = build_parser().parse_args(argv)
         assert _config_from_args(args) == ExperimentConfig(**values)
+
+    @pytest.mark.parametrize("field", MADE_CONSTANT)
+    def test_no_flag_for_a_setting_made_constant(self, capsys, field):
+        flag = "--" + field.replace("_", "-")
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(["run", flag, "1"])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_unset_flags_keep_the_config_file(self, tmp_path):
         config = ExperimentConfig(n_problems=12, symmetric=False, ability_init=0.5)
@@ -124,13 +143,12 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "flags",
         [
-            ["--initial-competence", "nan"],
-            ["--initial-competence", "inf"],
+            ["--ability-init", "inf"],
             ["--learn-rate", "nan"],
             ["--learn-rate", "inf"],
             ["--discrimination", "nan"],
             ["--ability-init", "nan"],
-            ["--strategy", "dynamic", "--dynamic-oversample-factor", "nan"],
+            ["--bank-mode", "levels", "--bank-level-spread", "nan"],
         ],
         ids=lambda flags: " ".join(flags[-2:]),
     )
@@ -155,6 +173,40 @@ class TestRunCommand:
         assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"{field}: must be of type" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"ability_init": 10**400},
+            {"discrimination": 10**400},
+            {"learn_rate": 10**400},
+            {"bank_scale": 10**400},
+            {"bank_mode": "levels", "bank_level_spread": 10**400},
+        ],
+        ids=lambda fields: list(fields)[-1],
+    )
+    def test_config_file_int_too_large_for_a_float_exits_2_before_any_run_directory(
+        self, tmp_path, capsys, fields
+    ):
+        # A 401-digit int: float() of it overflows, so validate refuses it.
+        field = list(fields)[-1]
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(fields))
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{field}: must be finite" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", MADE_CONSTANT)
+    def test_config_file_naming_a_field_made_constant_exits_2(self, tmp_path, capsys, field):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({field: MADE_CONSTANT[field]}))
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown config field {field!r}" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
@@ -301,6 +353,14 @@ class TestResumeCommand:
         assert main(["resume", str(path)]) == 2
         err = capsys.readouterr().err
         assert "checkpoint" in err and "Traceback" not in err
+
+    def test_format_6_checkpoint_exits_2(self, tmp_path, capsys):
+        path = Path(__file__).resolve().parent / "data" / "checkpoint_format6.json"
+        out = tmp_path / "run"
+        assert main(["resume", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "unsupported format_version 6" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_missing_checkpoint_exits_3(self, tmp_path, capsys):
         code = main(["resume", str(tmp_path / "nope.json")])

@@ -1,16 +1,20 @@
 """Experiment config: validation, JSON round trip, overrides, hashing."""
 
 import argparse
+import ast
 import dataclasses
 import inspect
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cdas
 from cdas import cli
-from cdas.baselines import CurriculumSampler, DynamicSampler, PrioritizedSampler
+from cdas.baselines import CurriculumSampler
 from cdas.config import SAMPLERS, STRATEGIES, ExperimentConfig
 from cdas.errors import FIELD_RULES, ConfigError, ConsistencyError
 from cdas.learner import SyntheticLearner, generate_bank
@@ -35,21 +39,12 @@ class TestValidation:
             ("bank_mode", "lognormal"),
             ("bank_scale", 0.0),
             ("bank_level_spread", -2.0),
-            ("curriculum_switch_step", -5),
-            ("curriculum_threshold", 0),
-            ("prioritized_initial_weight", 2.0),
-            ("dynamic_retry_cap", 0),
-            ("dynamic_oversample_factor", 0.9),
             ("discrimination", math.nan),
             ("learn_rate", math.inf),
             ("ability_init", math.nan),
             ("bank_scale", math.inf),
             ("bank_level_spread", math.nan),
-            ("initial_difficulty", -math.inf),
-            ("initial_competence", math.nan),
-            ("initial_competence", math.inf),
-            ("prioritized_initial_weight", math.nan),
-            ("dynamic_oversample_factor", math.nan),
+            ("ability_init", 10**400),
             ("learn_rate", "0.1"),
             ("n_problems", 12.5),
             ("n_problems", None),
@@ -59,8 +54,8 @@ class TestValidation:
             ("strategy", []),
             ("ability_init", "0"),
             ("bank_path", 5),
-            ("curriculum_switch_step", 2.0),
-            ("prioritized_initial_weight", False),
+            ("total_steps", 2.0),
+            ("learn_rate", False),
         ],
     )
     def test_bad_field_is_named_in_the_error(self, field, value):
@@ -70,7 +65,10 @@ class TestValidation:
 
     def test_float_fields_take_ints_and_optional_fields_none(self):
         ExperimentConfig(learn_rate=1, ability_init=0, bank_scale=2).validate()
-        ExperimentConfig(ability_init=None, curriculum_switch_step=None).validate()
+        # Up to the largest float; past it is refused (see BAD_VALUES).
+        largest = int(sys.float_info.max)
+        ExperimentConfig(ability_init=-largest, bank_scale=largest).validate()
+        ExperimentConfig(ability_init=None, bank_path=None).validate()
 
     def test_rules_between_fields_are_left_to_the_samplers(self):
         # A batch larger than the bank, or an odd symmetric cdas batch, is
@@ -80,13 +78,9 @@ class TestValidation:
 
 
 class TestCurriculumSwitch:
-    def test_defaults_to_half_the_run(self):
-        assert ExperimentConfig(total_steps=150).resolved_curriculum_switch_step == 75
-        assert ExperimentConfig(total_steps=7).resolved_curriculum_switch_step == 3
-
-    def test_explicit_value_wins(self):
-        config = ExperimentConfig(total_steps=100, curriculum_switch_step=10)
-        assert config.resolved_curriculum_switch_step == 10
+    @pytest.mark.parametrize("total_steps, switch", [(150, 75), (7, 3), (2, 1), (1, 0)])
+    def test_comes_halfway_through_the_run(self, total_steps, switch):
+        assert _sampler(CurriculumSampler, total_steps=total_steps).switch_step == switch
 
 
 class TestSerialization:
@@ -157,25 +151,22 @@ FIELDS_WITHOUT_RANGE = {
     "out_dir": "its type only",
 }
 
+# Ints a float field refuses: float() of 10**400 overflows, and the next
+# int past the largest float would round down to it.
+PAST_THE_LARGEST_FLOAT = [10**400, int(sys.float_info.max) + 1]
+
 BAD_VALUES = {
     "n_problems": [0, -3],
     "batch_size": [0, -1],
     "rollouts": [1, 0],
     "total_steps": [0],
     "seed": [-1],
-    "discrimination": [0.0, -1.0, math.nan, math.inf, -math.inf],
-    "learn_rate": [-0.01, math.nan, math.inf],
-    "ability_init": [math.nan, math.inf, -math.inf],
+    "discrimination": [0.0, -1.0, math.nan, math.inf, -math.inf, *PAST_THE_LARGEST_FLOAT],
+    "learn_rate": [-0.01, math.nan, math.inf, *PAST_THE_LARGEST_FLOAT],
+    "ability_init": [math.nan, math.inf, -math.inf, *PAST_THE_LARGEST_FLOAT, -(10**400)],
     "bank_mode": ["lognormal", ""],
-    "bank_scale": [0.0, -1.0, math.nan, math.inf],
-    "bank_level_spread": [0.0, -2.0, math.nan, math.inf],
-    "initial_difficulty": [math.nan, math.inf, -math.inf],
-    "initial_competence": [math.nan, math.inf, -math.inf],
-    "curriculum_switch_step": [-1, -5],
-    "curriculum_threshold": [0, 6],
-    "prioritized_initial_weight": [-0.1, 1.5, math.nan, math.inf],
-    "dynamic_retry_cap": [0],
-    "dynamic_oversample_factor": [0.9, 0, math.nan, math.inf],
+    "bank_scale": [0.0, -1.0, math.nan, math.inf, *PAST_THE_LARGEST_FLOAT],
+    "bank_level_spread": [0.0, -2.0, math.nan, math.inf, *PAST_THE_LARGEST_FLOAT],
 }
 
 BANK = generate_bank(ExperimentConfig(n_problems=20), np.random.default_rng(0))
@@ -232,17 +223,6 @@ CONSUMERS = {
         lambda v: _bank(bank_mode="levels", bank_level_spread=v),
         lambda v: _bank_generate(mode="levels", level_spread=v),
     ],
-    "initial_difficulty": [lambda v: _sampler(CdasSampler, initial_difficulty=v)],
-    "initial_competence": [lambda v: _sampler(CdasSampler, initial_competence=v)],
-    "curriculum_switch_step": [lambda v: _sampler(CurriculumSampler, curriculum_switch_step=v)],
-    "curriculum_threshold": [lambda v: _sampler(CurriculumSampler, curriculum_threshold=v)],
-    "prioritized_initial_weight": [
-        lambda v: _sampler(PrioritizedSampler, prioritized_initial_weight=v)
-    ],
-    "dynamic_retry_cap": [lambda v: _sampler(DynamicSampler, dynamic_retry_cap=v)],
-    "dynamic_oversample_factor": [
-        lambda v: _sampler(DynamicSampler, dynamic_oversample_factor=v)
-    ],
 }
 
 
@@ -294,7 +274,7 @@ class TestFieldRules:
 REFUSED_CONFIGS = [
     *({field: value} for field, values in BAD_VALUES.items() for value in values),
     {"learn_rate": "0.1"},
-    {"curriculum_switch_step": 1.5},
+    {"total_steps": 1.5},
     {"symmetric": "no"},
     {"strategy": "greedy"},
 ]
@@ -331,3 +311,32 @@ def test_what_a_run_builds_takes_no_defaulted_parameter(build):
     # Each reads its fields from the config; a default would repeat one.
     parameters = inspect.signature(build).parameters.values()
     assert [p.name for p in parameters if p.default is not p.empty] == []
+
+
+# Modules that handle the config as a whole, field by field.
+CONFIG_MODULES = {"config.py", "errors.py", "cli.py"}
+
+
+def _config_fields_read(path: Path) -> set[str]:
+    """The attributes ``path`` reads off a name or attribute called ``config``."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and (
+            isinstance(node.value, ast.Name)
+            and node.value.id == "config"
+            or isinstance(node.value, ast.Attribute)
+            and node.value.attr == "config"
+        )
+    }
+
+
+def test_every_field_is_read_by_what_a_run_builds():
+    # A field only the config modules read sets nothing: it belongs as a constant.
+    package = Path(cdas.__file__).parent
+    modules = [path for path in package.glob("*.py") if path.name not in CONFIG_MODULES]
+    read = set().union(*map(_config_fields_read, modules))
+    unread = {field.name for field in dataclasses.fields(ExperimentConfig)} - read
+    assert unread == set()

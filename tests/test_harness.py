@@ -2,6 +2,7 @@
 
 import base64
 import csv
+import dataclasses
 import itertools
 import json
 import logging
@@ -39,6 +40,18 @@ DATA = Path(__file__).resolve().parent / "data"
 
 def _tiny(**overrides):
     return TINY.with_overrides(**overrides)
+
+
+def _in_current_format(payload):
+    """An older checkpoint relabelled as the current format, its config cut to today's fields."""
+    fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
+    config = {name: value for name, value in payload["config"].items() if name in fields}
+    return {
+        **payload,
+        "format_version": harness.CHECKPOINT_VERSION,
+        "config": config,
+        "config_hash": ExperimentConfig.from_dict(config).content_hash(),
+    }
 
 
 class TestRunExperiment:
@@ -478,8 +491,9 @@ class TestCheckpointResume:
         # Version 1 checkpoints carried whole sampler objects, version 2 a
         # pass-rate dict keyed by id, version 3 a pending batch, a stored
         # competence and a second step, version 4 per-problem lists and id
-        # batches, and version 5 a bank hash over text lines; all are refused.
-        for version in (1, 2, 3, 4, 5, 99):
+        # batches, version 5 a bank hash over text lines, and version 6 seven
+        # config fields since made constants; all are refused.
+        for version in (1, 2, 3, 4, 5, 6, 99):
             run_experiment(_tiny(out_dir=str(tmp_path)), stop_after=2)
             path = tmp_path / CHECKPOINT_FILE
             _edit_checkpoint(path, lambda payload: payload.update(format_version=version))
@@ -491,13 +505,33 @@ class TestCheckpointResume:
         old = DATA / "checkpoint_format5.json"
         with pytest.raises(ConfigError, match="unsupported format_version 5"):
             resume_experiment(old, out_dir=tmp_path / "run")
-        # Read as the current format, only its bank hash gives it away.
+        # Read as the current format, with today's config fields, only its
+        # bank hash gives it away.
         path = tmp_path / CHECKPOINT_FILE
-        current = {**json.loads(old.read_text()), "format_version": harness.CHECKPOINT_VERSION}
-        path.write_text(json.dumps(current))
+        path.write_text(json.dumps(_in_current_format(json.loads(old.read_text()))))
         with pytest.raises(ConfigError, match="bank hash mismatch"):
             resume_experiment(path, out_dir=tmp_path / "run")
         assert not (tmp_path / "run").exists()
+
+    def test_format_6_checkpoint_refused_by_its_version(self, tmp_path):
+        # Written by the format-6 code, whose config held seven more fields.
+        old = DATA / "checkpoint_format6.json"
+        with pytest.raises(ConfigError, match="unsupported format_version 6"):
+            resume_experiment(old, out_dir=tmp_path / "run")
+        payload = json.loads(old.read_text())
+        path = tmp_path / CHECKPOINT_FILE
+        path.write_text(json.dumps({**payload, "format_version": harness.CHECKPOINT_VERSION}))
+        with pytest.raises(ConfigError, match="unknown config field 'curriculum_switch_step'"):
+            resume_experiment(path, out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+        # Its config is all that changed: cut to today's fields, it resumes
+        # to the bytes of the run never stopped.
+        path.write_text(json.dumps(_in_current_format(payload)))
+        resume_experiment(path, out_dir=tmp_path / "run")
+        config = ExperimentConfig.from_dict(_in_current_format(payload)["config"])
+        run_experiment(config.with_overrides(out_dir=str(tmp_path / "full")))
+        for name in (METRICS_FILE, BATCHES_FILE, PROBLEMS_FILE):
+            assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
     @pytest.mark.parametrize(
         "strategy, edit, match",

@@ -251,12 +251,12 @@ class TestGenerateBank:
 
     def test_records_start_unscheduled(self):
         # The bank holds no scheduler state; a CDAS sampler on it starts every
-        # problem at t = 0 with the configured initial difficulty.
+        # problem at t = 0 with difficulty 0.0.
         bank = _bank(5, 4)
-        config = ExperimentConfig(n_problems=5, batch_size=2, initial_difficulty=0.25)
+        config = ExperimentConfig(n_problems=5, batch_size=2)
         sampler = CdasSampler(config, bank, np.random.default_rng(0))
         assert all(record.t == 0 for record in sampler.records.values())
-        assert all(record.difficulty == 0.25 for record in sampler.records.values())
+        assert [record.difficulty for record in sampler.records.values()] == [0.0] * 5
 
     def test_columns_line_up_in_bank_order(self):
         bank = _bank(5, 4)

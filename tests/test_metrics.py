@@ -59,7 +59,7 @@ class TestSummarizeStep:
         sampler = _random_sampler(n=4, batch_size=4)
         groups = _groups_with_rates([0.0, 0.5, 1.0, 0.25], ids=sampler.select_batch())
         sampler.report([g.pass_rate for g in groups])
-        metrics = summarize_step(*_columns(groups, sampler.bank), sampler, _StubLearner(0.7))
+        metrics = summarize_step(*_columns(groups, sampler.bank), sampler, _StubLearner(0.7), 4)
         assert metrics.mean_reward == pytest.approx(0.4375, abs=1e-15)
         assert metrics.zero_gradient_fraction == 0.5  # rates 0.0 and 1.0
         assert metrics.step == 1
@@ -69,7 +69,7 @@ class TestSummarizeStep:
     def test_baseline_strategies_leave_model_columns_empty(self):
         groups = _groups_with_rates([0.5, 0.75])
         sampler = _random_sampler()
-        metrics = summarize_step(*_columns(groups, sampler.bank), sampler, _StubLearner(0.0))
+        metrics = summarize_step(*_columns(groups, sampler.bank), sampler, _StubLearner(0.0), 2)
         assert metrics.competence is None
         assert metrics.mean_sampled_difficulty is None
 
@@ -79,11 +79,12 @@ class TestSummarizeStep:
         batch = sampler.select_batch()
         sampler.report([1.0] * len(batch))
         groups = [_group(pid, [1.0, 1.0, 1.0, 1.0]) for pid in batch]
-        metrics = summarize_step(*_columns(groups, sampler.bank), sampler, _StubLearner(0.1))
+        metrics = summarize_step(*_columns(groups, sampler.bank), sampler, _StubLearner(0.1), 2)
         assert metrics.competence == sampler.competence_value
         assert metrics.mean_sampled_difficulty == pytest.approx(-0.5, abs=1e-15)
 
-    def test_explicit_rollout_consumption_overrides_default(self):
+    def test_rollout_consumption_is_taken_as_given(self):
+        # Dynamic sampling rolls out more groups than it trains on.
         groups = _groups_with_rates([0.5])
         sampler = _random_sampler()
         metrics = summarize_step(*_columns(groups, sampler.bank), sampler, _StubLearner(0.0), 9)
@@ -91,7 +92,7 @@ class TestSummarizeStep:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            summarize_step([], [], [], _random_sampler(), _StubLearner(0.0))
+            summarize_step([], [], [], _random_sampler(), _StubLearner(0.0), 0)
 
 
 class TestMetricsCsv:

@@ -54,11 +54,7 @@ def _problems_csv_oracle(run: RunResult) -> bytes:
     state = run.sampler.state_arrays()
     bank = run.bank
     counts = state["t"].tolist() if "t" in state else [0] * len(bank)
-    estimates = (
-        state["difficulty"].tolist()
-        if "difficulty" in state
-        else [run.config.initial_difficulty] * len(bank)
-    )
+    estimates = state["difficulty"].tolist() if "difficulty" in state else [0.0] * len(bank)
     text = io.StringIO(newline="")
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(["id", "level_tag", "true_difficulty", "t", "difficulty", "final_pass_rate"])
@@ -92,8 +88,9 @@ RUNS = dict(
 def _runs(n, strategy, mode, seed, steps, prefix, latents, tags, estimates, counts, rates):
     """A short run on an ``n``-problem bank, and the same run with edge values everywhere."""
     # Dynamic sampling rolls a problem once a step, so a one-problem bank
-    # whose only group agrees has nothing to train on.
-    assume(n > 1 or strategy != "dynamic")
+    # whose only group agrees has nothing to train on; curriculum needs a
+    # problem at level 4 or above, and a lone problem's quintile is 1.
+    assume(n > 1 or strategy not in ("dynamic", "curriculum"))
     # A few real steps, so some problems are reported and most are not.
     config = ExperimentConfig(
         n_problems=n,
@@ -104,9 +101,6 @@ def _runs(n, strategy, mode, seed, steps, prefix, latents, tags, estimates, coun
         strategy=strategy,
         bank_mode=mode,
         seed=seed,
-        # Curriculum switches after step 1; a one-problem bank has to pass its filter.
-        curriculum_switch_step=1,
-        curriculum_threshold=4 if n > 1 else 1,
     )
     run = run_experiment(config)
 
@@ -222,11 +216,9 @@ STATE_ESTIMATES = st.one_of(st.sampled_from([-0.0, 5e-324, 1e300, -1e300]), EDGE
     estimates=st.lists(STATE_ESTIMATES, min_size=1, max_size=12),
 )
 def test_state_survives_json_bit_for_bit(strategy, n, step, rates, counts, estimates):
-    # Threshold 1: every problem is one a curriculum can switch to.
-    config = ExperimentConfig(
-        n_problems=n, batch_size=1, symmetric=False, strategy=strategy, curriculum_threshold=1
-    )
-    bank = ProblemBank([f"p{i}" for i in range(n)], [1] * n, [0.0] * n)
+    config = ExperimentConfig(n_problems=n, batch_size=1, symmetric=False, strategy=strategy)
+    # Level 5: every problem is one a curriculum can switch to.
+    bank = ProblemBank([f"p{i}" for i in range(n)], [5] * n, [0.0] * n)
 
     def sampler():
         return harness.make_sampler(config, bank, np.random.default_rng(step))

@@ -64,8 +64,12 @@ DIFFICULTIES = st.one_of(
     st.sampled_from([-0.5, -0.25, -0.0, 0.0, 0.25, 0.5]),
     st.floats(-2.0, 2.0, allow_subnormal=False),
 )
-# Far-off starts put the whole bank on one side and force backfill.
-COMPETENCES = st.one_of(st.sampled_from([-9.0, 0.0, 9.0]), st.floats(-3.0, 3.0))
+# A bank shifted far off puts every estimate on one side of the competence,
+# 0.0 before the first report or minus the mean estimate after it, and
+# forces backfill.
+BANK_DIFFICULTIES = st.sampled_from(
+    [DIFFICULTIES, DIFFICULTIES.map(lambda d: d - 9.0), DIFFICULTIES.map(lambda d: d + 9.0)]
+)
 PASS_RATES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
 
 
@@ -77,11 +81,12 @@ def scenarios(draw):
             st.text(alphabet="abz019", min_size=1, max_size=3), min_size=2, max_size=24, unique=True
         )
     )
+    difficulties = draw(BANK_DIFFICULTIES)
     records = [
         ProblemRecord(
             id=pid,
             t=draw(st.integers(0, 3)),
-            difficulty=draw(DIFFICULTIES),
+            difficulty=draw(difficulties),
         )
         for pid in ids
     ]
@@ -90,25 +95,24 @@ def scenarios(draw):
         batch_size = 2 * draw(st.integers(1, len(ids) // 2))
     else:
         batch_size = draw(st.integers(1, len(ids)))
-    competence = draw(COMPETENCES)
+    step = draw(st.integers(0, 1))
     batch_rates = st.lists(PASS_RATES, min_size=batch_size, max_size=batch_size)
     rounds = draw(st.lists(batch_rates, min_size=1, max_size=5))
-    return records, symmetric, batch_size, competence, rounds
+    return records, symmetric, batch_size, step, rounds
 
 
 def _bits(values):
     return [float(v).hex() for v in values]
 
 
-def _sampler(records, competence, **fields):
-    """A post-warm-up CdasSampler starting from the records' ``t`` and ``difficulty``."""
+def _sampler(records, step, **fields):
+    """A post-warm-up CdasSampler at ``step``, holding the records' ``t`` and ``difficulty``."""
     ids = [record.id for record in records]
     bank = ProblemBank(ids, [None] * len(ids), [0.0] * len(ids))
-    config = ExperimentConfig(
-        n_problems=len(ids), warmup=False, initial_competence=competence, **fields
-    )
+    config = ExperimentConfig(n_problems=len(ids), warmup=False, **fields)
     sampler = CdasSampler(config, bank, np.random.default_rng(0))
     state = sampler.state_dict()
+    state["step"] = step
     state["t"] = encode_array([record.t for record in records], "<i8")
     state["difficulty"] = encode_array([record.difficulty for record in records], "<f8")
     sampler.load_state_dict(state)
@@ -118,9 +122,11 @@ def _sampler(records, competence, **fields):
 @settings(max_examples=300, deadline=None)
 @given(scenarios())
 def test_array_sampler_matches_the_scalar_reference(scenario):
-    records, symmetric, batch_size, competence, rounds = scenario
-    sampler = _sampler(records, competence, batch_size=batch_size, symmetric=symmetric)
+    records, symmetric, batch_size, step, rounds = scenario
+    sampler = _sampler(records, step, batch_size=batch_size, symmetric=symmetric)
+    competence = update_competence(records) if step else 0.0
     reference = ScalarCdas(records, symmetric, competence)
+    assert _bits([sampler.competence_value]) == _bits([competence])
     for step, rates in enumerate(rounds, start=1):
         batch = sampler.select_batch()
         assert batch == reference.select(batch_size), step
@@ -140,10 +146,7 @@ def test_array_sampler_matches_the_scalar_reference(scenario):
 def test_negative_zero_bank_has_the_scalar_competence():
     # The scalar loop starts from 0.0, so a bank of -0.0 estimates sums to 0.0
     # and its competence is -0.0.  A restored step-1 sampler derives its
-    # competence from the estimates, not from initial_competence.
+    # competence from the estimates, not the 0.0 of a sampler at step 0.
     records = [ProblemRecord(id=pid, t=1, difficulty=-0.0) for pid in "abcd"]
-    sampler = _sampler(records, 0.5, batch_size=2)
-    state = sampler.state_dict()
-    state["step"] = 1
-    sampler.load_state_dict(state)
+    sampler = _sampler(records, 1, batch_size=2)
     assert _bits([sampler.competence_value]) == _bits([update_competence(records)]) == ["-0x0.0p+0"]
