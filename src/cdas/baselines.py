@@ -109,7 +109,7 @@ class PrioritizedSampler(BaselineSampler):
         keys = np.divide(draws, weights, out=np.full(len(draws), np.inf), where=~zero)
         # Counted by _hold: a batch refused for its rollout counts is not held.
         self._falls_back = len(draws) - np.count_nonzero(zero) < self.batch_size
-        return smallest_by(np.arange(len(draws)), self.batch_size, keys, zero, draws)
+        return smallest_by(np.arange(len(draws)), self.batch_size, keys, draws)
 
     def _hold(self, indices: np.ndarray) -> None:
         super()._hold(indices)

@@ -33,22 +33,18 @@ LEVEL_TAGS = (1, 2, 3, 4, 5)
 class ProblemRecord:
     """One problem's scheduling state.
 
-    ``true_difficulty`` is the simulation's hidden latent parameter; sampler
-    logic must never read it.  ``t`` counts recorded observations and
+    ``id`` names the problem; its level tag and latent difficulty live only in
+    the ``ProblemBank``.  ``t`` counts recorded observations and
     ``difficulty`` is the running mean of instantaneous difficulties.
     """
 
     id: str
-    level_tag: int | None = None
-    true_difficulty: float | None = None
     t: int = 0
     difficulty: float = 0.0
 
     def __post_init__(self):
         if self.t < 0:
             raise ValueError(f"t must be >= 0, got {self.t}")
-        if self.level_tag is not None and self.level_tag not in LEVEL_TAGS:
-            raise ValueError(f"level_tag must be in 1..5, got {self.level_tag}")
         if not math.isfinite(self.difficulty):
             raise ValueError(f"difficulty must be finite, got {self.difficulty}")
 
@@ -116,13 +112,7 @@ def update_difficulty(record: ProblemRecord, d_new: float) -> ProblemRecord:
         raise ValueError(f"instantaneous difficulty must be in [-1, 1], got {d_new}")
     count = record.t + 1
     mean = (record.t / count) * record.difficulty + d_new / count
-    return ProblemRecord(
-        id=record.id,
-        level_tag=record.level_tag,
-        true_difficulty=record.true_difficulty,
-        t=count,
-        difficulty=mean,
-    )
+    return ProblemRecord(id=record.id, t=count, difficulty=mean)
 
 
 def update_competence(records) -> float:

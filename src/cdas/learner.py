@@ -8,7 +8,6 @@ batch that produced a usable gradient signal.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import sys
@@ -16,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import LEVEL_TAGS, sigmoid, sigmoid_array
+from .core import LEVEL_TAGS, MAX_LOGIT, sigmoid, sigmoid_array
 from .errors import ConfigError, check_field
 from .files import read_json, replacing
 from .grpo import RolloutGroup
@@ -26,6 +25,10 @@ BANK_FORMAT_VERSION = 2
 # Characters a problem id may not hold: cells are written unquoted, and
 # batches.csv joins a batch's ids with ";".
 _ID_FORBIDDEN = ',;"\r\n'
+
+# The sigmoid is constant beyond MAX_LOGIT, so this cap on the learner's logit
+# changes no probability; it keeps a logit that overflowed to ±inf out of it.
+_LOGIT_CAP = 2 * MAX_LOGIT
 
 
 class SyntheticLearner:
@@ -47,7 +50,8 @@ class SyntheticLearner:
         self._rng = rng
 
     def success_probability(self, latent: float) -> float:
-        return sigmoid(self.discrimination * (self.ability - latent))
+        logit = self.discrimination * (self.ability - latent)
+        return sigmoid(min(max(logit, -_LOGIT_CAP), _LOGIT_CAP))
 
     def rollout_group(self, problem_id: str, latent: float) -> RolloutGroup:
         """Draw one group of Bernoulli rollouts against a problem of difficulty ``latent``."""
@@ -66,7 +70,11 @@ class SyntheticLearner:
         in the same state, as B calls of ``rollout_group``.
         """
         latents = np.asarray(latents, dtype=np.float64)
-        probabilities = sigmoid_array(self.discrimination * (self.ability - latents))
+        with np.errstate(over="ignore"):
+            logits = self.discrimination * (self.ability - latents)
+        # In place: np.clip costs about twice as much on a batch of latents.
+        np.minimum(logits, _LOGIT_CAP, out=logits)
+        probabilities = sigmoid_array(np.maximum(logits, -_LOGIT_CAP, out=logits))
         draws = self._rng.random((len(probabilities), self.rollouts))
         return (draws < probabilities[:, None]).sum(axis=1).tolist()
 
@@ -125,11 +133,11 @@ class ProblemBank:
 
     ``ids`` names each problem, ``level_tags`` holds its level (an int in
     1..5, or None when untagged) and ``latent`` its hidden latent difficulty,
-    which only the learner reads.  ``index`` maps each id to its position; it
-    is built on first use.  An id is a non-empty str of UTF-8 text with no
-    comma, semicolon, double quote or line break, so it can stand unquoted in
-    every output file.  Nothing here changes during a run; scheduler state
-    lives in the samplers.
+    which only the learner reads.  Inside the library a problem is its
+    position in these columns, and its id only names it.  An id is a
+    non-empty str of UTF-8 text with no comma, semicolon, double quote or line
+    break, so it can stand unquoted in every output file.  Nothing here
+    changes during a run; scheduler state lives in the samplers.
     """
 
     def __init__(self, ids, level_tags, latent, mode: str = "normal"):
@@ -159,7 +167,8 @@ class ProblemBank:
                 f"semicolon, double quote or line break, got {bad!r}"
             )
         if len(set(self.ids)) < len(self.ids):
-            duplicate = next(pid for i, pid in enumerate(self.ids) if self.index[pid] != i)
+            seen = set()
+            duplicate = next(pid for pid in self.ids if pid in seen or seen.add(pid))
             raise ConfigError(f"duplicate problem id {duplicate} in bank")
         tag_types = set(map(type, self.level_tags))
         if not tag_types <= {int, type(None)} or not set(self.level_tags) <= {None, *LEVEL_TAGS}:
@@ -171,11 +180,6 @@ class ProblemBank:
                 f"bank problem {self.ids[missing[0]]} has no finite latent difficulty"
             )
         self._hash: str | None = None
-
-    @functools.cached_property
-    def index(self) -> dict[str, int]:
-        """Each id's position in the bank."""
-        return dict(zip(self.ids, range(len(self.ids))))
 
     def __len__(self) -> int:
         return len(self.ids)

@@ -19,7 +19,8 @@ batch is chosen by alignment |competence - difficulty|: in symmetric mode the
 batch takes the best-aligned half from the problems estimated harder than the
 current competence and the best-aligned half from the rest, falling back to
 the other group when one side runs short; with symmetry off it simply takes
-the globally best-aligned problems.  Ties break on ascending problem id.
+the globally best-aligned problems.  Ties go to the problem that comes first
+in the bank.
 
 Outcome reporting is batched: every outcome in a batch is scored against the
 pre-batch competence, then competence is recomputed once over the whole bank,
@@ -318,10 +319,6 @@ class CdasSampler(Sampler):
         n = len(bank)
         self._t = np.zeros(n, dtype=np.int64)
         self._D = np.zeros(n, dtype=np.float64)
-        # Each id's position in ascending id order: the alignment tie-break.
-        self._rank = np.empty(n, dtype=np.int64)
-        by_id = sorted(range(n), key=bank.ids.__getitem__)
-        self._rank[np.fromiter(by_id, dtype=np.int64, count=n)] = np.arange(n)
         self._warmup_walk = rng.permutation(n)
         self.warmup_steps = math.ceil(n / self.batch_size) if config.warmup else 0
 
@@ -341,16 +338,9 @@ class CdasSampler(Sampler):
 
     @property
     def records(self) -> dict[str, ProblemRecord]:
-        bank = self.bank
         return {
-            pid: ProblemRecord(id=pid, level_tag=tag, true_difficulty=latent, t=t, difficulty=d)
-            for pid, tag, latent, t, d in zip(
-                bank.ids,
-                bank.level_tags,
-                bank.latent.tolist(),
-                self._t.tolist(),
-                self._D.tolist(),
-            )
+            pid: ProblemRecord(id=pid, t=t, difficulty=d)
+            for pid, t, d in zip(self.bank.ids, self._t.tolist(), self._D.tolist())
         }
 
     # -- selection --------------------------------------------------------
@@ -363,7 +353,7 @@ class CdasSampler(Sampler):
         gap = np.abs(self._competence - self._D)
         if self.symmetric:
             return self._select_symmetric(batch_size, gap)
-        return smallest_by(np.arange(n), batch_size, gap, self._rank)
+        return smallest_by(np.arange(n), batch_size, gap)
 
     def _select_symmetric(self, batch_size: int, gap: np.ndarray) -> np.ndarray:
         harder_mask = self._D > self._competence
@@ -379,8 +369,8 @@ class CdasSampler(Sampler):
             take_easier = min(batch_size - take_harder, len(easier))
         return np.concatenate(
             [
-                smallest_by(easier, take_easier, gap, self._rank),
-                smallest_by(harder, take_harder, gap, self._rank),
+                smallest_by(easier, take_easier, gap),
+                smallest_by(harder, take_harder, gap),
             ]
         )
 

@@ -243,7 +243,10 @@ def test_criterion_05_symmetric_batch_law(capsys):
                     skipped = [a for a, pid in pool if pid not in chosen]
                     if picked and skipped and max(picked) > min(skipped):
                         violations += 1
-            groups = [learner.rollout_group(pid, bank.latent[bank.index[pid]]) for pid in batch]
+            groups = [
+                learner.rollout_group(pid, latent)
+                for pid, latent in zip(batch, bank.latent[sampler.pending].tolist())
+            ]
             sampler.report([g.pass_rate for g in groups])
             learner.learn_step([group_advantages(g)[1] for g in groups])
         out["ok"] = violations == 0 and checked > 0 and exact_splits > 0
@@ -336,8 +339,8 @@ def test_criterion_08_history_sensitivity(capsys, utility_comparison):
         )
         last = run.sampler.last_pass_rates
         pairs = [
-            (record.difficulty, last[run.bank.index[record.id]].item())
-            for record in run.sampler.records.values()
+            (record.difficulty, rate)
+            for record, rate in zip(run.sampler.records.values(), last.tolist())
             if record.t >= 1
         ]
         rho = spearmanr([d for d, _ in pairs], [s for _, s in pairs]).statistic
@@ -423,11 +426,13 @@ def test_criterion_11_estimates_track_latent_difficulty(capsys, utility_comparis
         for run in comparison.results:
             if run.config.strategy != "cdas":
                 continue
-            seen = [r for r in run.sampler.records.values() if r.t >= 1]
+            seen = [
+                (r.difficulty, latent)
+                for r, latent in zip(run.sampler.records.values(), run.bank.latent.tolist())
+                if r.t >= 1
+            ]
             rhos.append(
-                spearmanr(
-                    [r.difficulty for r in seen], [r.true_difficulty for r in seen]
-                ).statistic
+                spearmanr([d for d, _ in seen], [latent for _, latent in seen]).statistic
             )
         out["ok"] = len(rhos) == 10 and min(rhos) > 0.6
         out["detail"] = (

@@ -98,10 +98,12 @@ class TestCurriculumSampler:
             random_sampler.report([0.5] * len(batch))
 
     def test_only_high_levels_after_the_switch(self):
-        sampler = _build(CurriculumSampler, _bank(50), 5, seed=2, total_steps=1)
+        bank = _bank(50)
+        sampler = _build(CurriculumSampler, bank, 5, seed=2, total_steps=1)
+        level = dict(zip(bank.ids, bank.level_tags))
         for _ in range(20):
             batch = sampler.select_batch()
-            assert all(sampler.bank.level_tags[sampler.bank.index[pid]] >= 4 for pid in batch)
+            assert all(level[pid] >= 4 for pid in batch)
             sampler.report([0.5] * len(batch))
 
     def test_pool_equal_to_batch_is_taken_whole(self):

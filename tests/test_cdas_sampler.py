@@ -85,14 +85,16 @@ class TestSymmetricSelection:
         scored = sorted((alignment(competence, d), pid) for pid, d in difficulties.items())
         assert set(batch) == {pid for _, pid in scored[:4]}
 
-    def test_alignment_ties_break_on_ascending_id(self):
-        sampler = _fresh(
-            {"m": 0.1, "k": 0.1, "z": 0.1, "q": -0.1, "r": -0.1, "s": -0.2},
-            batch_size=4,
-            warmup=False,
-        )
-        batch = sampler.select_batch()
-        assert set(batch) == {"q", "r", "k", "m"}
+    # The ids run against bank order, so ascending ids would pick other problems.
+    @pytest.mark.parametrize(
+        "symmetric, batch_size, expected",
+        [(True, 4, ["w", "v", "z", "y"]), (False, 3, ["z", "y", "x"])],
+        ids=["symmetric", "global"],
+    )
+    def test_alignment_ties_break_on_bank_order(self, symmetric, batch_size, expected):
+        tied = {"z": 0.1, "y": 0.1, "x": 0.1, "w": -0.1, "v": -0.1, "u": -0.1}
+        sampler = _fresh(tied, batch_size=batch_size, warmup=False, symmetric=symmetric)
+        assert sampler.select_batch() == expected
 
 
 class TestNonSymmetricSelection:
@@ -643,6 +645,7 @@ class TestRecordViews:
     def test_difficulties_follow_the_ids_given(self):
         sampler = _fresh(SIX_PROBLEMS, batch_size=4, warmup=False)
         ids = ["x5", "x1", "x6"]
-        at = [sampler.bank.index[pid] for pid in ids]
+        position = {pid: i for i, pid in enumerate(sampler.bank.ids)}
+        at = [position[pid] for pid in ids]
         assert sampler.estimates[at].tolist() == [SIX_PROBLEMS[pid] for pid in ids]
         assert [sampler.records[pid].difficulty for pid in ids] == sampler.estimates[at].tolist()

@@ -107,6 +107,18 @@ class TestRunCommand:
             r.learner_ability for r in want.rows
         ]
 
+    # The learner's logit overflows to infinity here; it is capped, not refused.
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--discrimination", "1e308"],
+            ["--ability-init", "1e308", "--bank-mode", "levels", "--bank-level-spread", "1e308"],
+        ],
+        ids=["discrimination", "ability-gap"],
+    )
+    def test_huge_finite_learner_settings_run(self, tmp_path, flags):
+        assert main(["run", *flags, "--steps", "2", "--out", str(tmp_path / "run")]) == 0
+
     def test_boolean_flag_negation(self, tmp_path):
         plain = tmp_path / "plain"
         ablated = tmp_path / "ablated"

@@ -194,9 +194,9 @@ class TestUpdateDifficulty:
         assert updated.difficulty == pytest.approx(0.2, abs=1e-15)
 
     def test_preserves_identity_fields(self):
-        record = ProblemRecord(id="p7", level_tag=3, true_difficulty=1.25, t=2, difficulty=0.1)
+        record = ProblemRecord(id="p7", t=2, difficulty=0.1)
         updated = update_difficulty(record, -0.3)
-        assert (updated.id, updated.level_tag, updated.true_difficulty) == ("p7", 3, 1.25)
+        assert updated.id == "p7"
         assert record.t == 2  # original untouched
 
     @pytest.mark.parametrize("bad", [-1.0000001, 1.5, 2.0])
@@ -300,7 +300,3 @@ class TestRecordTypes:
     def test_negative_t_rejected(self):
         with pytest.raises(ValueError):
             ProblemRecord(id="x", t=-1)
-
-    def test_bad_level_rejected(self):
-        with pytest.raises(ValueError):
-            ProblemRecord(id="x", level_tag=6)

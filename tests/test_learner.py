@@ -5,6 +5,7 @@ import json
 import math
 import re
 import struct
+import sys
 import types
 from pathlib import Path
 
@@ -160,6 +161,19 @@ class TestLearnerConfig:
         assert batched.pass_counts([]) == []
         assert batched.state_dict() == single.state_dict()
 
+    def test_pass_counts_match_success_probability_at_an_infinite_logit(self):
+        # 1e308 times a gap of 4 or -2 overflows to an infinite logit, which
+        # both paths cap where the sigmoid is already constant.
+        latents = [-3.0, 3.0, 1.0]
+        batched = _learner(1.0, seed=5, discrimination=1e308)
+        single = _learner(1.0, seed=5, discrimination=1e308)
+        probabilities = [single.success_probability(b) for b in latents]
+        assert probabilities == [1.0 - sys.float_info.epsilon, sys.float_info.epsilon, 0.5]
+        counts = batched.pass_counts(latents)
+        assert counts == [single.rollout_group("q", b).rewards.count(1.0) for b in latents]
+        assert counts[:2] == [batched.rollouts, 0]
+        assert batched.state_dict() == single.state_dict()
+
     def test_state_round_trip_resumes_stream(self):
         learner = _learner(0.4, seed=21)
         learner.rollout_group("q", 0.0)
@@ -263,7 +277,7 @@ class TestGenerateBank:
         assert type(bank.ids) is tuple and type(bank.level_tags) is tuple
         assert bank.latent.dtype == np.float64 and not bank.latent.flags.writeable
         assert len(bank.ids) == len(bank.level_tags) == bank.latent.size == 5
-        assert bank.index == {pid: i for i, pid in enumerate(bank.ids)}
+        assert bank.ids == ("p00000", "p00001", "p00002", "p00003", "p00004")
 
     def test_bad_sizes_and_modes(self):
         with pytest.raises(ConfigError):
@@ -291,17 +305,14 @@ class TestBankContainer:
     def test_lookup_and_len(self):
         bank = _bank(7, 6)
         assert len(bank) == 7
-        assert bank.ids[bank.index["p00003"]] == "p00003"
-
-    def test_index_is_built_on_first_use(self):
-        bank = _bank(7, 6)
-        assert "index" not in vars(bank)
-        assert bank.index["p00003"] == 3
-        assert bank.index is bank.index
+        assert bank.ids[3] == "p00003"
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ConfigError, match="duplicate problem id dup"):
             ProblemBank(["a", "dup", "dup"], [None] * 3, [0.0] * 3)
+        # The first id seen a second time is named.
+        with pytest.raises(ConfigError, match="duplicate problem id b in bank"):
+            ProblemBank(["a", "b", "b", "a"], [None] * 4, [0.0] * 4)
 
     def test_missing_latent_rejected(self):
         with pytest.raises(ConfigError, match="bank problem b"):

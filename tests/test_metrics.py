@@ -39,7 +39,7 @@ def _groups_with_rates(rates, ids=None):
 def _columns(groups, bank):
     """summarize_step's per-group inputs: bank indices, pass rates and zero-gradient flags."""
     return (
-        [bank.index[g.problem_id] for g in groups],
+        [bank.ids.index(g.problem_id) for g in groups],
         [g.pass_rate for g in groups],
         [group_advantages(g)[1] for g in groups],
     )

@@ -1,7 +1,7 @@
 """The array-backed CdasSampler against a reference built from the scalar core.
 
 The reference keeps one ``ProblemRecord`` per problem, ranks by sorted
-``(alignment, id)`` tuples and folds outcomes with ``update_difficulty`` and
+``(alignment, bank position)`` tuples and folds outcomes with ``update_difficulty`` and
 ``update_competence``, so every batch, count, estimate and competence the
 sampler produces must match it exactly, down to the sign of zero.
 """
@@ -33,14 +33,15 @@ class ScalarCdas:
 
     def select(self, batch_size):
         competence = self.competence
+        ids = list(self.records)
         scored = [
-            (alignment(competence, record.difficulty), pid, record.difficulty > competence)
-            for pid, record in self.records.items()
+            (alignment(competence, record.difficulty), position, record.difficulty > competence)
+            for position, record in enumerate(self.records.values())
         ]
         if not self.symmetric:
-            return [pid for _, pid, _ in sorted(scored)[:batch_size]]
-        easier = sorted((gap, pid) for gap, pid, harder in scored if not harder)
-        harder = sorted((gap, pid) for gap, pid, harder in scored if harder)
+            return [ids[position] for _, position, _ in sorted(scored)[:batch_size]]
+        easier = sorted((gap, position) for gap, position, harder in scored if not harder)
+        harder = sorted((gap, position) for gap, position, harder in scored if harder)
         half = batch_size // 2
         take_easier = min(half, len(easier))
         take_harder = min(half, len(harder))
@@ -48,7 +49,8 @@ class ScalarCdas:
             take_harder = min(batch_size - take_easier, len(harder))
         elif take_harder < half:
             take_easier = min(batch_size - take_harder, len(easier))
-        return [pid for _, pid in easier[:take_easier]] + [pid for _, pid in harder[:take_harder]]
+        taken = easier[:take_easier] + harder[:take_harder]
+        return [ids[position] for _, position in taken]
 
     def report(self, outcomes):
         before = self.competence
@@ -75,7 +77,8 @@ PASS_RATES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0
 
 @st.composite
 def scenarios(draw):
-    # Short ids in no particular order: bank order is not id order.
+    # Short ids in no particular order: bank order is not id order, so a
+    # tie broken on the id would pick another batch.
     ids = draw(
         st.lists(
             st.text(alphabet="abz019", min_size=1, max_size=3), min_size=2, max_size=24, unique=True

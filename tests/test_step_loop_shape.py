@@ -9,10 +9,13 @@ once.  A sampler calls its generator at most once per step, and dynamic
 sampling at most once per rollout round: never once per pick.  The learner
 draws once per rollout round, whatever the strategy.  Per-problem
 state sits in the checkpoint as bank-order lists, never as objects keyed by
-problem id.  This gates the shape of the work, not its wall-clock time.
+problem id.  Inside a run a problem is its bank index: once the bank is
+built, a run that writes no outputs reads no problem id.  This gates the
+shape of the work, not its wall-clock time.
 """
 
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -23,7 +26,7 @@ import pytest
 
 from cdas import core, harness, learner
 from cdas.config import STRATEGIES, ExperimentConfig
-from cdas.harness import CHECKPOINT_FILE, run_experiment
+from cdas.harness import CHECKPOINT_FILE, run_experiment, write_outputs
 
 SCALAR = {
     "sigmoid": core.sigmoid,
@@ -195,3 +198,38 @@ def test_checkpoint_keys_no_object_by_problem_id(tmp_path, strategy):
     checkpoint = json.loads((tmp_path / CHECKPOINT_FILE).read_text())
     keyed_by_id = set(_object_keys(checkpoint)) & set(result.bank.ids)
     assert not keyed_by_id, sorted(keyed_by_id)[:3]
+
+
+class CountingIds(tuple):
+    """A bank's ids that count each item read and each pass over them."""
+
+    def __new__(cls, ids):
+        counting = super().__new__(cls, ids)
+        counting.reads = 0
+        return counting
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_run_without_outputs_reads_no_problem_id(monkeypatch, tmp_path, strategy):
+    real_start = harness._start
+
+    def start(config):
+        bank, sampler_rng, run_learner = real_start(config)
+        bank.ids = CountingIds(bank.ids)
+        return bank, sampler_rng, run_learner
+
+    monkeypatch.setattr(harness, "_start", start)
+    result = run_experiment(dataclasses.replace(_config(strategy, tmp_path), out_dir=None))
+    assert len(result.rows) == 30
+    assert result.bank.ids.reads == 0
+    # The stand-in counts: writing the outputs names every batch's problems.
+    write_outputs(result, tmp_path)
+    assert result.bank.ids.reads > 0
