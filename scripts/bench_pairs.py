@@ -11,8 +11,10 @@ prints both sides' median and quartiles, the change's median against the
 parent's, how many pairs the change won (ties count for neither), the
 metric's bound, and whether a gain could be claimed: a win in at least nine
 pairs in ten, and medians further apart than the parent's interquartile
-range; a metric equal on both sides of every pair reads ``identical``.  Runs
-that failed their output checks are listed after the table.
+range; a metric equal on both sides of every pair reads ``identical``.  After
+the table comes one line per pair: its seed, which side ran first, and each
+metric's parent and change values.  Runs that failed their output checks are
+listed last.
 """
 
 from __future__ import annotations
@@ -91,6 +93,24 @@ def format_rows(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def first_side(i: int) -> str:
+    """The side that runs first in pair ``i``: the parent in even pairs, the change in odd ones."""
+    return "parent" if i % 2 == 0 else "change"
+
+
+def format_pairs(pairs: list[tuple[dict, dict]], seeds: list[int], rows: list[dict]) -> str:
+    """One line per pair, for the metrics ``rows`` (from ``summarize``) hold."""
+    lines = ["per pair, parent -> change:"]
+    for i, (seed, pair) in enumerate(zip(seeds, pairs)):
+        values = (
+            f"{row['name']} {pair[0]['metrics'][row['name']]['value']:.4g}"
+            f" -> {pair[1]['metrics'][row['name']]['value']:.4g}"
+            for row in rows
+        )
+        lines.append(f"seed {seed}, {first_side(i)} first: " + "; ".join(values))
+    return "\n".join(lines)
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     command = [sys.executable, "cdasbench/run.py", "--workload", workload]
     command += ["--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
@@ -115,20 +135,23 @@ def main(argv=None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
 
+    checkouts = {"parent": args.parent, "change": args.change}
+    seeds = [args.seed_base + i for i in range(args.pairs)]
     pairs, failed = [], []
-    for i in range(args.pairs):
-        seed = args.seed_base + i
-        order = [("parent", args.parent), ("change", args.change)]
+    for i, seed in enumerate(seeds):
         results = {}
-        for side, checkout in order if i % 2 == 0 else order[::-1]:
-            results[side] = run_once(checkout, args.workload, seed, seconds)
+        order = ("parent", "change") if first_side(i) == "parent" else ("change", "parent")
+        for side in order:
+            results[side] = run_once(checkouts[side], args.workload, seed, seconds)
             if not results[side]["correct"] or results[side]["failed"]:
                 failed.append(f"{side} seed {seed}: {results[side]['failed']} failed")
         pairs.append((results["parent"], results["change"]))
         print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
 
     print(f"{args.workload}: {args.pairs} pairs of {seconds} s, seeds from {args.seed_base}")
-    print(format_rows(summarize(pairs, spec["end_to_end"])))
+    rows = summarize(pairs, spec["end_to_end"])
+    print(format_rows(rows))
+    print(format_pairs(pairs, seeds, rows))
     for line in failed:
         print(f"FAILED: {line}")
     return 1 if failed else 0

@@ -89,7 +89,6 @@ class PrioritizedSampler(BaselineSampler):
     """
 
     strategy = "prioritized"
-    state_fields = (*BaselineSampler.state_fields, "uniform_fallbacks")
 
     def __init__(self, config, bank, rng: np.random.Generator):
         super().__init__(config, bank, rng)

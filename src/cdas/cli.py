@@ -28,13 +28,17 @@ from .learner import generate_bank, load_bank, save_bank
 # Flags spelled other than their field, and fields restricted to fixed choices.
 _FLAG_NAMES = {"total_steps": ("--steps", "--total-steps"), "out_dir": ("--out", "--out-dir")}
 _FLAG_CHOICES = {"strategy": STRATEGIES, "bank_mode": BANK_MODES}
+# The fields that decide the bank a run with the same values draws.
+_BANK_FIELDS = ("n_problems", "seed", "bank_mode", "bank_scale")
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    """One flag per ExperimentConfig field; a flag left unset keeps the config's value."""
+def _add_config_flags(parser: argparse.ArgumentParser, fields=None) -> None:
+    """A flag per ExperimentConfig field in ``fields`` (default all); unset, it keeps the value."""
     parser.add_argument("--config", metavar="PATH", help="JSON config file to start from")
     hints = typing.get_type_hints(ExperimentConfig)
     for field in dataclasses.fields(ExperimentConfig):
+        if fields is not None and field.name not in fields:
+            continue
         names = _FLAG_NAMES.get(field.name, ("--" + field.name.replace("_", "-"),))
         hint = hints[field.name]
         # An optional field parses as its non-None type.
@@ -51,7 +55,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    overrides = {field.name: getattr(args, field.name) for field in dataclasses.fields(config)}
+    # A field without a flag on this command keeps the config's value too.
+    overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(config)}
     return config.with_overrides(**overrides)
 
 
@@ -166,13 +171,7 @@ def _cmd_fixed_point(args: argparse.Namespace) -> int:
 
 def _cmd_bank_generate(args: argparse.Namespace) -> int:
     # A run's config, so that a bank written with seed k is the bank a run with seed k draws.
-    config = ExperimentConfig().with_overrides(
-        n_problems=args.n,
-        seed=args.seed,
-        bank_mode=args.mode,
-        bank_scale=args.scale,
-        bank_level_spread=args.level_spread,
-    )
+    config = _config_from_args(args)
     config.validate()
     bank_rng, _, _ = _spawned_rngs(config.seed)
     bank = generate_bank(config, bank_rng)
@@ -185,7 +184,7 @@ def _cmd_bank_inspect(args: argparse.Namespace) -> int:
     bank = load_bank(args.path)
     latent = bank.latent
     levels = Counter(bank.level_tags)
-    print(f"bank {args.path}: {len(bank)} problems, mode={bank.mode}")
+    print(f"bank {args.path}: {len(bank)} problems")
     print(f"hash: {bank.content_hash()}")
     print(
         f"true difficulty: min={latent.min():.4f} mean={latent.mean():.4f} "
@@ -241,13 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     bank_p = sub.add_parser("bank", help="generate or inspect problem banks")
     bank_sub = bank_p.add_subparsers(dest="bank_command", required=True)
     gen_p = bank_sub.add_parser("generate", help="draw a bank and write it as JSON")
-    # Each flag left unset keeps the value of a run's default config.
-    gen_p.add_argument("--n", type=int)
-    gen_p.add_argument("--seed", type=int)
-    gen_p.add_argument("--mode", choices=BANK_MODES)
-    gen_p.add_argument("--scale", type=float)
-    gen_p.add_argument("--level-spread", type=float)
-    gen_p.add_argument("--out", required=True, metavar="PATH")
+    _add_config_flags(gen_p, _BANK_FIELDS)
+    gen_p.add_argument("--out", required=True, metavar="PATH", help="bank file to write")
     gen_p.set_defaults(func=_cmd_bank_generate)
     ins_p = bank_sub.add_parser("inspect", help="summarize a bank file")
     ins_p.add_argument("path")

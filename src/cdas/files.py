@@ -1,5 +1,5 @@
-"""File access shared across the package: atomic replacement, the JSON reader
-and the base64 text a checkpoint stores each array as."""
+"""File access shared across the package: atomic replacement, the JSON reader, the
+check that a payload holds its keys, and the base64 text a checkpoint stores arrays as."""
 
 from __future__ import annotations
 
@@ -24,6 +24,15 @@ def read_json(path: str | Path, what: str):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as err:  # JSONDecodeError and UnicodeDecodeError among others
         raise ConfigError(f"{what} {path}: invalid JSON ({err})") from err
+
+
+def require(value, fields, what: str) -> None:
+    """Refuse, with a ConfigError naming ``what``, a ``value`` that is not a dict of ``fields``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what}: expected a JSON object")
+    missing = [name for name in fields if name not in value]
+    if missing:
+        raise ConfigError(f"{what}: missing field {missing[0]!r}")
 
 
 @contextmanager

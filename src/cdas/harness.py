@@ -26,7 +26,7 @@ from .baselines import PrioritizedSampler
 from .config import SAMPLERS, ExperimentConfig
 from .core import LEVEL_TAGS
 from .errors import ConfigError
-from .files import decode_array, encode_array, read_json, replacing
+from .files import decode_array, encode_array, read_json, replacing, require
 from .learner import ProblemBank, SyntheticLearner, generate_bank, load_bank
 from .metrics import (
     METRICS_COLUMNS,
@@ -40,7 +40,7 @@ from .sampling import Sampler
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 
 METRICS_FILE = "metrics.csv"
 SUMMARY_FILE = "summary.json"
@@ -268,14 +268,6 @@ _METRICS_TYPES = {
 }
 
 
-def _require(value, fields, what: str) -> None:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{what}: expected a JSON object")
-    missing = [name for name in fields if name not in value]
-    if missing:
-        raise ConfigError(f"{what}: missing field {missing[0]!r}")
-
-
 def load_checkpoint(path: str | Path) -> dict:
     """Read a checkpoint, refusing one whose version, shape or config hash is off."""
     payload = read_json(path, "checkpoint")
@@ -286,13 +278,10 @@ def load_checkpoint(path: str | Path) -> dict:
             f"(expected {CHECKPOINT_VERSION})"
         )
     try:
-        _require(payload, _CHECKPOINT_FIELDS, "checkpoint")
-        _require(payload["config"], (), "config")
+        require(payload, _CHECKPOINT_FIELDS, "checkpoint")
+        require(payload["config"], (), "config")
         config = ExperimentConfig.from_dict(payload["config"])
         config.validate()
-        sampler_cls = SAMPLERS[config.strategy]
-        _require(payload["sampler"], sampler_cls.state_fields, "sampler state")
-        _require(payload["learner"], ("ability", "rng"), "learner state")
         rows = payload["metrics_rows"]
         if not isinstance(rows, list) or any(
             not isinstance(row, dict) or set(row) != set(_METRICS_TYPES) for row in rows

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import LEVEL_TAGS, MAX_LOGIT, sigmoid, sigmoid_array
-from .errors import ConfigError, check_field
-from .files import read_json, replacing
+from .errors import ConfigError
+from .files import read_json, replacing, require
 from .grpo import RolloutGroup
 
 BANK_FORMAT_VERSION = 2
@@ -98,10 +98,12 @@ class SyntheticLearner:
         """Restore ``state_dict`` output.
 
         Raises:
-            ConfigError: the ability is not a finite number, or the rng state
+            ConfigError: the payload is not a dict holding ``ability`` and
+                ``rng``, the ability is not a finite number, or the rng state
                 does not fit this learner's bit generator; the learner is left
                 untouched.
         """
+        require(payload, ("ability", "rng"), "learner state")
         ability = payload["ability"]
         # By exact type: bool is an int subclass, and float() would parse a
         # string.  The bound refuses NaN, infinities and ints too large for a float.
@@ -140,13 +142,11 @@ class ProblemBank:
     changes during a run; scheduler state lives in the samplers.
     """
 
-    def __init__(self, ids, level_tags, latent, mode: str = "normal"):
+    def __init__(self, ids, level_tags, latent):
         self.ids = tuple(ids)
         self.level_tags = tuple(level_tags)
         self.latent = np.array(latent, dtype=np.float64)
         self.latent.flags.writeable = False
-        check_field("bank_mode", mode)
-        self.mode = mode
         if not self.ids:
             raise ConfigError("n_problems: a bank needs at least one problem")
         if not len(self.level_tags) == len(self.latent) == len(self.ids):
@@ -262,19 +262,20 @@ def generate_bank(config, rng: np.random.Generator) -> ProblemBank:
     ``normal`` mode (``config.bank_mode``) draws latent difficulties from
     N(0, bank_scale^2) and tags each problem with its difficulty quintile
     (1 easiest .. 5 hardest).  ``levels`` mode draws tags uniformly and maps
-    them to five equally spaced latent values in [-bank_level_spread,
-    +bank_level_spread].
+    tag k to the latent ``(k - 3) * bank_scale``.
     """
     config.validate()
-    n, mode = config.n_problems, config.bank_mode
+    n = config.n_problems
     width = max(5, len(str(n - 1)))
-    if mode == "normal":
+    if config.bank_mode == "normal":
         latent = rng.normal(0.0, config.bank_scale, size=n)
         tags = _quintile_tags(latent)
     else:
         tags = rng.integers(1, 6, size=n)
-        latent = (tags - 3) * (config.bank_level_spread / 2.0)
-    return ProblemBank(_padded_ids(n, width), tags.tolist(), latent, mode=mode)
+        # A scale past half the largest float overflows; ProblemBank refuses the inf.
+        with np.errstate(over="ignore"):
+            latent = (tags - 3) * config.bank_scale
+    return ProblemBank(_padded_ids(n, width), tags.tolist(), latent)
 
 
 def default_ability(bank: ProblemBank) -> float:
@@ -285,7 +286,6 @@ def default_ability(bank: ProblemBank) -> float:
 def save_bank(bank: ProblemBank, path: str | Path) -> None:
     payload = {
         "format_version": BANK_FORMAT_VERSION,
-        "mode": bank.mode,
         "hash": bank.content_hash(),
         "records": [
             {"id": pid, "level_tag": tag, "true_difficulty": latent}
@@ -323,7 +323,6 @@ def load_bank(path: str | Path) -> ProblemBank:
             [entry["id"] for entry in entries],
             [entry["level_tag"] for entry in entries],
             latent,
-            mode=payload.get("mode", "normal"),
         )
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"bank file {path}: {err}") from err

@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import ProblemRecord, sigmoid_array
 from .errors import ConfigError, ConsistencyError
-from .files import decode_array, encode_array
+from .files import decode_array, encode_array, require
 from .learner import ProblemBank, check_rng_state
 
 # The byte layout ``state_dict`` stores each per-problem column in.
@@ -105,8 +105,6 @@ class Sampler:
 
     strategy: str
     competence_value: float | None = None
-    # The keys of ``state_dict``; subclasses add the ones ``_state`` returns.
-    state_fields: tuple[str, ...] = ("strategy", "step", "rng", "last_pass_rate")
 
     def __init__(self, config, bank: ProblemBank, rng: np.random.Generator):
         config.validate()
@@ -245,15 +243,18 @@ class Sampler:
         """Restore ``state_dict`` output into a sampler built on the same bank.
 
         Raises:
-            ConfigError: the payload belongs to another strategy, holds a
+            ConfigError: the payload is not a dict holding every key
+                ``state_dict`` writes, belongs to another strategy, holds a
                 column that does not decode to one value per problem of this
                 sampler's bank, a step or pass rate that is out of range or
                 of the wrong type, or an rng state that does not fit the bit
                 generator; the sampler is left untouched.
         """
-        if payload.get("strategy") != self.strategy:
+        keys = ("strategy", "step", "rng", "last_pass_rate", *self._state())
+        require(payload, keys, "sampler state")
+        if payload["strategy"] != self.strategy:
             raise ConfigError(
-                f"sampler state: strategy {payload.get('strategy')!r} cannot restore "
+                f"sampler state: strategy {payload['strategy']!r} cannot restore "
                 f"into a {self.strategy!r} sampler"
             )
         step = payload["step"]
@@ -305,7 +306,6 @@ class CdasSampler(Sampler):
     """
 
     strategy = "cdas"
-    state_fields = (*Sampler.state_fields, "t", "difficulty")
 
     def __init__(self, config, bank: ProblemBank, rng: np.random.Generator):
         super().__init__(config, bank, rng)

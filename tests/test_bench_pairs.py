@@ -75,3 +75,15 @@ def test_table_has_one_line_per_metric():
     assert len(lines) == 3
     assert lines[1].split()[:2] == ["setup_s", "0.1"] and "-50.0%" in lines[1]
     assert "claimable" in lines[2] and "1/1" in lines[2]
+
+
+def test_pair_lines_give_seed_order_and_both_values():
+    parent, change = [(0.10, 10.0), (0.11, 9.5)], [(0.05, 12.0), (0.12, 9.0)]
+    pairs = _pairs(parent, change)
+    rows = bench_pairs.summarize(pairs, METRICS)
+    lines = bench_pairs.format_pairs(pairs, [7000, 7001], rows).splitlines()
+    assert lines == [
+        "per pair, parent -> change:",
+        "seed 7000, parent first: setup_s 0.1 -> 0.05; steps_per_s 10 -> 12",
+        "seed 7001, change first: setup_s 0.11 -> 0.12; steps_per_s 9.5 -> 9",
+    ]

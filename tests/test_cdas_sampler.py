@@ -349,9 +349,8 @@ def test_bad_counts_from_roll_round_refused(case):
         assert sampler.state_dict()["step"] == 0, strategy
 
 
-@pytest.mark.parametrize(
-    "strategy", [s for s in STRATEGIES if "uniform_fallbacks" in SAMPLERS[s].state_fields]
-)
+# The one sampler that counts uniform fallbacks.
+@pytest.mark.parametrize("strategy", ["prioritized"])
 def test_refused_roll_counts_no_fallback(strategy):
     # Problems that all passed weigh zero and force a uniform fallback; it
     # is counted only once a batch is held.

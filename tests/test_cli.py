@@ -1,5 +1,6 @@
 """Command-line interface: flags, subcommands, exit codes."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -36,6 +37,23 @@ MADE_CONSTANT = {
     "dynamic_retry_cap": 10,
     "dynamic_oversample_factor": 1.0,
 }
+# Every setting that was a config field and is gone. A levels bank's spread S
+# is now bank_scale S / 2, the latent step between levels.
+REMOVED_FIELDS = {**MADE_CONSTANT, "bank_level_spread": 2.0}
+
+
+def _subparser(*names):
+    """The parser of the subcommand ``cdas <names...>``."""
+    parser = build_parser()
+    for name in names:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    return parser
+
+
+def _flag_dests(parser):
+    """Each option string of ``parser`` -> the dest it sets."""
+    return {flag: action.dest for action in parser._actions for flag in action.option_strings}
 
 
 def _other_value(field):
@@ -70,7 +88,7 @@ class TestConfigFlags:
         args = build_parser().parse_args(argv)
         assert _config_from_args(args) == ExperimentConfig(**values)
 
-    @pytest.mark.parametrize("field", MADE_CONSTANT)
+    @pytest.mark.parametrize("field", REMOVED_FIELDS)
     def test_no_flag_for_a_setting_made_constant(self, capsys, field):
         flag = "--" + field.replace("_", "-")
         with pytest.raises(SystemExit) as exited:
@@ -84,6 +102,15 @@ class TestConfigFlags:
         path.write_text(json.dumps(config.to_dict()))
         args = build_parser().parse_args(["run", "--config", str(path)])
         assert _config_from_args(args) == config
+
+    def test_bank_generate_flags_are_run_flags(self):
+        run = _flag_dests(_subparser("run"))
+        generate = _flag_dests(_subparser("bank", "generate"))
+        # --out names the bank file to write, not a run's output directory.
+        shared = {flag: dest for flag, dest in generate.items() if flag != "--out"}
+        assert shared == {flag: run[flag] for flag in shared}
+        options = sorted(flag for flag in shared if flag not in ("-h", "--help"))
+        assert options == ["--bank-mode", "--bank-scale", "--config", "--n-problems", "--seed"]
 
 
 class TestRunCommand:
@@ -112,7 +139,7 @@ class TestRunCommand:
         "flags",
         [
             ["--discrimination", "1e308"],
-            ["--ability-init", "1e308", "--bank-mode", "levels", "--bank-level-spread", "1e308"],
+            ["--ability-init", "1e308", "--bank-mode", "levels", "--bank-scale", "5e307"],
         ],
         ids=["discrimination", "ability-gap"],
     )
@@ -160,7 +187,7 @@ class TestRunCommand:
             ["--learn-rate", "inf"],
             ["--discrimination", "nan"],
             ["--ability-init", "nan"],
-            ["--bank-mode", "levels", "--bank-level-spread", "nan"],
+            ["--bank-mode", "levels", "--bank-scale", "nan"],
         ],
         ids=lambda flags: " ".join(flags[-2:]),
     )
@@ -194,7 +221,6 @@ class TestRunCommand:
             {"discrimination": 10**400},
             {"learn_rate": 10**400},
             {"bank_scale": 10**400},
-            {"bank_mode": "levels", "bank_level_spread": 10**400},
         ],
         ids=lambda fields: list(fields)[-1],
     )
@@ -211,10 +237,10 @@ class TestRunCommand:
         assert f"{field}: must be finite" in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("field", MADE_CONSTANT)
+    @pytest.mark.parametrize("field", REMOVED_FIELDS)
     def test_config_file_naming_a_field_made_constant_exits_2(self, tmp_path, capsys, field):
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({field: MADE_CONSTANT[field]}))
+        config_path.write_text(json.dumps({field: REMOVED_FIELDS[field]}))
         out = tmp_path / "run"
         assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -374,6 +400,14 @@ class TestResumeCommand:
         assert "unsupported format_version 6" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_format_7_checkpoint_exits_2(self, tmp_path, capsys):
+        path = Path(__file__).resolve().parent / "data" / "checkpoint_format7.json"
+        out = tmp_path / "run"
+        assert main(["resume", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "unsupported format_version 7" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_checkpoint_exits_3(self, tmp_path, capsys):
         code = main(["resume", str(tmp_path / "nope.json")])
         assert code == 3
@@ -475,7 +509,8 @@ class TestFixedPointCommand:
 class TestBankCommands:
     def test_generate_then_inspect(self, tmp_path, capsys):
         path = tmp_path / "bank.json"
-        assert main(["bank", "generate", "--n", "50", "--seed", "4", "--out", str(path)]) == 0
+        argv = ["bank", "generate", "--n-problems", "50", "--seed", "4", "--out", str(path)]
+        assert main(argv) == 0
         assert main(["bank", "inspect", str(path)]) == 0
         printed = capsys.readouterr().out
         assert "50 problems" in printed
@@ -485,16 +520,16 @@ class TestBankCommands:
         "flags, name",
         [
             (["--seed", "-1"], "seed"),
-            (["--scale", "nan"], "bank_scale"),
-            (["--scale", "inf"], "bank_scale"),
-            (["--mode", "levels", "--level-spread", "inf"], "bank_level_spread"),
-            (["--mode", "levels", "--level-spread", "nan"], "bank_level_spread"),
+            (["--bank-scale", "nan"], "bank_scale"),
+            (["--bank-scale", "inf"], "bank_scale"),
+            (["--bank-mode", "levels", "--bank-scale", "inf"], "bank_scale"),
+            (["--bank-mode", "levels", "--bank-scale", "nan"], "bank_scale"),
         ],
-        ids=["negative-seed", "nan-scale", "inf-scale", "inf-level-spread", "nan-level-spread"],
+        ids=["negative-seed", "nan-scale", "inf-scale", "levels-inf-scale", "levels-nan-scale"],
     )
     def test_bad_generate_argument_exits_2(self, tmp_path, capsys, flags, name):
         path = tmp_path / "bank.json"
-        assert main(["bank", "generate", *flags, "--n", "10", "--out", str(path)]) == 2
+        assert main(["bank", "generate", *flags, "--n-problems", "10", "--out", str(path)]) == 2
         err = capsys.readouterr().err
         assert f"error: {name}: must be" in err and "Traceback" not in err
         assert not path.exists()
@@ -517,7 +552,8 @@ class TestBankCommands:
         # 5 problems is fewer than a default batch, which only a run's sampler refuses.
         path = tmp_path / "bank.json"
         for n in (12, 5):
-            assert main(["bank", "generate", "--n", str(n), "--seed", "3", "--out", str(path)]) == 0
+            argv = ["bank", "generate", "--n-problems", str(n), "--seed", "3", "--out", str(path)]
+            assert main(argv) == 0
             result = run_experiment(
                 ExperimentConfig(n_problems=n, batch_size=4, rollouts=4, total_steps=1, seed=3)
             )
@@ -575,13 +611,24 @@ class TestBankCommands:
         assert f"not a number, {latent!r}" in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_bank_with_an_unknown_mode_exits_2(self, tmp_path, capsys):
+    def test_generate_starts_from_a_config_file(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config = ExperimentConfig(n_problems=30, seed=6, bank_mode="levels", bank_scale=1.5)
+        config_path.write_text(json.dumps(config.to_dict()))
         path = tmp_path / "bank.json"
-        save_bank(generate_bank(ExperimentConfig(n_problems=3), np.random.default_rng(0)), path)
+        argv = ["bank", "generate", "--config", str(config_path), "--seed", "2", "--out", str(path)]
+        assert main(argv) == 0
+        want = run_experiment(config.with_overrides(seed=2, batch_size=4, total_steps=1))
+        assert load_bank(path).content_hash() == want.bank_hash
+
+    def test_bank_file_mode_key_is_ignored(self, tmp_path, capsys):
+        # Bank files written before banks dropped their mode label hold a "mode" key.
+        path = tmp_path / "bank.json"
+        bank = generate_bank(ExperimentConfig(n_problems=3), np.random.default_rng(0))
+        save_bank(bank, path)
         path.write_text(json.dumps({**json.loads(path.read_text()), "mode": ["x"]}))
-        assert main(["bank", "inspect", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert "bank_mode: must be one of" in err and "Traceback" not in err
+        assert main(["bank", "inspect", str(path)]) == 0
+        assert f"hash: {bank.content_hash()}" in capsys.readouterr().out
 
     def test_corrupt_bank_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bank.json"

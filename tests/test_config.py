@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 import cdas
-from cdas import cli
-from cdas.baselines import CurriculumSampler
-from cdas.config import SAMPLERS, STRATEGIES, ExperimentConfig
-from cdas.errors import FIELD_RULES, ConfigError, ConsistencyError
+from cdas import cli, errors
+from cdas.baselines import CurriculumSampler, RandomSampler
+from cdas.config import FIELD_RULES, SAMPLERS, STRATEGIES, ExperimentConfig
+from cdas.errors import ConfigError, ConsistencyError
 from cdas.learner import SyntheticLearner, generate_bank
 from cdas.sampling import CdasSampler
 
@@ -38,12 +38,12 @@ class TestValidation:
             ("learn_rate", -0.01),
             ("bank_mode", "lognormal"),
             ("bank_scale", 0.0),
-            ("bank_level_spread", -2.0),
+            ("bank_scale", -1.0),
             ("discrimination", math.nan),
             ("learn_rate", math.inf),
             ("ability_init", math.nan),
             ("bank_scale", math.inf),
-            ("bank_level_spread", math.nan),
+            ("bank_scale", math.nan),
             ("ability_init", 10**400),
             ("learn_rate", "0.1"),
             ("n_problems", 12.5),
@@ -144,7 +144,6 @@ class TestContentHash:
 
 # Config fields with no range rule, and where their values are checked instead.
 FIELDS_WITHOUT_RANGE = {
-    "strategy": "validate, against the sampler registry",
     "symmetric": "its type only",
     "warmup": "its type only",
     "bank_path": "load_bank, when the file is read",
@@ -160,13 +159,13 @@ BAD_VALUES = {
     "batch_size": [0, -1],
     "rollouts": [1, 0],
     "total_steps": [0],
+    "strategy": ["greedy", ""],
     "seed": [-1],
     "discrimination": [0.0, -1.0, math.nan, math.inf, -math.inf, *PAST_THE_LARGEST_FLOAT],
     "learn_rate": [-0.01, math.nan, math.inf, *PAST_THE_LARGEST_FLOAT],
     "ability_init": [math.nan, math.inf, -math.inf, *PAST_THE_LARGEST_FLOAT, -(10**400)],
     "bank_mode": ["lognormal", ""],
     "bank_scale": [0.0, -1.0, math.nan, math.inf, *PAST_THE_LARGEST_FLOAT],
-    "bank_level_spread": [0.0, -2.0, math.nan, math.inf, *PAST_THE_LARGEST_FLOAT],
 }
 
 BANK = generate_bank(ExperimentConfig(n_problems=20), np.random.default_rng(0))
@@ -203,25 +202,24 @@ def _bank(**fields):
 # Field -> each constructor (or command) that takes it, given the value.
 # Each takes the whole config, so its consumers set the one field.
 CONSUMERS = {
-    "n_problems": [lambda v: _bank(n_problems=v), lambda v: _bank_generate(n=v)],
+    "n_problems": [lambda v: _bank(n_problems=v), lambda v: _bank_generate(n_problems=v)],
     "batch_size": [lambda v: _sampler(CdasSampler, batch_size=v)],
     "rollouts": [
         lambda v: _learner(rollouts=v),
         lambda v: _sampler(CdasSampler, rollouts=v),
     ],
     "total_steps": [lambda v: _sampler(CurriculumSampler, total_steps=v)],
+    "strategy": [lambda v: _sampler(RandomSampler, strategy=v)],
     "seed": [lambda v: _bank_generate(seed=v)],
     "discrimination": [lambda v: _learner(discrimination=v)],
     "learn_rate": [lambda v: _learner(learn_rate=v)],
     "ability_init": [lambda v: _learner(ability_init=v)],
-    "bank_mode": [lambda v: _bank(bank_mode=v), lambda v: _bank_generate(mode=v)],
+    "bank_mode": [lambda v: _bank(bank_mode=v), lambda v: _bank_generate(bank_mode=v)],
     "bank_scale": [
         lambda v: _bank(bank_scale=v),
-        lambda v: _bank_generate(scale=v),
-    ],
-    "bank_level_spread": [
-        lambda v: _bank(bank_mode="levels", bank_level_spread=v),
-        lambda v: _bank_generate(mode="levels", level_spread=v),
+        lambda v: _bank(bank_mode="levels", bank_scale=v),
+        lambda v: _bank_generate(bank_scale=v),
+        lambda v: _bank_generate(bank_mode="levels", bank_scale=v),
     ],
 }
 
@@ -237,6 +235,14 @@ class TestFieldRules:
 
     def test_every_rule_has_bad_values_and_consumers(self):
         assert set(BAD_VALUES) == set(FIELD_RULES) == set(CONSUMERS)
+
+    def test_errors_module_defines_only_exceptions(self):
+        # The rules live beside the config; cdas.errors holds the exception types.
+        defined = [
+            value for name, value in vars(errors).items()
+            if not name.startswith("_") and name != "annotations"
+        ]
+        assert defined and all(issubclass(value, Exception) for value in defined)
 
     @pytest.mark.parametrize(
         "field,value", [("learn_rate", "0.1"), ("bank_scale", "1.0"), ("n_problems", 12.5)]
@@ -269,14 +275,12 @@ class TestFieldRules:
         assert not list(tmp_path.iterdir())
 
 
-# Configs validate refuses for more than a field's range: a wrong type or an
-# unknown strategy.
+# Configs validate refuses: a field out of its range, or of a wrong type.
 REFUSED_CONFIGS = [
     *({field: value} for field, values in BAD_VALUES.items() for value in values),
     {"learn_rate": "0.1"},
     {"total_steps": 1.5},
     {"symmetric": "no"},
-    {"strategy": "greedy"},
 ]
 
 
@@ -314,7 +318,7 @@ def test_what_a_run_builds_takes_no_defaulted_parameter(build):
 
 
 # Modules that handle the config as a whole, field by field.
-CONFIG_MODULES = {"config.py", "errors.py", "cli.py"}
+CONFIG_MODULES = {"config.py", "cli.py"}
 
 
 def _config_fields_read(path: Path) -> set[str]:

@@ -1,4 +1,7 @@
-"""Every writer replaces its file atomically: a failed write keeps the old file."""
+"""Every writer replaces its file atomically: a failed write keeps the old file.
+
+Also the check each loader makes that a payload is an object holding its keys.
+"""
 
 import csv
 import itertools
@@ -11,7 +14,8 @@ import pytest
 
 from cdas.cli import main
 from cdas.config import ExperimentConfig
-from cdas.files import replacing
+from cdas.errors import ConfigError
+from cdas.files import replacing, require
 from cdas.fixed_point import EquilibriumProblem, solve, write_trajectory_csv
 from cdas.learner import generate_bank, load_bank, save_bank
 
@@ -95,3 +99,15 @@ def test_failed_trajectory_write_keeps_the_previous_trajectory(tmp_path, monkeyp
         write_trajectory_csv(solution.trajectory[:4], path)
     assert path.read_bytes() == before
     assert _files(tmp_path) == ["trajectory.csv"]
+
+
+@pytest.mark.parametrize("value", [[], "state", None, 3])
+def test_require_refuses_a_value_that_is_not_an_object(value):
+    with pytest.raises(ConfigError, match="^sampler state: expected a JSON object$"):
+        require(value, (), "sampler state")
+
+
+def test_require_names_the_first_missing_field_in_the_order_given():
+    require({"step": 1, "rng": {}}, ("step", "rng"), "sampler state")
+    with pytest.raises(ConfigError, match="^sampler state: missing field 'rng'$"):
+        require({"step": 1}, ("step", "rng", "t"), "sampler state")

@@ -468,10 +468,24 @@ class TestCheckpointResume:
         with pytest.raises(ConfigError, match=match):
             resume_experiment(path)
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_state_fields_name_the_state_dict_keys(self, tmp_path, strategy):
-        result = run_experiment(_tiny(strategy=strategy), stop_after=2)
-        assert set(result.sampler.state_dict()) == set(result.sampler.state_fields)
+    @pytest.mark.parametrize("part", [*STRATEGIES, "learner"])
+    def test_loaders_refuse_a_payload_without_a_state_dict_key(self, part):
+        # Each loader names the keys it needs, so a damaged state is refused
+        # whether or not it came through load_checkpoint.
+        if part == "learner":
+            target, what = run_experiment(_tiny(), stop_after=2).learner, "learner state"
+        else:
+            target = run_experiment(_tiny(strategy=part), stop_after=2).sampler
+            what = "sampler state"
+        state = target.state_dict()
+        for key in state:
+            damaged = {name: value for name, value in state.items() if name != key}
+            with pytest.raises(ConfigError, match=f"^{what}: missing field '{key}'$"):
+                target.load_state_dict(damaged)
+        for damaged in ([], "state", None):
+            with pytest.raises(ConfigError, match=f"^{what}: expected a JSON object$"):
+                target.load_state_dict(damaged)
+        assert target.state_dict() == state
 
     def test_resume_with_new_out_dir(self, tmp_path):
         run_experiment(_tiny(out_dir=str(tmp_path / "a")), stop_after=3)
@@ -491,9 +505,10 @@ class TestCheckpointResume:
         # Version 1 checkpoints carried whole sampler objects, version 2 a
         # pass-rate dict keyed by id, version 3 a pending batch, a stored
         # competence and a second step, version 4 per-problem lists and id
-        # batches, version 5 a bank hash over text lines, and version 6 seven
-        # config fields since made constants; all are refused.
-        for version in (1, 2, 3, 4, 5, 6, 99):
+        # batches, version 5 a bank hash over text lines, version 6 seven
+        # config fields since made constants, and version 7 bank_level_spread;
+        # all are refused.
+        for version in (1, 2, 3, 4, 5, 6, 7, 99):
             run_experiment(_tiny(out_dir=str(tmp_path)), stop_after=2)
             path = tmp_path / CHECKPOINT_FILE
             _edit_checkpoint(path, lambda payload: payload.update(format_version=version))
@@ -514,14 +529,14 @@ class TestCheckpointResume:
         assert not (tmp_path / "run").exists()
 
     def test_format_6_checkpoint_refused_by_its_version(self, tmp_path):
-        # Written by the format-6 code, whose config held seven more fields.
+        # Written by the format-6 code, whose config held eight more fields.
         old = DATA / "checkpoint_format6.json"
         with pytest.raises(ConfigError, match="unsupported format_version 6"):
             resume_experiment(old, out_dir=tmp_path / "run")
         payload = json.loads(old.read_text())
         path = tmp_path / CHECKPOINT_FILE
         path.write_text(json.dumps({**payload, "format_version": harness.CHECKPOINT_VERSION}))
-        with pytest.raises(ConfigError, match="unknown config field 'curriculum_switch_step'"):
+        with pytest.raises(ConfigError, match="unknown config field 'bank_level_spread'"):
             resume_experiment(path, out_dir=tmp_path / "run")
         assert not (tmp_path / "run").exists()
         # Its config is all that changed: cut to today's fields, it resumes
@@ -529,6 +544,30 @@ class TestCheckpointResume:
         path.write_text(json.dumps(_in_current_format(payload)))
         resume_experiment(path, out_dir=tmp_path / "run")
         config = ExperimentConfig.from_dict(_in_current_format(payload)["config"])
+        run_experiment(config.with_overrides(out_dir=str(tmp_path / "full")))
+        for name in (METRICS_FILE, BATCHES_FILE, PROBLEMS_FILE):
+            assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+    def test_format_7_checkpoint_refused_by_its_version(self, tmp_path):
+        # Written by the format-7 code for a levels bank with
+        # bank_level_spread 3.0: the bank that bank_scale 1.5 draws now.
+        old = DATA / "checkpoint_format7.json"
+        with pytest.raises(ConfigError, match="unsupported format_version 7"):
+            resume_experiment(old, out_dir=tmp_path / "run")
+        payload = json.loads(old.read_text())
+        path = tmp_path / CHECKPOINT_FILE
+        path.write_text(json.dumps({**payload, "format_version": harness.CHECKPOINT_VERSION}))
+        with pytest.raises(ConfigError, match="unknown config field 'bank_level_spread'"):
+            resume_experiment(path, out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+        # With the spread folded into the scale, its bank hash holds and it
+        # resumes to the bytes of the run never stopped.
+        config = dict(payload["config"])
+        config["bank_scale"] = config.pop("bank_level_spread") / 2
+        current = _in_current_format({**payload, "config": config})
+        path.write_text(json.dumps(current))
+        resume_experiment(path, out_dir=tmp_path / "run")
+        config = ExperimentConfig.from_dict(current["config"])
         run_experiment(config.with_overrides(out_dir=str(tmp_path / "full")))
         for name in (METRICS_FILE, BATCHES_FILE, PROBLEMS_FILE):
             assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()

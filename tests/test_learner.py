@@ -221,10 +221,12 @@ class TestGenerateBank:
         assert tags == sorted(tags)
 
     def test_levels_mode_latents_are_equally_spaced(self):
-        bank = _bank(200, 2, bank_mode="levels", bank_level_spread=2.0)
-        for tag, latent in zip(bank.level_tags, bank.latent.tolist()):
-            assert latent == (tag - 3) * 1.0
-        assert set(bank.level_tags) == {1, 2, 3, 4, 5}
+        # bank_scale is the latent step between levels; ints are taken as floats.
+        for scale in (1.0, 1.5, 0.1, 3, 1e300):
+            bank = _bank(200, 2, bank_mode="levels", bank_scale=scale)
+            for tag, latent in zip(bank.level_tags, bank.latent.tolist()):
+                assert latent == (tag - 3) * scale
+            assert set(bank.level_tags) == {1, 2, 3, 4, 5}
 
     def test_ids_are_zero_padded_and_unique(self):
         bank = _bank(12, 3)
@@ -285,19 +287,24 @@ class TestGenerateBank:
         with pytest.raises(ConfigError):
             _bank(5, 0, bank_scale=0.0)
         with pytest.raises(ConfigError):
-            _bank(5, 0, bank_mode="levels", bank_level_spread=-1.0)
+            _bank(5, 0, bank_mode="levels", bank_scale=-1.0)
         with pytest.raises(ConfigError):
             _bank(5, 0, bank_mode="mystery")
 
+    def test_levels_scale_that_overflows_is_refused_by_the_bank(self):
+        # Valid as a config field, but level 5 sits at twice the scale.
+        config = ExperimentConfig(n_problems=50, bank_mode="levels", bank_scale=1e308)
+        with pytest.raises(ConfigError, match="has no finite latent difficulty"):
+            generate_bank(config, np.random.default_rng(0))
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_scale_and_spread_refused_before_drawing(self, value):
+    def test_non_finite_scale_refused_before_drawing(self, value):
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
-        with pytest.raises(ConfigError, match="bank_scale: must be finite and > 0"):
-            generate_bank(ExperimentConfig(n_problems=5, bank_scale=value), rng)
-        levels = ExperimentConfig(n_problems=5, bank_mode="levels", bank_level_spread=value)
-        with pytest.raises(ConfigError, match="bank_level_spread: must be finite and > 0"):
-            generate_bank(levels, rng)
+        for mode in ("normal", "levels"):
+            config = ExperimentConfig(n_problems=5, bank_mode=mode, bank_scale=value)
+            with pytest.raises(ConfigError, match="bank_scale: must be finite and > 0"):
+                generate_bank(config, rng)
         assert rng.bit_generator.state == before
 
 
@@ -357,11 +364,6 @@ class TestBankContainer:
             sampler.report([0.25] * len(batch))
         assert bank.content_hash() == before
 
-    @pytest.mark.parametrize("mode", ["x", ["x"], None])
-    def test_unknown_mode_rejected(self, mode):
-        with pytest.raises(ConfigError, match=re.escape("bank_mode: must be one of")):
-            ProblemBank(["a"], [None], [0.0], mode=mode)
-
     def test_hash_known_answer(self):
         # The count and a newline, each id and a newline, a byte per tag,
         # then each latent as little-endian float64.
@@ -409,10 +411,11 @@ class TestBankFiles:
         bank = _bank(30, 14, bank_mode="levels")
         path = tmp_path / "bank.json"
         save_bank(bank, path)
+        assert set(json.loads(path.read_text())) == {"format_version", "hash", "records"}
         loaded = load_bank(path)
         assert loaded.content_hash() == bank.content_hash()
-        assert loaded.mode == "levels"
-        assert loaded.ids == bank.ids
+        assert (loaded.ids, loaded.level_tags) == (bank.ids, bank.level_tags)
+        assert loaded.latent.tolist() == bank.latent.tolist()
 
     def test_tampered_file_rejected(self, tmp_path):
         bank = _bank(10, 15)
