@@ -18,7 +18,7 @@ from .core import (
     update_difficulty,
 )
 from .errors import ConfigError, ConsistencyError, ConvergenceError, RolloutBudgetError
-from .fixed_point import EquilibriumProblem, EquilibriumSolution, measure_contraction
+from .fixed_point import EquilibriumProblem, EquilibriumSolution
 from .grpo import RolloutGroup, group_advantages
 from .harness import (
     ComparisonResult,
@@ -69,7 +69,6 @@ __all__ = [
     "generate_bank",
     "group_advantages",
     "instantaneous_difficulty",
-    "measure_contraction",
     "read_metrics_csv",
     "resume_experiment",
     "run_experiment",

@@ -14,10 +14,11 @@ class ConsistencyError(RuntimeError):
 class ConvergenceError(RuntimeError):
     """Fixed-point iteration exhausted its budget before reaching tolerance.
 
-    Carries the iterate trajectory recorded so far in ``trajectory``.
+    Carries the sup-norm step size of each iteration run so far in
+    ``trajectory``.
     """
 
-    def __init__(self, message: str, trajectory: list | None = None):
+    def __init__(self, message: str, trajectory: list[float] | None = None):
         super().__init__(message)
         self.trajectory = trajectory if trajectory is not None else []
 

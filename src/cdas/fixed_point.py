@@ -65,7 +65,8 @@ class EquilibriumSolution:
     iterations: int
     final_residual: float
     contraction_ratios: list[float] = field(default_factory=list)
-    trajectory: list[State] = field(default_factory=list)
+    # The sup-norm step size of each iteration, not the iterates themselves.
+    trajectory: list[float] = field(default_factory=list)
 
 
 def iterate_once(d: np.ndarray, c: float, s_star: np.ndarray) -> State:
@@ -96,10 +97,6 @@ def _sup_distance(a: State, b: State) -> float:
     return max(float(gap.max()), abs(a[1] - b[1]))
 
 
-def _deltas(trajectory: list[State]) -> list[float]:
-    return [_sup_distance(trajectory[i + 1], trajectory[i]) for i in range(len(trajectory) - 1)]
-
-
 def _ratios(deltas: list[float]) -> list[float]:
     return [
         deltas[i + 1] / deltas[i]
@@ -120,9 +117,12 @@ def solve(
     returned point satisfies the equilibrium equations to within a small
     multiple of the tolerance.
 
+    Only the current iterate and the step sizes are kept, so memory does not
+    grow with the iteration count.
+
     Raises:
         ConvergenceError: if ``max_iters`` applications do not reach the
-            tolerance; the partial trajectory rides along on the exception.
+            tolerance; the step sizes so far ride along on the exception.
     """
     # NaN fails both comparisons.
     if not 0.0 < tolerance < np.inf:
@@ -131,17 +131,15 @@ def solve(
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
 
     s_star = problem.s_star
-    d = problem.init_d.copy() if problem.init_d is not None else np.zeros_like(s_star)
+    # iterate_once never writes to d and returns a fresh array, so the start
+    # needs no copy and d_star is never the caller's init_d.
+    d = problem.init_d if problem.init_d is not None else np.zeros_like(s_star)
     c = float(problem.init_c)
-    # d is private and iterate_once returns a fresh array, so the trajectory
-    # can hold them without copying.
-    trajectory: list[State] = [(d, c)]
     deltas: list[float] = []
 
     for iteration in range(1, max_iters + 1):
         d_next, c_next = iterate_once(d, c, s_star)
         delta = _sup_distance((d_next, c_next), (d, c))
-        trajectory.append((d_next, c_next))
         deltas.append(delta)
         d, c = d_next, c_next
         if delta <= tolerance:
@@ -151,26 +149,14 @@ def solve(
                 iterations=iteration,
                 final_residual=delta,
                 contraction_ratios=_ratios(deltas),
-                trajectory=trajectory,
+                trajectory=deltas,
             )
 
     raise ConvergenceError(
         f"no convergence to {tolerance:g} within {max_iters} iterations "
         f"(last step {deltas[-1]:.3e})",
-        trajectory=trajectory,
+        trajectory=deltas,
     )
-
-
-def measure_contraction(trajectory: list[State]) -> float:
-    """Largest consecutive step-size ratio along a trajectory.
-
-    Steps below the rounding-noise floor are skipped; a trajectory that never
-    moves measurably contracts trivially and reports 0.0.
-    """
-    if len(trajectory) < 3:
-        raise ValueError(f"need at least 3 states to measure contraction, got {len(trajectory)}")
-    ratios = _ratios(_deltas(trajectory))
-    return max(ratios) if ratios else 0.0
 
 
 def equation_residual(d: np.ndarray, c: float, s_star: np.ndarray) -> float:
@@ -179,9 +165,8 @@ def equation_residual(d: np.ndarray, c: float, s_star: np.ndarray) -> float:
     return _sup_distance((d_map, c_map), (np.asarray(d, dtype=float), c))
 
 
-def write_trajectory_csv(trajectory: list[State], path: str | Path) -> None:
+def write_trajectory_csv(deltas: list[float], path: str | Path) -> None:
     """Dump per-iteration step sizes and ratios: columns iteration, delta, ratio."""
-    deltas = _deltas(trajectory)
     with replacing(path) as tmp, open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["iteration", "delta", "ratio"])

@@ -14,7 +14,6 @@ from cdas.fixed_point import (
     EquilibriumProblem,
     equation_residual,
     iterate_once,
-    measure_contraction,
     solve,
     write_trajectory_csv,
 )
@@ -39,16 +38,15 @@ def _masked_iterate_once(d, c, s_star):
 
 
 def _masked_solve(s_star, d, c, tolerance, max_iters):
-    """The reference iteration: its trajectory and its step sizes."""
-    trajectory, deltas = [(d, c)], []
+    """The reference iteration: its last state and its step sizes."""
+    deltas = []
     for _ in range(max_iters):
         d_next, c_next = _masked_iterate_once(d, c, s_star)
         deltas.append(max(float(np.max(np.abs(d_next - d))), abs(c_next - c)))
-        trajectory.append((d_next, c_next))
         d, c = d_next, c_next
         if deltas[-1] <= tolerance:
             break
-    return trajectory, deltas
+    return (d, c), deltas
 
 
 def _reference_csv(deltas):
@@ -57,13 +55,6 @@ def _reference_csv(deltas):
         measurable = i >= 2 and deltas[i - 2] > 10.0 * np.finfo(float).eps
         rows.append([str(i), repr(delta), repr(delta / deltas[i - 2]) if measurable else ""])
     return "".join(",".join(row) + "\n" for row in rows).encode()
-
-
-def _same_states(got, want):
-    assert len(got) == len(want)
-    for (d, c), (ref_d, ref_c) in zip(got, want):
-        assert d.tobytes() == ref_d.tobytes()
-        assert repr(c) == repr(ref_c)
 
 
 def _bisection_root(f, lo, hi, iterations=200):
@@ -120,9 +111,10 @@ def test_solve_is_the_masked_iteration_bit_for_bit(seed, scattered, tmp_path):
     else:
         d, c = np.zeros(10_000), 5.0
     solution = solve(EquilibriumProblem(s_star=s_star, init_d=d, init_c=c), tolerance=1e-10)
-    trajectory, deltas = _masked_solve(s_star, d, c, 1e-10, 200)
-    _same_states(solution.trajectory, trajectory)
-    assert solution.d_star.tobytes() == trajectory[-1][0].tobytes()
+    (ref_d, ref_c), deltas = _masked_solve(s_star, d, c, 1e-10, 200)
+    assert list(map(repr, solution.trajectory)) == list(map(repr, deltas))
+    assert solution.d_star.tobytes() == ref_d.tobytes()
+    assert repr(solution.c_star) == repr(ref_c)
     assert repr(solution.final_residual) == repr(deltas[-1])
     floor = 10.0 * np.finfo(float).eps
     ratios = [b / a for a, b in zip(deltas, deltas[1:]) if a > floor]
@@ -138,13 +130,17 @@ def test_unconverged_trajectory_is_the_masked_iteration_bit_for_bit():
     )
     with pytest.raises(ConvergenceError) as excinfo:
         solve(problem, tolerance=1e-12, max_iters=2)
-    trajectory, _ = _masked_solve(problem.s_star, problem.init_d, problem.init_c, 0.0, 2)
-    _same_states(excinfo.value.trajectory, trajectory)
+    _, deltas = _masked_solve(problem.s_star, problem.init_d, problem.init_c, 0.0, 2)
+    assert list(map(repr, excinfo.value.trajectory)) == list(map(repr, deltas))
 
 
-def test_solve_allocates_little_beyond_its_trajectory():
-    # Shape, not time: past the iterates it returns, solving holds one
-    # scratch array of n doubles plus a mask at a time, about 1.2 arrays.
+# A tolerance below rounding noise is never reached, so that solve runs out its budget.
+@pytest.mark.parametrize(
+    "tolerance, steps", [(1e-10, 34), (1e-300, 200)], ids=["converged", "exhausted"]
+)
+def test_solve_holds_a_few_arrays_whatever_its_iteration_count(tolerance, steps):
+    # Shape, not time: a solve holds the current iterate, the next one and
+    # one step's scratch, about 3.2 arrays of n doubles, however long it runs.
     n = 100_000
     rng = np.random.default_rng(4)
     problem = EquilibriumProblem(
@@ -152,12 +148,15 @@ def test_solve_allocates_little_beyond_its_trajectory():
     )
     tracemalloc.start()
     try:
-        solution = solve(problem, tolerance=1e-10)
+        try:
+            trajectory = solve(problem, tolerance=tolerance, max_iters=200).trajectory
+        except ConvergenceError as err:
+            trajectory = err.trajectory
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    held = (solution.iterations + 1) * n * 8
-    assert peak - held <= 1.5 * n * 8
+    assert peak <= 3.5 * n * 8
+    assert len(trajectory) == steps
 
 
 def test_balanced_targets_solve_to_zero():
@@ -246,27 +245,7 @@ def test_budget_exhaustion_carries_trajectory():
     )
     with pytest.raises(ConvergenceError) as excinfo:
         solve(problem, tolerance=1e-12, max_iters=2)
-    assert len(excinfo.value.trajectory) == 3  # initial state plus two iterates
-
-
-def test_measure_contraction_requires_three_states():
-    with pytest.raises(ValueError):
-        measure_contraction([(np.zeros(2), 0.0), (np.zeros(2), 0.0)])
-
-
-def test_measure_contraction_constant_trajectory_is_zero():
-    states = [(np.zeros(3), 0.0)] * 4
-    assert measure_contraction(states) == 0.0
-
-
-def test_measure_contraction_matches_solution_ratios():
-    problem = EquilibriumProblem(
-        s_star=np.array([0.1, 0.9, 0.4]), init_d=np.full(3, 2.0), init_c=-2.0
-    )
-    solution = solve(problem, tolerance=1e-10)
-    assert measure_contraction(solution.trajectory) == pytest.approx(
-        max(solution.contraction_ratios), abs=0
-    )
+    assert len(excinfo.value.trajectory) == 2  # one step size per iteration
 
 
 def test_trajectory_csv(tmp_path):

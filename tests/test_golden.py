@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from cdas.cli import main
 from cdas.config import STRATEGIES, ExperimentConfig
 from cdas.harness import (
     BATCHES_FILE,
@@ -133,6 +134,12 @@ GOLDEN_COMPARISON = {
     "comparison_summary.csv": "62fbce85cde8b3a270f7baa15fc3c777cc19f98090b0f0abdb51cee183315cf1",
 }
 
+# `cdas fixed-point` from a random start on 3,000 fixed rates.
+GOLDEN_FIXED_POINT = {
+    "solution.json": "1521ebcb9f3bb9b2e44b153a235b3336c67b375a0120bf2a7f64ee74eb29fc6a",
+    "trajectory.csv": "b7c8fa4917d0823b765cfc9ad38b2bfdf13bef3a32795df8d78941c005021574",
+}
+
 GOLDEN_BANK_HASHES = {
     "normal": "45f08122f84a5f2220885a398db94aaf589e9ed9ff824af67de1cc80b37716e5",
     "levels": "b8169b007cffbd5c370365d44aa859e38e904e22032ef87faeaaa20a4887d95e",
@@ -175,3 +182,17 @@ def test_comparison_outputs_match_golden_digests(tmp_path):
 def test_generated_bank_hash_matches_golden(mode):
     bank = generate_bank(ExperimentConfig(n_problems=500, bank_mode=mode), np.random.default_rng(7))
     assert bank.content_hash() == GOLDEN_BANK_HASHES[mode]
+
+
+def test_fixed_point_outputs_match_golden_digests(tmp_path):
+    rates = np.random.default_rng(29).uniform(0.0, 1.0, 3000)
+    s_star = tmp_path / "rates.txt"
+    s_star.write_text("".join(f"{rate!r}\n" for rate in rates.tolist()))
+    argv = [
+        "fixed-point", "--s-star", str(s_star), "--init-seed", "5",
+        "--out", str(tmp_path / "solution.json"),
+        "--trajectory-out", str(tmp_path / "trajectory.csv"),
+    ]
+    assert main(argv) == 0
+    digests = {name: _sha256((tmp_path / name).read_bytes()) for name in GOLDEN_FIXED_POINT}
+    assert digests == GOLDEN_FIXED_POINT
