@@ -3,28 +3,37 @@
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload resume-chain --pairs 10 --seed-base 5000
 
-PARENT and CHANGE are two source checkouts.  Pair i runs ``cdasbench/run.py``
-with ``--seed SEED_BASE + i`` in each checkout, the parent first in even
-pairs and the change first in odd ones, and reads each run's last JSON line.
-For every end-to-end metric named in the change's ``BENCHMARK.json`` it
-prints both sides' median and quartiles, the change's median against the
-parent's, how many pairs the change won (ties count for neither), the
-metric's bound, and whether a gain could be claimed: a win in at least nine
-pairs in ten, and medians further apart than the parent's interquartile
-range; a metric equal on both sides of every pair reads ``identical``.  After
-the table comes one line per pair: its seed, which side ran first, and each
-metric's parent and change values.  Runs that failed their output checks are
-listed last.
+PARENT and CHANGE are two source checkouts.  Both are first copied the same
+way, side by side into one fresh temporary directory, leaving out ``SKIPPED``
+(version control and run caches); where a tree sits, and what earlier runs
+left in it, should not tell the two sides apart.  The copies are removed at
+the end.  Pair i runs ``cdasbench/run.py`` with ``--seed SEED_BASE + i`` in
+each copy, the parent first in even pairs and the change first in odd ones,
+and reads each run's last JSON line.  For every end-to-end metric named in
+the change's ``BENCHMARK.json`` it prints both sides' median and quartiles,
+the change's median against the parent's, how many pairs the change won
+(ties count for neither), the metric's bound, and whether a gain could be
+claimed: a win in at least nine pairs in ten, and medians further apart than
+the parent's interquartile range; a metric equal on both sides of every pair
+reads ``identical``.  After the table comes one line per pair: its seed,
+which side ran first, and each metric's parent and change values.  Runs that
+failed their output checks are listed last.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+# Left out of the copies: version control, the benchmark's and hypothesis's
+# caches, and compiled bytecode.
+SKIPPED = (".git", ".cdasbench", ".hypothesis", "__pycache__")
 
 
 def last_json(stdout: str) -> dict:
@@ -111,6 +120,15 @@ def format_pairs(pairs: list[tuple[dict, dict]], seeds: list[int], rows: list[di
     return "\n".join(lines)
 
 
+def copy_checkouts(checkouts: dict[str, Path], into: Path) -> dict[str, Path]:
+    """Copy each checkout to ``into / side``, without ``SKIPPED``; return the copies by side."""
+    ignore = shutil.ignore_patterns(*SKIPPED)
+    return {
+        side: Path(shutil.copytree(tree, into / side, ignore=ignore))
+        for side, tree in checkouts.items()
+    }
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     command = [sys.executable, "cdasbench/run.py", "--workload", workload]
     command += ["--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
@@ -135,18 +153,19 @@ def main(argv=None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
 
-    checkouts = {"parent": args.parent, "change": args.change}
     seeds = [args.seed_base + i for i in range(args.pairs)]
     pairs, failed = [], []
-    for i, seed in enumerate(seeds):
-        results = {}
-        order = ("parent", "change") if first_side(i) == "parent" else ("change", "parent")
-        for side in order:
-            results[side] = run_once(checkouts[side], args.workload, seed, seconds)
-            if not results[side]["correct"] or results[side]["failed"]:
-                failed.append(f"{side} seed {seed}: {results[side]['failed']} failed")
-        pairs.append((results["parent"], results["change"]))
-        print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
+        checkouts = copy_checkouts({"parent": args.parent, "change": args.change}, Path(scratch))
+        for i, seed in enumerate(seeds):
+            results = {}
+            order = ("parent", "change") if first_side(i) == "parent" else ("change", "parent")
+            for side in order:
+                results[side] = run_once(checkouts[side], args.workload, seed, seconds)
+                if not results[side]["correct"] or results[side]["failed"]:
+                    failed.append(f"{side} seed {seed}: {results[side]['failed']} failed")
+            pairs.append((results["parent"], results["change"]))
+            print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
 
     print(f"{args.workload}: {args.pairs} pairs of {seconds} s, seeds from {args.seed_base}")
     rows = summarize(pairs, spec["end_to_end"])

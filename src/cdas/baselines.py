@@ -144,7 +144,7 @@ class DynamicSampler(BaselineSampler):
             "dynamic sampling rolls candidates out while it selects; call select_and_roll"
         )
 
-    def select_and_roll(self, roll_round) -> tuple[np.ndarray, list[int], int]:
+    def select_and_roll(self, roll_round) -> tuple[np.ndarray, np.ndarray, int]:
         """Build a batch of problems whose rollout groups are interior.
 
         A group of ``group_size`` rollouts is interior when it passes more
@@ -154,9 +154,9 @@ class DynamicSampler(BaselineSampler):
         it returns one pass count per candidate.  The round stops at the
         candidate that fills the batch: the counts after it are neither kept
         nor counted as consumed.  Returns the batch as the read-only bank
-        indices ``pending`` holds, its pass counts and the number of groups
-        counted (the rollout budget the batch consumed).  The batch is pending
-        until its outcomes are reported.
+        indices ``pending`` holds, its int64 pass counts and the number of
+        groups counted (the rollout budget the batch consumed).  The batch is
+        pending until its outcomes are reported.
 
         Raises:
             ConsistencyError: ``roll_round`` did not return one integer count
@@ -199,4 +199,4 @@ class DynamicSampler(BaselineSampler):
             filtered = np.flatnonzero(~interior)
             batch = np.concatenate([batch, filtered[batch.size - batch_size :]])
         self._hold(indices[batch])
-        return self._pending, group_counts[batch].tolist(), int(group_counts.size)
+        return self._pending, group_counts[batch], int(group_counts.size)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True, slots=True)
 class RolloutGroup:
@@ -47,3 +49,14 @@ def group_advantages(group: RolloutGroup) -> tuple[list[float], bool]:
         return [0.0] * n, True
     std = math.sqrt(variance)
     return [(r - mean) / std for r in rewards], False
+
+
+def pass_count_fault(counts: np.ndarray, group_size: int) -> str | None:
+    """Why ``counts`` are not integer pass counts in [0, ``group_size``], or None."""
+    if counts.dtype.kind not in "iu":
+        return f"{counts.dtype} pass counts, first {counts[0]}; counts must be integers"
+    bad = (counts < 0) | (counts > group_size)
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad))
+    return f"pass count {counts[k]} for candidate {k}; counts must be in [0, {group_size}]"

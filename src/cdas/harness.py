@@ -170,15 +170,13 @@ def sampler_from_state(
 def _advance(run: RunResult, target_step: int) -> None:
     """Run steps up to ``target_step``, carrying each batch as bank indices."""
     sampler = run.sampler
-    rollouts = run.learner.rollouts
-    latent = run.bank.latent
     seconds, clock = run.stage_seconds, time.perf_counter
     rolling = 0.0
 
     def roll_round(indices):
         nonlocal rolling
         began = clock()
-        counts = run.learner.pass_counts(latent[indices])
+        counts = run.learner.pass_counts(indices)
         rolling += clock() - began
         return counts
 
@@ -186,19 +184,12 @@ def _advance(run: RunResult, target_step: int) -> None:
         began, rolling = clock(), 0.0
         batch, counts, consumed = sampler.select_and_roll(roll_round)
         selected = clock()
-        counts = np.array(counts)
-        pass_rates = counts / rollouts
-        # A group whose rollouts all agree has zero advantage everywhere.
-        zero_gradient = (counts == 0) | (counts == rollouts)
-        sampler.report(pass_rates)
-        rates, flags = pass_rates.tolist(), zero_gradient.tolist()
+        sampler.report(counts / run.learner.rollouts)
         reported = clock()
-        run.learner.learn_step(flags)
+        run.learner.learn_step(counts)
         learned = clock()
         run.rows.append(
-            summarize_step(
-                batch, rates, flags, sampler, run.learner, rollout_batches_consumed=consumed
-            )
+            summarize_step(batch, sampler, run.learner, rollout_batches_consumed=consumed)
         )
         run.batches.append(batch)
         summarized = clock()

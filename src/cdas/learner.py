@@ -2,8 +2,8 @@
 
 The learner follows a one-parameter item-response model: its chance of
 solving a problem with latent difficulty b is sigmoid(a * (ability - b)).
-Ability only ever moves up, by the configured rate times the fraction of the
-batch that produced a usable gradient signal.
+Ability only ever moves up, by the configured rate times the share of the
+batch's groups that are mixed: some of their rollouts pass and some fail.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .core import LEVEL_TAGS, MAX_LOGIT, sigmoid, sigmoid_array
 from .errors import ConfigError
 from .files import read_json, replacing, require
-from .grpo import RolloutGroup
+from .grpo import RolloutGroup, pass_count_fault
 
 BANK_FORMAT_VERSION = 2
 
@@ -37,7 +37,7 @@ class SyntheticLearner:
     The constructor refuses a config that ``validate`` refuses.  The config
     sets the rollouts per group, the discrimination and the learn rate.  The
     starting ability is ``config.ability_init``, or ``default_ability(bank)``
-    when that is None.
+    when that is None.  It reads the bank's latents itself.
     """
 
     def __init__(self, config, bank: ProblemBank, rng: np.random.Generator):
@@ -47,6 +47,7 @@ class SyntheticLearner:
         self.discrimination = float(config.discrimination)
         self.learn_rate = float(config.learn_rate)
         self.rollouts = config.rollouts
+        self._latent = bank.latent
         self._rng = rng
 
     def success_probability(self, latent: float) -> float:
@@ -62,33 +63,35 @@ class SyntheticLearner:
             rewards=tuple(1.0 if hit else 0.0 for hit in draws),
         )
 
-    def pass_counts(self, latents) -> list[int]:
-        """Roll out a group per latent difficulty; return each group's number of passes.
+    def pass_counts(self, indices) -> np.ndarray:
+        """Roll out a group per bank index; return each group's passes as an int64 array.
 
-        ``latents`` is an array (or sequence) of latent difficulties.  One
-        ``random((B, G))`` draw yields the same bits, and leaves the generator
-        in the same state, as B calls of ``rollout_group``.
+        One ``random((B, G))`` draw yields the same bits, and leaves the
+        generator in the same state, as B calls of ``rollout_group``.
         """
-        latents = np.asarray(latents, dtype=np.float64)
         with np.errstate(over="ignore"):
-            logits = self.discrimination * (self.ability - latents)
+            logits = self.discrimination * (self.ability - self._latent[indices])
         # In place: np.clip costs about twice as much on a batch of latents.
         np.minimum(logits, _LOGIT_CAP, out=logits)
         probabilities = sigmoid_array(np.maximum(logits, -_LOGIT_CAP, out=logits))
         draws = self._rng.random((len(probabilities), self.rollouts))
-        return (draws < probabilities[:, None]).sum(axis=1).tolist()
+        return (draws < probabilities[:, None]).sum(axis=1)
 
-    def learn_step(self, zero_gradient) -> None:
-        """Raise ability by learn_rate times the batch's useful-gradient fraction.
+    def learn_step(self, counts) -> None:
+        """Raise ability by learn_rate times the share of mixed groups, 0 < passes < rollouts.
 
-        ``zero_gradient`` holds one flag per batch problem, true where its
-        group had no gradient signal.  Ability never decreases.
+        ``counts`` holds each batch group's passes.  Ability never decreases.
+        An empty batch, or a count ``pass_count_fault`` refuses, raises
+        ValueError and leaves the learner untouched.
         """
-        flags = list(zero_gradient)
-        if not flags:
-            raise ValueError("learn_step requires a non-empty batch")
-        useful = sum(not flag for flag in flags)
-        self.ability += self.learn_rate * (useful / len(flags))
+        counts = np.asarray(counts)
+        if counts.ndim != 1 or not counts.size:
+            raise ValueError("learn_step requires a non-empty batch of pass counts")
+        fault = pass_count_fault(counts, self.rollouts)
+        if fault:
+            raise ValueError(f"learn_step got {fault}")
+        mixed = int(np.count_nonzero((counts > 0) & (counts < self.rollouts)))
+        self.ability += self.learn_rate * (mixed / counts.size)
 
     def state_dict(self) -> dict:
         """The state a run changes; the constructor rebuilds the parameters."""
@@ -135,10 +138,11 @@ class ProblemBank:
 
     ``ids`` names each problem, ``level_tags`` holds its level (an int in
     1..5, or None when untagged) and ``latent`` its hidden latent difficulty,
-    which only the learner reads.  Inside the library a problem is its
-    position in these columns, and its id only names it.  An id is a
-    non-empty str of UTF-8 text with no comma, semicolon, double quote or line
-    break, so it can stand unquoted in every output file.  Nothing here
+    which in a run only the learner and ``problems.csv``'s writer read.  Inside
+    the library a problem is its position in these columns, and its id only
+    names it.  An id is a non-empty str of UTF-8 text with no comma,
+    semicolon, double quote or line break, so it can stand unquoted in every
+    output file.  Nothing here
     changes during a run; scheduler state lives in the samplers.
     """
 

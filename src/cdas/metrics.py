@@ -6,6 +6,9 @@ import csv
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
+from .errors import ConsistencyError
 
 METRICS_COLUMNS = [
     "step",
@@ -38,31 +41,22 @@ class StepMetrics:
     learner_ability: float
 
 
-def summarize_step(
-    batch,
-    pass_rates: list[float],
-    zero_gradient: list[bool],
-    sampler,
-    learner,
-    rollout_batches_consumed: int,
-) -> StepMetrics:
-    """Aggregate one completed step.
+def summarize_step(batch, sampler, learner, rollout_batches_consumed: int) -> StepMetrics:
+    """Aggregate one completed step, after ``report`` and ``learn_step``.
 
-    Call after outcomes were reported and the learner updated: competence and
-    difficulty are read post-update, ability post-learn.  ``batch`` holds the
-    bank indices of the problems actually trained on, ``pass_rates`` their
-    groups' pass rates and ``zero_gradient`` each group's zero-gradient flag
-    (all rollouts passed or all failed); ``rollout_batches_consumed`` is
-    the number of rollout groups the step spent, filtered ones included.
+    Pass rates, competence and difficulty are read from the sampler, ability
+    from the learner.  ``batch`` holds the bank indices of the problems trained
+    on; ``rollout_batches_consumed`` is the number of rollout groups the step
+    spent, filtered ones included.  A group at pass rate 0 or 1 has zero
+    gradient.  An empty batch raises ValueError, and a batch still pending
+    (its rates are stale) ConsistencyError.
     """
     n = len(batch)
     if not n:
         raise ValueError("summarize_step requires at least one rollout group")
-    if not len(pass_rates) == len(zero_gradient) == n:
-        raise ValueError(
-            f"summarize_step got {len(pass_rates)} pass rates and "
-            f"{len(zero_gradient)} zero-gradient flags for {n} problems"
-        )
+    if sampler.pending is not None:
+        raise ConsistencyError("summarize_step called with a batch still pending")
+    rates = sampler.last_pass_rates[batch]
     competence = sampler.competence_value
     if competence is None:
         mean_difficulty = None
@@ -71,8 +65,8 @@ def summarize_step(
         mean_difficulty = sum(sampler.estimates[batch].tolist()) / n
     return StepMetrics(
         step=sampler.step,
-        mean_reward=sum(pass_rates) / n,
-        zero_gradient_fraction=sum(1 for zero in zero_gradient if zero) / n,
+        mean_reward=sum(rates.tolist()) / n,
+        zero_gradient_fraction=int(np.count_nonzero((rates == 0) | (rates == 1))) / n,
         rollout_batches_consumed=rollout_batches_consumed,
         competence=competence,
         mean_sampled_difficulty=mean_difficulty,

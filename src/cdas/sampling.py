@@ -36,6 +36,7 @@ import numpy as np
 from .core import ProblemRecord, sigmoid_array
 from .errors import ConfigError, ConsistencyError
 from .files import decode_array, encode_array, require
+from .grpo import pass_count_fault
 from .learner import ProblemBank, check_rng_state
 
 # The byte layout ``state_dict`` stores each per-problem column in.
@@ -61,28 +62,17 @@ def smallest_by(candidates: np.ndarray, k: int, *keys: np.ndarray) -> np.ndarray
 def rolled_counts(roll_round, indices: np.ndarray, group_size: int) -> np.ndarray:
     """``roll_round(indices)`` as int64 counts, one integer in [0, ``group_size``] per index.
 
-    Raises:
-        ConsistencyError: the counts are not one per index, not integers
-            (bools and floats are refused), or one is outside
-            [0, ``group_size``]; the first bad count is named.
+    Raises ConsistencyError unless there is one count per index and
+    ``pass_count_fault`` finds no fault in them.
     """
     counts = np.asarray(roll_round(indices))
     if counts.ndim != 1 or counts.size != indices.size:
         raise ConsistencyError(
             f"roll_round returned {counts.size} pass counts for {indices.size} problems"
         )
-    if counts.dtype.kind not in "iu":
-        raise ConsistencyError(
-            f"roll_round returned {counts.dtype} pass counts, first {counts[0]}; "
-            f"counts must be integers"
-        )
-    bad = (counts < 0) | (counts > group_size)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ConsistencyError(
-            f"roll_round returned pass count {counts[k]} for candidate {k}; "
-            f"counts must be in [0, {group_size}]"
-        )
+    fault = pass_count_fault(counts, group_size)
+    if fault:
+        raise ConsistencyError(f"roll_round returned {fault}")
     return counts.astype(np.int64, copy=False)
 
 
@@ -142,12 +132,12 @@ class Sampler:
         ids = self.bank.ids
         return [ids[i] for i in self._pending.tolist()]
 
-    def select_and_roll(self, roll_round) -> tuple[np.ndarray, list[int], int]:
+    def select_and_roll(self, roll_round) -> tuple[np.ndarray, np.ndarray, int]:
         """Pick the next batch and roll it out with one ``roll_round(indices)``.
 
         ``roll_round`` gets the batch's bank indices and returns one pass
         count per problem, each out of ``group_size`` rollouts.  Returns the
-        batch as the read-only bank indices ``pending`` holds, its pass
+        batch as the read-only bank indices ``pending`` holds, its int64 pass
         counts and the rollout groups consumed, one per problem.  The batch
         is pending until its outcomes are reported.
 
@@ -161,7 +151,7 @@ class Sampler:
         indices = self._choose()
         counts = rolled_counts(roll_round, indices, self.group_size)
         self._hold(indices)
-        return indices, counts.tolist(), self.batch_size
+        return indices, counts, self.batch_size
 
     def _choose(self) -> np.ndarray:
         raise NotImplementedError

@@ -248,7 +248,7 @@ def test_criterion_05_symmetric_batch_law(capsys):
                 for pid, latent in zip(batch, bank.latent[sampler.pending].tolist())
             ]
             sampler.report([g.pass_rate for g in groups])
-            learner.learn_step([group_advantages(g)[1] for g in groups])
+            learner.learn_step([g.rewards.count(1.0) for g in groups])
         out["ok"] = violations == 0 and checked > 0 and exact_splits > 0
         out["detail"] = (
             f"{checked} post-warm-up steps checked, {exact_splits} with both pools "

@@ -137,9 +137,11 @@ def test_prioritized_batches_follow_sequential_draw_probabilities(rates, seed):
 G = 6
 
 
-def _learner(seed):
+def _learner(seed, latents=(0.0,)):
+    """A learner on a bank of ``latents``, in bank order."""
     config = ExperimentConfig(rollouts=G, ability_init=0.0)
-    return SyntheticLearner(config, ProblemBank(["q"], [None], [0.0]), np.random.default_rng(seed))
+    bank = ProblemBank([f"q{i}" for i in range(len(latents))], [None] * len(latents), latents)
+    return SyntheticLearner(config, bank, np.random.default_rng(seed))
 
 
 def _sequential_counts(learner, latents):
@@ -156,7 +158,8 @@ LATENTS = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(LATENTS, st.integers(0, 2**32 - 1))
 def test_block_rollout_matches_sequential_groups(latents, seed):
-    block, sequential = _learner(seed), _learner(seed)
-    counts = block.pass_counts(latents)
-    assert counts == _sequential_counts(sequential, latents)
+    # A bank holds at least one problem; an empty batch rolls none of it out.
+    block, sequential = _learner(seed, latents or [0.0]), _learner(seed)
+    counts = block.pass_counts(np.arange(len(latents)))
+    assert counts.tolist() == _sequential_counts(sequential, latents)
     assert block.state_dict() == sequential.state_dict()

@@ -122,7 +122,7 @@ class TestCurriculumSampler:
 
     def test_run_with_too_few_eligible_refused_before_its_first_step(self, tmp_path, monkeypatch):
         # 40 of 100 problems reach level 4; the switch at step 75 needs 64.
-        def no_rollouts(learner, latents):
+        def no_rollouts(learner, indices):
             raise AssertionError("a step ran")
 
         monkeypatch.setattr(SyntheticLearner, "pass_counts", no_rollouts)
@@ -231,7 +231,7 @@ class TestDynamicSampler:
         kept = [sampler.bank.ids[i] for i in batch]
         assert set(kept) == {"p001", "p003"}
         assert all(0 < passes[pid] < self.G for pid in kept)
-        assert kept_counts == [passes[pid] for pid in kept]
+        assert kept_counts.tolist() == [passes[pid] for pid in kept]
         assert consumed <= 4
 
     def test_nothing_filtered_costs_exactly_the_batch(self):
@@ -263,7 +263,7 @@ class TestDynamicSampler:
         )
         assert len(kept) == 4
         assert 0 in kept.tolist()
-        assert kept_counts[0] == 2 and kept_counts[1:] == [self.G] * 3
+        assert kept_counts.tolist() == [2, *[self.G] * 3]
         assert consumed == 6  # both rounds together visit every problem once
 
     def test_capped_batch_pads_with_the_last_round(self):
@@ -279,7 +279,7 @@ class TestDynamicSampler:
         kept, kept_counts, consumed = sampler.select_and_roll(roll_round)
         assert [len(r) for r in rounds] == [4] * RETRY_CAP
         assert kept.tolist() == [rounds[0][0], *rounds[-1][1:]]
-        assert kept_counts == [2, self.G, self.G, self.G]
+        assert kept_counts.tolist() == [2, self.G, self.G, self.G]
         assert consumed == 4 * RETRY_CAP
 
     def test_budget_error_when_nothing_keepable(self):
@@ -348,6 +348,7 @@ class TestSerialization:
         clone = factory(_bank(15))
         clone.load_state_dict(sampler.state_dict())
         assert clone.state_dict() == sampler.state_dict()
-        want_batch, *want = sampler.select_and_roll(_rolls(lambda i: 2))
-        got_batch, *got = clone.select_and_roll(_rolls(lambda i: 2))
-        assert got_batch.tolist() == want_batch.tolist() and got == want
+        want_batch, want_counts, want_consumed = sampler.select_and_roll(_rolls(lambda i: 2))
+        got_batch, got_counts, got_consumed = clone.select_and_roll(_rolls(lambda i: 2))
+        assert got_batch.tolist() == want_batch.tolist()
+        assert got_counts.tolist() == want_counts.tolist() and got_consumed == want_consumed

@@ -87,3 +87,26 @@ def test_pair_lines_give_seed_order_and_both_values():
         "seed 7000, parent first: setup_s 0.1 -> 0.05; steps_per_s 10 -> 12",
         "seed 7001, change first: setup_s 0.11 -> 0.12; steps_per_s 9.5 -> 9",
     ]
+
+
+def test_both_checkouts_are_copied_side_by_side_without_caches(tmp_path):
+    trees = {}
+    for side in ("parent", "change"):
+        tree = tmp_path / f"{side}-checkout"
+        skipped = (f"{name}/x" for name in bench_pairs.SKIPPED)
+        for name in ("BENCHMARK.json", "src/cdas/core.py", *skipped):
+            (tree / name).parent.mkdir(parents=True, exist_ok=True)
+            (tree / name).write_text(f"{side} {name}")
+        (tree / "src/cdas/__pycache__").mkdir()
+        (tree / "src/cdas/__pycache__/core.pyc").write_text("bytecode")
+        trees[side] = tree
+    into = tmp_path / "copies"
+    into.mkdir()
+    copies = bench_pairs.copy_checkouts(trees, into)
+    assert copies == {"parent": into / "parent", "change": into / "change"}
+    for side, copy in copies.items():
+        files = sorted(str(f.relative_to(copy)) for f in copy.rglob("*") if f.is_file())
+        assert files == ["BENCHMARK.json", "src/cdas/core.py"]
+        assert (copy / "src/cdas/core.py").read_text() == f"{side} src/cdas/core.py"
+        # The source trees are left as they were.
+        assert (trees[side] / ".git/x").exists()

@@ -384,18 +384,15 @@ def test_select_and_roll_is_select_batch_then_one_rollout(strategy):
     rolled, rolled_learner = side(5)
     plain, plain_learner = side(5)
     for _ in range(config.total_steps):
-        got = rolled.select_and_roll(
-            lambda indices: rolled_learner.pass_counts(bank.latent[indices])
-        )
+        batch, got_counts, consumed = rolled.select_and_roll(rolled_learner.pass_counts)
         ids = plain.select_batch()
-        counts = plain_learner.pass_counts(bank.latent[plain.pending])
-        batch, *rest = got
+        counts = plain_learner.pass_counts(plain.pending)
         assert batch is rolled.pending
         assert [bank.ids[i] for i in batch] == ids
-        assert rest == [counts, config.batch_size]
+        assert [got_counts.tolist(), consumed] == [counts.tolist(), config.batch_size]
         assert np.array_equal(rolled.pending, plain.pending)
         assert rolled_learner.state_dict() == plain_learner.state_dict()
-        rates = np.array(counts) / plain_learner.rollouts
+        rates = counts / plain_learner.rollouts
         rolled.report(rates)
         plain.report(rates)
         assert rolled.state_dict() == plain.state_dict()

@@ -305,7 +305,7 @@ def test_every_sampler_takes_its_sizes_and_refusals_from_the_config(strategy):
         sampler.select_and_roll(lambda indices: [config.rollouts + 1] * len(indices))
     assert sampler.pending is None
     batch, counts, consumed = sampler.select_and_roll(lambda indices: [1] * len(indices))
-    assert (len(batch), counts, consumed) == (2, [1, 1], 2)
+    assert (len(batch), counts.tolist(), consumed) == (2, [1, 1], 2)
 
 
 @pytest.mark.parametrize(

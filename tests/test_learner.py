@@ -33,10 +33,11 @@ from cdas.sampling import CdasSampler
 DATA = Path(__file__).resolve().parent / "data"
 
 
-def _learner(ability, seed=0, **fields):
-    """A learner built from a config with ``ability_init`` and ``fields`` set."""
+def _learner(ability, seed=0, latents=(0.0,), **fields):
+    """A learner built from a config with ``ability_init`` and ``fields`` set, on a bank of ``latents``."""
     config = ExperimentConfig(ability_init=ability, **fields)
-    return SyntheticLearner(config, ProblemBank(["q"], [None], [0.0]), np.random.default_rng(seed))
+    bank = ProblemBank([f"q{i}" for i in range(len(latents))], [None] * len(latents), latents)
+    return SyntheticLearner(config, bank, np.random.default_rng(seed))
 
 
 def _bank(n, seed, **fields):
@@ -98,32 +99,53 @@ class TestRollouts:
 
 
 class TestLearnStep:
+    # Counts out of the default eight rollouts: 0 and 8 are zero-gradient groups.
     def test_all_useful_moves_by_full_rate(self):
         learner = _learner(1.0, learn_rate=0.05)
-        learner.learn_step([False, False])
+        learner.learn_step([1, 3])
         assert learner.ability == pytest.approx(1.05, abs=1e-15)
 
     def test_all_zero_gradient_moves_nothing(self):
         learner = _learner(1.0)
-        learner.learn_step([True, True])
+        learner.learn_step([0, 8])
         assert learner.ability == 1.0
 
     def test_half_useful_moves_half(self):
         learner = _learner(0.0, learn_rate=0.1)
-        learner.learn_step([False, True])
+        learner.learn_step(np.array([2, 0]))
         assert learner.ability == pytest.approx(0.05, abs=1e-15)
+        assert type(learner.ability) is float
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             _learner(0.0).learn_step([])
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ([True, False], "bool pass counts, first True"),
+            ([1.0, 2.0], "float64 pass counts"),
+            ([2, -1], "pass count -1 for candidate 1; counts must be in \\[0, 8\\]"),
+            ([9, 2], "pass count 9 for candidate 0"),
+            ([[1, 2]], "non-empty batch"),
+        ],
+        ids=["flags", "floats", "negative", "above-group", "two-dimensional"],
+    )
+    def test_counts_that_are_not_pass_counts_refused(self, counts, message):
+        # Zero-gradient flags once fed this method: each True would read as a
+        # count of 1, a mixed group, and invert the gain without a word.
+        learner = _learner(0.5, seed=2)
+        before = (learner.ability, learner.state_dict())
+        with pytest.raises(ValueError, match=message):
+            learner.learn_step(counts)
+        assert (learner.ability, learner.state_dict()) == before
 
     def test_ability_never_decreases(self):
         rng = np.random.default_rng(3)
         learner = _learner(-1.0, seed=8)
         previous = learner.ability
         for _ in range(200):
-            flags = [bool(rng.random() < 0.5) for _ in range(4)]
-            learner.learn_step(flags)
+            learner.learn_step(rng.integers(0, learner.rollouts + 1, size=4))
             assert learner.ability >= previous
             previous = learner.ability
 
@@ -152,24 +174,24 @@ class TestLearnerConfig:
         # One (B, G) draw must give the bits, and leave the stream where, B
         # separate groups would.
         latents = np.linspace(-3, 3, 25).tolist()
-        batched = _learner(0.4, seed=13, rollouts=6)
+        batched = _learner(0.4, seed=13, latents=latents, rollouts=6)
         single = _learner(0.4, seed=13, rollouts=6)
-        counts = batched.pass_counts(latents)
-        assert counts == [single.rollout_group("q", b).rewards.count(1.0) for b in latents]
-        assert all(type(k) is int for k in counts)
+        counts = batched.pass_counts(np.arange(len(latents)))
+        assert counts.tolist() == [single.rollout_group("q", b).rewards.count(1.0) for b in latents]
+        assert counts.dtype == np.int64
         assert batched.state_dict() == single.state_dict()
-        assert batched.pass_counts([]) == []
+        assert batched.pass_counts([]).tolist() == []
         assert batched.state_dict() == single.state_dict()
 
     def test_pass_counts_match_success_probability_at_an_infinite_logit(self):
         # 1e308 times a gap of 4 or -2 overflows to an infinite logit, which
         # both paths cap where the sigmoid is already constant.
         latents = [-3.0, 3.0, 1.0]
-        batched = _learner(1.0, seed=5, discrimination=1e308)
+        batched = _learner(1.0, seed=5, latents=latents, discrimination=1e308)
         single = _learner(1.0, seed=5, discrimination=1e308)
         probabilities = [single.success_probability(b) for b in latents]
         assert probabilities == [1.0 - sys.float_info.epsilon, sys.float_info.epsilon, 0.5]
-        counts = batched.pass_counts(latents)
+        counts = batched.pass_counts([0, 1, 2]).tolist()
         assert counts == [single.rollout_group("q", b).rewards.count(1.0) for b in latents]
         assert counts[:2] == [batched.rollouts, 0]
         assert batched.state_dict() == single.state_dict()

@@ -13,6 +13,7 @@ from cdas.metrics import (
 )
 from cdas.baselines import RandomSampler
 from cdas.config import ExperimentConfig
+from cdas.errors import ConsistencyError
 from cdas.learner import ProblemBank
 from cdas.sampling import CdasSampler
 
@@ -22,27 +23,13 @@ class _StubLearner:
         self.ability = ability
 
 
-def _group(pid, rewards):
-    return RolloutGroup(problem_id=pid, rewards=tuple(rewards))
-
-
-def _groups_with_rates(rates, ids=None):
+def _groups_with_rates(rates, ids):
     # Four rollouts per group; rates must be multiples of 0.25.
     out = []
-    for i, rate in enumerate(rates):
+    for pid, rate in zip(ids, rates):
         passes = round(rate * 4)
-        pid = f"p{i:03d}" if ids is None else ids[i]
-        out.append(_group(pid, [1.0] * passes + [0.0] * (4 - passes)))
+        out.append(RolloutGroup(problem_id=pid, rewards=(1.0,) * passes + (0.0,) * (4 - passes)))
     return out
-
-
-def _columns(groups, bank):
-    """summarize_step's per-group inputs: bank indices, pass rates and zero-gradient flags."""
-    return (
-        [bank.ids.index(g.problem_id) for g in groups],
-        [g.pass_rate for g in groups],
-        [group_advantages(g)[1] for g in groups],
-    )
 
 
 def _bank(n):
@@ -54,45 +41,62 @@ def _random_sampler(n=6, batch_size=1):
     return RandomSampler(config, _bank(n), np.random.default_rng(0))
 
 
+def _reported(sampler, rates):
+    """Select a batch, report ``rates`` for it and return its bank indices."""
+    sampler.select_batch()
+    batch = sampler.pending
+    sampler.report(rates)
+    return batch
+
+
 class TestSummarizeStep:
     def test_mean_reward_and_zero_gradient_fraction(self):
         sampler = _random_sampler(n=4, batch_size=4)
-        groups = _groups_with_rates([0.0, 0.5, 1.0, 0.25], ids=sampler.select_batch())
-        sampler.report([g.pass_rate for g in groups])
-        metrics = summarize_step(*_columns(groups, sampler.bank), sampler, _StubLearner(0.7), 4)
+        rates = [0.0, 0.5, 1.0, 0.25]
+        batch = _reported(sampler, rates)
+        groups = _groups_with_rates(rates, [sampler.bank.ids[i] for i in batch])
+        metrics = summarize_step(batch, sampler, _StubLearner(0.7), 4)
         assert metrics.mean_reward == pytest.approx(0.4375, abs=1e-15)
         assert metrics.zero_gradient_fraction == 0.5  # rates 0.0 and 1.0
+        assert metrics.zero_gradient_fraction == sum(group_advantages(g)[1] for g in groups) / 4
+        assert type(metrics.zero_gradient_fraction) is float
         assert metrics.step == 1
         assert metrics.learner_ability == 0.7
         assert metrics.rollout_batches_consumed == 4
 
     def test_baseline_strategies_leave_model_columns_empty(self):
-        groups = _groups_with_rates([0.5, 0.75])
-        sampler = _random_sampler()
-        metrics = summarize_step(*_columns(groups, sampler.bank), sampler, _StubLearner(0.0), 2)
+        sampler = _random_sampler(batch_size=2)
+        batch = _reported(sampler, [0.5, 0.75])
+        metrics = summarize_step(batch, sampler, _StubLearner(0.0), 2)
         assert metrics.competence is None
         assert metrics.mean_sampled_difficulty is None
 
     def test_alignment_sampler_fills_model_columns(self):
         config = ExperimentConfig(n_problems=4, batch_size=2)
         sampler = CdasSampler(config, _bank(4), np.random.default_rng(1))
-        batch = sampler.select_batch()
-        sampler.report([1.0] * len(batch))
-        groups = [_group(pid, [1.0, 1.0, 1.0, 1.0]) for pid in batch]
-        metrics = summarize_step(*_columns(groups, sampler.bank), sampler, _StubLearner(0.1), 2)
+        batch = _reported(sampler, [1.0, 1.0])
+        metrics = summarize_step(batch, sampler, _StubLearner(0.1), 2)
         assert metrics.competence == sampler.competence_value
         assert metrics.mean_sampled_difficulty == pytest.approx(-0.5, abs=1e-15)
 
     def test_rollout_consumption_is_taken_as_given(self):
         # Dynamic sampling rolls out more groups than it trains on.
-        groups = _groups_with_rates([0.5])
         sampler = _random_sampler()
-        metrics = summarize_step(*_columns(groups, sampler.bank), sampler, _StubLearner(0.0), 9)
+        batch = _reported(sampler, [0.5])
+        metrics = summarize_step(batch, sampler, _StubLearner(0.0), 9)
         assert metrics.rollout_batches_consumed == 9
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            summarize_step([], [], [], _random_sampler(), _StubLearner(0.0), 0)
+            summarize_step([], _random_sampler(), _StubLearner(0.0), 0)
+
+    def test_pending_batch_refused(self):
+        # Before report the sampler's rates for the batch are stale or NaN.
+        sampler = _random_sampler(batch_size=2)
+        _reported(sampler, [0.5, 0.25])
+        sampler.select_batch()
+        with pytest.raises(ConsistencyError, match="pending"):
+            summarize_step(sampler.pending, sampler, _StubLearner(0.0), 2)
 
 
 class TestMetricsCsv:
