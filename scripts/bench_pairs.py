@@ -14,8 +14,10 @@ the change's ``BENCHMARK.json`` it prints both sides' median and quartiles,
 the change's median against the parent's, how many pairs the change won
 (ties count for neither), the metric's bound, and whether a gain could be
 claimed: a win in at least nine pairs in ten, and medians further apart than
-the parent's interquartile range; a metric equal on both sides of every pair
-reads ``identical``.  After the table comes one line per pair: its seed,
+the parent's interquartile range.  A metric whose change median is worse
+than the parent's by more than the bound, taken relative to the parent's
+median, reads ``worse``; one equal on both sides of every pair reads
+``identical``.  After the table comes one line per pair: its seed,
 which side ran first, and each metric's parent and change values.  Runs that
 failed their output checks are listed last.
 """
@@ -80,6 +82,7 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
                 "pairs": len(values),
                 "bound": metric["bound"],
                 "claimable": wins >= 0.9 * len(values) and gain > parent[2] - parent[0],
+                "worse": -gain > metric["bound"] * abs(parent[1]),
                 "identical": all(p == c for p, c in values),
             }
         )
@@ -89,15 +92,16 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
 def format_rows(rows: list[dict]) -> str:
     lines = [
         f"{'metric':<32} {'parent median [q1, q3]':>32} {'change median [q1, q3]':>32}"
-        f" {'change':>8} {'wins':>6} {'bound':>6}  gain"
+        f" {'change':>8} {'wins':>6} {'bound':>6}  verdict"
     ]
     for row in rows:
+        verdict = next((word for word in ("claimable", "worse", "identical") if row[word]), "-")
         sides = (f"{m:.4g} [{lo:.4g}, {hi:.4g}]" for lo, m, hi in (row["parent"], row["change"]))
         relative = "n/a" if row["relative"] is None else f"{row['relative']:+.1%}"
         lines.append(
             f"{row['name']:<32} {next(sides):>32} {next(sides):>32} {relative:>8}"
             f" {row['wins']:>3}/{row['pairs']:<2} {row['bound']:>6}"
-            f"  {'claimable' if row['claimable'] else 'identical' if row['identical'] else '-'}"
+            f"  {verdict}"
         )
     return "\n".join(lines)
 

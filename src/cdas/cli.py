@@ -54,10 +54,12 @@ def _add_config_flags(parser: argparse.ArgumentParser, fields=None) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     # A field without a flag on this command keeps the config's value too.
-    overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(config)}
-    return config.with_overrides(**overrides)
+    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(ExperimentConfig)}
+    # The flags apply before the file's config is built, and so checked.
+    if args.config:
+        return ExperimentConfig.from_file(args.config, **flags)
+    return ExperimentConfig().with_overrides(**flags)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -172,7 +174,6 @@ def _cmd_fixed_point(args: argparse.Namespace) -> int:
 def _cmd_bank_generate(args: argparse.Namespace) -> int:
     # A run's config, so that a bank written with seed k is the bank a run with seed k draws.
     config = _config_from_args(args)
-    config.validate()
     bank_rng, _, _ = _spawned_rngs(config.seed)
     bank = generate_bank(config, bank_rng)
     save_bank(bank, args.out)

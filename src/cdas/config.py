@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .baselines import CurriculumSampler, DynamicSampler, PrioritizedSampler, RandomSampler
 from .errors import ConfigError
-from .files import read_json
+from .files import read_json, require
 from .sampling import CdasSampler
 
 # Strategy name -> sampler class; each name is declared once, on its class.
@@ -36,8 +36,7 @@ _FINITE = ("finite", lambda value: abs(value) <= _MAX)
 _POSITIVE = ("finite and > 0", lambda value: 0.0 < value <= _MAX)
 
 # Config field -> (requirement, predicate): the one statement of each field's
-# range, checked by ExperimentConfig.validate.  Every object a run builds
-# takes the whole config and validates it.
+# range, checked when an ExperimentConfig is built.
 FIELD_RULES: dict[str, tuple[str, Callable]] = {
     "n_problems": _at_least(1),
     "batch_size": _at_least(1),
@@ -55,7 +54,12 @@ FIELD_RULES: dict[str, tuple[str, Callable]] = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Desk-scale defaults: 2000 problems, batches of 128, 8 rollouts, 150 steps."""
+    """Desk-scale defaults: 2000 problems, batches of 128, 8 rollouts, 150 steps.
+
+    A config is checked once, when it is built, by every route: the
+    constructor, ``from_dict``, ``from_file``, ``with_overrides`` and
+    ``dataclasses.replace``.  It is frozen, so no one holds an invalid one.
+    """
 
     n_problems: int = 2000
     batch_size: int = 128
@@ -76,7 +80,7 @@ class ExperimentConfig:
     # output (not part of the experiment identity)
     out_dir: str | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Refuse a field of the wrong type or outside its range.
 
         A rule that ties a field to the bank or to the strategy is checked
@@ -106,16 +110,19 @@ class ExperimentConfig:
         return cls(**payload)
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "ExperimentConfig":
+    def from_file(cls, path: str | Path, **overrides) -> "ExperimentConfig":
+        """The config a JSON file holds, with ``overrides`` applied as ``with_overrides`` does.
+
+        The overrides apply before the config is checked, so one may replace
+        a value the file holds that would be refused.
+        """
         payload = read_json(path, "config file")
-        if not isinstance(payload, dict):
-            raise ConfigError(f"config file {path}: expected a JSON object")
-        return cls.from_dict(payload)
+        require(payload, (), f"config file {path}")
+        return cls.from_dict({**payload, **_given(overrides)})
 
     def with_overrides(self, **overrides) -> "ExperimentConfig":
         """Replace fields by name; None values mean 'keep current'."""
-        changes = {k: v for k, v in overrides.items() if v is not None}
-        return self.from_dict({**self.to_dict(), **changes})
+        return self.from_dict({**self.to_dict(), **_given(overrides)})
 
     def content_hash(self) -> str:
         """Hash of every field that defines the experiment; output path excluded."""
@@ -123,6 +130,11 @@ class ExperimentConfig:
         payload.pop("out_dir")
         canonical = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _given(overrides: dict) -> dict:
+    """The overrides that replace a field: a None value keeps it."""
+    return {name: value for name, value in overrides.items() if value is not None}
 
 
 def _allowed_types(hint) -> set[type]:

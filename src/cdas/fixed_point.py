@@ -97,11 +97,11 @@ def _sup_distance(a: State, b: State) -> float:
     return max(float(gap.max()), abs(a[1] - b[1]))
 
 
-def _ratios(deltas: list[float]) -> list[float]:
-    return [
-        deltas[i + 1] / deltas[i]
-        for i in range(len(deltas) - 1)
-        if deltas[i] > _RATIO_FLOOR
+def _step_ratios(deltas: list[float]) -> list[float | None]:
+    """Each step size over the one before it; None where there is no such step above the floor."""
+    return [None] + [
+        delta / previous if previous > _RATIO_FLOOR else None
+        for previous, delta in zip(deltas, deltas[1:])
     ]
 
 
@@ -148,7 +148,7 @@ def solve(
                 c_star=c,
                 iterations=iteration,
                 final_residual=delta,
-                contraction_ratios=_ratios(deltas),
+                contraction_ratios=[r for r in _step_ratios(deltas) if r is not None],
                 trajectory=deltas,
             )
 
@@ -170,9 +170,5 @@ def write_trajectory_csv(deltas: list[float], path: str | Path) -> None:
     with replacing(path) as tmp, open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["iteration", "delta", "ratio"])
-        for i, delta in enumerate(deltas, start=1):
-            if i >= 2 and deltas[i - 2] > _RATIO_FLOOR:
-                ratio = repr(delta / deltas[i - 2])
-            else:
-                ratio = ""
-            writer.writerow([i, repr(delta), ratio])
+        for i, (delta, ratio) in enumerate(zip(deltas, _step_ratios(deltas)), start=1):
+            writer.writerow([i, repr(delta), "" if ratio is None else repr(ratio)])

@@ -15,7 +15,6 @@ import json
 import logging
 import math
 import time
-import typing
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
@@ -30,6 +29,7 @@ from .files import decode_array, encode_array, read_json, replacing, require
 from .learner import ProblemBank, SyntheticLearner, generate_bank, load_bank
 from .metrics import (
     METRICS_COLUMNS,
+    METRICS_TYPES,
     StepMetrics,
     _cell,
     format_metrics_row,
@@ -221,7 +221,6 @@ def run_experiment(config: ExperimentConfig, stop_after: int | None = None) -> R
     ``stop_after`` truncates the run after that step (checkpoint included), so
     a later ``resume_experiment`` can pick it up.
     """
-    config.validate()
     target = _target_step(config, stop_after)
     bank, sampler_rng, learner = _start(config)
     sampler = make_sampler(config, bank, sampler_rng)
@@ -241,7 +240,7 @@ def _checkpoint_payload(result: RunResult) -> dict:
         "sampler": result.sampler.state_dict(),
         "learner": result.learner.state_dict(),
         "metrics_rows": [
-            {name: getattr(row, name) for name in _METRICS_TYPES} for row in result.rows
+            {name: getattr(row, name) for name in METRICS_TYPES} for row in result.rows
         ],
         "batches": encode_array(result.batches, "<i8"),
     }
@@ -251,12 +250,6 @@ _CHECKPOINT_FIELDS = (
     "format_version", "config", "config_hash", "bank_hash",
     "sampler", "learner", "metrics_rows", "batches",
 )
-# Each metrics field's allowed JSON value types, by exact type: an int where a
-# float belongs would be written back into metrics.csv without its ".0".
-_METRICS_TYPES = {
-    name: set(typing.get_args(hint) or (hint,))
-    for name, hint in typing.get_type_hints(StepMetrics).items()
-}
 
 
 def load_checkpoint(path: str | Path) -> dict:
@@ -272,16 +265,15 @@ def load_checkpoint(path: str | Path) -> dict:
         require(payload, _CHECKPOINT_FIELDS, "checkpoint")
         require(payload["config"], (), "config")
         config = ExperimentConfig.from_dict(payload["config"])
-        config.validate()
         rows = payload["metrics_rows"]
         if not isinstance(rows, list) or any(
-            not isinstance(row, dict) or set(row) != set(_METRICS_TYPES) for row in rows
+            not isinstance(row, dict) or set(row) != set(METRICS_TYPES) for row in rows
         ):
             raise ConfigError(
-                f"metrics rows must each hold exactly the fields {sorted(_METRICS_TYPES)}"
+                f"metrics rows must each hold exactly the fields {sorted(METRICS_TYPES)}"
             )
         for step, row in enumerate(rows, start=1):
-            bad = [name for name, types in _METRICS_TYPES.items() if type(row[name]) not in types]
+            bad = [name for name, types in METRICS_TYPES.items() if type(row[name]) not in types]
             if bad:
                 raise ConfigError(f"metrics row {step}: {bad[0]} has a wrong type, {row[bad[0]]!r}")
             # Python's json module reads NaN and Infinity.
@@ -318,7 +310,6 @@ def resume_experiment(
     config = ExperimentConfig.from_dict(payload["config"])
     if out_dir is not None:
         config = config.with_overrides(out_dir=str(out_dir))
-    config.validate()
     target = _target_step(config, stop_after)
 
     bank, sampler_rng, learner = _start(config)

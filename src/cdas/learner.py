@@ -34,14 +34,13 @@ _LOGIT_CAP = 2 * MAX_LOGIT
 class SyntheticLearner:
     """Built as ``SyntheticLearner(config, bank, rng)`` from an ``ExperimentConfig``.
 
-    The constructor refuses a config that ``validate`` refuses.  The config
-    sets the rollouts per group, the discrimination and the learn rate.  The
-    starting ability is ``config.ability_init``, or ``default_ability(bank)``
-    when that is None.  It reads the bank's latents itself.
+    The config sets the rollouts per group, the discrimination and the learn
+    rate.  The starting ability is ``config.ability_init``, or
+    ``default_ability(bank)`` when that is None.  It reads the bank's latents
+    itself.
     """
 
     def __init__(self, config, bank: ProblemBank, rng: np.random.Generator):
-        config.validate()
         ability = config.ability_init
         self.ability = float(default_ability(bank) if ability is None else ability)
         self.discrimination = float(config.discrimination)
@@ -261,14 +260,13 @@ def _padded_ids(n: int, width: int) -> list[str]:
 
 
 def generate_bank(config, rng: np.random.Generator) -> ProblemBank:
-    """Draw a bank of ``config.n_problems`` problems, refusing a config ``validate`` refuses.
+    """Draw a bank of ``config.n_problems`` problems.
 
     ``normal`` mode (``config.bank_mode``) draws latent difficulties from
     N(0, bank_scale^2) and tags each problem with its difficulty quintile
     (1 easiest .. 5 hardest).  ``levels`` mode draws tags uniformly and maps
     tag k to the latent ``(k - 3) * bank_scale``.
     """
-    config.validate()
     n = config.n_problems
     width = max(5, len(str(n - 1)))
     if config.bank_mode == "normal":

@@ -3,25 +3,13 @@
 from __future__ import annotations
 
 import csv
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConsistencyError
-
-METRICS_COLUMNS = [
-    "step",
-    "strategy",
-    "seed",
-    "mean_reward",
-    "zero_gradient_fraction",
-    "rollout_batches_consumed",
-    "competence",
-    "mean_sampled_difficulty",
-    "learner_ability",
-]
-
 
 @dataclass(frozen=True, slots=True)
 class StepMetrics:
@@ -39,6 +27,16 @@ class StepMetrics:
     competence: float | None
     mean_sampled_difficulty: float | None
     learner_ability: float
+
+
+# Each field's allowed value types, by exact type: an int where a float
+# belongs would be written back into metrics.csv without its ".0".
+METRICS_TYPES = {
+    name: set(typing.get_args(hint) or (hint,))
+    for name, hint in typing.get_type_hints(StepMetrics).items()
+}
+# The CSV columns: the step, the run's strategy and seed, then the rest of the row.
+METRICS_COLUMNS = ["step", "strategy", "seed", *list(METRICS_TYPES)[1:]]
 
 
 def summarize_step(batch, sampler, learner, rollout_batches_consumed: int) -> StepMetrics:
@@ -97,26 +95,19 @@ def write_metrics_csv(path: str | Path, rows: list[StepMetrics], strategy: str, 
             writer.writerow(format_metrics_row(row, strategy, seed))
 
 
+def _parse(cell: str, types: set[type]):
+    """A cell read back as its field's type; empty is None where the type allows None."""
+    if not cell and type(None) in types:
+        return None
+    (kind,) = types - {type(None)}
+    return kind(cell)
+
+
 def read_metrics_csv(path: str | Path) -> list[dict]:
-    """Parse a metrics CSV back into dicts with typed fields ('' -> None)."""
-    out = []
+    """Parse a metrics CSV back into dicts, each cell by its column's type."""
+    types = {"strategy": {str}, "seed": {int}, **METRICS_TYPES}
     with open(path, newline="") as fh:
-        for raw in csv.DictReader(fh):
-            out.append(
-                {
-                    "step": int(raw["step"]),
-                    "strategy": raw["strategy"],
-                    "seed": int(raw["seed"]),
-                    "mean_reward": float(raw["mean_reward"]),
-                    "zero_gradient_fraction": float(raw["zero_gradient_fraction"]),
-                    "rollout_batches_consumed": int(raw["rollout_batches_consumed"]),
-                    "competence": float(raw["competence"]) if raw["competence"] else None,
-                    "mean_sampled_difficulty": (
-                        float(raw["mean_sampled_difficulty"])
-                        if raw["mean_sampled_difficulty"]
-                        else None
-                    ),
-                    "learner_ability": float(raw["learner_ability"]),
-                }
-            )
-    return out
+        return [
+            {name: _parse(raw[name], types[name]) for name in METRICS_COLUMNS}
+            for raw in csv.DictReader(fh)
+        ]

@@ -83,8 +83,8 @@ class Sampler:
     ``select_and_roll``) and ``report``, one batch at a time; ``state_dict``
     is taken between the two, never while a batch is pending.  Every batch
     holds ``config.batch_size`` problems, and each is rolled out
-    ``config.rollouts`` times.  The constructor refuses a config that
-    ``validate`` refuses, and a batch larger than the bank.
+    ``config.rollouts`` times.  The constructor refuses a batch larger
+    than the bank.
     Subclasses set ``strategy``, read their own fields from the config,
     choose the bank indices of a batch in ``_choose``, fold validated
     outcomes into their own state in ``_fold``
@@ -97,7 +97,6 @@ class Sampler:
     competence_value: float | None = None
 
     def __init__(self, config, bank: ProblemBank, rng: np.random.Generator):
-        config.validate()
         if config.batch_size > len(bank):
             raise ConfigError(
                 f"batch_size: must not exceed bank size ({config.batch_size} > {len(bank)})"
@@ -300,7 +299,7 @@ class CdasSampler(Sampler):
     def __init__(self, config, bank: ProblemBank, rng: np.random.Generator):
         super().__init__(config, bank, rng)
         self.symmetric = config.symmetric
-        # A rule of this sampler, not of validate: any strategy's config may hold an odd batch.
+        # A rule of this sampler, not of the config: any strategy's config may hold an odd batch.
         if self.symmetric and self.batch_size % 2 != 0:
             raise ConfigError(
                 f"batch_size: symmetric mode needs an even batch, got {self.batch_size}"

@@ -68,6 +68,22 @@ def test_a_gain_is_claimable_only_beyond_the_parent_spread():
     assert (row["wins"], row["claimable"]) == (10, False)
 
 
+def test_a_median_past_the_bound_reads_worse():
+    parent = [(0.10, 10.0)] * 4
+    # setup_s 30% slower and steps_per_s 30% fewer: past their bounds of 25% and 24%.
+    row_setup, row_steps = bench_pairs.summarize(_pairs(parent, [(0.13, 7.0)] * 4), METRICS)
+    assert row_setup["worse"] and row_steps["worse"]
+    assert "worse" in bench_pairs.format_rows([row_setup]).splitlines()[1]
+    # 20% on either side of the parent is within the bounds; a gain is never worse.
+    for change in [(0.12, 8.0)], [(0.08, 12.0)]:
+        rows = bench_pairs.summarize(_pairs(parent, change * 4), METRICS)
+        assert [row["worse"] for row in rows] == [False, False]
+    # A small move can be claimable yet far inside the bound: it is not worse either.
+    steady = [(0.100 + 0.0001 * i, 10.0) for i in range(10)]
+    row = bench_pairs.summarize(_pairs(steady, [(0.099, 10.0)] * 10), METRICS)[0]
+    assert (row["claimable"], row["worse"]) == (True, False)
+
+
 def test_table_has_one_line_per_metric():
     parent, change = [(0.10, 10.0)], [(0.05, 12.0)]
     table = bench_pairs.format_rows(bench_pairs.summarize(_pairs(parent, change), METRICS))

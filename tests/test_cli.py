@@ -173,6 +173,14 @@ class TestRunCommand:
         assert ckpt["config"]["strategy"] == "prioritized"
         assert ckpt["config"]["n_problems"] == 12
 
+    def test_config_file_value_a_flag_replaces_is_never_checked(self, tmp_path):
+        # The flags apply over the file before the config is built.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"n_problems": 12, "batch_size": 0, "total_steps": 2}))
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(config_path), "--batch-size", "4", "--out", str(out)]) == 0
+        assert json.loads((out / CHECKPOINT_FILE).read_text())["config"]["batch_size"] == 4
+
     def test_invalid_config_exits_2(self, capsys):
         assert main(["run", "--n-problems", "4", "--batch-size", "9"]) == 2
         assert "batch_size" in capsys.readouterr().err

@@ -324,8 +324,8 @@ class TestGenerateBank:
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         for mode in ("normal", "levels"):
-            config = ExperimentConfig(n_problems=5, bank_mode=mode, bank_scale=value)
             with pytest.raises(ConfigError, match="bank_scale: must be finite and > 0"):
+                config = ExperimentConfig(n_problems=5, bank_mode=mode, bank_scale=value)
                 generate_bank(config, rng)
         assert rng.bit_generator.state == before
 
