@@ -148,7 +148,7 @@ def _cmd_fixed_point(args: argparse.Namespace) -> int:
         solution = solve(problem, tolerance=args.tolerance, max_iters=args.max_iters)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    worst = max(solution.contraction_ratios) if solution.contraction_ratios else 0.0
+    worst = max(solution.contraction_ratios, default=0.0)
     print(
         f"converged in {solution.iterations} iterations: "
         f"c*={solution.c_star!r}, residual={solution.final_residual:.3e}, "

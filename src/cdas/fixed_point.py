@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,13 +60,24 @@ class EquilibriumProblem:
 
 @dataclass(frozen=True)
 class EquilibriumSolution:
+    """The fixed point, and the sup-norm step size of each iteration that reached it."""
+
     d_star: np.ndarray
     c_star: float
-    iterations: int
-    final_residual: float
-    contraction_ratios: list[float] = field(default_factory=list)
-    # The sup-norm step size of each iteration, not the iterates themselves.
-    trajectory: list[float] = field(default_factory=list)
+    trajectory: list[float]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trajectory)
+
+    @property
+    def final_residual(self) -> float:
+        return self.trajectory[-1]
+
+    @property
+    def contraction_ratios(self) -> list[float]:
+        """Each step size over the one before, where that one is above rounding noise."""
+        return [r for r in _step_ratios(self.trajectory) if r is not None]
 
 
 def iterate_once(d: np.ndarray, c: float, s_star: np.ndarray) -> State:
@@ -137,20 +148,13 @@ def solve(
     c = float(problem.init_c)
     deltas: list[float] = []
 
-    for iteration in range(1, max_iters + 1):
+    for _ in range(max_iters):
         d_next, c_next = iterate_once(d, c, s_star)
         delta = _sup_distance((d_next, c_next), (d, c))
         deltas.append(delta)
         d, c = d_next, c_next
         if delta <= tolerance:
-            return EquilibriumSolution(
-                d_star=d,
-                c_star=c,
-                iterations=iteration,
-                final_residual=delta,
-                contraction_ratios=[r for r in _step_ratios(deltas) if r is not None],
-                trajectory=deltas,
-            )
+            return EquilibriumSolution(d_star=d, c_star=c, trajectory=deltas)
 
     raise ConvergenceError(
         f"no convergence to {tolerance:g} within {max_iters} iterations "

@@ -40,7 +40,7 @@ from .sampling import Sampler
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 8
+CHECKPOINT_VERSION = 9
 
 METRICS_FILE = "metrics.csv"
 SUMMARY_FILE = "summary.json"
@@ -230,8 +230,14 @@ def run_experiment(config: ExperimentConfig, stop_after: int | None = None) -> R
 # -- checkpointing ----------------------------------------------------------
 
 
+# Each checkpoint metrics column's dtype; a row's step is its position, and NaN a None.
+_METRICS_DTYPES = {
+    name: "<i8" if int in types else "<f8" for name, types in METRICS_TYPES.items() if name != "step"
+}
+
+
 def _checkpoint_payload(result: RunResult) -> dict:
-    """The checkpoint: ``batches`` is the ``encode_array`` text of the bank indices."""
+    """The checkpoint; its metrics columns and batches are ``encode_array`` text."""
     return {
         "format_version": CHECKPOINT_VERSION,
         "config": result.config.to_dict(),
@@ -239,16 +245,17 @@ def _checkpoint_payload(result: RunResult) -> dict:
         "bank_hash": result.bank_hash,
         "sampler": result.sampler.state_dict(),
         "learner": result.learner.state_dict(),
-        "metrics_rows": [
-            {name: getattr(row, name) for name in METRICS_TYPES} for row in result.rows
-        ],
+        "metrics": {
+            name: encode_array([getattr(row, name) for row in result.rows], dtype)
+            for name, dtype in _METRICS_DTYPES.items()
+        },
         "batches": encode_array(result.batches, "<i8"),
     }
 
 
 _CHECKPOINT_FIELDS = (
     "format_version", "config", "config_hash", "bank_hash",
-    "sampler", "learner", "metrics_rows", "batches",
+    "sampler", "learner", "metrics", "batches",
 )
 
 
@@ -265,23 +272,6 @@ def load_checkpoint(path: str | Path) -> dict:
         require(payload, _CHECKPOINT_FIELDS, "checkpoint")
         require(payload["config"], (), "config")
         config = ExperimentConfig.from_dict(payload["config"])
-        rows = payload["metrics_rows"]
-        if not isinstance(rows, list) or any(
-            not isinstance(row, dict) or set(row) != set(METRICS_TYPES) for row in rows
-        ):
-            raise ConfigError(
-                f"metrics rows must each hold exactly the fields {sorted(METRICS_TYPES)}"
-            )
-        for step, row in enumerate(rows, start=1):
-            bad = [name for name, types in METRICS_TYPES.items() if type(row[name]) not in types]
-            if bad:
-                raise ConfigError(f"metrics row {step}: {bad[0]} has a wrong type, {row[bad[0]]!r}")
-            # Python's json module reads NaN and Infinity.
-            bad = [k for k, v in row.items() if type(v) is float and not math.isfinite(v)]
-            if bad:
-                raise ConfigError(f"metrics row {step}: {bad[0]} must be finite, got {row[bad[0]]}")
-            if row["step"] != step:
-                raise ConfigError(f"metrics row {step} has step {row['step']}")
     except ConfigError as err:
         raise ConfigError(f"checkpoint {path}: {err}") from err
     if config.content_hash() != payload.get("config_hash"):
@@ -318,14 +308,10 @@ def resume_experiment(
             f"checkpoint {checkpoint_path}: bank hash mismatch; the configured "
             f"bank no longer reproduces the checkpointed one"
         )
-    rows = [StepMetrics(**row) for row in payload["metrics_rows"]]
     try:
         sampler = sampler_from_state(config, bank, sampler_rng, payload["sampler"])
         learner.load_state_dict(payload["learner"])
-        if sampler.step != len(rows):
-            raise ConfigError(
-                f"sampler is at step {sampler.step} but {len(rows)} steps are recorded"
-            )
+        rows = _step_metrics(payload["metrics"], sampler.step)
         batches = _batch_indices(payload["batches"], sampler.step, config.batch_size, len(bank))
     except ConfigError as err:
         raise ConfigError(f"checkpoint {checkpoint_path}: {err}") from err
@@ -343,6 +329,24 @@ def resume_experiment(
         )
         return run
     return _finish(run, target)
+
+
+def _step_metrics(columns, steps: int) -> list[StepMetrics]:
+    """Checkpointed ``metrics`` columns as the rows of steps 1 to ``steps``.
+
+    Raises:
+        ConfigError: a column is missing or not ``steps`` values long, or a
+            value is infinite, or NaN where the field cannot be None.
+    """
+    require(columns, _METRICS_DTYPES, "metrics")
+    values = [range(1, steps + 1)]
+    for name, dtype in _METRICS_DTYPES.items():
+        column = decode_array(columns[name], dtype, steps, f"metrics {name}")
+        fits = np.isfinite(column) | (type(None) in METRICS_TYPES[name] and np.isnan(column))
+        if not fits.all():
+            raise ConfigError(f"metrics {name}: step {np.argmin(fits) + 1} holds {column[~fits][0]}")
+        values.append([None if v != v else v for v in column.tolist()])
+    return [StepMetrics(*row) for row in zip(*values)]
 
 
 def _batch_indices(text, steps: int, batch_size: int, n: int) -> list[np.ndarray]:

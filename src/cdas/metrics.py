@@ -29,8 +29,8 @@ class StepMetrics:
     learner_ability: float
 
 
-# Each field's allowed value types, by exact type: an int where a float
-# belongs would be written back into metrics.csv without its ".0".
+# Each field's value types, from its hint: a checkpoint stores an int field's
+# column as <i8 and any other as <f8, where NaN stands for None.
 METRICS_TYPES = {
     name: set(typing.get_args(hint) or (hint,))
     for name, hint in typing.get_type_hints(StepMetrics).items()

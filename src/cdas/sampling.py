@@ -348,14 +348,10 @@ class CdasSampler(Sampler):
         harder_mask = self._D > self._competence
         easier = np.flatnonzero(~harder_mask)
         harder = np.flatnonzero(harder_mask)
+        # Half from each side, a short side backfilled by the other's next best-aligned.
         half = batch_size // 2
-        take_easier = min(half, len(easier))
-        take_harder = min(half, len(harder))
-        # One group short: backfill with the other group's next best-aligned.
-        if take_easier < half:
-            take_harder = min(batch_size - take_easier, len(harder))
-        elif take_harder < half:
-            take_easier = min(batch_size - take_harder, len(easier))
+        take_easier = min(len(easier), max(half, batch_size - len(harder)))
+        take_harder = batch_size - take_easier
         return np.concatenate(
             [
                 smallest_by(easier, take_easier, gap),

@@ -341,7 +341,7 @@ class TestResumeCommand:
         "edit",
         [
             lambda payload: payload["sampler"].pop("rng"),
-            lambda payload: payload["metrics_rows"][0].update(extra=1.0),
+            lambda payload: payload["metrics"].pop("competence"),
             lambda payload: payload["sampler"].update(t=[0] * 12),
             lambda payload: payload["sampler"].update(difficulty="not base64"),
             lambda payload: payload["sampler"].update(t=encode_array([0] * 11, "<i8")),
@@ -357,18 +357,24 @@ class TestResumeCommand:
             lambda payload: payload["learner"].update(ability=math.nan),
             lambda payload: payload["sampler"].update(rng={}),
             lambda payload: payload["learner"].update(rng=5),
-            lambda payload: payload["metrics_rows"][1].update(mean_reward="oops"),
-            lambda payload: payload["metrics_rows"][1].update(step=7),
+            lambda payload: payload["metrics"].update(mean_reward="oops!"),
+            lambda payload: payload["metrics"].update(
+                learner_ability=encode_array([0.5] * 3, "<f8")
+            ),
             lambda payload: payload.update(
                 batches=encode_array([*range(4), 4, 4, 5, 6], "<i8")
             ),
-            lambda payload: payload["metrics_rows"][1].update(mean_reward=math.nan),
-            lambda payload: payload["metrics_rows"][0].update(learner_ability=-math.inf),
+            lambda payload: payload["metrics"].update(
+                mean_reward=encode_array([0.5, math.nan], "<f8")
+            ),
+            lambda payload: payload["metrics"].update(
+                learner_ability=encode_array([-math.inf, 0.0], "<f8")
+            ),
             lambda payload: payload["config"].update(strategy=[]),
         ],
         ids=[
             "no-sampler-rng",
-            "extra-metrics-field",
+            "missing-metrics-column",
             "counts-a-list",
             "estimates-not-base64",
             "count-missing",
@@ -381,7 +387,7 @@ class TestResumeCommand:
             "empty-sampler-rng",
             "int-learner-rng",
             "string-mean-reward",
-            "step-7-in-row-2",
+            "three-abilities-for-two-steps",
             "index-repeated-in-a-step",
             "nan-mean-reward",
             "infinite-ability-in-row-1",

@@ -29,7 +29,7 @@ from cdas.harness import (
     run_experiment,
 )
 from cdas.learner import generate_bank, save_bank
-from cdas.metrics import read_metrics_csv
+from cdas.metrics import StepMetrics, read_metrics_csv
 
 TINY = ExperimentConfig(n_problems=12, batch_size=4, rollouts=4, total_steps=6)
 
@@ -43,14 +43,20 @@ def _tiny(**overrides):
 
 
 def _in_current_format(payload):
-    """An older checkpoint relabelled as the current format, its config cut to today's fields."""
+    """An older checkpoint relabelled as the current format: its config cut to
+    today's fields, and its metrics rows stored as columns, NaN for None."""
     fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
     config = {name: value for name, value in payload["config"].items() if name in fields}
+    rows = payload["metrics_rows"]
     return {
-        **payload,
+        **{key: value for key, value in payload.items() if key != "metrics_rows"},
         "format_version": harness.CHECKPOINT_VERSION,
         "config": config,
         "config_hash": ExperimentConfig.from_dict(config).content_hash(),
+        "metrics": {
+            name: encode_array([row[name] for row in rows], dtype)
+            for name, dtype in harness._METRICS_DTYPES.items()
+        },
     }
 
 
@@ -312,7 +318,7 @@ def _crash_a_resume_midway(tmp_path, monkeypatch, name):
         with pytest.raises(OSError, match="disk full"):
             resume_experiment(run / CHECKPOINT_FILE, stop_after=4)
     assert {other: (run / other).read_bytes() for other in later} == before
-    assert len(load_checkpoint(run / CHECKPOINT_FILE)["metrics_rows"]) == 2
+    assert load_checkpoint(run / CHECKPOINT_FILE)["sampler"]["step"] == 2
     assert sorted(p.name for p in run.iterdir()) == sorted(OUTPUT_FILES)
     resume_experiment(run / CHECKPOINT_FILE)
     for other in OUTPUT_FILES:
@@ -349,7 +355,7 @@ class TestCheckpointResume:
         payload = load_checkpoint(tmp_path / CHECKPOINT_FILE)
         assert set(payload) == {
             "format_version", "config", "config_hash", "bank_hash",
-            "sampler", "learner", "metrics_rows", "batches",
+            "sampler", "learner", "metrics", "batches",
         }
         own = {
             "cdas": {"t", "difficulty"},
@@ -367,12 +373,31 @@ class TestCheckpointResume:
         # The batches, as bank indices, steps by batch size.
         batches = decode_array(payload["batches"], "<i8", 2 * 4, "batches")
         assert batches.tolist() == np.concatenate(result.batches).tolist()
+        # One column per metrics field but the step, NaN for None.
+        fields = [field.name for field in dataclasses.fields(StepMetrics)]
+        assert list(payload["metrics"]) == fields[1:]
+        for name in fields[1:]:
+            dtype = "<i8" if name == "rollout_batches_consumed" else "<f8"
+            column = decode_array(payload["metrics"][name], dtype, 2, name).tolist()
+            expected = [getattr(row, name) for row in result.rows]
+            assert [None if value != value else value for value in column] == expected, name
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_checkpoint_holds_no_json_array(self, tmp_path, strategy):
+        # Every sequence is encode_array text, so JSON never spells values out one by one.
+        run_experiment(_tiny(strategy=strategy, out_dir=str(tmp_path)), stop_after=2)
+        pending = [json.loads((tmp_path / CHECKPOINT_FILE).read_text())]
+        while pending:
+            value = pending.pop()
+            assert not isinstance(value, list), value
+            if isinstance(value, dict):
+                pending.extend(value.values())
 
     def test_partial_checkpoint_records_progress(self, tmp_path):
         run_experiment(_tiny(out_dir=str(tmp_path)), stop_after=2)
         payload = load_checkpoint(tmp_path / CHECKPOINT_FILE)
         assert payload["sampler"]["step"] == 2
-        assert len(payload["metrics_rows"]) == 2
+        assert decode_array(payload["metrics"]["learner_ability"], "<f8", 2, "ability").shape == (2,)
         assert decode_array(payload["batches"], "<i8", 2 * 4, "batches").shape == (8,)
 
     def test_resume_in_stages(self, tmp_path):
@@ -415,8 +440,24 @@ class TestCheckpointResume:
         "edit, match",
         [
             (lambda p: p["sampler"].pop("rng"), "sampler state: missing field 'rng'"),
-            (lambda p: p["metrics_rows"][0].update(extra=1.0), "metrics rows"),
-            (lambda p: p["metrics_rows"][1].pop("competence"), "metrics rows"),
+            (lambda p: p["metrics"].pop("competence"), "metrics: missing field 'competence'"),
+            (lambda p: p.update(metrics=[]), "metrics: expected a JSON object"),
+            (
+                lambda p: _recoded(p["metrics"], "mean_reward", "<f8", lambda v: v[:1]),
+                "metrics mean_reward: 8 bytes where 2 values",
+            ),
+            (
+                lambda p: p["metrics"].update(zero_gradient_fraction="0.5"),
+                "metrics zero_gradient_fraction: invalid base64",
+            ),
+            (
+                lambda p: _recoded(p["metrics"], "learner_ability", "<f8", _set(1, math.nan)),
+                "metrics learner_ability: step 2 holds nan",
+            ),
+            (
+                lambda p: _recoded(p["metrics"], "competence", "<f8", _set(0, -math.inf)),
+                "metrics competence: step 1 holds -inf",
+            ),
             (lambda p: p["sampler"].pop("difficulty"), "missing field 'difficulty'"),
             (lambda p: p["learner"].pop("rng"), "learner state: missing field 'rng'"),
             (lambda p: p.pop("batches"), "missing field 'batches'"),
@@ -440,8 +481,12 @@ class TestCheckpointResume:
         ],
         ids=[
             "no-sampler-rng",
-            "extra-metrics-field",
             "missing-metrics-field",
+            "metrics-not-an-object",
+            "metrics-column-short",
+            "metrics-column-not-base64",
+            "nan-learner-ability",
+            "infinite-competence",
             "no-cdas-difficulty",
             "no-learner-rng",
             "no-batches",
@@ -506,9 +551,9 @@ class TestCheckpointResume:
         # pass-rate dict keyed by id, version 3 a pending batch, a stored
         # competence and a second step, version 4 per-problem lists and id
         # batches, version 5 a bank hash over text lines, version 6 seven
-        # config fields since made constants, and version 7 bank_level_spread;
-        # all are refused.
-        for version in (1, 2, 3, 4, 5, 6, 7, 99):
+        # config fields since made constants, version 7 bank_level_spread, and
+        # version 8 the metrics as a list of JSON objects; all are refused.
+        for version in (1, 2, 3, 4, 5, 6, 7, 8, 99):
             run_experiment(_tiny(out_dir=str(tmp_path)), stop_after=2)
             path = tmp_path / CHECKPOINT_FILE
             _edit_checkpoint(path, lambda payload: payload.update(format_version=version))
@@ -535,7 +580,8 @@ class TestCheckpointResume:
             resume_experiment(old, out_dir=tmp_path / "run")
         payload = json.loads(old.read_text())
         path = tmp_path / CHECKPOINT_FILE
-        path.write_text(json.dumps({**payload, "format_version": harness.CHECKPOINT_VERSION}))
+        # Relabelled, with its metrics as columns, its config's old field gives it away.
+        path.write_text(json.dumps({**_in_current_format(payload), "config": payload["config"]}))
         with pytest.raises(ConfigError, match="unknown config field 'bank_level_spread'"):
             resume_experiment(path, out_dir=tmp_path / "run")
         assert not (tmp_path / "run").exists()
@@ -556,7 +602,8 @@ class TestCheckpointResume:
             resume_experiment(old, out_dir=tmp_path / "run")
         payload = json.loads(old.read_text())
         path = tmp_path / CHECKPOINT_FILE
-        path.write_text(json.dumps({**payload, "format_version": harness.CHECKPOINT_VERSION}))
+        # Relabelled, with its metrics as columns, its config's old field gives it away.
+        path.write_text(json.dumps({**_in_current_format(payload), "config": payload["config"]}))
         with pytest.raises(ConfigError, match="unknown config field 'bank_level_spread'"):
             resume_experiment(path, out_dir=tmp_path / "run")
         assert not (tmp_path / "run").exists()
@@ -579,8 +626,8 @@ class TestCheckpointResume:
             ("cdas", lambda s: s.update(difficulty=[0.0] * 12), "must be a base64 string"),
             ("cdas", lambda s: _recoded(s, "t", "<i8", _set(0, -1)), "t must be >= 0"),
             ("cdas", lambda s: _recoded(s, "difficulty", "<f8", _set(3, math.inf)), "finite"),
-            ("random", lambda s: s.update(step=s["step"] + 1), "step 3"),
-            ("cdas", lambda s: s.update(step=s["step"] - 1), "step 1"),
+            ("random", lambda s: s.update(step=s["step"] + 1), "where 3 values"),
+            ("cdas", lambda s: s.update(step=s["step"] - 1), "where 1 values"),
             ("random", lambda s: _recoded(s, "last_pass_rate", "<f8", lambda r: r[:-1]), "where"),
             ("curriculum", lambda s: s.update(last_pass_rate=None), "must be a base64 string"),
             ("prioritized", lambda s: _recoded(s, "last_pass_rate", "<f8", _set(0, 1.5)), "NaN or"),
