@@ -132,13 +132,9 @@ class ComparisonResult:
         return [result.summary() for result in self.results]
 
 
-def _spawned_rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator, np.random.Generator]:
-    bank_ss, sampler_ss, learner_ss = np.random.SeedSequence(seed).spawn(3)
-    return (
-        np.random.default_rng(bank_ss),
-        np.random.default_rng(sampler_ss),
-        np.random.default_rng(learner_ss),
-    )
+def _spawned_rngs(seed: int) -> list[np.random.Generator]:
+    """The bank's, the sampler's and the learner's generators, spawned from ``seed``."""
+    return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(3)]
 
 
 def _start(
@@ -311,11 +307,12 @@ def resume_experiment(
     try:
         sampler = sampler_from_state(config, bank, sampler_rng, payload["sampler"])
         learner.load_state_dict(payload["learner"])
-        rows = _step_metrics(payload["metrics"], sampler.step)
+        rows = _step_metrics(payload["metrics"], sampler)
         batches = _batch_indices(payload["batches"], sampler.step, config.batch_size, len(bank))
+        run = RunResult(config, bank, sampler, learner, rows=rows, batches=batches)
+        _check_history(run)
     except ConfigError as err:
         raise ConfigError(f"checkpoint {checkpoint_path}: {err}") from err
-    run = RunResult(config, bank, sampler, learner, rows=rows, batches=batches)
     # The run now holds all it needs; the parsed checkpoint's column and
     # batch texts need not live through the steps and the write.
     del payload
@@ -331,22 +328,45 @@ def resume_experiment(
     return _finish(run, target)
 
 
-def _step_metrics(columns, steps: int) -> list[StepMetrics]:
-    """Checkpointed ``metrics`` columns as the rows of steps 1 to ``steps``.
+def _step_metrics(columns, sampler: Sampler) -> list[StepMetrics]:
+    """Checkpointed ``metrics`` columns as the rows of the sampler's steps 1 to ``sampler.step``.
 
     Raises:
-        ConfigError: a column is missing or not ``steps`` values long, or a
-            value is infinite, or NaN where the field cannot be None.
+        ConfigError: a column is missing or not ``sampler.step`` values long, or a
+            value is not finite, except where the field may be None and the
+            sampler models no competence: there every value must be NaN.
     """
     require(columns, _METRICS_DTYPES, "metrics")
+    steps = sampler.step
     values = [range(1, steps + 1)]
     for name, dtype in _METRICS_DTYPES.items():
         column = decode_array(columns[name], dtype, steps, f"metrics {name}")
-        fits = np.isfinite(column) | (type(None) in METRICS_TYPES[name] and np.isnan(column))
+        must_be_none = type(None) in METRICS_TYPES[name] and sampler.competence_value is None
+        fits = np.isnan(column) if must_be_none else np.isfinite(column)
         if not fits.all():
             raise ConfigError(f"metrics {name}: step {np.argmin(fits) + 1} holds {column[~fits][0]}")
         values.append([None if v != v else v for v in column.tolist()])
     return [StepMetrics(*row) for row in zip(*values)]
+
+
+def _check_history(run: RunResult) -> None:
+    """Refuse a last row that is not the restored ability and competence, bit for bit,
+    or cdas visit counts that do not count the problems in the batches."""
+    if run.rows:
+        last = run.rows[-1]
+        recorded = np.array([last.learner_ability, last.competence], dtype=np.float64)
+        restored = np.array([run.learner.ability, run.sampler.competence_value], dtype=np.float64)
+        if recorded.tobytes() != restored.tobytes():
+            raise ConfigError(
+                f"metrics: step {last.step}'s learner_ability or competence is not "
+                f"the restored state's"
+            )
+    visits = run.sampler.state_arrays().get("t")
+    if visits is None:
+        return
+    batches = np.array(run.batches, dtype=np.int64).ravel()
+    if not np.array_equal(visits, np.bincount(batches, minlength=len(visits))):
+        raise ConfigError("sampler state: t does not count the problems in the batches")
 
 
 def _batch_indices(text, steps: int, batch_size: int, n: int) -> list[np.ndarray]:
@@ -440,16 +460,13 @@ def compare_strategies(
     """
     if out_dir is None:
         out_dir = config.out_dir
-    if not strategies:
-        raise ConfigError("strategies: need at least one")
-    if len(set(strategies)) != len(strategies):
-        raise ConfigError(f"strategies: duplicates in {strategies}")
     if seeds is None:
         seeds = [config.seed]
-    if not seeds:
-        raise ConfigError("seeds: need at least one")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"seeds: duplicates in {seeds}")
+    for name, values in (("strategies", strategies), ("seeds", seeds)):
+        if not values:
+            raise ConfigError(f"{name}: need at least one")
+        if len(set(values)) != len(values):
+            raise ConfigError(f"{name}: duplicates in {values}")
     combined = ComparisonResult()
     for seed in seeds:
         for strategy in strategies:

@@ -17,10 +17,10 @@ import numpy as np
 
 from .core import LEVEL_TAGS, MAX_LOGIT, sigmoid, sigmoid_array
 from .errors import ConfigError
-from .files import read_json, replacing, require
+from .files import decode_array, encode_array, read_json, replacing, require
 from .grpo import RolloutGroup, pass_count_fault
 
-BANK_FORMAT_VERSION = 2
+BANK_FORMAT_VERSION = 3
 
 # Characters a problem id may not hold: cells are written unquoted, and
 # batches.csv joins a batch's ids with ";".
@@ -286,49 +286,33 @@ def default_ability(bank: ProblemBank) -> float:
 
 
 def save_bank(bank: ProblemBank, path: str | Path) -> None:
+    """Write ``bank`` as its three columns, the latents as ``encode_array`` text."""
     payload = {
         "format_version": BANK_FORMAT_VERSION,
         "hash": bank.content_hash(),
-        "records": [
-            {"id": pid, "level_tag": tag, "true_difficulty": latent}
-            for pid, tag, latent in zip(bank.ids, bank.level_tags, bank.latent.tolist())
-        ],
+        "ids": bank.ids,
+        "level_tags": bank.level_tags,
+        "true_difficulty": encode_array(bank.latent, "<f8"),
     }
     with replacing(path) as tmp:
-        tmp.write_text(json.dumps(payload, indent=2) + "\n")
+        tmp.write_text(json.dumps(payload) + "\n")
 
 
 def load_bank(path: str | Path) -> ProblemBank:
-    """Read a bank written by ``save_bank``, refusing one whose records are malformed."""
+    """Read a bank written by ``save_bank``, refusing one whose columns or hash are off."""
     payload = read_json(path, "bank file")
     version = payload.get("format_version") if isinstance(payload, dict) else None
     if version != BANK_FORMAT_VERSION:
         raise ConfigError(f"bank file {path}: unsupported format_version {version!r}")
-    entries = payload.get("records")
-    if not isinstance(entries, list):
-        raise ConfigError(f"bank file {path}: 'records' must be a list")
-    fields = ("id", "level_tag", "true_difficulty")
-    for position, entry in enumerate(entries):
-        missing = [name for name in fields if not isinstance(entry, dict) or name not in entry]
-        if missing:
-            raise ConfigError(f"bank file {path}: record {position} has no {missing[0]!r}")
-    latent = [entry["true_difficulty"] for entry in entries]
-    # By exact type, as ids and tags are: numpy would parse "0.5" and True.
-    if not set(map(type, latent)) <= {int, float}:
-        position = next(i for i, value in enumerate(latent) if type(value) not in (int, float))
-        raise ConfigError(
-            f"bank file {path}: record {position} has a true_difficulty that is not "
-            f"a number, {latent[position]!r}"
-        )
+    require(payload, ("hash", "ids", "level_tags", "true_difficulty"), f"bank file {path}")
+    ids, tags = payload["ids"], payload["level_tags"]
+    if not isinstance(ids, list) or not isinstance(tags, list):
+        raise ConfigError(f"bank file {path}: 'ids' and 'level_tags' must be lists")
     try:
-        bank = ProblemBank(
-            [entry["id"] for entry in entries],
-            [entry["level_tag"] for entry in entries],
-            latent,
-        )
-    except (TypeError, ValueError, OverflowError) as err:
+        latent = decode_array(payload["true_difficulty"], "<f8", len(ids), "true_difficulty")
+        bank = ProblemBank(ids, tags, latent)
+    except ConfigError as err:
         raise ConfigError(f"bank file {path}: {err}") from err
-    stored = payload.get("hash")
-    if stored is not None and stored != bank.content_hash():
+    if payload["hash"] != bank.content_hash():
         raise ConfigError(f"bank file {path}: content hash mismatch (file edited?)")
     return bank

@@ -251,22 +251,17 @@ class Sampler:
         # written back into metrics.csv as a float.
         if type(step) is not int or step < 0:
             raise ConfigError(f"sampler state: step must be an integer >= 0, got {step!r}")
-        last_pass_rate = self._load_rates(payload["last_pass_rate"])
-        check_rng_state(self._rng, payload["rng"], "sampler state")
-        self._load_state(payload)
-        self._step = step
-        self._last_pass_rate = last_pass_rate
-        self._pending = None
-        self._rng.bit_generator.state = payload["rng"]
-
-    def _load_rates(self, text) -> np.ndarray:
-        """The ``last_pass_rate`` column a checkpointed text holds."""
-        rates = self._load_column(text, "last_pass_rate")
+        rates = self._load_column(payload["last_pass_rate"], "last_pass_rate")
         if not ((rates >= 0.0) & (rates <= 1.0) | np.isnan(rates)).all():
             raise ConfigError(
                 "sampler state: every last_pass_rate must be NaN or a number in [0, 1]"
             )
-        return rates
+        check_rng_state(self._rng, payload["rng"], "sampler state")
+        self._load_state(payload)
+        self._step = step
+        self._last_pass_rate = rates
+        self._pending = None
+        self._rng.bit_generator.state = payload["rng"]
 
     def _load_column(self, text, key: str) -> np.ndarray:
         """The per-problem column ``key`` that ``state_dict`` wrote as ``text``."""

@@ -216,24 +216,18 @@ def test_criterion_05_symmetric_batch_law(capsys):
         for _ in range(config.total_steps):
             in_warmup = sampler.in_warmup()
             competence = sampler.competence_value
-            records = sampler.records
+            difficulty = dict(zip(bank.ids, sampler.estimates.tolist()))
             batch = sampler.select_batch()
             if not in_warmup:
                 checked += 1
                 chosen = set(batch)
                 harder_pool = [
-                    (abs(competence - r.difficulty), pid)
-                    for pid, r in records.items()
-                    if r.difficulty > competence
+                    (abs(competence - d), pid) for pid, d in difficulty.items() if d > competence
                 ]
                 easier_pool = [
-                    (abs(competence - r.difficulty), pid)
-                    for pid, r in records.items()
-                    if r.difficulty <= competence
+                    (abs(competence - d), pid) for pid, d in difficulty.items() if d <= competence
                 ]
-                in_batch_harder = sum(
-                    1 for pid in batch if records[pid].difficulty > competence
-                )
+                in_batch_harder = sum(1 for pid in batch if difficulty[pid] > competence)
                 if len(harder_pool) >= half and len(easier_pool) >= half:
                     exact_splits += 1
                     if in_batch_harder != half:
@@ -337,12 +331,11 @@ def test_criterion_08_history_sensitivity(capsys, utility_comparison):
             for r in comparison.results
             if r.config.strategy == "cdas" and r.config.seed == 0
         )
-        last = run.sampler.last_pass_rates
-        pairs = [
-            (record.difficulty, rate)
-            for record, rate in zip(run.sampler.records.values(), last.tolist())
-            if record.t >= 1
-        ]
+        state = run.sampler.state_arrays()
+        seen = state["t"] >= 1
+        pairs = list(
+            zip(state["difficulty"][seen].tolist(), state["last_pass_rate"][seen].tolist())
+        )
         rho = spearmanr([d for d, _ in pairs], [s for _, s in pairs]).statistic
         out["ok"] = replay_ok and rho < 0.0
         out["detail"] = (
@@ -426,11 +419,11 @@ def test_criterion_11_estimates_track_latent_difficulty(capsys, utility_comparis
         for run in comparison.results:
             if run.config.strategy != "cdas":
                 continue
-            seen = [
-                (r.difficulty, latent)
-                for r, latent in zip(run.sampler.records.values(), run.bank.latent.tolist())
-                if r.t >= 1
-            ]
+            state = run.sampler.state_arrays()
+            visited = state["t"] >= 1
+            seen = list(
+                zip(state["difficulty"][visited].tolist(), run.bank.latent[visited].tolist())
+            )
             rhos.append(
                 spearmanr([d for d, _ in seen], [latent for _, latent in seen]).statistic
             )

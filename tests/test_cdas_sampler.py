@@ -43,6 +43,10 @@ def _fresh(difficulties, batch_size, seed=0, t=1, step=0, **fields):
     return _seed(sampler, difficulties, t, step)
 
 
+def _estimates_by_id(sampler) -> dict[str, float]:
+    return dict(zip(sampler.bank.ids, sampler.estimates.tolist()))
+
+
 SIX_PROBLEMS = {
     "x1": -0.3,
     "x2": -0.1,
@@ -134,7 +138,7 @@ class TestWarmup:
             assert batch == want
             sampler.report([0.5] * len(batch))
         assert not sampler.in_warmup()
-        counts = sorted(record.t for record in sampler.records.values())
+        counts = sorted(sampler.state_arrays()["t"].tolist())
         assert counts == [1, 1, 1, 1, 2]
 
     def test_full_scale_window_and_coverage(self):
@@ -147,7 +151,7 @@ class TestWarmup:
             batch = sampler.select_batch()
             sampler.report(rng.integers(0, 5, len(batch)) / 4.0)
         assert not sampler.in_warmup()
-        assert min(record.t for record in sampler.records.values()) >= 1
+        assert sampler.state_arrays()["t"].min() >= 1
 
     def test_reselection_before_report_is_stable(self):
         sampler = _fresh(SIX_PROBLEMS, batch_size=2, t=0)
@@ -161,7 +165,7 @@ class TestReportOutcomes:
         batch = sampler.select_batch()
         assert batch == ["x1"]  # all-zero alignments tie-break on id
         sampler.report([1.0])
-        assert sampler.records["x1"].difficulty == -0.5
+        assert _estimates_by_id(sampler)["x1"] == -0.5
         assert sampler.competence_value == 0.5 / 5
         assert sampler.step == 1
 
@@ -171,7 +175,7 @@ class TestReportOutcomes:
         batch = sampler.select_batch()
         # sigmoid(C - D) = 0.5 everywhere, so s = 0.5 leaves d at zero.
         sampler.report([0.5] * len(batch))
-        assert all(record.difficulty == 0.0 for record in sampler.records.values())
+        assert sampler.estimates.tolist() == [0.0] * 6
         assert sampler.competence_value == 0.0
 
     def test_equal_difficulty_equal_pass_rate_update_identically(self):
@@ -184,8 +188,8 @@ class TestReportOutcomes:
         batch = sampler.select_batch()
         assert set(batch) == {"a", "b"}
         sampler.report([0.75] * len(batch))
-        records = sampler.records
-        assert records["a"].difficulty == records["b"].difficulty
+        estimates = _estimates_by_id(sampler)
+        assert estimates["a"] == estimates["b"]
 
     def test_all_outcomes_score_against_pre_batch_competence(self):
         # Two problems with the same difficulty must update identically even
@@ -194,8 +198,8 @@ class TestReportOutcomes:
         sampler = _fresh({"a": 0.1, "b": 0.1}, batch_size=2, warmup=False)
         sampler.select_batch()
         sampler.report([1.0, 1.0])
-        records = sampler.records
-        assert records["a"].difficulty == records["b"].difficulty
+        estimates = _estimates_by_id(sampler)
+        assert estimates["a"] == estimates["b"]
 
     def test_competence_is_negated_mean_difficulty(self):
         sampler = _fresh(SIX_PROBLEMS, batch_size=2, seed=3, t=0)
@@ -203,7 +207,7 @@ class TestReportOutcomes:
         for _ in range(6):
             batch = sampler.select_batch()
             sampler.report(rng.random(len(batch)))
-        estimates = [record.difficulty for record in sampler.records.values()]
+        estimates = sampler.estimates.tolist()
         assert sampler.competence_value == pytest.approx(-np.mean(estimates), abs=1e-12)
 
     def test_selection_consumes_no_randomness(self):
@@ -456,30 +460,28 @@ class TestBatchInvariants:
         rng = np.random.default_rng(77)
         for step in range(30):
             competence = sampler.competence_value
-            records = sampler.records
+            estimates = _estimates_by_id(sampler)
             batch = sampler.select_batch()
             assert len(batch) == len(set(batch)) == batch_size
             if not sampler.in_warmup():
-                harder_pool = sum(1 for r in records.values() if r.difficulty > competence)
+                harder_pool = sum(1 for d in estimates.values() if d > competence)
                 easier_pool = n - harder_pool
-                in_batch_harder = sum(
-                    1 for pid in batch if records[pid].difficulty > competence
-                )
+                in_batch_harder = sum(1 for pid in batch if estimates[pid] > competence)
                 if harder_pool >= batch_size // 2 and easier_pool >= batch_size // 2:
                     assert in_batch_harder == batch_size // 2
                 chosen = set(batch)
                 for side in (
-                    [(a, pid) for pid, r in records.items() if r.difficulty <= competence
-                     for a in [alignment(competence, r.difficulty)]],
-                    [(a, pid) for pid, r in records.items() if r.difficulty > competence
-                     for a in [alignment(competence, r.difficulty)]],
+                    [(alignment(competence, d), pid) for pid, d in estimates.items()
+                     if d <= competence],
+                    [(alignment(competence, d), pid) for pid, d in estimates.items()
+                     if d > competence],
                 ):
                     picked = [a for a, pid in side if pid in chosen]
                     skipped = [a for a, pid in side if pid not in chosen]
                     if picked and skipped:
                         assert max(picked) <= min(skipped)
             sampler.report(rng.integers(0, 5, len(batch)) / 4.0)
-        assert min(record.t for record in sampler.records.values()) >= 1
+        assert sampler.state_arrays()["t"].min() >= 1
 
     def test_same_seed_same_history_is_bit_identical(self):
         def drive(seed):

@@ -15,10 +15,12 @@ import pytest
 import cdas
 from cdas.cli import _config_from_args, build_parser, main
 from cdas.config import BANK_MODES, STRATEGIES, ExperimentConfig
-from cdas.files import encode_array
+from cdas.files import decode_array, encode_array
 from cdas.harness import CHECKPOINT_FILE, METRICS_FILE, run_experiment
 from cdas.learner import BANK_FORMAT_VERSION, ProblemBank, generate_bank, load_bank, save_bank
 from cdas.metrics import read_metrics_csv
+
+DATA = Path(__file__).resolve().parent / "data"
 
 TINY_FLAGS = [
     "--n-problems", "12",
@@ -406,8 +408,31 @@ class TestResumeCommand:
         err = capsys.readouterr().err
         assert "checkpoint" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "strategy, edit",
+        [
+            ("cdas", lambda p: p["metrics"].update(competence=encode_array([math.nan] * 2, "<f8"))),
+            ("random", lambda p: p["metrics"].update(competence=encode_array([0.5] * 2, "<f8"))),
+            ("cdas", lambda p: p["learner"].update(ability=p["learner"]["ability"] + 3.0)),
+            ("cdas", lambda p: p["sampler"].update(t=encode_array([7] + [0] * 11, "<i8"))),
+        ],
+        ids=["cdas-nan-competence", "random-competence", "edited-ability", "edited-count"],
+    )
+    def test_history_the_state_could_not_make_exits_2(self, tmp_path, capsys, strategy, edit):
+        out = tmp_path / "run"
+        main(["run", *TINY_FLAGS, "--strategy", strategy, "--out", str(out), "--stop-after", "2"])
+        capsys.readouterr()
+        path = out / CHECKPOINT_FILE
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        assert main(["resume", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: checkpoint {path}: " in err and "Traceback" not in err
+        assert len(read_metrics_csv(out / METRICS_FILE)) == 2
+
     def test_format_6_checkpoint_exits_2(self, tmp_path, capsys):
-        path = Path(__file__).resolve().parent / "data" / "checkpoint_format6.json"
+        path = DATA / "checkpoint_format6.json"
         out = tmp_path / "run"
         assert main(["resume", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -415,7 +440,7 @@ class TestResumeCommand:
         assert not out.exists()
 
     def test_format_7_checkpoint_exits_2(self, tmp_path, capsys):
-        path = Path(__file__).resolve().parent / "data" / "checkpoint_format7.json"
+        path = DATA / "checkpoint_format7.json"
         out = tmp_path / "run"
         assert main(["resume", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -520,6 +545,56 @@ class TestFixedPointCommand:
         assert "s_star" in err and "Traceback" not in err
 
 
+def _write_bank_file(path, n, **columns) -> None:
+    """Write a bank file of problems p0 .. p{n-1}, each tagged 1 at latent 0.5.
+
+    ``columns`` replaces the file's keys, and one given as None is left out.
+    """
+    bank = ProblemBank([f"p{i}" for i in range(n)], [1] * n, [0.5] * n)
+    payload = {
+        "format_version": BANK_FORMAT_VERSION,
+        "hash": bank.content_hash(),
+        "ids": list(bank.ids),
+        "level_tags": list(bank.level_tags),
+        "true_difficulty": encode_array(bank.latent, "<f8"),
+        **columns,
+    }
+    path.write_text(json.dumps({key: value for key, value in payload.items() if value is not None}))
+
+
+# Bank-file damage: the keys it replaces in a file of 12 problems, and the refusal.
+BANK_DAMAGE = {
+    "missing-ids": ({"ids": None}, "missing field 'ids'"),
+    "missing-level-tags": ({"level_tags": None}, "missing field 'level_tags'"),
+    "missing-true-difficulty": ({"true_difficulty": None}, "missing field 'true_difficulty'"),
+    "missing-hash": ({"hash": None}, "missing field 'hash'"),
+    "ids-not-a-list": ({"ids": "p0"}, "'ids' and 'level_tags' must be lists"),
+    "level-tags-not-a-list": ({"level_tags": 1}, "'ids' and 'level_tags' must be lists"),
+    "latent-not-base64": ({"true_difficulty": "not base64!"}, "true_difficulty: invalid base64"),
+    "latent-too-short": (
+        {"true_difficulty": encode_array([0.5] * 11, "<f8")},
+        "true_difficulty: 88 bytes where 12 values of 8 bytes belong",
+    ),
+    "latent-not-text": (
+        {"true_difficulty": [0.5] * 12},
+        "true_difficulty: must be a base64 string",
+    ),
+    "infinite-latent": (
+        {"true_difficulty": encode_array([0.5] * 11 + [np.inf], "<f8")},
+        "bank problem p11 has no finite latent difficulty",
+    ),
+    "nan-latent": (
+        {"true_difficulty": encode_array([np.nan] + [0.5] * 11, "<f8")},
+        "bank problem p0 has no finite latent difficulty",
+    ),
+    "bad-id": ({"ids": [f"p{i}" for i in range(11)] + ["p,11"]}, "problem id: "),
+    "duplicate-id": ({"ids": ["p0"] * 12}, "duplicate problem id p0"),
+    "bad-tag": ({"level_tags": [1] * 11 + [0]}, "level_tag: must be in 1..5 or None, got 0"),
+    "short-tags": ({"level_tags": [1] * 11}, "bank columns disagree"),
+    "wrong-hash": ({"hash": "0" * 64}, "content hash mismatch"),
+}
+
+
 class TestBankCommands:
     def test_generate_then_inspect(self, tmp_path, capsys):
         path = tmp_path / "bank.json"
@@ -556,10 +631,9 @@ class TestBankCommands:
 
     def test_inspect_record_without_level_tag_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bank.json"
-        record = {"id": "p0", "true_difficulty": 0.5}
-        path.write_text(json.dumps({"format_version": BANK_FORMAT_VERSION, "records": [record]}))
+        _write_bank_file(path, 1, level_tags=None)
         assert main(["bank", "inspect", str(path)]) == 2
-        assert "record 0 has no 'level_tag'" in capsys.readouterr().err
+        assert "missing field 'level_tags'" in capsys.readouterr().err
 
     def test_generated_bank_matches_run_bank(self, tmp_path):
         # A bank written with seed k is the bank a run with seed k generates.
@@ -594,11 +668,7 @@ class TestBankCommands:
     @pytest.mark.parametrize("bad_id", [7, "p;1", "a\ud800"])
     def test_bank_with_a_malformed_id_exits_2_before_any_step(self, tmp_path, capsys, bad_id):
         path = tmp_path / "bank.json"
-        records = [
-            {"id": "p0", "level_tag": 1, "true_difficulty": 0.0},
-            {"id": bad_id, "level_tag": 2, "true_difficulty": 0.5},
-        ]
-        path.write_text(json.dumps({"format_version": BANK_FORMAT_VERSION, "records": records}))
+        _write_bank_file(path, 2, ids=["p0", bad_id])
         assert main(["bank", "inspect", str(path)]) == 2
         assert "problem id" in capsys.readouterr().err
         out = tmp_path / "run"
@@ -609,20 +679,16 @@ class TestBankCommands:
 
     @pytest.mark.parametrize("latent", ["0.5", True])
     def test_bank_with_a_latent_that_is_not_a_number_exits_2(self, tmp_path, capsys, latent):
-        # The hash cannot catch it: the latent's bytes are the same either way.
+        # The latents are one base64 text: "0.5" is not base64, and true is not text.
         path = tmp_path / "bank.json"
-        records = [
-            {"id": "p0", "level_tag": 1, "true_difficulty": 0.0},
-            {"id": "p1", "level_tag": 2, "true_difficulty": latent},
-        ]
-        path.write_text(json.dumps({"format_version": BANK_FORMAT_VERSION, "records": records}))
+        _write_bank_file(path, 2, true_difficulty=latent)
         assert main(["bank", "inspect", str(path)]) == 2
-        assert "record 1 has a true_difficulty that is not a number" in capsys.readouterr().err
+        assert "true_difficulty: " in capsys.readouterr().err
         out = tmp_path / "run"
         flags = ["--batch-size", "2", "--rollouts", "4", "--steps", "2", "--out", str(out)]
         assert main(["run", "--bank-path", str(path), *flags]) == 2
         err = capsys.readouterr().err
-        assert f"not a number, {latent!r}" in err and "Traceback" not in err
+        assert "base64" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_generate_starts_from_a_config_file(self, tmp_path):
@@ -636,7 +702,7 @@ class TestBankCommands:
         assert load_bank(path).content_hash() == want.bank_hash
 
     def test_bank_file_mode_key_is_ignored(self, tmp_path, capsys):
-        # Bank files written before banks dropped their mode label hold a "mode" key.
+        # A key the format does not name, such as version 1's "mode", is ignored.
         path = tmp_path / "bank.json"
         bank = generate_bank(ExperimentConfig(n_problems=3), np.random.default_rng(0))
         save_bank(bank, path)
@@ -648,10 +714,34 @@ class TestBankCommands:
         path = tmp_path / "bank.json"
         save_bank(generate_bank(ExperimentConfig(n_problems=10), np.random.default_rng(1)), path)
         payload = json.loads(path.read_text())
-        payload["records"][0]["true_difficulty"] += 1.0
+        latent = decode_array(payload["true_difficulty"], "<f8", 10, "latent")
+        latent[0] += 1.0
+        payload["true_difficulty"] = encode_array(latent, "<f8")
         path.write_text(json.dumps(payload))
         assert main(["run", "--bank-path", str(path), *TINY_FLAGS]) == 2
         assert "hash" in capsys.readouterr().err
+
+    def test_format_2_bank_is_refused_and_generate_rebuilds_it(self, tmp_path, capsys):
+        old = DATA / "bank_format2.json"
+        assert main(["bank", "inspect", str(old)]) == 2
+        assert "unsupported format_version 2" in capsys.readouterr().err
+        path = tmp_path / "bank.json"
+        argv = ["bank", "generate", "--n-problems", "6", "--seed", "7", "--out", str(path)]
+        assert main(argv) == 0
+        assert load_bank(path).content_hash() == json.loads(old.read_text())["hash"]
+
+    @pytest.mark.parametrize("damage", sorted(BANK_DAMAGE))
+    def test_damaged_bank_file_exits_2(self, tmp_path, capsys, damage):
+        path = tmp_path / "bank.json"
+        columns, refusal = BANK_DAMAGE[damage]
+        _write_bank_file(path, 12, **columns)
+        assert main(["bank", "inspect", str(path)]) == 2
+        out = tmp_path / "run"
+        assert main(["run", "--bank-path", str(path), *TINY_FLAGS, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"error: bank file {path}: {refusal}") == 2 and "Traceback" not in err
+        assert not out.exists()
+
 
 
 # Each command that reads an outside file, with the name it reads it under.

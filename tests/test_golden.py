@@ -124,7 +124,7 @@ GOLDEN_RUNS = {
         "problems.csv": "4e7be58288157b8d502446d5c910689aa3e47be5a54fe8bcf06c412bd9bbafaf",
         "summary.json": "f3c68b54fd754c4da103c1a49ac36010ba208dccb6c83d5c0fb7cb79a35994d9",
         "checkpoint.json": "cf90761030bd4d2900276dd192df23b283350f92cc907e14e362eb1bdf89ed15",
-        "bank.json": "a0fcfdd909f6f9bd161181679653c96ea18ba6288fc5c8de7b0451f6d477b1ad",
+        "bank.json": "338659a15b0c27c83480839b32fbf73f157c1d3874d3030a909a1fa620c7a0e0",
     },
 }
 

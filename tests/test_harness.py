@@ -73,7 +73,8 @@ class TestRunExperiment:
     def test_single_step_with_bank_sized_batch(self):
         result = run_experiment(_tiny(batch_size=12, total_steps=1))
         ids = [result.bank.ids[i] for i in result.batches[0]]
-        assert sorted(ids) == sorted(result.sampler.records)
+        assert sorted(ids) == sorted(result.bank.ids)
+        assert result.sampler.state_arrays()["t"].tolist() == [1] * 12
 
     def test_same_config_is_deterministic(self):
         a = run_experiment(_tiny(seed=3))
@@ -85,7 +86,7 @@ class TestRunExperiment:
     def test_warmup_covers_the_bank(self):
         result = run_experiment(_tiny())
         assert result.warmup_window == 3
-        assert min(r.t for r in result.sampler.records.values()) >= 1
+        assert result.sampler.state_arrays()["t"].min() >= 1
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_stage_seconds_are_timed_in_memory_only(self, tmp_path, monkeypatch, strategy):
@@ -654,6 +655,76 @@ class TestCheckpointResume:
         run_experiment(_tiny(strategy=strategy, out_dir=str(tmp_path)), stop_after=2)
         path = tmp_path / CHECKPOINT_FILE
         _edit_checkpoint(path, lambda payload: edit(payload["sampler"]))
+        with pytest.raises(ConfigError, match=match):
+            resume_experiment(path)
+
+    @pytest.mark.parametrize(
+        "strategy, edit, match",
+        [
+            (
+                "cdas",
+                lambda p: _recoded(p["metrics"], "competence", "<f8", lambda c: c * math.nan),
+                "metrics competence: step 1 holds nan",
+            ),
+            (
+                "cdas",
+                lambda p: _recoded(
+                    p["metrics"], "mean_sampled_difficulty", "<f8", _set(0, math.nan)
+                ),
+                "metrics mean_sampled_difficulty: step 1 holds nan",
+            ),
+            (
+                "random",
+                lambda p: _recoded(p["metrics"], "competence", "<f8", _set(slice(None), 0.5)),
+                "metrics competence: step 1 holds 0.5",
+            ),
+            (
+                "dynamic",
+                lambda p: _recoded(p["metrics"], "mean_sampled_difficulty", "<f8", _set(1, 0.0)),
+                "metrics mean_sampled_difficulty: step 2 holds 0.0",
+            ),
+            (
+                "cdas",
+                lambda p: p["learner"].update(ability=p["learner"]["ability"] + 3.0),
+                "metrics: step 2's learner_ability or competence is not the restored",
+            ),
+            (
+                "curriculum",
+                lambda p: _recoded(p["metrics"], "learner_ability", "<f8", lambda a: a - 1.0),
+                "metrics: step 2's learner_ability or competence is not the restored",
+            ),
+            (
+                "cdas",
+                lambda p: _recoded(p["metrics"], "competence", "<f8", lambda c: -c),
+                "metrics: step 2's learner_ability or competence is not the restored",
+            ),
+            (
+                "cdas",
+                lambda p: _recoded(p["sampler"], "t", "<i8", _set(3, 7)),
+                "t does not count the problems in the batches",
+            ),
+            (
+                "cdas",
+                lambda p: _recoded(p, "batches", "<i8", lambda b: (b + 1) % 12),
+                "t does not count the problems in the batches",
+            ),
+        ],
+        ids=[
+            "cdas-nan-competence",
+            "cdas-nan-difficulty-in-row-1",
+            "random-competence",
+            "dynamic-difficulty-in-row-2",
+            "cdas-ability-edited",
+            "curriculum-last-ability-edited",
+            "cdas-last-competence-negated",
+            "cdas-count-edited",
+            "cdas-batches-shifted",
+        ],
+    )
+    def test_history_the_state_could_not_make_refused(self, tmp_path, strategy, edit, match):
+        run_experiment(_tiny(strategy=strategy, out_dir=str(tmp_path)), stop_after=2)
+        path = tmp_path / CHECKPOINT_FILE
+        _edit_checkpoint(path, edit)
         with pytest.raises(ConfigError, match=match):
             resume_experiment(path)
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from cdas import learner
 from cdas.config import ExperimentConfig
 from cdas.errors import ConfigError
+from cdas.files import encode_array
 from cdas.learner import (
     BANK_FORMAT_VERSION,
     ProblemBank,
@@ -293,8 +294,8 @@ class TestGenerateBank:
         bank = _bank(5, 4)
         config = ExperimentConfig(n_problems=5, batch_size=2)
         sampler = CdasSampler(config, bank, np.random.default_rng(0))
-        assert all(record.t == 0 for record in sampler.records.values())
-        assert [record.difficulty for record in sampler.records.values()] == [0.0] * 5
+        assert sampler.state_arrays()["t"].tolist() == [0] * 5
+        assert sampler.estimates.tolist() == [0.0] * 5
 
     def test_columns_line_up_in_bank_order(self):
         bank = _bank(5, 4)
@@ -428,31 +429,57 @@ class TestBankContainer:
         assert default_ability(bank) == expected
 
 
+def _bank_file(path, **columns) -> None:
+    """Write a bank file of problems p0 and p1; ``columns`` replaces its keys (None drops one)."""
+    bank = ProblemBank(["p0", "p1"], [1, None], [0.0, 0.5])
+    payload = {
+        "format_version": BANK_FORMAT_VERSION,
+        "hash": bank.content_hash(),
+        "ids": list(bank.ids),
+        "level_tags": list(bank.level_tags),
+        "true_difficulty": encode_array(bank.latent, "<f8"),
+    }
+    payload.update(columns)
+    path.write_text(json.dumps({k: v for k, v in payload.items() if v is not None}))
+
+
 class TestBankFiles:
     def test_round_trip(self, tmp_path):
         bank = _bank(30, 14, bank_mode="levels")
         path = tmp_path / "bank.json"
         save_bank(bank, path)
-        assert set(json.loads(path.read_text())) == {"format_version", "hash", "records"}
+        stored = json.loads(path.read_text())
+        assert set(stored) == {"format_version", "hash", "ids", "level_tags", "true_difficulty"}
+        assert (stored["ids"], stored["level_tags"]) == (list(bank.ids), list(bank.level_tags))
         loaded = load_bank(path)
         assert loaded.content_hash() == bank.content_hash()
         assert (loaded.ids, loaded.level_tags) == (bank.ids, bank.level_tags)
-        assert loaded.latent.tolist() == bank.latent.tolist()
+        assert loaded.latent.tobytes() == bank.latent.tobytes()
+
+    def test_written_file_loads_as_written(self, tmp_path):
+        _bank_file(tmp_path / "bank.json")
+        bank = load_bank(tmp_path / "bank.json")
+        assert (bank.ids, bank.level_tags, bank.latent.tolist()) == (
+            ("p0", "p1"), (1, None), [0.0, 0.5]
+        )
 
     def test_tampered_file_rejected(self, tmp_path):
-        bank = _bank(10, 15)
         path = tmp_path / "bank.json"
-        save_bank(bank, path)
-        latent = bank.latent[0].item()
-        text = path.read_text().replace(repr(latent), repr(latent + 1.0), 1)
-        path.write_text(text)
-        with pytest.raises(ConfigError):
+        _bank_file(path, true_difficulty=encode_array([0.0, 1.5], "<f8"))
+        with pytest.raises(ConfigError, match="content hash mismatch"):
+            load_bank(path)
+
+    @pytest.mark.parametrize("stored", ["0" * 64, None], ids=["wrong", "missing"])
+    def test_hash_is_required_and_compared(self, tmp_path, stored):
+        path = tmp_path / "bank.json"
+        _bank_file(path, hash=stored)
+        with pytest.raises(ConfigError, match=f"bank file {re.escape(str(path))}: .*hash"):
             load_bank(path)
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "bank.json"
-        path.write_text('{"format_version": 99, "records": []}')
-        with pytest.raises(ConfigError):
+        _bank_file(path, format_version=99)
+        with pytest.raises(ConfigError, match="unsupported format_version 99"):
             load_bank(path)
 
     def test_version_1_file_refused_by_its_version(self, tmp_path):
@@ -460,38 +487,76 @@ class TestBankFiles:
         old = DATA / "bank_format1.json"
         with pytest.raises(ConfigError, match="unsupported format_version 1"):
             load_bank(old)
-        # Read as the current version, only its stored hash gives it away.
+        # Read as the current version, it has none of the columns.
         path = tmp_path / "bank.json"
         current = {**json.loads(old.read_text()), "format_version": BANK_FORMAT_VERSION}
         path.write_text(json.dumps(current))
-        with pytest.raises(ConfigError, match="content hash mismatch"):
+        with pytest.raises(ConfigError, match="missing field 'ids'"):
             load_bank(path)
+
+    def test_version_2_file_refused_by_its_version(self):
+        # Written by save_bank when a bank file held one JSON object per problem.
+        with pytest.raises(ConfigError, match="unsupported format_version 2"):
+            load_bank(DATA / "bank_format2.json")
 
     @pytest.mark.parametrize("field", ["id", "level_tag", "true_difficulty"])
     def test_record_missing_a_field_rejected(self, tmp_path, field):
-        record = {"id": "p0", "level_tag": 3, "true_difficulty": 0.5}
-        del record[field]
+        # Each record field is now a column: ids, level_tags, true_difficulty.
+        column = {"id": "ids", "level_tag": "level_tags"}.get(field, field)
         path = tmp_path / "bank.json"
-        path.write_text(json.dumps({"format_version": BANK_FORMAT_VERSION, "records": [record]}))
-        with pytest.raises(ConfigError, match=f"record 0 has no '{field}'"):
+        _bank_file(path, **{column: None})
+        with pytest.raises(ConfigError, match=f"missing field '{column}'"):
+            load_bank(path)
+
+    # The record format's nine cases, each restated on its column and kept
+    # under its old id: a record list that is not a list, a record that is
+    # not an object, a latent that is not a number (now text that is not
+    # base64 or not 8 bytes a problem, or not text), a latent past the
+    # largest float, and three bad ids.
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            ({"ids": "p0"}, "'ids' and 'level_tags' must be lists"),
+            ({"level_tags": {"p0": 1}}, "'ids' and 'level_tags' must be lists"),
+            ({"true_difficulty": "hard"}, "true_difficulty: 3 bytes where 2 values of 8"),
+            ({"true_difficulty": "0.5"}, "true_difficulty: invalid base64"),
+            ({"true_difficulty": True}, "true_difficulty: must be a base64 string"),
+            (
+                {"true_difficulty": encode_array([0.0, np.inf], "<f8")},
+                "bank problem p1 has no finite latent difficulty",
+            ),
+            ({"ids": [0, "p1"]}, "problem id: .* got 0"),
+            ({"ids": ["p;0", "p1"]}, "problem id: .* got 'p;0'"),
+            ({"ids": [["p0"], "p1"]}, r"problem id: .* got \['p0'\]"),
+        ],
+        ids=["None", *(f"records{i}" for i in range(1, 9))],
+    )
+    def test_malformed_records_rejected(self, tmp_path, records, message):
+        path = tmp_path / "bank.json"
+        _bank_file(path, **records)
+        with pytest.raises(ConfigError, match=f"bank file {re.escape(str(path))}: {message}"):
             load_bank(path)
 
     @pytest.mark.parametrize(
-        "records",
+        "tags, message",
         [
-            None,
-            ["p0"],
-            [{"id": "p0", "level_tag": 3, "true_difficulty": "hard"}],
-            [{"id": "p0", "level_tag": 3, "true_difficulty": "0.5"}],
-            [{"id": "p0", "level_tag": 3, "true_difficulty": True}],
-            [{"id": "p0", "level_tag": 3, "true_difficulty": 10**400}],
-            [{"id": 0, "level_tag": 3, "true_difficulty": 0.5}],
-            [{"id": "p;0", "level_tag": 3, "true_difficulty": 0.5}],
-            [{"id": ["p0"], "level_tag": 3, "true_difficulty": 0.5}],
+            ([1, 6], "level_tag: must be in 1..5 or None, got 6"),
+            ([1, True], "level_tag: must be in 1..5 or None, got True"),
+            ([1], "bank columns disagree: 2 ids, 1 level tags, 2 latent"),
         ],
+        ids=["six", "bool", "short"],
     )
-    def test_malformed_records_rejected(self, tmp_path, records):
+    def test_bad_level_tags_rejected(self, tmp_path, tags, message):
         path = tmp_path / "bank.json"
-        path.write_text(json.dumps({"format_version": BANK_FORMAT_VERSION, "records": records}))
-        with pytest.raises(ConfigError, match="bank file"):
+        _bank_file(path, level_tags=tags)
+        with pytest.raises(ConfigError, match=message):
             load_bank(path)
+
+    def test_large_bank_round_trips_bit_for_bit(self, tmp_path):
+        bank = _bank(100_000, 21)
+        path = tmp_path / "bank.json"
+        save_bank(bank, path)
+        loaded = load_bank(path)
+        assert (loaded.ids, loaded.level_tags) == (bank.ids, bank.level_tags)
+        assert loaded.latent.tobytes() == bank.latent.tobytes()
+        assert loaded.content_hash() == bank.content_hash()

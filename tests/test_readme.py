@@ -81,3 +81,6 @@ def test_readme_format_versions_match_the_code():
     assert stated(r"`checkpoint\.json` \(format version (\d+)\)") == [checkpoint]
     assert stated(r"Checkpoints of versions 1 to (\d+) are refused") == [checkpoint - 1]
     assert stated(r"Bank files are format version (\d+)") == [learner.BANK_FORMAT_VERSION]
+    assert stated(r"Bank files of versions 1 to (\d+) are refused") == [
+        learner.BANK_FORMAT_VERSION - 1
+    ]

@@ -136,11 +136,11 @@ def test_array_sampler_matches_the_scalar_reference(scenario):
         outcomes = list(zip(batch, rates))
         sampler.report(rates)
         reference.report(outcomes)
-        got = sampler.records
+        got = sampler.state_arrays()
         want = reference.records
-        assert list(got) == list(want)
-        assert [r.t for r in got.values()] == [r.t for r in want.values()], step
-        assert _bits(r.difficulty for r in got.values()) == _bits(
+        assert list(sampler.bank.ids) == list(want)
+        assert got["t"].tolist() == [r.t for r in want.values()], step
+        assert _bits(got["difficulty"].tolist()) == _bits(
             r.difficulty for r in want.values()
         ), step
         assert _bits([sampler.competence_value]) == _bits([reference.competence]), step
