@@ -115,17 +115,6 @@ class PrioritizedSampler(BaselineSampler):
         if self._falls_back:
             self.uniform_fallbacks += 1
 
-    def _state(self) -> dict:
-        return {"uniform_fallbacks": self.uniform_fallbacks}
-
-    def _load_state(self, payload: dict) -> None:
-        fallbacks = payload["uniform_fallbacks"]
-        if type(fallbacks) is not int or fallbacks < 0:
-            raise ConfigError(
-                f"sampler state: uniform_fallbacks must be an integer >= 0, got {fallbacks!r}"
-            )
-        self.uniform_fallbacks = fallbacks
-
 
 class DynamicSampler(BaselineSampler):
     """Oversample-and-filter selection keeping only problems with interior pass rates.

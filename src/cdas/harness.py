@@ -24,12 +24,11 @@ import numpy as np
 from .baselines import PrioritizedSampler
 from .config import SAMPLERS, ExperimentConfig
 from .core import LEVEL_TAGS
-from .errors import ConfigError
+from .errors import ConfigError, ConsistencyError, RolloutBudgetError
 from .files import decode_array, encode_array, read_json, replacing, require
-from .learner import ProblemBank, SyntheticLearner, generate_bank, load_bank
+from .learner import ProblemBank, SyntheticLearner, check_rng_state, generate_bank, load_bank
 from .metrics import (
     METRICS_COLUMNS,
-    METRICS_TYPES,
     StepMetrics,
     _cell,
     format_metrics_row,
@@ -40,7 +39,7 @@ from .sampling import Sampler
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 9
+CHECKPOINT_VERSION = 10
 
 METRICS_FILE = "metrics.csv"
 SUMMARY_FILE = "summary.json"
@@ -60,14 +59,19 @@ class RunResult:
     """A run as it goes on: its bank, sampler, learner and what each step recorded.
 
     ``batches`` holds each step's batch as a read-only array of bank
-    indices, in batch order; ``bank.ids`` names them.
+    indices, in batch order; ``bank.ids`` names them.  ``rolled`` holds the
+    pass counts of every rollout round, as uint8 arrays in call order:
+    dynamic sampling's discarded candidates are in it too.  The run's state
+    is a function of its config and these counts, so they are all a
+    checkpoint keeps of its steps.
 
     ``stage_seconds`` adds up the wall-clock seconds this process spent in
     each of ``STAGES``: choosing batches (``select``), the learner's rollout
     rounds within them (``rollout``), reporting pass rates, the learner
     update, the metrics row, and writing the output files.  It is kept in
-    memory only, out of every output file and the checkpoint, so a resumed
-    run counts from zero.
+    memory only, out of every output file and the checkpoint.  A resumed run
+    counts from zero, and the steps it replays from its checkpoint count as
+    well, their ``rollout`` being the reading of the logged counts.
     """
 
     config: ExperimentConfig
@@ -76,6 +80,7 @@ class RunResult:
     learner: SyntheticLearner
     rows: list[StepMetrics] = field(default_factory=list)
     batches: list[np.ndarray] = field(default_factory=list)
+    rolled: list[np.ndarray] = field(default_factory=list)
     stage_seconds: dict[str, float] = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
 
     @property
@@ -154,25 +159,23 @@ def make_sampler(config: ExperimentConfig, bank: ProblemBank, rng: np.random.Gen
     return SAMPLERS[config.strategy](config, bank, rng)
 
 
-def sampler_from_state(
-    config: ExperimentConfig, bank: ProblemBank, rng: np.random.Generator, state: dict
-) -> Sampler:
-    """Rebuild the configured sampler on ``bank`` and restore its checkpointed state."""
-    sampler = make_sampler(config, bank, rng)
-    sampler.load_state_dict(state)
-    return sampler
+def _advance(run: RunResult, target_step: int, pass_counts=None) -> None:
+    """Run steps up to ``target_step``, carrying each batch as bank indices.
 
-
-def _advance(run: RunResult, target_step: int) -> None:
-    """Run steps up to ``target_step``, carrying each batch as bank indices."""
+    ``pass_counts(indices)`` is the source of each rollout round's counts:
+    the learner's own rollouts unless another is given.  Every round's
+    counts are logged in ``run.rolled``.
+    """
     sampler = run.sampler
     seconds, clock = run.stage_seconds, time.perf_counter
+    source = run.learner.pass_counts if pass_counts is None else pass_counts
     rolling = 0.0
 
     def roll_round(indices):
         nonlocal rolling
         began = clock()
-        counts = run.learner.pass_counts(indices)
+        counts = source(indices)
+        run.rolled.append(np.asarray(counts).astype(np.uint8, copy=False))
         rolling += clock() - began
         return counts
 
@@ -226,32 +229,28 @@ def run_experiment(config: ExperimentConfig, stop_after: int | None = None) -> R
 # -- checkpointing ----------------------------------------------------------
 
 
-# Each checkpoint metrics column's dtype; a row's step is its position, and NaN a None.
-_METRICS_DTYPES = {
-    name: "<i8" if int in types else "<f8" for name, types in METRICS_TYPES.items() if name != "step"
-}
-
-
 def _checkpoint_payload(result: RunResult) -> dict:
-    """The checkpoint; its metrics columns and batches are ``encode_array`` text."""
+    """The checkpoint: the config, the steps run and every pass count rolled out.
+
+    The counts are one byte each, as ``encode_array`` text; the learner's
+    generator state is the one thing a replay of them cannot rebuild.
+    """
+    rolled = np.concatenate(result.rolled) if result.rolled else np.empty(0, np.uint8)
     return {
         "format_version": CHECKPOINT_VERSION,
         "config": result.config.to_dict(),
         "config_hash": result.config.content_hash(),
         "bank_hash": result.bank_hash,
-        "sampler": result.sampler.state_dict(),
-        "learner": result.learner.state_dict(),
-        "metrics": {
-            name: encode_array([getattr(row, name) for row in result.rows], dtype)
-            for name, dtype in _METRICS_DTYPES.items()
-        },
-        "batches": encode_array(result.batches, "<i8"),
+        "steps": result.sampler.step,
+        "rolled": encode_array(rolled, "|u1"),
+        "rolled_length": rolled.size,
+        "learner_rng": result.learner.rng.bit_generator.state,
     }
 
 
 _CHECKPOINT_FIELDS = (
     "format_version", "config", "config_hash", "bank_hash",
-    "sampler", "learner", "metrics", "batches",
+    "steps", "rolled", "rolled_length", "learner_rng",
 )
 
 
@@ -285,12 +284,16 @@ def resume_experiment(
 ) -> RunResult:
     """Continue a checkpointed run to completion (or to ``stop_after``).
 
-    The sampler and the learner are rebuilt from the checkpoint's config and
-    bank, then their checkpointed state is restored.  Refuses checkpoints
-    whose config hash does not match their embedded config, whose bank no
-    longer reproduces, or whose sampler or learner state or batches do not
-    fit the bank or the recorded steps.  A checkpoint already at the target step (the run's end
-    or ``stop_after``) is left alone: the call logs a notice and writes nothing.
+    The bank, the sampler and the learner are built from the checkpoint's
+    config as ``run_experiment`` builds them.  The checkpointed steps then
+    run again through the same step loop, each rollout round taking its
+    counts from the checkpoint's log instead of the learner; last, the
+    learner's generator takes its checkpointed state.  Refuses a checkpoint
+    whose config hash does not match its embedded config, whose bank no
+    longer reproduces, whose step count or generator state is malformed, or
+    whose log the steps do not use up exactly or could not have returned.
+    A checkpoint already at the target step (the run's end or
+    ``stop_after``) is left alone: the call logs a notice and writes nothing.
     """
     payload = load_checkpoint(checkpoint_path)
     config = ExperimentConfig.from_dict(payload["config"])
@@ -304,23 +307,31 @@ def resume_experiment(
             f"checkpoint {checkpoint_path}: bank hash mismatch; the configured "
             f"bank no longer reproduces the checkpointed one"
         )
+    run = RunResult(config, bank, make_sampler(config, bank, sampler_rng), learner)
     try:
-        sampler = sampler_from_state(config, bank, sampler_rng, payload["sampler"])
-        learner.load_state_dict(payload["learner"])
-        rows = _step_metrics(payload["metrics"], sampler)
-        batches = _batch_indices(payload["batches"], sampler.step, config.batch_size, len(bank))
-        run = RunResult(config, bank, sampler, learner, rows=rows, batches=batches)
-        _check_history(run)
+        steps, state = payload["steps"], payload["learner_rng"]
+        # By exact type: bool is an int subclass.
+        if type(steps) is not int or not 0 <= steps <= config.total_steps:
+            raise ConfigError(
+                f"steps: must be an integer in [0, {config.total_steps}], got {steps!r}"
+            )
+        length = payload["rolled_length"]
+        if type(length) is not int or length < 0:
+            raise ConfigError(f"rolled_length: must be an integer >= 0, got {length!r}")
+        log = decode_array(payload["rolled"], "|u1", length, "rolled")
+        check_rng_state(learner.rng, state, "learner_rng")
+        _replay(run, steps, log)
     except ConfigError as err:
         raise ConfigError(f"checkpoint {checkpoint_path}: {err}") from err
-    # The run now holds all it needs; the parsed checkpoint's column and
-    # batch texts need not live through the steps and the write.
+    learner.rng.bit_generator.state = state
+    # The run now holds all it needs; the parsed checkpoint's log text need
+    # not live through the steps and the write.
     del payload
-    if target <= sampler.step:
+    if target <= steps:
         logger.info(
             "checkpoint %s is already at step %d of %d; nothing to resume up to step %d",
             checkpoint_path,
-            sampler.step,
+            steps,
             config.total_steps,
             target,
         )
@@ -328,63 +339,29 @@ def resume_experiment(
     return _finish(run, target)
 
 
-def _step_metrics(columns, sampler: Sampler) -> list[StepMetrics]:
-    """Checkpointed ``metrics`` columns as the rows of the sampler's steps 1 to ``sampler.step``.
+def _replay(run: RunResult, steps: int, log: np.ndarray) -> None:
+    """Run ``steps`` steps with every rollout round's counts read, in order, from ``log``.
 
     Raises:
-        ConfigError: a column is missing or not ``sampler.step`` values long, or a
-            value is not finite, except where the field may be None and the
-            sampler models no competence: there every value must be NaN.
+        ConfigError: the log runs out, has counts left over, or holds a
+            count the step loop refuses, or dynamic sampling spends its
+            rounds without an interior group.
     """
-    require(columns, _METRICS_DTYPES, "metrics")
-    steps = sampler.step
-    values = [range(1, steps + 1)]
-    for name, dtype in _METRICS_DTYPES.items():
-        column = decode_array(columns[name], dtype, steps, f"metrics {name}")
-        must_be_none = type(None) in METRICS_TYPES[name] and sampler.competence_value is None
-        fits = np.isnan(column) if must_be_none else np.isfinite(column)
-        if not fits.all():
-            raise ConfigError(f"metrics {name}: step {np.argmin(fits) + 1} holds {column[~fits][0]}")
-        values.append([None if v != v else v for v in column.tolist()])
-    return [StepMetrics(*row) for row in zip(*values)]
+    read = 0
 
+    def logged(indices):
+        nonlocal read
+        read += len(indices)
+        if read > log.size:
+            raise ConsistencyError("the log runs out")
+        return log[read - len(indices) : read]
 
-def _check_history(run: RunResult) -> None:
-    """Refuse a last row that is not the restored ability and competence, bit for bit,
-    or cdas visit counts that do not count the problems in the batches."""
-    if run.rows:
-        last = run.rows[-1]
-        recorded = np.array([last.learner_ability, last.competence], dtype=np.float64)
-        restored = np.array([run.learner.ability, run.sampler.competence_value], dtype=np.float64)
-        if recorded.tobytes() != restored.tobytes():
-            raise ConfigError(
-                f"metrics: step {last.step}'s learner_ability or competence is not "
-                f"the restored state's"
-            )
-    visits = run.sampler.state_arrays().get("t")
-    if visits is None:
-        return
-    batches = np.array(run.batches, dtype=np.int64).ravel()
-    if not np.array_equal(visits, np.bincount(batches, minlength=len(visits))):
-        raise ConfigError("sampler state: t does not count the problems in the batches")
-
-
-def _batch_indices(text, steps: int, batch_size: int, n: int) -> list[np.ndarray]:
-    """Checkpointed ``batches`` as read-only bank-index arrays, one per step.
-
-    Raises:
-        ConfigError: ``text`` does not decode to ``steps`` rows of
-            ``batch_size`` distinct indices into a bank of ``n`` problems.
-    """
-    indices = decode_array(text, "<i8", steps * batch_size, "batches").reshape(steps, batch_size)
-    if ((indices < 0) | (indices >= n)).any():
-        raise ConfigError(f"batches: every index must be in [0, {n})")
-    ordered = np.sort(indices, axis=1)
-    repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-    if repeats.any():
-        raise ConfigError(f"batches: step {int(np.argmax(repeats)) + 1} repeats a problem")
-    indices.flags.writeable = False
-    return list(indices)
+    try:
+        _advance(run, steps, logged)
+    except (ConsistencyError, RolloutBudgetError, ValueError) as err:
+        raise ConfigError(f"rolled: step {run.sampler.step + 1}: {err}") from err
+    if read != log.size:
+        raise ConfigError(f"rolled: {log.size - read} counts left over after step {steps}")
 
 
 # -- output files -------------------------------------------------------------

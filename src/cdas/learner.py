@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +36,8 @@ class SyntheticLearner:
     The config sets the rollouts per group, the discrimination and the learn
     rate.  The starting ability is ``config.ability_init``, or
     ``default_ability(bank)`` when that is None.  It reads the bank's latents
-    itself.
+    itself.  Its generator ``rng`` draws every rollout; ability follows from
+    the pass counts, so a checkpoint stores only the generator's state.
     """
 
     def __init__(self, config, bank: ProblemBank, rng: np.random.Generator):
@@ -47,7 +47,7 @@ class SyntheticLearner:
         self.learn_rate = float(config.learn_rate)
         self.rollouts = config.rollouts
         self._latent = bank.latent
-        self._rng = rng
+        self.rng = rng
 
     def success_probability(self, latent: float) -> float:
         logit = self.discrimination * (self.ability - latent)
@@ -56,7 +56,7 @@ class SyntheticLearner:
     def rollout_group(self, problem_id: str, latent: float) -> RolloutGroup:
         """Draw one group of Bernoulli rollouts against a problem of difficulty ``latent``."""
         p = self.success_probability(latent)
-        draws = self._rng.random(self.rollouts) < p
+        draws = self.rng.random(self.rollouts) < p
         return RolloutGroup(
             problem_id=problem_id,
             rewards=tuple(1.0 if hit else 0.0 for hit in draws),
@@ -73,7 +73,7 @@ class SyntheticLearner:
         # In place: np.clip costs about twice as much on a batch of latents.
         np.minimum(logits, _LOGIT_CAP, out=logits)
         probabilities = sigmoid_array(np.maximum(logits, -_LOGIT_CAP, out=logits))
-        draws = self._rng.random((len(probabilities), self.rollouts))
+        draws = self.rng.random((len(probabilities), self.rollouts))
         return (draws < probabilities[:, None]).sum(axis=1)
 
     def learn_step(self, counts) -> None:
@@ -91,29 +91,6 @@ class SyntheticLearner:
             raise ValueError(f"learn_step got {fault}")
         mixed = int(np.count_nonzero((counts > 0) & (counts < self.rollouts)))
         self.ability += self.learn_rate * (mixed / counts.size)
-
-    def state_dict(self) -> dict:
-        """The state a run changes; the constructor rebuilds the parameters."""
-        return {"ability": self.ability, "rng": self._rng.bit_generator.state}
-
-    def load_state_dict(self, payload: dict) -> None:
-        """Restore ``state_dict`` output.
-
-        Raises:
-            ConfigError: the payload is not a dict holding ``ability`` and
-                ``rng``, the ability is not a finite number, or the rng state
-                does not fit this learner's bit generator; the learner is left
-                untouched.
-        """
-        require(payload, ("ability", "rng"), "learner state")
-        ability = payload["ability"]
-        # By exact type: bool is an int subclass, and float() would parse a
-        # string.  The bound refuses NaN, infinities and ints too large for a float.
-        if type(ability) not in (int, float) or not abs(ability) <= sys.float_info.max:
-            raise ConfigError(f"learner state: ability must be a finite number, got {ability!r}")
-        check_rng_state(self._rng, payload["rng"], "learner state")
-        self.ability = float(ability)
-        self._rng.bit_generator.state = payload["rng"]
 
 
 def check_rng_state(generator: np.random.Generator, state, what: str) -> None:

@@ -29,8 +29,8 @@ class StepMetrics:
     learner_ability: float
 
 
-# Each field's value types, from its hint: a checkpoint stores an int field's
-# column as <i8 and any other as <f8, where NaN stands for None.
+# Each field's value types, from its hint: ``read_metrics_csv`` parses each
+# cell by them, an empty cell as None where the hint allows it.
 METRICS_TYPES = {
     name: set(typing.get_args(hint) or (hint,))
     for name, hint in typing.get_type_hints(StepMetrics).items()

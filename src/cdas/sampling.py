@@ -8,9 +8,9 @@ per pending problem, in batch order.  ``select_and_roll`` picks a batch and
 rolls it out in one call, the same call for every strategy.  Every sampler is
 built as ``cls(config, bank, rng)`` from an ``ExperimentConfig``: the config
 alone sets its parameters, its batch size and its rollout group size.  A
-checkpoint holds only what changes while a run goes on, and never a batch in
-flight; the rest is rebuilt by constructing the sampler again from its config
-and bank.
+sampler's state is a function of its config, its bank, its generator's seed
+and the pass counts its rollouts returned, so feeding the same counts to a
+fresh sampler rebuilds it bit for bit: that is how a run resumes.
 
 Alignment selection runs in two phases.  A warm-up phase walks a fixed random
 permutation of the bank in batch-size chunks so every problem collects at
@@ -35,12 +35,8 @@ import numpy as np
 
 from .core import ProblemRecord, sigmoid_array
 from .errors import ConfigError, ConsistencyError
-from .files import decode_array, encode_array, require
 from .grpo import pass_count_fault
-from .learner import ProblemBank, check_rng_state
-
-# The byte layout ``state_dict`` stores each per-problem column in.
-COLUMN_TYPES = {"last_pass_rate": "<f8", "t": "<i8", "difficulty": "<f8"}
+from .learner import ProblemBank
 
 
 def smallest_by(candidates: np.ndarray, k: int, *keys: np.ndarray) -> np.ndarray:
@@ -80,17 +76,16 @@ class Sampler:
     """Select/report contract shared by every strategy.
 
     A sampler is a single logical actor: interleave ``select_batch`` (or
-    ``select_and_roll``) and ``report``, one batch at a time; ``state_dict``
-    is taken between the two, never while a batch is pending.  Every batch
+    ``select_and_roll``) and ``report``, one batch at a time.  Every batch
     holds ``config.batch_size`` problems, and each is rolled out
     ``config.rollouts`` times.  The constructor refuses a batch larger
     than the bank.
     Subclasses set ``strategy``, read their own fields from the config,
-    choose the bank indices of a batch in ``_choose``, fold validated
-    outcomes into their own state in ``_fold``
-    and name that state in ``_state``/``_load_state``, giving per-problem
-    state as bank-order arrays.  Every sampler keeps the pass rate each
-    problem last reported, in bank order.
+    choose the bank indices of a batch in ``_choose`` and fold validated
+    outcomes into their own state in ``_fold``.  Every sampler keeps the
+    pass rate each problem last reported, in bank order.  A sampler built
+    again from the same config, bank and seed and given the same pass
+    counts makes the same batches and ends in the same state.
     """
 
     strategy: str
@@ -192,86 +187,13 @@ class Sampler:
     def _fold(self, indices: np.ndarray, rates: np.ndarray) -> None:
         """Fold a checked report into the strategy's own state; most keep none."""
 
-    # -- serialization ------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """The state a run changes; the constructor rebuilds everything else.
-
-        Each per-problem column is the ``files.encode_array`` text of its
-        little-endian bytes, named in ``COLUMN_TYPES``: NaN stands for a
-        problem never reported.  So the dict is JSON-ready, and two compare
-        equal with ``==`` when their columns match bit for bit.
-
-        Raises:
-            ConsistencyError: a batch is pending; its outcomes are not state
-                a checkpoint can hold.
-        """
-        state = self.state_arrays()
-        for key, dtype in COLUMN_TYPES.items():
-            if key in state:
-                state[key] = encode_array(state[key], dtype)
-        return state
-
     def state_arrays(self) -> dict:
-        """``state_dict`` with each per-problem column as a read-only bank-order array.
+        """Each per-problem column ``problems.csv`` writes, as a read-only bank-order array.
 
-        The arrays are views of the sampler's own, so a later report or
-        restore changes or replaces what they show.
+        The arrays are views of the sampler's own, so a later report changes
+        what they show.
         """
-        if self._pending is not None:
-            raise ConsistencyError("a batch is pending; report it before saving state")
-        return {
-            "strategy": self.strategy,
-            "step": self._step,
-            "rng": self._rng.bit_generator.state,
-            "last_pass_rate": self.last_pass_rates,
-            **self._state(),
-        }
-
-    def load_state_dict(self, payload: dict) -> None:
-        """Restore ``state_dict`` output into a sampler built on the same bank.
-
-        Raises:
-            ConfigError: the payload is not a dict holding every key
-                ``state_dict`` writes, belongs to another strategy, holds a
-                column that does not decode to one value per problem of this
-                sampler's bank, a step or pass rate that is out of range or
-                of the wrong type, or an rng state that does not fit the bit
-                generator; the sampler is left untouched.
-        """
-        keys = ("strategy", "step", "rng", "last_pass_rate", *self._state())
-        require(payload, keys, "sampler state")
-        if payload["strategy"] != self.strategy:
-            raise ConfigError(
-                f"sampler state: strategy {payload['strategy']!r} cannot restore "
-                f"into a {self.strategy!r} sampler"
-            )
-        step = payload["step"]
-        # By exact type: bool is an int subclass, and a float step would be
-        # written back into metrics.csv as a float.
-        if type(step) is not int or step < 0:
-            raise ConfigError(f"sampler state: step must be an integer >= 0, got {step!r}")
-        rates = self._load_column(payload["last_pass_rate"], "last_pass_rate")
-        if not ((rates >= 0.0) & (rates <= 1.0) | np.isnan(rates)).all():
-            raise ConfigError(
-                "sampler state: every last_pass_rate must be NaN or a number in [0, 1]"
-            )
-        check_rng_state(self._rng, payload["rng"], "sampler state")
-        self._load_state(payload)
-        self._step = step
-        self._last_pass_rate = rates
-        self._pending = None
-        self._rng.bit_generator.state = payload["rng"]
-
-    def _load_column(self, text, key: str) -> np.ndarray:
-        """The per-problem column ``key`` that ``state_dict`` wrote as ``text``."""
-        return decode_array(text, COLUMN_TYPES[key], len(self.bank), f"sampler state: {key}")
-
-    def _state(self) -> dict:
-        return {}
-
-    def _load_state(self, payload: dict) -> None:
-        pass
+        return {"last_pass_rate": self.last_pass_rates}
 
 
 class CdasSampler(Sampler):
@@ -368,20 +290,8 @@ class CdasSampler(Sampler):
         self._t[indices] = counts
         self._competence = _competence(self._D)
 
-    # -- serialization ------------------------------------------------------
-
-    def _state(self) -> dict:
-        return {"t": _read_only(self._t), "difficulty": self.estimates}
-
-    def _load_state(self, payload: dict) -> None:
-        t = self._load_column(payload["t"], "t")
-        difficulty = self._load_column(payload["difficulty"], "difficulty")
-        if (t < 0).any():
-            raise ConfigError(f"sampler state: t must be >= 0, got {t.min()}")
-        if not np.isfinite(difficulty).all():
-            raise ConfigError("sampler state: every difficulty estimate must be finite")
-        self._t, self._D = t, difficulty
-        self._competence = _competence(difficulty) if payload["step"] > 0 else 0.0
+    def state_arrays(self) -> dict:
+        return {**super().state_arrays(), "t": _read_only(self._t), "difficulty": self.estimates}
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -59,11 +59,9 @@ def criterion(capsys, number, name):
 
 @pytest.fixture(scope="module")
 def utility_comparison():
-    """cdas vs random on ten seeds at desk defaults (criteria 6, 8 and 11)."""
+    """All five strategies on ten seeds at desk defaults (criteria 6, 8, 11 and 14)."""
     start = time.perf_counter()
-    comparison = compare_strategies(
-        ExperimentConfig(), ["cdas", "random"], seeds=list(range(10))
-    )
+    comparison = compare_strategies(ExperimentConfig(), list(STRATEGIES), seeds=list(range(10)))
     return comparison, time.perf_counter() - start
 
 
@@ -431,4 +429,37 @@ def test_criterion_11_estimates_track_latent_difficulty(capsys, utility_comparis
         out["detail"] = (
             f"spearman(D, latent difficulty) {min(rhos):.3f} to {max(rhos):.3f} "
             f"over {len(rhos)} cdas seeds"
+        )
+
+
+def test_criterion_14_cdas_estimates_beat_the_baselines_pass_rates(capsys, utility_comparison):
+    name = "cdas estimates track latent difficulty better than any baseline's"
+    with criterion(capsys, 14, name) as out:
+        # The paper's estimation claim: aggregating historical discrepancies
+        # estimates difficulty better than the last pass rate the baselines
+        # schedule by.  Each run is scored over the problems it has seen:
+        # t >= 1 for cdas, a reported pass rate for a baseline.  A last pass
+        # rate takes at most G + 1 values, so ties are many; spearmanr gives
+        # tied values their average rank.
+        comparison, _ = utility_comparison
+        rhos: dict[str, list[float]] = {}
+        for run in comparison.results:
+            state = run.sampler.state_arrays()
+            if run.config.strategy == "cdas":
+                seen = state["t"] >= 1
+                estimate = state["difficulty"][seen]
+            else:
+                seen = ~np.isnan(state["last_pass_rate"])
+                estimate = 1.0 - state["last_pass_rate"][seen]
+            rho = spearmanr(estimate, run.bank.latent[seen]).statistic
+            rhos.setdefault(run.config.strategy, []).append(float(rho))
+        cdas = rhos.pop("cdas")
+        best = max(max(values) for values in rhos.values())
+        out["ok"] = len(cdas) == 10 and len(rhos) == 4 and min(cdas) > best
+        ranges = "; ".join(
+            f"{name} {min(values):.3f} to {max(values):.3f}" for name, values in rhos.items()
+        )
+        out["detail"] = (
+            f"spearman with latent difficulty, ties at average ranks: cdas D {min(cdas):.3f} "
+            f"to {max(cdas):.3f}; 1 - last pass rate: {ranges}; margin {min(cdas) - best:.3f}"
         )

@@ -8,9 +8,8 @@ import pytest
 from cdas.config import SAMPLERS, STRATEGIES, ExperimentConfig
 from cdas.core import ProblemRecord, alignment
 from cdas.errors import ConfigError, ConsistencyError
-from cdas.files import decode_array, encode_array
 from cdas.learner import ProblemBank, SyntheticLearner, generate_bank
-from cdas.sampling import CdasSampler
+from cdas.sampling import CdasSampler, _competence
 
 
 def _bank(ids, tag=None):
@@ -23,13 +22,23 @@ def _rng():
 
 
 def _seed(sampler, difficulties, t, step=0):
-    """Restore ``sampler`` at ``step`` with ``difficulties`` as its estimates, ``t`` visits each."""
-    state = sampler.state_dict()
-    state["step"] = step
-    state["t"] = encode_array([t] * len(difficulties), "<i8")
-    state["difficulty"] = encode_array(list(difficulties.values()), "<f8")
-    sampler.load_state_dict(state)
+    """Set ``sampler`` at ``step`` with ``difficulties`` as its estimates, ``t`` visits each.
+
+    No run reaches an arbitrary state, so the arrays are written directly;
+    competence is what a report would leave, 0.0 before the first.
+    """
+    sampler._step = step
+    sampler._t[:] = t
+    sampler._D[:] = list(difficulties.values())
+    sampler._competence = _competence(sampler._D) if step > 0 else 0.0
     return sampler
+
+
+def _state(sampler):
+    """What a sampler's steps change, bit for bit: its step, generator and per-problem columns."""
+    columns = {key: column.tobytes() for key, column in sampler.state_arrays().items()}
+    extra = (sampler.competence_value, getattr(sampler, "uniform_fallbacks", None))
+    return sampler.step, sampler._rng.bit_generator.state, columns, extra
 
 
 def _config(n, batch_size, **fields):
@@ -213,10 +222,10 @@ class TestReportOutcomes:
     def test_selection_consumes_no_randomness(self):
         # Reporting draws nothing either, so the state after it shows the rng.
         sampler = _fresh(SIX_PROBLEMS, batch_size=4, warmup=False)
-        before = sampler.state_dict()["rng"]
+        before = sampler._rng.bit_generator.state
         sampler.select_batch()
         sampler.report([0.5] * 4)
-        assert sampler.state_dict()["rng"] == before
+        assert sampler._rng.bit_generator.state == before
 
 
 def _strategy_sampler(strategy):
@@ -236,13 +245,6 @@ def _armed(strategy):
     return sampler, [sampler.bank.ids[i] for i in batch]
 
 
-def _with_rate(text, position, rate):
-    """The ``last_pass_rate`` text ``text`` with ``rate`` at ``position``."""
-    rates = decode_array(text, "<f8", len(SIX_PROBLEMS), "last_pass_rate")
-    rates[position] = rate
-    return encode_array(rates, "<f8")
-
-
 class TestConsistencyChecks:
     """A report is refused unless a batch is pending, on every strategy."""
 
@@ -259,16 +261,15 @@ class TestConsistencyChecks:
 
 
 class TestIndexConsistencyChecks:
-    """The pending bank indices: set by a selection, cleared by a restore."""
+    """The pending bank indices: set by a selection, cleared by its report."""
 
     def test_report_without_batch(self):
         for strategy in STRATEGIES:
             sampler = _strategy_sampler(strategy)
-            saved = sampler.state_dict()
             assert sampler.pending is None, strategy
             batch, _, _ = sampler.select_and_roll(lambda indices: [2] * len(indices))
             assert batch is sampler.pending, strategy
-            sampler.load_state_dict(saved)
+            sampler.report([0.5] * 4)
             assert sampler.pending is None, strategy
             with pytest.raises(ConsistencyError, match="no batch outstanding"):
                 sampler.report([0.5] * 4)
@@ -313,16 +314,8 @@ class TestReportContract:
             assert sampler.step == 0 and sampler.pending is not None, strategy
             sampler.report(rates)
             twin.report(rates)
-            assert sampler.state_dict() == twin.state_dict(), strategy
+            assert _state(sampler) == _state(twin), strategy
             assert sampler.pending is None and sampler.step == 1, strategy
-
-    def test_state_dict_refused_while_a_batch_is_pending(self):
-        for strategy in STRATEGIES:
-            sampler, _ = _armed(strategy)
-            with pytest.raises(ConsistencyError, match="a batch is pending"):
-                sampler.state_dict()
-            sampler.report([0.5] * 4)
-            assert sampler.state_dict()["step"] == 1, strategy
 
 
 # Pass counts roll_round may not return for a batch of four with groups of
@@ -350,7 +343,6 @@ def test_bad_counts_from_roll_round_refused(case):
             sampler.select_and_roll(lambda indices: counts)
         assert sampler.pending is None, strategy
         assert sampler.step == 0, strategy
-        assert sampler.state_dict()["step"] == 0, strategy
 
 
 # The one sampler that counts uniform fallbacks.
@@ -361,9 +353,7 @@ def test_refused_roll_counts_no_fallback(strategy):
     config = _config(6, 4, rollouts=4, strategy=strategy, warmup=False)
     bank = _bank(SIX_PROBLEMS, tag=5)
     sampler = SAMPLERS[strategy](config, bank, np.random.default_rng(0))
-    state = sampler.state_dict()
-    state["last_pass_rate"] = encode_array([1.0] * len(bank), "<f8")
-    sampler.load_state_dict(state)
+    sampler._last_pass_rate[:] = 1.0
     with pytest.raises(ConsistencyError):
         sampler.select_and_roll(lambda indices: [2] * 3)
     assert sampler.uniform_fallbacks == 0
@@ -395,11 +385,12 @@ def test_select_and_roll_is_select_batch_then_one_rollout(strategy):
         assert [bank.ids[i] for i in batch] == ids
         assert [got_counts.tolist(), consumed] == [counts.tolist(), config.batch_size]
         assert np.array_equal(rolled.pending, plain.pending)
-        assert rolled_learner.state_dict() == plain_learner.state_dict()
+        assert rolled_learner.ability == plain_learner.ability
+        assert rolled_learner.rng.bit_generator.state == plain_learner.rng.bit_generator.state
         rates = counts / plain_learner.rollouts
         rolled.report(rates)
         plain.report(rates)
-        assert rolled.state_dict() == plain.state_dict()
+        assert _state(rolled) == _state(plain)
 
 
 def test_select_and_roll_refuses_counts_for_another_batch_size():
@@ -412,10 +403,10 @@ def test_dynamic_select_batch_points_to_select_and_roll():
     # Dynamic sampling must roll candidates out to choose a batch, so the
     # plain contract entry point refuses and arms nothing.
     sampler = _strategy_sampler("dynamic")
-    before = sampler.state_dict()
+    before = _state(sampler)
     with pytest.raises(ConsistencyError, match="select_and_roll"):
         sampler.select_batch()
-    assert sampler.state_dict() == before
+    assert _state(sampler) == before
     with pytest.raises(ConsistencyError, match="no batch outstanding"):
         sampler.report([0.5] * 4)
 
@@ -492,7 +483,7 @@ class TestBatchInvariants:
                 batch = sampler.select_batch()
                 batches.append(batch)
                 sampler.report(rng.integers(0, 3, len(batch)) / 2.0)
-            return batches, sampler.state_dict()
+            return batches, _state(sampler)
 
         batches_a, state_a = drive(6)
         batches_b, state_b = drive(6)
@@ -500,129 +491,74 @@ class TestBatchInvariants:
         assert state_a == state_b
 
 
+def _logged(roll_round, log):
+    """``roll_round``, its counts appended to ``log``."""
+
+    def logging(indices):
+        counts = roll_round(indices)
+        log.append(np.asarray(counts))
+        return counts
+
+    return logging
+
+
+def _replayed(log):
+    """A ``roll_round`` that returns the counts of ``log``, in order."""
+    counts = iter(log)
+    return lambda indices: next(counts)
+
+
+def _drive(sampler, roll_round, steps):
+    """``steps`` steps of ``select_and_roll`` and ``report``; each step's batch and counts."""
+    steps_taken = []
+    for _ in range(steps):
+        batch, counts, consumed = sampler.select_and_roll(roll_round)
+        sampler.report(counts / sampler.group_size)
+        steps_taken.append((batch.tolist(), counts.tolist(), consumed))
+    return steps_taken
+
+
 class TestSerialization:
+    """A sampler's state is its config, bank and seed and the counts it was fed."""
+
     def test_round_trip_is_identity_on_state(self):
         sampler = _fresh(SIX_PROBLEMS, batch_size=4, t=0)
-        batch = sampler.select_batch()
-        sampler.report([0.25] * len(batch))
-        payload = sampler.state_dict()
+        log = []
+        _drive(sampler, _logged(lambda indices: [1] * len(indices), log), 1)
         clone = _fresh(SIX_PROBLEMS, batch_size=4, t=0)
-        clone.load_state_dict(payload)
-        assert clone.state_dict() == payload
+        _drive(clone, _replayed(log), 1)
+        assert _state(clone) == _state(sampler)
 
     def test_state_holds_only_what_a_run_changes(self):
+        # The per-problem columns; the step and the generator are the rest.
         sampler = _fresh(SIX_PROBLEMS, batch_size=4, t=0)
-        assert set(sampler.state_dict()) == {
-            "strategy", "step", "rng", "last_pass_rate", "t", "difficulty"
-        }
+        assert set(sampler.state_arrays()) == {"last_pass_rate", "t", "difficulty"}
 
-    def test_state_from_another_bank_refused(self):
-        payload = _fresh(SIX_PROBLEMS, batch_size=4, t=0).state_dict()
-        payload["t"] = encode_array([0] * 5, "<i8")
-        with pytest.raises(ConfigError, match="sampler state: t: 40 bytes where 6 values"):
-            _fresh(SIX_PROBLEMS, batch_size=4, t=0).load_state_dict(payload)
 
-    @pytest.mark.parametrize(
-        "field, value, match",
-        [
-            ("t", [0] * 6, "t: must be a base64 string"),
-            ("difficulty", "AAAA AAAA", "difficulty: invalid base64"),
-            ("t", encode_array([0] * 7, "<i8"), "t: 56 bytes where 6 values"),
-            ("difficulty", encode_array([0.0] * 6, "<f8")[:-1], "difficulty: invalid base64"),
-            ("t", encode_array([0, -1, 0, 0, 0, 0], "<i8"), "t must be >= 0, got -1"),
-            ("difficulty", encode_array([0.0, math.nan] + [0.0] * 4, "<f8"), "every difficulty"),
-            ("difficulty", encode_array([-math.inf] + [0.0] * 5, "<f8"), "every difficulty"),
-        ],
-        ids=[
-            "list-of-counts",
-            "space-in-base64",
-            "count-too-many",
-            "cut-base64",
-            "negative-count",
-            "nan-estimate",
-            "infinite-estimate",
-        ],
-    )
-    def test_malformed_estimates_refused(self, field, value, match):
-        sampler = _fresh(SIX_PROBLEMS, batch_size=4, t=0)
-        sampler.select_batch()
-        sampler.report([0.5] * 4)
-        payload = sampler.state_dict()
-        payload[field] = value
-        fresh = _fresh(SIX_PROBLEMS, batch_size=4, t=0)
-        before = fresh.state_dict()
-        with pytest.raises(ConfigError, match=f"sampler state: {match}"):
-            fresh.load_state_dict(payload)
-        assert fresh.state_dict() == before
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_feeding_a_fresh_sampler_the_logged_counts_replays_the_run(strategy):
+    # Curriculum switches at step 6 of 12; prioritized starts from a bank a
+    # high ability mostly passes, so some batches fall back to uniform.
+    config = _config(40, 8, rollouts=4, strategy=strategy, total_steps=12)
+    bank = generate_bank(config, np.random.default_rng(3))
+    outcomes = np.random.default_rng(17)
+    passing = strategy == "prioritized"
 
-    def test_state_of_another_strategy_refused(self):
-        payload = _fresh(SIX_PROBLEMS, batch_size=4, t=0).state_dict()
-        payload["strategy"] = "random"
-        with pytest.raises(ConfigError, match="strategy"):
-            _fresh(SIX_PROBLEMS, batch_size=4, t=0).load_state_dict(payload)
+    def roll_round(indices):
+        return outcomes.integers(3 if passing else 0, 5, len(indices))
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [("rng", {}), ("rng", 5), ("rng", {"bit_generator": "PCG64"})],
-        ids=["empty-rng", "int-rng", "rng-without-state"],
-    )
-    def test_malformed_pending_or_rng_refused(self, field, value):
-        for strategy in STRATEGIES:
-            payload = {**_strategy_sampler(strategy).state_dict(), field: value}
-            fresh = _strategy_sampler(strategy)
-            before = fresh.state_dict()
-            with pytest.raises(ConfigError, match=f"sampler state: {field}"):
-                fresh.load_state_dict(payload)
-            assert fresh.state_dict() == before, strategy
-
-    @pytest.mark.parametrize(
-        "rate",
-        [1.5, -0.25, math.inf],
-        ids=["above-one", "below-zero", "infinite"],
-    )
-    def test_bad_last_pass_rate_refused(self, rate):
-        for strategy in STRATEGIES:
-            sampler, _ = _armed(strategy)
-            sampler.report([0.5] * 4)
-            payload = sampler.state_dict()
-            payload["last_pass_rate"] = _with_rate(payload["last_pass_rate"], 1, rate)
-            fresh = _strategy_sampler(strategy)
-            before = fresh.state_dict()
-            with pytest.raises(ConfigError) as refused:
-                fresh.load_state_dict(payload)
-            assert str(refused.value) == (
-                "sampler state: every last_pass_rate must be NaN or a number in [0, 1]"
-            ), strategy
-            assert fresh.state_dict() == before, strategy
-
-    def test_last_pass_rate_takes_nan_and_the_ends_of_the_range(self):
-        for strategy in STRATEGIES:
-            payload = _strategy_sampler(strategy).state_dict()
-            for position, rate in enumerate([0.0, 1.0, -0.0, 5e-324]):
-                payload["last_pass_rate"] = _with_rate(payload["last_pass_rate"], position, rate)
-            fresh = _strategy_sampler(strategy)
-            fresh.load_state_dict(payload)
-            assert fresh.state_dict() == payload, strategy
-            rates = fresh.last_pass_rates
-            assert [r.hex() for r in rates[:4].tolist()] == [
-                "0x0.0p+0", "0x1.0000000000000p+0", "-0x0.0p+0", "0x0.0000000000001p-1022"
-            ], strategy
-            assert np.isnan(rates[4:]).all(), strategy
-
-    def test_last_pass_rate_past_the_bank_refused(self):
-        # The rates are a bank-order column: a value past the bank's end would
-        # be a rate for a problem outside it.
-        for strategy in STRATEGIES:
-            sampler, _ = _armed(strategy)
-            sampler.report([0.5] * 4)
-            payload = sampler.state_dict()
-            rates = sampler.last_pass_rates.tolist()
-            payload["last_pass_rate"] = encode_array([*rates, 0.5], "<f8")
-            fresh = _strategy_sampler(strategy)
-            before = fresh.state_dict()
-            with pytest.raises(ConfigError, match="last_pass_rate: .* bytes where"):
-                fresh.load_state_dict(payload)
-            assert fresh.state_dict() == before, strategy
+    log = []
+    sampler = SAMPLERS[strategy](config, bank, np.random.default_rng(9))
+    steps = _drive(sampler, _logged(roll_round, log), config.total_steps)
+    replica = SAMPLERS[strategy](config, bank, np.random.default_rng(9))
+    assert _drive(replica, _replayed(log), config.total_steps) == steps
+    assert _state(replica) == _state(sampler)
+    if strategy == "cdas":
+        assert replica.estimates.tobytes() == sampler.estimates.tobytes()
+    if strategy == "prioritized":
+        assert replica.uniform_fallbacks == sampler.uniform_fallbacks > 0
+    if strategy == "dynamic":
+        assert len(log) > config.total_steps
 
 
 class TestRecordViews:
@@ -630,7 +566,7 @@ class TestRecordViews:
         sampler = _fresh(SIX_PROBLEMS, batch_size=4, t=0, warmup=False)
         batch = sampler.select_batch()
         sampler.report([0.25] * len(batch))
-        before = sampler.state_dict()
+        before = _state(sampler)
         records = sampler.records
         for record in records.values():
             assert type(record.t) is int and type(record.difficulty) is float
@@ -638,7 +574,7 @@ class TestRecordViews:
         del records[batch[1]]
         assert sampler.records[batch[0]].t == 1
         assert set(sampler.records) == set(SIX_PROBLEMS)
-        assert sampler.state_dict() == before
+        assert _state(sampler) == before
 
     def test_difficulties_follow_the_ids_given(self):
         sampler = _fresh(SIX_PROBLEMS, batch_size=4, warmup=False)

@@ -3,7 +3,6 @@
 import argparse
 import dataclasses
 import json
-import math
 import os
 import subprocess
 import sys
@@ -342,58 +341,34 @@ class TestResumeCommand:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda payload: payload["sampler"].pop("rng"),
-            lambda payload: payload["metrics"].pop("competence"),
-            lambda payload: payload["sampler"].update(t=[0] * 12),
-            lambda payload: payload["sampler"].update(difficulty="not base64"),
-            lambda payload: payload["sampler"].update(t=encode_array([0] * 11, "<i8")),
-            lambda payload: payload["sampler"].update(t=encode_array([-1] * 12, "<i8")),
-            lambda payload: payload["sampler"].update(
-                difficulty=encode_array([math.nan] * 12, "<f8")
-            ),
-            lambda payload: payload["sampler"].update(
-                last_pass_rate=encode_array([2.0] * 12, "<f8")
-            ),
-            lambda payload: payload.update(batches=encode_array([12] * 8, "<i8")),
             lambda payload: payload.update(format_version=4),
-            lambda payload: payload["learner"].update(ability=math.nan),
-            lambda payload: payload["sampler"].update(rng={}),
-            lambda payload: payload["learner"].update(rng=5),
-            lambda payload: payload["metrics"].update(mean_reward="oops!"),
-            lambda payload: payload["metrics"].update(
-                learner_ability=encode_array([0.5] * 3, "<f8")
-            ),
-            lambda payload: payload.update(
-                batches=encode_array([*range(4), 4, 4, 5, 6], "<i8")
-            ),
-            lambda payload: payload["metrics"].update(
-                mean_reward=encode_array([0.5, math.nan], "<f8")
-            ),
-            lambda payload: payload["metrics"].update(
-                learner_ability=encode_array([-math.inf, 0.0], "<f8")
-            ),
+            lambda payload: payload.update(format_version=9),
+            lambda payload: payload.update(rolled=encode_array([2] * 7, "|u1"), rolled_length=7),
+            lambda payload: payload.update(rolled=encode_array([2] * 9, "|u1"), rolled_length=9),
+            lambda payload: payload.update(rolled=encode_array([5] * 8, "|u1")),
+            lambda payload: payload.update(rolled="not base64"),
+            lambda payload: payload.update(steps=True),
+            lambda payload: payload.update(steps=-1),
+            lambda payload: payload.update(steps=6),
+            lambda payload: payload.update(learner_rng={"bit_generator": "PCG64"}),
+            lambda payload: payload.update(learner_rng=5),
             lambda payload: payload["config"].update(strategy=[]),
+            lambda payload: payload["config"].update(rollouts=256),
         ],
         ids=[
-            "no-sampler-rng",
-            "missing-metrics-column",
-            "counts-a-list",
-            "estimates-not-base64",
-            "count-missing",
-            "negative-counts",
-            "nan-estimates",
-            "rates-above-one",
-            "index-past-the-bank",
             "format-4",
-            "nan-ability",
-            "empty-sampler-rng",
+            "format-9",
+            "short-log",
+            "long-log",
+            "count-above-rollouts",
+            "rolled-not-base64",
+            "bool-steps",
+            "negative-steps",
+            "steps-past-the-run",
+            "malformed-learner-rng",
             "int-learner-rng",
-            "string-mean-reward",
-            "three-abilities-for-two-steps",
-            "index-repeated-in-a-step",
-            "nan-mean-reward",
-            "infinite-ability-in-row-1",
             "list-strategy",
+            "rollouts-256",
         ],
     )
     def test_damaged_checkpoint_exits_2(self, tmp_path, capsys, edit):
@@ -406,30 +381,24 @@ class TestResumeCommand:
         path.write_text(json.dumps(payload))
         assert main(["resume", str(path)]) == 2
         err = capsys.readouterr().err
-        assert "checkpoint" in err and "Traceback" not in err
+        assert f"error: checkpoint {path}: " in err and "Traceback" not in err
+        assert len(read_metrics_csv(out / METRICS_FILE)) == 2
 
-    @pytest.mark.parametrize(
-        "strategy, edit",
-        [
-            ("cdas", lambda p: p["metrics"].update(competence=encode_array([math.nan] * 2, "<f8"))),
-            ("random", lambda p: p["metrics"].update(competence=encode_array([0.5] * 2, "<f8"))),
-            ("cdas", lambda p: p["learner"].update(ability=p["learner"]["ability"] + 3.0)),
-            ("cdas", lambda p: p["sampler"].update(t=encode_array([7] + [0] * 11, "<i8"))),
-        ],
-        ids=["cdas-nan-competence", "random-competence", "edited-ability", "edited-count"],
-    )
-    def test_history_the_state_could_not_make_exits_2(self, tmp_path, capsys, strategy, edit):
+    def test_dynamic_log_without_an_interior_group_exits_2(self, tmp_path, capsys):
         out = tmp_path / "run"
-        main(["run", *TINY_FLAGS, "--strategy", strategy, "--out", str(out), "--stop-after", "2"])
+        # Forty problems: ten rounds of four, the most dynamic sampling draws.
+        flags = [*TINY_FLAGS, "--n-problems", "40", "--strategy", "dynamic", "--out", str(out)]
+        main(["run", *flags, "--stop-after", "1"])
         capsys.readouterr()
         path = out / CHECKPOINT_FILE
         payload = json.loads(path.read_text())
-        edit(payload)
+        # Every group passes whole, round after round.
+        payload.update(rolled=encode_array([4] * 40, "|u1"), rolled_length=40)
         path.write_text(json.dumps(payload))
         assert main(["resume", str(path)]) == 2
         err = capsys.readouterr().err
-        assert f"error: checkpoint {path}: " in err and "Traceback" not in err
-        assert len(read_metrics_csv(out / METRICS_FILE)) == 2
+        assert "no problem with interior pass rate found in 10 rounds" in err
+        assert "Traceback" not in err
 
     def test_format_6_checkpoint_exits_2(self, tmp_path, capsys):
         path = DATA / "checkpoint_format6.json"
@@ -445,6 +414,14 @@ class TestResumeCommand:
         assert main(["resume", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "unsupported format_version 7" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_format_9_checkpoint_exits_2(self, tmp_path, capsys):
+        path = DATA / "checkpoint_format9.json"
+        out = tmp_path / "run"
+        assert main(["resume", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "unsupported format_version 9" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_missing_checkpoint_exits_3(self, tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Closed-loop experiment driver: determinism, outputs, checkpoint/resume."""
 
-import base64
 import csv
 import dataclasses
 import itertools
@@ -14,6 +13,7 @@ import numpy as np
 import pytest
 
 from cdas import harness
+from cdas.baselines import RETRY_CAP
 from cdas.config import STRATEGIES, ExperimentConfig
 from cdas.errors import ConfigError
 from cdas.files import decode_array, encode_array
@@ -29,7 +29,7 @@ from cdas.harness import (
     run_experiment,
 )
 from cdas.learner import generate_bank, save_bank
-from cdas.metrics import StepMetrics, read_metrics_csv
+from cdas.metrics import read_metrics_csv
 
 TINY = ExperimentConfig(n_problems=12, batch_size=4, rollouts=4, total_steps=6)
 
@@ -43,20 +43,19 @@ def _tiny(**overrides):
 
 
 def _in_current_format(payload):
-    """An older checkpoint relabelled as the current format: its config cut to
-    today's fields, and its metrics rows stored as columns, NaN for None."""
+    """An older checkpoint relabelled as a current one of no steps, its config
+    cut to today's fields: it holds no rollout log to carry over."""
     fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
     config = {name: value for name, value in payload["config"].items() if name in fields}
-    rows = payload["metrics_rows"]
     return {
-        **{key: value for key, value in payload.items() if key != "metrics_rows"},
         "format_version": harness.CHECKPOINT_VERSION,
         "config": config,
         "config_hash": ExperimentConfig.from_dict(config).content_hash(),
-        "metrics": {
-            name: encode_array([row[name] for row in rows], dtype)
-            for name, dtype in harness._METRICS_DTYPES.items()
-        },
+        "bank_hash": payload["bank_hash"],
+        "steps": 0,
+        "rolled": "",
+        "rolled_length": 0,
+        "learner_rng": payload["learner"]["rng"],
     }
 
 
@@ -255,10 +254,10 @@ def _edit_checkpoint(path, edit):
     path.write_text(json.dumps(payload))
 
 
-def _recoded(obj, key, dtype, edit):
-    """Replace the encoded array ``obj[key]`` of ``dtype`` by ``edit`` of its values."""
-    values = np.frombuffer(base64.b64decode(obj[key]), dtype=dtype).copy()
-    obj[key] = encode_array(edit(values), dtype)
+def _relogged(payload, edit):
+    """Replace the checkpoint's rollout log by ``edit`` of its counts, and its length to match."""
+    counts = edit(decode_array(payload["rolled"], "|u1", payload["rolled_length"], "rolled"))
+    payload["rolled"], payload["rolled_length"] = encode_array(counts, "|u1"), len(counts)
 
 
 def _set(position, value):
@@ -319,7 +318,7 @@ def _crash_a_resume_midway(tmp_path, monkeypatch, name):
         with pytest.raises(OSError, match="disk full"):
             resume_experiment(run / CHECKPOINT_FILE, stop_after=4)
     assert {other: (run / other).read_bytes() for other in later} == before
-    assert load_checkpoint(run / CHECKPOINT_FILE)["sampler"]["step"] == 2
+    assert load_checkpoint(run / CHECKPOINT_FILE)["steps"] == 2
     assert sorted(p.name for p in run.iterdir()) == sorted(OUTPUT_FILES)
     resume_experiment(run / CHECKPOINT_FILE)
     for other in OUTPUT_FILES:
@@ -348,40 +347,30 @@ class TestCheckpointResume:
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_checkpoint_holds_only_mutable_state(self, tmp_path, strategy):
-        # No records, warm-up order or constructor parameters: resume rebuilds
-        # those from the config and the bank.
+        # No records, estimates, batches or metrics: resume rebuilds those by
+        # running the steps again on the logged pass counts.
         result = run_experiment(
             _tiny(strategy=strategy, out_dir=str(tmp_path)), stop_after=2
         )
         payload = load_checkpoint(tmp_path / CHECKPOINT_FILE)
         assert set(payload) == {
             "format_version", "config", "config_hash", "bank_hash",
-            "sampler", "learner", "metrics", "batches",
+            "steps", "rolled", "rolled_length", "learner_rng",
         }
-        own = {
-            "cdas": {"t", "difficulty"},
-            "prioritized": {"uniform_fallbacks"},
-        }.get(strategy, set())
-        assert set(payload["sampler"]) == {"strategy", "step", "rng", "last_pass_rate"} | own
-        assert set(payload["learner"]) == {"ability", "rng"}
-        # The latest pass rates, in bank order, with NaN for the problems
-        # the two batches of four left out.
-        n = len(result.bank)
-        rates = decode_array(payload["sampler"]["last_pass_rate"], "<f8", n, "last_pass_rate")
-        assert np.flatnonzero(~np.isnan(rates)).tolist() == sorted(
-            {i for batch in result.batches for i in batch.tolist()}
-        )
-        # The batches, as bank indices, steps by batch size.
-        batches = decode_array(payload["batches"], "<i8", 2 * 4, "batches")
-        assert batches.tolist() == np.concatenate(result.batches).tolist()
-        # One column per metrics field but the step, NaN for None.
-        fields = [field.name for field in dataclasses.fields(StepMetrics)]
-        assert list(payload["metrics"]) == fields[1:]
-        for name in fields[1:]:
-            dtype = "<i8" if name == "rollout_batches_consumed" else "<f8"
-            column = decode_array(payload["metrics"][name], dtype, 2, name).tolist()
-            expected = [getattr(row, name) for row in result.rows]
-            assert [None if value != value else value for value in column] == expected, name
+        assert payload["steps"] == 2
+        assert payload["learner_rng"] == result.learner.rng.bit_generator.state
+        # Every round's counts in call order, one byte each.
+        length = payload["rolled_length"]
+        rolled = decode_array(payload["rolled"], "|u1", length, "rolled")
+        assert rolled.tolist() == np.concatenate(result.rolled).tolist()
+        if strategy != "dynamic":
+            # One round a step: the batch's own counts, which make its mean reward.
+            assert length == 2 * 4
+            rewards = [sum((counts / 4).tolist()) / 4 for counts in rolled.reshape(2, 4)]
+            assert rewards == [row.mean_reward for row in result.rows]
+        else:
+            # Dynamic rolls out a round's candidates past the one that fills the batch.
+            assert length >= sum(row.rollout_batches_consumed for row in result.rows) >= 8
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_checkpoint_holds_no_json_array(self, tmp_path, strategy):
@@ -397,9 +386,8 @@ class TestCheckpointResume:
     def test_partial_checkpoint_records_progress(self, tmp_path):
         run_experiment(_tiny(out_dir=str(tmp_path)), stop_after=2)
         payload = load_checkpoint(tmp_path / CHECKPOINT_FILE)
-        assert payload["sampler"]["step"] == 2
-        assert decode_array(payload["metrics"]["learner_ability"], "<f8", 2, "ability").shape == (2,)
-        assert decode_array(payload["batches"], "<i8", 2 * 4, "batches").shape == (8,)
+        assert payload["steps"] == 2
+        assert decode_array(payload["rolled"], "|u1", 8, "rolled").shape == (8,)
 
     def test_resume_in_stages(self, tmp_path):
         config = _tiny(seed=4, out_dir=str(tmp_path / "run"))
@@ -440,98 +428,61 @@ class TestCheckpointResume:
     @pytest.mark.parametrize(
         "edit, match",
         [
-            (lambda p: p["sampler"].pop("rng"), "sampler state: missing field 'rng'"),
-            (lambda p: p["metrics"].pop("competence"), "metrics: missing field 'competence'"),
-            (lambda p: p.update(metrics=[]), "metrics: expected a JSON object"),
+            (lambda p: p.pop("rolled"), "checkpoint: missing field 'rolled'"),
+            (lambda p: p.pop("learner_rng"), "checkpoint: missing field 'learner_rng'"),
+            (lambda p: p.update(rolled=[2] * 8), "rolled: must be a base64 string"),
+            (lambda p: p.update(rolled=p["rolled"] + "!"), "rolled: invalid base64"),
+            (lambda p: p.update(rolled_length=9), "rolled: 8 bytes where 9 values"),
+            (lambda p: p.update(rolled_length=True), "rolled_length: must be an integer"),
+            (lambda p: _relogged(p, lambda c: c[:7]), "rolled: step 2: the log runs out$"),
             (
-                lambda p: _recoded(p["metrics"], "mean_reward", "<f8", lambda v: v[:1]),
-                "metrics mean_reward: 8 bytes where 2 values",
+                lambda p: _relogged(p, lambda c: np.append(c, 2)),
+                "rolled: 1 counts left over after step 2$",
             ),
             (
-                lambda p: p["metrics"].update(zero_gradient_fraction="0.5"),
-                "metrics zero_gradient_fraction: invalid base64",
+                lambda p: _relogged(p, _set(5, 5)),
+                r"rolled: step 2: roll_round returned pass count 5 for candidate 1; "
+                r"counts must be in \[0, 4\]",
             ),
+            (lambda p: p.update(steps=2.0), r"steps: must be an integer in \[0, 6\], got 2.0"),
+            (lambda p: p.update(steps=True), r"steps: must be an integer in \[0, 6\], got True"),
+            (lambda p: p.update(steps=-2), r"steps: must be an integer in \[0, 6\], got -2"),
+            (lambda p: p.update(steps=7), r"steps: must be an integer in \[0, 6\], got 7"),
+            (lambda p: p.update(learner_rng={}), "learner_rng: rng must be a PCG64"),
+            (lambda p: p.update(learner_rng=5), "learner_rng: rng must be a PCG64"),
             (
-                lambda p: _recoded(p["metrics"], "learner_ability", "<f8", _set(1, math.nan)),
-                "metrics learner_ability: step 2 holds nan",
+                lambda p: p["learner_rng"]["state"].update(state="0"),
+                "learner_rng: rng must be a PCG64",
             ),
-            (
-                lambda p: _recoded(p["metrics"], "competence", "<f8", _set(0, -math.inf)),
-                "metrics competence: step 1 holds -inf",
-            ),
-            (lambda p: p["sampler"].pop("difficulty"), "missing field 'difficulty'"),
-            (lambda p: p["learner"].pop("rng"), "learner state: missing field 'rng'"),
-            (lambda p: p.pop("batches"), "missing field 'batches'"),
-            (lambda p: p.update(sampler=[]), "sampler state: expected a JSON object"),
-            (lambda p: p.update(batches=[[0, 1, 2, 3]] * 2), "batches: must be a base64 string"),
-            (lambda p: p.update(batches=p["batches"] + "!"), "batches: invalid base64"),
-            (lambda p: _recoded(p, "batches", "<i8", lambda b: b[:4]), "batches: 32 bytes"),
-            (lambda p: _recoded(p, "batches", "<i8", _set(5, 12)), r"index must be in \[0, 12\)"),
-            (lambda p: _recoded(p, "batches", "<i8", _set(0, -1)), r"index must be in \[0, 12\)"),
-            (
-                lambda p: _recoded(p, "batches", "<i8", lambda b: b[[0, 1, 2, 3, 4, 5, 6, 4]]),
-                "batches: step 2 repeats a problem",
-            ),
-            (lambda p: p["sampler"].update(step=2.0), "step must be an integer"),
-            (lambda p: p["sampler"].update(step=True), "step must be an integer"),
-            (lambda p: p["sampler"].update(step=-2), "step must be an integer"),
-            (lambda p: p["learner"].update(ability="0.5"), "ability must be a finite number"),
-            (lambda p: p["learner"].update(ability=math.nan), "ability must be a finite number"),
-            (lambda p: p["learner"].update(ability=True), "ability must be a finite number"),
-            (lambda p: p["learner"].update(ability=10**400), "ability must be a finite number"),
         ],
         ids=[
-            "no-sampler-rng",
-            "missing-metrics-field",
-            "metrics-not-an-object",
-            "metrics-column-short",
-            "metrics-column-not-base64",
-            "nan-learner-ability",
-            "infinite-competence",
-            "no-cdas-difficulty",
+            "no-rolled",
             "no-learner-rng",
-            "no-batches",
-            "sampler-not-an-object",
-            "batches-a-list",
-            "batches-bad-base64",
-            "batch-missing",
-            "index-past-the-bank",
-            "negative-index",
-            "index-repeated-in-a-step",
+            "rolled-a-list",
+            "rolled-bad-base64",
+            "length-disagrees",
+            "bool-length",
+            "short-log",
+            "long-log",
+            "count-above-rollouts",
             "float-step",
             "bool-step",
             "negative-step",
-            "string-ability",
-            "nan-ability",
-            "bool-ability",
-            "overflowing-ability",
+            "step-past-the-run",
+            "empty-learner-rng",
+            "int-learner-rng",
+            "string-learner-rng-state",
         ],
     )
     def test_damaged_checkpoint_refused(self, tmp_path, edit, match):
         run_experiment(_tiny(out_dir=str(tmp_path)), stop_after=2)
         path = tmp_path / CHECKPOINT_FILE
+        before = {name: (tmp_path / name).read_bytes() for name in OUTPUT_FILES}
         _edit_checkpoint(path, edit)
-        with pytest.raises(ConfigError, match=match):
+        with pytest.raises(ConfigError, match=f"^checkpoint {path}: {match}"):
             resume_experiment(path)
-
-    @pytest.mark.parametrize("part", [*STRATEGIES, "learner"])
-    def test_loaders_refuse_a_payload_without_a_state_dict_key(self, part):
-        # Each loader names the keys it needs, so a damaged state is refused
-        # whether or not it came through load_checkpoint.
-        if part == "learner":
-            target, what = run_experiment(_tiny(), stop_after=2).learner, "learner state"
-        else:
-            target = run_experiment(_tiny(strategy=part), stop_after=2).sampler
-            what = "sampler state"
-        state = target.state_dict()
-        for key in state:
-            damaged = {name: value for name, value in state.items() if name != key}
-            with pytest.raises(ConfigError, match=f"^{what}: missing field '{key}'$"):
-                target.load_state_dict(damaged)
-        for damaged in ([], "state", None):
-            with pytest.raises(ConfigError, match=f"^{what}: expected a JSON object$"):
-                target.load_state_dict(damaged)
-        assert target.state_dict() == state
+        before[CHECKPOINT_FILE] = path.read_bytes()
+        assert {name: (tmp_path / name).read_bytes() for name in OUTPUT_FILES} == before
 
     def test_resume_with_new_out_dir(self, tmp_path):
         run_experiment(_tiny(out_dir=str(tmp_path / "a")), stop_after=3)
@@ -552,9 +503,11 @@ class TestCheckpointResume:
         # pass-rate dict keyed by id, version 3 a pending batch, a stored
         # competence and a second step, version 4 per-problem lists and id
         # batches, version 5 a bank hash over text lines, version 6 seven
-        # config fields since made constants, version 7 bank_level_spread, and
-        # version 8 the metrics as a list of JSON objects; all are refused.
-        for version in (1, 2, 3, 4, 5, 6, 7, 8, 99):
+        # config fields since made constants, version 7 bank_level_spread,
+        # version 8 the metrics as a list of JSON objects, and version 9 the
+        # sampler's and learner's state, the metrics and the batches, where
+        # today's holds the rollout log; all are refused.
+        for version in (1, 2, 3, 4, 5, 6, 7, 8, 9, 99):
             run_experiment(_tiny(out_dir=str(tmp_path)), stop_after=2)
             path = tmp_path / CHECKPOINT_FILE
             _edit_checkpoint(path, lambda payload: payload.update(format_version=version))
@@ -581,19 +534,14 @@ class TestCheckpointResume:
             resume_experiment(old, out_dir=tmp_path / "run")
         payload = json.loads(old.read_text())
         path = tmp_path / CHECKPOINT_FILE
-        # Relabelled, with its metrics as columns, its config's old field gives it away.
+        # Relabelled, its config's old field gives it away.
         path.write_text(json.dumps({**_in_current_format(payload), "config": payload["config"]}))
         with pytest.raises(ConfigError, match="unknown config field 'bank_level_spread'"):
             resume_experiment(path, out_dir=tmp_path / "run")
         assert not (tmp_path / "run").exists()
-        # Its config is all that changed: cut to today's fields, it resumes
-        # to the bytes of the run never stopped.
+        # Cut to today's fields, its config still draws its bank.
         path.write_text(json.dumps(_in_current_format(payload)))
-        resume_experiment(path, out_dir=tmp_path / "run")
-        config = ExperimentConfig.from_dict(_in_current_format(payload)["config"])
-        run_experiment(config.with_overrides(out_dir=str(tmp_path / "full")))
-        for name in (METRICS_FILE, BATCHES_FILE, PROBLEMS_FILE):
-            assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+        assert resume_experiment(path, out_dir=tmp_path / "run").bank_hash == payload["bank_hash"]
 
     def test_format_7_checkpoint_refused_by_its_version(self, tmp_path):
         # Written by the format-7 code for a levels bank with
@@ -603,129 +551,70 @@ class TestCheckpointResume:
             resume_experiment(old, out_dir=tmp_path / "run")
         payload = json.loads(old.read_text())
         path = tmp_path / CHECKPOINT_FILE
-        # Relabelled, with its metrics as columns, its config's old field gives it away.
+        # Relabelled, its config's old field gives it away.
         path.write_text(json.dumps({**_in_current_format(payload), "config": payload["config"]}))
         with pytest.raises(ConfigError, match="unknown config field 'bank_level_spread'"):
             resume_experiment(path, out_dir=tmp_path / "run")
         assert not (tmp_path / "run").exists()
-        # With the spread folded into the scale, its bank hash holds and it
-        # resumes to the bytes of the run never stopped.
+        # With the spread folded into the scale, its bank hash holds.
         config = dict(payload["config"])
         config["bank_scale"] = config.pop("bank_level_spread") / 2
-        current = _in_current_format({**payload, "config": config})
-        path.write_text(json.dumps(current))
-        resume_experiment(path, out_dir=tmp_path / "run")
-        config = ExperimentConfig.from_dict(current["config"])
-        run_experiment(config.with_overrides(out_dir=str(tmp_path / "full")))
-        for name in (METRICS_FILE, BATCHES_FILE, PROBLEMS_FILE):
-            assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+        path.write_text(json.dumps(_in_current_format({**payload, "config": config})))
+        assert resume_experiment(path, out_dir=tmp_path / "run").bank_hash == payload["bank_hash"]
+
+    def test_format_9_checkpoint_refused_by_its_version(self, tmp_path):
+        # Written by the format-9 code: the sampler's and learner's state,
+        # the metrics columns and the batches, but no rollout log.
+        old = DATA / "checkpoint_format9.json"
+        with pytest.raises(ConfigError, match="unsupported format_version 9"):
+            resume_experiment(old, out_dir=tmp_path / "run")
+        payload = json.loads(old.read_text())
+        # Relabelled, it lacks the log a resume replays.
+        path = tmp_path / CHECKPOINT_FILE
+        path.write_text(json.dumps({**payload, "format_version": harness.CHECKPOINT_VERSION}))
+        with pytest.raises(ConfigError, match="missing field 'steps'"):
+            resume_experiment(path, out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
         "strategy, edit, match",
         [
-            ("cdas", lambda s: _recoded(s, "t", "<i8", lambda t: t[:-1]), "where 12 values"),
-            ("cdas", lambda s: s.update(difficulty=[0.0] * 12), "must be a base64 string"),
-            ("cdas", lambda s: _recoded(s, "t", "<i8", _set(0, -1)), "t must be >= 0"),
-            ("cdas", lambda s: _recoded(s, "difficulty", "<f8", _set(3, math.inf)), "finite"),
-            ("random", lambda s: s.update(step=s["step"] + 1), "where 3 values"),
-            ("cdas", lambda s: s.update(step=s["step"] - 1), "where 1 values"),
-            ("random", lambda s: _recoded(s, "last_pass_rate", "<f8", lambda r: r[:-1]), "where"),
-            ("curriculum", lambda s: s.update(last_pass_rate=None), "must be a base64 string"),
-            ("prioritized", lambda s: _recoded(s, "last_pass_rate", "<f8", _set(0, 1.5)), "NaN or"),
-            ("dynamic", lambda s: s.update(last_pass_rate="\u00e9" * 128), "invalid base64"),
-            ("prioritized", lambda s: s.update(uniform_fallbacks=1.0), "uniform_fallbacks"),
+            ("random", lambda p: p.update(steps=3), "rolled: step 3: the log runs out$"),
+            ("cdas", lambda p: p.update(steps=1), "4 counts left over after step 1$"),
+            ("random", lambda p: _relogged(p, lambda c: c[1:]), "rolled: step 2: the log runs out$"),
+            ("curriculum", lambda p: p.update(rolled=None), "rolled: must be a base64 string"),
+            ("prioritized", lambda p: _relogged(p, _set(0, 5)), "pass count 5 for candidate 0"),
+            ("dynamic", lambda p: p.update(rolled="\u00e9" * 12), "rolled: invalid base64"),
         ],
         ids=[
-            "count-missing",
-            "estimates-a-list",
-            "negative-count",
-            "infinite-estimate",
             "step-ahead",
             "step-behind",
             "rate-missing",
             "rates-null",
             "rate-above-one",
             "rates-not-ascii",
-            "float-fallbacks",
         ],
     )
     def test_edited_sampler_state_detected(self, tmp_path, strategy, edit, match):
-        # The config hash covers only the config, so the sampler state is
-        # checked against the rebuilt bank and the recorded steps instead.
-        run_experiment(_tiny(strategy=strategy, out_dir=str(tmp_path)), stop_after=2)
-        path = tmp_path / CHECKPOINT_FILE
-        _edit_checkpoint(path, lambda payload: edit(payload["sampler"]))
-        with pytest.raises(ConfigError, match=match):
-            resume_experiment(path)
-
-    @pytest.mark.parametrize(
-        "strategy, edit, match",
-        [
-            (
-                "cdas",
-                lambda p: _recoded(p["metrics"], "competence", "<f8", lambda c: c * math.nan),
-                "metrics competence: step 1 holds nan",
-            ),
-            (
-                "cdas",
-                lambda p: _recoded(
-                    p["metrics"], "mean_sampled_difficulty", "<f8", _set(0, math.nan)
-                ),
-                "metrics mean_sampled_difficulty: step 1 holds nan",
-            ),
-            (
-                "random",
-                lambda p: _recoded(p["metrics"], "competence", "<f8", _set(slice(None), 0.5)),
-                "metrics competence: step 1 holds 0.5",
-            ),
-            (
-                "dynamic",
-                lambda p: _recoded(p["metrics"], "mean_sampled_difficulty", "<f8", _set(1, 0.0)),
-                "metrics mean_sampled_difficulty: step 2 holds 0.0",
-            ),
-            (
-                "cdas",
-                lambda p: p["learner"].update(ability=p["learner"]["ability"] + 3.0),
-                "metrics: step 2's learner_ability or competence is not the restored",
-            ),
-            (
-                "curriculum",
-                lambda p: _recoded(p["metrics"], "learner_ability", "<f8", lambda a: a - 1.0),
-                "metrics: step 2's learner_ability or competence is not the restored",
-            ),
-            (
-                "cdas",
-                lambda p: _recoded(p["metrics"], "competence", "<f8", lambda c: -c),
-                "metrics: step 2's learner_ability or competence is not the restored",
-            ),
-            (
-                "cdas",
-                lambda p: _recoded(p["sampler"], "t", "<i8", _set(3, 7)),
-                "t does not count the problems in the batches",
-            ),
-            (
-                "cdas",
-                lambda p: _recoded(p, "batches", "<i8", lambda b: (b + 1) % 12),
-                "t does not count the problems in the batches",
-            ),
-        ],
-        ids=[
-            "cdas-nan-competence",
-            "cdas-nan-difficulty-in-row-1",
-            "random-competence",
-            "dynamic-difficulty-in-row-2",
-            "cdas-ability-edited",
-            "curriculum-last-ability-edited",
-            "cdas-last-competence-negated",
-            "cdas-count-edited",
-            "cdas-batches-shifted",
-        ],
-    )
-    def test_history_the_state_could_not_make_refused(self, tmp_path, strategy, edit, match):
+        # The config hash covers only the config.  The sampler's history is
+        # its step count and the pass counts it was fed, each pass rate a
+        # count out of the group size, so a resume checks them by replaying
+        # them: the steps must use up the log exactly, on counts it can take.
         run_experiment(_tiny(strategy=strategy, out_dir=str(tmp_path)), stop_after=2)
         path = tmp_path / CHECKPOINT_FILE
         _edit_checkpoint(path, edit)
         with pytest.raises(ConfigError, match=match):
+            resume_experiment(path)
+
+    def test_dynamic_log_without_an_interior_group_refused(self, tmp_path):
+        # A log of groups that all pass spends all RETRY_CAP rounds of four
+        # on the first step.
+        config = _tiny(strategy="dynamic", n_problems=4 * RETRY_CAP, out_dir=str(tmp_path))
+        run_experiment(config, stop_after=1)
+        path = tmp_path / CHECKPOINT_FILE
+        _edit_checkpoint(path, lambda p: _relogged(p, lambda c: np.full(4 * RETRY_CAP, 4)))
+        match = rf"rolled: step 1: no problem with interior pass rate found in {RETRY_CAP} rounds"
+        with pytest.raises(ConfigError, match=f"^checkpoint {path}: {match}"):
             resume_experiment(path)
 
     def test_failed_checkpoint_write_keeps_the_previous_checkpoint(

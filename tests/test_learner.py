@@ -23,6 +23,7 @@ from cdas.learner import (
     ProblemBank,
     SyntheticLearner,
     _quintile_tags,
+    check_rng_state,
     default_ability,
     generate_bank,
     load_bank,
@@ -73,13 +74,14 @@ class TestSuccessProbability:
 
 class TestRollouts:
     def test_empirical_rate_matches_model(self):
-        # One huge group: the empirical pass rate should sit within three
-        # standard errors of sigmoid(ability - b).
+        # 10,000 rollouts in 40 groups of 250 (a group holds at most 255):
+        # the empirical pass rate should sit within three standard errors of
+        # sigmoid(ability - b).
         p = 1.0 / (1.0 + math.exp(-0.7))
-        learner = _learner(0.2, seed=11, rollouts=10_000)
-        group = learner.rollout_group("q", -0.5)
+        learner = _learner(0.2, seed=11, rollouts=250)
+        passes = sum(sum(learner.rollout_group("q", -0.5).rewards) for _ in range(40))
         standard_error = math.sqrt(p * (1.0 - p) / 10_000)
-        assert abs(group.pass_rate - p) <= 3 * standard_error
+        assert abs(passes / 10_000 - p) <= 3 * standard_error
 
     def test_far_below_ability_groups_all_pass(self):
         learner = _learner(10.0, seed=5)
@@ -136,10 +138,10 @@ class TestLearnStep:
         # Zero-gradient flags once fed this method: each True would read as a
         # count of 1, a mixed group, and invert the gain without a word.
         learner = _learner(0.5, seed=2)
-        before = (learner.ability, learner.state_dict())
+        before = (learner.ability, learner.rng.bit_generator.state)
         with pytest.raises(ValueError, match=message):
             learner.learn_step(counts)
-        assert (learner.ability, learner.state_dict()) == before
+        assert (learner.ability, learner.rng.bit_generator.state) == before
 
     def test_ability_never_decreases(self):
         rng = np.random.default_rng(3)
@@ -180,9 +182,9 @@ class TestLearnerConfig:
         counts = batched.pass_counts(np.arange(len(latents)))
         assert counts.tolist() == [single.rollout_group("q", b).rewards.count(1.0) for b in latents]
         assert counts.dtype == np.int64
-        assert batched.state_dict() == single.state_dict()
+        assert batched.rng.bit_generator.state == single.rng.bit_generator.state
         assert batched.pass_counts([]).tolist() == []
-        assert batched.state_dict() == single.state_dict()
+        assert batched.rng.bit_generator.state == single.rng.bit_generator.state
 
     def test_pass_counts_match_success_probability_at_an_infinite_logit(self):
         # 1e308 times a gap of 4 or -2 overflows to an infinite logit, which
@@ -195,17 +197,18 @@ class TestLearnerConfig:
         counts = batched.pass_counts([0, 1, 2]).tolist()
         assert counts == [single.rollout_group("q", b).rewards.count(1.0) for b in latents]
         assert counts[:2] == [batched.rollouts, 0]
-        assert batched.state_dict() == single.state_dict()
+        assert batched.rng.bit_generator.state == single.rng.bit_generator.state
 
     def test_state_round_trip_resumes_stream(self):
+        # A resume gives a rebuilt learner the checkpointed generator state;
+        # its ability it rebuilds from the logged counts.
         learner = _learner(0.4, seed=21)
         learner.rollout_group("q", 0.0)
-        clone = _learner(0.0, seed=0)
-        clone.load_state_dict(learner.state_dict())
+        clone = _learner(0.4, seed=0)
+        clone.rng.bit_generator.state = learner.rng.bit_generator.state
         want = learner.rollout_group("q", 0.2)
         got = clone.rollout_group("q", 0.2)
         assert got.rewards == want.rewards
-        assert clone.ability == learner.ability
 
     @pytest.mark.parametrize(
         "edit",
@@ -225,10 +228,10 @@ class TestLearnerConfig:
     )
     def test_malformed_rng_state_refused(self, edit):
         learner = _learner(0.4, seed=21)
-        before = learner.state_dict()
-        with pytest.raises(ConfigError, match="learner state: rng"):
-            learner.load_state_dict({"ability": 1.5, "rng": edit(before["rng"])})
-        assert learner.state_dict() == before
+        before = learner.rng.bit_generator.state
+        with pytest.raises(ConfigError, match="learner_rng: rng must be a PCG64"):
+            check_rng_state(learner.rng, edit(before), "learner_rng")
+        assert learner.rng.bit_generator.state == before
 
 
 class TestGenerateBank:

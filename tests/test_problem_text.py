@@ -1,17 +1,16 @@
-"""problems.csv, the bank hash and the checkpoint's sampler state at their edge values.
+"""problems.csv, the bank hash and the checkpointed state at their edge values.
 
 problems.csv is written ``BLOCK_ROWS`` rows at a time, and
 ``ProblemBank.content_hash`` digests whole columns.  The oracles are plain
 forms: ``csv.writer.writerows`` over the columns for problems.csv, and the
 hash's bytes built one problem at a time.  Bank sizes sit on both sides of
-each block boundary.  The sampler state's columns are bytes, so they must
-come back from JSON bit for bit.
+each block boundary.  A checkpoint is JSON text, and the state a resume
+rebuilds from it must come back bit for bit.
 """
 
 import csv
 import hashlib
 import io
-import json
 import math
 import struct
 import tempfile
@@ -24,10 +23,16 @@ from hypothesis import strategies as st
 
 from cdas import harness
 from cdas.config import BANK_MODES, STRATEGIES, ExperimentConfig
-from cdas.files import encode_array
-from cdas.harness import BLOCK_ROWS, PROBLEMS_FILE, RunResult, run_experiment, write_outputs
+from cdas.harness import (
+    BLOCK_ROWS,
+    CHECKPOINT_FILE,
+    PROBLEMS_FILE,
+    RunResult,
+    resume_experiment,
+    run_experiment,
+    write_outputs,
+)
 from cdas.learner import ProblemBank
-from cdas.sampling import COLUMN_TYPES
 
 SIZES = [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]
 
@@ -106,17 +111,15 @@ def _runs(n, strategy, mode, seed, steps, prefix, latents, tags, estimates, coun
 
     # Odd id text, untagged problems, negative zero, subnormal and huge
     # latents and estimates, counts past 2**31, and negative zero and
-    # subnormal pass rates.
-    state = run.sampler.state_dict()
-    if strategy == "cdas":
-        state["t"] = encode_array(_tile(counts, n), "<i8")
-        state["difficulty"] = encode_array(_tile(estimates, n), "<f8")
-    last_pass_rate = run.sampler.last_pass_rates.copy()
-    for position, rate in rates:
-        last_pass_rate[position % n] = rate
-    state["last_pass_rate"] = encode_array(last_pass_rate, "<f8")
+    # subnormal pass rates.  No short run reaches them, so the sampler's
+    # columns are written directly.
     sampler = harness.make_sampler(config, run.bank, np.random.default_rng(seed))
-    sampler.load_state_dict(state)
+    if strategy == "cdas":
+        sampler._t[:] = _tile(counts, n)
+        sampler._D[:] = _tile(estimates, n)
+    sampler._last_pass_rate[:] = run.sampler.last_pass_rates
+    for position, rate in rates:
+        sampler._last_pass_rate[position % n] = rate
     bank = ProblemBank([f"{prefix}{i}" for i in range(n)], _tile(tags, n), _tile(latents, n))
     edged = RunResult(config, bank, sampler, run.learner, run.rows, run.batches)
     return run, edged
@@ -200,42 +203,27 @@ def test_a_failed_write_leaves_the_next_write_correct(tmp_path, monkeypatch):
     assert (tmp_path / PROBLEMS_FILE).read_bytes() == before
 
 
-# Counts up to 2**62: past a 32-bit int and past the integers a float holds exactly.
-STATE_COUNTS = st.one_of(st.sampled_from([0, 1, 2**31, 2**53 + 1, 2**62]), st.integers(0, 2**62))
-STATE_RATES = st.sampled_from([math.nan, 0.0, -0.0, 5e-324, 0.25, 1 / 3, 1.0])
-STATE_ESTIMATES = st.one_of(st.sampled_from([-0.0, 5e-324, 1e300, -1e300]), EDGE_FLOATS)
-
-
 @pytest.mark.parametrize("strategy", STRATEGIES)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=10, deadline=None)
 @given(
-    n=st.integers(1, 12),
-    step=st.integers(0, 2**62),
-    rates=st.lists(STATE_RATES, min_size=1, max_size=12),
-    counts=st.lists(STATE_COUNTS, min_size=1, max_size=12),
-    estimates=st.lists(STATE_ESTIMATES, min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+    rollouts=st.sampled_from([2, 3, 8, 255]),
+    steps=st.integers(1, 8),
 )
-def test_state_survives_json_bit_for_bit(strategy, n, step, rates, counts, estimates):
-    config = ExperimentConfig(n_problems=n, batch_size=1, symmetric=False, strategy=strategy)
-    # Level 5: every problem is one a curriculum can switch to.
-    bank = ProblemBank([f"p{i}" for i in range(n)], [5] * n, [0.0] * n)
-
-    def sampler():
-        return harness.make_sampler(config, bank, np.random.default_rng(step))
-
-    columns = {"last_pass_rate": np.array(_tile(rates, n), dtype=np.float64)}
-    if strategy == "cdas":
-        columns["t"] = np.array(_tile(counts, n), dtype=np.int64)
-        columns["difficulty"] = np.array(_tile(estimates, n), dtype=np.float64)
-    source = sampler()
-    encoded = {key: encode_array(values, COLUMN_TYPES[key]) for key, values in columns.items()}
-    source.load_state_dict({**source.state_dict(), "step": step, **encoded})
-    state = source.state_dict()
-
-    restored = sampler()
-    restored.load_state_dict(json.loads(json.dumps(state)))
-    assert restored.state_dict() == state
-    got = restored.state_arrays()
-    assert got["step"] == step
-    for key, values in columns.items():
+def test_state_survives_json_bit_for_bit(strategy, seed, rollouts, steps):
+    # Groups of up to 255 rollouts, the largest count a byte of the log holds.
+    config = ExperimentConfig(
+        n_problems=40, batch_size=8, rollouts=rollouts, total_steps=8, strategy=strategy, seed=seed
+    )
+    with tempfile.TemporaryDirectory() as out:
+        run = run_experiment(config.with_overrides(out_dir=out), stop_after=steps)
+        # Up to the checkpoint's step: the replay alone, and nothing written.
+        resumed = resume_experiment(Path(out) / CHECKPOINT_FILE, stop_after=steps)
+    assert resumed.rows == run.rows
+    assert resumed.learner.ability == run.learner.ability
+    assert resumed.learner.rng.bit_generator.state == run.learner.rng.bit_generator.state
+    assert resumed.sampler._rng.bit_generator.state == run.sampler._rng.bit_generator.state
+    got, want = resumed.sampler.state_arrays(), run.sampler.state_arrays()
+    assert list(got) == list(want)
+    for key, values in want.items():
         assert got[key].tobytes() == values.tobytes(), key

@@ -2,11 +2,15 @@
 
 import dataclasses
 import importlib
+import json
 import re
 from pathlib import Path
 
+import pytest
+
 import cdas
 from cdas import harness, learner
+from cdas.errors import ConfigError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -28,10 +32,11 @@ def test_library_example_runs():
         "my_roll_round": lambda indices: [4] * len(indices),
     }
     exec(compile(_library_example(), str(README), "exec"), namespace)
-    sampler = namespace["sampler"]
-    assert sampler.step == 2
-    assert sampler.pending is None
-    assert namespace["state"]["step"] == 2
+    sampler, replica = namespace["sampler"], namespace["replica"]
+    assert sampler.step == replica.step == 2
+    assert sampler.pending is None and replica.pending is None
+    assert replica.estimates.tobytes() == sampler.estimates.tobytes()
+    assert replica.last_pass_rates.tobytes() == sampler.last_pass_rates.tobytes()
 
 
 # A backticked dotted name, such as `cdas.files.replacing` or `RunResult.batches`.
@@ -71,7 +76,7 @@ def test_readme_names_resolve():
     assert sorted(name for name in names if not _resolves(name)) == []
 
 
-def test_readme_format_versions_match_the_code():
+def test_readme_format_versions_match_the_code(tmp_path):
     text = README.read_text(encoding="utf-8")
 
     def stated(pattern: str) -> list[int]:
@@ -80,6 +85,11 @@ def test_readme_format_versions_match_the_code():
     checkpoint = harness.CHECKPOINT_VERSION
     assert stated(r"`checkpoint\.json` \(format version (\d+)\)") == [checkpoint]
     assert stated(r"Checkpoints of versions 1 to (\d+) are refused") == [checkpoint - 1]
+    for version in range(1, checkpoint):
+        path = tmp_path / f"checkpoint{version}.json"
+        path.write_text(json.dumps({"format_version": version}))
+        with pytest.raises(ConfigError, match=f"unsupported format_version {version} "):
+            harness.load_checkpoint(path)
     assert stated(r"Bank files are format version (\d+)") == [learner.BANK_FORMAT_VERSION]
     assert stated(r"Bank files of versions 1 to (\d+) are refused") == [
         learner.BANK_FORMAT_VERSION - 1

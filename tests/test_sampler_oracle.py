@@ -18,9 +18,8 @@ from cdas.core import (
     update_difficulty,
 )
 from cdas.config import ExperimentConfig
-from cdas.files import encode_array
 from cdas.learner import ProblemBank
-from cdas.sampling import CdasSampler
+from cdas.sampling import CdasSampler, _competence
 
 
 class ScalarCdas:
@@ -114,11 +113,12 @@ def _sampler(records, step, **fields):
     bank = ProblemBank(ids, [None] * len(ids), [0.0] * len(ids))
     config = ExperimentConfig(n_problems=len(ids), warmup=False, **fields)
     sampler = CdasSampler(config, bank, np.random.default_rng(0))
-    state = sampler.state_dict()
-    state["step"] = step
-    state["t"] = encode_array([record.t for record in records], "<i8")
-    state["difficulty"] = encode_array([record.difficulty for record in records], "<f8")
-    sampler.load_state_dict(state)
+    # No short run reaches arbitrary records, so the arrays are written
+    # directly; competence is what a report would leave, 0.0 before the first.
+    sampler._step = step
+    sampler._t[:] = [record.t for record in records]
+    sampler._D[:] = [record.difficulty for record in records]
+    sampler._competence = _competence(sampler._D) if step else 0.0
     return sampler
 
 
@@ -148,8 +148,8 @@ def test_array_sampler_matches_the_scalar_reference(scenario):
 
 def test_negative_zero_bank_has_the_scalar_competence():
     # The scalar loop starts from 0.0, so a bank of -0.0 estimates sums to 0.0
-    # and its competence is -0.0.  A restored step-1 sampler derives its
-    # competence from the estimates, not the 0.0 of a sampler at step 0.
+    # and its competence is -0.0.  A step-1 sampler's competence comes from
+    # the estimates, not the 0.0 of a sampler at step 0.
     records = [ProblemRecord(id=pid, t=1, difficulty=-0.0) for pid in "abcd"]
     sampler = _sampler(records, 1, batch_size=2)
     assert _bits([sampler.competence_value]) == _bits([update_competence(records)]) == ["-0x0.0p+0"]

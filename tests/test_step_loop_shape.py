@@ -152,7 +152,7 @@ def test_a_sampler_draws_at_most_once_per_step_or_round(monkeypatch, tmp_path, s
 
     def start(config):
         bank, sampler_rng, run_learner = real_start(config)
-        run_learner._rng = LoggingGenerator(run_learner._rng, learner_log)
+        run_learner.rng = LoggingGenerator(run_learner.rng, learner_log)
         return bank, sampler_rng, run_learner
 
     def pass_counts(self, *args):

@@ -2,8 +2,9 @@
 
 A run with outputs hashes its bank once, over the bank's bytes, and writes
 problems.csv in one pass that formats each latent once.  The checkpoint
-holds each per-problem column and the batches as base64 bytes, so JSON
-never sees a list with one entry per problem, nor a batch.  A run without
+holds the rollout log as base64 bytes and nothing per problem, so JSON
+never sees a list with one entry per problem, nor a batch, and its size
+does not grow with the bank.  A run without
 outputs never hashes its bank and formats no latent, and a resume hashes it
 once, for its bank check.  Batches travel as bank indices: the step loop
 never looks an id up, a write looks up each batch's ids once, for
@@ -20,7 +21,7 @@ import pytest
 
 from cdas import harness, learner
 from cdas.config import STRATEGIES, ExperimentConfig
-from cdas.files import decode_array
+from cdas.files import encode_array
 from cdas.harness import BLOCK_ROWS, CHECKPOINT_FILE, resume_experiment, run_experiment
 from cdas.learner import ProblemBank
 
@@ -125,8 +126,7 @@ def test_a_run_with_outputs_hashes_once_and_formats_each_latent_once(
     assert formatted == _one_write(result)
     assert calls["bank_sized_lists_dumped"] == 0
     checkpoint = json.loads((tmp_path / CHECKPOINT_FILE).read_text())
-    rates = checkpoint["sampler"]["last_pass_rate"]
-    assert decode_array(rates, "<f8", N_PROBLEMS, "last_pass_rate").shape == (N_PROBLEMS,)
+    assert checkpoint["rolled_length"] == sum(len(counts) for counts in result.rolled)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -227,11 +227,10 @@ def test_each_write_looks_up_each_batch_id_once(calls, id_lookups, tmp_path, str
     result = resume_experiment(tmp_path / CHECKPOINT_FILE)
     assert id_lookups["write"] == len(result.batches) * BATCH_SIZE == 6 * BATCH_SIZE
     assert id_lookups["step_loop"] == 0
-    # The checkpoint's batches are bank indices, not ids.
+    # The checkpoint holds no batch: the replay draws each again.
     assert calls["batches_dumped"] == 0
     checkpoint = json.loads((tmp_path / CHECKPOINT_FILE).read_text())
-    batches = decode_array(checkpoint["batches"], "<i8", 6 * BATCH_SIZE, "batches")
-    assert batches.tolist() == np.concatenate(result.batches).tolist()
+    assert set(checkpoint).isdisjoint({"batches", "sampler"})
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -240,3 +239,24 @@ def test_a_resume_never_builds_the_id_index(tmp_path, strategy):
     result = resume_experiment(tmp_path / CHECKPOINT_FILE)
     assert len(result.rows) == 6
     assert "index" not in vars(result.bank)
+
+
+def test_the_checkpoint_does_not_grow_with_the_bank(tmp_path):
+    # Ten times the bank, the same batches and steps: the same checkpoint
+    # size.  Only the digits of the bank size and of the learner generator's
+    # 128-bit state may differ, so each value is measured apart from those.
+    sizes = []
+    for n in (2_000, 20_000):
+        config = ExperimentConfig(n_problems=n, batch_size=128, total_steps=4)
+        run_experiment(config.with_overrides(out_dir=str(tmp_path / str(n))))
+        checkpoint = json.loads((tmp_path / str(n) / CHECKPOINT_FILE).read_text())
+        for name in ("n_problems", "out_dir"):
+            del checkpoint["config"][name]
+        generator = checkpoint.pop("learner_rng")
+        generator["state"] = dict.fromkeys(generator["state"], 0)
+        sizes.append(
+            {key: len(json.dumps(value)) for key, value in checkpoint.items()}
+            | {"learner_rng": len(json.dumps(generator))}
+        )
+    assert sizes[0] == sizes[1]
+    assert sizes[0]["rolled"] == len(json.dumps(encode_array(np.zeros(4 * 128), "|u1")))
