@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, RolloutBudgetError
-from .sampling import Sampler, rolled_counts, smallest_by
+from .sampling import Sampler, checked_counts, smallest_by
 
 # The lowest level curriculum samples from after its switch.
 CURRICULUM_LEVEL = 4
@@ -119,10 +119,10 @@ class PrioritizedSampler(BaselineSampler):
 class DynamicSampler(BaselineSampler):
     """Oversample-and-filter selection keeping only problems with interior pass rates.
 
-    Candidates are drawn uniformly in rounds and rolled out in draw order;
-    those with pass rate exactly 0 or 1 are discarded.  A round draws one
-    batch's worth.  A round stops at the candidate that fills the batch, and
-    drawing once ``RETRY_CAP`` rounds are spent.  A capped batch is padded
+    Candidates are drawn uniformly in rounds and their groups roll out in
+    draw order; those with pass rate exactly 0 or 1 are discarded.  A round
+    draws one batch's worth.  A round stops at the candidate that fills the
+    batch, and drawing once ``RETRY_CAP`` rounds are spent.  A capped batch is padded
     with the most recently filtered candidates so batch size is preserved.
     """
 
@@ -155,7 +155,7 @@ class DynamicSampler(BaselineSampler):
         """
         batch_size, group_size = self.batch_size, self.group_size
         untried = np.ones(len(self.bank), dtype=bool)
-        rolled: list[np.ndarray] = []
+        tried: list[np.ndarray] = []
         counts: list[np.ndarray] = []
         n_kept = 0
         rounds = 0
@@ -166,16 +166,16 @@ class DynamicSampler(BaselineSampler):
             rounds += 1
             draw = self._rng.choice(pool.size, size=min(batch_size, pool.size), replace=False)
             candidates = pool[draw]
-            round_counts = rolled_counts(roll_round, candidates, group_size)
+            round_counts = checked_counts(roll_round, candidates, group_size)
             untried[candidates] = False
             interior = np.flatnonzero((round_counts > 0) & (round_counts < group_size))
             if interior.size >= batch_size - n_kept:
                 stop = interior[batch_size - n_kept - 1] + 1
                 candidates, round_counts = candidates[:stop], round_counts[:stop]
-            rolled.append(candidates)
+            tried.append(candidates)
             counts.append(round_counts)
             n_kept += min(interior.size, batch_size - n_kept)
-        indices, group_counts = np.concatenate(rolled), np.concatenate(counts)
+        indices, group_counts = np.concatenate(tried), np.concatenate(counts)
         interior = (group_counts > 0) & (group_counts < group_size)
         batch = np.flatnonzero(interior)
         if batch.size < batch_size:

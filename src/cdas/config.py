@@ -40,8 +40,7 @@ _POSITIVE = ("finite and > 0", lambda value: 0.0 < value <= _MAX)
 FIELD_RULES: dict[str, tuple[str, Callable]] = {
     "n_problems": _at_least(1),
     "batch_size": _at_least(1),
-    # A pass count is stored in one byte of a checkpoint's rollout log.
-    "rollouts": ("in [2, 255]", lambda value: 2 <= value <= 255),
+    "rollouts": _at_least(2),
     "total_steps": _at_least(1),
     "strategy": (f"one of {STRATEGIES}", STRATEGIES.__contains__),
     "seed": _at_least(0),

@@ -1,5 +1,5 @@
 """File access shared across the package: atomic replacement, the JSON reader, the
-check that a payload holds its keys, and the base64 text a checkpoint stores arrays as."""
+check that a payload holds its keys, and the base64 text a bank file stores its latents as."""
 
 from __future__ import annotations
 

@@ -24,9 +24,9 @@ import numpy as np
 from .baselines import PrioritizedSampler
 from .config import SAMPLERS, ExperimentConfig
 from .core import LEVEL_TAGS
-from .errors import ConfigError, ConsistencyError, RolloutBudgetError
-from .files import decode_array, encode_array, read_json, replacing, require
-from .learner import ProblemBank, SyntheticLearner, check_rng_state, generate_bank, load_bank
+from .errors import ConfigError
+from .files import read_json, replacing, require
+from .learner import ProblemBank, SyntheticLearner, generate_bank, load_bank
 from .metrics import (
     METRICS_COLUMNS,
     StepMetrics,
@@ -39,7 +39,7 @@ from .sampling import Sampler
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 10
+CHECKPOINT_VERSION = 11
 
 METRICS_FILE = "metrics.csv"
 SUMMARY_FILE = "summary.json"
@@ -59,19 +59,18 @@ class RunResult:
     """A run as it goes on: its bank, sampler, learner and what each step recorded.
 
     ``batches`` holds each step's batch as a read-only array of bank
-    indices, in batch order; ``bank.ids`` names them.  ``rolled`` holds the
-    pass counts of every rollout round, as uint8 arrays in call order:
-    dynamic sampling's discarded candidates are in it too.  The run's state
-    is a function of its config and these counts, so they are all a
-    checkpoint keeps of its steps.
+    indices, in batch order; ``bank.ids`` names them.  Every rollout is
+    drawn by the learner's generator, spawned from the config's seed, so the
+    run's state is a function of its config and its step count, and those
+    are all a checkpoint keeps.
 
     ``stage_seconds`` adds up the wall-clock seconds this process spent in
     each of ``STAGES``: choosing batches (``select``), the learner's rollout
     rounds within them (``rollout``), reporting pass rates, the learner
     update, the metrics row, and writing the output files.  It is kept in
     memory only, out of every output file and the checkpoint.  A resumed run
-    counts from zero, and the steps it replays from its checkpoint count as
-    well, their ``rollout`` being the reading of the logged counts.
+    counts from zero, and the steps it runs again up to its checkpoint count
+    as well, rollouts included.
     """
 
     config: ExperimentConfig
@@ -80,7 +79,6 @@ class RunResult:
     learner: SyntheticLearner
     rows: list[StepMetrics] = field(default_factory=list)
     batches: list[np.ndarray] = field(default_factory=list)
-    rolled: list[np.ndarray] = field(default_factory=list)
     stage_seconds: dict[str, float] = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
 
     @property
@@ -146,12 +144,12 @@ def _start(
     config: ExperimentConfig,
 ) -> tuple[ProblemBank, np.random.Generator, SyntheticLearner]:
     """The bank, the sampler's random stream and a fresh learner."""
-    bank_rng, sampler_rng, learner_rng = _spawned_rngs(config.seed)
+    bank_rng, sampler_rng, rollout_rng = _spawned_rngs(config.seed)
     if config.bank_path is not None:
         bank = load_bank(config.bank_path)
     else:
         bank = generate_bank(config, bank_rng)
-    return bank, sampler_rng, SyntheticLearner(config, bank, learner_rng)
+    return bank, sampler_rng, SyntheticLearner(config, bank, rollout_rng)
 
 
 def make_sampler(config: ExperimentConfig, bank: ProblemBank, rng: np.random.Generator) -> Sampler:
@@ -159,23 +157,16 @@ def make_sampler(config: ExperimentConfig, bank: ProblemBank, rng: np.random.Gen
     return SAMPLERS[config.strategy](config, bank, rng)
 
 
-def _advance(run: RunResult, target_step: int, pass_counts=None) -> None:
-    """Run steps up to ``target_step``, carrying each batch as bank indices.
-
-    ``pass_counts(indices)`` is the source of each rollout round's counts:
-    the learner's own rollouts unless another is given.  Every round's
-    counts are logged in ``run.rolled``.
-    """
+def _advance(run: RunResult, target_step: int) -> None:
+    """Run steps up to ``target_step``, carrying each batch as bank indices."""
     sampler = run.sampler
     seconds, clock = run.stage_seconds, time.perf_counter
-    source = run.learner.pass_counts if pass_counts is None else pass_counts
     rolling = 0.0
 
     def roll_round(indices):
         nonlocal rolling
         began = clock()
-        counts = source(indices)
-        run.rolled.append(np.asarray(counts).astype(np.uint8, copy=False))
+        counts = run.learner.pass_counts(indices)
         rolling += clock() - began
         return counts
 
@@ -200,9 +191,12 @@ def _advance(run: RunResult, target_step: int, pass_counts=None) -> None:
 
 
 def _target_step(config: ExperimentConfig, stop_after: int | None) -> int:
-    if stop_after is not None and stop_after < 1:
-        raise ConfigError(f"stop_after: must be >= 1, got {stop_after}")
-    return config.total_steps if stop_after is None else min(stop_after, config.total_steps)
+    if stop_after is None:
+        return config.total_steps
+    # By exact type: bool is an int subclass.
+    if type(stop_after) is not int or stop_after < 1:
+        raise ConfigError(f"stop_after: must be an integer >= 1, got {stop_after!r}")
+    return min(stop_after, config.total_steps)
 
 
 def _finish(run: RunResult, target_step: int) -> RunResult:
@@ -230,32 +224,21 @@ def run_experiment(config: ExperimentConfig, stop_after: int | None = None) -> R
 
 
 def _checkpoint_payload(result: RunResult) -> dict:
-    """The checkpoint: the config, the steps run and every pass count rolled out.
-
-    The counts are one byte each, as ``encode_array`` text; the learner's
-    generator state is the one thing a replay of them cannot rebuild.
-    """
-    rolled = np.concatenate(result.rolled) if result.rolled else np.empty(0, np.uint8)
+    """The checkpoint: the config and the steps run, which fix all the rest."""
     return {
         "format_version": CHECKPOINT_VERSION,
         "config": result.config.to_dict(),
         "config_hash": result.config.content_hash(),
         "bank_hash": result.bank_hash,
         "steps": result.sampler.step,
-        "rolled": encode_array(rolled, "|u1"),
-        "rolled_length": rolled.size,
-        "learner_rng": result.learner.rng.bit_generator.state,
     }
 
 
-_CHECKPOINT_FIELDS = (
-    "format_version", "config", "config_hash", "bank_hash",
-    "steps", "rolled", "rolled_length", "learner_rng",
-)
+_CHECKPOINT_FIELDS = ("format_version", "config", "config_hash", "bank_hash", "steps")
 
 
 def load_checkpoint(path: str | Path) -> dict:
-    """Read a checkpoint, refusing one whose version, shape or config hash is off."""
+    """Read a checkpoint, refusing one whose version, fields, config hash or steps are off."""
     payload = read_json(path, "checkpoint")
     version = payload.get("format_version") if isinstance(payload, dict) else None
     if version != CHECKPOINT_VERSION:
@@ -274,6 +257,13 @@ def load_checkpoint(path: str | Path) -> dict:
             f"checkpoint {path}: config hash mismatch; the checkpoint or its "
             f"embedded config was edited"
         )
+    steps = payload["steps"]
+    # By exact type: bool is an int subclass.
+    if type(steps) is not int or not 0 <= steps <= config.total_steps:
+        raise ConfigError(
+            f"checkpoint {path}: steps: must be an integer in "
+            f"[0, {config.total_steps}], got {steps!r}"
+        )
     return payload
 
 
@@ -285,21 +275,19 @@ def resume_experiment(
     """Continue a checkpointed run to completion (or to ``stop_after``).
 
     The bank, the sampler and the learner are built from the checkpoint's
-    config as ``run_experiment`` builds them.  The checkpointed steps then
-    run again through the same step loop, each rollout round taking its
-    counts from the checkpoint's log instead of the learner; last, the
-    learner's generator takes its checkpointed state.  Refuses a checkpoint
-    whose config hash does not match its embedded config, whose bank no
-    longer reproduces, whose step count or generator state is malformed, or
-    whose log the steps do not use up exactly or could not have returned.
-    A checkpoint already at the target step (the run's end or
+    config as ``run_experiment`` builds them, and the checkpointed steps run
+    again through the same step loop, rollouts included.  Every draw follows
+    from the config's seed, so they end where the checkpointed run stopped.
+    Refuses a checkpoint whose config hash does not match its embedded
+    config, whose step count is malformed, or whose bank no longer
+    reproduces.  A checkpoint already at the target step (the run's end or
     ``stop_after``) is left alone: the call logs a notice and writes nothing.
     """
     payload = load_checkpoint(checkpoint_path)
     config = ExperimentConfig.from_dict(payload["config"])
     if out_dir is not None:
         config = config.with_overrides(out_dir=str(out_dir))
-    target = _target_step(config, stop_after)
+    target, steps = _target_step(config, stop_after), payload["steps"]
 
     bank, sampler_rng, learner = _start(config)
     if bank.content_hash() != payload["bank_hash"]:
@@ -308,25 +296,7 @@ def resume_experiment(
             f"bank no longer reproduces the checkpointed one"
         )
     run = RunResult(config, bank, make_sampler(config, bank, sampler_rng), learner)
-    try:
-        steps, state = payload["steps"], payload["learner_rng"]
-        # By exact type: bool is an int subclass.
-        if type(steps) is not int or not 0 <= steps <= config.total_steps:
-            raise ConfigError(
-                f"steps: must be an integer in [0, {config.total_steps}], got {steps!r}"
-            )
-        length = payload["rolled_length"]
-        if type(length) is not int or length < 0:
-            raise ConfigError(f"rolled_length: must be an integer >= 0, got {length!r}")
-        log = decode_array(payload["rolled"], "|u1", length, "rolled")
-        check_rng_state(learner.rng, state, "learner_rng")
-        _replay(run, steps, log)
-    except ConfigError as err:
-        raise ConfigError(f"checkpoint {checkpoint_path}: {err}") from err
-    learner.rng.bit_generator.state = state
-    # The run now holds all it needs; the parsed checkpoint's log text need
-    # not live through the steps and the write.
-    del payload
+    _advance(run, steps)
     if target <= steps:
         logger.info(
             "checkpoint %s is already at step %d of %d; nothing to resume up to step %d",
@@ -337,31 +307,6 @@ def resume_experiment(
         )
         return run
     return _finish(run, target)
-
-
-def _replay(run: RunResult, steps: int, log: np.ndarray) -> None:
-    """Run ``steps`` steps with every rollout round's counts read, in order, from ``log``.
-
-    Raises:
-        ConfigError: the log runs out, has counts left over, or holds a
-            count the step loop refuses, or dynamic sampling spends its
-            rounds without an interior group.
-    """
-    read = 0
-
-    def logged(indices):
-        nonlocal read
-        read += len(indices)
-        if read > log.size:
-            raise ConsistencyError("the log runs out")
-        return log[read - len(indices) : read]
-
-    try:
-        _advance(run, steps, logged)
-    except (ConsistencyError, RolloutBudgetError, ValueError) as err:
-        raise ConfigError(f"rolled: step {run.sampler.step + 1}: {err}") from err
-    if read != log.size:
-        raise ConfigError(f"rolled: {log.size - read} counts left over after step {steps}")
 
 
 # -- output files -------------------------------------------------------------

@@ -10,7 +10,10 @@ built as ``cls(config, bank, rng)`` from an ``ExperimentConfig``: the config
 alone sets its parameters, its batch size and its rollout group size.  A
 sampler's state is a function of its config, its bank, its generator's seed
 and the pass counts its rollouts returned, so feeding the same counts to a
-fresh sampler rebuilds it bit for bit: that is how a run resumes.
+fresh sampler rebuilds it bit for bit.  A caller whose rollouts cannot be
+drawn again logs the counts and rebuilds its sampler that way; the harness's
+learner draws every rollout from a seed, so a harness resume runs the steps
+again instead.
 
 Alignment selection runs in two phases.  A warm-up phase walks a fixed random
 permutation of the bank in batch-size chunks so every problem collects at
@@ -55,7 +58,7 @@ def smallest_by(candidates: np.ndarray, k: int, *keys: np.ndarray) -> np.ndarray
     return candidates[order[:k]]
 
 
-def rolled_counts(roll_round, indices: np.ndarray, group_size: int) -> np.ndarray:
+def checked_counts(roll_round, indices: np.ndarray, group_size: int) -> np.ndarray:
     """``roll_round(indices)`` as int64 counts, one integer in [0, ``group_size``] per index.
 
     Raises ConsistencyError unless there is one count per index and
@@ -77,15 +80,16 @@ class Sampler:
 
     A sampler is a single logical actor: interleave ``select_batch`` (or
     ``select_and_roll``) and ``report``, one batch at a time.  Every batch
-    holds ``config.batch_size`` problems, and each is rolled out
-    ``config.rollouts`` times.  The constructor refuses a batch larger
+    holds ``config.batch_size`` problems, and each gets a group of
+    ``config.rollouts`` rollouts.  The constructor refuses a batch larger
     than the bank.
     Subclasses set ``strategy``, read their own fields from the config,
     choose the bank indices of a batch in ``_choose`` and fold validated
     outcomes into their own state in ``_fold``.  Every sampler keeps the
     pass rate each problem last reported, in bank order.  A sampler built
     again from the same config, bank and seed and given the same pass
-    counts makes the same batches and ends in the same state.
+    counts makes the same batches and ends in the same state, so a log of
+    the counts is all a caller needs to rebuild it.
     """
 
     strategy: str
@@ -143,7 +147,7 @@ class Sampler:
                 rather than retry with it.
         """
         indices = self._choose()
-        counts = rolled_counts(roll_round, indices, self.group_size)
+        counts = checked_counts(roll_round, indices, self.group_size)
         self._hold(indices)
         return indices, counts, self.batch_size
 

@@ -343,32 +343,20 @@ class TestResumeCommand:
         [
             lambda payload: payload.update(format_version=4),
             lambda payload: payload.update(format_version=9),
-            lambda payload: payload.update(rolled=encode_array([2] * 7, "|u1"), rolled_length=7),
-            lambda payload: payload.update(rolled=encode_array([2] * 9, "|u1"), rolled_length=9),
-            lambda payload: payload.update(rolled=encode_array([5] * 8, "|u1")),
-            lambda payload: payload.update(rolled="not base64"),
+            lambda payload: payload.update(format_version=10),
             lambda payload: payload.update(steps=True),
             lambda payload: payload.update(steps=-1),
             lambda payload: payload.update(steps=6),
-            lambda payload: payload.update(learner_rng={"bit_generator": "PCG64"}),
-            lambda payload: payload.update(learner_rng=5),
             lambda payload: payload["config"].update(strategy=[]),
-            lambda payload: payload["config"].update(rollouts=256),
         ],
         ids=[
             "format-4",
             "format-9",
-            "short-log",
-            "long-log",
-            "count-above-rollouts",
-            "rolled-not-base64",
+            "format-10",
             "bool-steps",
             "negative-steps",
             "steps-past-the-run",
-            "malformed-learner-rng",
-            "int-learner-rng",
             "list-strategy",
-            "rollouts-256",
         ],
     )
     def test_damaged_checkpoint_exits_2(self, tmp_path, capsys, edit):
@@ -384,44 +372,25 @@ class TestResumeCommand:
         assert f"error: checkpoint {path}: " in err and "Traceback" not in err
         assert len(read_metrics_csv(out / METRICS_FILE)) == 2
 
-    def test_dynamic_log_without_an_interior_group_exits_2(self, tmp_path, capsys):
-        out = tmp_path / "run"
-        # Forty problems: ten rounds of four, the most dynamic sampling draws.
-        flags = [*TINY_FLAGS, "--n-problems", "40", "--strategy", "dynamic", "--out", str(out)]
-        main(["run", *flags, "--stop-after", "1"])
-        capsys.readouterr()
-        path = out / CHECKPOINT_FILE
-        payload = json.loads(path.read_text())
-        # Every group passes whole, round after round.
-        payload.update(rolled=encode_array([4] * 40, "|u1"), rolled_length=40)
-        path.write_text(json.dumps(payload))
-        assert main(["resume", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert "no problem with interior pass rate found in 10 rounds" in err
-        assert "Traceback" not in err
+    def test_rollouts_past_a_byte_resume_byte_for_byte(self, tmp_path):
+        # Groups of 300 rollouts: pass counts up to 300, past what one byte holds.
+        flags = [*TINY_FLAGS, "--rollouts", "300", "--seed", "2"]
+        assert main(["run", *flags, "--out", str(tmp_path / "straight")]) == 0
+        split = tmp_path / "split"
+        assert main(["run", *flags, "--out", str(split), "--stop-after", "2"]) == 0
+        assert main(["resume", str(split / CHECKPOINT_FILE)]) == 0
+        for name in (METRICS_FILE, "batches.csv", "problems.csv", "summary.json"):
+            assert (split / name).read_bytes() == (tmp_path / "straight" / name).read_bytes()
 
-    def test_format_6_checkpoint_exits_2(self, tmp_path, capsys):
-        path = DATA / "checkpoint_format6.json"
+    @pytest.mark.parametrize(
+        "path", sorted(DATA.glob("checkpoint_format*.json")), ids=lambda path: path.stem
+    )
+    def test_old_format_checkpoint_exits_2(self, tmp_path, capsys, path):
+        version = json.loads(path.read_text())["format_version"]
         out = tmp_path / "run"
         assert main(["resume", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "unsupported format_version 6" in err and "Traceback" not in err
-        assert not out.exists()
-
-    def test_format_7_checkpoint_exits_2(self, tmp_path, capsys):
-        path = DATA / "checkpoint_format7.json"
-        out = tmp_path / "run"
-        assert main(["resume", str(path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "unsupported format_version 7" in err and "Traceback" not in err
-        assert not out.exists()
-
-    def test_format_9_checkpoint_exits_2(self, tmp_path, capsys):
-        path = DATA / "checkpoint_format9.json"
-        out = tmp_path / "run"
-        assert main(["resume", str(path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "unsupported format_version 9" in err and "Traceback" not in err
+        assert f"unsupported format_version {version} " in err and "Traceback" not in err
         assert not out.exists()
 
     def test_missing_checkpoint_exits_3(self, tmp_path, capsys):

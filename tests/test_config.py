@@ -187,8 +187,7 @@ PAST_THE_LARGEST_FLOAT = [10**400, int(sys.float_info.max) + 1]
 BAD_VALUES = {
     "n_problems": [0, -3],
     "batch_size": [0, -1],
-    # A checkpoint stores each pass count in one byte.
-    "rollouts": [1, 0, 256],
+    "rollouts": [1, 0],
     "total_steps": [0],
     "strategy": ["greedy", ""],
     "seed": [-1],

@@ -13,10 +13,8 @@ import numpy as np
 import pytest
 
 from cdas import harness
-from cdas.baselines import RETRY_CAP
 from cdas.config import STRATEGIES, ExperimentConfig
 from cdas.errors import ConfigError
-from cdas.files import decode_array, encode_array
 from cdas.harness import (
     BATCHES_FILE,
     CHECKPOINT_FILE,
@@ -44,7 +42,7 @@ def _tiny(**overrides):
 
 def _in_current_format(payload):
     """An older checkpoint relabelled as a current one of no steps, its config
-    cut to today's fields: it holds no rollout log to carry over."""
+    cut to today's fields."""
     fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
     config = {name: value for name, value in payload["config"].items() if name in fields}
     return {
@@ -53,9 +51,6 @@ def _in_current_format(payload):
         "config_hash": ExperimentConfig.from_dict(config).content_hash(),
         "bank_hash": payload["bank_hash"],
         "steps": 0,
-        "rolled": "",
-        "rolled_length": 0,
-        "learner_rng": payload["learner"]["rng"],
     }
 
 
@@ -140,13 +135,20 @@ class TestRunExperiment:
         assert not result.completed
 
     def test_bad_stop_after(self, tmp_path):
-        with pytest.raises(ConfigError):
-            run_experiment(_tiny(), stop_after=0)
+        # By exact type, as a checkpoint's steps: a fraction or a bool is
+        # refused, not rounded up or read as 1.
+        bad = (0, -4, 2.5, True)
+        for stop_after in bad:
+            with pytest.raises(
+                ConfigError, match=rf"^stop_after: must be an integer >= 1, got {stop_after}$"
+            ):
+                run_experiment(_tiny(out_dir=str(tmp_path / "fresh")), stop_after=stop_after)
+        assert not (tmp_path / "fresh").exists()
         # Resume refuses it too, before rewriting any output.
         run_experiment(_tiny(out_dir=str(tmp_path)), stop_after=2)
         before = {name: (tmp_path / name).read_bytes() for name in OUTPUT_FILES}
-        for stop_after in (0, -4):
-            with pytest.raises(ConfigError, match="stop_after"):
+        for stop_after in bad:
+            with pytest.raises(ConfigError, match="stop_after: must be an integer >= 1"):
                 resume_experiment(tmp_path / CHECKPOINT_FILE, stop_after=stop_after)
         assert {name: (tmp_path / name).read_bytes() for name in OUTPUT_FILES} == before
 
@@ -254,22 +256,6 @@ def _edit_checkpoint(path, edit):
     path.write_text(json.dumps(payload))
 
 
-def _relogged(payload, edit):
-    """Replace the checkpoint's rollout log by ``edit`` of its counts, and its length to match."""
-    counts = edit(decode_array(payload["rolled"], "|u1", payload["rolled_length"], "rolled"))
-    payload["rolled"], payload["rolled_length"] = encode_array(counts, "|u1"), len(counts)
-
-
-def _set(position, value):
-    """An edit that sets one value of an array."""
-
-    def edit(values):
-        values[position] = value
-        return values
-
-    return edit
-
-
 class _DiskFull:
     """A text file that takes ``room`` characters, then raises OSError("disk full")."""
 
@@ -347,34 +333,17 @@ class TestCheckpointResume:
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_checkpoint_holds_only_mutable_state(self, tmp_path, strategy):
-        # No records, estimates, batches or metrics: resume rebuilds those by
-        # running the steps again on the logged pass counts.
-        result = run_experiment(
-            _tiny(strategy=strategy, out_dir=str(tmp_path)), stop_after=2
-        )
+        # No records, estimates, batches, metrics, pass counts or generator
+        # state: resume rebuilds them all by running the steps again from the
+        # config's seed.
+        run_experiment(_tiny(strategy=strategy, out_dir=str(tmp_path)), stop_after=2)
         payload = load_checkpoint(tmp_path / CHECKPOINT_FILE)
-        assert set(payload) == {
-            "format_version", "config", "config_hash", "bank_hash",
-            "steps", "rolled", "rolled_length", "learner_rng",
-        }
+        assert set(payload) == {"format_version", "config", "config_hash", "bank_hash", "steps"}
         assert payload["steps"] == 2
-        assert payload["learner_rng"] == result.learner.rng.bit_generator.state
-        # Every round's counts in call order, one byte each.
-        length = payload["rolled_length"]
-        rolled = decode_array(payload["rolled"], "|u1", length, "rolled")
-        assert rolled.tolist() == np.concatenate(result.rolled).tolist()
-        if strategy != "dynamic":
-            # One round a step: the batch's own counts, which make its mean reward.
-            assert length == 2 * 4
-            rewards = [sum((counts / 4).tolist()) / 4 for counts in rolled.reshape(2, 4)]
-            assert rewards == [row.mean_reward for row in result.rows]
-        else:
-            # Dynamic rolls out a round's candidates past the one that fills the batch.
-            assert length >= sum(row.rollout_batches_consumed for row in result.rows) >= 8
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_checkpoint_holds_no_json_array(self, tmp_path, strategy):
-        # Every sequence is encode_array text, so JSON never spells values out one by one.
+        # The checkpoint holds no sequence, so JSON never spells values out one by one.
         run_experiment(_tiny(strategy=strategy, out_dir=str(tmp_path)), stop_after=2)
         pending = [json.loads((tmp_path / CHECKPOINT_FILE).read_text())]
         while pending:
@@ -387,7 +356,6 @@ class TestCheckpointResume:
         run_experiment(_tiny(out_dir=str(tmp_path)), stop_after=2)
         payload = load_checkpoint(tmp_path / CHECKPOINT_FILE)
         assert payload["steps"] == 2
-        assert decode_array(payload["rolled"], "|u1", 8, "rolled").shape == (8,)
 
     def test_resume_in_stages(self, tmp_path):
         config = _tiny(seed=4, out_dir=str(tmp_path / "run"))
@@ -428,51 +396,13 @@ class TestCheckpointResume:
     @pytest.mark.parametrize(
         "edit, match",
         [
-            (lambda p: p.pop("rolled"), "checkpoint: missing field 'rolled'"),
-            (lambda p: p.pop("learner_rng"), "checkpoint: missing field 'learner_rng'"),
-            (lambda p: p.update(rolled=[2] * 8), "rolled: must be a base64 string"),
-            (lambda p: p.update(rolled=p["rolled"] + "!"), "rolled: invalid base64"),
-            (lambda p: p.update(rolled_length=9), "rolled: 8 bytes where 9 values"),
-            (lambda p: p.update(rolled_length=True), "rolled_length: must be an integer"),
-            (lambda p: _relogged(p, lambda c: c[:7]), "rolled: step 2: the log runs out$"),
-            (
-                lambda p: _relogged(p, lambda c: np.append(c, 2)),
-                "rolled: 1 counts left over after step 2$",
-            ),
-            (
-                lambda p: _relogged(p, _set(5, 5)),
-                r"rolled: step 2: roll_round returned pass count 5 for candidate 1; "
-                r"counts must be in \[0, 4\]",
-            ),
+            (lambda p: p.pop("steps"), "checkpoint: missing field 'steps'"),
             (lambda p: p.update(steps=2.0), r"steps: must be an integer in \[0, 6\], got 2.0"),
             (lambda p: p.update(steps=True), r"steps: must be an integer in \[0, 6\], got True"),
             (lambda p: p.update(steps=-2), r"steps: must be an integer in \[0, 6\], got -2"),
             (lambda p: p.update(steps=7), r"steps: must be an integer in \[0, 6\], got 7"),
-            (lambda p: p.update(learner_rng={}), "learner_rng: rng must be a PCG64"),
-            (lambda p: p.update(learner_rng=5), "learner_rng: rng must be a PCG64"),
-            (
-                lambda p: p["learner_rng"]["state"].update(state="0"),
-                "learner_rng: rng must be a PCG64",
-            ),
         ],
-        ids=[
-            "no-rolled",
-            "no-learner-rng",
-            "rolled-a-list",
-            "rolled-bad-base64",
-            "length-disagrees",
-            "bool-length",
-            "short-log",
-            "long-log",
-            "count-above-rollouts",
-            "float-step",
-            "bool-step",
-            "negative-step",
-            "step-past-the-run",
-            "empty-learner-rng",
-            "int-learner-rng",
-            "string-learner-rng-state",
-        ],
+        ids=["no-steps", "float-step", "bool-step", "negative-step", "step-past-the-run"],
     )
     def test_damaged_checkpoint_refused(self, tmp_path, edit, match):
         run_experiment(_tiny(out_dir=str(tmp_path)), stop_after=2)
@@ -504,10 +434,11 @@ class TestCheckpointResume:
         # competence and a second step, version 4 per-problem lists and id
         # batches, version 5 a bank hash over text lines, version 6 seven
         # config fields since made constants, version 7 bank_level_spread,
-        # version 8 the metrics as a list of JSON objects, and version 9 the
-        # sampler's and learner's state, the metrics and the batches, where
-        # today's holds the rollout log; all are refused.
-        for version in (1, 2, 3, 4, 5, 6, 7, 8, 9, 99):
+        # version 8 the metrics as a list of JSON objects, version 9 the
+        # sampler's and learner's state, the metrics and the batches, and
+        # version 10 every pass count rolled out and the learner's generator
+        # state, where today's holds the step count alone; all are refused.
+        for version in (*range(1, 11), 99):
             run_experiment(_tiny(out_dir=str(tmp_path)), stop_after=2)
             path = tmp_path / CHECKPOINT_FILE
             _edit_checkpoint(path, lambda payload: payload.update(format_version=version))
@@ -569,53 +500,60 @@ class TestCheckpointResume:
         with pytest.raises(ConfigError, match="unsupported format_version 9"):
             resume_experiment(old, out_dir=tmp_path / "run")
         payload = json.loads(old.read_text())
-        # Relabelled, it lacks the log a resume replays.
+        # Relabelled, it lacks the step count a resume runs again.
         path = tmp_path / CHECKPOINT_FILE
         path.write_text(json.dumps({**payload, "format_version": harness.CHECKPOINT_VERSION}))
         with pytest.raises(ConfigError, match="missing field 'steps'"):
             resume_experiment(path, out_dir=tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize(
-        "strategy, edit, match",
-        [
-            ("random", lambda p: p.update(steps=3), "rolled: step 3: the log runs out$"),
-            ("cdas", lambda p: p.update(steps=1), "4 counts left over after step 1$"),
-            ("random", lambda p: _relogged(p, lambda c: c[1:]), "rolled: step 2: the log runs out$"),
-            ("curriculum", lambda p: p.update(rolled=None), "rolled: must be a base64 string"),
-            ("prioritized", lambda p: _relogged(p, _set(0, 5)), "pass count 5 for candidate 0"),
-            ("dynamic", lambda p: p.update(rolled="\u00e9" * 12), "rolled: invalid base64"),
-        ],
-        ids=[
-            "step-ahead",
-            "step-behind",
-            "rate-missing",
-            "rates-null",
-            "rate-above-one",
-            "rates-not-ascii",
-        ],
-    )
-    def test_edited_sampler_state_detected(self, tmp_path, strategy, edit, match):
-        # The config hash covers only the config.  The sampler's history is
-        # its step count and the pass counts it was fed, each pass rate a
-        # count out of the group size, so a resume checks them by replaying
-        # them: the steps must use up the log exactly, on counts it can take.
-        run_experiment(_tiny(strategy=strategy, out_dir=str(tmp_path)), stop_after=2)
+    def test_format_10_checkpoint_refused_by_its_version(self, tmp_path):
+        # Written by the format-10 code: every pass count rolled out and the
+        # learner's generator state, beside the five fields kept today.
+        old = DATA / "checkpoint_format10.json"
+        with pytest.raises(ConfigError, match="unsupported format_version 10 "):
+            resume_experiment(old, out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+        payload = json.loads(old.read_text())
+        assert set(harness._CHECKPOINT_FIELDS) < set(payload)
+        # Its five kept fields resume to the run it was written from: the
+        # log and the generator state held nothing the seed does not fix.
         path = tmp_path / CHECKPOINT_FILE
-        _edit_checkpoint(path, edit)
-        with pytest.raises(ConfigError, match=match):
-            resume_experiment(path)
+        kept = {name: payload[name] for name in harness._CHECKPOINT_FIELDS}
+        path.write_text(json.dumps({**kept, "format_version": harness.CHECKPOINT_VERSION}))
+        config = ExperimentConfig.from_dict(payload["config"])
+        straight = run_experiment(config.with_overrides(out_dir=str(tmp_path / "straight")))
+        resumed = resume_experiment(path, out_dir=tmp_path / "run")
+        assert resumed.rows == straight.rows
+        for name in OUTPUT_FILES:
+            if name != CHECKPOINT_FILE:
+                want = (tmp_path / "straight" / name).read_bytes()
+                assert (tmp_path / "run" / name).read_bytes() == want, name
 
-    def test_dynamic_log_without_an_interior_group_refused(self, tmp_path):
-        # A log of groups that all pass spends all RETRY_CAP rounds of four
-        # on the first step.
-        config = _tiny(strategy="dynamic", n_problems=4 * RETRY_CAP, out_dir=str(tmp_path))
-        run_experiment(config, stop_after=1)
-        path = tmp_path / CHECKPOINT_FILE
-        _edit_checkpoint(path, lambda p: _relogged(p, lambda c: np.full(4 * RETRY_CAP, 4)))
-        match = rf"rolled: step 1: no problem with interior pass rate found in {RETRY_CAP} rounds"
-        with pytest.raises(ConfigError, match=f"^checkpoint {path}: {match}"):
-            resume_experiment(path)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_edited_steps_resume_the_uninterrupted_run(self, tmp_path, strategy):
+        # The config fixes every step, so a checkpoint of any step count in
+        # [0, total_steps] is one of the same run: an edited count, 0
+        # included, resumes to the uninterrupted run's bytes.
+        config = _tiny(strategy=strategy, seed=3)
+        straight = run_experiment(config.with_overrides(out_dir=str(tmp_path / "straight")))
+        run_experiment(config.with_overrides(out_dir=str(tmp_path / "split")), stop_after=2)
+        for steps in range(config.total_steps + 1):
+            path = tmp_path / f"edited{steps}.json"
+            path.write_bytes((tmp_path / "split" / CHECKPOINT_FILE).read_bytes())
+            _edit_checkpoint(path, lambda payload: payload.update(steps=steps))
+            out = tmp_path / f"resumed{steps}"
+            resumed = resume_experiment(path, out_dir=out)
+            assert resumed.rows == straight.rows, steps
+            if steps == config.total_steps:
+                # Already at the end: nothing to write.
+                assert not out.exists()
+                continue
+            for name in OUTPUT_FILES:
+                if name != CHECKPOINT_FILE:
+                    want = (tmp_path / "straight" / name).read_bytes()
+                    assert (out / name).read_bytes() == want, (steps, name)
+            assert _checkpoint_sans_out_dir(out) == _checkpoint_sans_out_dir(tmp_path / "straight")
 
     def test_failed_checkpoint_write_keeps_the_previous_checkpoint(
         self, tmp_path, monkeypatch

@@ -90,6 +90,10 @@ def test_readme_format_versions_match_the_code(tmp_path):
         path.write_text(json.dumps({"format_version": version}))
         with pytest.raises(ConfigError, match=f"unsupported format_version {version} "):
             harness.load_checkpoint(path)
+    # The keys the README lists for checkpoint.json, in the order it writes them.
+    section = text.split("- `checkpoint.json` (format version", 1)[1].split("\n\n", 1)[0]
+    listed = tuple(re.findall(r"^  - `(\w+)`:", section, re.MULTILINE))
+    assert listed == harness._CHECKPOINT_FIELDS
     assert stated(r"Bank files are format version (\d+)") == [learner.BANK_FORMAT_VERSION]
     assert stated(r"Bank files of versions 1 to (\d+) are refused") == [
         learner.BANK_FORMAT_VERSION - 1

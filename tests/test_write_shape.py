@@ -2,9 +2,9 @@
 
 A run with outputs hashes its bank once, over the bank's bytes, and writes
 problems.csv in one pass that formats each latent once.  The checkpoint
-holds the rollout log as base64 bytes and nothing per problem, so JSON
+holds the config and a step count, nothing per problem or per step, so JSON
 never sees a list with one entry per problem, nor a batch, and its size
-does not grow with the bank.  A run without
+grows with neither the bank nor the steps.  A run without
 outputs never hashes its bank and formats no latent, and a resume hashes it
 once, for its bank check.  Batches travel as bank indices: the step loop
 never looks an id up, a write looks up each batch's ids once, for
@@ -21,7 +21,6 @@ import pytest
 
 from cdas import harness, learner
 from cdas.config import STRATEGIES, ExperimentConfig
-from cdas.files import encode_array
 from cdas.harness import BLOCK_ROWS, CHECKPOINT_FILE, resume_experiment, run_experiment
 from cdas.learner import ProblemBank
 
@@ -125,8 +124,6 @@ def test_a_run_with_outputs_hashes_once_and_formats_each_latent_once(
     assert calls["digests"] == 1
     assert formatted == _one_write(result)
     assert calls["bank_sized_lists_dumped"] == 0
-    checkpoint = json.loads((tmp_path / CHECKPOINT_FILE).read_text())
-    assert checkpoint["rolled_length"] == sum(len(counts) for counts in result.rolled)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -227,7 +224,7 @@ def test_each_write_looks_up_each_batch_id_once(calls, id_lookups, tmp_path, str
     result = resume_experiment(tmp_path / CHECKPOINT_FILE)
     assert id_lookups["write"] == len(result.batches) * BATCH_SIZE == 6 * BATCH_SIZE
     assert id_lookups["step_loop"] == 0
-    # The checkpoint holds no batch: the replay draws each again.
+    # The checkpoint holds no batch: the resume draws each again.
     assert calls["batches_dumped"] == 0
     checkpoint = json.loads((tmp_path / CHECKPOINT_FILE).read_text())
     assert set(checkpoint).isdisjoint({"batches", "sampler"})
@@ -242,21 +239,17 @@ def test_a_resume_never_builds_the_id_index(tmp_path, strategy):
 
 
 def test_the_checkpoint_does_not_grow_with_the_bank(tmp_path):
-    # Ten times the bank, the same batches and steps: the same checkpoint
-    # size.  Only the digits of the bank size and of the learner generator's
-    # 128-bit state may differ, so each value is measured apart from those.
+    # Ten times the bank, or twenty times the steps: the same checkpoint
+    # size.  Only the digits of the bank size and of the step count may
+    # differ, so each value is measured apart from those.
     sizes = []
-    for n in (2_000, 20_000):
-        config = ExperimentConfig(n_problems=n, batch_size=128, total_steps=4)
-        run_experiment(config.with_overrides(out_dir=str(tmp_path / str(n))))
-        checkpoint = json.loads((tmp_path / str(n) / CHECKPOINT_FILE).read_text())
+    for n, steps in ((2_000, 2), (20_000, 2), (2_000, 40)):
+        out = tmp_path / f"{n}-{steps}"
+        config = ExperimentConfig(n_problems=n, batch_size=128, total_steps=40, out_dir=str(out))
+        run_experiment(config, stop_after=steps)
+        checkpoint = json.loads((out / CHECKPOINT_FILE).read_text())
         for name in ("n_problems", "out_dir"):
             del checkpoint["config"][name]
-        generator = checkpoint.pop("learner_rng")
-        generator["state"] = dict.fromkeys(generator["state"], 0)
-        sizes.append(
-            {key: len(json.dumps(value)) for key, value in checkpoint.items()}
-            | {"learner_rng": len(json.dumps(generator))}
-        )
-    assert sizes[0] == sizes[1]
-    assert sizes[0]["rolled"] == len(json.dumps(encode_array(np.zeros(4 * 128), "|u1")))
+        assert checkpoint.pop("steps") == steps
+        sizes.append({key: len(json.dumps(value)) for key, value in checkpoint.items()})
+    assert sizes[0] == sizes[1] == sizes[2]
