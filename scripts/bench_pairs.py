@@ -154,6 +154,8 @@ def main(argv=None) -> int:
         "--seconds", type=float, default=None, help="window per run (default: BENCHMARK.json's)"
     )
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs: must be at least 1, got {args.pairs}")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
 

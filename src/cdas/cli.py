@@ -17,13 +17,8 @@ from .config import BANK_MODES, STRATEGIES, ExperimentConfig
 from .errors import ConfigError, ConsistencyError, ConvergenceError, RolloutBudgetError
 from .files import read_json, replacing
 from .fixed_point import EquilibriumProblem, solve, write_trajectory_csv
-from .harness import (
-    _spawned_rngs,
-    compare_strategies,
-    resume_experiment,
-    run_experiment,
-)
-from .learner import generate_bank, load_bank, save_bank
+from .harness import compare_strategies, draw_bank, resume_experiment, run_experiment
+from .learner import load_bank, save_bank
 
 # Flags spelled other than their field, and fields restricted to fixed choices.
 _FLAG_NAMES = {"total_steps": ("--steps", "--total-steps"), "out_dir": ("--out", "--out-dir")}
@@ -110,6 +105,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         f"{summary['completed_steps']}/{summary['total_steps']} steps, "
         f"final ability {summary['final_ability']:.4f}"
     )
+    print(f"outputs in {result.config.out_dir}")
     return 0
 
 
@@ -173,9 +169,7 @@ def _cmd_fixed_point(args: argparse.Namespace) -> int:
 
 def _cmd_bank_generate(args: argparse.Namespace) -> int:
     # A run's config, so that a bank written with seed k is the bank a run with seed k draws.
-    config = _config_from_args(args)
-    bank_rng, _, _ = _spawned_rngs(config.seed)
-    bank = generate_bank(config, bank_rng)
+    bank = draw_bank(_config_from_args(args))
     save_bank(bank, args.out)
     print(f"bank of {len(bank)} problems written to {args.out} (hash {bank.content_hash()[:12]})")
     return 0

@@ -124,11 +124,15 @@ class ExperimentConfig:
         """Replace fields by name; None values mean 'keep current'."""
         return self.from_dict({**self.to_dict(), **_given(overrides)})
 
-    def content_hash(self) -> str:
-        """Hash of every field that defines the experiment; output path excluded."""
+    def experiment_fields(self) -> dict:
+        """Every field that defines the experiment: all but the output path."""
         payload = self.to_dict()
-        payload.pop("out_dir")
-        canonical = json.dumps(payload, sort_keys=True)
+        del payload["out_dir"]
+        return payload
+
+    def content_hash(self) -> str:
+        """Hash of ``experiment_fields()``."""
+        canonical = json.dumps(self.experiment_fields(), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 

@@ -51,10 +51,19 @@ def group_advantages(group: RolloutGroup) -> tuple[list[float], bool]:
     return [(r - mean) / std for r in rewards], False
 
 
-def pass_count_fault(counts: np.ndarray, group_size: int) -> str | None:
-    """Why ``counts`` are not integer pass counts in [0, ``group_size``], or None."""
+def pass_count_fault(values, group_size: int) -> str | None:
+    """Why ``values`` are not integer pass counts in [0, ``group_size``], or None.
+
+    ``values`` is a one-dimensional array or sequence.  A bool is refused
+    by exact type, even among ints, where numpy would read it as 0 or 1.
+    """
+    counts = np.asarray(values)
     if counts.dtype.kind not in "iu":
         return f"{counts.dtype} pass counts, first {counts[0]}; counts must be integers"
+    if counts is not values:
+        for k, value in enumerate(values):
+            if isinstance(value, (bool, np.bool_)):
+                return f"bool pass count {value} for candidate {k}; counts must be integers"
     bad = (counts < 0) | (counts > group_size)
     if not bad.any():
         return None

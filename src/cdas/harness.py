@@ -87,17 +87,13 @@ class RunResult:
         return self.bank.content_hash()
 
     @property
-    def n_problems(self) -> int:
-        return len(self.bank)
-
-    @property
     def completed(self) -> bool:
         return len(self.rows) >= self.config.total_steps
 
     @property
     def warmup_window(self) -> int:
         """Steps treated as warm-up when summarizing (fixed by bank and batch size)."""
-        return math.ceil(self.n_problems / self.config.batch_size)
+        return math.ceil(len(self.bank) / self.config.batch_size)
 
     def summary(self) -> dict:
         post = [r.zero_gradient_fraction for r in self.rows if r.step > self.warmup_window]
@@ -107,7 +103,7 @@ class RunResult:
             "seed": self.config.seed,
             "config_hash": self.config.content_hash(),
             "bank_hash": self.bank_hash,
-            "n_problems": self.n_problems,
+            "n_problems": len(self.bank),
             "completed_steps": len(self.rows),
             "total_steps": self.config.total_steps,
             "completed": self.completed,
@@ -140,21 +136,18 @@ def _spawned_rngs(seed: int) -> list[np.random.Generator]:
     return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(3)]
 
 
-def _start(
-    config: ExperimentConfig,
-) -> tuple[ProblemBank, np.random.Generator, SyntheticLearner]:
-    """The bank, the sampler's random stream and a fresh learner."""
+def draw_bank(config: ExperimentConfig) -> ProblemBank:
+    """The bank a run of ``config`` draws from its seed when it has no ``bank_path``."""
+    return generate_bank(config, _spawned_rngs(config.seed)[0])
+
+
+def _start(config: ExperimentConfig) -> RunResult:
+    """A run of ``config`` at step 0: its bank, its strategy's sampler and a fresh learner."""
     bank_rng, sampler_rng, rollout_rng = _spawned_rngs(config.seed)
-    if config.bank_path is not None:
-        bank = load_bank(config.bank_path)
-    else:
-        bank = generate_bank(config, bank_rng)
-    return bank, sampler_rng, SyntheticLearner(config, bank, rollout_rng)
-
-
-def make_sampler(config: ExperimentConfig, bank: ProblemBank, rng: np.random.Generator) -> Sampler:
-    """The sampler of ``config.strategy``, built from ``config``."""
-    return SAMPLERS[config.strategy](config, bank, rng)
+    path = config.bank_path
+    bank = generate_bank(config, bank_rng) if path is None else load_bank(path)
+    learner = SyntheticLearner(config, bank, rollout_rng)
+    return RunResult(config, bank, SAMPLERS[config.strategy](config, bank, sampler_rng), learner)
 
 
 def _advance(run: RunResult, target_step: int) -> None:
@@ -215,19 +208,17 @@ def run_experiment(config: ExperimentConfig, stop_after: int | None = None) -> R
     a later ``resume_experiment`` can pick it up.
     """
     target = _target_step(config, stop_after)
-    bank, sampler_rng, learner = _start(config)
-    sampler = make_sampler(config, bank, sampler_rng)
-    return _finish(RunResult(config, bank, sampler, learner), target)
+    return _finish(_start(config), target)
 
 
 # -- checkpointing ----------------------------------------------------------
 
 
 def _checkpoint_payload(result: RunResult) -> dict:
-    """The checkpoint: the config and the steps run, which fix all the rest."""
+    """The checkpoint: the experiment's config fields and the steps run, which fix all the rest."""
     return {
         "format_version": CHECKPOINT_VERSION,
-        "config": result.config.to_dict(),
+        "config": result.config.experiment_fields(),
         "config_hash": result.config.content_hash(),
         "bank_hash": result.bank_hash,
         "steps": result.sampler.step,
@@ -238,10 +229,13 @@ _CHECKPOINT_FIELDS = ("format_version", "config", "config_hash", "bank_hash", "s
 
 
 def load_checkpoint(path: str | Path) -> dict:
-    """Read a checkpoint, refusing one whose version, fields, config hash or steps are off."""
+    """Read a checkpoint and return its fields, ``config`` built as an ``ExperimentConfig``.
+
+    Refuses one whose version (by exact type), fields, config hash or steps are off.
+    """
     payload = read_json(path, "checkpoint")
     version = payload.get("format_version") if isinstance(payload, dict) else None
-    if version != CHECKPOINT_VERSION:
+    if type(version) is not int or version != CHECKPOINT_VERSION:
         raise ConfigError(
             f"checkpoint {path}: unsupported format_version {version!r} "
             f"(expected {CHECKPOINT_VERSION})"
@@ -264,7 +258,7 @@ def load_checkpoint(path: str | Path) -> dict:
             f"checkpoint {path}: steps: must be an integer in "
             f"[0, {config.total_steps}], got {steps!r}"
         )
-    return payload
+    return {**payload, "config": config}
 
 
 def resume_experiment(
@@ -274,28 +268,25 @@ def resume_experiment(
 ) -> RunResult:
     """Continue a checkpointed run to completion (or to ``stop_after``).
 
-    The bank, the sampler and the learner are built from the checkpoint's
-    config as ``run_experiment`` builds them, and the checkpointed steps run
-    again through the same step loop, rollouts included.  Every draw follows
-    from the config's seed, so they end where the checkpointed run stopped.
-    Refuses a checkpoint whose config hash does not match its embedded
-    config, whose step count is malformed, or whose bank no longer
-    reproduces.  A checkpoint already at the target step (the run's end or
-    ``stop_after``) is left alone: the call logs a notice and writes nothing.
+    The run is built from the checkpoint's config as ``run_experiment``
+    builds it, and the checkpointed steps run again through the same step
+    loop, rollouts included.  Every draw follows from the config's seed, so
+    they end where the checkpointed run stopped.  The outputs go to
+    ``out_dir``, or else beside the checkpoint.  Refuses what
+    ``load_checkpoint`` refuses, and a bank that no longer reproduces.  A
+    checkpoint already at the target step (the run's end or ``stop_after``)
+    is left alone: the call logs a notice and writes nothing.
     """
     payload = load_checkpoint(checkpoint_path)
-    config = ExperimentConfig.from_dict(payload["config"])
-    if out_dir is not None:
-        config = config.with_overrides(out_dir=str(out_dir))
+    where = Path(checkpoint_path).parent if out_dir is None else out_dir
+    config = replace(payload["config"], out_dir=str(where))
     target, steps = _target_step(config, stop_after), payload["steps"]
-
-    bank, sampler_rng, learner = _start(config)
-    if bank.content_hash() != payload["bank_hash"]:
+    run = _start(config)
+    if run.bank_hash != payload["bank_hash"]:
         raise ConfigError(
             f"checkpoint {checkpoint_path}: bank hash mismatch; the configured "
             f"bank no longer reproduces the checkpointed one"
         )
-    run = RunResult(config, bank, make_sampler(config, bank, sampler_rng), learner)
     _advance(run, steps)
     if target <= steps:
         logger.info(
@@ -392,9 +383,7 @@ def compare_strategies(
     combined = ComparisonResult()
     for seed in seeds:
         for strategy in strategies:
-            run_dir = (
-                str(Path(out_dir) / f"{strategy}_seed{seed}") if out_dir is not None else None
-            )
+            run_dir = None if out_dir is None else str(Path(out_dir) / f"{strategy}_seed{seed}")
             run = replace(config, strategy=strategy, seed=seed, out_dir=run_dir)
             combined.results.append(run_experiment(run))
     if out_dir is not None:
@@ -413,9 +402,8 @@ def _write_comparison(comparison: ComparisonResult, out: Path) -> None:
                     format_metrics_row(row, result.config.strategy, result.config.seed)
                 )
     summary_rows = comparison.summary_rows()
-    columns = sorted({key for row in summary_rows for key in row})
-    lead = [c for c in ("strategy", "seed") if c in columns]
-    columns = lead + [c for c in columns if c not in lead]
+    lead = ["strategy", "seed"]
+    columns = lead + sorted({key for row in summary_rows for key in row} - set(lead))
     with replacing(out / "comparison_summary.csv") as tmp, open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)

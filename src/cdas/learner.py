@@ -85,14 +85,14 @@ class SyntheticLearner:
         An empty batch, or a count ``pass_count_fault`` refuses, raises
         ValueError and leaves the learner untouched.
         """
-        counts = np.asarray(counts)
-        if counts.ndim != 1 or not counts.size:
+        passes = np.asarray(counts)
+        if passes.ndim != 1 or not passes.size:
             raise ValueError("learn_step requires a non-empty batch of pass counts")
         fault = pass_count_fault(counts, self.rollouts)
         if fault:
             raise ValueError(f"learn_step got {fault}")
-        mixed = int(np.count_nonzero((counts > 0) & (counts < self.rollouts)))
-        self.ability += self.learn_rate * (mixed / counts.size)
+        mixed = int(np.count_nonzero((passes > 0) & (passes < self.rollouts)))
+        self.ability += self.learn_rate * (mixed / passes.size)
 
 
 class ProblemBank:
@@ -265,7 +265,8 @@ def load_bank(path: str | Path) -> ProblemBank:
     """Read a bank written by ``save_bank``, refusing one whose columns or hash are off."""
     payload = read_json(path, "bank file")
     version = payload.get("format_version") if isinstance(payload, dict) else None
-    if version != BANK_FORMAT_VERSION:
+    # By exact type: 3.0 == 3 in Python.
+    if type(version) is not int or version != BANK_FORMAT_VERSION:
         raise ConfigError(f"bank file {path}: unsupported format_version {version!r}")
     require(payload, ("hash", "ids", "level_tags", "true_difficulty"), f"bank file {path}")
     ids, tags = payload["ids"], payload["level_tags"]

@@ -64,12 +64,13 @@ def checked_counts(roll_round, indices: np.ndarray, group_size: int) -> np.ndarr
     Raises ConsistencyError unless there is one count per index and
     ``pass_count_fault`` finds no fault in them.
     """
-    counts = np.asarray(roll_round(indices))
+    returned = roll_round(indices)
+    counts = np.asarray(returned)
     if counts.ndim != 1 or counts.size != indices.size:
         raise ConsistencyError(
             f"roll_round returned {counts.size} pass counts for {indices.size} problems"
         )
-    fault = pass_count_fault(counts, group_size)
+    fault = pass_count_fault(returned, group_size)
     if fault:
         raise ConsistencyError(f"roll_round returned {fault}")
     return counts.astype(np.int64, copy=False)
@@ -165,19 +166,26 @@ class Sampler:
         """Fold in one pass rate per pending problem, in batch order, and advance the step.
 
         Raises ConsistencyError when no batch is pending, and ValueError
-        unless there is exactly one rate per pending problem, each in
-        [0, 1]; a bad rate is named by its problem.  A refusal leaves the
-        sampler untouched.
+        unless there is exactly one rate per pending problem, each a number
+        in [0, 1] (a bool, str or bytes is not one); a bad rate is named by
+        its problem.  A refusal leaves the sampler untouched.
         """
         if self._pending is None:
             raise ConsistencyError("report called with no batch outstanding")
         indices = self._pending
-        rates = np.asarray(pass_rates, dtype=np.float64)
+        rates = np.asarray(pass_rates)
         if rates.shape != indices.shape:
             raise ValueError(
                 f"report needs one pass rate per pending problem ({indices.size}), "
                 f"got shape {rates.shape}"
             )
+        # By exact type: numpy reads True as 1.0 and "0.5" as 0.5.
+        if rates is not pass_rates or rates.dtype.kind not in "fiu":
+            for k, rate in enumerate(pass_rates):
+                if isinstance(rate, (bool, np.bool_, str, bytes)):
+                    name = self.bank.ids[indices[k]]
+                    raise ValueError(f"pass_rate must be a number, got {rate!r} for {name}")
+        rates = np.asarray(pass_rates, dtype=np.float64)
         bad_rate = ~((rates >= 0.0) & (rates <= 1.0))
         if bad_rate.any():
             k = int(np.argmax(bad_rate))

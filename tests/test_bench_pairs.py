@@ -126,3 +126,16 @@ def test_both_checkouts_are_copied_side_by_side_without_caches(tmp_path):
         assert (copy / "src/cdas/core.py").read_text() == f"{side} src/cdas/core.py"
         # The source trees are left as they were.
         assert (trees[side] / ".git/x").exists()
+
+
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_no_pairs_is_refused_before_anything_is_copied(tmp_path, monkeypatch, capsys, pairs):
+    def copy_checkouts(checkouts, into):
+        raise AssertionError("copied")
+
+    monkeypatch.setattr(bench_pairs, "copy_checkouts", copy_checkouts)
+    argv = [str(tmp_path), str(tmp_path), "--workload", "desk-compare", "--seed-base", "1"]
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main([*argv, "--pairs", pairs])
+    assert exit_info.value.code == 2
+    assert f"--pairs: must be at least 1, got {pairs}" in capsys.readouterr().err

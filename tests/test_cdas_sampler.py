@@ -291,17 +291,41 @@ class TestReportContract:
             with pytest.raises(ValueError, match="one pass rate per pending problem"):
                 sampler.report(rates)
 
-    @pytest.mark.parametrize("rate", [-0.25, 1.5, float("nan")])
+    # A bool, str or bytes is no rate, though numpy would read it as one.
+    @pytest.mark.parametrize(
+        "rate",
+        [
+            -0.25,
+            1.5,
+            float("nan"),
+            True,
+            pytest.param("0.5", id="str"),
+            pytest.param(b"0.5", id="bytes"),
+        ],
+    )
     def test_rate_outside_unit_interval_refused(self, rate):
         for strategy in STRATEGIES:
             sampler, batch = _armed(strategy)
-            with pytest.raises(ValueError, match=f"pass_rate must be in .* for {batch[2]}$"):
+            must = r"pass_rate must be (in \[0, 1\]|a number), got"
+            with pytest.raises(ValueError, match=f"{must} .* for {batch[2]}$"):
                 sampler.report([0.5, 0.5, rate, rate])
 
     @pytest.mark.parametrize(
         "refused",
-        [[], [0.5] * 5, [[0.5] * 4], [0.5, 0.5, 0.5, -0.25], [0.5, float("nan"), 0.5, 0.5]],
-        ids=["empty", "too-many", "2-d", "negative-rate", "nan-rate"],
+        [
+            [],
+            [0.5] * 5,
+            [[0.5] * 4],
+            [0.5, 0.5, 0.5, -0.25],
+            [0.5, float("nan"), 0.5, 0.5],
+            ["0.5", True, 0.5, 0.5],
+            [b"0.5", 0.1, 0.5, 0.5],
+            np.array([True, False, True, False]),
+        ],
+        ids=[
+            "empty", "too-many", "2-d", "negative-rate", "nan-rate",
+            "str-and-bool", "bytes", "bool-array",
+        ],
     )
     def test_failed_validation_leaves_no_trace(self, refused):
         rates = [1.0, 0.25, 0.0, 0.75]
@@ -327,6 +351,7 @@ BAD_COUNTS = {
     "fractional": ([2.5, 2, 2, 2], "float64 pass counts, first 2.5"),
     "integral-float": ([2.0] * 4, "float64 pass counts"),
     "bool": ([True] * 4, "bool pass counts"),
+    "bool-among-ints": ([2, 2, True, 3], "bool pass count True for candidate 2"),
     "above-group": ([2, 9, 2, 2], "pass count 9 for candidate 1; counts must be in \\[0, 4\\]"),
     "negative": ([-1, 2, 2, 2], "pass count -1 for candidate 0"),
 }

@@ -306,9 +306,11 @@ class TestResumeCommand:
     def test_stop_then_resume(self, tmp_path, capsys):
         out = tmp_path / "run"
         main(["run", *TINY_FLAGS, "--seed", "5", "--out", str(out), "--stop-after", "2"])
+        capsys.readouterr()
         code = main(["resume", str(out / CHECKPOINT_FILE)])
         assert code == 0
-        assert "5/5 steps" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert "5/5 steps" in lines[0] and lines[1:] == [f"outputs in {out}"]
         assert len(read_metrics_csv(out / METRICS_FILE)) == 5
 
     def test_finished_checkpoint_notice_goes_to_stderr(self, tmp_path):
@@ -538,6 +540,7 @@ BANK_DAMAGE = {
     "bad-tag": ({"level_tags": [1] * 11 + [0]}, "level_tag: must be in 1..5 or None, got 0"),
     "short-tags": ({"level_tags": [1] * 11}, "bank columns disagree"),
     "wrong-hash": ({"hash": "0" * 64}, "content hash mismatch"),
+    "float-version": ({"format_version": 3.0}, "unsupported format_version 3.0"),
 }
 
 

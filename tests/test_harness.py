@@ -6,6 +6,7 @@ import itertools
 import json
 import logging
 import math
+import shutil
 import types
 from pathlib import Path
 
@@ -98,13 +99,9 @@ class TestRunExperiment:
         ticked = run_experiment(config.with_overrides(out_dir=str(tmp_path / "ticked")))
         assert min(ticked.stage_seconds.values()) > 0.0
         for name in OUTPUT_FILES:
-            if name != CHECKPOINT_FILE:
-                assert (tmp_path / "ticked" / name).read_bytes() == (
-                    tmp_path / "timed" / name
-                ).read_bytes(), name
-        assert _checkpoint_sans_out_dir(tmp_path / "ticked") == _checkpoint_sans_out_dir(
-            tmp_path / "timed"
-        )
+            assert (tmp_path / "ticked" / name).read_bytes() == (
+                tmp_path / "timed" / name
+            ).read_bytes(), name
 
     def test_strategies_share_bank_and_initial_ability(self):
         hashes = set()
@@ -244,12 +241,6 @@ class TestOutputs:
         assert on_disk == result.summary()
 
 
-def _checkpoint_sans_out_dir(run_dir):
-    payload = json.loads((run_dir / CHECKPOINT_FILE).read_text())
-    payload["config"].pop("out_dir")
-    return payload
-
-
 def _edit_checkpoint(path, edit):
     payload = json.loads(path.read_text())
     edit(payload)
@@ -325,11 +316,7 @@ class TestCheckpointResume:
             run_experiment(config.with_overrides(out_dir=str(split)), stop_after=k)
             resume_experiment(split / CHECKPOINT_FILE)
             for name in OUTPUT_FILES:
-                if name == CHECKPOINT_FILE:
-                    continue
                 assert (split / name).read_bytes() == (straight / name).read_bytes(), (k, name)
-            # The checkpoints differ only in where they were told to write.
-            assert _checkpoint_sans_out_dir(split) == _checkpoint_sans_out_dir(straight), k
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_checkpoint_holds_only_mutable_state(self, tmp_path, strategy):
@@ -401,8 +388,19 @@ class TestCheckpointResume:
             (lambda p: p.update(steps=True), r"steps: must be an integer in \[0, 6\], got True"),
             (lambda p: p.update(steps=-2), r"steps: must be an integer in \[0, 6\], got -2"),
             (lambda p: p.update(steps=7), r"steps: must be an integer in \[0, 6\], got 7"),
+            (
+                lambda p: p.update(format_version=11.0),
+                r"unsupported format_version 11.0 \(expected 11\)",
+            ),
         ],
-        ids=["no-steps", "float-step", "bool-step", "negative-step", "step-past-the-run"],
+        ids=[
+            "no-steps",
+            "float-step",
+            "bool-step",
+            "negative-step",
+            "step-past-the-run",
+            "float-version",
+        ],
     )
     def test_damaged_checkpoint_refused(self, tmp_path, edit, match):
         run_experiment(_tiny(out_dir=str(tmp_path)), stop_after=2)
@@ -418,6 +416,38 @@ class TestCheckpointResume:
         run_experiment(_tiny(out_dir=str(tmp_path / "a")), stop_after=3)
         resume_experiment(tmp_path / "a" / CHECKPOINT_FILE, out_dir=tmp_path / "b")
         assert (tmp_path / "b" / METRICS_FILE).exists()
+
+    def test_resume_from_another_directory_writes_beside_the_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        # The run is told a relative out_dir; the resume runs elsewhere.
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        monkeypatch.chdir(tmp_path / "a")
+        run_experiment(_tiny(out_dir="runs/p"), stop_after=3)
+        monkeypatch.chdir(tmp_path / "b")
+        resume_experiment(tmp_path / "a" / "runs" / "p" / CHECKPOINT_FILE)
+        assert list((tmp_path / "b").iterdir()) == []
+        assert load_checkpoint(tmp_path / "a" / "runs" / "p" / CHECKPOINT_FILE)["steps"] == 6
+
+    @pytest.mark.parametrize("names_its_out_dir", [False, True])
+    def test_resume_of_a_copied_run_writes_beside_the_copy(self, tmp_path, names_its_out_dir):
+        config = _tiny(seed=9)
+        run_experiment(config.with_overrides(out_dir=str(tmp_path / "straight")))
+        run_experiment(config.with_overrides(out_dir=str(tmp_path / "run")), stop_after=2)
+        shutil.copytree(tmp_path / "run", tmp_path / "copy")
+        if names_its_out_dir:
+            # As checkpoints of this format first did; the hash leaves out_dir out.
+            _edit_checkpoint(
+                tmp_path / "copy" / CHECKPOINT_FILE,
+                lambda p: p["config"].update(out_dir=str(tmp_path / "run")),
+            )
+        before = {name: (tmp_path / "run" / name).read_bytes() for name in OUTPUT_FILES}
+        resume_experiment(tmp_path / "copy" / CHECKPOINT_FILE)
+        assert {name: (tmp_path / "run" / name).read_bytes() for name in OUTPUT_FILES} == before
+        for name in OUTPUT_FILES:
+            want = (tmp_path / "straight" / name).read_bytes()
+            assert (tmp_path / "copy" / name).read_bytes() == want, name
 
     def test_edited_config_detected(self, tmp_path):
         run_experiment(_tiny(out_dir=str(tmp_path)), stop_after=2)
@@ -550,10 +580,8 @@ class TestCheckpointResume:
                 assert not out.exists()
                 continue
             for name in OUTPUT_FILES:
-                if name != CHECKPOINT_FILE:
-                    want = (tmp_path / "straight" / name).read_bytes()
-                    assert (out / name).read_bytes() == want, (steps, name)
-            assert _checkpoint_sans_out_dir(out) == _checkpoint_sans_out_dir(tmp_path / "straight")
+                want = (tmp_path / "straight" / name).read_bytes()
+                assert (out / name).read_bytes() == want, (steps, name)
 
     def test_failed_checkpoint_write_keeps_the_previous_checkpoint(
         self, tmp_path, monkeypatch

@@ -125,12 +125,13 @@ class TestLearnStep:
         "counts, message",
         [
             ([True, False], "bool pass counts, first True"),
+            ([2, True], "bool pass count True for candidate 1; counts must be integers"),
             ([1.0, 2.0], "float64 pass counts"),
             ([2, -1], "pass count -1 for candidate 1; counts must be in \\[0, 8\\]"),
             ([9, 2], "pass count 9 for candidate 0"),
             ([[1, 2]], "non-empty batch"),
         ],
-        ids=["flags", "floats", "negative", "above-group", "two-dimensional"],
+        ids=["flags", "flag-among-counts", "floats", "negative", "above-group", "two-dimensional"],
     )
     def test_counts_that_are_not_pass_counts_refused(self, counts, message):
         # Zero-gradient flags once fed this method: each True would read as a

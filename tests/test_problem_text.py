@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from cdas import harness
-from cdas.config import BANK_MODES, STRATEGIES, ExperimentConfig
+from cdas.config import BANK_MODES, SAMPLERS, STRATEGIES, ExperimentConfig
 from cdas.harness import (
     BLOCK_ROWS,
     CHECKPOINT_FILE,
@@ -113,7 +113,7 @@ def _runs(n, strategy, mode, seed, steps, prefix, latents, tags, estimates, coun
     # latents and estimates, counts past 2**31, and negative zero and
     # subnormal pass rates.  No short run reaches them, so the sampler's
     # columns are written directly.
-    sampler = harness.make_sampler(config, run.bank, np.random.default_rng(seed))
+    sampler = SAMPLERS[strategy](config, run.bank, np.random.default_rng(seed))
     if strategy == "cdas":
         sampler._t[:] = _tile(counts, n)
         sampler._D[:] = _tile(estimates, n)

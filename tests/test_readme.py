@@ -4,12 +4,14 @@ import dataclasses
 import importlib
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import cdas
 from cdas import harness, learner
+from cdas.cli import build_parser
 from cdas.errors import ConfigError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -37,6 +39,21 @@ def test_library_example_runs():
     assert sampler.pending is None and replica.pending is None
     assert replica.estimates.tobytes() == sampler.estimates.tobytes()
     assert replica.last_pass_rates.tobytes() == sampler.last_pass_rates.tobytes()
+
+
+def test_readme_cli_lines_parse():
+    # Every command in the bash block under ## CLI, checked against the parser as it is.
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```bash\n(.*?)```", section, re.DOTALL).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("cdas ")]
+    assert len(lines) >= 11
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"the README's CLI line does not parse: {line}")
 
 
 # A backticked dotted name, such as `cdas.files.replacing` or `RunResult.batches`.

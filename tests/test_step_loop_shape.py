@@ -142,18 +142,14 @@ class LoggingGenerator:
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_a_sampler_draws_at_most_once_per_step_or_round(monkeypatch, tmp_path, strategy):
     log, learner_log, round_draws = [], [], []
-    real_make_sampler, real_pass_counts = harness.make_sampler, learner.SyntheticLearner.pass_counts
-    real_start = harness._start
-
-    def make_sampler(config, bank, rng):
-        sampler = real_make_sampler(config, bank, LoggingGenerator(rng, log))
-        log.clear()  # set-up draws, such as the cdas warm-up permutation
-        return sampler
+    real_start, real_pass_counts = harness._start, learner.SyntheticLearner.pass_counts
 
     def start(config):
-        bank, sampler_rng, run_learner = real_start(config)
-        run_learner.rng = LoggingGenerator(run_learner.rng, learner_log)
-        return bank, sampler_rng, run_learner
+        # Set-up draws, such as the cdas warm-up permutation, are made by now.
+        run = real_start(config)
+        run.sampler._rng = LoggingGenerator(run.sampler._rng, log)
+        run.learner.rng = LoggingGenerator(run.learner.rng, learner_log)
+        return run
 
     def pass_counts(self, *args):
         log.append("rollout round")
@@ -162,7 +158,6 @@ def test_a_sampler_draws_at_most_once_per_step_or_round(monkeypatch, tmp_path, s
         round_draws.append(learner_log[first:])
         return counts
 
-    monkeypatch.setattr(harness, "make_sampler", make_sampler)
     monkeypatch.setattr(harness, "_start", start)
     monkeypatch.setattr(learner.SyntheticLearner, "pass_counts", pass_counts)
     config = _config(strategy, tmp_path)
@@ -222,9 +217,9 @@ def test_a_run_without_outputs_reads_no_problem_id(monkeypatch, tmp_path, strate
     real_start = harness._start
 
     def start(config):
-        bank, sampler_rng, run_learner = real_start(config)
-        bank.ids = CountingIds(bank.ids)
-        return bank, sampler_rng, run_learner
+        run = real_start(config)
+        run.bank.ids = CountingIds(run.bank.ids)
+        return run
 
     monkeypatch.setattr(harness, "_start", start)
     result = run_experiment(dataclasses.replace(_config(strategy, tmp_path), out_dir=None))
