@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import os
 import sys
 import typing
 from collections import Counter
@@ -53,8 +54,13 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(ExperimentConfig)}
     # The flags apply before the file's config is built, and so checked.
     if args.config:
-        return ExperimentConfig.from_file(args.config, **flags)
-    return ExperimentConfig().with_overrides(**flags)
+        config = ExperimentConfig.from_file(args.config, **flags)
+    else:
+        config = ExperimentConfig().with_overrides(**flags)
+    # Stored absolute, so the run's checkpoint resumes from any directory.
+    if config.bank_path is not None:
+        config = config.with_overrides(bank_path=os.path.abspath(config.bank_path))
+    return config
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

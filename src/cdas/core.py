@@ -8,8 +8,9 @@ are immutable and replaced, never mutated.  These scalar functions are the
 oracle the samplers' array paths are checked against; ``sigmoid_array`` is
 the one array function here, equal to ``sigmoid`` bit for bit.  The
 fixed-point solver (``cdas.fixed_point.iterate_once``) takes its logistic
-unclamped, in one array pass: it is within machine epsilon of ``sigmoid`` but
-not bit-exact with it.
+unclamped, one exp pass per cache-sized block, on a thread per usable CPU and
+with identical results for any worker count: it is within machine epsilon of
+``sigmoid`` but not bit-exact with it.
 """
 
 from __future__ import annotations
@@ -81,8 +82,9 @@ def sigmoid_array(z) -> np.ndarray:
         raise ValueError(f"sigmoid input must be finite, got {z.flat[bad[0]]}")
     magnitude = np.abs(z)
     e = np.fromiter(map(math.exp, (-magnitude).ravel().tolist()), np.float64, z.size)
+    # Past MAX_LOGIT, e < 2**-57 and 1 + e rounds to 1.0, so the minimum
+    # already gives the clamp the scalar sigmoid takes there.
     value = np.minimum(1.0 / (1.0 + e.reshape(z.shape)), _SIGMOID_CEIL)
-    value = np.where(magnitude > MAX_LOGIT, _SIGMOID_CEIL, value)
     return np.where(z < 0.0, 1.0 - value, value)
 
 

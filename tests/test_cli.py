@@ -87,6 +87,8 @@ class TestConfigFlags:
             else:
                 argv += [flag, str(value)]
         args = build_parser().parse_args(argv)
+        # The bank path alone comes back made absolute, as a run stores it.
+        values["bank_path"] = os.path.abspath(values["bank_path"])
         assert _config_from_args(args) == ExperimentConfig(**values)
 
     @pytest.mark.parametrize("field", REMOVED_FIELDS)
@@ -103,6 +105,12 @@ class TestConfigFlags:
         path.write_text(json.dumps(config.to_dict()))
         args = build_parser().parse_args(["run", "--config", str(path)])
         assert _config_from_args(args) == config
+
+    def test_a_config_file_bank_path_is_made_absolute(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("config.json").write_text(json.dumps({"bank_path": "banks/../bank.json"}))
+        args = build_parser().parse_args(["run", "--config", "config.json"])
+        assert _config_from_args(args).bank_path == os.path.join(os.getcwd(), "bank.json")
 
     def test_bank_generate_flags_are_run_flags(self):
         run = _flag_dests(_subparser("run"))
@@ -312,6 +320,24 @@ class TestResumeCommand:
         lines = capsys.readouterr().out.splitlines()
         assert "5/5 steps" in lines[0] and lines[1:] == [f"outputs in {out}"]
         assert len(read_metrics_csv(out / METRICS_FILE)) == 5
+
+    def test_relative_bank_path_resumes_from_another_directory(self, tmp_path, monkeypatch):
+        # The run stores its bank path absolute, so the checkpoint resumes
+        # from any working directory.
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        monkeypatch.chdir(tmp_path / "a")
+        assert main(["bank", "generate", "--n-problems", "40", "--out", "bank.json"]) == 0
+        flags = ["--bank-path", "bank.json", "--batch-size", "8", "--steps", "6"]
+        assert main(["run", *flags, "--out", "straight"]) == 0
+        assert main(["run", *flags, "--stop-after", "3", "--out", "runs/q"]) == 0
+        checkpoint = json.loads(Path("runs/q", CHECKPOINT_FILE).read_text())
+        assert checkpoint["config"]["bank_path"] == str(Path.cwd() / "bank.json")
+        monkeypatch.chdir(tmp_path / "b")
+        assert main(["resume", str(Path("..", "a", "runs", "q", CHECKPOINT_FILE))]) == 0
+        run, straight = tmp_path / "a" / "runs" / "q", tmp_path / "a" / "straight"
+        for name in (METRICS_FILE, "batches.csv", "problems.csv", "summary.json", CHECKPOINT_FILE):
+            assert (run / name).read_bytes() == (straight / name).read_bytes()
 
     def test_finished_checkpoint_notice_goes_to_stderr(self, tmp_path):
         # A separate process: the notice is logged, and only the CLI's own

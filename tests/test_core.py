@@ -73,10 +73,19 @@ class TestSigmoid:
         assert gap.max() <= sys.float_info.epsilon
 
 
-# The clamp boundary on both sides, the extremes and the subnormals.
+# The clamp boundary on both sides, the logits just inside it where 1 + e
+# first rounds to 1.0, the extremes and the subnormals.
 SIGMOID_EDGES = [
     0.0,
     -0.0,
+    36.0,
+    -36.0,
+    37.0,
+    -37.0,
+    38.0,
+    -38.0,
+    39.0,
+    -39.0,
     40.0,
     -40.0,
     math.nextafter(40.0, math.inf),

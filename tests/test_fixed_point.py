@@ -3,12 +3,15 @@
 import csv
 import importlib.util
 import math
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cdas import fixed_point
 from cdas.errors import ConvergenceError
 from cdas.fixed_point import (
     EquilibriumProblem,
@@ -101,15 +104,24 @@ def test_iterate_once_is_the_masked_form_bit_for_bit(z, c):
         assert np.array(got_c).tobytes() == np.array(want_c).tobytes()
 
 
-# The last start has d at 0 and c at 5, so its first step size is c's.
-@pytest.mark.parametrize("seed, scattered", [(0, True), (1, True), (2, False)])
-def test_solve_is_the_masked_iteration_bit_for_bit(seed, scattered, tmp_path):
+# The last start of each size has d at 0 and c at 5, so its first step size
+# is c's.  The larger size spans four blocks, the last one short.
+MULTI_BLOCK = 3 * fixed_point._BLOCK + 17
+
+
+@pytest.mark.parametrize(
+    "seed, scattered, n",
+    [(0, True, 10_000), (1, True, 10_000), (2, False, 10_000),
+     (3, True, MULTI_BLOCK), (4, False, MULTI_BLOCK)],
+    ids=["0-True", "1-True", "2-False", "blocks-True", "blocks-False"],
+)
+def test_solve_is_the_masked_iteration_bit_for_bit(seed, scattered, n, tmp_path):
     rng = np.random.default_rng(seed)
-    s_star = rng.uniform(0.0, 1.0, 10_000)
+    s_star = rng.uniform(0.0, 1.0, n)
     if scattered:
-        d, c = rng.uniform(-5.0, 5.0, 10_000), float(rng.uniform(-5.0, 5.0))
+        d, c = rng.uniform(-5.0, 5.0, n), float(rng.uniform(-5.0, 5.0))
     else:
-        d, c = np.zeros(10_000), 5.0
+        d, c = np.zeros(n), 5.0
     solution = solve(EquilibriumProblem(s_star=s_star, init_d=d, init_c=c), tolerance=1e-10)
     (ref_d, ref_c), deltas = _masked_solve(s_star, d, c, 1e-10, 200)
     assert list(map(repr, solution.trajectory)) == list(map(repr, deltas))
@@ -122,6 +134,101 @@ def test_solve_is_the_masked_iteration_bit_for_bit(seed, scattered, tmp_path):
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(solution.trajectory, path)
     assert path.read_bytes() == _reference_csv(deltas)
+
+
+def _multi_block_problem():
+    rng = np.random.default_rng(23)
+    d = rng.uniform(-5.0, 5.0, MULTI_BLOCK)
+    d[::1000] = np.nan
+    return rng.uniform(0.0, 1.0, MULTI_BLOCK), d
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 8])
+def test_any_worker_count_gives_the_same_bytes(cpus, monkeypatch):
+    s_star, d = _multi_block_problem()
+    problem = EquilibriumProblem(s_star=s_star, init_d=np.nan_to_num(d), init_c=5.0)
+
+    def outputs():
+        solution = solve(problem)
+        iterate, c = iterate_once(d, 0.5, s_star)
+        return (
+            solution.d_star.tobytes(),
+            repr((solution.c_star, solution.trajectory)),
+            iterate.tobytes(),
+            repr((c, equation_residual(d, 0.5, s_star), equation_residual(iterate, c, s_star))),
+        )
+
+    monkeypatch.setattr(fixed_point, "_usable_cpus", lambda: 1)
+    alone = outputs()
+    monkeypatch.setattr(fixed_point, "_usable_cpus", lambda: cpus)
+    assert outputs() == alone
+
+
+def test_workers_drawing_many_small_blocks_miss_none_and_repeat_none(monkeypatch):
+    # In place, a block run twice is mapped from its own output and a block
+    # missed keeps its input, so either would change the bytes.
+    monkeypatch.setattr(fixed_point, "_BLOCK", 64)
+    s_star, d = _multi_block_problem()
+    want_d, want_c = _masked_iterate_once(d, 0.5, s_star)
+    want_step = equation_residual(d, 0.5, s_star)
+    monkeypatch.setattr(fixed_point, "_usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got_d = d.copy()
+        _, got_c = iterate_once(got_d, 0.5, s_star, out=got_d)
+        got_step = equation_residual(d, 0.5, s_star)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got_d.tobytes() == want_d.tobytes()
+    assert repr((got_c, got_step)) == repr((want_c, want_step))
+
+
+def test_the_callers_numpy_error_state_holds_in_every_worker(monkeypatch):
+    # inf - inf is invalid: ignored here, it would warn, and so fail, in a
+    # worker that ran under numpy's default error state.
+    monkeypatch.setattr(fixed_point, "_BLOCK", 64)
+    monkeypatch.setattr(fixed_point, "_usable_cpus", lambda: 4)
+    with np.errstate(invalid="ignore"):
+        iterate, _ = iterate_once(np.full(MULTI_BLOCK, np.inf), np.inf, np.zeros(MULTI_BLOCK))
+    assert np.isnan(iterate).all()
+
+
+def _convergence_error(problem):
+    with pytest.raises(ConvergenceError):
+        solve(problem, tolerance=1e-300, max_iters=3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda problem: solve(problem),
+        _convergence_error,
+        lambda problem: iterate_once(problem.init_d, 0.5, problem.s_star),
+        lambda problem: equation_residual(problem.init_d, 0.5, problem.s_star),
+    ],
+    ids=["solve", "solve-raising", "iterate_once", "equation_residual"],
+)
+def test_no_thread_outlives_a_call(call, monkeypatch):
+    monkeypatch.setattr(fixed_point, "_usable_cpus", lambda: 2)
+    s_star, d = _multi_block_problem()
+    threads = threading.active_count()
+    call(EquilibriumProblem(s_star=s_star, init_d=np.nan_to_num(d), init_c=5.0))
+    assert threading.active_count() == threads
+
+
+def test_solve_steps_through_the_module_iterate_once(monkeypatch):
+    # A wrapper set on the module, as a tracer sets one, sees every step.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return iterate_once(*args, **kwargs)
+
+    monkeypatch.setattr(fixed_point, "iterate_once", counted)
+    s_star, _ = _multi_block_problem()
+    solution = solve(EquilibriumProblem(s_star=s_star, init_c=5.0))
+    assert len(calls) == solution.iterations > 1
 
 
 def test_unconverged_trajectory_is_the_masked_iteration_bit_for_bit():
@@ -139,8 +246,8 @@ def test_unconverged_trajectory_is_the_masked_iteration_bit_for_bit():
     "tolerance, steps", [(1e-10, 34), (1e-300, 200)], ids=["converged", "exhausted"]
 )
 def test_solve_holds_a_few_arrays_whatever_its_iteration_count(tolerance, steps):
-    # Shape, not time: a solve holds the current iterate, the next one and
-    # one step's scratch, about 3.2 arrays of n doubles, however long it runs.
+    # Shape, not time: a solve holds two iterates and a block of scratch per
+    # worker, under 3.5 arrays of n doubles, however long it runs.
     n = 100_000
     rng = np.random.default_rng(4)
     problem = EquilibriumProblem(
